@@ -19,7 +19,9 @@ let t_table2 =
          in
          ignore (Pmrace.Campaign.run input)))
 
-(* Table 3: one post-failure validation (recovery on a crash image). *)
+(* Table 3: one post-failure validation (recovery on a crash image), in a
+   reused recovery context as validation runs it: the image repeats, so
+   every boot after the first is a journal rewind. *)
 let crash_image =
   lazy
     (let env = Runtime.Env.create ~pool_words:Workloads.Pclht.target.pool_words () in
@@ -28,9 +30,10 @@ let crash_image =
      Pmem.Pool.crash_image env.pool)
 
 let t_table3 =
+  let rctx = Pmrace.Post_failure.ctx Workloads.Pclht.target in
   Test.make ~name:"table3/post-failure-validation(p-clht)"
     (Staged.stage (fun () ->
-         ignore (Pmrace.Post_failure.run_recovery Workloads.Pclht.target (Lazy.force crash_image))))
+         ignore (Pmrace.Post_failure.run_recovery rctx (Lazy.force crash_image))))
 
 (* Table 4: operation-mutator seed generation vs AFL-style havoc. *)
 let t_table4_op =

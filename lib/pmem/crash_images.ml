@@ -147,10 +147,3 @@ let image st i =
       List.iter (fun (w, v) -> Pool.image_set img w v) d;
       img)
     (delta st i)
-
-let with_image st (d : delta) f =
-  let saved = List.map (fun (w, _) -> (w, Pool.image_word st.c_base w)) d in
-  List.iter (fun (w, v) -> Pool.image_set st.c_base w v) d;
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun (w, v) -> Pool.image_set st.c_base w v) saved)
-    (fun () -> f st.c_base)

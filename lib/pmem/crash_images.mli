@@ -60,9 +60,6 @@ val delta : state -> int -> delta option
 
 val image : state -> int -> Pool.image option
 (** [image st i] materialises image [i] as an independent copy (base
-    plus delta); [None] when out of range. *)
-
-val with_image : state -> delta -> (Pool.image -> 'a) -> 'a
-(** [with_image st d f] applies [d] to the shared base image in place,
-    runs [f] on it, and restores the base afterwards (also on raise).
-    The image passed to [f] is only valid during the call. *)
+    plus delta); [None] when out of range.  Validation never copies: it
+    boots its recovery pool from {!base} with the delta
+    ({!Pool.boot}). *)

@@ -26,13 +26,23 @@
    index records each word whose pending flag is raised, so SFENCE drains
    in O(pending) instead of scanning the pool, and the line ops walk
    [base, base+words_per_line) in place instead of materialising word
-   lists. *)
+   lists.
+
+   The validation twin (the post-failure recovery context): a pool can be
+   re-booted from a crash image in place ([boot]).  The pool remembers the
+   image it was last booted from; while nothing re-bases it, the journal
+   holds exactly the words that differ from that image, so booting the
+   same image again is a journal rewind.  A different image costs one
+   read-only compare pass plus a write per differing word — never a fresh
+   allocation or a whole-image blit. *)
 
 type writer = { tid : int; instr : int; seq : int }
 
+type image = int64 array
+
 type t = {
   words : int;
-  eadr : bool; (* extended ADR: the cache hierarchy is in the persistent domain *)
+  mutable eadr : bool; (* extended ADR: the cache hierarchy is in the persistent domain *)
   volatile : int64 array;
   durable : int64 array;
   dirty_tid : int array; (* valid (and -1 = clean) only when meta_epoch matches *)
@@ -58,6 +68,7 @@ type t = {
   pend_stamp : int array;
   mutable pend_gen : int;
   mutable baseline : int; (* snapshot id the journal diverges from; 0 = none *)
+  mutable booted : image; (* image the journal diverges from; [no_image] = none *)
   mutable seq : int;
   mutable n_loads : int;
   mutable n_stores : int;
@@ -67,7 +78,9 @@ type t = {
   mutable n_evictions : int;
 }
 
-type image = int64 array
+(* The "not booted" sentinel: no pool has zero words, so no bootable
+   image is physically this one. *)
+let no_image : image = [||]
 
 type snapshot = {
   s_id : int; (* identity: which pool baseline this snapshot can O(touched)-reset *)
@@ -109,6 +122,7 @@ let create ?(eadr = false) ~words () =
     pend_stamp = Array.make words 0;
     pend_gen = 1;
     baseline = 0;
+    booted = no_image;
     seq = 0;
     n_loads = 0;
     n_stores = 0;
@@ -381,6 +395,59 @@ let of_image (img : image) =
   Array.blit img 0 t.durable 0 (Array.length img);
   t
 
+let zero_counters t =
+  t.seq <- 0;
+  t.n_loads <- 0;
+  t.n_stores <- 0;
+  t.n_movnts <- 0;
+  t.n_flushes <- 0;
+  t.n_fences <- 0;
+  t.n_evictions <- 0
+
+(* Install [v] as word [w]'s volatile and durable contents, skipping the
+   write (and its barrier) when the word already holds it. *)
+let install t w v =
+  let cur = t.volatile.(w) in
+  if cur != v && not (Int64.equal cur v) then t.volatile.(w) <- v;
+  let cur = t.durable.(w) in
+  if cur != v && not (Int64.equal cur v) then t.durable.(w) <- v
+
+let rec check_delta t = function
+  | [] -> ()
+  | (w, _) :: rest ->
+      check t w;
+      check_delta t rest
+
+(* The delta words diverge from the booted image: journal them so the
+   next boot rewinds them too. *)
+let rec apply_delta t = function
+  | [] -> ()
+  | (w, v) :: rest ->
+      journal_touch t w;
+      install t w v;
+      apply_delta t rest
+
+let boot ?(delta = []) t (img : image) =
+  if Array.length img <> t.words then invalid_arg "Pool.boot: image size mismatch";
+  check_delta t delta;
+  if t.booted == img then
+    (* Every image mutation since the last boot from [img] is journaled:
+       undoing those words is the whole boot. *)
+    for i = 0 to t.journal_len - 1 do
+      let w = t.journal.(i) in
+      install t w img.(w)
+    done
+  else
+    for w = 0 to t.words - 1 do
+      install t w img.(w)
+    done;
+  new_epoch t;
+  t.eadr <- false;
+  t.baseline <- 0;
+  t.booted <- img;
+  zero_counters t;
+  apply_delta t delta
+
 (* Both restore paths return the pool to the exact observable state the
    snapshot captured; they differ only in cost.  [finish_reset] installs
    the non-image half of that state: metadata all-clean (fresh epoch),
@@ -388,6 +455,7 @@ let of_image (img : image) =
 let finish_reset t s =
   new_epoch t;
   t.baseline <- s.s_id;
+  t.booted <- no_image;
   t.seq <- s.s_seq;
   t.n_loads <- s.s_loads;
   t.n_stores <- s.s_stores;

@@ -121,7 +121,29 @@ val image_set : image -> int -> int64 -> unit
 
 val of_image : image -> t
 (** Boot a fresh pool from a crash image (volatile = durable = image, all
-    clean), as after a restart. *)
+    clean), as after a restart.  Allocates a whole pool; validation reuses
+    one pool through {!boot} instead, and [of_image] stays its executable
+    specification. *)
+
+val boot : ?delta:(int * int64) list -> t -> image -> unit
+(** [boot t img] re-boots [t] in place into exactly the state [of_image img]
+    would give: volatile = durable = [img], every word clean and not
+    pending, an empty touched-word journal and pending index, sequence
+    number and access counters at 0, no snapshot baseline, eADR off.
+
+    [delta] (default empty) overrides words of [img], as
+    {!Crash_images} enumerates them: the result is [of_image] of [img]
+    with each [(w, v)] written, except that {!touched_words} counts the
+    delta's words.
+
+    Allocation-free.  Booting the image [t] was last booted from
+    (physically the same array, with no {!snapshot}/{!restore} since) is a
+    journal rewind, O(touched); any other image costs one read-only pass
+    over the pool plus a write per differing word.  The pool keeps a
+    reference to [img] to recognise it; the rewind trusts that [img] was
+    not mutated (e.g. by {!image_set}) since the previous boot from it.
+    @raise Invalid_argument on size mismatch or an out-of-bounds delta
+    word. *)
 
 val snapshot : t -> snapshot
 (** Capture an in-memory checkpoint.  Semantics (pinned; the audit of the

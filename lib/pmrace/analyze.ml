@@ -76,6 +76,7 @@ let run ?(cfg = default_config) (target : Target.t) =
   let t0 = Obs.Clock.now () in
   let az = Analysis.Analyzer.create ~cfg:cfg.analysis () in
   let taxonomy = cfg.analysis.Analysis.Analyzer.taxonomy in
+  let rctx = Post_failure.ctx target in
   iter_executions ~cfg target (fun (res : Campaign.result) trace ->
       Analysis.Analyzer.absorb_trace az trace;
       if taxonomy then begin
@@ -85,7 +86,7 @@ let run ?(cfg = default_config) (target : Target.t) =
         let image = Pmem.Pool.crash_image res.Campaign.env.Runtime.Env.pool in
         let rtrace = Trace.create () in
         let (_ : Post_failure.recovery_result) =
-          Post_failure.run_recovery ~listeners:[ Trace.attach rtrace ] target image
+          Post_failure.run_recovery ~listeners:[ Trace.attach rtrace ] rctx image
         in
         Obs.Metrics.incr (Lazy.force m_recoveries);
         Analysis.Analyzer.absorb_recovery az (Trace.events rtrace)

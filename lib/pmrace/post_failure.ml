@@ -3,9 +3,10 @@
    Each confirmed candidate carries a crash surface: the base durable
    image at the instant the durable side effect persisted, plus the
    in-flight cache lines that may or may not have drained (see
-   [Pmem.Crash_images]).  Validation boots a fresh environment from an
-   enumerated image, runs the target's recovery code, and checks whether
-   the application-specific recovery fixed the inconsistency:
+   [Pmem.Crash_images]).  Validation boots the context's recovery
+   environment into an enumerated image (the base image plus its delta,
+   re-booted in place), runs the target's recovery code, and checks
+   whether the application-specific recovery fixed the inconsistency:
 
    - PM Inter-/Intra-thread Inconsistency: fixed iff every recorded
      side-effect word is overwritten during recovery.
@@ -59,22 +60,68 @@ type recovery_result = {
   hung : bool;
 }
 
-(* Run the target's recovery on a crash image, recording every PM word the
-   recovery code overwrites.  Extra [listeners] (e.g. a trace recorder for
+(* The post-failure world, recycled: one environment per context, re-booted
+   in place for every crash image ([Env.boot]) instead of a freshly
+   allocated pool per image.  The [overwritten] table and its listener are
+   reused the same way.  The context holds its world weakly: a fuzz worker
+   validates rarely on execution-bound targets, and a pinned pool-sized
+   world would raise its heap peak by about twice its size.  During a
+   validation burst the world survives between major collections; when the
+   GC does reclaim it, the next recovery creates a fresh one, which boots
+   to the same state. *)
+type world = {
+  w_env : Env.t;
+  w_overwritten : (int, unit) Hashtbl.t;
+  w_record : Env.event -> unit;
+}
+
+type ctx = {
+  c_target : Target.t;
+  c_whitelist : Whitelist.t;
+  c_images : int;
+  c_world : world Weak.t; (* created by the first recovery that finds it empty *)
+}
+
+let ctx ?(images = 1) ?whitelist target =
+  let whitelist = match whitelist with Some w -> w | None -> Whitelist.empty () in
+  { c_target = target; c_whitelist = whitelist; c_images = max 1 images; c_world = Weak.create 1 }
+
+let world ctx image =
+  match Weak.get ctx.c_world 0 with
+  | Some w -> w
+  | None ->
+      let overwritten : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+      let w =
+        {
+          w_env = Env.create ~capture_images:false ~pool_words:(Pmem.Pool.image_words image) ();
+          w_overwritten = overwritten;
+          w_record =
+            (function
+            | Env.Ev_store { addr; _ } | Env.Ev_movnt { addr; _ } ->
+                Hashtbl.replace overwritten addr ()
+            | Env.Ev_load _ | Env.Ev_clwb _ | Env.Ev_fence _ | Env.Ev_branch _ -> ());
+        }
+      in
+      Weak.set ctx.c_world 0 (Some w);
+      w
+
+(* Run the target's recovery on a crash image (plus [delta]) in the
+   context's world, recording every PM word the recovery code overwrites.  Extra [listeners] (e.g. a trace recorder for
    the recovery-path lint) are attached before recovery starts. *)
-let run_recovery ?(listeners = []) (target : Target.t) image =
-  let env = Env.of_image image in
+let run_recovery ?(listeners = []) ?delta ctx image =
+  let w = world ctx image in
+  let env = w.w_env in
+  Env.boot ?delta env image;
+  Hashtbl.clear w.w_overwritten;
+  let target = ctx.c_target in
   target.annotate env;
   List.iter (fun l -> l env) listeners;
-  let overwritten : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  Env.add_listener env (function
-    | Env.Ev_store { addr; _ } | Env.Ev_movnt { addr; _ } -> Hashtbl.replace overwritten addr ()
-    | Env.Ev_load _ | Env.Ev_clwb _ | Env.Ev_fence _ | Env.Ev_branch _ -> ());
+  Env.add_listener env w.w_record;
   let hang = ref false in
   (try target.recover env with
   | Runtime.Mem.Stuck _ -> hang := true
   | Sched.Scheduler.Killed -> hang := true);
-  { env; overwritten; hung = !hang }
+  { env; overwritten = w.w_overwritten; hung = !hang }
 
 module Candidate = struct
   type t =
@@ -82,12 +129,6 @@ module Candidate = struct
     | Ordering of { crash : Pmem.Crash_images.state option; eff_words : int list }
     | Sync of Checkers.sync_event
 end
-
-type ctx = { c_target : Target.t; c_whitelist : Whitelist.t; c_images : int }
-
-let ctx ?(images = 1) ?whitelist target =
-  let whitelist = match whitelist with Some w -> w | None -> Whitelist.empty () in
-  { c_target = target; c_whitelist = whitelist; c_images = max 1 images }
 
 let crash_of = function
   | Candidate.Inconsistency inc -> inc.Checkers.crash
@@ -146,9 +187,7 @@ let validate ctx cand =
                 if skip_image cand delta then go rest budget
                 else begin
                   Obs.Metrics.incr (Lazy.force m_images_validated);
-                  let r =
-                    Pmem.Crash_images.with_image st delta (run_recovery ctx.c_target)
-                  in
+                  let r = run_recovery ~delta ctx (Pmem.Crash_images.base st) in
                   if r.hung then Bug { recovery_hang = true; image_index = idx }
                   else if fixed_by cand delta r then go rest (budget - 1)
                   else Bug { recovery_hang = false; image_index = idx }

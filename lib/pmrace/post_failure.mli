@@ -19,21 +19,6 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-type recovery_result = {
-  env : Runtime.Env.t;  (** the post-recovery environment *)
-  overwritten : (int, unit) Hashtbl.t;  (** PM words recovery stored to *)
-  hung : bool;  (** recovery got stuck (spin lock, kill) *)
-}
-
-val run_recovery :
-  ?listeners:(Runtime.Env.t -> unit) list ->
-  Target.t ->
-  Pmem.Pool.image ->
-  recovery_result
-(** Run recovery on one crash image.  [listeners] (e.g.
-    {!Runtime.Trace.attach}) are applied to the booted environment before
-    recovery starts. *)
-
 (** The three candidate kinds post-failure validation decides on. *)
 module Candidate : sig
   type t =
@@ -50,12 +35,38 @@ module Candidate : sig
 end
 
 type ctx
-(** Validation context: target, whitelist, image budget. *)
+(** Validation context: target, whitelist, image budget, and the reused
+    recovery environment every recovery on it boots into. *)
 
 val ctx : ?images:int -> ?whitelist:Whitelist.t -> Target.t -> ctx
 (** [images] is the crash-image budget — how many enumerated images are
     recovered at most per candidate (default [1], clamped to [>= 1]);
-    [whitelist] defaults to empty. *)
+    [whitelist] defaults to empty.  Create one per worker domain. *)
+
+type recovery_result = {
+  env : Runtime.Env.t;  (** the post-recovery environment *)
+  overwritten : (int, unit) Hashtbl.t;  (** PM words recovery stored to *)
+  hung : bool;  (** recovery got stuck (spin lock, kill) *)
+}
+(** Both [env] and [overwritten] belong to the context's recovery world:
+    they are valid until the next recovery on the same context. *)
+
+val run_recovery :
+  ?listeners:(Runtime.Env.t -> unit) list ->
+  ?delta:Pmem.Crash_images.delta ->
+  ctx ->
+  Pmem.Pool.image ->
+  recovery_result
+(** Run the context target's recovery on one crash image: [image] with
+    [delta] (default empty) applied.  The context's recovery environment
+    is re-booted in place ({!Runtime.Env.boot}) — observationally a fresh
+    {!Runtime.Env.of_image}, without allocating a pool.  The context holds
+    it weakly: the first recovery creates it, and so does the first one
+    after the GC reclaimed it from an idle context.  [listeners] (e.g. {!Runtime.Trace.attach})
+    are applied to the booted environment before recovery starts.  All
+    images recovered on one context must have the same size
+    ([Invalid_argument] otherwise), and a context is not safe to share
+    between domains. *)
 
 val validate : ctx -> Candidate.t -> verdict
 (** Validate one candidate: enumerate its crash surface in deterministic

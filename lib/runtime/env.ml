@@ -26,7 +26,7 @@ type t = {
      campaign) and dispatched before the transient [listeners].  They
      survive [reset]. *)
   mutable bound : (event -> unit) array;
-  evict_seed : int;
+  mutable evict_seed : int;
   mutable evict_rng : Sched.Rng.t;
   mutable evict_prob : float;
 }
@@ -41,7 +41,10 @@ let null_policy = { before = (fun _ _ -> ()); after = (fun _ _ -> ()) }
    preemption point. *)
 let preempt_policy = { before = (fun _ _ -> Sched.Scheduler.yield ()); after = (fun _ _ -> ()) }
 
-let create ?(capture_images = true) ?(evict_prob = 0.) ?(evict_seed = 7) ?(eadr = false)
+let default_evict_seed = 7
+
+let create ?(capture_images = true) ?(evict_prob = 0.) ?(evict_seed = default_evict_seed)
+    ?(eadr = false)
     ~pool_words () =
   {
     pool = Pmem.Pool.create ~eadr ~words:pool_words ();
@@ -67,8 +70,8 @@ let of_image ?(capture_images = false) (image : Pmem.Pool.image) =
     policy = null_policy;
     listeners = [];
     bound = [||];
-    evict_seed = 7;
-    evict_rng = Sched.Rng.create 7;
+    evict_seed = default_evict_seed;
+    evict_rng = Sched.Rng.create default_evict_seed;
     evict_prob = 0.;
   }
 
@@ -119,3 +122,14 @@ let reset ?(capture_images = true) t =
   t.policy <- null_policy;
   t.listeners <- [];
   t.evict_rng <- Sched.Rng.create t.evict_seed
+
+(* [of_image] without the allocation: the reused recovery world of
+   post-failure validation.  Everything [reset] leaves alone is put back
+   to what [of_image] gives too — no pre-bound listeners, the default
+   eviction seed, no eviction — and the pool re-boots in place. *)
+let boot ?delta t image =
+  t.evict_seed <- default_evict_seed;
+  reset ~capture_images:false t;
+  t.bound <- [||];
+  t.evict_prob <- 0.;
+  Pmem.Pool.boot ?delta t.pool image

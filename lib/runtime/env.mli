@@ -31,7 +31,7 @@ type t = {
   mutable bound : (event -> unit) array;
       (** pre-bound listeners: installed once per worker, dispatched before
           the transient [listeners], survive {!reset} *)
-  evict_seed : int;
+  mutable evict_seed : int;
   mutable evict_rng : Sched.Rng.t;
   mutable evict_prob : float;
 }
@@ -62,7 +62,16 @@ val create :
 
 val of_image : ?capture_images:bool -> Pmem.Pool.image -> t
 (** The post-failure world: pool booted from a crash image; DRAM, taint and
-    checker state start fresh. *)
+    checker state start fresh.  Allocates a whole environment; it is the
+    executable specification of {!boot}, which validation uses. *)
+
+val boot : ?delta:(int * int64) list -> t -> Pmem.Pool.image -> unit
+(** [boot t image] re-boots a reused environment in place into a state
+    observationally identical to [of_image image] (with [delta] applied to
+    the image, see {!Pmem.Pool.boot}): fresh checkers without image
+    capture, cleared DRAM and taint, null policy, no transient or bound
+    listeners, the eviction RNG reseeded from the default seed, eviction
+    probability 0 and eADR off.  It allocates no pool. *)
 
 val ctx : t -> tid:int -> ctx
 val set_policy : t -> policy -> unit

@@ -30,6 +30,7 @@ let () =
       ("integration", Test_integration.suite);
       ("crashimages", Test_crashimages.suite);
       ("por", Test_por.suite);
+      ("recovery", Test_recovery.suite);
       (* Keep fleet LAST: its wire/store codecs register novel Instr
          sites at runtime, which would shift the raw alias-bitmap hash
          layout under the golden sessions above. *)

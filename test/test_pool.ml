@@ -477,6 +477,91 @@ let prop_reset_equals_restore =
       done;
       !ok)
 
+(* Property: whatever an op sequence left behind — dirty, pending,
+   evicted, on an eADR pool or not — [boot img] is indistinguishable from
+   [of_image img]: on the first boot (compare pass), on a second boot from
+   the same image (journal rewind), and with a delta on top.  "The same"
+   covers every word's value and metadata, the statistics, the crash
+   image, an empty journal and pending index, and the [sfence] results of
+   an identical follow-up op sequence. *)
+let prop_boot_equals_of_image =
+  let open QCheck in
+  let op =
+    Gen.(
+      oneof
+        [
+          map2 (fun w v -> `Store (w, v)) (int_bound 63) (int_range 1 1000);
+          map2 (fun w v -> `Movnt (w, v)) (int_bound 63) (int_range 1 1000);
+          map (fun w -> `Clwb w) (int_bound 63);
+          map (fun l -> `Evict l) (int_bound 7);
+          return `Fence;
+        ])
+  in
+  let ops = Gen.(list_size (int_range 0 40) op) in
+  let delta = Gen.(list_size (int_range 0 6) (pair (int_bound 63) (int_range 1 1000))) in
+  Test.make ~name:"pool: boot ≡ of_image (first boot, rewind, delta)" ~count:300
+    (make Gen.(tup5 bool ops ops ops delta))
+    (fun (eadr, ops_img, ops_before, ops_after, delta) ->
+      (* The observable results of an op sequence: what every fence
+         persisted and every eviction wrote back. *)
+      let run p ops =
+        List.filter_map
+          (fun op ->
+            match op with
+            | `Store (w, v) ->
+                Pool.store p ~tid:1 ~instr:2 w (Int64.of_int v);
+                None
+            | `Movnt (w, v) ->
+                Pool.movnt p ~tid:1 ~instr:3 w (Int64.of_int v);
+                None
+            | `Clwb w ->
+                Pool.clwb p w;
+                None
+            | `Evict l -> Some (Pool.evict_line p l)
+            | `Fence -> Some (Pool.sfence p))
+          ops
+      in
+      let same a b =
+        let ok = ref (Pool.stats a = Pool.stats b && Pool.is_eadr a = Pool.is_eadr b) in
+        let ia = Pool.crash_image a and ib = Pool.crash_image b in
+        for w = 0 to 63 do
+          if not (Int64.equal (Pool.peek a w) (Pool.peek b w)) then ok := false;
+          if not (Int64.equal (Pool.image_word ia w) (Pool.image_word ib w)) then ok := false;
+          if Pool.dirty_writer a w <> Pool.dirty_writer b w then ok := false;
+          if Pool.is_pending a w <> Pool.is_pending b w then ok := false
+        done;
+        !ok
+      in
+      (* Booted vs reference, right after the boot and after an identical
+         follow-up sequence. *)
+      let agrees ~touched p reference =
+        let now =
+          same p reference && Pool.touched_words p = touched && Pool.pending_index_size p = 0
+        in
+        let follow_up = run p ops_after = run reference ops_after in
+        now && follow_up && same p reference
+      in
+      let img =
+        let q = Pool.create ~words:64 () in
+        ignore (run q ops_img);
+        Pool.crash_image q
+      in
+      let p = Pool.create ~eadr ~words:64 () in
+      ignore (run p ops_before);
+      Pool.boot p img;
+      let first = agrees ~touched:0 p (Pool.of_image img) in
+      Pool.boot p img;
+      let rewind = agrees ~touched:0 p (Pool.of_image img) in
+      (* A delta overrides words of the image; the last write to a word
+         wins, as in the materialised image. *)
+      let with_delta = Pool.image_copy img in
+      List.iter (fun (w, v) -> Pool.image_set with_delta w (Int64.of_int v)) delta;
+      let delta = List.map (fun (w, v) -> (w, Int64.of_int v)) delta in
+      Pool.boot ~delta p img;
+      let touched = List.length (List.sort_uniq compare (List.map fst delta)) in
+      let delta_ok = agrees ~touched p (Pool.of_image with_delta) in
+      first && rewind && delta_ok)
+
 (* Property: after arbitrary (store | movnt | clwb | fence) sequences,
    crash + reboot never exposes a value that was never stored, and every
    fence-persisted word reads back its last pre-fence value. *)
@@ -578,6 +663,7 @@ let suite =
       test_pending_index_evict_store_interleaving;
     QCheck_alcotest.to_alcotest prop_sfence_equals_scan;
     QCheck_alcotest.to_alcotest prop_reset_equals_restore;
+    QCheck_alcotest.to_alcotest prop_boot_equals_of_image;
     QCheck_alcotest.to_alcotest prop_crash_soundness;
     QCheck_alcotest.to_alcotest prop_durable_is_prefix;
   ]
