@@ -125,6 +125,74 @@ let clwb_pipeline_ops_per_sec () =
   float_of_int iters /. Float.max 1e-9 wall
 
 (* ------------------------------------------------------------------ *)
+(* The hook layer: ns per instrumented operation, with nothing else in
+   the loop — no scheduler (null policy), two alternating threads over
+   512 lines of a 4k-word pool.  Measured bare (the init and recovery
+   path: no listener, so no event is built) and with the fuzz worker's
+   bound listener set (the delta's alias, branch and queue handlers plus
+   the seed-site recorder).  Each row is the fastest of [hook_reps]
+   repetitions.  perfbench cannot split this layer out of a
+   campaign, so this is its own number. *)
+
+module Env = Runtime.Env
+module Mem = Runtime.Mem
+module Tval = Runtime.Tval
+
+let hook_iters = 100_000
+let hook_reps = 7
+
+let hook_ns_per_op ~listeners op =
+  let env = Env.create ~pool_words:4096 () in
+  if listeners then begin
+    let delta = Pmrace.Hub.fresh_delta () in
+    let sites = ref (Pmrace.Site_set.create ()) in
+    Env.install_bound env
+      (Array.of_list (Pmrace.Hub.delta_handlers delta @ [ Pmrace.Site_set.access_handler sites ]))
+  end;
+  let ctxs = [| Env.ctx env ~tid:0; Env.ctx env ~tid:1 |] in
+  (* An existing site: registering one here would shift the site ids of
+     sections that run after this one. *)
+  let instr = Runtime.Instr.of_int 0 in
+  let addrs = Array.init 512 (fun k -> Tval.of_int (k * Cacheline.words_per_line)) in
+  let run n =
+    for i = 0 to n - 1 do
+      op env ctxs.(i land 1) instr addrs.(i land 511)
+    done
+  in
+  run 4096;
+  (* Host noise only ever adds time: report the fastest repetition. *)
+  let best = ref infinity in
+  for _ = 1 to hook_reps do
+    let t0 = Obs.Clock.now () in
+    run hook_iters;
+    best := Float.min !best (Obs.Clock.elapsed t0)
+  done;
+  1e9 *. !best /. float_of_int hook_iters
+
+(* Each op keeps the pool in a steady state: loads read clean words,
+   stores re-dirty the same words, the cas publishes non-temporally (no
+   dirty word, no candidate) and the persist flushes a line one raw store
+   dirtied. *)
+let hook_ops =
+  [
+    ("load", fun _ ctx instr a -> ignore (Mem.load ctx ~instr a));
+    ("store", fun _ ctx instr a -> Mem.store ctx ~instr a Tval.one);
+    ( "cas",
+      fun _ ctx instr a ->
+        ignore (Mem.cas ~nt:true ctx ~instr a ~expect:Tval.zero ~value:Tval.zero) );
+    ( "persist",
+      fun env ctx instr a ->
+        Pool.store env.Env.pool ~tid:0 ~instr:0 (Tval.to_int a) 1L;
+        Mem.persist ctx ~instr a );
+  ]
+
+let hook_rows () =
+  List.map
+    (fun (name, op) ->
+      (name, hook_ns_per_op ~listeners:false op, hook_ns_per_op ~listeners:true op))
+    hook_ops
+
+(* ------------------------------------------------------------------ *)
 
 let speedup fast legacy = fast /. Float.max 1e-9 legacy
 
@@ -154,6 +222,13 @@ let run ppf =
     fold_fast (speedup fold_fast fold_legacy);
   let pipeline = clwb_pipeline_ops_per_sec () in
   Format.fprintf ppf "%-34s %14s %14.0f %9s@." "store*8+clwb+sfence pipeline" "-" pipeline "-";
+  hr ppf;
+  let hooks = hook_rows () in
+  Format.fprintf ppf "%-34s %14s %14s@." "instrumented op (ns/op)" "no listener" "worker set";
+  List.iter
+    (fun (name, bare, listened) ->
+      Format.fprintf ppf "%-34s %14.1f %14.1f@." ("hook " ^ name ^ " (null policy)") bare listened)
+    hooks;
   hr ppf;
   Format.fprintf ppf
     "(legacy = run_reference / sfence_scan / words-of-line list: the quadratic@.";
@@ -205,6 +280,23 @@ let run ppf =
                   ("ops_per_sec", Obs.Json.Float pipeline);
                 ];
             ] );
+        ( "hooks",
+          Obs.Json.List
+            (List.concat_map
+               (fun (name, bare, listened) ->
+                 List.map
+                   (fun (listeners, ns) ->
+                     Obs.Json.Obj
+                       [
+                         ("op", Obs.Json.String name);
+                         ("policy", Obs.Json.String "null");
+                         ("listeners", Obs.Json.String listeners);
+                         ("iterations", Obs.Json.Int hook_iters);
+                         ("repetitions", Obs.Json.Int hook_reps);
+                         ("ns_per_op", Obs.Json.Float ns);
+                       ])
+                   [ ("none", bare); ("worker", listened) ])
+               hooks) );
       ]
   in
   let oc = open_out "BENCH_hotpath.json" in

@@ -212,6 +212,16 @@ let dirty_writer t w =
   if t.meta_epoch.(w) <> t.epoch || t.dirty_seq.(w) < 0 then None
   else Some { tid = t.dirty_tid.(w); instr = t.dirty_instr.(w); seq = t.dirty_seq.(w) }
 
+(* The fields of [dirty_writer], read without allocating: the load hook
+   runs on every dirty read.  Only meaningful while the word is dirty. *)
+let dirty_tid t w =
+  check t w;
+  t.dirty_tid.(w)
+
+let dirty_instr t w =
+  check t w;
+  t.dirty_instr.(w)
+
 let is_dirty t w =
   check t w;
   t.meta_epoch.(w) = t.epoch && t.dirty_seq.(w) >= 0
@@ -290,6 +300,46 @@ let persist_word t w =
   journal_touch t w;
   t.durable.(w) <- t.volatile.(w)
 
+(* Sort [a.(0 .. n-1)] ascending in place.  A fence drains a handful of
+   words, so short prefixes take an insertion sort; longer ones a heap
+   sort (worst case O(n log n), no allocation). *)
+let insertion_cutoff = 16
+
+let sort_prefix (a : int array) n =
+  if n <= insertion_cutoff then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let rec sift root len =
+      let child = (2 * root) + 1 in
+      if child < len then begin
+        let child = if child + 1 < len && a.(child + 1) > a.(child) then child + 1 else child in
+        if a.(child) > a.(root) then begin
+          let x = a.(root) in
+          a.(root) <- a.(child);
+          a.(child) <- x;
+          sift child len
+        end
+      end
+    in
+    for root = (n / 2) - 1 downto 0 do
+      sift root n
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- x;
+      sift 0 last
+    done
+  end
+
 let sfence t =
   t.n_fences <- t.n_fences + 1;
   (* Compact the index in place down to the words that are still pending
@@ -303,15 +353,14 @@ let sfence t =
     end
   done;
   let n = !n in
-  (* ... then sort that prefix so the persisted list comes back in the
-     ascending order the legacy full scan produced: checkers and golden
-     fingerprints observe it.  O(pending log pending), independent of the
-     pool size. *)
-  let sorted = Array.sub t.pend_idx 0 n in
-  Array.sort Int.compare sorted;
+  (* ... then sort that prefix in place, so the persisted list comes back
+     in the ascending order the legacy full scan produced: checkers and
+     golden fingerprints observe it.  O(pending log pending), independent
+     of the pool size, and no copy. *)
+  sort_prefix t.pend_idx n;
   let persisted = ref [] in
   for i = n - 1 downto 0 do
-    let w = sorted.(i) in
+    let w = t.pend_idx.(i) in
     persist_word t w;
     persisted := w :: !persisted
   done;

@@ -86,6 +86,11 @@ val dirty_writer : t -> int -> writer option
 (** [dirty_writer t w] is the identity of the pending store to [w], or
     [None] when the word is clean (persisted or never written). *)
 
+val dirty_tid : t -> int -> int
+val dirty_instr : t -> int -> int
+(** The [tid] and [instr] fields of {!dirty_writer}, read without
+    allocating.  Only meaningful while {!is_dirty} holds. *)
+
 val is_dirty : t -> int -> bool
 val is_pending : t -> int -> bool
 

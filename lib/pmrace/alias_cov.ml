@@ -37,14 +37,16 @@ let mix h x =
   let h = (h lxor (h lsr 15)) * 0x85EBCA77 in
   h lxor (h lsr 13)
 
-let hash_pair prev cur =
+let dirty_code dirty = if dirty then 3 else 5
+
+let hash_pair ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid =
   let h = 0x27220A95 in
-  let h = mix h prev.a_instr in
-  let h = mix h (if prev.a_dirty then 3 else 5) in
-  let h = mix h prev.a_tid in
-  let h = mix h cur.a_instr in
-  let h = mix h (if cur.a_dirty then 3 else 5) in
-  mix h cur.a_tid
+  let h = mix h p_instr in
+  let h = mix h (dirty_code p_dirty) in
+  let h = mix h p_tid in
+  let h = mix h c_instr in
+  let h = mix h (dirty_code c_dirty) in
+  mix h c_tid
 
 let set_bit t idx =
   let byte = idx / 8 and bit = idx mod 8 in
@@ -57,9 +59,13 @@ let set_bit t idx =
   end
   else false
 
+let observe_pair t ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid =
+  if p_tid = c_tid then false
+  else set_bit t (abs (hash_pair ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid) mod t.size)
+
 let observe t ~prev ~cur =
-  if prev.a_tid = cur.a_tid then false
-  else set_bit t (abs (hash_pair prev cur) mod t.size)
+  observe_pair t ~p_instr:prev.a_instr ~p_dirty:prev.a_dirty ~p_tid:prev.a_tid
+    ~c_instr:cur.a_instr ~c_dirty:cur.a_dirty ~c_tid:cur.a_tid
 
 let count t = t.count
 
@@ -93,6 +99,9 @@ let achieved_site_pairs t = Hashtbl.length t.achieved
 let site_pairs t =
   Hashtbl.fold (fun (w, r) () acc -> (w, r) :: acc) t.achieved [] |> List.sort compare
 
+let fresh_pairs ~src dst =
+  List.filter (fun pair -> not (Hashtbl.mem dst.achieved pair)) (site_pairs src)
+
 let set_possible t n = t.possible <- Some n
 let possible t = t.possible
 
@@ -104,39 +113,77 @@ let pp_site_coverage ppf t =
 (* Per-execution scratch: the previous accessor of every PM address, plus
    the last *writer* tracked separately so that cross-thread dirty reads
    also register as achieved site pairs against the static denominator.
-   The persistent-mode engine keeps one tracker per worker and resets it
-   between campaigns instead of allocating fresh closures. *)
+   Address-indexed int arrays, grown on demand, whose entries are valid
+   only when their stamp equals the tracker's generation: reset is a
+   generation bump, and an access is a few array writes (no hashing, no
+   record).  The persistent-mode engine keeps one tracker per worker and
+   resets it between campaigns instead of allocating fresh closures. *)
 type tracker = {
-  last : (int, access) Hashtbl.t;
-  last_writer : (int, access) Hashtbl.t;
+  mutable gen : int;
+  mutable last_stamp : int array;
+  mutable last_instr : int array;
+  mutable last_dirty : Bytes.t;
+  mutable last_tid : int array;
+  mutable writer_stamp : int array;
+  mutable writer_instr : int array;
+  mutable writer_tid : int array;
 }
 
-let tracker () = { last = Hashtbl.create 256; last_writer = Hashtbl.create 256 }
+let tracker () =
+  {
+    gen = 1;
+    last_stamp = [||];
+    last_instr = [||];
+    last_dirty = Bytes.empty;
+    last_tid = [||];
+    writer_stamp = [||];
+    writer_instr = [||];
+    writer_tid = [||];
+  }
 
-let reset_tracker tr =
-  Hashtbl.reset tr.last;
-  Hashtbl.reset tr.last_writer
+let reset_tracker tr = tr.gen <- tr.gen + 1
 
-let handler t tr ev =
-  let on_access addr cur =
-    (match Hashtbl.find_opt tr.last addr with
-    | Some prev -> ignore (observe t ~prev ~cur)
-    | None -> ());
-    Hashtbl.replace tr.last addr cur
-  in
-  match ev with
+(* Make [addr] indexable.  New slots carry stamp 0, which no generation
+   equals. *)
+let ensure tr addr =
+  let n = Array.length tr.last_stamp in
+  if addr >= n then begin
+    let m = max 256 (max (addr + 1) (2 * n)) in
+    let grow a = Array.append a (Array.make (m - n) 0) in
+    tr.last_stamp <- grow tr.last_stamp;
+    tr.last_instr <- grow tr.last_instr;
+    tr.last_dirty <- Bytes.cat tr.last_dirty (Bytes.make (m - n) '\000');
+    tr.last_tid <- grow tr.last_tid;
+    tr.writer_stamp <- grow tr.writer_stamp;
+    tr.writer_instr <- grow tr.writer_instr;
+    tr.writer_tid <- grow tr.writer_tid
+  end
+
+let on_access t tr addr ~instr ~dirty ~tid =
+  if tr.last_stamp.(addr) = tr.gen then
+    ignore
+      (observe_pair t ~p_instr:tr.last_instr.(addr)
+         ~p_dirty:(Bytes.get tr.last_dirty addr <> '\000')
+         ~p_tid:tr.last_tid.(addr) ~c_instr:instr ~c_dirty:dirty ~c_tid:tid)
+  else tr.last_stamp.(addr) <- tr.gen;
+  tr.last_instr.(addr) <- instr;
+  Bytes.set tr.last_dirty addr (if dirty then '\001' else '\000');
+  tr.last_tid.(addr) <- tid
+
+let handler t tr = function
   | Runtime.Env.Ev_load { instr; tid; addr; dirty } ->
-      let cur = { a_instr = Runtime.Instr.to_int instr; a_dirty = dirty; a_tid = tid } in
-      (if dirty then
-         match Hashtbl.find_opt tr.last_writer addr with
-         | Some w when w.a_tid <> tid ->
-             record_site_pair t ~write_instr:w.a_instr ~read_instr:cur.a_instr
-         | Some _ | None -> ());
-      on_access addr cur
+      let instr = Runtime.Instr.to_int instr in
+      ensure tr addr;
+      if dirty && tr.writer_stamp.(addr) = tr.gen && tr.writer_tid.(addr) <> tid then
+        record_site_pair t ~write_instr:tr.writer_instr.(addr) ~read_instr:instr;
+      on_access t tr addr ~instr ~dirty ~tid
   | Runtime.Env.Ev_store { instr; tid; addr } | Runtime.Env.Ev_movnt { instr; tid; addr } ->
-      let cur = { a_instr = Runtime.Instr.to_int instr; a_dirty = true; a_tid = tid } in
-      Hashtbl.replace tr.last_writer addr cur;
-      on_access addr cur
+      let instr = Runtime.Instr.to_int instr in
+      ensure tr addr;
+      tr.writer_stamp.(addr) <- tr.gen;
+      tr.writer_instr.(addr) <- instr;
+      tr.writer_tid.(addr) <- tid;
+      on_access t tr addr ~instr ~dirty:true ~tid
   | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ | Runtime.Env.Ev_branch _ -> ()
 
 (* Empty the map itself (bitmap, count, achieved pairs) so a worker-local

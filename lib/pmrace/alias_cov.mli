@@ -35,6 +35,11 @@ val achieved_site_pairs : t -> int
 val site_pairs : t -> (int * int) list
 (** The achieved pairs themselves, as raw instruction ids, sorted. *)
 
+val fresh_pairs : src:t -> t -> (int * int) list
+(** The pairs of [src] (a worker's delta) that the destination has not
+    achieved yet, sorted: what {!merge_into} is about to add.  Costs
+    O(|src| log |src|), independent of the destination's size. *)
+
 val set_possible : t -> int -> unit
 (** Install the statically-possible pair count computed by the offline
     analyzer's site graph — the coverage denominator. *)
@@ -46,9 +51,11 @@ val pp_site_coverage : Format.formatter -> t -> unit
     static pre-pass ran. *)
 
 type tracker
-(** Per-execution scratch (previous accessor and last writer per address).
-    The persistent-mode engine keeps one per worker and resets it between
-    campaigns instead of allocating fresh closures. *)
+(** Per-execution scratch (previous accessor and last writer per address),
+    held in generation-stamped address-indexed arrays: an access costs a
+    few array writes, a reset is O(1).  The persistent-mode engine keeps
+    one per worker and resets it between campaigns instead of allocating
+    fresh closures. *)
 
 val tracker : unit -> tracker
 val reset_tracker : tracker -> unit

@@ -4,24 +4,16 @@
 
 module J' = Obs.Json
 
-type t = { hits : (int, unit) Hashtbl.t }
+type t = Site_set.t
 
-let create () = { hits = Hashtbl.create 128 }
-
-let observe t instr =
-  let id = Runtime.Instr.to_int instr in
-  if Hashtbl.mem t.hits id then false
-  else begin
-    Hashtbl.add t.hits id ();
-    true
-  end
-
-let count t = Hashtbl.length t.hits
-let covered t instr = Hashtbl.mem t.hits (Runtime.Instr.to_int instr)
+let create = Site_set.create
+let observe t instr = Site_set.add t (Runtime.Instr.to_int instr)
+let count = Site_set.count
+let covered t instr = Site_set.mem t (Runtime.Instr.to_int instr)
 
 (* Union a worker-local delta into a shared map (campaign-boundary merge,
    serialised by the fuzzer's hub). *)
-let merge_into ~src dst = Hashtbl.iter (fun id () -> Hashtbl.replace dst.hits id ()) src.hits
+let merge_into = Site_set.union_into
 
 let handler t = function
   | Runtime.Env.Ev_branch { instr; _ } -> ignore (observe t instr)
@@ -29,7 +21,7 @@ let handler t = function
   | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ -> ()
 
 (* Empty the map so a worker-local delta can be reused across campaigns. *)
-let clear t = Hashtbl.reset t.hits
+let clear = Site_set.clear
 
 let attach t env = Runtime.Env.add_listener env (handler t)
 
@@ -37,7 +29,7 @@ let attach t env = Runtime.Env.add_listener env (handler t)
    a canonical encoding; decode re-registers the names. *)
 let to_json t =
   J'.List
-    (Hashtbl.fold (fun id () acc -> Runtime.Instr.name (Runtime.Instr.of_int id) :: acc) t.hits []
+    (Site_set.fold (fun id acc -> Runtime.Instr.name (Runtime.Instr.of_int id) :: acc) t []
     |> List.sort compare
     |> List.map (fun n -> J'.String n))
 

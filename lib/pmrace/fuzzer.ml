@@ -198,7 +198,7 @@ type sink = {
     addr:int ->
     Report.inv_finding option;
   sk_queue_entries : unit -> Shared_queue.entry list;
-  sk_rescore : sites:(int, unit) Hashtbl.t -> Seed.t -> unit;
+  sk_rescore : sites:Site_set.t -> Seed.t -> unit;
   sk_completed : unit -> int; (* campaigns committed, for progress logs *)
 }
 
@@ -240,12 +240,12 @@ type worker = {
      so successive generations progress down the priority queue; cleared
      when exhausted. *)
   explored : (int, int) Hashtbl.t;
-  seed_sites : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* seed id -> sites touched *)
+  seed_sites : (int, Site_set.t) Hashtbl.t; (* seed id -> sites touched *)
   engine : Engine.t; (* this worker's reusable execution context *)
   delta : Hub.delta; (* reused across campaigns; reset at campaign start *)
   (* Which per-seed site table the pre-bound seed-site handler writes to;
      retargeted by [do_campaign] instead of attaching a fresh closure. *)
-  cur_sites : (int, unit) Hashtbl.t ref;
+  cur_sites : Site_set.t ref;
   whitelist : Whitelist.t; (* shared, read-only during fuzzing *)
   vctx : Post_failure.ctx; (* validation context: whitelist + image budget *)
   inv_mon : Inv_monitor.t option; (* mined-invariant violation monitor *)
@@ -300,14 +300,14 @@ let sites_of w seed =
   match Hashtbl.find_opt w.seed_sites (Seed.id seed) with
   | Some s -> s
   | None ->
-      let s = Hashtbl.create 32 in
+      let s = Site_set.create () in
       Hashtbl.add w.seed_sites (Seed.id seed) s;
       s
 
 let rescore_seed w seed =
   if w.static_on then
     let sites =
-      Option.value ~default:(Hashtbl.create 1) (Hashtbl.find_opt w.seed_sites (Seed.id seed))
+      Option.value ~default:(Site_set.create ()) (Hashtbl.find_opt w.seed_sites (Seed.id seed))
     in
     w.sink.sk_rescore ~sites seed
 
@@ -686,7 +686,7 @@ let create_worker ?(log = fun _ -> ()) ?obs ?snapshot ?corpus ?whitelist ?(inv_s
     ?(static_on = false) ~cfg ~sink ~widx target =
   let gen_rng = Rng.create (cfg.master_seed + (1_000_003 * widx)) in
   let delta = Hub.fresh_delta () in
-  let cur_sites = ref (Hashtbl.create 1) in
+  let cur_sites = ref (Site_set.create ()) in
   let whitelist =
     match whitelist with
     | Some wl -> wl
@@ -714,13 +714,7 @@ let create_worker ?(log = fun _ -> ()) ?obs ?snapshot ?corpus ?whitelist ?(inv_s
      campaign.  Each handler writes only its own structure, so dispatch
      order does not affect results. *)
   let seed_site_handler =
-    if not static_on then fun _ -> ()
-    else function
-      | Runtime.Env.Ev_load { instr; _ }
-      | Runtime.Env.Ev_store { instr; _ }
-      | Runtime.Env.Ev_movnt { instr; _ } ->
-          Hashtbl.replace !cur_sites (Runtime.Instr.to_int instr) ()
-      | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ | Runtime.Env.Ev_branch _ -> ()
+    if not static_on then fun _ -> () else Site_set.access_handler cur_sites
   in
   let bound = Array.of_list (Hub.delta_handlers delta @ [ seed_site_handler ]) in
   {

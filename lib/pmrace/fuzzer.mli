@@ -191,7 +191,7 @@ type sink = {
     addr:int ->
     Report.inv_finding option;
   sk_queue_entries : unit -> Shared_queue.entry list;
-  sk_rescore : sites:(int, unit) Hashtbl.t -> Seed.t -> unit;
+  sk_rescore : sites:Site_set.t -> Seed.t -> unit;
   sk_completed : unit -> int;  (** campaigns committed, for progress logs *)
 }
 

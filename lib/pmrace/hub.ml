@@ -218,17 +218,6 @@ type commit_result = {
   c_first_trace : bool; (* first sighting of the trace class (or no trace) *)
 }
 
-(* Difference of two sorted site-pair lists: pairs in [after] missing
-   from [before].  Both come from [Alias_cov.site_pairs] (sorted). *)
-let rec pairs_diff before after =
-  match (before, after) with
-  | _, [] -> []
-  | [], rest -> rest
-  | b :: bs, a :: as_ ->
-      if a = b then pairs_diff bs as_
-      else if a < b then a :: pairs_diff before as_
-      else pairs_diff bs after
-
 (* Time actually spent merging inside the critical section (the lock-wait
    histogram above measures contention; this measures the work).  Third
    phase of the campaign timing split: setup / run / hub merge. *)
@@ -262,7 +251,9 @@ let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
             end
       in
       let before = Alias_cov.count t.alias + Branch_cov.count t.branch in
-      let pairs_before = Alias_cov.site_pairs t.alias in
+      (* O(delta): the delta's pairs the shared map lacks before the
+         merge are exactly the ones the merge adds. *)
+      let c_new_pairs = Alias_cov.fresh_pairs ~src:delta.d_alias t.alias in
       let inter_before = Report.inconsistency_count t.report Runtime.Candidates.Inter in
       Alias_cov.merge_into ~src:delta.d_alias t.alias;
       Branch_cov.merge_into ~src:delta.d_branch t.branch;
@@ -286,7 +277,7 @@ let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
         c_improved = after > before;
         c_new_findings;
         c_new_sync;
-        c_new_pairs = pairs_diff pairs_before (Alias_cov.site_pairs t.alias);
+        c_new_pairs;
         c_alias_bits;
         c_branch_bits;
         c_first_trace;
@@ -334,8 +325,8 @@ let rescore_seed t ~sites seed =
             List.fold_left
               (fun n (p : Analysis.Alias_pairs.pair) ->
                 if
-                  Hashtbl.mem sites (Runtime.Instr.to_int p.Analysis.Alias_pairs.pw)
-                  && Hashtbl.mem sites (Runtime.Instr.to_int p.Analysis.Alias_pairs.pr)
+                  Site_set.mem sites (Runtime.Instr.to_int p.Analysis.Alias_pairs.pw)
+                  && Site_set.mem sites (Runtime.Instr.to_int p.Analysis.Alias_pairs.pr)
                 then n + 1
                 else n)
               0

@@ -95,8 +95,9 @@ type commit_result = {
   c_new_sync : Report.sync_finding list;
   c_new_pairs : (int * int) list;
       (** (write, read) site pairs first achieved by this merge, as raw
-          instruction ids — the fuzzer turns them into
-          [new_alias_pair] events *)
+          instruction ids, sorted — the fuzzer turns them into
+          [new_alias_pair] events.  Derived from the delta alone
+          ({!Alias_cov.fresh_pairs}): O(delta), not O(shared map). *)
   c_alias_bits : int;  (** shared coverage after this merge *)
   c_branch_bits : int;
   c_first_trace : bool;
@@ -157,11 +158,11 @@ val record_invariant :
 val queue_entries : t -> Shared_queue.entry list
 (** Snapshot of the shared-access priority queue (locked). *)
 
-val rescore_seed : t -> sites:(int, unit) Hashtbl.t -> Seed.t -> unit
+val rescore_seed : t -> sites:Site_set.t -> Seed.t -> unit
 (** Static-pre-pass seed re-scoring (no-op without a pre-pass): refresh
     achieved alias-pair marks from shared coverage and set the seed's
     priority to the number of uncovered possible pairs it touches.
-    [sites] is the owning worker's private touched-site map. *)
+    [sites] is the owning worker's private touched-site set. *)
 
 val inter_unique : t -> int
 (** Current unique inter-thread inconsistency count (locked). *)

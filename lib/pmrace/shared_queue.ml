@@ -26,25 +26,56 @@ type entry = {
   hits : int;
 }
 
-type t = { tbl : (int, record) Hashtbl.t }
+(* Address-indexed slots (grown on demand; [vacant] marks an address never
+   observed) plus the observed addresses in first-observation order, for
+   iteration and O(observed) clearing.  An access is an array read, not a
+   hash probe. *)
+type t = { mutable slots : record array; mutable addrs : int array; mutable n_addrs : int }
 
-let create () = { tbl = Hashtbl.create 128 }
+let vacant =
+  {
+    load_instrs = Iset.empty;
+    store_instrs = Iset.empty;
+    load_tids = Tset.empty;
+    store_tids = Tset.empty;
+    hits = 0;
+  }
+
+let create () = { slots = [||]; addrs = [||]; n_addrs = 0 }
 
 let record_of t addr =
-  match Hashtbl.find_opt t.tbl addr with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          load_instrs = Iset.empty;
-          store_instrs = Iset.empty;
-          load_tids = Tset.empty;
-          store_tids = Tset.empty;
-          hits = 0;
-        }
-      in
-      Hashtbl.add t.tbl addr r;
-      r
+  let n = Array.length t.slots in
+  if addr >= n then begin
+    let bigger = Array.make (max 256 (max (addr + 1) (2 * n))) vacant in
+    Array.blit t.slots 0 bigger 0 n;
+    t.slots <- bigger
+  end;
+  let r = t.slots.(addr) in
+  if r != vacant then r
+  else begin
+    let r = { vacant with hits = 0 } (* a fresh record, never [vacant] itself *) in
+    t.slots.(addr) <- r;
+    if t.n_addrs = Array.length t.addrs then begin
+      let bigger = Array.make (max 64 (2 * t.n_addrs)) 0 in
+      Array.blit t.addrs 0 bigger 0 t.n_addrs;
+      t.addrs <- bigger
+    end;
+    t.addrs.(t.n_addrs) <- addr;
+    t.n_addrs <- t.n_addrs + 1;
+    r
+  end
+
+(* The observed records, in first-observation order. *)
+let iter f t =
+  for i = 0 to t.n_addrs - 1 do
+    let addr = t.addrs.(i) in
+    f addr t.slots.(addr)
+  done
+
+let fold f t acc =
+  let acc = ref acc in
+  iter (fun addr r -> acc := f addr r !acc) t;
+  !acc
 
 let observe_load t ~addr ~instr ~tid =
   let r = record_of t addr in
@@ -64,7 +95,7 @@ let observe_store t ~addr ~instr ~tid =
    state direct accumulation would (the [workers = 1] bit-identity
    guarantee rests on this). *)
 let merge_into ~src dst =
-  Hashtbl.iter
+  iter
     (fun addr (s : record) ->
       let d = record_of dst addr in
       d.load_instrs <- Iset.union d.load_instrs s.load_instrs;
@@ -72,7 +103,7 @@ let merge_into ~src dst =
       d.load_tids <- Tset.union d.load_tids s.load_tids;
       d.store_tids <- Tset.union d.store_tids s.store_tids;
       d.hits <- d.hits + s.hits)
-    src.tbl
+    src
 
 let handler t = function
   | Runtime.Env.Ev_load { instr; tid; addr; _ } -> observe_load t ~addr ~instr ~tid
@@ -80,8 +111,11 @@ let handler t = function
       observe_store t ~addr ~instr ~tid
   | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ | Runtime.Env.Ev_branch _ -> ()
 
-(* Empty the queue so a worker-local delta can be reused across campaigns. *)
-let clear t = Hashtbl.reset t.tbl
+(* Empty the queue so a worker-local delta can be reused across campaigns:
+   O(observed addresses). *)
+let clear t =
+  iter (fun addr _ -> t.slots.(addr) <- vacant) t;
+  t.n_addrs <- 0
 
 let attach t env = Runtime.Env.add_listener env (handler t)
 
@@ -92,7 +126,7 @@ let is_shared r =
   && Tset.cardinal (Tset.union r.load_tids r.store_tids) > 1
 
 let entries t =
-  Hashtbl.fold
+  fold
     (fun addr r acc ->
       if is_shared r then
         {
@@ -103,11 +137,11 @@ let entries t =
         }
         :: acc
       else acc)
-    t.tbl []
+    t []
   |> List.sort (fun a b ->
          match compare b.hits a.hits with 0 -> compare a.addr b.addr | c -> c)
 
-let tracked_addresses t = Hashtbl.length t.tbl
+let tracked_addresses t = t.n_addrs
 
 (* ------------------------------------------------------------------ *)
 (* Wire/store codec (fleet mode).  Unlike [entries], the codec carries the
@@ -117,9 +151,14 @@ let tracked_addresses t = Hashtbl.length t.tbl
 
 module J = Obs.Json
 
+(* Decoded addresses index the slot array, so untrusted input must not
+   name a negative one or force a huge allocation: no pool comes near
+   2^24 words. *)
+let max_decoded_addr = (1 lsl 24) - 1
+
 let to_json t =
   let records =
-    Hashtbl.fold (fun addr r acc -> (addr, r) :: acc) t.tbl []
+    fold (fun addr r acc -> (addr, r) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let names s = J.List (List.map (fun i -> J.String (Instr.name i)) (Iset.elements s)) in
@@ -167,7 +206,10 @@ let of_json j =
         in
         List.iter
           (fun rj ->
-            let r = record_of t (get "addr" J.to_int rj) in
+            let addr = get "addr" J.to_int rj in
+            if addr < 0 || addr > max_decoded_addr then
+              failwith (Printf.sprintf "Shared_queue: address %d out of range" addr);
+            let r = record_of t addr in
             r.load_instrs <- Iset.union r.load_instrs (iset rj "loads");
             r.store_instrs <- Iset.union r.store_instrs (iset rj "stores");
             r.load_tids <- Tset.union r.load_tids (tset rj "load_tids");

@@ -21,14 +21,15 @@ type cand = {
    which is how the paper groups them for Table 3. *)
 type key = { k_write : Instr.t; k_read : Instr.t; k_kind : kind }
 
+(* Ids are dense ([0, next)), so [by_id] is an array indexed by id, grown
+   by doubling. *)
 type t = {
   mutable next : int;
-  by_id : (int, cand) Hashtbl.t;
+  mutable by_id : cand array;
   uniq : (key, cand) Hashtbl.t;
-  mutable dynamic : int;
 }
 
-let create () = { next = 0; by_id = Hashtbl.create 64; uniq = Hashtbl.create 64; dynamic = 0 }
+let create () = { next = 0; by_id = [||]; uniq = Hashtbl.create 64 }
 
 let key_of c = { k_write = c.write_instr; k_read = c.read_instr; k_kind = c.kind }
 
@@ -36,14 +37,18 @@ let register t ~addr ~read_instr ~read_tid ~write_instr ~write_tid =
   let kind = if read_tid = write_tid then Intra else Inter in
   let c = { id = t.next; kind; addr; read_instr; read_tid; write_instr; write_tid } in
   t.next <- t.next + 1;
-  t.dynamic <- t.dynamic + 1;
-  Hashtbl.replace t.by_id c.id c;
+  if c.id = Array.length t.by_id then begin
+    let bigger = Array.make (max 64 (2 * c.id)) c in
+    Array.blit t.by_id 0 bigger 0 c.id;
+    t.by_id <- bigger
+  end;
+  t.by_id.(c.id) <- c;
   let k = key_of c in
   if not (Hashtbl.mem t.uniq k) then Hashtbl.add t.uniq k c;
   c
 
-let find t id = Hashtbl.find_opt t.by_id id
-let dynamic_count t = t.dynamic
+let find t id = if id >= 0 && id < t.next then Some t.by_id.(id) else None
+let dynamic_count t = t.next
 
 let unique t kind =
   Hashtbl.fold (fun k c acc -> if k.k_kind = kind then c :: acc else acc) t.uniq []

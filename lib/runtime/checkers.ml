@@ -83,26 +83,34 @@ let annotation_count t =
   List.sort_uniq String.compare (List.map (fun v -> v.sv_name) t.sync_vars) |> List.length
 
 let sync_var_of_addr t w =
-  List.find_opt (fun v -> w >= v.sv_addr && w < v.sv_addr + v.sv_len) t.sync_vars
+  let rec find = function
+    | [] -> None
+    | v :: rest -> if w >= v.sv_addr && w < v.sv_addr + v.sv_len then Some v else find rest
+  in
+  find t.sync_vars
 
-(* Load hook: returns the candidate created by reading non-persisted data,
-   if any.  The caller attaches the candidate id to the value's taint. *)
+(* Load hook: registers the candidate created by reading non-persisted
+   data and returns its id, which the caller attaches to the value's taint
+   as a label; -1 when the word is clean.  The writer is read field by
+   field, so no option or writer record is allocated. *)
 let on_load t pool ~tid ~instr ~addr =
-  match Pmem.Pool.dirty_writer pool addr with
-  | None -> None
-  | Some w ->
-      Some
-        (Candidates.register t.cands ~addr ~read_instr:instr ~read_tid:tid
-           ~write_instr:(Instr.of_int w.Pmem.Pool.instr) ~write_tid:w.Pmem.Pool.tid)
+  if not (Pmem.Pool.is_dirty pool addr) then -1
+  else
+    (Candidates.register t.cands ~addr ~read_instr:instr ~read_tid:tid
+       ~write_instr:(Instr.of_int (Pmem.Pool.dirty_instr pool addr))
+       ~write_tid:(Pmem.Pool.dirty_tid pool addr))
+      .Candidates.id
 
 (* A taint label is "live" when the data it came from is still dirty: a
    crash now would lose the source while the dependent effect survives. *)
 let live_sources t pool taint =
-  Taint.labels taint
-  |> List.filter_map (fun l ->
-         match Candidates.find t.cands l with
-         | Some c when Pmem.Pool.is_dirty pool c.Candidates.addr -> Some c
-         | Some _ | None -> None)
+  if Taint.is_empty taint then [] (* label 0: the common case, no closure *)
+  else
+    Taint.labels taint
+    |> List.filter_map (fun l ->
+           match Candidates.find t.cands l with
+           | Some c when Pmem.Pool.is_dirty pool c.Candidates.addr -> Some c
+           | Some _ | None -> None)
 
 (* Store hook: register a pending durable side effect when the stored value
    or the store address is derived from live non-persisted data. *)
@@ -110,7 +118,7 @@ let on_store t pool ~tid ~instr ~addr ~value_taint ~addr_taint =
   let v_sources = live_sources t pool value_taint in
   let a_sources = live_sources t pool addr_taint in
   (* A newer store to the same word supersedes the old pending effect. *)
-  t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
+  if t.pending <> [] then t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
   if v_sources <> [] || a_sources <> [] then
     t.pending <-
       {
@@ -157,27 +165,32 @@ let on_persisted t pool persisted =
               ~eff_words:[ se.se_addr ])
           live
   in
-  List.iter
-    (fun w ->
-      (match List.find_opt (fun se -> se.se_addr = w) t.pending with
-      | Some se ->
-          t.pending <- List.filter (fun se' -> se' != se) t.pending;
-          confirm se
-      | None -> ());
-      match sync_var_of_addr t w with
-      | Some var ->
-          let v = Pmem.Pool.peek pool w in
-          if not (Int64.equal v var.sv_init) && not (Hashtbl.mem t.uniq_sync (var.sv_name, v))
-          then begin
-            Hashtbl.add t.uniq_sync (var.sv_name, v) ();
-            let crash = if t.capture_images then Some (Pmem.Crash_images.capture pool) else None in
-            let image = Option.map Pmem.Crash_images.base crash in
-            t.sync_events <-
-              { var; sy_addr = w; sy_value = v; sy_image = image; sy_crash = crash }
-              :: t.sync_events
-          end
-      | None -> ())
-    persisted
+  (* Nothing to confirm or record (e.g. during pool initialisation, before
+     any annotation): skip the walk. *)
+  if t.pending <> [] || t.sync_vars <> [] then
+    List.iter
+      (fun w ->
+        (match List.find_opt (fun se -> se.se_addr = w) t.pending with
+        | Some se ->
+            t.pending <- List.filter (fun se' -> se' != se) t.pending;
+            confirm se
+        | None -> ());
+        match sync_var_of_addr t w with
+        | Some var ->
+            let v = Pmem.Pool.peek pool w in
+            if not (Int64.equal v var.sv_init) && not (Hashtbl.mem t.uniq_sync (var.sv_name, v))
+            then begin
+              Hashtbl.add t.uniq_sync (var.sv_name, v) ();
+              let crash =
+                if t.capture_images then Some (Pmem.Crash_images.capture pool) else None
+              in
+              let image = Option.map Pmem.Crash_images.base crash in
+              t.sync_events <-
+                { var; sy_addr = w; sy_value = v; sy_image = image; sy_crash = crash }
+                :: t.sync_events
+            end
+        | None -> ())
+      persisted
 
 (* Durable side effects outside PM (disk writes, sockets, ...): confirmed
    immediately since they cannot be rolled back by a crash. *)

@@ -57,9 +57,10 @@ val annotation_count : t -> int
 (** Number of {e distinct} annotation names — one source annotation may
     cover many words (e.g. a per-bucket lock field). *)
 
-val on_load : t -> Pmem.Pool.t -> tid:int -> instr:Instr.t -> addr:int -> Candidates.cand option
-(** Candidate creation; the caller adds the candidate id to the loaded
-    value's taint. *)
+val on_load : t -> Pmem.Pool.t -> tid:int -> instr:Instr.t -> addr:int -> int
+(** Candidate creation: when [addr] is dirty, registers the candidate and
+    returns its id, which the caller adds to the loaded value's taint;
+    [-1] when the word is clean.  Allocates nothing but the candidate. *)
 
 val on_store :
   t ->

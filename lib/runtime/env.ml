@@ -19,7 +19,14 @@ type t = {
   pool : Pmem.Pool.t;
   mutable checkers : Checkers.t;
   dram : Dram.t;
-  mem_taint : (int, Taint.t) Hashtbl.t;
+  (* Shadow taint, DataFlowSanitizer style: one label set per pool word,
+     [Taint.empty] (an immediate) meaning untainted.  Every word that has
+     been tainted since the last clear is on the [tainted] stack exactly
+     once ([on_stack] dedupes), so clearing is O(tainted words). *)
+  mem_taint : Taint.t array;
+  mutable tainted : int array;
+  mutable tainted_len : int;
+  on_stack : Bytes.t;
   mutable policy : policy;
   mutable listeners : (event -> unit) list;
   (* Pre-bound listeners: installed once per worker (not rebuilt per
@@ -43,14 +50,16 @@ let preempt_policy = { before = (fun _ _ -> Sched.Scheduler.yield ()); after = (
 
 let default_evict_seed = 7
 
-let create ?(capture_images = true) ?(evict_prob = 0.) ?(evict_seed = default_evict_seed)
-    ?(eadr = false)
-    ~pool_words () =
+let make ~capture_images ~evict_prob ~evict_seed pool =
+  let words = Pmem.Pool.size pool in
   {
-    pool = Pmem.Pool.create ~eadr ~words:pool_words ();
+    pool;
     checkers = Checkers.create ~capture_images ();
     dram = Dram.create ();
-    mem_taint = Hashtbl.create 256;
+    mem_taint = Array.make words Taint.empty;
+    tainted = Array.make 64 0;
+    tainted_len = 0;
+    on_stack = Bytes.make words '\000';
     policy = null_policy;
     listeners = [];
     bound = [||];
@@ -59,40 +68,63 @@ let create ?(capture_images = true) ?(evict_prob = 0.) ?(evict_seed = default_ev
     evict_prob;
   }
 
+let create ?(capture_images = true) ?(evict_prob = 0.) ?(evict_seed = default_evict_seed)
+    ?(eadr = false)
+    ~pool_words () =
+  make ~capture_images ~evict_prob ~evict_seed (Pmem.Pool.create ~eadr ~words:pool_words ())
+
 (* Boot an environment from a crash image: the post-failure world.  DRAM
    state, shadow taint and checker state all start fresh. *)
 let of_image ?(capture_images = false) (image : Pmem.Pool.image) =
-  {
-    pool = Pmem.Pool.of_image image;
-    checkers = Checkers.create ~capture_images ();
-    dram = Dram.create ();
-    mem_taint = Hashtbl.create 256;
-    policy = null_policy;
-    listeners = [];
-    bound = [||];
-    evict_seed = default_evict_seed;
-    evict_rng = Sched.Rng.create default_evict_seed;
-    evict_prob = 0.;
-  }
+  make ~capture_images ~evict_prob:0. ~evict_seed:default_evict_seed (Pmem.Pool.of_image image)
 
 let ctx t ~tid = { env = t; tid }
 let set_policy t p = t.policy <- p
 let add_listener t f = t.listeners <- f :: t.listeners
 let install_bound t fs = t.bound <- fs
 
+(* Whether any listener would see an event: the instrumented operations
+   build no event record when none would. *)
+let listening t = Array.length t.bound > 0 || t.listeners != []
+
+let rec dispatch ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      dispatch ev rest
+
 let emit t ev =
   let bound = t.bound in
   for i = 0 to Array.length bound - 1 do
     bound.(i) ev
   done;
-  List.iter (fun f -> f ev) t.listeners
+  dispatch ev t.listeners
 
-let mem_taint t addr =
-  match Hashtbl.find_opt t.mem_taint addr with Some taint -> taint | None -> Taint.empty
+let mem_taint t addr = t.mem_taint.(addr)
 
 let set_mem_taint t addr taint =
-  if Taint.is_empty taint then Hashtbl.remove t.mem_taint addr
-  else Hashtbl.replace t.mem_taint addr taint
+  t.mem_taint.(addr) <- taint;
+  if (not (Taint.is_empty taint)) && Bytes.get t.on_stack addr = '\000' then begin
+    Bytes.set t.on_stack addr '\001';
+    if t.tainted_len = Array.length t.tainted then begin
+      let bigger = Array.make (2 * t.tainted_len) 0 in
+      Array.blit t.tainted 0 bigger 0 t.tainted_len;
+      t.tainted <- bigger
+    end;
+    t.tainted.(t.tainted_len) <- addr;
+    t.tainted_len <- t.tainted_len + 1
+  end
+
+let tainted_words t = t.tainted_len
+
+(* Untaint every word on the stack: O(tainted words), not O(pool). *)
+let clear_taint t =
+  for i = 0 to t.tainted_len - 1 do
+    let w = t.tainted.(i) in
+    t.mem_taint.(w) <- Taint.empty;
+    Bytes.set t.on_stack w '\000'
+  done;
+  t.tainted_len <- 0
 
 let annotate_sync t ~name ~addr ~len ~init = Checkers.annotate_sync t.checkers ~name ~addr ~len ~init
 
@@ -107,7 +139,7 @@ let reset_checkers ?(capture_images = true) t =
       Checkers.annotate_sync t.checkers ~name:v.Checkers.sv_name ~addr:v.Checkers.sv_addr
         ~len:v.Checkers.sv_len ~init:v.Checkers.sv_init)
     vars;
-  Hashtbl.reset t.mem_taint
+  clear_taint t
 
 (* Return a reused environment to its just-created state — everything a
    fresh [create] would give, except the pool (reset separately via
@@ -118,7 +150,7 @@ let reset_checkers ?(capture_images = true) t =
 let reset ?(capture_images = true) t =
   t.checkers <- Checkers.create ~capture_images ();
   Dram.clear t.dram;
-  Hashtbl.reset t.mem_taint;
+  clear_taint t;
   t.policy <- null_policy;
   t.listeners <- [];
   t.evict_rng <- Sched.Rng.create t.evict_seed

@@ -25,7 +25,14 @@ type t = {
   pool : Pmem.Pool.t;
   mutable checkers : Checkers.t;
   dram : Dram.t;
-  mem_taint : (int, Taint.t) Hashtbl.t;
+  mem_taint : Taint.t array;
+      (** shadow taint, one label set per pool word ([Taint.empty] =
+          untainted); write it through {!set_mem_taint} *)
+  mutable tainted : int array;
+  mutable tainted_len : int;
+  on_stack : Bytes.t;
+      (** the words tainted since the last clear, each once: what
+          {!reset}, {!reset_checkers} and {!boot} untaint *)
   mutable policy : policy;
   mutable listeners : (event -> unit) list;
   mutable bound : (event -> unit) array;
@@ -86,9 +93,21 @@ val install_bound : t -> (event -> unit) array -> unit
     install their coverage-delta handlers once instead of rebuilding
     closure lists per campaign. *)
 
+val listening : t -> bool
+(** Whether a bound or transient listener is installed.  The instrumented
+    operations build and {!emit} an event only when one is. *)
+
 val emit : t -> event -> unit
+
 val mem_taint : t -> int -> Taint.t
+(** The shadow taint of a pool word: an array read, no hashing. *)
+
 val set_mem_taint : t -> int -> Taint.t -> unit
+
+val tainted_words : t -> int
+(** How many words were tainted since the last clear: the cost of the
+    next clear, which is O(tainted words), not O(pool). *)
+
 val annotate_sync : t -> name:string -> addr:int -> len:int -> init:int64 -> unit
 
 val reset_checkers : ?capture_images:bool -> t -> unit

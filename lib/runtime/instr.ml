@@ -18,7 +18,9 @@ type t = int
 let lock = Mutex.create ()
 let names : (string, int) Hashtbl.t = Hashtbl.create 256
 let rev : (int, string) Hashtbl.t = Hashtbl.create 256
-let counter = ref 0
+(* Written under [lock]; atomic so [of_int]'s bounds check, which runs on
+   every dirty load, reads it without taking the lock. *)
+let counter = Atomic.make 0
 
 let with_lock f =
   Mutex.lock lock;
@@ -29,10 +31,10 @@ let site name =
       match Hashtbl.find_opt names name with
       | Some id -> id
       | None ->
-          let id = !counter in
-          incr counter;
+          let id = Atomic.get counter in
           Hashtbl.add names name id;
           Hashtbl.add rev id name;
+          Atomic.set counter (id + 1);
           id)
 
 let name id =
@@ -41,7 +43,7 @@ let name id =
       | Some n -> n
       | None -> Printf.sprintf "<instr#%d>" id)
 
-let count () = with_lock (fun () -> !counter)
+let count () = Atomic.get counter
 let compare = Int.compare
 let equal = Int.equal
 let to_int id = id

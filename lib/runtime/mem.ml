@@ -24,26 +24,35 @@ let maybe_evict env =
     | persisted -> Checkers.on_persisted env.checkers env.pool persisted
   end
 
+(* The DFSan label-0 fast path: two empty label sets union to the empty
+   set without a call. *)
+let union_taint a b =
+  if Taint.is_empty a then b else if Taint.is_empty b then a else Taint.union a b
+
+(* Each operation builds its preemption point once, for both policy hooks,
+   and an event record only when a listener is installed: init, recovery
+   and untraced replay construct none. *)
 let load ctx ~instr addr =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind = P_load; instr; addr = a };
+  let p = { kind = P_load; instr; addr = a } in
+  env.policy.before ctx p;
   let dirty = Pmem.Pool.is_dirty env.pool a in
   let raw = Pmem.Pool.load env.pool a in
-  let taint = Taint.union (Tval.taint addr) (Env.mem_taint env a) in
+  let taint = union_taint (Tval.taint addr) (Env.mem_taint env a) in
   let taint =
-    match Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a with
-    | Some cand -> Taint.add cand.Candidates.id taint
-    | None -> taint
+    if not dirty then taint
+    else Taint.add (Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a) taint
   in
-  Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
-  env.policy.after ctx { kind = P_load; instr; addr = a };
+  if Env.listening env then Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
+  env.policy.after ctx p;
   Tval.make raw taint
 
 let store_common ctx ~instr ~kind addr value =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind; instr; addr = a };
+  let p = { kind; instr; addr = a } in
+  env.policy.before ctx p;
   Checkers.on_store env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a
     ~value_taint:(Tval.taint value) ~addr_taint:(Tval.taint addr);
   (match kind with
@@ -55,10 +64,12 @@ let store_common ctx ~instr ~kind addr value =
      sync-variable updates are still detected (§6.6: PM Synchronization
      Inconsistency survives eADR). *)
   if Pmem.Pool.is_eadr env.pool then Checkers.on_persisted env.checkers env.pool [ a ];
-  (match kind with
-  | P_store -> Env.emit env (Ev_store { instr; tid = ctx.tid; addr = a })
-  | _ -> Env.emit env (Ev_movnt { instr; tid = ctx.tid; addr = a }));
-  env.policy.after ctx { kind; instr; addr = a };
+  if Env.listening env then
+    Env.emit env
+      (match kind with
+      | P_store -> Ev_store { instr; tid = ctx.tid; addr = a }
+      | _ -> Ev_movnt { instr; tid = ctx.tid; addr = a });
+  env.policy.after ctx p;
   maybe_evict env
 
 let store ctx ~instr addr value = store_common ctx ~instr ~kind:P_store addr value
@@ -67,24 +78,29 @@ let movnt ctx ~instr addr value = store_common ctx ~instr ~kind:P_movnt addr val
 let clwb ctx ~instr addr =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind = P_clwb; instr; addr = a };
+  let p = { kind = P_clwb; instr; addr = a } in
+  env.policy.before ctx p;
+  let listening = Env.listening env in
   let dirty_words =
-    (* Allocation-free line walk: this runs on every instrumented CLWB. *)
-    Pmem.Cacheline.fold_line
-      (fun n w -> if Pmem.Pool.is_dirty env.pool w then n + 1 else n)
-      0 a
+    (* Allocation-free line walk, and only for the event that reports it. *)
+    if not listening then 0
+    else
+      Pmem.Cacheline.fold_line
+        (fun n w -> if Pmem.Pool.is_dirty env.pool w then n + 1 else n)
+        0 a
   in
   Pmem.Pool.clwb env.pool a;
-  Env.emit env (Ev_clwb { instr; tid = ctx.tid; addr = a; dirty_words });
-  env.policy.after ctx { kind = P_clwb; instr; addr = a }
+  if listening then Env.emit env (Ev_clwb { instr; tid = ctx.tid; addr = a; dirty_words });
+  env.policy.after ctx p
 
 let sfence ctx ~instr =
   let env = ctx.env in
-  env.policy.before ctx { kind = P_fence; instr; addr = -1 };
+  let p = { kind = P_fence; instr; addr = -1 } in
+  env.policy.before ctx p;
   let persisted = Pmem.Pool.sfence env.pool in
   Checkers.on_persisted env.checkers env.pool persisted;
-  Env.emit env (Ev_fence { instr; tid = ctx.tid; persisted });
-  env.policy.after ctx { kind = P_fence; instr; addr = -1 }
+  if Env.listening env then Env.emit env (Ev_fence { instr; tid = ctx.tid; persisted });
+  env.policy.after ctx p
 
 let persist ctx ~instr addr =
   clwb ctx ~instr addr;
@@ -110,11 +126,12 @@ let persist_range ctx ~instr addr ~words =
 let cas ?(nt = false) ctx ~instr addr ~expect ~value =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind = P_cas; instr; addr = a };
+  let p = { kind = P_cas; instr; addr = a } in
+  env.policy.before ctx p;
   let dirty = Pmem.Pool.is_dirty env.pool a in
   let raw = Pmem.Pool.load env.pool a in
-  ignore (Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a);
-  Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
+  if dirty then ignore (Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a);
+  if Env.listening env then Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
   let ok = Int64.equal raw (Tval.v expect) in
   if ok then begin
     Checkers.on_store env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a
@@ -123,14 +140,14 @@ let cas ?(nt = false) ctx ~instr addr ~expect ~value =
     else Pmem.Pool.store env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value);
     Env.set_mem_taint env a (Tval.taint value);
     if Pmem.Pool.is_eadr env.pool then Checkers.on_persisted env.checkers env.pool [ a ];
-    Env.emit env (Ev_store { instr; tid = ctx.tid; addr = a })
+    if Env.listening env then Env.emit env (Ev_store { instr; tid = ctx.tid; addr = a })
   end;
-  env.policy.after ctx { kind = P_cas; instr; addr = a };
+  env.policy.after ctx p;
   if ok then maybe_evict env;
   ok
 
 let branch ctx ~instr =
-  Env.emit ctx.env (Ev_branch { instr; tid = ctx.tid })
+  if Env.listening ctx.env then Env.emit ctx.env (Ev_branch { instr; tid = ctx.tid })
 
 let external_effect ctx ~instr value =
   Checkers.on_external_effect ctx.env.checkers ctx.env.pool ~tid:ctx.tid ~instr

@@ -31,6 +31,7 @@ let () =
       ("crashimages", Test_crashimages.suite);
       ("por", Test_por.suite);
       ("recovery", Test_recovery.suite);
+      ("hooks", Test_hooks.suite);
       (* Keep fleet LAST: its wire/store codecs register novel Instr
          sites at runtime, which would shift the raw alias-bitmap hash
          layout under the golden sessions above. *)
