@@ -8,6 +8,11 @@
    overhead on targets whose bugs are already visible on the base image;
    torn-planted carries a seeded torn store that only an enumerated image
    can expose, so its bug count moves from 0 to >0 as the budget grows.
+   The capture rows time [Crash_images.capture] itself: a
+   checkpoint-reset pool of 1k/4k/16k words with the same 8 touched
+   words, captured after every store.  A surface is a delta over the
+   shared snapshot image, so ns and words per capture must stay flat as
+   the pool grows.
    Writes BENCH_crashimages.json (gitignored; CI uploads it). *)
 
 module Fuzzer = Pmrace.Fuzzer
@@ -16,7 +21,65 @@ module Report = Pmrace.Report
 let hr ppf = Format.fprintf ppf "%s@." (String.make 72 '-')
 let budgets = [ 1; 4; 16 ]
 
+let capture_sizes = [ 1024; 4096; 16384 ]
+let capture_rounds = 20_000
+
+(* One capture per round on a checkpoint-reset pool of [size] words: 4
+   fenced words, 2 flushed and 2 dirty ones.  Each round first re-stores a
+   dirty word's own value, which starts a new pool instant (so the
+   capture is not shared) without changing the surface. *)
+let capture_cost size =
+  let module Pool = Pmem.Pool in
+  let p = Pool.create ~words:size () in
+  Pool.store p ~tid:0 ~instr:1 (size - 1) 1L;
+  Pool.quiesce p;
+  let snap = Pool.snapshot p in
+  Pool.reset_to_snapshot p snap;
+  List.iteri (fun i w -> Pool.store p ~tid:0 ~instr:1 w (Int64.of_int (i + 2))) [ 0; 1; 9; 17 ];
+  Pool.clwb p 0;
+  Pool.clwb p 9;
+  ignore (Pool.sfence p);
+  List.iteri (fun i w -> Pool.store p ~tid:0 ~instr:1 w (Int64.of_int (i + 10))) [ 2; 3; 25; 33 ];
+  Pool.clwb p 2;
+  Pool.clwb p 25;
+  let v = Pool.peek p 33 in
+  let round () =
+    Pool.store p ~tid:0 ~instr:1 33 v;
+    ignore (Sys.opaque_identity (Pmem.Crash_images.capture p))
+  in
+  for _ = 1 to capture_rounds / 10 do
+    round ()
+  done;
+  let words0 = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let t0 = Obs.Clock.now () in
+  for _ = 1 to capture_rounds do
+    round ()
+  done;
+  let s = Obs.Clock.elapsed t0 in
+  let words = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. words0 in
+  let n = float_of_int capture_rounds in
+  (1e9 *. s /. n, words /. n)
+
+let capture_rows ppf =
+  Format.fprintf ppf "@.Crash-surface capture cost vs pool size (8 touched words).@.";
+  hr ppf;
+  Format.fprintf ppf "%-12s %14s %16s@." "pool words" "ns/capture" "words/capture";
+  hr ppf;
+  List.map
+    (fun size ->
+      let ns, words = capture_cost size in
+      Format.fprintf ppf "%-12d %14.1f %16.1f@." size ns words;
+      Obs.Json.Obj
+        [
+          ("pool_words", Obs.Json.Int size);
+          ("touched_words", Obs.Json.Int 8);
+          ("ns_per_capture", Obs.Json.Float ns);
+          ("words_per_capture", Obs.Json.Float words);
+        ])
+    capture_sizes
+
 let run ppf =
+  let capture = capture_rows ppf in
   Format.fprintf ppf "@.Crash images: validation cost/yield vs the image budget (--crash-images).@.";
   hr ppf;
   let targets =
@@ -63,7 +126,10 @@ let run ppf =
     "(budget 1 = the base crash image only, bit-identical to single-image validation;@.";
   Format.fprintf ppf
     " torn-planted's seeded bug 105 is reachable only via an enumerated image.)@.";
-  let json = Obs.Json.Obj [ ("rows", Obs.Json.List (List.rev !json_rows)) ] in
+  let json =
+    Obs.Json.Obj
+      [ ("rows", Obs.Json.List (List.rev !json_rows)); ("capture", Obs.Json.List capture) ]
+  in
   let oc = open_out "BENCH_crashimages.json" in
   output_string oc (Obs.Json.to_string json);
   output_char oc '\n';

@@ -56,7 +56,7 @@ let () =
   | None -> Format.printf "no buggy interleaving found (unexpected)@."
   | Some (sched_seed, inc) ->
       Format.printf "scheduler seed %d: %a@." sched_seed Runtime.Checkers.pp_inconsistency inc;
-      let image = Option.get inc.image in
+      let image = Option.get (Pmem.Crash_images.image (Option.get inc.crash) 0) in
       Format.printf "crash injected at the durable side effect (word %d)@." inc.eff_addr;
       (* Post-failure: recover and show that the insert is lost. *)
       let env = Runtime.Env.of_image image in

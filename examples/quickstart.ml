@@ -49,11 +49,11 @@ let () =
   (* Demonstrate the crash consequence concretely: boot the crash image of
      the first confirmed inconsistency and compare x and y. *)
   match
-    List.find_opt (fun (f : Report.finding) -> f.inc.Runtime.Checkers.image <> None)
+    List.find_opt (fun (f : Report.finding) -> f.inc.Runtime.Checkers.crash <> None)
       (Report.findings session.report)
   with
   | Some f ->
-      let image = Option.get f.inc.Runtime.Checkers.image in
+      let image = Option.get (Pmem.Crash_images.image (Option.get f.inc.Runtime.Checkers.crash) 0) in
       let x = Pmem.Pool.image_word image Workloads.Figure1.x_off in
       let y = Pmem.Pool.image_word image Workloads.Figure1.y_off in
       let g = Pmem.Pool.image_word image Workloads.Figure1.g_off in

@@ -133,7 +133,14 @@ let of_string s =
   in
   let hex4 () =
     if !pos + 4 > n then parse_error !pos "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit i =
+      match s.[!pos + i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> parse_error (!pos + i) "invalid hex digit %C in \\u escape" c
+    in
+    let v = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
     pos := !pos + 4;
     v
   in
@@ -161,13 +168,21 @@ let of_string s =
               advance ();
               let cp = hex4 () in
               let cp =
-                (* Combine a UTF-16 surrogate pair when one follows. *)
+                (* Combine a UTF-16 surrogate pair only when a low
+                   surrogate follows; otherwise the next escape is left
+                   for the loop to decode on its own. *)
                 if cp >= 0xD800 && cp <= 0xDBFF && !pos + 6 <= n && s.[!pos] = '\\'
                    && s.[!pos + 1] = 'u'
                 then begin
+                  let hi_end = !pos in
                   pos := !pos + 2;
                   let lo = hex4 () in
-                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                  if lo >= 0xDC00 && lo <= 0xDFFF then
+                    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                  else begin
+                    pos := hi_end;
+                    cp
+                  end
                 end
                 else cp
               in

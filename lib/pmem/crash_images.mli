@@ -1,38 +1,44 @@
 (** Systematic crash-image enumeration.
 
-    At a failure point the base {!Pool.crash_image} is only one of the
-    reachable durable states: any subset of the in-flight cache lines may
+    At a failure point {!Pool.crash_image} is only one of the reachable
+    durable states: any subset of the in-flight cache lines may
     additionally have drained, subject to fence order.  This module
-    captures the in-flight state from the pool's O(touched) journal and
-    enumerates the reachable images as lazy deltas over the shared base
-    image — never a full pool copy per image.
+    captures a crash surface from the pool's O(touched) journal — a
+    shared base image, the durable words that differ from it, and the
+    in-flight lines — and enumerates the reachable images as lazy deltas,
+    never a full pool copy per image or per capture.
 
     Per line, the model is a small drain-level radix: level 0 leaves the
-    line as in the base image; level 1 drains its pending (flushed,
+    line as in image 0; level 1 drains its pending (flushed,
     pre-fence) words; the top level models a whole-line eviction, which
     drains the dirty words {e and} the pending ones (dirty words never
     reach PM without the rest of the line).  Lines drain independently —
-    cross-line ordering up to the last fence is already folded into the
-    base image.
+    cross-line ordering up to the last fence is already folded into
+    image 0.
 
     Enumeration order is deterministic and indexable: images are ordered
     by total drain weight, then lexicographically by line address.
-    {b Index 0 is always the empty delta}, i.e. exactly the base
-    [crash_image] — so a budget of one image reproduces single-image
-    validation bit-identically. *)
+    {b Index 0 is always the empty delta}, i.e. exactly
+    {!Pool.crash_image} at the capture — so a budget of one image
+    reproduces single-image validation bit-identically. *)
 
 type state
-(** The captured crash surface: base image + per-line in-flight words. *)
+(** The captured crash surface, immutable: a shared base image, the
+    durable delta over it, and the per-line in-flight words. *)
 
 type delta = (int * int64) list
-(** An enumerated image as [(word, value)] overrides of the base image,
-    ascending by word.  The empty delta is the base image itself. *)
+(** An enumerated image as [(word, value)] overrides of image 0, ascending
+    by word.  The empty delta is image 0 itself. *)
 
 val capture : Pool.t -> state
-(** Capture the crash surface at the current instant.  O(touched): walks
-    {!Pool.dirty_words} / {!Pool.pending_words}, keeping only words whose
-    volatile value differs from the durable one (no-op drains would
-    duplicate images). *)
+(** Capture the crash surface at the current instant from
+    {!Pool.capture_delta}: its base (shared, not copied, except once per
+    pool that has neither a checkpoint nor a booted image), the durable
+    words that differ from it, and the in-flight words whose volatile
+    value differs from the durable one (no-op drains would duplicate
+    images), found in one walk of the pool's touched-word journal.  O(touched) time and allocation, independent of the pool
+    size.  When nothing mutated the pool since the previous capture, that
+    same surface is returned (physically equal). *)
 
 val of_image : Pool.image -> state
 (** A degenerate surface with no in-flight lines: enumerates exactly one
@@ -40,7 +46,20 @@ val of_image : Pool.image -> state
     only a bare image. *)
 
 val base : state -> Pool.image
-(** The base image (shared, not a copy — treat as read-only). *)
+(** The shared base image (not a copy — treat as read-only).  It is not
+    image 0 in general: booting it needs {!boot_delta}. *)
+
+val boot_delta : state -> delta -> delta
+(** [boot_delta st d] is the image with delta [d] as overrides of {!base}:
+    the durable delta followed by [d], so that a word
+    in both takes its value from [d] when the pairs are applied in order,
+    as {!Pool.boot} does.  So
+    [Pool.boot ~delta:(boot_delta st d) pool (base st)] boots exactly that
+    image, and every image of one base takes the journal-rewind path. *)
+
+val image_word : state -> delta -> int -> int64
+(** [image_word st d w] is word [w] of the image with delta [d], without
+    materialising it. *)
 
 val line_count : state -> int
 (** Number of in-flight cache lines. *)
@@ -60,6 +79,6 @@ val delta : state -> int -> delta option
 
 val image : state -> int -> Pool.image option
 (** [image st i] materialises image [i] as an independent copy (base
-    plus delta); [None] when out of range.  Validation never copies: it
-    boots its recovery pool from {!base} with the delta
+    plus {!boot_delta}); [None] when out of range.  Validation never
+    copies: it boots its recovery pool from {!base} with the boot delta
     ({!Pool.boot}). *)

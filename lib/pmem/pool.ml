@@ -34,11 +34,25 @@
    holds exactly the words that differ from that image, so booting the
    same image again is a journal rewind.  A different image costs one
    read-only compare pass plus a write per differing word — never a fresh
-   allocation or a whole-image blit. *)
+   allocation or a whole-image blit.
+
+   The capture twin (copy-free crash surfaces): a crash surface is the
+   durable image as a delta over a shared capture base.  The base is the
+   image the journal diverges from — the snapshot's durable image after a
+   checkpoint reset, the booted image after [boot] — or, for a pool with
+   neither, one copy of the durable image taken at the first request and
+   kept until the next epoch change.  Every durable word that differs
+   from the base is journaled, so the delta is found in O(touched).  A
+   mutation counter ([instant]) ticks on every image or metadata
+   mutation, so a capture can tell when nothing changed since the last
+   one and share its surface. *)
 
 type writer = { tid : int; instr : int; seq : int }
 
 type image = int64 array
+
+type surface = ..
+type surface += No_surface
 
 type t = {
   words : int;
@@ -69,6 +83,10 @@ type t = {
   mutable pend_gen : int;
   mutable baseline : int; (* snapshot id the journal diverges from; 0 = none *)
   mutable booted : image; (* image the journal diverges from; [no_image] = none *)
+  mutable cbase : image; (* capture base: durable image minus journaled words; [no_image] = none yet *)
+  mutable instant : int; (* bumped by every image or metadata mutation; never rewound *)
+  mutable surface : surface; (* last remembered crash surface ... *)
+  mutable surface_instant : int; (* ... valid while [instant] still equals this *)
   mutable seq : int;
   mutable n_loads : int;
   mutable n_stores : int;
@@ -123,6 +141,10 @@ let create ?(eadr = false) ~words () =
     pend_gen = 1;
     baseline = 0;
     booted = no_image;
+    cbase = no_image;
+    instant = 0;
+    surface = No_surface;
+    surface_instant = -1;
     seq = 0;
     n_loads = 0;
     n_stores = 0;
@@ -181,6 +203,7 @@ let pending_index_size t = t.pend_len
    pending) and the journal and pending index empty — O(1) instead of
    O(pool). *)
 let new_epoch t =
+  t.instant <- t.instant + 1;
   t.epoch <- t.epoch + 1;
   t.journal_len <- 0;
   pend_drain t
@@ -243,6 +266,7 @@ let clean_word t w =
 
 let store t ~tid ~instr w v =
   check t w;
+  t.instant <- t.instant + 1;
   t.n_stores <- t.n_stores + 1;
   t.seq <- t.seq + 1;
   journal_touch t w;
@@ -264,6 +288,7 @@ let store t ~tid ~instr w v =
 
 let movnt t ~tid:_ ~instr:_ w v =
   check t w;
+  t.instant <- t.instant + 1;
   t.n_movnts <- t.n_movnts + 1;
   t.seq <- t.seq + 1;
   journal_touch t w;
@@ -280,6 +305,7 @@ let movnt t ~tid:_ ~instr:_ w v =
 
 let clwb t w =
   check t w;
+  t.instant <- t.instant + 1;
   t.n_flushes <- t.n_flushes + 1;
   (* Walk the line in place (Cacheline.iter_line geometry): the legacy
      words-of-line list cost one allocation per flush on the hottest
@@ -341,6 +367,7 @@ let sort_prefix (a : int array) n =
   end
 
 let sfence t =
+  t.instant <- t.instant + 1;
   t.n_fences <- t.n_fences + 1;
   (* Compact the index in place down to the words that are still pending
      (stores since their CLWB may have cleared the flag) ... *)
@@ -372,6 +399,7 @@ let sfence t =
    equivalence property in test_pool runs both in lockstep — and as the
    "before" side of the hotpath bench.  Do not optimise this. *)
 let sfence_scan t =
+  t.instant <- t.instant + 1;
   t.n_fences <- t.n_fences + 1;
   let persisted = ref [] in
   for w = t.words - 1 downto 0 do
@@ -387,6 +415,7 @@ let evict_line t line =
   let base = Cacheline.first_word_of_line line in
   if base < 0 || base >= t.words then
     invalid_arg "Pool.evict_line: line out of bounds";
+  t.instant <- t.instant + 1;
   let evicted = ref [] in
   Cacheline.iter_line
     (fun w ->
@@ -422,6 +451,7 @@ let pending_words t =
   List.sort Int.compare !acc
 
 let quiesce t =
+  t.instant <- t.instant + 1;
   for i = 0 to t.journal_len - 1 do
     let w = t.journal.(i) in
     if is_dirty t w then begin
@@ -433,6 +463,39 @@ let quiesce t =
   ignore (sfence t)
 
 let crash_image t = Array.copy t.durable
+
+let capture_base t =
+  if t.cbase == no_image then t.cbase <- Array.copy t.durable;
+  t.cbase
+
+(* Values are boxed, and an unchanged word shares its box with the base
+   (a drained one with its volatile copy): test physical equality before
+   loading the boxes. *)
+let differ (x : int64) y = x != y && not (Int64.equal x y)
+
+let capture_delta t =
+  let base = capture_base t in
+  let durable = ref [] and flight = ref [] in
+  for i = 0 to t.journal_len - 1 do
+    let w = t.journal.(i) in
+    let d = t.durable.(w) in
+    if differ d base.(w) then durable := (w, d) :: !durable;
+    if t.meta_epoch.(w) = t.epoch then begin
+      let pending = t.pending.(w) in
+      if pending || t.dirty_seq.(w) >= 0 then begin
+        let v = t.volatile.(w) in
+        if differ v d then flight := (w, v, pending) :: !flight
+      end
+    end
+  done;
+  (base, !durable, !flight)
+
+let remembered_surface t = if t.surface_instant = t.instant then t.surface else No_surface
+
+let remember_surface t s =
+  t.surface <- s;
+  t.surface_instant <- t.instant
+
 let image_word (img : image) w = img.(w)
 let image_words (img : image) = Array.length img
 let image_copy (img : image) = Array.copy img
@@ -494,6 +557,7 @@ let boot ?(delta = []) t (img : image) =
   t.eadr <- false;
   t.baseline <- 0;
   t.booted <- img;
+  t.cbase <- img;
   zero_counters t;
   apply_delta t delta
 
@@ -505,6 +569,7 @@ let finish_reset t s =
   new_epoch t;
   t.baseline <- s.s_id;
   t.booted <- no_image;
+  t.cbase <- s.s_durable;
   t.seq <- s.s_seq;
   t.n_loads <- s.s_loads;
   t.n_stores <- s.s_stores;

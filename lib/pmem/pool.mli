@@ -112,6 +112,40 @@ val quiesce : t -> unit
 val crash_image : t -> image
 (** The durable contents right now — the memory a restarted program sees. *)
 
+val capture_delta : t -> image * (int * int64) list * (int * int64 * bool) list
+(** [capture_delta t] is [(base, durable, in_flight)], the raw material
+    of a crash surface (see {!Crash_images}):
+
+    - [base] is the image the touched-word journal diverges from: after a
+      checkpoint reset the snapshot's durable image, after {!boot} the
+      booted image — neither is copied.  A pool with neither copies its
+      durable image once, at the first call, and keeps that copy until
+      the next {!boot}, {!restore}, {!reset_to_snapshot} or {!snapshot}.
+      Treat it as read-only.
+    - [durable] holds every word whose durable value differs from [base],
+      with that value: [base] plus [durable] is {!crash_image}.
+    - [in_flight] holds every dirty or pending word whose volatile value
+      differs from its durable one, with the volatile value and whether
+      the word is pending (flushed) rather than dirty.
+
+    Both lists come from one walk of the journal, in no particular
+    order, with distinct words: O(touched), independent of the pool
+    size. *)
+
+type surface = ..
+(** The crash surface last captured from this pool, extended by
+    {!Crash_images}. *)
+
+type surface += No_surface
+
+val remembered_surface : t -> surface
+(** The surface last passed to {!remember_surface}, if no store, flush,
+    fence, eviction, boot or reset touched the pool since; [No_surface]
+    otherwise.  Every image or metadata mutation advances the pool's
+    instant, so this is one integer compare. *)
+
+val remember_surface : t -> surface -> unit
+
 val image_word : image -> int -> int64
 val image_words : image -> int
 
@@ -138,8 +172,9 @@ val boot : ?delta:(int * int64) list -> t -> image -> unit
 
     [delta] (default empty) overrides words of [img], as
     {!Crash_images} enumerates them: the result is [of_image] of [img]
-    with each [(w, v)] written, except that {!touched_words} counts the
-    delta's words.
+    with each [(w, v)] written in list order (a later pair for the same
+    word wins), except that {!touched_words} counts the delta's
+    words.
 
     Allocation-free.  Booting the image [t] was last booted from
     (physically the same array, with no {!snapshot}/{!restore} since) is a

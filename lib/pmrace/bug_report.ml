@@ -48,7 +48,7 @@ let pp_finding ppf (session : Fuzzer.session) (f : Report.finding) =
     (if f.inc.Checkers.external_effect then " [external]"
      else Printf.sprintf ", PM word %d" f.inc.Checkers.eff_addr);
   Fmt.pf ppf "  crash state        : %s@."
-    (match f.inc.Checkers.image with
+    (match f.inc.Checkers.crash with
     | Some _ -> "captured at the moment the side effect persisted"
     | None -> "not captured");
   Fmt.pf ppf "  validation         : %a@." pp_verdict_line f.verdict;

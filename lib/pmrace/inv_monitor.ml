@@ -15,7 +15,6 @@ type hit = {
   h_site : Runtime.Instr.t;
   h_addr : int;
   h_words : int list;
-  h_image : Pmem.Pool.image option;
   h_crash : Pmem.Crash_images.state option;
 }
 
@@ -43,7 +42,6 @@ let attach t (env : Runtime.Env.t) =
                 h_site = v.v_site;
                 h_addr = v.v_addr;
                 h_words = v.v_words;
-                h_image = Option.map Pmem.Crash_images.base crash;
                 h_crash = crash;
               }
               :: t.hits

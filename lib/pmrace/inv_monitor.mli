@@ -14,10 +14,9 @@ type hit = {
   h_site : Runtime.Instr.t;  (** the violating store's site *)
   h_addr : int;
   h_words : int list;  (** still-pending source words at the violation *)
-  h_image : Pmem.Pool.image option;  (** base durable image at the violation *)
   h_crash : Pmem.Crash_images.state option;
-      (** full crash surface at the violation, for enumeration; [h_image]
-          is always [Option.map Pmem.Crash_images.base h_crash] *)
+      (** crash surface at the violation, for enumeration: image 0 is the
+          durable state at the violating store *)
 }
 
 type t

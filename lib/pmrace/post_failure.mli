@@ -35,8 +35,10 @@ module Candidate : sig
 end
 
 type ctx
-(** Validation context: target, whitelist, image budget, and the reused
-    recovery environment every recovery on it boots into. *)
+(** Validation context: target, whitelist, image budget, the reused
+    recovery environment every recovery on it boots into, and a
+    single-slot memo of what recovery left on each image of the last
+    crash surface validated. *)
 
 val ctx : ?images:int -> ?whitelist:Whitelist.t -> Target.t -> ctx
 (** [images] is the crash-image budget — how many enumerated images are
@@ -45,11 +47,12 @@ val ctx : ?images:int -> ?whitelist:Whitelist.t -> Target.t -> ctx
 
 type recovery_result = {
   env : Runtime.Env.t;  (** the post-recovery environment *)
-  overwritten : (int, unit) Hashtbl.t;  (** PM words recovery stored to *)
+  overwritten : int array;
+      (** PM words recovery stored to, each once, in first-store order *)
   hung : bool;  (** recovery got stuck (spin lock, kill) *)
 }
-(** Both [env] and [overwritten] belong to the context's recovery world:
-    they are valid until the next recovery on the same context. *)
+(** [env] belongs to the context's recovery world: it is valid until the
+    next recovery on the same context. *)
 
 val run_recovery :
   ?listeners:(Runtime.Env.t -> unit) list ->
@@ -74,5 +77,11 @@ val validate : ctx -> Candidate.t -> verdict
     the first image index that survives (or hangs) recovery.  Images in
     which the crash itself repaired the candidate (e.g. the inconsistency
     source drained) are skipped without spending budget.  Image 0 — the
-    base crash image — is always validated first, so budget 1 is
-    bit-identical to historical single-image validation. *)
+    durable image at the capture — is always validated first, so budget 1
+    is bit-identical to historical single-image validation.
+
+    Candidates captured at one pool instant share their surface
+    (physically), and recovery on one image is deterministic: the context
+    runs recovery once per (surface, image) and answers repeats from its
+    memo, which keeps the hang flag and the overwritten words with their
+    final values — all a verdict reads. *)

@@ -28,7 +28,6 @@ type inconsistency = {
   eff_tid : int;
   addr_flow : bool;
   external_effect : bool; (* e.g. a write to disk or a socket *)
-  image : Pmem.Pool.image option; (* durable state at confirmation *)
   crash : Pmem.Crash_images.state option; (* full crash surface at confirmation *)
   eff_words : int list; (* words carrying the durable side effect *)
 }
@@ -39,7 +38,6 @@ type sync_event = {
   var : sync_var;
   sy_addr : int;
   sy_value : int64;
-  sy_image : Pmem.Pool.image option;
   sy_crash : Pmem.Crash_images.state option;
 }
 
@@ -118,7 +116,8 @@ let on_store t pool ~tid ~instr ~addr ~value_taint ~addr_taint =
   let v_sources = live_sources t pool value_taint in
   let a_sources = live_sources t pool addr_taint in
   (* A newer store to the same word supersedes the old pending effect. *)
-  if t.pending <> [] then t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
+  if List.exists (fun se -> se.se_addr = addr) t.pending then
+    t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
   if v_sources <> [] || a_sources <> [] then
     t.pending <-
       {
@@ -143,9 +142,8 @@ let record_inconsistency t pool ~source ~eff_addr ~eff_instr ~eff_tid ~addr_flow
   if not (Hashtbl.mem t.uniq_inc key) then begin
     Hashtbl.add t.uniq_inc key ();
     let crash = if t.capture_images then Some (Pmem.Crash_images.capture pool) else None in
-    let image = Option.map Pmem.Crash_images.base crash in
     t.inconsistencies <-
-      { source; eff_addr; eff_instr; eff_tid; addr_flow; external_effect; image; crash; eff_words }
+      { source; eff_addr; eff_instr; eff_tid; addr_flow; external_effect; crash; eff_words }
       :: t.inconsistencies
   end
 
@@ -184,9 +182,7 @@ let on_persisted t pool persisted =
               let crash =
                 if t.capture_images then Some (Pmem.Crash_images.capture pool) else None
               in
-              let image = Option.map Pmem.Crash_images.base crash in
-              t.sync_events <-
-                { var; sy_addr = w; sy_value = v; sy_image = image; sy_crash = crash }
+              t.sync_events <- { var; sy_addr = w; sy_value = v; sy_crash = crash }
                 :: t.sync_events
             end
         | None -> ())

@@ -16,11 +16,9 @@ type inconsistency = {
   eff_tid : int;
   addr_flow : bool;  (** the taint reached the store through its address *)
   external_effect : bool;
-  image : Pmem.Pool.image option;  (** base durable state at confirmation *)
   crash : Pmem.Crash_images.state option;
-      (** full crash surface at confirmation — [image] plus the in-flight
-          lines, for {!Pmem.Crash_images} enumeration; [image] is always
-          [Option.map Pmem.Crash_images.base crash] *)
+      (** crash surface at confirmation, for {!Pmem.Crash_images}
+          enumeration: image 0 is the durable state at that instant *)
   eff_words : int list;
 }
 
@@ -30,7 +28,6 @@ type sync_event = {
   var : sync_var;
   sy_addr : int;
   sy_value : int64;
-  sy_image : Pmem.Pool.image option;
   sy_crash : Pmem.Crash_images.state option;  (** as {!inconsistency.crash} *)
 }
 
@@ -43,7 +40,7 @@ type side_effect = {
 }
 
 val create : ?capture_images:bool -> unit -> t
-(** [capture_images:false] skips crash-image copies (used when only
+(** [capture_images:false] skips crash-surface capture (used when only
     coverage, not validation, is needed). *)
 
 val candidates : t -> Candidates.t

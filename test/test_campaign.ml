@@ -62,7 +62,7 @@ let test_crash_image_shows_inconsistency () =
   let _, r = find_confirming () in
   match Checkers.inconsistencies r.env.Runtime.Env.checkers with
   | inc :: _ ->
-      let image = Option.get inc.Checkers.image in
+      let image = Option.get (Pmem.Crash_images.image (Option.get inc.Checkers.crash) 0) in
       let y = Pmem.Pool.image_word image Workloads.Figure1.y_off in
       let x = Pmem.Pool.image_word image Workloads.Figure1.x_off in
       Alcotest.(check bool) "y persisted, x stale" true (not (Int64.equal y x))

@@ -163,6 +163,221 @@ let prop_index_zero_is_base_image =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Copy-free surfaces against a copy-based reference model.            *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: at capture time copy the whole durable image and every
+   word's volatile value and state, then enumerate by brute force — all
+   drain-digit vectors, sorted by total weight and then lexicographically
+   (lowest line first), each materialised into a fresh copy.  Shares
+   nothing with [Crash_images] but the drain rules. *)
+type ref_line = { r_pending : (int * int64) list; r_dirty : (int * int64) list }
+
+let reference_images p =
+  let durable = Pool.crash_image p in
+  let flight w =
+    (Pool.is_pending p w || Pool.is_dirty p w)
+    && not (Int64.equal (Pool.peek p w) (Pool.image_word durable w))
+  in
+  let lines =
+    List.init (words / Cacheline.words_per_line) (fun l ->
+        let ws =
+          List.filter flight
+            (List.init Cacheline.words_per_line (fun i -> (l * Cacheline.words_per_line) + i))
+        in
+        let of_kind pending =
+          List.filter_map
+            (fun w -> if Pool.is_pending p w = pending then Some (w, Pool.peek p w) else None)
+            ws
+        in
+        { r_pending = of_kind true; r_dirty = of_kind false })
+    |> List.filter (fun l -> l.r_pending <> [] || l.r_dirty <> [])
+  in
+  let levels l =
+    match (l.r_pending, l.r_dirty) with
+    | [], d -> [ []; d ]
+    | pw, [] -> [ []; pw ]
+    | pw, d -> [ []; pw; pw @ d ]
+  in
+  let rec vectors = function
+    | [] -> [ [] ]
+    | l :: rest ->
+        List.concat_map
+          (fun (d, words) -> List.map (fun tl -> (d, words) :: tl) (vectors rest))
+          (List.mapi (fun d words -> (d, words)) (levels l))
+  in
+  let key v = (List.fold_left (fun a (d, _) -> a + d) 0 v, List.map fst v) in
+  vectors lines
+  |> List.stable_sort (fun a b -> compare (key a) (key b))
+  |> List.map (fun v ->
+         let img = Pool.image_copy durable in
+         List.iter (fun (_, ws) -> List.iter (fun (w, x) -> Pool.image_set img w x) ws) v;
+         img)
+
+let same_image a b =
+  Pool.image_words a = Pool.image_words b
+  && List.for_all
+       (fun w -> Int64.equal (Pool.image_word a w) (Pool.image_word b w))
+       (List.init (Pool.image_words a) Fun.id)
+
+(* Checked indices per capture: enough to cover every image of small
+   surfaces, bounded for the product blow-up of large ones. *)
+let max_checked = 48
+
+let surface_matches_reference p st =
+  let expected = reference_images p in
+  let n = List.length expected in
+  CI.count st = n
+  && CI.image st n = None
+  && same_image (Option.get (CI.image st 0)) (Pool.crash_image p)
+  && List.for_all
+       (fun (i, img) -> i >= max_checked || same_image (Option.get (CI.image st i)) img)
+       (List.mapi (fun i img -> (i, img)) expected)
+
+(* Several captures per campaign: each op segment ends with a capture. *)
+let apply_op p (op, x) =
+  let w = x mod words in
+  match op mod 6 with
+  | 0 | 1 -> Pool.store p ~tid:0 ~instr:1 w (Int64.of_int ((w * 7) + op + 1))
+  | 2 -> Pool.movnt p ~tid:0 ~instr:2 w (Int64.of_int (w + 100))
+  | 3 -> Pool.clwb p w
+  | 4 -> ignore (Pool.sfence p)
+  | _ -> ignore (Pool.evict_line p (Cacheline.line_of_word w))
+
+let segments_gen =
+  QCheck.(
+    list_of_size (Gen.int_range 1 4)
+      (list_of_size (Gen.int_range 0 12) (pair (int_bound 5) (int_bound (words - 1)))))
+
+(* Run the segments, capturing after each, and check every capture
+   against the reference at the instant it was taken.  Returns the
+   verdict and the captures' bases. *)
+let captures p segments =
+  List.fold_left
+    (fun (ok, bases) seg ->
+      List.iter (apply_op p) seg;
+      let st = CI.capture p in
+      (ok && surface_matches_reference p st, CI.base st :: bases))
+    (true, []) segments
+
+let all_same = function [] -> true | b :: rest -> List.for_all (fun b' -> b' == b) rest
+
+let prop_surfaces_fresh_pool =
+  QCheck.Test.make ~name:"crashimages: surfaces ≡ copy-based reference (fresh pool)" ~count:150
+    segments_gen (fun segments ->
+      let ok, bases = captures (fresh ()) segments in
+      ok && all_same bases)
+
+(* Two campaigns from one checkpoint: every capture of both shares the
+   snapshot's durable image as its base. *)
+let prop_surfaces_snapshot_pool =
+  QCheck.Test.make ~name:"crashimages: surfaces ≡ copy-based reference (snapshot-reset pool)"
+    ~count:150
+    QCheck.(triple segments_gen segments_gen segments_gen)
+    (fun (init, c1, c2) ->
+      let p = fresh () in
+      List.iter (List.iter (apply_op p)) init;
+      Pool.quiesce p;
+      let snap = Pool.snapshot p in
+      let ok1, bases1 = captures p c1 in
+      Pool.reset_to_snapshot p snap;
+      let ok2, bases2 = captures p c2 in
+      ok1 && ok2 && all_same (bases1 @ bases2))
+
+(* A booted pool captures against the image it booted from. *)
+let prop_surfaces_booted_pool =
+  QCheck.Test.make ~name:"crashimages: surfaces ≡ copy-based reference (booted pool)" ~count:100
+    QCheck.(pair segments_gen segments_gen)
+    (fun (init, c) ->
+      let q = fresh () in
+      List.iter (List.iter (apply_op q)) init;
+      let img = Pool.crash_image q in
+      let p = fresh () in
+      Pool.boot ~delta:[ (5, 55L) ] p img;
+      let ok, bases = captures p c in
+      ok && List.for_all (fun b -> b == img) bases)
+
+(* ------------------------------------------------------------------ *)
+(* One surface per pool instant.                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_same_instant_shared () =
+  let p = fresh () in
+  Pool.store p ~tid:0 ~instr:1 0 5L;
+  Pool.store p ~tid:0 ~instr:1 9 6L;
+  Pool.clwb p 9;
+  let st = CI.capture p in
+  Alcotest.(check bool) "same instant: same surface" true (CI.capture p == st);
+  ignore (Pool.load p 0);
+  ignore (Pool.peek p 9);
+  Alcotest.(check bool) "loads mutate nothing" true (CI.capture p == st);
+  (* Every mutation, even one that changes no word, starts a new
+     instant. *)
+  let mutations =
+    [
+      ("store", fun () -> Pool.store p ~tid:0 ~instr:1 1 7L);
+      ("store of the same value", fun () -> Pool.store p ~tid:0 ~instr:1 1 7L);
+      ("movnt", fun () -> Pool.movnt p ~tid:0 ~instr:2 16 8L);
+      ("clwb", fun () -> Pool.clwb p 0);
+      ("clwb of a clean line", fun () -> Pool.clwb p 40);
+      ("sfence", fun () -> ignore (Pool.sfence p));
+      ("empty sfence", fun () -> ignore (Pool.sfence p));
+      ("eviction", fun () -> Pool.store p ~tid:0 ~instr:1 24 9L; ignore (Pool.evict_line p 3));
+      ("quiesce", fun () -> Pool.quiesce p);
+      ("boot", fun () -> Pool.boot p (Pool.crash_image p));
+    ]
+  in
+  ignore
+    (List.fold_left
+       (fun prev (name, mutate) ->
+         mutate ();
+         let st = CI.capture p in
+         Alcotest.(check bool) (name ^ ": new surface") true (st != prev);
+         Alcotest.(check bool) (name ^ ": then shared") true (CI.capture p == st);
+         st)
+       st mutations)
+
+(* ------------------------------------------------------------------ *)
+(* Capture is O(touched): no pool-sized allocation.                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated by one capture of a snapshot-reset pool of [size]
+   words with the same 8 touched words (4 fenced, 2 flushed, 2 dirty),
+   averaged over repeated captures, each after a store that changes no
+   word's value but starts a new instant. *)
+let capture_words size =
+  let p = Pool.create ~words:size () in
+  Pool.store p ~tid:0 ~instr:1 (size - 1) 1L;
+  Pool.quiesce p;
+  let snap = Pool.snapshot p in
+  Pool.reset_to_snapshot p snap;
+  List.iteri (fun i w -> Pool.store p ~tid:0 ~instr:1 w (Int64.of_int (i + 2))) [ 0; 1; 9; 17 ];
+  Pool.clwb p 0;
+  Pool.clwb p 9;
+  ignore (Pool.sfence p);
+  List.iteri (fun i w -> Pool.store p ~tid:0 ~instr:1 w (Int64.of_int (i + 10))) [ 2; 3; 25; 33 ];
+  Pool.clwb p 2;
+  Pool.clwb p 25;
+  let v = Pool.peek p 33 in
+  let rounds = 100 in
+  ignore (CI.capture p);
+  let before = Gc.minor_words () in
+  let major_before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to rounds do
+    Pool.store p ~tid:0 ~instr:1 33 v;
+    ignore (Sys.opaque_identity (CI.capture p))
+  done;
+  let minor = Gc.minor_words () -. before in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major_before in
+  (minor +. major) /. float_of_int rounds
+
+let test_capture_allocation_flat () =
+  let small = capture_words 1024 and large = capture_words 65536 in
+  if large > small +. 1. then
+    Alcotest.failf "capture allocates %.0f words on a 64k-word pool vs %.0f on 1k" large small;
+  if small > 512. then Alcotest.failf "capture allocates %.0f words for 8 touched words" small
+
+(* ------------------------------------------------------------------ *)
 (* Budget 1 confirms a real inconsistency on the base image.           *)
 (* ------------------------------------------------------------------ *)
 
@@ -246,4 +461,9 @@ let suite =
     Alcotest.test_case "budget 1 confirms on the base image" `Quick test_base_image_confirms;
     Alcotest.test_case "torn store needs enumeration (e2e)" `Quick
       test_torn_store_needs_enumeration;
+    QCheck_alcotest.to_alcotest prop_surfaces_fresh_pool;
+    QCheck_alcotest.to_alcotest prop_surfaces_snapshot_pool;
+    QCheck_alcotest.to_alcotest prop_surfaces_booted_pool;
+    Alcotest.test_case "one surface per pool instant" `Quick test_same_instant_shared;
+    Alcotest.test_case "capture allocation is O(touched)" `Quick test_capture_allocation_flat;
   ]

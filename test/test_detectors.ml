@@ -402,7 +402,7 @@ let test_monitor_flags_planted () =
   with
   | None -> Alcotest.fail "expected the monitor to flag the planted ordering bug"
   | Some h ->
-      Alcotest.(check bool) "image captured" true (h.h_image <> None);
+      Alcotest.(check bool) "image captured" true (h.h_crash <> None);
       Alcotest.(check bool) "pending source words recorded" true (h.h_words <> []);
       (* Post-failure validation: recovery never persists x, so the hit
          is a confirmed ordering bug, not a false positive. *)

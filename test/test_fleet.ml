@@ -520,6 +520,119 @@ let test_lease_size () =
   Alcotest.(check int) "floor never exceeds the cap" 3
     (Fleet.Coordinator.lease_size ~rate:0.01 ~horizon:1.0 ~min_lease:10 ~max_lease:3)
 
+(* ------------------------------------------------------------------ *)
+(* Untrusted bytes: a truncated or byte-mutated session artifact or wire
+   frame decodes to [Ok] or [Error] — never an exception.  Frames go
+   through [Wire.recv] over a pipe (header included), then both message
+   codecs; artifacts through [Obs.Json.of_string] and [Artifact.of_json],
+   which is all [Artifact.read] does after reading the file. *)
+
+let frame_bytes j =
+  let payload = J.to_string j in
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
+  Bytes.to_string hdr ^ payload
+
+let untrusted_docs =
+  lazy
+    (let target = Workloads.Figure1.target in
+     let cfg = Fuzzer.Config.make ~max_campaigns:6 ~master_seed:5 () in
+     let art = Artifact.of_session ~target ~cfg (Fuzzer.run target cfg) in
+     [|
+       `Artifact (J.to_string (Artifact.to_json art));
+       `Frame
+         (frame_bytes
+            (Wire.client_to_json
+               (Wire.Delta
+                  {
+                    delta = Hub.fresh_delta ();
+                    campaigns = 7;
+                    seeds = [ (fixed_seed (), [ ("fleet.test:w", "fleet.test:r") ]) ];
+                  })));
+       `Frame
+         (frame_bytes
+            (Wire.client_to_json
+               (Wire.Bug
+                  {
+                    kind = "inter";
+                    (* control and non-ASCII bytes: the frame is mostly \u escapes *)
+                    site = "fleet.test:" ^ String.init 24 (fun i -> Char.chr (i + 1)) ^ "\xc3\xa9";
+                    read_sites = [ "fleet.test:r" ];
+                    members = 2;
+                    first_campaign = Some 5;
+                  })));
+       `Frame (frame_bytes (Wire.server_to_json (Wire.Lease { campaigns = 12; seeds = [ fixed_seed () ] })));
+     |])
+
+let decode_untrusted doc bytes =
+  match doc with
+  | `Artifact _ -> (
+      match J.of_string bytes with Ok j -> ignore (Artifact.of_json j) | Error _ -> ())
+  | `Frame _ ->
+      let r, w = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close r)
+        (fun () ->
+          let b = Bytes.of_string bytes in
+          let rec write off =
+            if off < Bytes.length b then write (off + Unix.write w b off (Bytes.length b - off))
+          in
+          write 0;
+          Unix.close w;
+          match Wire.recv r with
+          | Ok j ->
+              ignore (Wire.client_of_json j);
+              ignore (Wire.server_of_json j)
+          | Error _ -> ())
+
+let doc_text = function `Artifact s | `Frame s -> s
+
+let mutate text (cut, edits) =
+  let b = Bytes.of_string (String.sub text 0 (min cut (String.length text))) in
+  List.iter
+    (fun (pos, c) -> if Bytes.length b > 0 then Bytes.set b (pos mod Bytes.length b) c)
+    edits;
+  Bytes.to_string b
+
+let json_byte =
+  QCheck.Gen.(
+    oneof
+      [
+        char;
+        oneofl [ '"'; '\\'; 'u'; 'd'; 'D'; '8'; '{'; '}'; '['; ']'; ','; ':'; '0'; '9'; '-'; 'e'; '.' ];
+      ])
+
+let prop_untrusted_never_raises =
+  QCheck.Test.make ~name:"untrusted bytes: truncated/mutated artifacts and frames never raise"
+    ~count:400
+    QCheck.(
+      make
+        Gen.(
+          triple (int_bound 3) (int_bound 1_000_000)
+            (list_size (int_range 0 4) (pair (int_bound 1_000_000) json_byte))))
+    (fun (i, cut, edits) ->
+      let doc = (Lazy.force untrusted_docs).(i) in
+      let text = doc_text doc in
+      let cut = if edits = [] then cut mod (String.length text + 1) else String.length text - (cut mod 8) in
+      match decode_untrusted doc (mutate text (cut, edits)) with
+      | () -> true
+      | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e))
+
+(* Every prefix of every frame, exhaustively. *)
+let test_frame_truncations () =
+  Array.iter
+    (fun doc ->
+      match doc with
+      | `Artifact _ -> ()
+      | `Frame text ->
+          for cut = 0 to String.length text do
+            match decode_untrusted doc (String.sub text 0 cut) with
+            | () -> ()
+            | exception e ->
+                Alcotest.failf "frame prefix of %d bytes raised %s" cut (Printexc.to_string e)
+          done)
+    (Lazy.force untrusted_docs)
+
 let suite =
   [
     Alcotest.test_case "fingerprint goldens (store format)" `Quick test_fingerprint_golden;
@@ -537,4 +650,6 @@ let suite =
     Alcotest.test_case "coordinator/worker end-to-end" `Quick test_coordinator_worker_session;
     Alcotest.test_case "coordinator: protocol hygiene" `Quick test_protocol_hygiene;
     Alcotest.test_case "coordinator: adaptive lease sizing" `Quick test_lease_size;
+    QCheck_alcotest.to_alcotest prop_untrusted_never_raises;
+    Alcotest.test_case "untrusted bytes: every frame prefix" `Quick test_frame_truncations;
   ]

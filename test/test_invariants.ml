@@ -71,7 +71,7 @@ let test_validated_findings_have_images () =
     (fun ((t : Pmrace.Target.t), (s : Fuzzer.session)) ->
       List.iter
         (fun (f : Report.finding) ->
-          match (f.verdict, f.inc.Checkers.image) with
+          match (f.verdict, f.inc.Checkers.crash) with
           | Some Pmrace.Post_failure.Validated_fp, None ->
               Alcotest.failf "%s: validated-FP verdict without an image" t.name
           | _ -> ())
@@ -86,7 +86,7 @@ let test_images_show_the_window () =
     (fun ((_ : Pmrace.Target.t), (s : Fuzzer.session)) ->
       List.iter
         (fun (f : Report.finding) ->
-          match f.inc.Checkers.image with
+          match f.inc.Checkers.crash with
           | Some _ when not f.inc.Checkers.external_effect ->
               Alcotest.(check bool) "effect word recorded" true
                 (f.inc.Checkers.eff_words <> [])

@@ -50,6 +50,23 @@ let test_json_unicode_escape () =
   | Ok _ -> Alcotest.fail "expected a string"
   | Error e -> Alcotest.failf "parse error: %s" e
 
+let test_json_bad_unicode_escapes () =
+  let bad s = match J.of_string s with Ok _ -> Alcotest.failf "%S parsed" s | Error _ -> () in
+  bad {|"\uZZZZ"|};
+  bad {|"\u12G4"|};
+  bad {|"\u1_23"|};
+  bad {|"\u+123"|};
+  bad {|"\u12"|};
+  (* A high surrogate combines only with a low one that follows. *)
+  (match J.of_string {|"\ud800\u0041"|} with
+  | Ok (J.String s) -> Alcotest.(check string) "lone high surrogate, then A" "\xed\xa0\x80A" s
+  | Ok _ -> Alcotest.fail "expected a string"
+  | Error e -> Alcotest.failf "parse error: %s" e);
+  match J.of_string {|"\uD83D\uDE00"|} with
+  | Ok (J.String s) -> Alcotest.(check string) "upper-case pair" "\xf0\x9f\x98\x80" s
+  | Ok _ -> Alcotest.fail "expected a string"
+  | Error e -> Alcotest.failf "parse error: %s" e
+
 let test_json_errors () =
   let bad s = match J.of_string s with Ok _ -> Alcotest.failf "%S parsed" s | Error _ -> () in
   bad "";
@@ -353,4 +370,5 @@ let suite =
     Alcotest.test_case "replay reproduces recorded bugs" `Quick test_replay_reproduces;
     Alcotest.test_case "replay error handling" `Quick test_replay_errors;
     Alcotest.test_case "metrics on: session bit-identical" `Quick test_metrics_on_bit_identical;
+    Alcotest.test_case "json malformed unicode escapes" `Quick test_json_bad_unicode_escapes;
   ]

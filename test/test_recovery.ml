@@ -41,8 +41,8 @@ let fresh_recovery (target : Pmrace.Target.t) img =
   { env; overwritten = sorted_words overwritten; hung }
 
 let reused_recovery rctx st delta =
-  let r = Post.run_recovery ~delta rctx (CI.base st) in
-  { env = r.env; overwritten = sorted_words r.overwritten; hung = r.hung }
+  let r = Post.run_recovery ~delta:(CI.boot_delta st delta) rctx (CI.base st) in
+  { env = r.env; overwritten = List.sort Int.compare (Array.to_list r.overwritten); hung = r.hung }
 
 let image st idx =
   match CI.image st idx with Some img -> img | None -> Alcotest.failf "image %d missing" idx
@@ -171,7 +171,7 @@ let test_adversarial (target : Pmrace.Target.t) () =
      sure the next recovery boots it rather than a fresh one. *)
   let pinned = ref None in
   let vandalise_world st =
-    let env = (Post.run_recovery rctx (CI.base st)).env in
+    let env = (Post.run_recovery ~delta:(CI.boot_delta st []) rctx (CI.base st)).env in
     vandalise leaked env;
     pinned := Some env
   in
@@ -186,7 +186,7 @@ let test_adversarial (target : Pmrace.Target.t) () =
        (fun (i, prev) (cand, st) ->
          let label = Printf.sprintf "%s candidate %d" target.name i in
          let spec = reference_verdict target cand st in
-         let base_spec = fresh_recovery target (CI.base st) in
+         let base_spec = fresh_recovery target (image st 0) in
          vandalise_world prev;
          check_base (label ^ ": base image, other base vandalised") base_spec st;
          vandalise_world prev;
@@ -204,6 +204,62 @@ let test_adversarial (target : Pmrace.Target.t) () =
 
 let workloads = Workloads.Registry.with_examples @ Workloads.Registry.planted
 
+(* ------------------------------------------------------------------ *)
+(* The per-surface recovery memo ≡ no memo.                            *)
+(* ------------------------------------------------------------------ *)
+
+let kind = function
+  | Post.Candidate.Inconsistency _ -> "inconsistency"
+  | Post.Candidate.Sync _ -> "sync"
+  | Post.Candidate.Ordering _ -> "ordering"
+
+(* figure1 with a recovery that takes the persistent lock g instead of
+   resetting it: on every crash image where g persisted held, recovery
+   spins until [Mem.Stuck] — a recovery hang.  The lock site is figure1's
+   own, so no new instruction site is registered. *)
+let figure1_lock_recovery : Pmrace.Target.t =
+  let target = Workloads.Figure1.target in
+  {
+    target with
+    name = "figure1-lock-recovery";
+    recover =
+      (fun env ->
+        let ctx = Env.ctx env ~tid:(-2) in
+        let instr = Runtime.Instr.site "figure1.c:lock_g" in
+        let g = Runtime.Tval.of_int Workloads.Figure1.g_off in
+        Runtime.Mem.spin_lock ctx ~instr g;
+        Runtime.Mem.unlock ctx ~instr g);
+  }
+
+(* Every candidate of every workload's session, validated in session
+   order through one shared (memoising) context, against a fresh context
+   per candidate, whose memo is empty: same verdict, image index and hang
+   flag.  Candidates confirmed at one instant share a surface, so the
+   shared context answers most of their images from the memo.  The
+   candidates must cover Sync events, a recovery hang and shared
+   surfaces, or the memo's riskier paths went unexercised. *)
+let test_memo_equivalence () =
+  let syncs = ref 0 and hangs = ref 0 and shared = ref 0 in
+  List.iter
+    (fun (target : Pmrace.Target.t) ->
+      let cands = candidates (session target) in
+      let rctx = Post.ctx ~images:budget target in
+      ignore
+        (List.fold_left
+           (fun (i, prev) (cand, st) ->
+             let label = Printf.sprintf "%s %s candidate %d" target.name (kind cand) i in
+             let memo_free = Post.validate (Post.ctx ~images:budget target) cand in
+             Alcotest.check verdict label memo_free (Post.validate rctx cand);
+             (match cand with Post.Candidate.Sync _ -> incr syncs | _ -> ());
+             (match memo_free with Post.Bug { recovery_hang = true; _ } -> incr hangs | _ -> ());
+             if Option.fold ~none:false ~some:(fun p -> p == st) prev then incr shared;
+             (i + 1, Some st))
+           (0, None) cands))
+    (workloads @ [ figure1_lock_recovery ]);
+  if !syncs = 0 then Alcotest.fail "no Sync candidate validated";
+  if !hangs = 0 then Alcotest.fail "no recovery hang among the verdicts";
+  if !shared = 0 then Alcotest.fail "no two consecutive candidates shared a surface"
+
 let suite =
   List.map
     (fun (t : Pmrace.Target.t) ->
@@ -214,4 +270,6 @@ let suite =
         (test_adversarial Workloads.Tornstore.target);
       Alcotest.test_case "adversarial world: memcached-pmem" `Slow
         (test_adversarial Workloads.Memcached.target);
+      Alcotest.test_case "memoised verdicts ≡ a fresh context per candidate" `Slow
+        test_memo_equivalence;
     ]

@@ -115,7 +115,7 @@ let test_inconsistency_value_flow () =
       Alcotest.(check string) "write site" "test_runtime:w"
         (Instr.name inc.source.Candidates.write_instr);
       Alcotest.(check bool) "value flow" false inc.addr_flow;
-      Alcotest.(check bool) "image captured" true (inc.image <> None)
+      Alcotest.(check bool) "image captured" true (inc.crash <> None)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 inconsistency, got %d" (List.length l))
 
 let test_inconsistency_addr_flow () =

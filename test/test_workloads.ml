@@ -128,7 +128,7 @@ let test_pclht_bug1_data_loss () =
       match incs with [] -> hunt (s + 1) | inc :: _ -> inc
   in
   let inc = hunt 1 in
-  let image = Option.get inc.Runtime.Checkers.image in
+  let image = Option.get (Pmem.Crash_images.image (Option.get inc.Runtime.Checkers.crash) 0) in
   (* After recovery from the crash image, the stale table pointer is in
      place: the durable side effect (the inserted item in the new table)
      is unreachable. *)
