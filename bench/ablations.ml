@@ -61,7 +61,8 @@ let checkers ppf =
           ~factor:3
       in
       let input = Pmrace.Campaign.input ~sched_seed:3 target seed in
-      let r = Pmrace.Campaign.run ~listeners:[ Pmrace.Aux_checkers.attach aux ] input in
+      let engine = Pmrace.Engine.create target in
+      let r = Pmrace.Campaign.run ~engine ~listeners:[ Pmrace.Aux_checkers.attach aux ] input in
       let unflushed = Pmrace.Aux_checkers.unflushed_at_exit r.env in
       let top =
         List.filteri (fun i _ -> i < 3) unflushed
@@ -198,7 +199,8 @@ let engine ppf =
     in
     (* Legacy: a fresh environment and a full target initialisation per
        campaign — what every campaign paid before in-memory checkpoints. *)
-    let legacy_wall = time (fun i -> ignore (Campaign.run i)) in
+    let fresh = Engine.create ~use_checkpoint:false target in
+    let legacy_wall = time (fun i -> ignore (Campaign.run ~engine:fresh i)) in
     (* Engine: one persistent context, reset between campaigns. *)
     let eng = Engine.create ~use_checkpoint:true target in
     let engine_wall = time (fun i -> ignore (Campaign.run ~engine:eng i)) in

@@ -4,7 +4,12 @@
 open Bechamel
 open Toolkit
 
-let pclht_snapshot = lazy (Pmrace.Campaign.prepare_snapshot Workloads.Pclht.target)
+let pclht_snapshot = lazy (Pmrace.Engine.prepare_snapshot Workloads.Pclht.target)
+
+let pclht_engine =
+  lazy
+    (Pmrace.Engine.create ~snapshot:(Lazy.force pclht_snapshot) ~use_checkpoint:true
+       Workloads.Pclht.target)
 let pclht_seed =
   lazy (Pmrace.Seed.gen (Sched.Rng.create 77) Workloads.Pclht.target.profile)
 
@@ -14,10 +19,9 @@ let t_table2 =
     (Staged.stage (fun () ->
          let input =
            Pmrace.Campaign.input ~sched_seed:3 ~policy:Pmrace.Campaign.Random_sched
-             ~snapshot:(Lazy.force pclht_snapshot) Workloads.Pclht.target
-             (Lazy.force pclht_seed)
+             Workloads.Pclht.target (Lazy.force pclht_seed)
          in
-         ignore (Pmrace.Campaign.run input)))
+         ignore (Pmrace.Campaign.run ~engine:(Lazy.force pclht_engine) input)))
 
 (* Table 3: one post-failure validation (recovery on a crash image), in a
    reused recovery context as validation runs it: the image repeats, so
@@ -57,10 +61,9 @@ let t_fig8_pmrace =
          let input =
            Pmrace.Campaign.input ~sched_seed:3
              ~policy:(Pmrace.Campaign.Pmrace { entry; skip = 0 })
-             ~snapshot:(Lazy.force pclht_snapshot) Workloads.Pclht.target
-             (Lazy.force pclht_seed)
+             Workloads.Pclht.target (Lazy.force pclht_seed)
          in
-         ignore (Pmrace.Campaign.run input)))
+         ignore (Pmrace.Campaign.run ~engine:(Lazy.force pclht_engine) input)))
 
 let t_fig8_delay =
   Test.make ~name:"fig8/delay-campaign(p-clht)"
@@ -68,10 +71,9 @@ let t_fig8_delay =
          let input =
            Pmrace.Campaign.input ~sched_seed:3
              ~policy:(Pmrace.Campaign.Delay { prob = 0.15; max_delay = 40 })
-             ~snapshot:(Lazy.force pclht_snapshot) Workloads.Pclht.target
-             (Lazy.force pclht_seed)
+             Workloads.Pclht.target (Lazy.force pclht_seed)
          in
-         ignore (Pmrace.Campaign.run input)))
+         ignore (Pmrace.Campaign.run ~engine:(Lazy.force pclht_engine) input)))
 
 (* Figure 9: the coverage-metric update cost (alias bitmap insertion). *)
 let t_fig9 =

@@ -35,6 +35,7 @@ let () =
       hits = 1;
     }
   in
+  let engine = Pmrace.Engine.create target in
   let rec hunt n =
     if n > 300 then None
     else
@@ -43,7 +44,7 @@ let () =
           ~policy:(Pmrace.Campaign.Pmrace { entry; skip = 0 })
           target seed
       in
-      let r = Pmrace.Campaign.run input in
+      let r = Pmrace.Campaign.run ~engine input in
       let hit =
         List.find_opt
           (fun (i : Runtime.Checkers.inconsistency) ->

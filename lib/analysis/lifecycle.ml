@@ -144,13 +144,13 @@ let step t ~emit (ev : Env.event) =
       | None -> ());
       Hashtbl.replace t.flushed_lines line instr;
       if dirty_words = 0 then emit (O_redundant_flush { f_site = instr; addr });
-      List.iter
+      Pmem.Cacheline.iter_line
         (fun w ->
           match state t w with
           | S_dirty { w_site; w_tid } ->
               set t w (S_flushed { w_site; w_tid; f_site = instr })
           | S_clean | S_flushed _ -> ())
-        (Pmem.Cacheline.words_of_line_containing addr)
+        addr
   | Env.Ev_fence { instr; persisted; _ } ->
       if (not t.flush_since_fence) && persisted = [] then emit (O_redundant_fence { site = instr });
       t.flush_since_fence <- false;

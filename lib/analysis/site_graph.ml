@@ -112,7 +112,7 @@ let step t (sh : shadow) (ev : Env.event) =
   | Env.Ev_clwb { instr; addr; _ } ->
       (node_of t instr).n_flushes <- (node_of t instr).n_flushes + 1;
       touch_addr t instr addr;
-      List.iter
+      Pmem.Cacheline.iter_line
         (fun w ->
           match Hashtbl.find_opt sh.sh_dirty w with
           | Some writer ->
@@ -120,7 +120,7 @@ let step t (sh : shadow) (ev : Env.event) =
               Hashtbl.remove sh.sh_dirty w;
               Hashtbl.replace sh.sh_pending w instr
           | None -> ())
-        (Pmem.Cacheline.words_of_line_containing addr)
+        addr
   | Env.Ev_fence { instr; _ } ->
       (node_of t instr).n_fences <- (node_of t instr).n_fences + 1;
       Hashtbl.iter (fun _ flusher -> Hashtbl.replace t.fence_edges (flusher, instr) ()) sh.sh_pending;

@@ -82,45 +82,11 @@ let run ?obs wcfg target =
           wcfg.log
             (Printf.sprintf "fleet: attached as worker %d (budget %d/%d used, corpus %d)" widx
                budget_used budget_total corpus);
-          (* Mirror Fuzzer.run's pre-pass setup on the local hub: the
-             static denominator, lint findings and mined invariants are
-             per-process state every shard recomputes identically. *)
-          let snapshot =
-            if cfg.Fuzzer.use_checkpoint then Some (Pmrace.Campaign.prepare_snapshot target)
-            else None
-          in
-          let prepass =
-            if cfg.Fuzzer.static_prepass || cfg.Fuzzer.invariants then
-              let analysis =
-                if cfg.Fuzzer.invariants then
-                  { Analysis.Analyzer.default_config with invariants = true }
-                else Analysis.Analyzer.default_config
-              in
-              Some (Pmrace.Analyze.prepass ~analysis target)
-            else None
-          in
-          let static =
-            if cfg.Fuzzer.static_prepass then
-              Option.map (fun (r : Analysis.Analyzer.result) -> r.r_pairs) prepass
-            else None
-          in
-          let hub = Hub.create ?static ~max_campaigns:max_int () in
-          let whitelist =
-            Pmrace.Whitelist.create
-              (target.Pmrace.Target.whitelist_sites @ cfg.Fuzzer.whitelist_extra)
-          in
-          (match (prepass, cfg.Fuzzer.static_prepass) with
-          | Some r, true ->
-              Pmrace.Alias_cov.set_possible (Hub.alias hub)
-                (Analysis.Alias_pairs.possible_count r.r_pairs);
-              Report.set_lint (Hub.report hub) r.r_findings
-          | _ -> ());
-          let inv_specs =
-            match prepass with
-            | Some r when cfg.Fuzzer.invariants -> r.Analysis.Analyzer.r_invariants
-            | _ -> []
-          in
-          if cfg.Fuzzer.invariants then Report.set_invariants (Hub.report hub) inv_specs;
+          (* The session set-up (checkpoint, pre-pass, whitelist,
+             invariants) is per-process state every shard computes
+             identically; its hub is this worker's local one. *)
+          let setup = Fuzzer.setup target cfg in
+          let hub = Fuzzer.setup_hub setup in
           (* Fleet-side state threaded through the sink. *)
           let wire = Hub.fresh_delta () in
           let unshipped = ref 0 in
@@ -243,10 +209,7 @@ let run ?obs wcfg target =
                   c);
             }
           in
-          let worker =
-            Fuzzer.create_worker ~log:wcfg.log ?obs ?snapshot ~whitelist ~inv_specs
-              ~static_on:(static <> None) ~cfg ~sink ~widx target
-          in
+          let worker = Fuzzer.create_worker ~log:wcfg.log ?obs ~sink ~widx setup in
           worker_ref := Some worker;
           (try Fuzzer.worker_loop worker
            with Fail e ->
@@ -264,10 +227,7 @@ let run ?obs wcfg target =
              with Fail e -> wcfg.log (Printf.sprintf "fleet: detach failed (%s)" e));
           (try Unix.close fd with Unix.Unix_error _ -> ());
           let session =
-            Fuzzer.assemble_session ?static:prepass
-              ~whitelist:(Fuzzer.worker_whitelist worker)
-              ~worker_campaigns:[| Fuzzer.campaigns_done worker |]
-              hub target
+            Fuzzer.assemble_session ~worker_campaigns:[| Fuzzer.campaigns_done worker |] setup
           in
           Ok { o_session = session; o_widx = widx; o_campaigns = !local_done }
       | _ ->

@@ -12,9 +12,9 @@ let bytes_per_line = bytes_per_word * words_per_line
 let line_of_word w = w / words_per_line
 let first_word_of_line l = l * words_per_line
 
-(* All word offsets covered by the line containing [w].  Cold-path only:
-   materialises a fresh list per call — hot paths use [iter_line] /
-   [fold_line] below, which walk the line without allocating. *)
+(* All word offsets covered by the line containing [w], as a list.  The
+   reference [iter_line] and [fold_line] are tested against; no program
+   code calls it. *)
 let words_of_line_containing w =
   let base = first_word_of_line (line_of_word w) in
   List.init words_per_line (fun i -> base + i)

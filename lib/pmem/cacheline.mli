@@ -16,10 +16,9 @@ val first_word_of_line : int -> int
 
 val words_of_line_containing : int -> int list
 (** All word offsets sharing a cache line with the given word.
-    @deprecated Allocates a fresh list per call; kept for cold-path
-    callers (the offline analyzer, tests).  Hot-path code — anything a
-    campaign executes per instrumented operation — must use {!iter_line}
-    or {!fold_line} instead. *)
+    Reference only: the [test_cacheline] property and the [hotpath] bench
+    compare {!iter_line} and {!fold_line} against it.  Program code uses
+    those two, which do not allocate. *)
 
 val iter_line : (int -> unit) -> int -> unit
 (** [iter_line f w] applies [f] to every word offset of the cache line

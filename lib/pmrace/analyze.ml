@@ -53,8 +53,8 @@ let m_duration = lazy (Obs.Metrics.gauge "analyze_duration_seconds")
 let iter_executions ?(cfg = default_config) (target : Target.t) f =
   let rng = Rng.create cfg.master_seed in
   (* One engine for all seed executions: expensive-init targets get the
-     persistent context (checkpoint + O(touched) resets), others the
-     legacy fresh construction.  The trace is a transient listener, so
+     persistent context (checkpoint + O(touched) resets), others a fresh
+     environment per checkout.  The trace is a transient listener, so
      each checkout starts with it detached. *)
   let engine = Engine.create ~capture_images:false target in
   for _ = 1 to cfg.seeds do

@@ -1,11 +1,13 @@
 (* One fuzz campaign: a single concurrent execution of a target with a
    seed, an interleaving policy, and a scheduler seed.
 
-   The pool starts either from a fresh (expensive) target initialisation or
-   from an in-memory checkpoint of an initialised pool (§5); checker state
-   is reset after initialisation so that results only reflect the fuzzed
-   execution.  Every campaign begins with an empty (freshly initialised)
-   pool, as §4.5 prescribes. *)
+   The execution context always comes from the caller's {!Engine}: a
+   checkout hands out a freshly initialised pool — rebuilt by the
+   target's initialisation, or rewound to an in-memory checkpoint (§5) —
+   with fresh checkers, so every campaign begins with an empty pool as
+   §4.5 prescribes and its results only reflect the fuzzed execution.
+   The engine also owns the platform knobs (image capture, eviction,
+   eADR) and the reusable POR harness. *)
 
 module Rng = Sched.Rng
 module Scheduler = Sched.Scheduler
@@ -22,33 +24,16 @@ type input = {
   seed : Seed.t;
   sched_seed : int;
   policy : policy_spec;
-  snapshot : Pmem.Pool.snapshot option; (* in-memory checkpoint *)
   step_budget : int;
-  capture_images : bool;
-  evict_prob : float;
-  eadr : bool; (* run on an eADR platform (§6.6) *)
-  por : bool; (* sleep-set pruning + trace hashing (Scheduler.run_por) *)
+  por : bool; (* sleep-set pruning + trace hashing *)
   por_digest : bool;
       (* false = no trace-dedup consumer (replay): run the sleep sets but
          short-circuit the Foata-layer/hash digesting entirely *)
 }
 
-let input ?(sched_seed = 1) ?(policy = Random_sched) ?snapshot ?(step_budget = 60_000)
-    ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(por = false)
+let input ?(sched_seed = 1) ?(policy = Random_sched) ?(step_budget = 60_000) ?(por = false)
     ?(por_digest = true) target seed =
-  {
-    target;
-    seed;
-    sched_seed;
-    policy;
-    snapshot;
-    step_budget;
-    capture_images;
-    evict_prob;
-    eadr;
-    por;
-    por_digest;
-  }
+  { target; seed; sched_seed; policy; step_budget; por; por_digest }
 
 type result = {
   env : Env.t;
@@ -58,39 +43,17 @@ type result = {
   por : Por.stats option; (* pruning provenance when the input asked for POR *)
 }
 
-(* Initialise a pool once and capture the checkpoint the fast path reuses. *)
-let prepare_snapshot = Engine.prepare_snapshot
-
-let setup_env (i : input) =
-  let env =
-    Env.create ~capture_images:i.capture_images ~evict_prob:i.evict_prob ~eadr:i.eadr
-      ~pool_words:i.target.pool_words ()
-  in
-  (match i.snapshot with
-  | Some snap -> Pmem.Pool.restore env.pool snap
-  | None ->
-      i.target.init env;
-      Pmem.Pool.quiesce env.pool);
-  Env.reset_checkers ~capture_images:i.capture_images env;
-  (* Annotations describe the static pool layout, so they apply to fresh
-     and checkpoint-restored pools alike. *)
-  i.target.annotate env;
-  env
-
 let m_latency = lazy (Obs.Metrics.histogram "campaign_latency_seconds")
 
-(* Phase split of the latency above: setup (environment construction or
-   engine reset) vs the fuzzed execution itself.  The CLI footer derives
-   setup-bound vs run-bound execs/sec from these sums. *)
+(* Phase split of the latency above: setup (the engine checkout) vs the
+   fuzzed execution itself.  The CLI footer derives setup-bound vs
+   run-bound execs/sec from these sums. *)
 let m_setup = lazy (Obs.Metrics.histogram "campaign_setup_seconds")
 let m_run = lazy (Obs.Metrics.histogram "campaign_run_seconds")
 
-let run ?engine ?(listeners = []) (i : input) =
+let run ~engine ?(listeners = []) (i : input) =
   Obs.Metrics.time (Lazy.force m_latency) @@ fun () ->
-  let env =
-    Obs.Metrics.time (Lazy.force m_setup) @@ fun () ->
-    match engine with Some e -> Engine.checkout e | None -> setup_env i
-  in
+  let env = Obs.Metrics.time (Lazy.force m_setup) @@ fun () -> Engine.checkout engine in
   List.iter (fun attach -> attach env) listeners;
   Obs.Metrics.time (Lazy.force m_run) @@ fun () ->
   let rng = Rng.create i.sched_seed in
@@ -112,11 +75,7 @@ let run ?engine ?(listeners = []) (i : input) =
   let harness =
     if not i.por then None
     else begin
-      let h =
-        match engine with
-        | Some e -> Engine.por_harness e ~nthreads
-        | None -> Por.create ~pool_words:i.target.pool_words ~nthreads ()
-      in
+      let h = Engine.por_harness engine ~nthreads in
       if not i.por_digest then Por.set_digest h false;
       Some h
     end
@@ -132,16 +91,10 @@ let run ?engine ?(listeners = []) (i : input) =
              let ctx = Env.ctx env ~tid:ti in
              Array.iter (fun op -> i.target.run_op ctx op) ops)))
     (Seed.threads i.seed);
-  let outcome, por =
-    match harness with
-    | None -> (Scheduler.run sched, None)
-    | Some h ->
-        let outcome, ss = Scheduler.run_por ~por:(Por.hooks h) sched in
-        (outcome, Some (Por.stats h ss))
-  in
+  let outcome = Scheduler.run ?por:(Option.map Por.hooks harness) sched in
   let stuck =
     List.exists (fun (_, _, e) -> match e with Runtime.Mem.Stuck _ -> true | _ -> false)
       outcome.failed
   in
   let hung = outcome.hung <> [] || stuck in
-  { env; outcome; sync; hung; por }
+  { env; outcome; sync; hung; por = Option.map Por.stats harness }

@@ -1,7 +1,8 @@
 (** One fuzz campaign: a single concurrent execution of a target with a
-    seed, an interleaving policy and a scheduler seed.  Pools start from a
-    fresh target initialisation or an in-memory checkpoint (§5); checker
-    state is reset after initialisation. *)
+    seed, an interleaving policy and a scheduler seed.  The execution
+    context comes from an {!Engine}: its pool starts from a fresh target
+    initialisation or an in-memory checkpoint (§5), and checker state is
+    reset after initialisation. *)
 
 module Scheduler = Sched.Scheduler
 module Env = Runtime.Env
@@ -18,13 +19,9 @@ type input = {
   seed : Seed.t;
   sched_seed : int;
   policy : policy_spec;
-  snapshot : Pmem.Pool.snapshot option;
   step_budget : int;
-  capture_images : bool;
-  evict_prob : float;
-  eadr : bool;  (** run on an eADR platform (§6.6): flushes unnecessary *)
   por : bool;
-      (** run under {!Sched.Scheduler.run_por}: sleep-set pruning plus a
+      (** run {!Sched.Scheduler.run} with POR hooks: sleep-set pruning plus a
           canonical trace hash.  [false] (the default) leaves the
           schedule — and every RNG draw — bit-identical to before the
           POR layer existed. *)
@@ -38,11 +35,7 @@ type input = {
 val input :
   ?sched_seed:int ->
   ?policy:policy_spec ->
-  ?snapshot:Pmem.Pool.snapshot ->
   ?step_budget:int ->
-  ?capture_images:bool ->
-  ?evict_prob:float ->
-  ?eadr:bool ->
   ?por:bool ->
   ?por_digest:bool ->
   Target.t ->
@@ -58,15 +51,9 @@ type result = {
       (** trace hash + pruning counters, when the input asked for POR *)
 }
 
-val prepare_snapshot : Target.t -> Pmem.Pool.snapshot
-(** Initialise a pool once and capture the in-memory checkpoint reused by
-    subsequent campaigns (alias of {!Engine.prepare_snapshot}). *)
-
-val run : ?engine:Engine.t -> ?listeners:(Env.t -> unit) list -> input -> result
-(** Execute the campaign.  [listeners] (e.g. {!Alias_cov.attach} partially
-    applied) are attached to the environment before the run as transient
-    listeners.  With [engine], the environment comes from
-    {!Engine.checkout} and the engine's configuration governs — the
-    input's [snapshot], [capture_images], [evict_prob] and [eadr] fields
-    are ignored; without it, a fresh environment is constructed from the
-    input exactly as before. *)
+val run : engine:Engine.t -> ?listeners:(Env.t -> unit) list -> input -> result
+(** Execute the campaign in an environment from {!Engine.checkout}; the
+    engine's configuration (checkpoint, image capture, eviction, eADR)
+    governs.  [listeners] (e.g. {!Alias_cov.attach} partially applied)
+    are attached to the environment before the run as transient
+    listeners.  [result.env] is valid until the engine's next checkout. *)

@@ -13,13 +13,13 @@
    - the target re-annotates, exactly as it would a fresh environment.
 
    Targets with [expensive_init = false] (e.g. the libpmem-style mappings
-   where checkpoints bring nothing, per Figure 10) instead get the legacy
-   fresh-environment construction behind the same [checkout] API.
+   where checkpoints bring nothing, per Figure 10) instead get a fresh
+   environment per checkout behind the same [checkout] API.  Every
+   campaign context is built here; [Campaign.run] has no other source.
 
-   Determinism: a checkout is observationally identical to the legacy
-   per-campaign environment setup — same images, same fresh checkers, same
-   eviction-RNG stream, same annotation pass — so seeded sessions are
-   bit-identical whichever mode runs them. *)
+   Determinism: the two modes are observationally identical — same
+   images, same fresh checkers, same eviction-RNG stream, same annotation
+   pass — so seeded sessions are bit-identical whichever mode runs them. *)
 
 module Env = Runtime.Env
 
@@ -120,7 +120,7 @@ let checkout t =
       Env.reset_checkers ~capture_images:t.capture_images env;
       t.target.annotate env;
       (* Installed only after initialisation: bound listeners must not see
-         init events, matching the legacy attach-after-setup order. *)
+         init events, matching persistent mode, where they never do. *)
       Env.install_bound env t.bound;
       env
 

@@ -7,14 +7,15 @@
     the target re-annotates.  Pre-bound listeners are installed once at
     engine creation instead of being rebuilt per campaign.
 
-    Targets with [expensive_init = false] get the legacy fresh-environment
-    construction behind the same {!checkout} API, exactly as Figure 10
-    advises choosing per target.
+    Targets with [expensive_init = false] get a fresh environment per
+    checkout instead (the target's initialisation re-run), behind the
+    same {!checkout} API, exactly as Figure 10 advises choosing per
+    target.  The engine is the only way to build a campaign's context:
+    {!Campaign.run} requires one.
 
-    A checkout is observationally identical to the legacy per-campaign
-    setup (same images, fresh checkers, same eviction-RNG stream, same
-    annotation pass), so seeded sessions stay bit-identical in either
-    mode. *)
+    The two modes are observationally identical (same images, fresh
+    checkers, same eviction-RNG stream, same annotation pass), so seeded
+    sessions stay bit-identical in either mode. *)
 
 type t
 

@@ -61,8 +61,8 @@ type config = {
          images each candidate is validated against ({!Pmem.Crash_images});
          1 = base image only, the historical behaviour *)
   por : bool;
-      (* partial-order reduction: campaigns run under the sleep-set
-         scheduler ({!Sched.Scheduler.run_por}) and post-failure
+      (* partial-order reduction: campaigns run under the scheduler's
+         sleep sets ({!Sched.Scheduler.run} with POR hooks) and post-failure
          validation is skipped for campaigns whose Mazurkiewicz-trace
          hash was already seen for the same seed; off by default so
          seeded sessions stay bit-identical *)
@@ -676,125 +676,23 @@ let worker_loop w =
         w.generation <- w.generation + 1
       done
 
-(* Build one worker.  The default corpus is one populate (load-phase) seed
-   plus random operation seeds — drawn from [gen_rng], so worker [widx]'s
-   corpus is a pure function of (master_seed, widx) in any process.
-   Passing [corpus] skips that draw entirely (fleet workers resuming a
-   leased batch).  [whitelist] defaults to the target's own whitelist plus
-   [cfg.whitelist_extra]; the in-process pool passes one shared instance. *)
-let create_worker ?(log = fun _ -> ()) ?obs ?snapshot ?corpus ?whitelist ?(inv_specs = [])
-    ?(static_on = false) ~cfg ~sink ~widx target =
-  let gen_rng = Rng.create (cfg.master_seed + (1_000_003 * widx)) in
-  let delta = Hub.fresh_delta () in
-  let cur_sites = ref (Site_set.create ()) in
-  let whitelist =
-    match whitelist with
-    | Some wl -> wl
-    | None -> Whitelist.create (target.Target.whitelist_sites @ cfg.whitelist_extra)
-  in
-  let corpus =
-    match corpus with
-    | Some c -> c
-    | None ->
-        (* One populate (load-phase) seed plus random operation seeds: the
-           load phase triggers resize/migration paths from the start. *)
-        Mutator.populate gen_rng target.Target.profile ~factor:3
-        :: List.init cfg.initial_seeds (fun _ -> Seed.gen gen_rng target.Target.profile)
-  in
-  let csched =
-    if not cfg.corpus_sched then None
-    else begin
-      let cs = Corpus_sched.create () in
-      List.iter (fun s -> ignore (Corpus_sched.add cs s)) corpus;
-      Some cs
-    end
-  in
-  (* The worker's permanent listener array: the delta's coverage handlers
-     plus the seed-site recorder, bound once instead of rebuilt per
-     campaign.  Each handler writes only its own structure, so dispatch
-     order does not affect results. *)
-  let seed_site_handler =
-    if not static_on then fun _ -> () else Site_set.access_handler cur_sites
-  in
-  let bound = Array.of_list (Hub.delta_handlers delta @ [ seed_site_handler ]) in
-  {
-    widx;
-    cfg;
-    target;
-    sink;
-    sched_rng = Rng.create (cfg.master_seed + (500_000_003 * widx));
-    gen_rng;
-    corpus;
-    csched;
-    generation = 0;
-    skip_store = Hashtbl.create 32;
-    explored = Hashtbl.create 32;
-    seed_sites = Hashtbl.create 32;
-    engine =
-      Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound ?snapshot
-        ~use_checkpoint:cfg.use_checkpoint target;
-    delta;
-    cur_sites;
-    whitelist;
-    vctx = Post_failure.ctx ~images:cfg.crash_images ~whitelist target;
-    inv_mon = (if inv_specs = [] then None else Some (Inv_monitor.create inv_specs));
-    static_on;
-    log;
-    obs;
-    m_campaigns =
-      Obs.Metrics.counter ~labels:[ ("worker", string_of_int widx) ] "fuzz_campaigns_total";
-    my_campaigns = 0;
-  }
+(* Session set-up, the one path shared by the in-process [run] and the
+   fleet worker: the checkpoint, the static pre-pass, the hub with the
+   pre-pass results installed, the whitelist and the mined invariant
+   specs.  It is a pure function of (target, cfg), so every process of a
+   fleet computes it identically. *)
+type setup = {
+  s_target : Target.t;
+  s_cfg : config;
+  s_snapshot : Pmem.Pool.snapshot option;
+  s_prepass : Analysis.Analyzer.result option;
+  s_hub : Hub.t;
+  s_whitelist : Whitelist.t;
+  s_inv_specs : Analysis.Invariants.spec list;
+}
 
-(* Prepend fresh seeds (a fleet lease) to the worker's corpus.  They lead
-   the list, so generation 0's [List.hd] picks the first leased seed. *)
-let refresh_corpus w seeds =
-  (match w.csched with
-  | Some cs -> List.iter (fun s -> ignore (Corpus_sched.add cs s)) seeds
-  | None -> ());
-  if seeds <> [] then w.corpus <- seeds @ w.corpus
-
-let campaigns_done w = w.my_campaigns
-let worker_whitelist w = w.whitelist
-
-(* Session assembly from a drained hub — shared by the in-process [run]
-   and the fleet worker's shard artifact. *)
-let assemble_session ?static ~whitelist ~worker_campaigns hub target =
-  (* Annotation count comes from the target's layout annotations. *)
-  let annotations =
-    let env = Runtime.Env.create ~capture_images:false ~pool_words:target.Target.pool_words () in
-    target.Target.annotate env;
-    Runtime.Checkers.annotation_count env.Runtime.Env.checkers
-  in
-  {
-    report = Hub.report hub;
-    alias = Hub.alias hub;
-    branch = Hub.branch hub;
-    timeline = Hub.timeline hub;
-    campaigns_run = Hub.completed hub;
-    wall_time = Hub.elapsed hub;
-    annotations;
-    whitelist;
-    provenance = Hub.provenance hub;
-    static;
-    worker_campaigns;
-    por = Hub.por_totals hub;
-    trace_hashes = Hub.trace_hashes hub;
-  }
-
-let run ?(log = fun _ -> ()) ?obs target cfg =
-  (match obs with
-  | Some o ->
-      Obs.Events.emit o
-        (Obs.Events.Session_start
-           {
-             target = target.Target.name;
-             workers = max 1 cfg.workers;
-             max_campaigns = cfg.max_campaigns;
-             master_seed = cfg.master_seed;
-           })
-  | None -> ());
-  let snapshot = if cfg.use_checkpoint then Some (Campaign.prepare_snapshot target) else None in
+let setup ?(log = fun _ -> ()) target cfg =
+  let snapshot = if cfg.use_checkpoint then Some (Engine.prepare_snapshot target) else None in
   (* Static pre-pass (the LLVM-pass analogue): bound the alias-pair
      coverage map and collect the lint findings before fuzzing starts.
      Pre-pass executions do not count against the campaign budget. *)
@@ -836,6 +734,130 @@ let run ?(log = fun _ -> ()) ?obs target cfg =
     Report.set_invariants (Hub.report hub) inv_specs;
     log (Printf.sprintf "invariant mining: %d likely invariants" (List.length inv_specs))
   end;
+  {
+    s_target = target;
+    s_cfg = cfg;
+    s_snapshot = snapshot;
+    s_prepass = prepass;
+    s_hub = hub;
+    s_whitelist = whitelist;
+    s_inv_specs = inv_specs;
+  }
+
+let setup_hub s = s.s_hub
+
+(* Build one worker.  Its initial corpus is drawn from [gen_rng], so
+   worker [widx]'s corpus is a pure function of (master_seed, widx) in any
+   process.  Every worker of a session shares the set-up's snapshot,
+   whitelist and invariant specs. *)
+let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
+  let target = setup.s_target and cfg = setup.s_cfg in
+  let static_on = cfg.static_prepass in
+  let gen_rng = Rng.create (cfg.master_seed + (1_000_003 * widx)) in
+  let delta = Hub.fresh_delta () in
+  let cur_sites = ref (Site_set.create ()) in
+  let whitelist = setup.s_whitelist in
+  (* One populate (load-phase) seed plus random operation seeds: the load
+     phase triggers resize/migration paths from the start. *)
+  let corpus =
+    Mutator.populate gen_rng target.Target.profile ~factor:3
+    :: List.init cfg.initial_seeds (fun _ -> Seed.gen gen_rng target.Target.profile)
+  in
+  let csched =
+    if not cfg.corpus_sched then None
+    else begin
+      let cs = Corpus_sched.create () in
+      List.iter (fun s -> ignore (Corpus_sched.add cs s)) corpus;
+      Some cs
+    end
+  in
+  (* The worker's permanent listener array: the delta's coverage handlers
+     plus the seed-site recorder, bound once instead of rebuilt per
+     campaign.  Each handler writes only its own structure, so dispatch
+     order does not affect results. *)
+  let seed_site_handler =
+    if not static_on then fun _ -> () else Site_set.access_handler cur_sites
+  in
+  let bound = Array.of_list (Hub.delta_handlers delta @ [ seed_site_handler ]) in
+  {
+    widx;
+    cfg;
+    target;
+    sink;
+    sched_rng = Rng.create (cfg.master_seed + (500_000_003 * widx));
+    gen_rng;
+    corpus;
+    csched;
+    generation = 0;
+    skip_store = Hashtbl.create 32;
+    explored = Hashtbl.create 32;
+    seed_sites = Hashtbl.create 32;
+    engine =
+      Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound ?snapshot:setup.s_snapshot
+        ~use_checkpoint:cfg.use_checkpoint target;
+    delta;
+    cur_sites;
+    whitelist;
+    vctx = Post_failure.ctx ~images:cfg.crash_images ~whitelist target;
+    inv_mon =
+      (if setup.s_inv_specs = [] then None else Some (Inv_monitor.create setup.s_inv_specs));
+    static_on;
+    log;
+    obs;
+    m_campaigns =
+      Obs.Metrics.counter ~labels:[ ("worker", string_of_int widx) ] "fuzz_campaigns_total";
+    my_campaigns = 0;
+  }
+
+(* Prepend fresh seeds (a fleet lease) to the worker's corpus.  They lead
+   the list, so generation 0's [List.hd] picks the first leased seed. *)
+let refresh_corpus w seeds =
+  (match w.csched with
+  | Some cs -> List.iter (fun s -> ignore (Corpus_sched.add cs s)) seeds
+  | None -> ());
+  if seeds <> [] then w.corpus <- seeds @ w.corpus
+
+let campaigns_done w = w.my_campaigns
+
+(* Session assembly from a drained hub — shared by the in-process [run]
+   and the fleet worker's shard artifact. *)
+let assemble_session ~worker_campaigns setup =
+  let target = setup.s_target and hub = setup.s_hub in
+  (* Annotation count comes from the target's layout annotations. *)
+  let annotations =
+    let env = Runtime.Env.create ~capture_images:false ~pool_words:target.Target.pool_words () in
+    target.Target.annotate env;
+    Runtime.Checkers.annotation_count env.Runtime.Env.checkers
+  in
+  {
+    report = Hub.report hub;
+    alias = Hub.alias hub;
+    branch = Hub.branch hub;
+    timeline = Hub.timeline hub;
+    campaigns_run = Hub.completed hub;
+    wall_time = Hub.elapsed hub;
+    annotations;
+    whitelist = setup.s_whitelist;
+    provenance = Hub.provenance hub;
+    static = setup.s_prepass;
+    worker_campaigns;
+    por = Hub.por_totals hub;
+    trace_hashes = Hub.trace_hashes hub;
+  }
+
+let run ?(log = fun _ -> ()) ?obs target cfg =
+  (match obs with
+  | Some o ->
+      Obs.Events.emit o
+        (Obs.Events.Session_start
+           {
+             target = target.Target.name;
+             workers = max 1 cfg.workers;
+             max_campaigns = cfg.max_campaigns;
+             master_seed = cfg.master_seed;
+           })
+  | None -> ());
+  let setup = setup ~log target cfg in
   (* Worker pool (§5): N domains share the hub's coverage, priority queue
      and report; each owns its RNG streams, corpus, and scratch tables, so
      campaigns do not contend.  Worker 0's streams are exactly the
@@ -847,11 +869,8 @@ let run ?(log = fun _ -> ()) ?obs target cfg =
       Mutex.lock lk;
       Fun.protect ~finally:(fun () -> Mutex.unlock lk) (fun () -> log m)
   in
-  let sink = hub_sink hub in
-  let mk_worker widx =
-    create_worker ~log ?obs ?snapshot ~whitelist ~inv_specs ~static_on:(static <> None) ~cfg
-      ~sink ~widx target
-  in
+  let sink = hub_sink setup.s_hub in
+  let mk_worker widx = create_worker ~log ?obs ~sink ~widx setup in
   let nworkers = max 1 cfg.workers in
   let workers = Array.init nworkers mk_worker in
   if nworkers = 1 then worker_loop workers.(0)
@@ -860,9 +879,7 @@ let run ?(log = fun _ -> ()) ?obs target cfg =
     Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers
     |> Array.iter Domain.join;
   let session =
-    assemble_session ?static:prepass ~whitelist
-      ~worker_campaigns:(Array.map (fun w -> w.my_campaigns) workers)
-      hub target
+    assemble_session ~worker_campaigns:(Array.map (fun w -> w.my_campaigns) workers) setup
   in
   (match obs with
   | Some o ->

@@ -65,11 +65,11 @@ type config = {
           historical single-image behaviour, pinned by the golden
           sessions; the CLI raises it with [--crash-images]. *)
   por : bool;
-      (** partial-order reduction: campaigns run under the sleep-set
-          scheduler ({!Sched.Scheduler.run_por}), each completed schedule
-          gets a canonical Mazurkiewicz-trace hash, and post-failure
-          validation is skipped for campaigns whose (trace, seed) class
-          was already validated.  Off by default so seeded sessions stay
+      (** partial-order reduction: campaigns run under the scheduler's
+          sleep sets ({!Sched.Scheduler.run} with POR hooks), each
+          completed schedule gets a canonical Mazurkiewicz-trace hash, and
+          post-failure validation is skipped for campaigns whose (trace,
+          seed) class was already validated.  Off by default so seeded sessions stay
           bit-identical; the CLI enables it with [--por]. *)
 }
 
@@ -204,23 +204,26 @@ type worker
     streams in any process), corpus, generation counter, campaign scratch
     tables, and a persistent-mode {!Engine}. *)
 
+type setup
+(** A session's shared set-up: the checkpoint (when [use_checkpoint]),
+    the static pre-pass (when [static_prepass] or [invariants]), a
+    {!Hub} with the pre-pass denominator, lint findings and mined
+    invariants installed, the whitelist (the target's plus
+    [whitelist_extra]), and the invariant specs the workers monitor. *)
+
+val setup : ?log:(string -> unit) -> Target.t -> config -> setup
+(** Build a session's set-up — the one path {!run} and fleet workers
+    share.  The hub's budget is [cfg.max_campaigns].  A pure function of
+    its arguments, so every process of a fleet computes it identically;
+    [log] receives the pre-pass summary lines. *)
+
+val setup_hub : setup -> Hub.t
+
 val create_worker :
-  ?log:(string -> unit) ->
-  ?obs:Obs.Events.t ->
-  ?snapshot:Pmem.Pool.snapshot ->
-  ?corpus:Seed.t list ->
-  ?whitelist:Whitelist.t ->
-  ?inv_specs:Analysis.Invariants.spec list ->
-  ?static_on:bool ->
-  cfg:config ->
-  sink:sink ->
-  widx:int ->
-  Target.t ->
-  worker
-(** [corpus] overrides the default generated corpus (one populate seed
-    plus [cfg.initial_seeds] random seeds, drawn from the worker's
-    [gen_rng]); [whitelist] defaults to the target's whitelist plus
-    [cfg.whitelist_extra]. *)
+  ?log:(string -> unit) -> ?obs:Obs.Events.t -> sink:sink -> widx:int -> setup -> worker
+(** The worker's initial corpus is one populate seed plus
+    [cfg.initial_seeds] random seeds, drawn from its [gen_rng].  It
+    shares the set-up's snapshot, whitelist and invariant specs. *)
 
 val worker_loop : worker -> unit
 (** Claim seeds and fuzz them until [sk_budget_left] (checked between
@@ -231,17 +234,11 @@ val refresh_corpus : worker -> Seed.t list -> unit
     registered with the corpus scheduler when [corpus_sched] is on. *)
 
 val campaigns_done : worker -> int
-val worker_whitelist : worker -> Whitelist.t
 
-val assemble_session :
-  ?static:Analysis.Analyzer.result ->
-  whitelist:Whitelist.t ->
-  worker_campaigns:int array ->
-  Hub.t ->
-  Target.t ->
-  session
-(** Build a {!session} from a drained hub (shared by [run] and the fleet
-    worker's shard artifact).  Single-domain: call after workers stop. *)
+val assemble_session : worker_campaigns:int array -> setup -> session
+(** Build a {!session} from the set-up's drained hub (shared by [run] and
+    the fleet worker's shard artifact).  Single-domain: call after
+    workers stop. *)
 
 val found_known_bugs : session -> Target.t -> (Target.known_bug * bool) list
 (** Match the session's findings against the target's seeded ground truth:

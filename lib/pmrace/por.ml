@@ -136,6 +136,9 @@ type t = {
       (* one shared cell: footprint of the current step, handed to the
          scheduler by reference ({!Sched.Scheduler.por.step_fp}) so a
          step that ran nothing instrumented needs no call to say so *)
+  hooks : Sched.Scheduler.por;
+      (* the scheduler's view of [pending]/[step_fp], built once; its
+         pruning counters are the last run's *)
   (* Foata layering state.  Two packed tables: per word,
      (write layer lsl 31) lor read layer; per line,
      (flush layer lsl 31) lor access layer.  Layers are bounded by the
@@ -154,10 +157,20 @@ type t = {
 let create ?(pool_words = 1024) ~nthreads () =
   let n = max 1 nthreads in
   let words = max 64 pool_words in
+  let pending = Array.make n 0 and step_fp = [| 0 |] in
   {
     nthreads = n;
-    pending = Array.make n 0;
-    step_fp = [| 0 |];
+    pending;
+    step_fp;
+    hooks =
+      {
+        pending;
+        step_fp;
+        independent = Footprint.independent;
+        spin = Footprint.spin_retry;
+        pruned_picks = 0;
+        forced_wakes = 0;
+      };
     word_layers = Ftbl.create (2 * words);
     line_layers = Ftbl.create (2 * words / Pmem.Cacheline.words_per_line);
     fence_layer = 0;
@@ -172,6 +185,8 @@ let create ?(pool_words = 1024) ~nthreads () =
 let reset t =
   Array.fill t.pending 0 t.nthreads 0;
   t.step_fp.(0) <- 0;
+  t.hooks.pruned_picks <- 0;
+  t.hooks.forced_wakes <- 0;
   Ftbl.reset t.word_layers;
   Ftbl.reset t.line_layers;
   t.fence_layer <- 0;
@@ -313,13 +328,7 @@ let wrap t (base : Runtime.Env.policy) : Runtime.Env.policy =
         base.after ctx point);
   }
 
-let hooks t : Sched.Scheduler.por =
-  {
-    pending = t.pending;
-    step_fp = t.step_fp;
-    independent = Footprint.independent;
-    spin = Footprint.spin_retry;
-  }
+let hooks t = t.hooks
 
 let trace_hash t = Int64.of_int t.hash
 let ops t = t.ops
@@ -333,11 +342,11 @@ type stats = {
   s_forced_wakes : int;
 }
 
-let stats t (ss : Sched.Scheduler.por_stats) =
+let stats t =
   {
     s_trace_hash = Int64.of_int t.hash;
     s_ops = t.ops;
     s_layers = t.max_layer;
-    s_pruned_picks = ss.pruned_picks;
-    s_forced_wakes = ss.forced_wakes;
+    s_pruned_picks = t.hooks.pruned_picks;
+    s_forced_wakes = t.hooks.forced_wakes;
   }

@@ -1,5 +1,5 @@
 (** Partial-order-reduction glue: wires {!Runtime.Footprint} summaries
-    into {!Sched.Scheduler.run_por} and computes a canonical
+    into {!Sched.Scheduler.run} and computes a canonical
     Mazurkiewicz-trace hash per completed schedule.
 
     One harness serves one campaign at a time; {!reset} returns it to the
@@ -46,7 +46,8 @@ val wrap : t -> Runtime.Env.policy -> Runtime.Env.policy
     the base hook. *)
 
 val hooks : t -> Sched.Scheduler.por
-(** The int-typed view {!Sched.Scheduler.run_por} consumes. *)
+(** The int-typed view {!Sched.Scheduler.run} consumes: one record per
+    harness, whose pruning counters {!stats} reads back. *)
 
 val record_op : t -> int -> Runtime.Footprint.t -> unit
 (** [record_op t tid fp] — fold one executed op into the digest directly,
@@ -69,4 +70,6 @@ type stats = {
 }
 (** Per-campaign pruning provenance, recorded in artifacts. *)
 
-val stats : t -> Sched.Scheduler.por_stats -> stats
+val stats : t -> stats
+(** The digest so far plus the pruning counters of the last
+    {!Sched.Scheduler.run} given {!hooks}. *)

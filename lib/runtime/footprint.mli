@@ -3,7 +3,7 @@
     Every instrumented operation ({!Mem} via {!Env.policy} points)
     summarises to one immediate int: a tag (load / store / read-write /
     flush / fence / opaque) plus a word or cache-line payload.  The
-    scheduler's POR mode ({!Sched.Scheduler.run_por}) tests two step
+    scheduler's POR mode ({!Sched.Scheduler.run} with hooks) tests two step
     footprints for independence in O(1) with no allocation; footprints
     cross the [lib/sched] dependency boundary as plain ints, so the
     scheduler never needs to see runtime types.
@@ -59,7 +59,7 @@ val spin_retry : t -> t -> bool
     of a failed CAS busy-waiting on a lock word.  Until another step
     touches that word (necessarily a conflicting access, which wakes
     sleepers), every retry observes the same value and persistency state,
-    so {!Sched.Scheduler.run_por} parks the spinner instead of letting it
+    so {!Sched.Scheduler.run} parks the spinner instead of letting it
     burn the step budget. *)
 
 val pp : Format.formatter -> t -> unit

@@ -164,62 +164,6 @@ let finish t ~steps_before fibers =
     failed = List.rev failed;
   }
 
-(* The hot loop.  The runnable set is a maintained index array in spawn
-   order: picking is one [Rng.int] draw and one array read, and a fiber
-   that finishes or crashes is removed with an order-preserving shift.
-   Removal must preserve spawn order — a swap-with-last would keep the
-   RNG *stream* identical (the draw bound is the same) but change which
-   fiber each drawn index denotes, silently changing every interleaving.
-   Shifts cost O(runnable), but there are at most [fiber_count] of them
-   per run, so the per-step cost is O(1) amortized where the old loop
-   rebuilt and filtered the whole fiber list every step.
-
-   RNG-stream invariant (pinned by test_scheduler's compatibility
-   property): [Rng.pick rng rs] is [List.nth rs (Rng.int rng (length rs))],
-   so drawing [Rng.int rng n_runnable] and indexing the spawn-ordered
-   runnable array consumes the identical stream and picks the identical
-   fiber the legacy list-based loop did. *)
-let run ?on_step t =
-  if t.running then invalid_arg "Sched.run: already running";
-  t.running <- true;
-  let steps_before = t.steps in
-  let fibers = Array.of_list (List.rev t.fibers) in
-  let runnable = Array.make (max 1 (Array.length fibers)) 0 in
-  let n_runnable = ref 0 in
-  Array.iteri
-    (fun i f ->
-      match f.state with
-      | Not_started _ | Suspended _ ->
-          runnable.(!n_runnable) <- i;
-          incr n_runnable
-      | Done | Crashed _ -> ())
-    fibers;
-  let sampling = Obs.Metrics.enabled () in
-  let sample_anchor = ref (if sampling then Obs.Clock.now () else 0.) in
-  let rec loop () =
-    if !n_runnable > 0 && t.steps < t.step_budget then begin
-      let i = Rng.int t.rng !n_runnable in
-      let f = fibers.(runnable.(i)) in
-      t.steps <- t.steps + 1;
-      (match on_step with Some g -> g f.tid | None -> ());
-      step_fiber f;
-      (match f.state with
-      | Done | Crashed _ ->
-          Array.blit runnable (i + 1) runnable i (!n_runnable - i - 1);
-          decr n_runnable
-      | Not_started _ | Suspended _ -> ());
-      if sampling && (t.steps - steps_before) land (sample_interval - 1) = 0 then begin
-        let now = Obs.Clock.now () in
-        Obs.Metrics.observe (Lazy.force m_step_seconds)
-          ((now -. !sample_anchor) /. float_of_int sample_interval);
-        sample_anchor := now
-      end;
-      loop ()
-    end
-  in
-  loop ();
-  finish t ~steps_before fibers
-
 (* The legacy loop, kept verbatim as an executable specification: it
    rebuilds the runnable list from scratch every step and picks with the
    list-based [Rng.pick].  [run] must consume the identical RNG stream and
@@ -252,7 +196,7 @@ let run_reference ?on_step t =
   finish t ~steps_before fibers
 
 (* ------------------------------------------------------------------ *)
-(* Partial-order reduction (sleep sets).                               *)
+(* Partial-order reduction hooks (sleep sets).                         *)
 (* ------------------------------------------------------------------ *)
 
 (* POR hooks cross the lib/sched dependency boundary as plain ints: a
@@ -277,12 +221,36 @@ type por = {
       (* [spin executed pending] — the stepped fiber is busy-wait
          retrying the op it just ran (a failed CAS); park it until a
          conflicting access wakes it instead of letting it spin. *)
+  mutable pruned_picks : int;
+  mutable forced_wakes : int;
 }
 
-type por_stats = { mutable pruned_picks : int; mutable forced_wakes : int }
+(* The hooks of a run without POR: no footprint ever arrives, so nobody
+   sleeps.  One value shared by every such run on every domain; [run]
+   writes [step_fp] only after reading a non-zero footprint and the
+   counters only for a caller's own [por], so this value is never
+   written. *)
+let no_por =
+  {
+    pending = [||];
+    step_fp = [| 0 |];
+    independent = (fun _ _ -> false);
+    spin = (fun _ _ -> false);
+    pruned_picks = 0;
+    forced_wakes = 0;
+  }
 
-(* The pruning loop.  On top of [run]'s maintained runnable index array
-   it keeps a per-fiber sleep bit and the last executed footprint:
+(* The one scheduling loop.  The runnable set is a maintained index array
+   in spawn order: a fiber that finishes or crashes is removed with an
+   order-preserving shift.  Removal must preserve spawn order — a
+   swap-with-last would keep the RNG *stream* identical (the draw bound
+   is the same) but change which fiber each drawn index denotes,
+   silently changing every interleaving.  Shifts cost O(runnable), but
+   there are at most [fiber_count] of them per run, so the per-step cost
+   is O(1) amortized.
+
+   On top of that it keeps a per-fiber sleep bit and the last executed
+   footprint:
 
    - after stepping fiber [p] with executed footprint [fp], every other
      runnable fiber [q] with a *known* pending footprint independent of
@@ -296,8 +264,7 @@ type por_stats = { mutable pruned_picks : int; mutable forced_wakes : int }
      ([por.spin] — a failed CAS) is itself parked: nothing it can
      observe changes until some step conflicts with that footprint, and
      any such step wakes it through the rule above.  Without this a
-     spinner burns the whole step budget while the lock holder sleeps —
-     the dominant cost of the pre-optimisation POR mode;
+     spinner burns the whole step budget while the lock holder sleeps;
    - steps that executed nothing instrumented neither sleep nor wake
      anyone;
    - if every runnable fiber is asleep the whole set is force-woken
@@ -309,17 +276,25 @@ type por_stats = { mutable pruned_picks : int; mutable forced_wakes : int }
    relation, so equality of the found-bug sets is pinned empirically by
    the POR property tests rather than proved.
 
+   RNG-stream invariant (pinned by test_scheduler's compatibility
+   property): without a footprint nobody sleeps, so the candidate set
+   is the identity over the runnable array, and [Rng.pick rng rs] is
+   [List.nth rs (Rng.int rng (length rs))] — drawing [Rng.int rng
+   n_runnable] and indexing the spawn-ordered runnable array consumes
+   the identical stream and picks the identical fiber [run_reference]
+   does.  With sleepers the draw is over the awake subset, so POR
+   sessions are seed-reproducible against themselves only.
+
    Maintenance is allocation-free: the sleep bits, the candidate
    scratch, and a live sleeper count are preallocated arrays/ints sized
-   by the fiber count, and the common no-sleeper step skips the
-   candidate pass entirely.  The candidate set itself is cached between
-   sleep-state changes — sync-heavy campaigns run tens of thousands of
-   steps that execute nothing instrumented, and rebuilding an identical
-   candidate array every one of them was the dominant POR cost.  A step
-   with no footprint makes zero indirect calls: the executed and
-   pending footprints arrive through the [por] record's shared arrays,
-   so [independent]/[spin] only run on the steps that did something. *)
-let run_por ?on_step ~(por : por) t =
+   by the fiber count.  The candidate set is cached between sleep-state
+   changes — sync-heavy campaigns run tens of thousands of steps that
+   execute nothing instrumented, and rebuilding an identical candidate
+   array every one of them was the dominant POR cost.  A step with no
+   footprint makes zero indirect calls: the executed and pending
+   footprints arrive through the [por] record's shared arrays, so
+   [independent]/[spin] only run on the steps that did something. *)
+let run ?on_step ?por t =
   if t.running then invalid_arg "Sched.run: already running";
   t.running <- true;
   let steps_before = t.steps in
@@ -328,7 +303,6 @@ let run_por ?on_step ~(por : por) t =
   let runnable = Array.make n 0 in
   let n_runnable = ref 0 in
   let asleep = Array.make n false in
-  let n_asleep = ref 0 in
   let candidates = Array.make n 0 (* positions in [runnable], not fiber ids *) in
   Array.iteri
     (fun i f ->
@@ -338,16 +312,15 @@ let run_por ?on_step ~(por : por) t =
           incr n_runnable
       | Done | Crashed _ -> ())
     fibers;
-  let stats = { pruned_picks = 0; forced_wakes = 0 } in
-  let pending = por.pending in
+  let hooks = match por with Some p -> p | None -> no_por in
+  let pruned_picks = ref 0 and forced_wakes = ref 0 in
+  let pending = hooks.pending in
   let pn = Array.length pending in
-  let sfp = por.step_fp in
+  let sfp = hooks.step_fp in
   (* Candidate cache: [candidates.(0 .. n_cand-1)] are the awake
      positions, valid while [cand_dirty] is clear.  Any sleep, wake, or
      runnable-set change invalidates it; the steps in between — the
-     overwhelming majority — reuse it untouched.  With no sleeper the
-     rebuilt cache is the identity over [runnable], so the pick path is
-     a single [Rng.int] draw plus two array reads either way.
+     overwhelming majority — reuse it untouched.
 
      [pruned_picks] is settled per *span* rather than per step: between
      two rebuilds every pick suppresses the same number of positions
@@ -359,7 +332,7 @@ let run_por ?on_step ~(por : por) t =
   let span_pruned = ref 0 in
   let settle_span () =
     if !span_pruned > 0 then
-      stats.pruned_picks <- stats.pruned_picks + ((t.steps - !span_start) * !span_pruned);
+      pruned_picks := !pruned_picks + ((t.steps - !span_start) * !span_pruned);
     span_start := t.steps
   in
   let rebuild () =
@@ -375,12 +348,11 @@ let run_por ?on_step ~(por : por) t =
       (* Everyone runnable is asleep: the canonical representative has
          been followed as far as it goes — wake the set and keep
          scheduling rather than deadlock. *)
-      stats.forced_wakes <- stats.forced_wakes + 1;
+      incr forced_wakes;
       for k = 0 to !n_runnable - 1 do
         asleep.(runnable.(k)) <- false;
         candidates.(k) <- k
       done;
-      n_asleep := 0;
       n_cand := !n_runnable
     end;
     span_pruned := !n_runnable - !n_cand;
@@ -389,17 +361,17 @@ let run_por ?on_step ~(por : por) t =
   let sleep i =
     if not asleep.(i) then begin
       asleep.(i) <- true;
-      incr n_asleep;
       cand_dirty := true
     end
   in
   let wake i =
     if asleep.(i) then begin
       asleep.(i) <- false;
-      decr n_asleep;
       cand_dirty := true
     end
   in
+  let sampling = Obs.Metrics.enabled () in
+  let sample_anchor = ref (if sampling then Obs.Clock.now () else 0.) in
   let rec loop () =
     if !n_runnable > 0 && t.steps < t.step_budget then begin
       if !cand_dirty then rebuild ();
@@ -426,7 +398,7 @@ let run_por ?on_step ~(por : por) t =
         let spinning =
           match f.state with
           | Not_started _ | Suspended _ ->
-              por.spin fp (if f.tid < pn then Array.unsafe_get pending f.tid else 0)
+              hooks.spin fp (if f.tid < pn then Array.unsafe_get pending f.tid else 0)
           | Done | Crashed _ -> false
         in
         if spinning then sleep i
@@ -443,30 +415,41 @@ let run_por ?on_step ~(por : por) t =
               if Array.unsafe_get asleep q then begin
                 let qt = fibers.(q).tid in
                 let pq = if qt < pn then Array.unsafe_get pending qt else 0 in
-                if pq <> 0 && not (por.independent fp pq) then wake q
+                if pq <> 0 && not (hooks.independent fp pq) then wake q
               end
               else
                 let qt = fibers.(q).tid in
                 if qt < f.tid then begin
                   let pq = if qt < pn then Array.unsafe_get pending qt else 0 in
-                  if pq <> 0 && por.independent fp pq then sleep q
+                  if pq <> 0 && hooks.independent fp pq then sleep q
                 end
           done
       end;
       (match f.state with
       | Done | Crashed _ ->
           wake i;
-          (* Order-preserving removal, as in [run]; [j] is the position. *)
+          (* Order-preserving removal; [j] is the position. *)
           Array.blit runnable (j + 1) runnable j (!n_runnable - j - 1);
           decr n_runnable;
           cand_dirty := true
       | Not_started _ | Suspended _ -> ());
+      if sampling && (t.steps - steps_before) land (sample_interval - 1) = 0 then begin
+        let now = Obs.Clock.now () in
+        Obs.Metrics.observe (Lazy.force m_step_seconds)
+          ((now -. !sample_anchor) /. float_of_int sample_interval);
+        sample_anchor := now
+      end;
       loop ()
     end
   in
   loop ();
   settle_span ();
-  (finish t ~steps_before fibers, stats)
+  (match por with
+  | Some p ->
+      p.pruned_picks <- !pruned_picks;
+      p.forced_wakes <- !forced_wakes
+  | None -> ());
+  finish t ~steps_before fibers
 
 let completed o = o.hung = [] && o.failed = []
 

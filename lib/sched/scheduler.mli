@@ -4,7 +4,11 @@
     operation; the scheduler picks the next runnable fiber with a seeded
     {!Rng.t}, so every interleaving is replayable from its seed.  Fibers
     still suspended when the step budget runs out are killed and reported
-    as hung — this is how lock hangs surface in the reproduction. *)
+    as hung — this is how lock hangs surface in the reproduction.
+
+    One production loop, {!run}, serves plain seeded scheduling and, given
+    {!por} hooks, sleep-set pruning.  {!run_reference} is its executable
+    specification for the unpruned case. *)
 
 exception Killed
 (** Raised inside a fiber killed at budget exhaustion. *)
@@ -30,33 +34,7 @@ val yield : unit -> unit
 (** Give up the processor.  Must be called from inside a fiber executed by
     {!run}; the runtime calls it at every preemption point. *)
 
-val run : ?on_step:(int -> unit) -> t -> outcome
-(** Execute all fibers to completion, failure, or budget exhaustion.
-    [on_step tid] is invoked before every scheduling step.
-
-    The per-step cost is O(1) amortized in the number of fibers: the
-    runnable set is a maintained spawn-ordered index array, not a list
-    rebuilt every step.  The RNG stream and the resulting schedule are
-    bit-identical to {!run_reference} (pinned by a property test), so
-    seeded interleavings are stable across the optimisation.
-
-    Metrics (when {!Obs.Metrics.enabled}): records the per-run step
-    {e delta} into [sched_steps_total]/[sched_steps_per_run] — a reused
-    scheduler value never double-counts — and samples the mean wall time
-    per step into the [sched_step_seconds] histogram every 64th step. *)
-
-val run_reference : ?on_step:(int -> unit) -> t -> outcome
-(** The legacy scheduling loop (rebuild-and-filter the runnable list every
-    step, list-based {!Rng.pick}), kept as an executable specification of
-    {!run}: same RNG stream, same schedule, same outcome — only the
-    per-step cost differs (O(fibers) instead of O(1)).  Used by the
-    stream-compatibility tests and the [hotpath] bench; not for
-    production callers. *)
-
-(** {2 Partial-order reduction}
-
-    An opt-in pruning mode.  {!run} and {!run_reference} are untouched:
-    with POR off, seeded schedules stay bit-identical to before. *)
+(** {2 Partial-order reduction hooks} *)
 
 type por = {
   pending : int array;
@@ -78,36 +56,60 @@ type por = {
   spin : int -> int -> bool;
       (** [spin executed pending] — the stepped fiber is busy-wait
           retrying the op it just executed (a failed CAS;
-          {!Runtime.Footprint.spin_retry}).  {!run_por} parks such a
-          fiber until a conflicting access wakes it, so a spinner cannot
-          burn the step budget while the lock holder sleeps. *)
+          {!Runtime.Footprint.spin_retry}).  {!run} parks such a fiber
+          until a conflicting access wakes it, so a spinner cannot burn
+          the step budget while the lock holder sleeps. *)
+  mutable pruned_picks : int;
+      (** Set by {!run}: candidate picks suppressed by sleep sets, summed
+          over the run's steps. *)
+  mutable forced_wakes : int;
+      (** Set by {!run}: times the whole runnable set was asleep and had
+          to be woken to make progress. *)
 }
 (** The scheduler's whole view of the runtime for pruning, int-encoded so
-    [lib/sched] keeps its dependency footprint ([fmt obs] only). *)
+    [lib/sched] keeps its dependency footprint ([fmt obs] only).  The two
+    counters report the most recent {!run} given this record. *)
 
-type por_stats = { mutable pruned_picks : int; mutable forced_wakes : int }
-(** [pruned_picks]: candidate picks suppressed by sleep sets, summed over
-    steps; [forced_wakes]: times the whole runnable set was asleep and had
-    to be woken to make progress. *)
+val run : ?on_step:(int -> unit) -> ?por:por -> t -> outcome
+(** Execute all fibers to completion, failure, or budget exhaustion.
+    [on_step tid] is invoked before every scheduling step.
 
-val run_por : ?on_step:(int -> unit) -> por:por -> t -> outcome * por_stats
-(** Like {!run} but with sleep-set pruning: after each step, runnable
-    fibers whose pending op commutes with the executed footprint (and
-    whose tid orders below the stepped fiber's — the canonical
-    representative of the Mazurkiewicz class runs lower tids first among
-    commuting ops) are put to sleep and excluded from the pick until a
-    dependent access wakes them.  A fiber that busy-wait retries the op
-    it just executed ([por.spin], a failed CAS) is itself parked until a
-    conflicting access wakes it.  Draws one [Rng.int] per step like
-    {!run}, but over the awake subset, so the RNG stream {e differs} from
-    [run] — POR sessions are seed-reproducible against [run_por] itself,
-    not against [run].  The pruning is a heuristic over instrumented
-    accesses only; POR property tests pin that found-bug sets match
-    unpruned runs on the planted workloads.  Per-step maintenance is
-    allocation-free (preallocated sleep bits / candidate scratch, a live
-    sleeper count skips the candidate pass when nobody sleeps), and the
-    candidate set is cached between sleep-state changes, so a step that
-    executed nothing instrumented costs like a {!run} step. *)
+    The per-step cost is O(1) amortized in the number of fibers: the
+    runnable set is a maintained spawn-ordered index array, not a list
+    rebuilt every step.
+
+    With [por], sleep-set pruning: after each step, runnable fibers whose
+    pending op commutes with the executed footprint (and whose tid orders
+    below the stepped fiber's — the canonical representative of the
+    Mazurkiewicz class runs lower tids first among commuting ops) are put
+    to sleep and excluded from the pick until a dependent access wakes
+    them.  A fiber that busy-wait retries the op it just executed
+    ([por.spin], a failed CAS) is itself parked until a conflicting access
+    wakes it.  The pruning is a heuristic over instrumented accesses
+    only; POR property tests pin that found-bug sets match unpruned runs
+    on the planted workloads.  The candidate set is cached between
+    sleep-state changes, so a step that executed nothing instrumented
+    costs the same with or without [por].
+
+    RNG stream: one [Rng.int] draw per step over the awake fibers.  A run
+    in which no step reports a footprint (in particular every run without
+    [por]) puts nobody to sleep, so its RNG stream, schedule and outcome
+    are bit-identical to {!run_reference} (pinned by a property test).
+    Once fibers sleep the draw is over the awake subset, so POR sessions
+    are seed-reproducible against themselves, not against unpruned runs.
+
+    Metrics (when {!Obs.Metrics.enabled}): records the per-run step
+    {e delta} into [sched_steps_total]/[sched_steps_per_run] — a reused
+    scheduler value never double-counts — and samples the mean wall time
+    per step into the [sched_step_seconds] histogram every 64th step. *)
+
+val run_reference : ?on_step:(int -> unit) -> t -> outcome
+(** The legacy scheduling loop (rebuild-and-filter the runnable list every
+    step, list-based {!Rng.pick}), kept as an executable specification of
+    {!run} without pruning: same RNG stream, same schedule, same outcome —
+    only the per-step cost differs (O(fibers) instead of O(1)).  Used by
+    the stream-compatibility tests and the [hotpath] bench; not for
+    production callers. *)
 
 val steps : t -> int
 val fiber_count : t -> int

@@ -13,6 +13,10 @@ module Rng = Sched.Rng
 let target = Workloads.Figure1.target
 let seed () = Seed.gen (Rng.create 3) target.profile
 
+(* Figure 1 has a cheap init, so its default engine builds a fresh
+   environment per campaign. *)
+let run input = Campaign.run ~engine:(Pmrace.Engine.create target) input
+
 (* Find a scheduler seed whose campaign confirms the Figure 1 inter
    inconsistency. *)
 let find_confirming () =
@@ -20,7 +24,7 @@ let find_confirming () =
     if s > 400 then Alcotest.fail "no confirming campaign within 400 seeds"
     else
       let input = Campaign.input ~sched_seed:s ~policy:Campaign.Random_sched target (seed ()) in
-      let r = Campaign.run input in
+      let r = run input in
       match Checkers.inconsistencies r.env.Runtime.Env.checkers with
       | [] -> go (s + 1)
       | _ :: _ -> (s, r)
@@ -29,14 +33,14 @@ let find_confirming () =
 
 let test_campaign_completes () =
   let input = Campaign.input ~sched_seed:1 target (seed ()) in
-  let r = Campaign.run input in
+  let r = run input in
   Alcotest.(check bool) "completed" true (Sched.Scheduler.completed r.outcome);
   Alcotest.(check bool) "no hang" false r.hung
 
 let test_campaign_deterministic () =
   let run () =
     let input = Campaign.input ~sched_seed:7 target (seed ()) in
-    let r = Campaign.run input in
+    let r = run input in
     ( Candidates.dynamic_count (Checkers.candidates r.env.Runtime.Env.checkers),
       List.length (Checkers.inconsistencies r.env.Runtime.Env.checkers),
       r.outcome.steps )
@@ -45,16 +49,17 @@ let test_campaign_deterministic () =
 
 let test_checkpoint_equivalence () =
   (* Starting from an in-memory checkpoint must not change the findings. *)
-  let snap = Campaign.prepare_snapshot target in
-  let with_cp =
-    Campaign.run (Campaign.input ~sched_seed:7 ~snapshot:snap target (seed ()))
+  let run_with ~use_checkpoint =
+    let engine = Pmrace.Engine.create ~use_checkpoint target in
+    Campaign.run ~engine (Campaign.input ~sched_seed:7 target (seed ()))
   in
-  let without_cp = Campaign.run (Campaign.input ~sched_seed:7 target (seed ())) in
   let summary (r : Campaign.result) =
     ( Candidates.dynamic_count (Checkers.candidates r.env.Runtime.Env.checkers),
       List.length (Checkers.inconsistencies r.env.Runtime.Env.checkers) )
   in
-  Alcotest.(check bool) "same findings" true (summary with_cp = summary without_cp)
+  Alcotest.(check bool)
+    "same findings" true
+    (summary (run_with ~use_checkpoint:true) = summary (run_with ~use_checkpoint:false))
 
 let test_crash_image_shows_inconsistency () =
   (* The crash image captured at confirmation must contain the durable side

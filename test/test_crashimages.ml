@@ -384,13 +384,14 @@ let test_capture_allocation_flat () =
 let test_base_image_confirms () =
   let target = Workloads.Figure1.target in
   let seed = Pmrace.Seed.gen (Sched.Rng.create 3) target.profile in
+  let engine = Pmrace.Engine.create target in
   let rec confirming s =
     if s > 400 then Alcotest.fail "no confirming campaign within 400 seeds"
     else
       let input =
         Pmrace.Campaign.input ~sched_seed:s ~policy:Pmrace.Campaign.Random_sched target seed
       in
-      let r = Pmrace.Campaign.run input in
+      let r = Pmrace.Campaign.run ~engine input in
       match Runtime.Checkers.inconsistencies r.env.Runtime.Env.checkers with
       | inc :: _ -> inc
       | [] -> confirming (s + 1)

@@ -385,13 +385,14 @@ let test_monitor_flags_planted () =
   let target = Workloads.Figure1.planted in
   let rng = Sched.Rng.create 17 in
   let hits = ref [] in
+  let engine = Pmrace.Engine.create target in
   for _ = 1 to 5 do
     let seed = Pmrace.Seed.gen rng target.Pmrace.Target.profile in
     let input =
       Pmrace.Campaign.input ~sched_seed:(Sched.Rng.int rng 1_000_000_000)
         ~policy:Pmrace.Campaign.Random_sched target seed
     in
-    ignore (Pmrace.Campaign.run ~listeners:[ Pmrace.Inv_monitor.attach mon ] input);
+    ignore (Pmrace.Campaign.run ~engine ~listeners:[ Pmrace.Inv_monitor.attach mon ] input);
     hits := Pmrace.Inv_monitor.drain mon @ !hits
   done;
   match

@@ -1,5 +1,5 @@
 (* The persistent-mode execution engine: O(touched) context reuse, the
-   fresh-mode legacy path behind the same API, and — the core invariant —
+   fresh mode behind the same API, and — the core invariant —
    cross-campaign isolation: a reused context produces campaigns
    bit-identical to fresh-environment runs, even after an adversarial
    campaign dirtied every layer of state it can reach. *)
@@ -118,12 +118,10 @@ let test_isolation (target : Pmrace.Target.t) () =
   match inputs target 3 with
   | [ a; b; c ] ->
       let engine = Engine.create ~use_checkpoint:true target in
-      (* Reference: each campaign in its own legacy fresh environment,
-         restored from its own checkpoint like the legacy fuzzer did. *)
-      let snapshot = Engine.prepare_snapshot target in
-      let fresh i =
-        fingerprint (Campaign.run { i with Campaign.snapshot = Some snapshot })
-      in
+      (* Reference: each campaign in its own fresh environment, built by
+         the target's initialisation. *)
+      let reference = Engine.create ~use_checkpoint:false target in
+      let fresh i = fingerprint (Campaign.run ~engine:reference i) in
       let ref_a = fresh a and ref_b = fresh b and ref_c = fresh c in
       let r_a = Campaign.run ~engine a in
       check_fp "campaign A (engine vs fresh)" ref_a (fingerprint r_a);
@@ -136,18 +134,23 @@ let test_isolation (target : Pmrace.Target.t) () =
       Alcotest.(check int) "engine served all checkouts" 3 (Engine.checkouts engine)
   | _ -> assert false
 
-(* Fresh mode (expensive_init = false targets): the engine's checkout is
-   the legacy construction, so results match legacy Campaign.run exactly. *)
+(* Fresh mode (expensive_init = false targets): one engine serving many
+   checkouts matches the legacy one-environment-per-campaign construction,
+   here a brand-new engine per campaign, so nothing leaks between
+   fresh-mode checkouts. *)
 let test_fresh_mode_identical () =
   let target = Workloads.Figure1.target in
   let engine = Engine.create ~use_checkpoint:false target in
   Alcotest.(check bool) "fresh mode" false (Engine.persistent engine);
   List.iter
     (fun i ->
-      let legacy = fingerprint (Campaign.run i) in
+      let legacy =
+        fingerprint (Campaign.run ~engine:(Engine.create ~use_checkpoint:false target) i)
+      in
       let engined = fingerprint (Campaign.run ~engine i) in
       check_fp "fresh-mode checkout" legacy engined)
-    (inputs target 3)
+    (inputs target 3);
+  Alcotest.(check int) "engine served all checkouts" 3 (Engine.checkouts engine)
 
 (* use_checkpoint defaults to the target's expensive_init. *)
 let test_mode_default () =

@@ -533,6 +533,27 @@ let frame_bytes j =
   Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
   Bytes.to_string hdr ^ payload
 
+(* A saved coordinator store, as (path under the store directory, bytes)
+   for each of its files: meta.json, coverage.json, bugs.json and one
+   corpus entry. *)
+let store_target = "figure1"
+
+let saved_store () =
+  let dir = temp_dir "untrusted_store_src" in
+  (match Fleet.Store.open_store ~dir ~target:store_target ~budget:50 with
+  | Error e -> Alcotest.fail e
+  | Ok st ->
+      ignore (Fleet.Store.add_seed st ~pairs:[ ("fleet.test:w", "fleet.test:r") ] (fixed_seed ()));
+      ignore
+        (Fleet.Store.record_bug st ~kind:"inter" ~site:"fleet.test:w"
+           ~read_sites:[ "fleet.test:r" ] ~members:2 ~origin:"worker-0" ~first_campaign:(Some 3));
+      Fleet.Store.merge_delta st (random_delta (Rng.create 5));
+      Fleet.Store.record_campaigns st 7);
+  let entry = Printf.sprintf "%016Lx.json" (Seed.fingerprint (fixed_seed ())) in
+  List.map
+    (fun rel -> (rel, In_channel.with_open_bin (Filename.concat dir rel) In_channel.input_all))
+    [ "meta.json"; "coverage.json"; "bugs.json"; Filename.concat "corpus" entry ]
+
 let untrusted_docs =
   lazy
     (let target = Workloads.Figure1.target in
@@ -562,7 +583,8 @@ let untrusted_docs =
                     first_campaign = Some 5;
                   })));
        `Frame (frame_bytes (Wire.server_to_json (Wire.Lease { campaigns = 12; seeds = [ fixed_seed () ] })));
-     |])
+     |]
+     |> Fun.flip Array.append (Array.of_list (List.map (fun f -> `Store f) (saved_store ()))))
 
 let decode_untrusted doc bytes =
   match doc with
@@ -584,8 +606,21 @@ let decode_untrusted doc bytes =
               ignore (Wire.client_of_json j);
               ignore (Wire.server_of_json j)
           | Error _ -> ())
+  | `Store (rel, _) ->
+      (* The saved store with this one file replaced by [bytes]. *)
+      let dir = temp_dir "untrusted_store" in
+      Unix.mkdir dir 0o755;
+      Unix.mkdir (Filename.concat dir "corpus") 0o755;
+      Array.iter
+        (function
+          | `Store (f, text) ->
+              Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+                  Out_channel.output_string oc (if String.equal f rel then bytes else text))
+          | `Artifact _ | `Frame _ -> ())
+        (Lazy.force untrusted_docs);
+      ignore (Fleet.Store.open_store ~dir ~target:store_target ~budget:50)
 
-let doc_text = function `Artifact s | `Frame s -> s
+let doc_text = function `Artifact s | `Frame s | `Store (_, s) -> s
 
 let mutate text (cut, edits) =
   let b = Bytes.of_string (String.sub text 0 (min cut (String.length text))) in
@@ -593,6 +628,40 @@ let mutate text (cut, edits) =
     (fun (pos, c) -> if Bytes.length b > 0 then Bytes.set b (pos mod Bytes.length b) c)
     edits;
   Bytes.to_string b
+
+(* Structure-aware mutation for the JSON documents: replace the node at
+   preorder index [pos] (modulo the node count) with a value of another
+   shape, or drop it from its parent.  The result stays well-formed JSON,
+   so it reaches the decoders' field handling, which random bytes rarely
+   get past the parser to do. *)
+let mutate_tree text edits =
+  let shapes = [| J.Null; J.Bool true; J.Int (-1); J.Float 0.5; J.String "x"; J.List []; J.Obj [] |] in
+  let rec size = function
+    | J.Obj fs -> List.fold_left (fun n (_, v) -> n + size v) 1 fs
+    | J.List l -> List.fold_left (fun n v -> n + size v) 1 l
+    | _ -> 1
+  in
+  let edit j (pos, c) =
+    let target = pos mod size j in
+    let next = ref 0 in
+    (* [None] drops the node from its parent. *)
+    let rec go j =
+      let idx = !next in
+      incr next;
+      if idx = target then
+        let k = Char.code c mod (Array.length shapes + 1) in
+        if k = Array.length shapes then None else Some shapes.(k)
+      else
+        match j with
+        | J.Obj fs -> Some (J.Obj (List.filter_map (fun (f, v) -> Option.map (fun v -> (f, v)) (go v)) fs))
+        | J.List l -> Some (J.List (List.filter_map go l))
+        | v -> Some v
+    in
+    Option.value (go j) ~default:J.Null
+  in
+  match J.of_string text with
+  | Error e -> Alcotest.fail ("pristine document does not parse: " ^ e)
+  | Ok j -> J.to_string ~minify:true (List.fold_left edit j edits)
 
 let json_byte =
   QCheck.Gen.(
@@ -604,17 +673,24 @@ let json_byte =
 
 let prop_untrusted_never_raises =
   QCheck.Test.make ~name:"untrusted bytes: truncated/mutated artifacts and frames never raise"
-    ~count:400
+    ~count:1600
     QCheck.(
       make
         Gen.(
-          triple (int_bound 3) (int_bound 1_000_000)
-            (list_size (int_range 0 4) (pair (int_bound 1_000_000) json_byte))))
-    (fun (i, cut, edits) ->
-      let doc = (Lazy.force untrusted_docs).(i) in
+          quad small_nat (int_bound 1_000_000)
+            (list_size (int_range 0 4) (pair (int_bound 1_000_000) json_byte))
+            bool))
+    (fun (i, cut, edits, tree) ->
+      let docs = Lazy.force untrusted_docs in
+      let doc = docs.(i mod Array.length docs) in
       let text = doc_text doc in
       let cut = if edits = [] then cut mod (String.length text + 1) else String.length text - (cut mod 8) in
-      match decode_untrusted doc (mutate text (cut, edits)) with
+      let bytes =
+        match doc with
+        | (`Artifact _ | `Store _) when tree && edits <> [] -> mutate_tree text edits
+        | _ -> mutate text (cut, edits)
+      in
+      match decode_untrusted doc bytes with
       | () -> true
       | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e))
 
@@ -623,7 +699,7 @@ let test_frame_truncations () =
   Array.iter
     (fun doc ->
       match doc with
-      | `Artifact _ -> ()
+      | `Artifact _ | `Store _ -> ()
       | `Frame text ->
           for cut = 0 to String.length text do
             match decode_untrusted doc (String.sub text 0 cut) with

@@ -160,7 +160,7 @@ let test_provenance_replays () =
           let input =
             Pmrace.Campaign.input ~sched_seed:p.Fuzzer.p_sched_seed target p.Fuzzer.p_seed
           in
-          let r = Pmrace.Campaign.run input in
+          let r = Pmrace.Campaign.run ~engine:(Pmrace.Engine.create target) input in
           ignore r (* the replay executes deterministically without error *))
 
 let suite =

@@ -1,5 +1,5 @@
 (* Partial-order reduction: footprint independence units, sleep-set
-   behaviour of Scheduler.run_por driven by synthetic hooks, canonical
+   behaviour of Scheduler.run driven by synthetic POR hooks, canonical
    trace-hash determinism, the artifact v5 round-trip, and the headline
    property — pruning must not change the unique-bug set on the planted
    workloads. *)
@@ -68,8 +68,8 @@ let run_scripts ?(independent = F.independent) ?(spin = F.spin_retry) ~seed scri
                  Sch.yield ())
                ops)))
     scripts;
-  let por = { Sch.pending; step_fp; independent; spin } in
-  Sch.run_por ~por t
+  let por = { Sch.pending; step_fp; independent; spin; pruned_picks = 0; forced_wakes = 0 } in
+  (Sch.run ~por t, por)
 
 let test_disjoint_fibers_prune () =
   (* Words 0 and 100 never share a line: every pick of one fiber puts
@@ -83,7 +83,7 @@ let test_disjoint_fibers_prune () =
 
 let test_conflicting_fibers_never_prune () =
   (* Every pending op conflicts with every executed one: the sleep sets
-     stay empty and run_por degenerates to an unpruned random walk. *)
+     stay empty and the run degenerates to an unpruned random walk. *)
   let script = Array.make 6 (F.store 0) in
   let outcome, stats = run_scripts ~seed:7 [| script; Array.copy script |] in
   Alcotest.(check bool) "completed" true (Sch.completed outcome);
@@ -164,7 +164,7 @@ let test_trace_hash_deterministic () =
     let input =
       Pmrace.Campaign.input ~sched_seed:42 ~policy:Pmrace.Campaign.Random_sched ~por target seed
     in
-    (Pmrace.Campaign.run input).Pmrace.Campaign.por
+    (Pmrace.Campaign.run ~engine:(Pmrace.Engine.create target) input).Pmrace.Campaign.por
   in
   (match run ~por:false with
   | None -> ()

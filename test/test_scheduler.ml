@@ -144,14 +144,51 @@ let test_metrics_record_per_run_delta () =
      move, even though outcome.steps stays cumulative. *)
   let o2 = Scheduler.run s in
   Alcotest.(check int) "outcome.steps stays cumulative" o1.steps o2.steps;
-  Alcotest.(check int) "re-run adds only the delta (0)" o1.steps (steps_total ())
+  Alcotest.(check int) "re-run adds only the delta (0)" o1.steps (steps_total ());
+  (* A POR run samples step time like any other: 130 steps give two
+     samples. *)
+  let step_samples () =
+    List.fold_left
+      (fun acc (r : Obs.Metrics.reading) ->
+        match r.r_value with
+        | Obs.Metrics.Histogram { count; _ } when String.equal r.r_name "sched_step_seconds" ->
+            acc + count
+        | _ -> acc)
+      0 (Obs.Metrics.snapshot ())
+  in
+  let before = step_samples () in
+  let s = Scheduler.create ~rng:(Rng.create 7) () in
+  let por =
+    {
+      Scheduler.pending = [| 1; 1 |];
+      step_fp = [| 0 |];
+      independent = (fun _ _ -> true);
+      spin = (fun _ _ -> false);
+      pruned_picks = 0;
+      forced_wakes = 0;
+    }
+  in
+  for _ = 1 to 2 do
+    ignore
+      (Scheduler.spawn s ~name:"w" (fun () ->
+           for _ = 1 to 64 do
+             por.step_fp.(0) <- 1;
+             Scheduler.yield ()
+           done))
+  done;
+  let o = Scheduler.run ~por s in
+  Alcotest.(check int) "POR run took every step" 130 o.steps;
+  Alcotest.(check int) "POR run samples step time" (before + 2) (step_samples ())
 
 (* Satellite (PR 5): the index-based pick of [run] must consume the exact
    RNG sequence of the legacy list-based [Rng.pick] loop over the same
    runnable sets, and produce the same schedule.  [run_reference] *is* the
    legacy loop, so running both on identical programs and comparing the
    picked-tid trace, the outcome, and the subsequent RNG draws (stream
-   position) pins the invariant across seeds, fiber counts, and budgets. *)
+   position) pins the invariant across seeds, fiber counts, and budgets.
+   The same holds for [run ~por] whenever no fiber is put to sleep: with
+   hooks that never report a footprint, and with hooks whose footprints
+   never commute. *)
 let prop_pick_stream_compatible =
   QCheck.Test.make
     ~name:"scheduler: run ≡ run_reference (RNG stream + schedule + outcome)" ~count:120
@@ -182,8 +219,33 @@ let prop_pick_stream_compatible =
           List.map (fun (t, n, _) -> (t, n)) o.failed,
           stream_tail )
       in
-      run_with (fun ~on_step s -> Scheduler.run ~on_step s)
-      = run_with (fun ~on_step s -> Scheduler.run_reference ~on_step s))
+      let reference = run_with (fun ~on_step s -> Scheduler.run_reference ~on_step s) in
+      let hooks ~independent ~spin =
+        {
+          Scheduler.pending = Array.make nfibers 1;
+          step_fp = [| 0 |];
+          independent;
+          spin;
+          pruned_picks = 0;
+          forced_wakes = 0;
+        }
+      in
+      (* POR hooks that never report an executed footprint: pending ops are
+         known and everything "commutes", yet nobody may sleep. *)
+      let silent = hooks ~independent:(fun _ _ -> true) ~spin:(fun _ _ -> true) in
+      (* Every step reports a footprint, but nothing commutes or spins. *)
+      let dependent = hooks ~independent:(fun _ _ -> false) ~spin:(fun _ _ -> false) in
+      run_with (fun ~on_step s -> Scheduler.run ~on_step s) = reference
+      && run_with (fun ~on_step s -> Scheduler.run ~on_step ~por:silent s) = reference
+      && run_with (fun ~on_step s ->
+             Scheduler.run
+               ~on_step:(fun tid ->
+                 dependent.step_fp.(0) <- 1;
+                 on_step tid)
+               ~por:dependent s)
+         = reference
+      && silent.pruned_picks = 0
+      && dependent.pruned_picks = 0)
 
 let prop_all_fibers_complete =
   QCheck.Test.make ~name:"scheduler: every fiber completes within budget" ~count:100

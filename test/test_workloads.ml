@@ -102,6 +102,7 @@ let test_pclht_bug1_data_loss () =
   let rng = Sched.Rng.create 5 in
   let profile = { target.profile with Seed.supported = [ Seed.KPut ] } in
   let seed = Pmrace.Mutator.populate rng profile ~factor:3 in
+  let engine = Pmrace.Engine.create ~use_checkpoint:false target in
   let rec hunt s =
     if s > 300 then Alcotest.fail "no bug-1 inconsistency within 300 schedules"
     else
@@ -118,7 +119,7 @@ let test_pclht_bug1_data_loss () =
           ~policy:(Pmrace.Campaign.Pmrace { entry; skip = 0 })
           target seed
       in
-      let r = Pmrace.Campaign.run input in
+      let r = Pmrace.Campaign.run ~engine input in
       let incs =
         List.filter
           (fun (i : Runtime.Checkers.inconsistency) ->
