@@ -24,8 +24,7 @@ let eadr ppf =
       List.iter
         (fun eadr ->
           let cfg =
-            Fuzzer.Config.make ~max_campaigns:200 ~master_seed:5 ~eadr
-              ~use_checkpoint:target.expensive_init ()
+            Fuzzer.Config.make ~max_campaigns:200 ~master_seed:5 ~eadr ()
           in
           let s = Fuzzer.run target cfg in
           let _, _, sbugs, _ = Report.sync_verdict_summary s.report in
@@ -123,8 +122,7 @@ let workers_scaling ppf =
   let budget = 300 in
   let measure w =
     let cfg =
-      Fuzzer.Config.make ~max_campaigns:budget ~master_seed:5 ~workers:w
-        ~use_checkpoint:target.expensive_init ()
+      Fuzzer.Config.make ~max_campaigns:budget ~master_seed:5 ~workers:w ()
     in
     let t0 = Obs.Clock.now () in
     let s = Fuzzer.run target cfg in
@@ -211,9 +209,8 @@ let engine ppf =
     List.map
       (fun ((target : Pmrace.Target.t), campaigns) ->
         let legacy, engined, touched = bench target campaigns in
-        Format.fprintf ppf "%-15s %10d %14.1f %14.1f %9.2fx %10d%s@." target.name campaigns
-          legacy engined (engined /. legacy) touched
-          (if target.expensive_init then "" else "  (cheap init)");
+        Format.fprintf ppf "%-15s %10d %14.1f %14.1f %9.2fx %10d@." target.name campaigns
+          legacy engined (engined /. legacy) touched;
         (target, campaigns, legacy, engined, touched))
       [ (Workloads.Figure1.target, 120); (Workloads.Memcached.target, 60);
         (Workloads.Pclht.target, 60) ]
@@ -231,7 +228,6 @@ let engine ppf =
                  Obs.Json.Obj
                    [
                      ("target", Obs.Json.String target.name);
-                     ("expensive_init", Obs.Json.Bool target.expensive_init);
                      ("campaigns", Obs.Json.Int campaigns);
                      ("legacy_execs_per_sec", Obs.Json.Float legacy);
                      ("engine_execs_per_sec", Obs.Json.Float engined);

@@ -98,8 +98,7 @@ let run ppf =
       List.iter
         (fun budget ->
           let cfg =
-            Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:5 ~crash_images:budget
-              ~use_checkpoint:target.expensive_init ()
+            Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:5 ~crash_images:budget ()
           in
           let t0 = Obs.Clock.now () in
           let s = Fuzzer.run target cfg in

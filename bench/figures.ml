@@ -120,8 +120,7 @@ let fig10 ppf =
       let campaigns = 60 in
       let no_cp = throughput target ~use_checkpoint:false ~campaigns in
       let cp = throughput target ~use_checkpoint:true ~campaigns in
-      Format.fprintf ppf "%-15s %14.0f %14.0f %9.2fx%s@." target.name no_cp cp (cp /. no_cp)
-        (if target.expensive_init then "" else "  (libpmem mapping: no benefit expected)"))
+      Format.fprintf ppf "%-15s %14.0f %14.0f %9.2fx@." target.name no_cp cp (cp /. no_cp))
     Workloads.Registry.all;
   hr ppf;
   Format.fprintf ppf

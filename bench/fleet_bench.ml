@@ -79,9 +79,7 @@ let run_cell (target : Pmrace.Target.t) ~workers ~budget =
               {
                 Fleet.Worker.default_config with
                 connect = socket_path;
-                cfg =
-                  Pmrace.Fuzzer.Config.make ~master_seed:5
-                    ~use_checkpoint:target.Pmrace.Target.expensive_init ();
+                cfg = Pmrace.Fuzzer.Config.make ~master_seed:5 ();
               }
             in
             match Fleet.Worker.run wcfg target with Ok _ -> () | Error _ -> Unix._exit 1))

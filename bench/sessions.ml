@@ -50,7 +50,7 @@ let run_key (target : Pmrace.Target.t) key =
       let cfg =
         Fuzzer.Config.make ~max_campaigns:key.k_campaigns
           ~master_seed:(master_seed_of target.name) ~mode:key.k_mode
-          ~interleaving_tier:key.k_ie ~seed_tier:key.k_se ~use_checkpoint:target.expensive_init ()
+          ~interleaving_tier:key.k_ie ~seed_tier:key.k_se ()
       in
       let s = Fuzzer.run target cfg in
       Hashtbl.add cache key (cfg, s);

@@ -165,7 +165,10 @@ let fuzz_cmd =
          & info [ "mode" ] ~doc:"Exploration mode: pmrace, delay, or random.")
   in
   let no_checkpoint =
-    Arg.(value & flag & info [ "no-checkpoint" ] ~doc:"Disable in-memory pool checkpoints.")
+    Arg.(value & flag
+         & info [ "no-checkpoint" ]
+             ~doc:"Disable in-memory pool checkpoints: re-run the target's initialisation \
+                   before every campaign (Figure 10's reference arm; same results, slower).")
   in
   let no_validate =
     Arg.(value & flag & info [ "no-validate" ] ~doc:"Skip post-failure validation.")
@@ -240,7 +243,7 @@ let fuzz_cmd =
     Obs.Metrics.reset ();
     let cfg =
       Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:seed ~workers ~mode
-        ~use_checkpoint:((not no_checkpoint) && target.Pmrace.Target.expensive_init)
+        ~use_checkpoint:(not no_checkpoint)
         ~validate:(not no_validate) ~interleaving_tier:(not no_ie) ~seed_tier:(not no_se)
         ~static_prepass:(not no_static) ~invariants ~corpus_sched ~crash_images ~por ()
     in
@@ -408,8 +411,10 @@ let inspect_cmd =
   in
   let run (target : Pmrace.Target.t) =
     Format.printf "%s (%s) — %s, %s@." target.name target.version target.scope target.concurrency;
-    Format.printf "pool: %d words; init: %s@." target.pool_words
-      (if target.expensive_init then "libpmemobj-style (expensive)" else "libpmem mapping (cheap)");
+    Format.printf "pool: %d words; engine: %s@." target.pool_words
+      (if Pmrace.Engine.persistent (Pmrace.Engine.create ~capture_images:false target) then
+         "persistent (initialised once, reset from an in-memory checkpoint)"
+       else "fresh (initialised per campaign)");
     Format.printf "default whitelist: %a@." Fmt.(list ~sep:comma string) target.whitelist_sites;
     Format.printf "seeded bugs:@.";
     List.iter (fun kb -> Format.printf "  %a@." Pmrace.Target.pp_known_bug kb) target.known_bugs
@@ -513,9 +518,7 @@ let worker_cmd =
   let run (target : Pmrace.Target.t) connect seed max_campaigns no_static json_out verbose =
     let log = if verbose then fun m -> Format.eprintf "%s@." m else fun _ -> () in
     let cfg =
-      Fuzzer.Config.make ~master_seed:seed
-        ~use_checkpoint:target.Pmrace.Target.expensive_init
-        ~static_prepass:(not no_static) ()
+      Fuzzer.Config.make ~master_seed:seed ~static_prepass:(not no_static) ()
     in
     let wcfg = { Fleet.Worker.default_config with connect; cfg; max_local = max_campaigns; log } in
     match Fleet.Worker.run wcfg target with

@@ -258,6 +258,7 @@ let is_durably_equal t w =
   Int64.equal t.volatile.(w) t.durable.(w)
 
 let is_eadr t = t.eadr
+let set_eadr t eadr = t.eadr <- eadr
 
 let clean_word t w =
   t.dirty_tid.(w) <- -1;
@@ -585,14 +586,18 @@ let snapshot t =
      this epoch, so scanning the journal suffices to enforce this. *)
   for i = 0 to t.journal_len - 1 do
     let w = t.journal.(i) in
-    if is_dirty t w || is_pending t w then
+    if is_dirty t w || is_pending t w || not (Int64.equal t.volatile.(w) t.durable.(w)) then
       invalid_arg "Pool.snapshot: pool not quiesced (dirty or pending words)"
   done;
+  (* With nothing dirty or pending, every write has reached the durable
+     image (checked above for the words touched since the last baseline),
+     so the two images are equal and one copy serves as both. *)
+  let image = Array.copy t.durable in
   let s =
     {
       s_id = 1 + Atomic.fetch_and_add snapshot_ids 1;
-      s_volatile = Array.copy t.volatile;
-      s_durable = Array.copy t.durable;
+      s_volatile = image;
+      s_durable = image;
       s_seq = t.seq;
       s_loads = t.n_loads;
       s_stores = t.n_stores;

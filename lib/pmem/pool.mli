@@ -37,6 +37,11 @@ val create : ?eadr:bool -> words:int -> unit -> t
 
 val is_eadr : t -> bool
 
+val set_eadr : t -> bool -> unit
+(** Switch eADR on or off.  Only meaningful on a quiesced pool (no dirty
+    or pending words, e.g. right after {!snapshot}): an eADR pool keeps
+    no per-word metadata, so in-flight cache state would be lost. *)
+
 val size : t -> int
 
 val load : t -> int -> int64
@@ -197,6 +202,8 @@ val snapshot : t -> snapshot
     - The snapshot records both images {e and} the word-sequence number and
       access counters, so a later restore resets them too — statistics and
       writer sequence numbers never leak from one campaign into the next.
+      On a quiesced pool the two images are equal, so the snapshot holds
+      one copy of the image for both.
     - Capturing also makes this snapshot the pool's current baseline and
       starts a fresh touched-word journal (see {!reset_to_snapshot}). *)
 

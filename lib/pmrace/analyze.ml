@@ -50,13 +50,13 @@ let m_duration = lazy (Obs.Metrics.gauge "analyze_duration_seconds")
 
 (* Iterate the driver's seed executions, handing each completed campaign
    result (with its recorded trace) to [f]. *)
-let iter_executions ?(cfg = default_config) (target : Target.t) f =
+let iter_executions ?(cfg = default_config) ?snapshot (target : Target.t) f =
   let rng = Rng.create cfg.master_seed in
-  (* One engine for all seed executions: expensive-init targets get the
-     persistent context (checkpoint + O(touched) resets), others a fresh
-     environment per checkout.  The trace is a transient listener, so
-     each checkout starts with it detached. *)
-  let engine = Engine.create ~capture_images:false target in
+  (* One persistent engine for all seed executions, reset in O(touched)
+     between them; given the session's [snapshot] it does not initialise
+     the target again.  The trace is a transient listener, so each
+     checkout starts with it detached. *)
+  let engine = Engine.create ~capture_images:false ?snapshot target in
   for _ = 1 to cfg.seeds do
     let seed = Seed.gen rng target.Target.profile in
     for _ = 1 to cfg.scheds_per_seed do
@@ -72,12 +72,12 @@ let iter_executions ?(cfg = default_config) (target : Target.t) f =
     done
   done
 
-let run ?(cfg = default_config) (target : Target.t) =
+let run ?(cfg = default_config) ?snapshot (target : Target.t) =
   let t0 = Obs.Clock.now () in
   let az = Analysis.Analyzer.create ~cfg:cfg.analysis () in
   let taxonomy = cfg.analysis.Analysis.Analyzer.taxonomy in
   let rctx = Post_failure.ctx target in
-  iter_executions ~cfg target (fun (res : Campaign.result) trace ->
+  iter_executions ~cfg ?snapshot target (fun (res : Campaign.result) trace ->
       Analysis.Analyzer.absorb_trace az trace;
       if taxonomy then begin
         (* Recovery replay: boot the end-of-run durable image and trace
@@ -102,5 +102,5 @@ let record ?cfg (target : Target.t) =
   iter_executions ?cfg target (fun _res trace -> traces := Trace.events trace :: !traces);
   List.rev !traces
 
-let prepass ?(seeds = 4) ?(analysis = Analysis.Analyzer.default_config) target =
-  run ~cfg:{ default_config with seeds; master_seed = 11; analysis } target
+let prepass ?(seeds = 4) ?(analysis = Analysis.Analyzer.default_config) ?snapshot target =
+  run ~cfg:{ default_config with seeds; master_seed = 11; analysis } ?snapshot target

@@ -35,8 +35,12 @@ val full_analysis : Analysis.Analyzer.config
 val full_config : config
 (** {!default_config} with {!full_analysis}. *)
 
-val run : ?cfg:config -> Target.t -> Analysis.Analyzer.result
-(** Execute the seed set with trace capture and analyse the traces. *)
+val run :
+  ?cfg:config -> ?snapshot:Pmem.Pool.snapshot -> Target.t -> Analysis.Analyzer.result
+(** Execute the seed set with trace capture and analyse the traces.  The
+    executions share one persistent engine, built from [snapshot] when
+    given (see {!Engine.prepare_snapshot}) instead of initialising the
+    target again; the results are the same either way. *)
 
 val record : ?cfg:config -> Target.t -> Runtime.Env.event list list
 (** Execute the seed set and return the raw recorded event streams
@@ -44,7 +48,12 @@ val record : ?cfg:config -> Target.t -> Runtime.Env.event list list
     analyzers over identical traces, and for offline invariant tests. *)
 
 val prepass :
-  ?seeds:int -> ?analysis:Analysis.Analyzer.config -> Target.t -> Analysis.Analyzer.result
+  ?seeds:int ->
+  ?analysis:Analysis.Analyzer.config ->
+  ?snapshot:Pmem.Pool.snapshot ->
+  Target.t ->
+  Analysis.Analyzer.result
 (** The fuzzer-facing entry point: a smaller seed set, fixed master seed
     (deterministic across fuzzer configurations).  [analysis] defaults to
-    all detectors off, preserving the bit-identical seeded pre-pass. *)
+    all detectors off, preserving the bit-identical seeded pre-pass.
+    [snapshot] is the session's checkpoint, as for {!run}. *)

@@ -12,14 +12,20 @@
      listener array installed once at engine creation survives;
    - the target re-annotates, exactly as it would a fresh environment.
 
-   Targets with [expensive_init = false] (e.g. the libpmem-style mappings
-   where checkpoints bring nothing, per Figure 10) instead get a fresh
-   environment per checkout behind the same [checkout] API.  Every
+   Every target runs this way by default.  Without a shared snapshot the
+   engine builds its context in place: the target initialises the
+   engine's own pool, which then becomes the checkpoint, so an engine
+   that serves a single checkout (a replay, the pre-pass) costs the
+   target's initialisation plus one image copy.  [use_checkpoint:false] keeps
+   Figure 10's reference arm: a fresh environment per checkout, the
+   target's initialisation re-run, behind the same [checkout] API.  Every
    campaign context is built here; [Campaign.run] has no other source.
 
-   Determinism: the two modes are observationally identical — same
-   images, same fresh checkers, same eviction-RNG stream, same annotation
-   pass — so seeded sessions are bit-identical whichever mode runs them. *)
+   Determinism: the two modes are observationally identical — both
+   initialise under the checkpoint's settings (no eviction, no eADR), then
+   give the same images, fresh checkers, reseeded eviction RNG and
+   annotation pass — so seeded sessions are bit-identical whichever mode
+   runs them. *)
 
 module Env = Runtime.Env
 
@@ -39,12 +45,23 @@ type t = {
          the execution context itself *)
 }
 
-(* Initialise a pool once and capture the checkpoint the fast path reuses. *)
-let prepare_snapshot (target : Target.t) =
+(* A freshly initialised, quiesced environment, built under the
+   checkpoint's settings: no eviction, no eADR, no image capture.  Both
+   modes start every campaign from this state, so neither the eviction
+   RNG nor the pool counters depend on the mode. *)
+let init_env (target : Target.t) =
   let env = Env.create ~capture_images:false ~pool_words:target.pool_words () in
   target.init env;
   Pmem.Pool.quiesce env.pool;
-  Pmem.Pool.snapshot env.pool
+  env
+
+(* Initialise a pool once and capture the checkpoint the fast path reuses. *)
+let prepare_snapshot target = Pmem.Pool.snapshot (init_env target).pool
+
+(* Hand an [init_env] context the engine's run settings. *)
+let arm env ~evict_prob ~eadr =
+  Pmem.Pool.set_eadr env.Env.pool eadr;
+  env.Env.evict_prob <- evict_prob
 
 (* How many words each persistent-mode reset had to undo — the direct
    measure of the O(touched) claim (compare with the pool size). *)
@@ -55,17 +72,26 @@ let m_reset_touched =
        "engine_reset_touched_words")
 
 let create ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||]) ?snapshot
-    ?use_checkpoint (target : Target.t) =
-  let use_checkpoint = Option.value ~default:target.Target.expensive_init use_checkpoint in
+    ?(use_checkpoint = true) (target : Target.t) =
   let mode =
     if use_checkpoint then begin
-      let snapshot =
-        match snapshot with Some s -> s | None -> prepare_snapshot target
+      let env, snapshot =
+        match snapshot with
+        | Some s ->
+            let env =
+              Env.create ~capture_images ~evict_prob ~eadr ~pool_words:target.pool_words ()
+            in
+            (* O(pool) once per worker: establishes the shared snapshot as
+               this pool's baseline, so every checkout is O(touched). *)
+            Pmem.Pool.restore env.pool s;
+            (env, s)
+        | None ->
+            (* In place: the initialised pool becomes its own baseline. *)
+            let env = init_env target in
+            let s = Pmem.Pool.snapshot env.pool in
+            arm env ~evict_prob ~eadr;
+            (env, s)
       in
-      let env = Env.create ~capture_images ~evict_prob ~eadr ~pool_words:target.pool_words () in
-      (* O(pool) once per worker: establishes the snapshot as this pool's
-         baseline, so every subsequent checkout is O(touched). *)
-      Pmem.Pool.restore env.pool snapshot;
       Env.install_bound env bound;
       Persistent { snapshot; env }
     end
@@ -111,13 +137,9 @@ let checkout t =
       t.target.annotate env;
       env
   | Fresh ->
-      let env =
-        Env.create ~capture_images:t.capture_images ~evict_prob:t.evict_prob ~eadr:t.eadr
-          ~pool_words:t.target.pool_words ()
-      in
-      t.target.init env;
-      Pmem.Pool.quiesce env.pool;
-      Env.reset_checkers ~capture_images:t.capture_images env;
+      let env = init_env t.target in
+      arm env ~evict_prob:t.evict_prob ~eadr:t.eadr;
+      Env.reset ~capture_images:t.capture_images env;
       t.target.annotate env;
       (* Installed only after initialisation: bound listeners must not see
          init events, matching persistent mode, where they never do. *)

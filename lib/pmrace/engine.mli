@@ -7,21 +7,26 @@
     the target re-annotates.  Pre-bound listeners are installed once at
     engine creation instead of being rebuilt per campaign.
 
-    Targets with [expensive_init = false] get a fresh environment per
-    checkout instead (the target's initialisation re-run), behind the
-    same {!checkout} API, exactly as Figure 10 advises choosing per
-    target.  The engine is the only way to build a campaign's context:
-    {!Campaign.run} requires one.
+    Every target runs in persistent mode by default.  Without a shared
+    snapshot the engine builds its context in place (one environment, the
+    target's initialisation, the checkpoint taken on that same pool), so a
+    single-checkout engine costs a fresh set-up plus one image copy.
+    [use_checkpoint:false] is Figure 10's reference arm: a fresh
+    environment per checkout (the target's initialisation re-run), behind
+    the same {!checkout} API.  The engine is the only way to build a
+    campaign's context: {!Campaign.run} requires one.
 
-    The two modes are observationally identical (same images, fresh
-    checkers, same eviction-RNG stream, same annotation pass), so seeded
+    The two modes are observationally identical (initialisation under the
+    checkpoint's settings — no eviction, no eADR — then the same images,
+    fresh checkers, reseeded eviction RNG and annotation pass), so seeded
     sessions stay bit-identical in either mode. *)
 
 type t
 
 val prepare_snapshot : Target.t -> Pmem.Pool.snapshot
-(** Initialise a pool once and capture the in-memory checkpoint reused by
-    subsequent campaigns. *)
+(** Initialise a pool once (no eviction, no eADR) and capture the
+    in-memory checkpoint reused by subsequent campaigns — the snapshot a
+    session's workers share. *)
 
 val create :
   ?capture_images:bool ->
@@ -32,12 +37,15 @@ val create :
   ?use_checkpoint:bool ->
   Target.t ->
   t
-(** Build a worker's engine.  [use_checkpoint] defaults to the target's
-    [expensive_init]; when true the engine runs in persistent mode — the
-    context is created (and the snapshot captured, unless [snapshot] is
-    given, e.g. shared across workers) once, then reused.  [bound] is the
-    worker's permanent listener array: installed once per context, it
-    survives resets and never observes target-initialisation events. *)
+(** Build a worker's engine.  [use_checkpoint] defaults to true: the
+    engine runs in persistent mode — the context is created once and
+    reused.  Given a [snapshot] (e.g. shared across workers), the context
+    restores it; otherwise the target initialises the context's own pool
+    (no eviction, no eADR) and that pool is checkpointed in place before
+    [evict_prob] and [eadr] apply.  [use_checkpoint:false] selects fresh
+    mode.  [bound] is the worker's permanent listener array: installed
+    once per context, it survives resets and never observes
+    target-initialisation events. *)
 
 val checkout : t -> Runtime.Env.t
 (** An environment ready for one campaign: freshly initialised target

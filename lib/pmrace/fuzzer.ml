@@ -695,7 +695,9 @@ let setup ?(log = fun _ -> ()) target cfg =
   let snapshot = if cfg.use_checkpoint then Some (Engine.prepare_snapshot target) else None in
   (* Static pre-pass (the LLVM-pass analogue): bound the alias-pair
      coverage map and collect the lint findings before fuzzing starts.
-     Pre-pass executions do not count against the campaign budget. *)
+     Pre-pass executions do not count against the campaign budget.  With a
+     checkpoint they run on it, so the session initialises the target
+     once. *)
   (* [invariants] rides on the pre-pass: mining needs its seed traces, so
      it forces one even when [static_prepass] is off — but the site-graph
      denominator and seed re-scoring stay gated on [static_prepass], so
@@ -706,7 +708,7 @@ let setup ?(log = fun _ -> ()) target cfg =
         if cfg.invariants then { Analysis.Analyzer.default_config with invariants = true }
         else Analysis.Analyzer.default_config
       in
-      Some (Analyze.prepass ~analysis target)
+      Some (Analyze.prepass ~analysis ?snapshot target)
     else None
   in
   let static =

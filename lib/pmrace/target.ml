@@ -23,7 +23,7 @@ type t = {
   concurrency : string;
   pool_words : int;
   expensive_init : bool;
-      (* libpmemobj-style initialisation: benefits from in-memory checkpoints *)
+      (* always true; read only by the benchmark harness *)
   init : Runtime.Env.t -> unit;
   annotate : Runtime.Env.t -> unit;
   (* register pm_sync_var_hint annotations; called for every environment,

@@ -18,8 +18,9 @@ type t = {
   concurrency : string;
   pool_words : int;
   expensive_init : bool;
-      (** libpmemobj-style initialisation; benefits from in-memory
-          checkpoints (Figure 10) *)
+      (** Always true: every target runs on the persistent engine.  Read
+          only by the benchmark harness; deleted with the next benchmark
+          change. *)
   init : Runtime.Env.t -> unit;
   annotate : Runtime.Env.t -> unit;
       (** register [pm_sync_var_hint] annotations; called for every

@@ -70,7 +70,7 @@ let target : Pmrace.Target.t =
     scope = "running example";
     concurrency = "lock-based";
     pool_words = 1024;
-    expensive_init = false;
+    expensive_init = true;
     init;
     annotate;
     recover;

@@ -125,7 +125,9 @@ let checksum key value = Int64.logxor (Int64.of_int (key * 2654435761)) value
 let init (env : Env.t) =
   let ctx = Env.ctx env ~tid:(-1) in
   (* memcached-pmem maps its pool with pmem_map_file (libpmem), not
-     libpmemobj — which is why in-memory checkpoints do not speed it up. *)
+     libpmemobj.  On real hardware that is why in-memory checkpoints do
+     not speed it up; here initialisation runs through the hooks like any
+     other target's, so it is checkpointed too. *)
   Pmdk.Pmem_low.map ctx;
   Pmdk.Heap.format ctx ~pool_words:(Pmem.Pool.size env.pool);
   (* Carve the item arena and thread every item onto its class free
@@ -531,7 +533,7 @@ let target : Pmrace.Target.t =
     scope = "Key-value store";
     concurrency = "Lock-based";
     pool_words = 2048;
-    expensive_init = false; (* libpmem mapping: checkpoints bring nothing *)
+    expensive_init = true;
     init;
     annotate;
     recover;

@@ -94,7 +94,7 @@ let target : Pmrace.Target.t =
     scope = "seeded torn-store bug (enumeration ground truth)";
     concurrency = "lock-free";
     pool_words = 1024;
-    expensive_init = false;
+    expensive_init = true;
     init;
     annotate;
     recover;

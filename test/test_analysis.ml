@@ -217,6 +217,46 @@ let test_fuzzer_prepass_off () =
   Alcotest.(check bool) "no denominator" true (Pmrace.Alias_cov.possible s.alias = None);
   Alcotest.(check bool) "no pre-pass result" true (s.static = None)
 
+(* The pre-pass runs on the session's checkpoint: the results match a
+   pre-pass that initialises the target itself, and a whole session
+   (checkpoint, pre-pass, campaigns) runs the target's init exactly once. *)
+let test_prepass_shares_checkpoint () =
+  List.iter
+    (fun (t : Pmrace.Target.t) ->
+      let analysis = { Pmrace.Analyze.full_analysis with invariants = true } in
+      let own = Pmrace.Analyze.prepass ~analysis t in
+      let shared =
+        Pmrace.Analyze.prepass ~analysis ~snapshot:(Pmrace.Engine.prepare_snapshot t) t
+      in
+      Alcotest.(check bool)
+        (t.name ^ ": same possible pairs")
+        true
+        (Alias_pairs.possible own.r_pairs = Alias_pairs.possible shared.r_pairs);
+      Alcotest.(check bool) (t.name ^ ": same findings") true (own.r_findings = shared.r_findings);
+      Alcotest.(check bool)
+        (t.name ^ ": same invariants")
+        true
+        (own.r_invariants = shared.r_invariants);
+      Alcotest.(check int) (t.name ^ ": same executions") own.r_executions shared.r_executions)
+    Workloads.Registry.with_examples;
+  let inits = ref 0 in
+  let base = Workloads.Figure1.target in
+  let counted =
+    {
+      base with
+      init =
+        (fun env ->
+          incr inits;
+          base.init env);
+    }
+  in
+  let cfg =
+    Pmrace.Fuzzer.Config.make ~max_campaigns:10 ~master_seed:3 ~static_prepass:true
+      ~invariants:true ()
+  in
+  ignore (Pmrace.Fuzzer.run counted cfg);
+  Alcotest.(check int) "target initialised once per session" 1 !inits
+
 let test_seed_priority_scored () =
   let cfg =
     Pmrace.Fuzzer.Config.make ~max_campaigns:30 ~master_seed:3 ~static_prepass:true ()
@@ -245,5 +285,7 @@ let suite =
       test_analyze_achieved_subset_all_targets;
     Alcotest.test_case "fuzzer: pre-pass denominator" `Quick test_fuzzer_prepass_denominator;
     Alcotest.test_case "fuzzer: pre-pass off" `Quick test_fuzzer_prepass_off;
+    Alcotest.test_case "fuzzer: pre-pass shares the checkpoint" `Quick
+      test_prepass_shares_checkpoint;
     Alcotest.test_case "fuzzer: seed priorities" `Quick test_seed_priority_scored;
   ]

@@ -134,7 +134,7 @@ let test_isolation (target : Pmrace.Target.t) () =
       Alcotest.(check int) "engine served all checkouts" 3 (Engine.checkouts engine)
   | _ -> assert false
 
-(* Fresh mode (expensive_init = false targets): one engine serving many
+(* Fresh mode (Figure 10's reference arm): one engine serving many
    checkouts matches the legacy one-environment-per-campaign construction,
    here a brand-new engine per campaign, so nothing leaks between
    fresh-mode checkouts. *)
@@ -152,12 +152,20 @@ let test_fresh_mode_identical () =
     (inputs target 3);
   Alcotest.(check int) "engine served all checkouts" 3 (Engine.checkouts engine)
 
-(* use_checkpoint defaults to the target's expensive_init. *)
+(* Every target defaults to the persistent engine; use_checkpoint:false
+   still yields a fresh one. *)
 let test_mode_default () =
-  Alcotest.(check bool) "figure1 defaults to fresh" false
-    (Engine.persistent (Engine.create Workloads.Figure1.target));
-  Alcotest.(check bool) "p-clht defaults to persistent" true
-    (Engine.persistent (Engine.create Workloads.Pclht.target))
+  List.iter
+    (fun (target : Pmrace.Target.t) ->
+      Alcotest.(check bool)
+        (target.name ^ " defaults to persistent")
+        true
+        (Engine.persistent (Engine.create target));
+      Alcotest.(check bool)
+        (target.name ^ " use_checkpoint:false is fresh")
+        false
+        (Engine.persistent (Engine.create ~use_checkpoint:false target)))
+    (Workloads.Registry.with_examples @ Workloads.Registry.planted)
 
 (* The acceptance criterion: persistent-mode reset work is proportional to
    the words the campaign touched, not the pool size. *)
@@ -191,17 +199,22 @@ let test_transient_listeners_cleared () =
 
 (* With a deterministic init, checkpoint-on and checkpoint-off engines
    yield bit-identical campaigns: restore semantics (images + seq + stats)
-   make the two pool setups indistinguishable. *)
-let test_checkpoint_on_off_identical () =
-  let target = Workloads.Figure1.target in
-  let on = Engine.create ~use_checkpoint:true target in
-  let off = Engine.create ~use_checkpoint:false target in
-  List.iter
-    (fun i ->
-      check_fp "checkpoint on ≡ off"
+   make the two pool setups indistinguishable.  This holds under eviction
+   too: both modes initialise with eviction off and start every campaign
+   from the reseeded eviction RNG, so a fresh-mode init draws nothing from
+   the campaign's stream and counts no evictions into its statistics.
+   Under eADR both run the campaign on an eADR pool. *)
+let test_checkpoint_on_off_identical ?(evict_prob = 0.) ?(eadr = false) (target : Pmrace.Target.t)
+    n () =
+  let on = Engine.create ~evict_prob ~eadr ~use_checkpoint:true target in
+  let off = Engine.create ~evict_prob ~eadr ~use_checkpoint:false target in
+  List.iteri
+    (fun k i ->
+      check_fp
+        (Printf.sprintf "campaign %d: checkpoint on ≡ off" k)
         (fingerprint (Campaign.run ~engine:on i))
         (fingerprint (Campaign.run ~engine:off i)))
-    (inputs target 2)
+    (inputs target n)
 
 let suite =
   [
@@ -210,9 +223,15 @@ let suite =
     Alcotest.test_case "adversarial isolation (p-clht)" `Slow
       (test_isolation Workloads.Pclht.target);
     Alcotest.test_case "fresh mode ≡ legacy" `Quick test_fresh_mode_identical;
-    Alcotest.test_case "mode defaults to expensive_init" `Quick test_mode_default;
+    Alcotest.test_case "mode defaults to persistent" `Quick test_mode_default;
     Alcotest.test_case "reset is O(touched)" `Quick test_reset_o_touched;
     Alcotest.test_case "transient listeners cleared" `Quick test_transient_listeners_cleared;
     Alcotest.test_case "checkpoint on ≡ off (deterministic init)" `Quick
-      test_checkpoint_on_off_identical;
+      (test_checkpoint_on_off_identical Workloads.Figure1.target 2);
+    Alcotest.test_case "checkpoint on ≡ off under eviction (p-clht)" `Quick
+      (test_checkpoint_on_off_identical ~evict_prob:0.2 Workloads.Pclht.target 10);
+    Alcotest.test_case "checkpoint on ≡ off under eviction (memcached-pmem)" `Quick
+      (test_checkpoint_on_off_identical ~evict_prob:0.2 Workloads.Memcached.target 10);
+    Alcotest.test_case "checkpoint on ≡ off under eADR (figure1)" `Quick
+      (test_checkpoint_on_off_identical ~eadr:true Workloads.Figure1.target 4);
   ]

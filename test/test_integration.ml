@@ -8,8 +8,7 @@ module Candidates = Runtime.Candidates
 
 let session (target : Pmrace.Target.t) ~campaigns ~seed =
   Fuzzer.run target
-    (Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:seed
-       ~use_checkpoint:target.expensive_init ())
+    (Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:seed ())
 
 let check_bugs_found target session ids =
   let found = Fuzzer.found_known_bugs session target in

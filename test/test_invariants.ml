@@ -10,8 +10,7 @@ module Instr = Runtime.Instr
 
 let session target campaigns =
   Fuzzer.run target
-    (Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:5
-       ~use_checkpoint:target.Pmrace.Target.expensive_init ())
+    (Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:5 ())
 
 let sessions =
   lazy

@@ -131,7 +131,6 @@ let session target budget seed workers =
       max_campaigns = budget;
       master_seed = seed;
       workers;
-      use_checkpoint = target.Pmrace.Target.expensive_init;
     }
 
 let test_workers1_bit_identical_figure1 () =
