@@ -72,13 +72,15 @@ let fsync_dir dir =
         ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
         (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
 
-let write_file path json =
+let write_file path codec v =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let payload = Bytes.of_string (J.to_string ~minify:true json ^ "\n") in
+      let payload =
+        Bytes.of_string (Obs.Json.to_string ~minify:true (Obs.Codec.encode codec v) ^ "\n")
+      in
       let len = Bytes.length payload in
       let rec go off =
         if off < len then begin
@@ -94,7 +96,10 @@ let write_file path json =
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
 
-let read_file path =
+let ( let* ) = Result.bind
+
+(* Read and decode one store file; errors name the file. *)
+let read_file path codec =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -102,104 +107,100 @@ let read_file path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error msg -> Error msg
-  | text -> J.of_string text
+  | text ->
+      Result.map_error (Printf.sprintf "store: %s: %s" path)
+        (Result.bind (J.of_string text) (Obs.Codec.decode codec))
 
-let get conv name j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "store: bad or missing field %S" name)
+(* ------------------------------------------------------------------ *)
+(* File codecs *)
 
-let ( let* ) = Result.bind
+type meta = { m_target : string; m_budget_total : int; m_budget_used : int; m_clients : int }
+
+(* The stored total is informational: the caller's budget replaces it on
+   open, so a file without one still loads. *)
+let meta_codec =
+  Obs.Codec.(
+    obj
+      (record (fun m_target m_budget_total m_budget_used m_clients ->
+           { m_target; m_budget_total; m_budget_used; m_clients })
+      |+ field "target" string (fun m -> m.m_target)
+      |+ field ~default:0 "budget_total" int (fun m -> m.m_budget_total)
+      |+ field "budget_used" int (fun m -> m.m_budget_used)
+      |+ field "clients" int (fun m -> m.m_clients)))
+
+let bugs_codec =
+  Obs.Codec.(
+    list
+      (obj
+         (record (fun { Pmrace.Artifact.kind; site; read_sites; members } be_origin be_first_campaign ->
+              {
+                be_kind = kind;
+                be_site = site;
+                be_read_sites = read_sites;
+                be_members = members;
+                be_origin;
+                be_first_campaign;
+              })
+         |+ inline Pmrace.Artifact.sighting (fun b ->
+                { kind = b.be_kind; site = b.be_site; read_sites = b.be_read_sites; members = b.be_members })
+         |+ field "origin" string (fun b -> b.be_origin)
+         |+ opt "first_campaign" int (fun b -> b.be_first_campaign))))
+
+(* One corpus file: (seed, credited pairs, insertion sequence number). *)
+let corpus_codec =
+  Obs.Codec.(
+    obj
+      (record (fun seed pairs added -> (seed, pairs, added))
+      |+ field "seed" Seed.codec (fun (s, _, _) -> s)
+      |+ field "pairs" (list Pmrace.Alias_cov.site_pair) (fun (_, p, _) -> p)
+      |+ field "added" int (fun (_, _, a) -> a)))
 
 (* ------------------------------------------------------------------ *)
 (* Persist *)
 
 let save_meta t =
-  write_file (meta_path t)
-    (J.Obj
-       [
-         ("target", J.String t.s_target);
-         ("budget_total", J.Int t.s_budget_total);
-         ("budget_used", J.Int t.s_budget_used);
-         ("clients", J.Int t.s_clients);
-       ])
+  write_file (meta_path t) meta_codec
+    {
+      m_target = t.s_target;
+      m_budget_total = t.s_budget_total;
+      m_budget_used = t.s_budget_used;
+      m_clients = t.s_clients;
+    }
 
-let save_coverage t = write_file (coverage_path t) (Hub.delta_to_json t.s_agg)
-
-let bug_to_json b =
-  J.Obj
-    [
-      ("kind", J.String b.be_kind);
-      ("site", J.String b.be_site);
-      ("read_sites", J.List (List.map (fun s -> J.String s) b.be_read_sites));
-      ("members", J.Int b.be_members);
-      ("origin", J.String b.be_origin);
-      ("first_campaign", match b.be_first_campaign with Some c -> J.Int c | None -> J.Null);
-    ]
-
-let save_bugs t = write_file (bugs_path t) (J.List (List.map bug_to_json (bugs t)))
+let save_coverage t = write_file (coverage_path t) Hub.delta_codec t.s_agg
+let save_bugs t = write_file (bugs_path t) bugs_codec (bugs t)
 
 let save_corpus_entry t (e : Corpus_sched.entry) =
   write_file
     (Filename.concat (corpus_dir t) (fp_name e.e_fp))
-    (J.Obj
-       [
-         ("seed", Pmrace.Artifact.seed_to_json e.e_seed);
-         ( "pairs",
-           J.List
-             (List.map
-                (fun (w, r) -> J.Obj [ ("write", J.String w); ("read", J.String r) ])
-                e.e_pairs) );
-         ("added", J.Int e.e_added);
-       ])
+    corpus_codec (e.e_seed, e.e_pairs, e.e_added)
 
 (* ------------------------------------------------------------------ *)
 (* Load *)
 
 let load_meta t =
-  let* j = read_file (meta_path t) in
-  let* target = get J.to_str "target" j in
-  if not (String.equal target t.s_target) then
-    Error (Printf.sprintf "store %s holds target %S, not %S" t.s_dir target t.s_target)
+  let* m = read_file (meta_path t) meta_codec in
+  if not (String.equal m.m_target t.s_target) then
+    Error (Printf.sprintf "store %s holds target %S, not %S" t.s_dir m.m_target t.s_target)
   else begin
-    let* used = get J.to_int "budget_used" j in
-    let* clients = get J.to_int "clients" j in
-    t.s_budget_used <- used;
-    t.s_clients <- clients;
+    t.s_budget_used <- m.m_budget_used;
+    t.s_clients <- m.m_clients;
     Ok ()
   end
 
 let load_coverage t =
   if not (Sys.file_exists (coverage_path t)) then Ok ()
   else
-    let* j = read_file (coverage_path t) in
-    let* d = Hub.delta_of_json j in
+    let* d = read_file (coverage_path t) Hub.delta_codec in
     Hub.merge_delta_into ~src:d ~dst:t.s_agg;
     Ok ()
 
 let load_bugs t =
   if not (Sys.file_exists (bugs_path t)) then Ok ()
   else
-    let* j = read_file (bugs_path t) in
-    match J.to_list j with
-    | None -> Error "store: bugs.json: expected list"
-    | Some l ->
-        let* entries =
-          List.fold_left
-            (fun acc b ->
-              let* acc = acc in
-              let* be_kind = get J.to_str "kind" b in
-              let* be_site = get J.to_str "site" b in
-              let* rs = get J.to_list "read_sites" b in
-              let be_read_sites = List.filter_map J.to_str rs in
-              let* be_members = get J.to_int "members" b in
-              let* be_origin = get J.to_str "origin" b in
-              let be_first_campaign = Option.bind (J.member "first_campaign" b) J.to_int in
-              Ok ({ be_kind; be_site; be_read_sites; be_members; be_origin; be_first_campaign } :: acc))
-            (Ok []) l
-        in
-        t.s_bugs <- List.rev entries;
-        Ok ()
+    let* entries = read_file (bugs_path t) bugs_codec in
+    t.s_bugs <- entries;
+    Ok ()
 
 let load_corpus t =
   let cdir = corpus_dir t in
@@ -214,31 +215,15 @@ let load_corpus t =
       List.fold_left
         (fun acc f ->
           let* acc = acc in
-          let* j = read_file (Filename.concat cdir f) in
-          let* sj =
-            match J.member "seed" j with Some s -> Ok s | None -> Error "store: corpus: missing seed"
-          in
-          let* seed = Pmrace.Artifact.seed_of_json sj in
-          let* pj = get J.to_list "pairs" j in
-          let* pairs =
-            List.fold_left
-              (fun acc p ->
-                let* acc = acc in
-                let* w = get J.to_str "write" p in
-                let* r = get J.to_str "read" p in
-                Ok ((w, r) :: acc))
-              (Ok []) pj
-            |> Result.map List.rev
-          in
-          let* added = get J.to_int "added" j in
-          Ok ((added, seed, pairs) :: acc))
+          let* e = read_file (Filename.concat cdir f) corpus_codec in
+          Ok (e :: acc))
         (Ok []) files
     in
-    (* Oldest first, so reload preserves the age axis and the insertion
-       sequence resumes past the highest stored value. *)
+    (* Oldest first (ties in file order), so reload preserves the age axis
+       and the insertion sequence resumes past the highest stored value. *)
     List.iter
-      (fun (added, seed, pairs) -> ignore (Corpus_sched.add t.s_corpus ~pairs ~added seed))
-      (List.sort compare entries);
+      (fun (seed, pairs, added) -> ignore (Corpus_sched.add t.s_corpus ~pairs ~added seed))
+      (List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) (List.rev entries));
     Ok ()
   end
 

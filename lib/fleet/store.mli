@@ -3,7 +3,7 @@
     Layout under the store directory:
     - [meta.json] — target, budget total/used, client counter;
     - [coverage.json] — the aggregate coverage delta
-      ({!Pmrace.Hub.delta_to_json}, site names);
+      ({!Pmrace.Hub.delta_codec}, site names);
     - [bugs.json] — deduplicated fleet-wide bug sightings with origin
       provenance;
     - [corpus/<fingerprint>.json] — one corpus entry per unique seed

@@ -2,8 +2,9 @@
    many bytes of minified Obs.Json.
 
    Site identity crosses the process boundary by *name*, never by raw id:
-   the seed/spec codecs come from Artifact and the delta codec from Hub,
-   both of which re-register names via Runtime.Instr.site on decode.  A
+   the delta codec comes from Hub, which re-registers names via
+   Runtime.Instr.site on decode; seeds, site pairs and bug sightings use
+   the same codecs as session artifacts.  A
    worker and the coordinator therefore never need the same site-id
    layout — which they would not have, since each process registers sites
    in its own discovery order. *)
@@ -50,7 +51,7 @@ let read_exact fd len =
 let m_bytes = lazy (Obs.Metrics.counter "fleet_wire_bytes_total")
 
 let send fd json =
-  let payload = Bytes.of_string (J.to_string ~minify:true json) in
+  let payload = Bytes.of_string (Obs.Json.to_string ~minify:true json) in
   let len = Bytes.length payload in
   let hdr = Bytes.create 4 in
   Bytes.set_int32_be hdr 0 (Int32.of_int len);
@@ -103,173 +104,85 @@ type server_msg =
   | Bye_ack
   | Err of string
 
-let pairs_to_json ps =
-  J.List (List.map (fun (w, r) -> J.Obj [ ("write", J.String w); ("read", J.String r) ]) ps)
+let client =
+  let open Obs.Codec in
+  let credited_seed =
+    obj
+      (record (fun seed pairs -> (seed, pairs))
+      |+ field "seed" Pmrace.Seed.codec fst
+      |+ field "pairs" (list Pmrace.Alias_cov.site_pair) snd)
+  in
+  variant "type"
+    [
+      case "hello"
+        (record (fun target version -> (target, version))
+        |+ field "target" string fst
+        |+ field "version" int snd)
+        (function Hello { target; version } -> Some (target, version) | _ -> None)
+        (fun (target, version) -> Hello { target; version });
+      case "lease_req"
+        (record (fun campaigns seeds -> (campaigns, seeds))
+        |+ field "campaigns" int fst
+        |+ field "seeds" int snd)
+        (function Lease_req { campaigns; seeds } -> Some (campaigns, seeds) | _ -> None)
+        (fun (campaigns, seeds) -> Lease_req { campaigns; seeds });
+      case "delta"
+        (record (fun campaigns delta seeds -> (campaigns, delta, seeds))
+        |+ field "campaigns" int (fun (c, _, _) -> c)
+        |+ field "delta" Pmrace.Hub.delta_codec (fun (_, d, _) -> d)
+        |+ field "seeds" (list credited_seed) (fun (_, _, s) -> s))
+        (function Delta { delta; campaigns; seeds } -> Some (campaigns, delta, seeds) | _ -> None)
+        (fun (campaigns, delta, seeds) -> Delta { delta; campaigns; seeds });
+      case "bug"
+        (record (fun sighting first_campaign -> (sighting, first_campaign))
+        |+ inline Pmrace.Artifact.sighting fst
+        |+ opt "first_campaign" int snd)
+        (function
+          | Bug { kind; site; read_sites; members; first_campaign } ->
+              Some ({ Pmrace.Artifact.kind; site; read_sites; members }, first_campaign)
+          | _ -> None)
+        (fun ({ Pmrace.Artifact.kind; site; read_sites; members }, first_campaign) ->
+          Bug { kind; site; read_sites; members; first_campaign });
+      constant "bye" Bye;
+    ]
 
-let get conv name j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "wire: bad or missing field %S" name)
+let server =
+  let open Obs.Codec in
+  variant "type"
+    [
+      case "hello_ack"
+        (record (fun widx budget_total budget_used corpus -> (widx, budget_total, budget_used, corpus))
+        |+ field "widx" int (fun (w, _, _, _) -> w)
+        |+ field "budget_total" int (fun (_, t, _, _) -> t)
+        |+ field "budget_used" int (fun (_, _, u, _) -> u)
+        |+ field "corpus" int (fun (_, _, _, c) -> c))
+        (function
+          | Hello_ack { widx; budget_total; budget_used; corpus } ->
+              Some (widx, budget_total, budget_used, corpus)
+          | _ -> None)
+        (fun (widx, budget_total, budget_used, corpus) ->
+          Hello_ack { widx; budget_total; budget_used; corpus });
+      case "lease"
+        (record (fun campaigns seeds -> (campaigns, seeds))
+        |+ field "campaigns" int fst
+        |+ field "seeds" (list Pmrace.Seed.codec) snd)
+        (function Lease { campaigns; seeds } -> Some (campaigns, seeds) | _ -> None)
+        (fun (campaigns, seeds) -> Lease { campaigns; seeds });
+      constant "retry" Retry;
+      constant "drained" Drained;
+      constant "delta_ack" Delta_ack;
+      case "bug_ack"
+        (record Fun.id |+ field "fresh" bool Fun.id)
+        (function Bug_ack { fresh } -> Some fresh | _ -> None)
+        (fun fresh -> Bug_ack { fresh });
+      constant "bye_ack" Bye_ack;
+      case "error"
+        (record Fun.id |+ field "msg" string Fun.id)
+        (function Err msg -> Some msg | _ -> None)
+        (fun msg -> Err msg);
+    ]
 
-let ( let* ) = Result.bind
-
-let pairs_of_json j =
-  match J.to_list j with
-  | None -> Error "wire: pairs: expected list"
-  | Some l ->
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          let* w = get J.to_str "write" p in
-          let* r = get J.to_str "read" p in
-          Ok ((w, r) :: acc))
-        (Ok []) l
-      |> Result.map List.rev
-
-let client_to_json = function
-  | Hello { target; version } ->
-      J.Obj [ ("type", J.String "hello"); ("target", J.String target); ("version", J.Int version) ]
-  | Lease_req { campaigns; seeds } ->
-      J.Obj
-        [ ("type", J.String "lease_req"); ("campaigns", J.Int campaigns); ("seeds", J.Int seeds) ]
-  | Delta { delta; campaigns; seeds } ->
-      J.Obj
-        [
-          ("type", J.String "delta");
-          ("campaigns", J.Int campaigns);
-          ("delta", Pmrace.Hub.delta_to_json delta);
-          ( "seeds",
-            J.List
-              (List.map
-                 (fun (s, ps) ->
-                   J.Obj [ ("seed", Pmrace.Artifact.seed_to_json s); ("pairs", pairs_to_json ps) ])
-                 seeds) );
-        ]
-  | Bug { kind; site; read_sites; members; first_campaign } ->
-      J.Obj
-        [
-          ("type", J.String "bug");
-          ("kind", J.String kind);
-          ("site", J.String site);
-          ("read_sites", J.List (List.map (fun s -> J.String s) read_sites));
-          ("members", J.Int members);
-          ( "first_campaign",
-            match first_campaign with Some c -> J.Int c | None -> J.Null );
-        ]
-  | Bye -> J.Obj [ ("type", J.String "bye") ]
-
-let client_of_json j =
-  let* ty = get J.to_str "type" j in
-  match ty with
-  | "hello" ->
-      let* target = get J.to_str "target" j in
-      let* version = get J.to_int "version" j in
-      Ok (Hello { target; version })
-  | "lease_req" ->
-      let* campaigns = get J.to_int "campaigns" j in
-      let* seeds = get J.to_int "seeds" j in
-      Ok (Lease_req { campaigns; seeds })
-  | "delta" ->
-      let* campaigns = get J.to_int "campaigns" j in
-      let* dj =
-        match J.member "delta" j with Some d -> Ok d | None -> Error "wire: delta: missing delta"
-      in
-      let* delta = Pmrace.Hub.delta_of_json dj in
-      let* sl = get J.to_list "seeds" j in
-      let* seeds =
-        List.fold_left
-          (fun acc sj ->
-            let* acc = acc in
-            let* seed_j =
-              match J.member "seed" sj with
-              | Some s -> Ok s
-              | None -> Error "wire: delta seed: missing seed"
-            in
-            let* seed = Pmrace.Artifact.seed_of_json seed_j in
-            let* ps =
-              match J.member "pairs" sj with
-              | Some p -> pairs_of_json p
-              | None -> Error "wire: delta seed: missing pairs"
-            in
-            Ok ((seed, ps) :: acc))
-          (Ok []) sl
-        |> Result.map List.rev
-      in
-      Ok (Delta { delta; campaigns; seeds })
-  | "bug" ->
-      let* kind = get J.to_str "kind" j in
-      let* site = get J.to_str "site" j in
-      let* rs = get J.to_list "read_sites" j in
-      let* read_sites =
-        List.fold_left
-          (fun acc s ->
-            let* acc = acc in
-            match J.to_str s with
-            | Some s -> Ok (s :: acc)
-            | None -> Error "wire: bug: bad read site")
-          (Ok []) rs
-        |> Result.map List.rev
-      in
-      let* members = get J.to_int "members" j in
-      let first_campaign = Option.bind (J.member "first_campaign" j) J.to_int in
-      Ok (Bug { kind; site; read_sites; members; first_campaign })
-  | "bye" -> Ok Bye
-  | ty -> Error (Printf.sprintf "wire: unknown client message %S" ty)
-
-let server_to_json = function
-  | Hello_ack { widx; budget_total; budget_used; corpus } ->
-      J.Obj
-        [
-          ("type", J.String "hello_ack");
-          ("widx", J.Int widx);
-          ("budget_total", J.Int budget_total);
-          ("budget_used", J.Int budget_used);
-          ("corpus", J.Int corpus);
-        ]
-  | Lease { campaigns; seeds } ->
-      J.Obj
-        [
-          ("type", J.String "lease");
-          ("campaigns", J.Int campaigns);
-          ("seeds", J.List (List.map Pmrace.Artifact.seed_to_json seeds));
-        ]
-  | Retry -> J.Obj [ ("type", J.String "retry") ]
-  | Drained -> J.Obj [ ("type", J.String "drained") ]
-  | Delta_ack -> J.Obj [ ("type", J.String "delta_ack") ]
-  | Bug_ack { fresh } -> J.Obj [ ("type", J.String "bug_ack"); ("fresh", J.Bool fresh) ]
-  | Bye_ack -> J.Obj [ ("type", J.String "bye_ack") ]
-  | Err msg -> J.Obj [ ("type", J.String "error"); ("msg", J.String msg) ]
-
-let server_of_json j =
-  let* ty = get J.to_str "type" j in
-  match ty with
-  | "hello_ack" ->
-      let* widx = get J.to_int "widx" j in
-      let* budget_total = get J.to_int "budget_total" j in
-      let* budget_used = get J.to_int "budget_used" j in
-      let* corpus = get J.to_int "corpus" j in
-      Ok (Hello_ack { widx; budget_total; budget_used; corpus })
-  | "lease" ->
-      let* campaigns = get J.to_int "campaigns" j in
-      let* sl = get J.to_list "seeds" j in
-      let* seeds =
-        List.fold_left
-          (fun acc sj ->
-            let* acc = acc in
-            let* s = Pmrace.Artifact.seed_of_json sj in
-            Ok (s :: acc))
-          (Ok []) sl
-        |> Result.map List.rev
-      in
-      Ok (Lease { campaigns; seeds })
-  | "retry" -> Ok Retry
-  | "drained" -> Ok Drained
-  | "delta_ack" -> Ok Delta_ack
-  | "bug_ack" ->
-      let* fresh = get J.to_bool "fresh" j in
-      Ok (Bug_ack { fresh })
-  | "bye_ack" -> Ok Bye_ack
-  | "error" ->
-      let* msg = get J.to_str "msg" j in
-      Ok (Err msg)
-  | ty -> Error (Printf.sprintf "wire: unknown server message %S" ty)
+let client_to_json = Obs.Codec.encode client
+let client_of_json = Obs.Codec.decode client
+let server_to_json = Obs.Codec.encode server
+let server_of_json = Obs.Codec.decode server

@@ -309,9 +309,12 @@ let of_string s =
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
+(* A float converts only when integral and inside [min_int, max_int]:
+   int_of_float is unspecified outside that range (1e300 would give 0). *)
 let to_int = function
   | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
+  | Float f when Float.is_integer f && f >= Float.of_int min_int && f < -.Float.of_int min_int ->
+      Some (int_of_float f)
   | _ -> None
 
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None

@@ -33,7 +33,8 @@ val member : string -> t -> t option
 (** Field lookup on an [Obj]. *)
 
 val to_int : t -> int option
-(** Accepts [Int] and integral [Float]. *)
+(** Accepts [Int], and [Float] when integral and within
+    [[min_int, max_int]]. *)
 
 val to_float : t -> float option
 (** Accepts [Float] and [Int]. *)

@@ -206,7 +206,8 @@ let attach t env =
    but even a layout-shifted bitmap stays a sound coverage estimate (the
    count can only be approximate, exactly as within one AFL fleet). *)
 
-module J = Obs.Json
+let site_pair =
+  Obs.Codec.(obj (record (fun w r -> (w, r)) |+ field "write" string fst |+ field "read" string snd))
 
 let hex_of_bytes b =
   let n = Bytes.length b in
@@ -217,67 +218,62 @@ let hex_of_bytes b =
   Buffer.contents out
 
 let bytes_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then invalid_arg "Alias_cov: odd hex length";
-  let b = Bytes.create (n / 2) in
-  for i = 0 to (n / 2) - 1 do
-    Bytes.set b i (Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-  done;
-  b
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> -1
+  in
+  let n = String.length s / 2 in
+  let b = Bytes.create n in
+  let rec go i =
+    if i = n then Some b
+    else
+      let hi = digit s.[2 * i] and lo = digit s.[(2 * i) + 1] in
+      if hi < 0 || lo < 0 then None
+      else begin
+        Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
+        go (i + 1)
+      end
+  in
+  if String.length s mod 2 <> 0 then None else go 0
 
-let to_json t =
-  J.Obj
-    [
-      ("size", J.Int t.size);
-      ("bits", J.String (hex_of_bytes t.bits));
-      ( "site_pairs",
-        J.List
-          (List.map
-             (fun (w, r) ->
-               J.Obj
-                 [
-                   ("write", J.String (Runtime.Instr.name (Runtime.Instr.of_int w)));
-                   ("read", J.String (Runtime.Instr.name (Runtime.Instr.of_int r)));
-                 ])
-             (site_pairs t)) );
-    ]
+let popcount b =
+  let rec pop n acc = if n = 0 then acc else pop (n lsr 1) (acc + (n land 1)) in
+  Bytes.fold_left (fun acc c -> pop (Char.code c) acc) 0 b
 
-let of_json j =
-  match (J.member "size" j, J.member "bits" j, J.member "site_pairs" j) with
-  | Some size_j, Some bits_j, Some pairs_j -> (
-      match (J.to_int size_j, J.to_str bits_j, J.to_list pairs_j) with
-      | Some size, Some hex, Some pairs when size > 0 && size land (size - 1) = 0 -> (
-          try
-            let bits = bytes_of_hex hex in
-            if Bytes.length bits <> size / 8 then Error "Alias_cov: bitmap length mismatch"
-            else begin
-              let size_log =
-                let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-                log2 size 0
-              in
-              let t = create ~size_log () in
-              Bytes.blit bits 0 t.bits 0 (Bytes.length bits);
-              let count = ref 0 in
-              Bytes.iter
-                (fun c ->
-                  let rec pop n acc = if n = 0 then acc else pop (n lsr 1) (acc + (n land 1)) in
-                  count := !count + pop (Char.code c) 0)
-                t.bits;
-              t.count <- !count;
-              List.iter
-                (fun p ->
-                  match (J.member "write" p, J.member "read" p) with
-                  | Some w, Some r -> (
-                      match (J.to_str w, J.to_str r) with
-                      | Some w, Some r ->
-                          record_site_pair t
-                            ~write_instr:(Runtime.Instr.to_int (Runtime.Instr.site w))
-                            ~read_instr:(Runtime.Instr.to_int (Runtime.Instr.site r))
-                      | _ -> failwith "Alias_cov: site pair expects strings")
-                  | _ -> failwith "Alias_cov: site pair missing field")
-                pairs;
-              Ok t
-            end
-          with Failure msg | Invalid_argument msg -> Error msg)
-      | _ -> Error "Alias_cov: bad size/bits/site_pairs")
-  | _ -> Error "Alias_cov: missing field"
+(* The read site registers before the write site, the order every
+   earlier decoder used, so site ids come out the same. *)
+let of_parts (size, hex, pairs) =
+  if size <= 0 || size land (size - 1) <> 0 then Error "bitmap size is not a power of two"
+  else
+    match bytes_of_hex hex with
+    | None -> Error "bitmap is not hex"
+    | Some bits when Bytes.length bits <> size / 8 -> Error "bitmap length mismatch"
+    | Some bits ->
+        let size_log =
+          let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
+          log2 size 0
+        in
+        let t = create ~size_log () in
+        Bytes.blit bits 0 t.bits 0 (Bytes.length bits);
+        t.count <- popcount t.bits;
+        List.iter
+          (fun (w, r) ->
+            let read_instr = Runtime.Instr.to_int (Runtime.Instr.site r) in
+            let write_instr = Runtime.Instr.to_int (Runtime.Instr.site w) in
+            record_site_pair t ~write_instr ~read_instr)
+          pairs;
+        Ok t
+
+let codec =
+  let name id = Runtime.Instr.name (Runtime.Instr.of_int id) in
+  Obs.Codec.(
+    conv of_parts
+      (fun t -> (t.size, hex_of_bytes t.bits, List.map (fun (w, r) -> (name w, name r)) (site_pairs t)))
+      (obj
+         (record (fun size bits pairs -> (size, bits, pairs))
+         |+ field "size" int (fun (s, _, _) -> s)
+         |+ field "bits" string (fun (_, b, _) -> b)
+         |+ field "site_pairs" (list site_pair) (fun (_, _, p) -> p))))

@@ -72,10 +72,13 @@ val attach : t -> Runtime.Env.t -> unit
 (** Subscribe to an execution's access events and feed the bitmap
     (transient listener with a fresh {!tracker}). *)
 
-val to_json : t -> Obs.Json.t
+val site_pair : (string * string) Obs.Codec.t
+(** A (write site, read site) pair by name: [{"write": _, "read": _}] —
+    the one form artifacts, wire frames and store files use. *)
+
+val codec : t Obs.Codec.t
 (** Wire/store codec (fleet mode): the bitmap as hex plus the achieved
     site pairs {e by name}, so the pairs survive processes with different
-    site-id layouts.  The static denominator is not carried. *)
-
-val of_json : Obs.Json.t -> (t, string) result
-(** Decode; re-registers site names via {!Runtime.Instr.site}. *)
+    site-id layouts.  The static denominator is not carried.  Decoding
+    re-registers site names via {!Runtime.Instr.site} and checks that the
+    size is a power of two matching the bitmap's length. *)

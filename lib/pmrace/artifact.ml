@@ -100,229 +100,203 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Decode helpers: exceptions internally, [result] at the API boundary. *)
+(* Codecs.  Each record is declared once; fields added after v1 carry
+   defaults, so an older artifact decodes with them empty, false or
+   absent, and there is no per-version decoder. *)
 
-let fail fmt = Printf.ksprintf failwith fmt
+type sighting = { kind : string; site : string; read_sites : string list; members : int }
 
-let mem name j =
-  match J.member name j with Some v -> v | None -> fail "missing field %S" name
+let sighting =
+  Obs.Codec.(
+    record (fun kind site read_sites members -> { kind; site; read_sites; members })
+    |+ field "kind" string (fun s -> s.kind)
+    |+ field "site" string (fun s -> s.site)
+    |+ field "read_sites" (list string) (fun s -> s.read_sites)
+    |+ field "members" int (fun s -> s.members))
 
-let get conv what name j =
-  match conv (mem name j) with Some v -> v | None -> fail "field %S: expected %s" name what
+let bug_codec =
+  Obs.Codec.(
+    obj
+      (record (fun { kind; site; read_sites; members } b_first_campaign b_image_index ->
+           {
+             b_kind = kind;
+             b_site = site;
+             b_read_sites = read_sites;
+             b_members = members;
+             b_first_campaign;
+             b_image_index;
+           })
+      |+ inline sighting (fun b ->
+             { kind = b.b_kind; site = b.b_site; read_sites = b.b_read_sites; members = b.b_members })
+      |+ opt "first_campaign" int (fun b -> b.b_first_campaign)
+      |+ opt "image_index" int (fun b -> b.b_image_index)))
 
-let get_int = get J.to_int "int"
-let get_str = get J.to_str "string"
-let get_bool = get J.to_bool "bool"
-let get_float = get J.to_float "float"
-let get_list = get J.to_list "list"
-let str j = match J.to_str j with Some s -> s | None -> fail "expected string"
-let int_of j = match J.to_int j with Some n -> n | None -> fail "expected int"
+(* int64 trace hashes as fixed-width hex strings: Obs.Json has no int64,
+   and 63-bit J.Int would silently mangle the top bit. *)
+let trace_hash =
+  Obs.Codec.(
+    conv
+      (fun s ->
+        match Int64.of_string_opt ("0x" ^ s) with
+        | Some h -> Ok h
+        | None -> Error (Printf.sprintf "bad trace hash %S" s))
+      (Printf.sprintf "%016Lx") string)
 
-(* Fields added after v1: absent in old artifacts, so they default
-   instead of failing. *)
-let get_bool_opt ~default name j =
-  match J.member name j with
-  | None | Some J.Null -> default
-  | Some v -> ( match J.to_bool v with Some b -> b | None -> fail "field %S: expected bool" name)
+let prov_codec =
+  Obs.Codec.(
+    obj
+      (record (fun pr_campaign pr_sched_seed pr_policy pr_seed pr_spec pr_trace ->
+           { pr_campaign; pr_sched_seed; pr_policy; pr_seed; pr_spec; pr_trace })
+      |+ field "campaign" int (fun p -> p.pr_campaign)
+      |+ field "sched_seed" int (fun p -> p.pr_sched_seed)
+      |+ field "policy" string (fun p -> p.pr_policy)
+      |+ field "seed" Seed.codec (fun p -> p.pr_seed)
+      |+ field "spec" Campaign.policy_spec_codec (fun p -> p.pr_spec)
+      |+ opt "trace" trace_hash (fun p -> p.pr_trace)))
 
-let get_int_opt ~default name j =
-  match J.member name j with
-  | None | Some J.Null -> default
-  | Some v -> ( match J.to_int v with Some n -> n | None -> fail "field %S: expected int" name)
+let lint_codec =
+  Obs.Codec.(
+    obj
+      (record (fun l_kind l_severity l_write_site l_site l_addr l_count ->
+           { l_kind; l_severity; l_write_site; l_site; l_addr; l_count })
+      |+ field "kind" string (fun l -> l.l_kind)
+      |+ field "severity" string (fun l -> l.l_severity)
+      |+ opt "write_site" string (fun l -> l.l_write_site)
+      |+ field "site" string (fun l -> l.l_site)
+      |+ field "addr" int (fun l -> l.l_addr)
+      |+ field "count" int (fun l -> l.l_count)))
 
-let get_list_opt name j =
-  match J.member name j with
-  | None | Some J.Null -> []
-  | Some v -> (
-      match J.to_list v with Some l -> l | None -> fail "field %S: expected list" name)
+let inv_spec_codec =
+  Obs.Codec.(
+    obj
+      (record (fun ie_label ie_kind ie_support -> { ie_label; ie_kind; ie_support })
+      |+ field "label" string (fun e -> e.ie_label)
+      |+ field "kind" string (fun e -> e.ie_kind)
+      |+ field "support" int (fun e -> e.ie_support)))
 
-let str_opt j = match j with J.Null -> None | v -> Some (str v)
+let inv_finding_codec =
+  Obs.Codec.(
+    obj
+      (record (fun ivf_label ivf_kind ivf_site ivf_addr ivf_campaign ivf_verdict ->
+           { ivf_label; ivf_kind; ivf_site; ivf_addr; ivf_campaign; ivf_verdict })
+      |+ field "label" string (fun f -> f.ivf_label)
+      |+ field "kind" string (fun f -> f.ivf_kind)
+      |+ field "site" string (fun f -> f.ivf_site)
+      |+ field "addr" int (fun f -> f.ivf_addr)
+      |+ field "campaign" int (fun f -> f.ivf_campaign)
+      |+ opt "verdict" string (fun f -> f.ivf_verdict)))
 
-(* ------------------------------------------------------------------ *)
-(* Config *)
+let origin_codec =
+  Obs.Codec.(
+    obj
+      (record (fun o_label o_campaigns o_wall_time o_offset ->
+           { o_label; o_campaigns; o_wall_time; o_offset })
+      |+ field "label" string (fun o -> o.o_label)
+      |+ field "campaigns" int (fun o -> o.o_campaigns)
+      |+ field "wall_time" float (fun o -> o.o_wall_time)
+      |+ field "offset" int (fun o -> o.o_offset)))
 
-let string_of_mode = function
-  | Fuzzer.Mode_pmrace -> "pmrace"
-  | Fuzzer.Mode_delay -> "delay"
-  | Fuzzer.Mode_random -> "random"
+let codec =
+  let open Obs.Codec in
+  let schema_tag =
+    conv
+      (fun s ->
+        if String.equal s schema then Ok ()
+        else Error (Printf.sprintf "unknown schema %S (expected %S)" s schema))
+      (fun () -> schema)
+      string
+  in
+  let version_tag =
+    conv
+      (fun v ->
+        if v > version then
+          Error (Printf.sprintf "artifact version %d is newer than this reader (%d)" v version)
+        else if v < 1 then Error (Printf.sprintf "artifact version %d is not a version" v)
+        else Ok ())
+      (fun () -> version)
+      int
+  in
+  let coverage =
+    obj
+      (record (fun alias branch possible pairs -> (alias, branch, possible, pairs))
+      |+ field "alias_bits" int (fun (a, _, _, _) -> a)
+      |+ field "branch_bits" int (fun (_, b, _, _) -> b)
+      |+ opt "possible_pairs" int (fun (_, _, p, _) -> p)
+      |+ field "site_pairs" (list Alias_cov.site_pair) (fun (_, _, _, s) -> s))
+  in
+  let hang =
+    obj (record (fun info n -> (info, n)) |+ field "info" string fst |+ field "count" int snd)
+  in
+  let invariants =
+    obj
+      (record (fun mined violations -> (mined, violations))
+      |+ field ~default:[] "mined" (list inv_spec_codec) fst
+      |+ field ~default:[] "violations" (list inv_finding_codec) snd)
+  in
+  obj
+    (record
+       (fun () () a_target a_config a_campaigns a_wall_time a_annotations a_worker_campaigns
+            (a_alias_bits, a_branch_bits, a_possible_pairs, a_site_pairs) a_timeline a_bugs
+            a_hangs a_lint (a_invariants, a_inv_findings) a_provenance a_origins a_por a_metrics ->
+         {
+           a_target;
+           a_config;
+           a_campaigns;
+           a_wall_time;
+           a_annotations;
+           a_worker_campaigns;
+           a_alias_bits;
+           a_branch_bits;
+           a_possible_pairs;
+           a_site_pairs;
+           a_timeline;
+           a_bugs;
+           a_hangs;
+           a_lint;
+           a_invariants;
+           a_inv_findings;
+           a_provenance;
+           a_origins;
+           a_por;
+           a_metrics;
+         })
+    |+ field "schema" schema_tag ignore
+    |+ field "version" version_tag ignore
+    |+ field "target" string (fun a -> a.a_target)
+    |+ field "config" Fuzzer.config_codec (fun a -> a.a_config)
+    |+ field "campaigns" int (fun a -> a.a_campaigns)
+    |+ field "wall_time" float (fun a -> a.a_wall_time)
+    |+ field "annotations" int (fun a -> a.a_annotations)
+    |+ field "worker_campaigns" (list int) (fun a -> a.a_worker_campaigns)
+    |+ field "coverage" coverage (fun a ->
+           (a.a_alias_bits, a.a_branch_bits, a.a_possible_pairs, a.a_site_pairs))
+    |+ field "timeline" (list Hub.timeline_point_codec) (fun a -> a.a_timeline)
+    |+ field "bugs" (list bug_codec) (fun a -> a.a_bugs)
+    |+ field "hangs" (list hang) (fun a -> a.a_hangs)
+    |+ field ~default:[] "lint" (list lint_codec) (fun a -> a.a_lint)
+    |+ field ~default:([], []) "invariants" invariants (fun a -> (a.a_invariants, a.a_inv_findings))
+    |+ field "provenance" (list prov_codec) (fun a -> a.a_provenance)
+    |+ field ~default:[] "origins" (list origin_codec) (fun a -> a.a_origins)
+    |+ opt "por" Hub.por_totals_codec (fun a -> a.a_por)
+    |+ field ~default:Obs.Json.Null "metrics" json (fun a -> a.a_metrics))
 
-let mode_of_string = function
-  | "pmrace" -> Fuzzer.Mode_pmrace
-  | "delay" -> Fuzzer.Mode_delay
-  | "random" -> Fuzzer.Mode_random
-  | s -> fail "unknown mode %S" s
-
-let config_to_json (c : Fuzzer.config) =
-  J.Obj
-    [
-      ("max_campaigns", J.Int c.max_campaigns);
-      ("execs_per_interleaving", J.Int c.execs_per_interleaving);
-      ("max_interleavings_per_seed", J.Int c.max_interleavings_per_seed);
-      ("master_seed", J.Int c.master_seed);
-      ("mode", J.String (string_of_mode c.mode));
-      ("interleaving_tier", J.Bool c.interleaving_tier);
-      ("seed_tier", J.Bool c.seed_tier);
-      ("use_checkpoint", J.Bool c.use_checkpoint);
-      ("step_budget", J.Int c.step_budget);
-      ("validate", J.Bool c.validate);
-      ("evict_prob", J.Float c.evict_prob);
-      ("eadr", J.Bool c.eadr);
-      ("workers", J.Int c.workers);
-      ("initial_seeds", J.Int c.initial_seeds);
-      ("whitelist_extra", J.List (List.map (fun s -> J.String s) c.whitelist_extra));
-      ("static_prepass", J.Bool c.static_prepass);
-      ("invariants", J.Bool c.invariants);
-      ("corpus_sched", J.Bool c.corpus_sched);
-      ("crash_images", J.Int c.crash_images);
-      ("por", J.Bool c.por);
-    ]
-
-let config_of_json j =
-  Fuzzer.Config.make ~max_campaigns:(get_int "max_campaigns" j)
-    ~execs_per_interleaving:(get_int "execs_per_interleaving" j)
-    ~max_interleavings_per_seed:(get_int "max_interleavings_per_seed" j)
-    ~master_seed:(get_int "master_seed" j)
-    ~mode:(mode_of_string (get_str "mode" j))
-    ~interleaving_tier:(get_bool "interleaving_tier" j)
-    ~seed_tier:(get_bool "seed_tier" j)
-    ~use_checkpoint:(get_bool "use_checkpoint" j)
-    ~step_budget:(get_int "step_budget" j) ~validate:(get_bool "validate" j)
-    ~evict_prob:(get_float "evict_prob" j) ~eadr:(get_bool "eadr" j)
-    ~workers:(get_int "workers" j) ~initial_seeds:(get_int "initial_seeds" j)
-    ~whitelist_extra:(List.map str (get_list "whitelist_extra" j))
-    ~static_prepass:(get_bool "static_prepass" j)
-    ~invariants:(get_bool_opt ~default:false "invariants" j)
-    ~corpus_sched:(get_bool_opt ~default:false "corpus_sched" j)
-    ~crash_images:(get_int_opt ~default:1 "crash_images" j)
-    ~por:(get_bool_opt ~default:false "por" j)
-    ()
-
-(* ------------------------------------------------------------------ *)
-(* Seeds *)
-
-let op_to_json (op : Seed.op) =
-  let o name fields = J.Obj (("op", J.String name) :: fields) in
-  match op with
-  | Seed.Put { key; value } -> o "put" [ ("key", J.Int key); ("value", J.Int value) ]
-  | Seed.Get { key } -> o "get" [ ("key", J.Int key) ]
-  | Seed.Update { key; value } -> o "update" [ ("key", J.Int key); ("value", J.Int value) ]
-  | Seed.Delete { key } -> o "delete" [ ("key", J.Int key) ]
-  | Seed.Incr { key; delta } -> o "incr" [ ("key", J.Int key); ("delta", J.Int delta) ]
-  | Seed.Decr { key; delta } -> o "decr" [ ("key", J.Int key); ("delta", J.Int delta) ]
-  | Seed.Append { key; value } -> o "append" [ ("key", J.Int key); ("value", J.Int value) ]
-  | Seed.Prepend { key; value } -> o "prepend" [ ("key", J.Int key); ("value", J.Int value) ]
-  | Seed.Scan { key; count } -> o "scan" [ ("key", J.Int key); ("count", J.Int count) ]
-  | Seed.Cas { key; value; token } ->
-      o "cas" [ ("key", J.Int key); ("value", J.Int value); ("token", J.Int token) ]
-  | Seed.Touch { key; exptime } -> o "touch" [ ("key", J.Int key); ("exptime", J.Int exptime) ]
-  | Seed.Flush_all -> o "flush_all" []
-  | Seed.Stats -> o "stats" []
-
-let op_of_json j : Seed.op =
-  match get_str "op" j with
-  | "put" -> Seed.Put { key = get_int "key" j; value = get_int "value" j }
-  | "get" -> Seed.Get { key = get_int "key" j }
-  | "update" -> Seed.Update { key = get_int "key" j; value = get_int "value" j }
-  | "delete" -> Seed.Delete { key = get_int "key" j }
-  | "incr" -> Seed.Incr { key = get_int "key" j; delta = get_int "delta" j }
-  | "decr" -> Seed.Decr { key = get_int "key" j; delta = get_int "delta" j }
-  | "append" -> Seed.Append { key = get_int "key" j; value = get_int "value" j }
-  | "prepend" -> Seed.Prepend { key = get_int "key" j; value = get_int "value" j }
-  | "scan" -> Seed.Scan { key = get_int "key" j; count = get_int "count" j }
-  | "cas" -> Seed.Cas { key = get_int "key" j; value = get_int "value" j; token = get_int "token" j }
-  | "touch" -> Seed.Touch { key = get_int "key" j; exptime = get_int "exptime" j }
-  | "flush_all" -> Seed.Flush_all
-  | "stats" -> Seed.Stats
-  | s -> fail "unknown op %S" s
-
-let seed_to_json seed =
-  J.List
-    (Array.to_list
-       (Array.map (fun ops -> J.List (Array.to_list (Array.map op_to_json ops)))
-          (Seed.threads seed)))
-
-let seed_of_json_exn j =
-  match J.to_list j with
-  | None -> fail "seed: expected list of threads"
-  | Some threads ->
-      Seed.make
-        (Array.of_list
-           (List.map
-              (fun tj ->
-                match J.to_list tj with
-                | None -> fail "seed thread: expected list of ops"
-                | Some ops -> Array.of_list (List.map op_of_json ops))
-              threads))
-
-(* [result] front for external (wire/store) callers; the artifact decoder
-   itself stays in exception style. *)
-let seed_of_json j = try Ok (seed_of_json_exn j) with Failure msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Policy specs *)
-
-let sites_to_json is = J.List (List.map (fun i -> J.String (Instr.name i)) is)
-
-let sites_of_json j =
-  match J.to_list j with
-  | Some sites -> List.map (fun s -> Instr.site (str s)) sites
-  | None -> fail "policy spec sites: expected list"
-
-let spec_to_json = function
-  | Campaign.Pmrace { entry; skip } ->
-      J.Obj
-        [
-          ("policy", J.String "pmrace");
-          ("addr", J.Int entry.Shared_queue.addr);
-          ("loads", sites_to_json entry.Shared_queue.loads);
-          ("stores", sites_to_json entry.Shared_queue.stores);
-          ("hits", J.Int entry.Shared_queue.hits);
-          ("skip", J.Int skip);
-        ]
-  | Campaign.Delay { prob; max_delay } ->
-      J.Obj
-        [ ("policy", J.String "delay"); ("prob", J.Float prob); ("max_delay", J.Int max_delay) ]
-  | Campaign.Random_sched -> J.Obj [ ("policy", J.String "random") ]
-  | Campaign.No_preempt -> J.Obj [ ("policy", J.String "none") ]
-
-let spec_of_json_exn j =
-  match get_str "policy" j with
-  | "pmrace" ->
-      Campaign.Pmrace
-        {
-          entry =
-            {
-              Shared_queue.addr = get_int "addr" j;
-              loads = sites_of_json (mem "loads" j);
-              stores = sites_of_json (mem "stores" j);
-              hits = get_int "hits" j;
-            };
-          skip = get_int "skip" j;
-        }
-  | "delay" -> Campaign.Delay { prob = get_float "prob" j; max_delay = get_int "max_delay" j }
-  | "random" -> Campaign.Random_sched
-  | "none" -> Campaign.No_preempt
-  | s -> fail "unknown policy spec %S" s
-
-let spec_of_json j = try Ok (spec_of_json_exn j) with Failure msg -> Error msg
+let to_json = Obs.Codec.encode codec
+let of_json = Obs.Codec.decode codec
 
 (* ------------------------------------------------------------------ *)
 (* Session -> artifact *)
 
-let min_opt = function [] -> None | x :: xs -> Some (List.fold_left min x xs)
-
-(* The campaign index of a bug group's earliest member finding, recovered
-   by matching the group identity (kind + write site / sync variable)
-   against the fine-grained findings. *)
-let first_campaign (report : Report.t) (g : Report.bug_group) =
+(* A bug group's member findings, as (campaign index, verdict) pairs, in
+   report order: the group identity (kind + write site / sync variable)
+   matched against the fine-grained findings. *)
+let members (report : Report.t) (g : Report.bug_group) =
   match g.Report.bg_kind with
   | `Sync ->
       Report.sync_findings report
       |> List.filter_map (fun (f : Report.sync_finding) ->
              if String.equal f.ev.var.Runtime.Checkers.sv_name g.Report.bg_site then
-               Some f.sync_found_at
+               Some (f.sync_found_at, f.sync_verdict)
              else None)
-      |> min_opt
   | (`Inter | `Intra) as k ->
       let kind =
         match k with `Inter -> Runtime.Candidates.Inter | `Intra -> Runtime.Candidates.Intra
@@ -334,9 +308,16 @@ let first_campaign (report : Report.t) (g : Report.bug_group) =
                && String.equal
                     (Instr.name f.inc.source.Runtime.Candidates.write_instr)
                     g.Report.bg_site
-             then Some f.found_at
+             then Some (f.found_at, f.verdict)
              else None)
-      |> min_opt
+
+(* The first of the (campaign, x) pairs with the smallest campaign. *)
+let earliest = function
+  | [] -> None
+  | x :: xs -> Some (List.fold_left (fun (c, v) (c', v') -> if c' < c then (c', v') else (c, v)) x xs)
+
+(* The campaign index of a bug group's earliest member finding. *)
+let first_campaign report g = Option.map fst (earliest (members report g))
 
 let kind_string = function `Inter -> "inter" | `Intra -> "intra" | `Sync -> "sync"
 
@@ -354,39 +335,13 @@ let verdict_string = function
 (* The crash-image index of the group's earliest bug-verdict member: the
    image `pmrace replay` must rebuild to reproduce the bug (0 = the base
    image; >0 = an enumerated image single-image validation would miss). *)
-let first_image_index (report : Report.t) (g : Report.bug_group) =
-  let bug_index = function
-    | Some (Post_failure.Bug { image_index; _ }) -> Some image_index
-    | Some Post_failure.Validated_fp | Some Post_failure.Whitelisted_fp | None -> None
-  in
-  let members =
-    match g.Report.bg_kind with
-    | `Sync ->
-        Report.sync_findings report
-        |> List.filter_map (fun (f : Report.sync_finding) ->
-               if String.equal f.ev.var.Runtime.Checkers.sv_name g.Report.bg_site then
-                 Option.map (fun i -> (f.sync_found_at, i)) (bug_index f.sync_verdict)
-               else None)
-    | (`Inter | `Intra) as k ->
-        let kind =
-          match k with `Inter -> Runtime.Candidates.Inter | `Intra -> Runtime.Candidates.Intra
-        in
-        Report.findings report
-        |> List.filter_map (fun (f : Report.finding) ->
-               if
-                 f.inc.source.Runtime.Candidates.kind = kind
-                 && String.equal
-                      (Instr.name f.inc.source.Runtime.Candidates.write_instr)
-                      g.Report.bg_site
-               then Option.map (fun i -> (f.found_at, i)) (bug_index f.verdict)
-               else None)
-  in
-  match members with
-  | [] -> None
-  | x :: xs ->
-      Some
-        (snd
-           (List.fold_left (fun (c, i) (c', i') -> if c' < c then (c', i') else (c, i)) x xs))
+let first_image_index report g =
+  members report g
+  |> List.filter_map (fun (c, verdict) ->
+         match verdict with
+         | Some (Post_failure.Bug { image_index; _ }) -> Some (c, image_index)
+         | Some Post_failure.Validated_fp | Some Post_failure.Whitelisted_fp | None -> None)
+  |> earliest |> Option.map snd
 
 let of_session ~(target : Target.t) ~cfg (s : Fuzzer.session) =
   let bugs =
@@ -473,305 +428,12 @@ let of_session ~(target : Target.t) ~cfg (s : Fuzzer.session) =
     a_metrics = (if Obs.Metrics.enabled () then Obs.Metrics.to_json () else J.Null);
   }
 
-(* ------------------------------------------------------------------ *)
-(* JSON encode / decode *)
-
-(* int64 trace hashes as fixed-width hex strings: Obs.Json has no int64,
-   and 63-bit J.Int would silently mangle the top bit. *)
-let trace_to_json = function
-  | None -> J.Null
-  | Some h -> J.String (Printf.sprintf "%016Lx" h)
-
-let trace_of_json name j =
-  match J.member name j with
-  | None | Some J.Null -> None
-  | Some v -> (
-      match J.to_str v with
-      | None -> fail "field %S: expected hex string" name
-      | Some s -> (
-          match Int64.of_string_opt ("0x" ^ s) with
-          | Some h -> Some h
-          | None -> fail "field %S: bad trace hash %S" name s))
-
-let to_json (a : t) =
-  J.Obj
-    [
-      ("schema", J.String schema);
-      ("version", J.Int version);
-      ("target", J.String a.a_target);
-      ("config", config_to_json a.a_config);
-      ("campaigns", J.Int a.a_campaigns);
-      ("wall_time", J.Float a.a_wall_time);
-      ("annotations", J.Int a.a_annotations);
-      ("worker_campaigns", J.List (List.map (fun n -> J.Int n) a.a_worker_campaigns));
-      ( "coverage",
-        J.Obj
-          [
-            ("alias_bits", J.Int a.a_alias_bits);
-            ("branch_bits", J.Int a.a_branch_bits);
-            ( "possible_pairs",
-              match a.a_possible_pairs with Some n -> J.Int n | None -> J.Null );
-            ( "site_pairs",
-              J.List
-                (List.map
-                   (fun (w, r) -> J.Obj [ ("write", J.String w); ("read", J.String r) ])
-                   a.a_site_pairs) );
-          ] );
-      ( "timeline",
-        J.List
-          (List.map
-             (fun (tp : Fuzzer.timeline_point) ->
-               J.Obj
-                 [
-                   ("campaign", J.Int tp.tp_campaign);
-                   ("time", J.Float tp.tp_time);
-                   ("alias_bits", J.Int tp.tp_alias_bits);
-                   ("branch_bits", J.Int tp.tp_branch_bits);
-                   ("inter_unique", J.Int tp.tp_inter_unique);
-                   ("new_inter", J.Bool tp.tp_new_inter);
-                 ])
-             a.a_timeline) );
-      ( "bugs",
-        J.List
-          (List.map
-             (fun b ->
-               J.Obj
-                 [
-                   ("kind", J.String b.b_kind);
-                   ("site", J.String b.b_site);
-                   ("read_sites", J.List (List.map (fun s -> J.String s) b.b_read_sites));
-                   ("members", J.Int b.b_members);
-                   ( "first_campaign",
-                     match b.b_first_campaign with Some n -> J.Int n | None -> J.Null );
-                   ( "image_index",
-                     match b.b_image_index with Some n -> J.Int n | None -> J.Null );
-                 ])
-             a.a_bugs) );
-      ( "hangs",
-        J.List
-          (List.map
-             (fun (info, n) -> J.Obj [ ("info", J.String info); ("count", J.Int n) ])
-             a.a_hangs) );
-      ( "lint",
-        J.List
-          (List.map
-             (fun l ->
-               J.Obj
-                 [
-                   ("kind", J.String l.l_kind);
-                   ("severity", J.String l.l_severity);
-                   ( "write_site",
-                     match l.l_write_site with Some s -> J.String s | None -> J.Null );
-                   ("site", J.String l.l_site);
-                   ("addr", J.Int l.l_addr);
-                   ("count", J.Int l.l_count);
-                 ])
-             a.a_lint) );
-      ( "invariants",
-        J.Obj
-          [
-            ( "mined",
-              J.List
-                (List.map
-                   (fun e ->
-                     J.Obj
-                       [
-                         ("label", J.String e.ie_label);
-                         ("kind", J.String e.ie_kind);
-                         ("support", J.Int e.ie_support);
-                       ])
-                   a.a_invariants) );
-            ( "violations",
-              J.List
-                (List.map
-                   (fun f ->
-                     J.Obj
-                       [
-                         ("label", J.String f.ivf_label);
-                         ("kind", J.String f.ivf_kind);
-                         ("site", J.String f.ivf_site);
-                         ("addr", J.Int f.ivf_addr);
-                         ("campaign", J.Int f.ivf_campaign);
-                         ( "verdict",
-                           match f.ivf_verdict with Some v -> J.String v | None -> J.Null );
-                       ])
-                   a.a_inv_findings) );
-          ] );
-      ( "provenance",
-        J.List
-          (List.map
-             (fun p ->
-               J.Obj
-                 [
-                   ("campaign", J.Int p.pr_campaign);
-                   ("sched_seed", J.Int p.pr_sched_seed);
-                   ("policy", J.String p.pr_policy);
-                   ("seed", seed_to_json p.pr_seed);
-                   ("spec", spec_to_json p.pr_spec);
-                   ("trace", trace_to_json p.pr_trace);
-                 ])
-             a.a_provenance) );
-      ( "origins",
-        J.List
-          (List.map
-             (fun o ->
-               J.Obj
-                 [
-                   ("label", J.String o.o_label);
-                   ("campaigns", J.Int o.o_campaigns);
-                   ("wall_time", J.Float o.o_wall_time);
-                   ("offset", J.Int o.o_offset);
-                 ])
-             a.a_origins) );
-      ( "por",
-        match a.a_por with
-        | None -> J.Null
-        | Some (p : Hub.por_totals) ->
-            J.Obj
-              [
-                ("campaigns", J.Int p.pt_campaigns);
-                ("schedules_pruned", J.Int p.pt_pruned);
-                ("forced_wakes", J.Int p.pt_forced_wakes);
-                ("unique_traces", J.Int p.pt_unique_traces);
-                ("dup_traces", J.Int p.pt_dup_traces);
-              ] );
-      ("metrics", a.a_metrics);
-    ]
-
-let of_json j =
-  try
-    let s = get_str "schema" j in
-    if not (String.equal s schema) then fail "unknown schema %S (expected %S)" s schema;
-    let v = get_int "version" j in
-    if v > version then fail "artifact version %d is newer than this reader (%d)" v version;
-    let coverage = mem "coverage" j in
-    Ok
-      {
-        a_target = get_str "target" j;
-        a_config = config_of_json (mem "config" j);
-        a_campaigns = get_int "campaigns" j;
-        a_wall_time = get_float "wall_time" j;
-        a_annotations = get_int "annotations" j;
-        a_worker_campaigns = List.map int_of (get_list "worker_campaigns" j);
-        a_alias_bits = get_int "alias_bits" coverage;
-        a_branch_bits = get_int "branch_bits" coverage;
-        a_possible_pairs = J.to_int (mem "possible_pairs" coverage);
-        a_site_pairs =
-          List.map
-            (fun p -> (get_str "write" p, get_str "read" p))
-            (get_list "site_pairs" coverage);
-        a_timeline =
-          List.map
-            (fun tp ->
-              {
-                Fuzzer.tp_campaign = get_int "campaign" tp;
-                tp_time = get_float "time" tp;
-                tp_alias_bits = get_int "alias_bits" tp;
-                tp_branch_bits = get_int "branch_bits" tp;
-                tp_inter_unique = get_int "inter_unique" tp;
-                tp_new_inter = get_bool "new_inter" tp;
-              })
-            (get_list "timeline" j);
-        a_bugs =
-          List.map
-            (fun b ->
-              {
-                b_kind = get_str "kind" b;
-                b_site = get_str "site" b;
-                b_read_sites = List.map str (get_list "read_sites" b);
-                b_members = get_int "members" b;
-                b_first_campaign = J.to_int (mem "first_campaign" b);
-                b_image_index =
-                  (match J.member "image_index" b with
-                  | None | Some J.Null -> None (* pre-v4 artifacts *)
-                  | Some v -> J.to_int v);
-              })
-            (get_list "bugs" j);
-        a_hangs =
-          List.map (fun h -> (get_str "info" h, get_int "count" h)) (get_list "hangs" j);
-        a_lint =
-          List.map
-            (fun l ->
-              {
-                l_kind = get_str "kind" l;
-                l_severity = get_str "severity" l;
-                l_write_site = str_opt (mem "write_site" l);
-                l_site = get_str "site" l;
-                l_addr = get_int "addr" l;
-                l_count = get_int "count" l;
-              })
-            (get_list_opt "lint" j);
-        a_invariants =
-          (match J.member "invariants" j with
-          | None | Some J.Null -> []
-          | Some inv ->
-              List.map
-                (fun e ->
-                  {
-                    ie_label = get_str "label" e;
-                    ie_kind = get_str "kind" e;
-                    ie_support = get_int "support" e;
-                  })
-                (get_list_opt "mined" inv));
-        a_inv_findings =
-          (match J.member "invariants" j with
-          | None | Some J.Null -> []
-          | Some inv ->
-              List.map
-                (fun f ->
-                  {
-                    ivf_label = get_str "label" f;
-                    ivf_kind = get_str "kind" f;
-                    ivf_site = get_str "site" f;
-                    ivf_addr = get_int "addr" f;
-                    ivf_campaign = get_int "campaign" f;
-                    ivf_verdict = str_opt (mem "verdict" f);
-                  })
-                (get_list_opt "violations" inv));
-        a_provenance =
-          List.map
-            (fun p ->
-              {
-                pr_campaign = get_int "campaign" p;
-                pr_sched_seed = get_int "sched_seed" p;
-                pr_policy = get_str "policy" p;
-                pr_seed = seed_of_json_exn (mem "seed" p);
-                pr_spec = spec_of_json_exn (mem "spec" p);
-                pr_trace = trace_of_json "trace" p (* absent pre-v5 *);
-              })
-            (get_list "provenance" j);
-        a_origins =
-          List.map
-            (fun o ->
-              {
-                o_label = get_str "label" o;
-                o_campaigns = get_int "campaigns" o;
-                o_wall_time = get_float "wall_time" o;
-                o_offset = get_int "offset" o;
-              })
-            (get_list_opt "origins" j);
-        a_por =
-          (match J.member "por" j with
-          | None | Some J.Null -> None (* pre-v5, or POR off *)
-          | Some p ->
-              Some
-                {
-                  Hub.pt_campaigns = get_int "campaigns" p;
-                  pt_pruned = get_int "schedules_pruned" p;
-                  pt_forced_wakes = get_int "forced_wakes" p;
-                  pt_unique_traces = get_int "unique_traces" p;
-                  pt_dup_traces = get_int "dup_traces" p;
-                });
-        a_metrics = Option.value ~default:J.Null (J.member "metrics" j);
-      }
-  with Failure msg -> Error msg
-
 let write ~path a =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (J.to_string (to_json a));
+      output_string oc (Obs.Json.to_string (to_json a));
       output_char oc '\n')
 
 let read ~path =
@@ -804,12 +466,10 @@ let merge inputs =
   match inputs with
   | [] -> Error "merge: no artifacts"
   | (_, (first : t)) :: _ -> (
-      try
-        List.iter
-          (fun (_, a) ->
-            if not (String.equal a.a_target first.a_target) then
-              fail "merge: target mismatch (%S vs %S)" a.a_target first.a_target)
-          inputs;
+      match List.find_opt (fun (_, a) -> not (String.equal a.a_target first.a_target)) inputs with
+      | Some (_, a) ->
+          Error (Printf.sprintf "merge: target mismatch (%S vs %S)" a.a_target first.a_target)
+      | None ->
         (* Re-index: shard [i]'s campaigns shift by the summed span of the
            shards before it, so provenance, timeline, bug first-sightings
            and invariant violations stay replayable by (merged) index. *)
@@ -999,5 +659,4 @@ let merge inputs =
                         })
                 None shifted;
             a_metrics = J.Null;
-          }
-      with Failure msg -> Error msg)
+          })

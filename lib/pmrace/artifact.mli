@@ -117,7 +117,8 @@ val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (t, string) result
 (** Decoding re-registers instruction site names via {!Runtime.Instr.site},
-    so policy specs round-trip into live campaign inputs. *)
+    so policy specs round-trip into live campaign inputs.  Errors name the
+    path to the bad value; decoding never raises. *)
 
 val write : path:string -> t -> unit
 val read : path:string -> (t, string) result
@@ -145,16 +146,12 @@ val merge : (string * t) list -> (t, string) result
     outer label.  Errors on an empty list or a target mismatch;
     [a_config] is the first shard's. *)
 
-(** {2 Codec exports}
+type sighting = { kind : string; site : string; read_sites : string list; members : int }
 
-    Fleet wire/store messages ({!Fleet.Wire}) reuse the artifact codecs
-    for seeds and policy specs, so one encoding round-trips everywhere.
-    Decoders re-register site names via {!Runtime.Instr.site}. *)
-
-val seed_to_json : Seed.t -> Obs.Json.t
-val seed_of_json : Obs.Json.t -> (Seed.t, string) result
-val spec_to_json : Campaign.policy_spec -> Obs.Json.t
-val spec_of_json : Obs.Json.t -> (Campaign.policy_spec, string) result
+val sighting : (sighting, sighting) Obs.Codec.fields
+(** The bug-sighting fields ([kind], [site], [read_sites], [members])
+    shared by artifact bugs, fleet wire bug frames and the fleet store's
+    bug entries. *)
 
 val first_campaign : Report.t -> Report.bug_group -> int option
 (** The campaign index of a bug group's earliest member finding (the

@@ -2,8 +2,6 @@
    executed so far.  PMRace combines this with PM alias pair coverage as
    fuzzing feedback (§4.2.3). *)
 
-module J' = Obs.Json
-
 type t = Site_set.t
 
 let create = Site_set.create
@@ -26,24 +24,15 @@ let clear = Site_set.clear
 let attach t env = Runtime.Env.add_listener env (handler t)
 
 (* Wire/store codec (fleet mode): covered branch sites by name, sorted for
-   a canonical encoding; decode re-registers the names. *)
-let to_json t =
-  J'.List
-    (Site_set.fold (fun id acc -> Runtime.Instr.name (Runtime.Instr.of_int id) :: acc) t []
-    |> List.sort compare
-    |> List.map (fun n -> J'.String n))
-
-let of_json j =
-  match J'.to_list j with
-  | None -> Error "Branch_cov: expected list"
-  | Some sites -> (
-      try
+   a canonical encoding; decode re-registers the names in list order. *)
+let codec =
+  Obs.Codec.(
+    conv
+      (fun names ->
         let t = create () in
-        List.iter
-          (fun s ->
-            match J'.to_str s with
-            | Some name -> ignore (observe t (Runtime.Instr.site name))
-            | None -> failwith "Branch_cov: expected site name string")
-          sites;
-        Ok t
-      with Failure msg -> Error msg)
+        List.iter (fun name -> ignore (observe t (Runtime.Instr.site name))) names;
+        Ok t)
+      (fun t ->
+        Site_set.fold (fun id acc -> Runtime.Instr.name (Runtime.Instr.of_int id) :: acc) t []
+        |> List.sort compare)
+      (list string))

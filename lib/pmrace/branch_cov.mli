@@ -22,8 +22,6 @@ val clear : t -> unit
 
 val attach : t -> Runtime.Env.t -> unit
 
-val to_json : t -> Obs.Json.t
-(** Wire/store codec (fleet mode): covered branch sites by name, sorted. *)
-
-val of_json : Obs.Json.t -> (t, string) result
-(** Decode; re-registers site names via {!Runtime.Instr.site}. *)
+val codec : t Obs.Codec.t
+(** Wire/store codec (fleet mode): covered branch sites by name, sorted;
+    decoding re-registers them via {!Runtime.Instr.site}. *)

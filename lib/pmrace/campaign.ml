@@ -19,6 +19,36 @@ type policy_spec =
   | Random_sched (* plain preemption at every instrumented operation *)
   | No_preempt
 
+(* Sites travel by name and re-register on decode.  The stores register
+   before the loads, the order every earlier decoder used, so a process
+   that meets the names here first assigns them the same ids. *)
+let policy_spec_codec =
+  let open Obs.Codec in
+  let names = list string in
+  variant "policy"
+    [
+      case "pmrace"
+        (record (fun addr loads stores hits skip ->
+             let stores = List.map Runtime.Instr.site stores in
+             let loads = List.map Runtime.Instr.site loads in
+             ({ Shared_queue.addr; loads; stores; hits }, skip))
+        |+ field "addr" int (fun (e, _) -> e.Shared_queue.addr)
+        |+ field "loads" names (fun (e, _) -> List.map Runtime.Instr.name e.Shared_queue.loads)
+        |+ field "stores" names (fun (e, _) -> List.map Runtime.Instr.name e.Shared_queue.stores)
+        |+ field "hits" int (fun (e, _) -> e.Shared_queue.hits)
+        |+ field "skip" int snd)
+        (function Pmrace { entry; skip } -> Some (entry, skip) | _ -> None)
+        (fun (entry, skip) -> Pmrace { entry; skip });
+      case "delay"
+        (record (fun prob max_delay -> (prob, max_delay))
+        |+ field "prob" float fst
+        |+ field "max_delay" int snd)
+        (function Delay { prob; max_delay } -> Some (prob, max_delay) | _ -> None)
+        (fun (prob, max_delay) -> Delay { prob; max_delay });
+      constant "random" Random_sched;
+      constant "none" No_preempt;
+    ]
+
 type input = {
   target : Target.t;
   seed : Seed.t;

@@ -14,6 +14,10 @@ type policy_spec =
   | Random_sched  (** plain preemption at every instrumented operation *)
   | No_preempt
 
+val policy_spec_codec : policy_spec Obs.Codec.t
+(** The ["policy"]-tagged JSON form provenance uses; sites by name,
+    re-registered via {!Runtime.Instr.site} on decode. *)
+
 type input = {
   target : Target.t;
   seed : Seed.t;

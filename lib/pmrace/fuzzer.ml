@@ -138,6 +138,42 @@ module Config = struct
     }
 end
 
+(* The artifact's "config" object.  Fields added after v1 default to the
+   value that reproduces the older sessions' behaviour. *)
+let config_codec =
+  let open Obs.Codec in
+  obj
+    (record
+       (fun max_campaigns execs_per_interleaving max_interleavings_per_seed master_seed mode
+            interleaving_tier seed_tier use_checkpoint step_budget validate evict_prob eadr workers
+            initial_seeds whitelist_extra static_prepass invariants corpus_sched crash_images por ->
+         Config.make ~max_campaigns ~execs_per_interleaving ~max_interleavings_per_seed ~master_seed
+           ~mode ~interleaving_tier ~seed_tier ~use_checkpoint ~step_budget ~validate ~evict_prob
+           ~eadr ~workers ~initial_seeds ~whitelist_extra ~static_prepass ~invariants ~corpus_sched
+           ~crash_images ~por ())
+    |+ field "max_campaigns" int (fun c -> c.max_campaigns)
+    |+ field "execs_per_interleaving" int (fun c -> c.execs_per_interleaving)
+    |+ field "max_interleavings_per_seed" int (fun c -> c.max_interleavings_per_seed)
+    |+ field "master_seed" int (fun c -> c.master_seed)
+    |+ field "mode"
+         (enum [ ("pmrace", Mode_pmrace); ("delay", Mode_delay); ("random", Mode_random) ])
+         (fun c -> c.mode)
+    |+ field "interleaving_tier" bool (fun c -> c.interleaving_tier)
+    |+ field "seed_tier" bool (fun c -> c.seed_tier)
+    |+ field "use_checkpoint" bool (fun c -> c.use_checkpoint)
+    |+ field "step_budget" int (fun c -> c.step_budget)
+    |+ field "validate" bool (fun c -> c.validate)
+    |+ field "evict_prob" float (fun c -> c.evict_prob)
+    |+ field "eadr" bool (fun c -> c.eadr)
+    |+ field "workers" int (fun c -> c.workers)
+    |+ field "initial_seeds" int (fun c -> c.initial_seeds)
+    |+ field "whitelist_extra" (list string) (fun c -> c.whitelist_extra)
+    |+ field "static_prepass" bool (fun c -> c.static_prepass)
+    |+ field ~default:false "invariants" bool (fun c -> c.invariants)
+    |+ field ~default:false "corpus_sched" bool (fun c -> c.corpus_sched)
+    |+ field ~default:1 "crash_images" int (fun c -> c.crash_images)
+    |+ field ~default:false "por" bool (fun c -> c.por))
+
 type provenance = Hub.provenance = {
   p_seed : Seed.t;
   p_sched_seed : int;

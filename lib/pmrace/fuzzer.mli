@@ -111,6 +111,11 @@ module Config : sig
       [crash_images] are clamped to at least 1. *)
 end
 
+val config_codec : config Obs.Codec.t
+(** The session artifact's ["config"] object.  Decoding goes through
+    {!Config.make}; fields added after v1 ([invariants], [corpus_sched],
+    [crash_images], [por]) default when absent. *)
+
 type provenance = Hub.provenance = {
   p_seed : Seed.t;
   p_sched_seed : int;

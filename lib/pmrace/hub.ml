@@ -38,6 +38,19 @@ type timeline_point = {
   tp_new_inter : bool;
 }
 
+let timeline_point_codec =
+  Obs.Codec.(
+    obj
+      (record
+         (fun tp_campaign tp_time tp_alias_bits tp_branch_bits tp_inter_unique tp_new_inter ->
+           { tp_campaign; tp_time; tp_alias_bits; tp_branch_bits; tp_inter_unique; tp_new_inter })
+      |+ field "campaign" int (fun p -> p.tp_campaign)
+      |+ field "time" float (fun p -> p.tp_time)
+      |+ field "alias_bits" int (fun p -> p.tp_alias_bits)
+      |+ field "branch_bits" int (fun p -> p.tp_branch_bits)
+      |+ field "inter_unique" int (fun p -> p.tp_inter_unique)
+      |+ field "new_inter" bool (fun p -> p.tp_new_inter)))
+
 (* A worker's private per-campaign accumulator.  Campaign listeners write
    here without synchronisation; [commit] folds it into the shared state.
    Persistent-mode workers keep one delta per worker (with its alias
@@ -57,6 +70,17 @@ type por_totals = {
   pt_unique_traces : int;  (* first sightings of a (trace, seed) class *)
   pt_dup_traces : int;  (* campaigns whose validation was skipped as redundant *)
 }
+
+let por_totals_codec =
+  Obs.Codec.(
+    obj
+      (record (fun pt_campaigns pt_pruned pt_forced_wakes pt_unique_traces pt_dup_traces ->
+           { pt_campaigns; pt_pruned; pt_forced_wakes; pt_unique_traces; pt_dup_traces })
+      |+ field "campaigns" int (fun p -> p.pt_campaigns)
+      |+ field "schedules_pruned" int (fun p -> p.pt_pruned)
+      |+ field "forced_wakes" int (fun p -> p.pt_forced_wakes)
+      |+ field "unique_traces" int (fun p -> p.pt_unique_traces)
+      |+ field "dup_traces" int (fun p -> p.pt_dup_traces)))
 
 type t = {
   lock : Mutex.t;
@@ -183,23 +207,17 @@ let merge_delta_into ~src ~dst =
 
 (* Wire/store codec for a delta: the three coverage structures, each via
    its own (site-name based, process-independent) codec. *)
-let delta_to_json d =
-  Obs.Json.Obj
-    [
-      ("alias", Alias_cov.to_json d.d_alias);
-      ("branch", Branch_cov.to_json d.d_branch);
-      ("queue", Shared_queue.to_json d.d_queue);
-    ]
+let delta_codec =
+  Obs.Codec.(
+    obj
+      (record (fun d_alias d_branch d_queue ->
+           { d_alias; d_branch; d_queue; d_tracker = Alias_cov.tracker () })
+      |+ field "alias" Alias_cov.codec (fun d -> d.d_alias)
+      |+ field "branch" Branch_cov.codec (fun d -> d.d_branch)
+      |+ field "queue" Shared_queue.codec (fun d -> d.d_queue)))
 
-let delta_of_json j =
-  let field name = Obs.Json.member name j in
-  match (field "alias", field "branch", field "queue") with
-  | Some aj, Some bj, Some qj -> (
-      match (Alias_cov.of_json aj, Branch_cov.of_json bj, Shared_queue.of_json qj) with
-      | Ok d_alias, Ok d_branch, Ok d_queue ->
-          Ok { d_alias; d_branch; d_queue; d_tracker = Alias_cov.tracker () }
-      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
-  | _ -> Error "Hub.delta_of_json: missing field"
+let delta_to_json = Obs.Codec.encode delta_codec
+let delta_of_json = Obs.Codec.decode delta_codec
 
 type trace = {
   tr_key : int64; (* trace hash salted with the seed fingerprint *)

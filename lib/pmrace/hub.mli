@@ -32,6 +32,8 @@ type timeline_point = {
   tp_new_inter : bool;
 }
 
+val timeline_point_codec : timeline_point Obs.Codec.t
+
 type delta
 (** A worker's private per-campaign coverage/queue accumulator; campaign
     listeners write to it without synchronisation. *)
@@ -70,11 +72,12 @@ val merge_delta_into : src:delta -> dst:delta -> unit
     campaign delta into a "wire" delta before {!reset_delta}; the wire
     delta is what ships to the coordinator. *)
 
-val delta_to_json : delta -> Obs.Json.t
+val delta_codec : delta Obs.Codec.t
 (** Wire/store codec: the delta's coverage structures with sites encoded
     by {e name}, so a delta serialised in one worker process decodes and
     merges correctly in the coordinator regardless of site-id layout. *)
 
+val delta_to_json : delta -> Obs.Json.t
 val delta_of_json : Obs.Json.t -> (delta, string) result
 
 type trace = {
@@ -130,6 +133,8 @@ type por_totals = {
   pt_unique_traces : int;  (** distinct (trace hash, seed) classes seen *)
   pt_dup_traces : int;  (** campaigns whose validation was skipped as redundant *)
 }
+
+val por_totals_codec : por_totals Obs.Codec.t
 
 val por_totals : t -> por_totals option
 (** Aggregate pruning counters; [None] when no campaign ran under POR.

@@ -193,6 +193,58 @@ let fingerprint t =
     t.threads;
   !h
 
+(* The JSON form shared by artifacts, wire frames and the fleet store:
+   one list of ops per thread, each op an object tagged by "op". *)
+let op_codec =
+  let open Obs.Codec in
+  let key = record Fun.id |+ field "key" int Fun.id in
+  let key_and name = record (fun k v -> (k, v)) |+ field "key" int fst |+ field name int snd in
+  variant "op"
+    [
+      case "put" (key_and "value")
+        (function Put { key; value } -> Some (key, value) | _ -> None)
+        (fun (key, value) -> Put { key; value });
+      case "get" key (function Get { key } -> Some key | _ -> None) (fun key -> Get { key });
+      case "update" (key_and "value")
+        (function Update { key; value } -> Some (key, value) | _ -> None)
+        (fun (key, value) -> Update { key; value });
+      case "delete" key (function Delete { key } -> Some key | _ -> None) (fun key -> Delete { key });
+      case "incr" (key_and "delta")
+        (function Incr { key; delta } -> Some (key, delta) | _ -> None)
+        (fun (key, delta) -> Incr { key; delta });
+      case "decr" (key_and "delta")
+        (function Decr { key; delta } -> Some (key, delta) | _ -> None)
+        (fun (key, delta) -> Decr { key; delta });
+      case "append" (key_and "value")
+        (function Append { key; value } -> Some (key, value) | _ -> None)
+        (fun (key, value) -> Append { key; value });
+      case "prepend" (key_and "value")
+        (function Prepend { key; value } -> Some (key, value) | _ -> None)
+        (fun (key, value) -> Prepend { key; value });
+      case "scan" (key_and "count")
+        (function Scan { key; count } -> Some (key, count) | _ -> None)
+        (fun (key, count) -> Scan { key; count });
+      case "cas"
+        (record (fun key value token -> (key, value, token))
+        |+ field "key" int (fun (k, _, _) -> k)
+        |+ field "value" int (fun (_, v, _) -> v)
+        |+ field "token" int (fun (_, _, t) -> t))
+        (function Cas { key; value; token } -> Some (key, value, token) | _ -> None)
+        (fun (key, value, token) -> Cas { key; value; token });
+      case "touch" (key_and "exptime")
+        (function Touch { key; exptime } -> Some (key, exptime) | _ -> None)
+        (fun (key, exptime) -> Touch { key; exptime });
+      constant "flush_all" Flush_all;
+      constant "stats" Stats;
+    ]
+
+let codec =
+  Obs.Codec.(
+    conv
+      (fun threads -> Ok (make (Array.of_list (List.map Array.of_list threads))))
+      (fun t -> Array.to_list (Array.map Array.to_list t.threads))
+      (list (list op_codec)))
+
 let pp_op ppf op =
   match op with
   | Put { key; value } -> Fmt.pf ppf "put(%d,%d)" key value

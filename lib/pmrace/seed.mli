@@ -76,6 +76,11 @@ val fingerprint : t -> int64
     [Instr] site-id layout — so corpus entries deduplicate correctly
     across worker processes and store restarts. *)
 
+val codec : t Obs.Codec.t
+(** The JSON form every artifact, wire frame and store file uses: one
+    list per thread of ["op"]-tagged objects.  Decoding makes a fresh
+    seed. *)
+
 val render_op : op -> string
 (** Text rendering in the memcached protocol (driver input and the Table 4
     mutator comparison). *)

@@ -94,16 +94,15 @@ let observe_store t ~addr ~instr ~tid =
    counter additions, so merging per-campaign deltas yields exactly the
    state direct accumulation would (the [workers = 1] bit-identity
    guarantee rests on this). *)
-let merge_into ~src dst =
-  iter
-    (fun addr (s : record) ->
-      let d = record_of dst addr in
-      d.load_instrs <- Iset.union d.load_instrs s.load_instrs;
-      d.store_instrs <- Iset.union d.store_instrs s.store_instrs;
-      d.load_tids <- Tset.union d.load_tids s.load_tids;
-      d.store_tids <- Tset.union d.store_tids s.store_tids;
-      d.hits <- d.hits + s.hits)
-    src
+let merge_record dst addr (s : record) =
+  let d = record_of dst addr in
+  d.load_instrs <- Iset.union d.load_instrs s.load_instrs;
+  d.store_instrs <- Iset.union d.store_instrs s.store_instrs;
+  d.load_tids <- Tset.union d.load_tids s.load_tids;
+  d.store_tids <- Tset.union d.store_tids s.store_tids;
+  d.hits <- d.hits + s.hits
+
+let merge_into ~src dst = iter (merge_record dst) src
 
 let handler t = function
   | Runtime.Env.Ev_load { instr; tid; addr; _ } -> observe_load t ~addr ~instr ~tid
@@ -149,75 +148,58 @@ let tracked_addresses t = t.n_addrs
    addresses), so decode-then-merge is exactly equivalent to merging the
    original queue. *)
 
-module J = Obs.Json
-
 (* Decoded addresses index the slot array, so untrusted input must not
    name a negative one or force a huge allocation: no pool comes near
    2^24 words. *)
 let max_decoded_addr = (1 lsl 24) - 1
 
-let to_json t =
-  let records =
-    fold (fun addr r acc -> (addr, r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let names s = J.List (List.map (fun i -> J.String (Instr.name i)) (Iset.elements s)) in
-  let tids s = J.List (List.map (fun i -> J.Int i) (Tset.elements s)) in
-  J.List
-    (List.map
-       (fun (addr, r) ->
-         J.Obj
-           [
-             ("addr", J.Int addr);
-             ("loads", names r.load_instrs);
-             ("stores", names r.store_instrs);
-             ("load_tids", tids r.load_tids);
-             ("store_tids", tids r.store_tids);
-             ("hits", J.Int r.hits);
-           ])
-       records)
+let address =
+  Obs.Codec.(
+    conv
+      (fun addr ->
+        if addr < 0 || addr > max_decoded_addr then
+          Error (Printf.sprintf "address %d out of range" addr)
+        else Ok addr)
+      Fun.id int)
 
-let of_json j =
-  match J.to_list j with
-  | None -> Error "Shared_queue: expected list"
-  | Some records -> (
-      try
+(* One address's record; its sites re-register, loads first, on decode. *)
+let record_codec =
+  let open Obs.Codec in
+  let names name get =
+    field name (list string) (fun (_, r) -> List.map Instr.name (Iset.elements (get r)))
+  in
+  let tids name get = field name (list int) (fun (_, r) -> Tset.elements (get r)) in
+  let sites names = Iset.of_list (List.map Instr.site names) in
+  obj
+    (record (fun addr loads stores load_tids store_tids hits ->
+         let load_instrs = sites loads in
+         let store_instrs = sites stores in
+         ( addr,
+           {
+             load_instrs;
+             store_instrs;
+             load_tids = Tset.of_list load_tids;
+             store_tids = Tset.of_list store_tids;
+             hits;
+           } ))
+    |+ field "addr" address fst
+    |+ names "loads" (fun r -> r.load_instrs)
+    |+ names "stores" (fun r -> r.store_instrs)
+    |+ tids "load_tids" (fun r -> r.load_tids)
+    |+ tids "store_tids" (fun r -> r.store_tids)
+    |+ field "hits" int (fun (_, (r : record)) -> r.hits))
+
+let codec =
+  Obs.Codec.(
+    conv
+      (fun records ->
         let t = create () in
-        let get name conv rj =
-          match Option.bind (J.member name rj) conv with
-          | Some v -> v
-          | None -> failwith (Printf.sprintf "Shared_queue: bad field %S" name)
-        in
-        let iset rj name =
-          List.fold_left
-            (fun acc s ->
-              match J.to_str s with
-              | Some n -> Iset.add (Instr.site n) acc
-              | None -> failwith "Shared_queue: expected site name")
-            Iset.empty (get name J.to_list rj)
-        in
-        let tset rj name =
-          List.fold_left
-            (fun acc s ->
-              match J.to_int s with
-              | Some n -> Tset.add n acc
-              | None -> failwith "Shared_queue: expected tid int")
-            Tset.empty (get name J.to_list rj)
-        in
-        List.iter
-          (fun rj ->
-            let addr = get "addr" J.to_int rj in
-            if addr < 0 || addr > max_decoded_addr then
-              failwith (Printf.sprintf "Shared_queue: address %d out of range" addr);
-            let r = record_of t addr in
-            r.load_instrs <- Iset.union r.load_instrs (iset rj "loads");
-            r.store_instrs <- Iset.union r.store_instrs (iset rj "stores");
-            r.load_tids <- Tset.union r.load_tids (tset rj "load_tids");
-            r.store_tids <- Tset.union r.store_tids (tset rj "store_tids");
-            r.hits <- r.hits + get "hits" J.to_int rj)
-          records;
-        Ok t
-      with Failure msg -> Error msg)
+        List.iter (fun (addr, r) -> merge_record t addr r) records;
+        Ok t)
+      (fun t ->
+        fold (fun addr r acc -> (addr, r) :: acc) t []
+        |> List.sort (fun (a, _) (b, _) -> compare a b))
+      (list record_codec))
 
 let pp_entry ppf e =
   Fmt.pf ppf "addr=%d hits=%d loads=[%a] stores=[%a]" e.addr e.hits

@@ -40,10 +40,9 @@ val entries : t -> entry list
 val tracked_addresses : t -> int
 val pp_entry : Format.formatter -> entry -> unit
 
-val to_json : t -> Obs.Json.t
+val codec : t Obs.Codec.t
 (** Wire/store codec (fleet mode): the full per-address records (sites by
     name, thread-id sets, hit counts), so decode-then-{!merge_into} is
-    equivalent to merging the original queue. *)
-
-val of_json : Obs.Json.t -> (t, string) result
-(** Decode; re-registers site names via {!Runtime.Instr.site}. *)
+    equivalent to merging the original queue.  Decoding re-registers site
+    names via {!Runtime.Instr.site} and rejects addresses outside
+    [[0, 2^24)]. *)

@@ -340,7 +340,7 @@ let prop_listeners_match_reference =
       let shared = Alias.create ~size_log:10 () and shared_ref = Alias.create ~size_log:10 () in
       let ok = ref true in
       let compare_state () =
-        if Alias.to_json d_alias <> Alias.to_json ref_cov then ok := false;
+        if Obs.Codec.(encode Alias.codec d_alias <> encode Alias.codec ref_cov) then ok := false;
         if Alias.count d_alias <> Alias.count ref_cov then ok := false;
         if Alias.site_pairs d_alias <> Alias.site_pairs ref_cov then ok := false;
         if render_entries (Queue.entries d_queue) <> Ref_queue.entries !ref_queue then ok := false;
@@ -405,7 +405,7 @@ let test_queue_codec_range () =
             ];
         ])
   in
-  (match Queue.of_json (record 40) with
+  (match Obs.Codec.decode Queue.codec (record 40) with
   | Ok q -> Alcotest.(check int) "in range decodes" 1 (Queue.tracked_addresses q)
   | Error e -> Alcotest.fail e);
   List.iter
@@ -413,7 +413,7 @@ let test_queue_codec_range () =
       Alcotest.(check bool)
         (Printf.sprintf "address %d rejected" addr)
         true
-        (Result.is_error (Queue.of_json (record addr))))
+        (Result.is_error (Obs.Codec.decode Queue.codec (record addr))))
     [ -1; 1 lsl 40 ]
 
 let workloads = Workloads.Registry.with_examples @ Workloads.Registry.planted

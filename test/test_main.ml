@@ -32,8 +32,9 @@ let () =
       ("por", Test_por.suite);
       ("recovery", Test_recovery.suite);
       ("hooks", Test_hooks.suite);
-      (* Keep fleet LAST: its wire/store codecs register novel Instr
-         sites at runtime, which would shift the raw alias-bitmap hash
-         layout under the golden sessions above. *)
+      (* Keep fleet and codec LAST: their wire/store codecs register
+         novel Instr sites at runtime, which would shift the raw
+         alias-bitmap hash layout under the golden sessions above. *)
       ("fleet", Test_fleet.suite);
+      ("codec", Test_codec.suite);
     ]

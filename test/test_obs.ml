@@ -82,7 +82,16 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "member+to_int" (Some 3) (Option.bind (J.member "n" j) J.to_int);
   Alcotest.(check (option int)) "missing member" None (Option.bind (J.member "zz" j) J.to_int);
   Alcotest.(check (option int)) "to_int rejects fractional" None (J.to_int (J.Float 2.5));
-  Alcotest.(check bool) "to_float accepts int" true (J.to_float (J.Int 2) = Some 2.)
+  Alcotest.(check bool) "to_float accepts int" true (J.to_float (J.Int 2) = Some 2.);
+  (* Numbers outside the int range are not ints (int_of_float would wrap). *)
+  List.iter
+    (fun text ->
+      match J.of_string text with
+      | Ok j -> Alcotest.(check (option int)) (text ^ " is not an int") None (J.to_int j)
+      | Error e -> Alcotest.failf "%s: %s" text e)
+    [ "1e300"; "-1e300"; "9223372036854775808"; "4611686018427387904" ];
+  Alcotest.(check bool) "max_int literal" true (J.of_string "4611686018427387903" = Ok (J.Int max_int));
+  Alcotest.(check (option int)) "min_int as float" (Some min_int) (J.to_int (J.Float (Float.of_int min_int)))
 
 (* --- Metrics ----------------------------------------------------------- *)
 
@@ -281,7 +290,16 @@ let test_artifact_rejects_foreign () =
   Alcotest.(check bool) "newer version rejected" true
     (Result.is_error
        (Pmrace.Artifact.of_json
-          (J.Obj [ ("schema", J.String Pmrace.Artifact.schema); ("version", J.Int 99) ])))
+          (J.Obj [ ("schema", J.String Pmrace.Artifact.schema); ("version", J.Int 99) ])));
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "version %d rejected" v)
+        true
+        (Result.is_error
+           (Pmrace.Artifact.of_json
+              (J.Obj [ ("schema", J.String Pmrace.Artifact.schema); ("version", J.Int v) ]))))
+    [ 0; -1 ]
 
 (* --- Replay ------------------------------------------------------------- *)
 
