@@ -27,7 +27,7 @@ let eadr ppf =
             Fuzzer.Config.make ~max_campaigns:200 ~master_seed:5 ~eadr ()
           in
           let s = Fuzzer.run target cfg in
-          let _, _, sbugs, _ = Report.sync_verdict_summary s.report in
+          let _, _, sbugs, _ = Report.sync_summary s.report in
           Format.fprintf ppf "%-15s %-6s | %11d %11d | %10d %9d@." target.name
             (if eadr then "on" else "off")
             (Report.candidate_count s.report Candidates.Inter)

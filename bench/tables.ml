@@ -75,7 +75,7 @@ let table3 ppf =
         List.length
           (List.filter (fun ((kb : Pmrace.Target.known_bug), f) -> f && kb.kb_type = ty) known)
       in
-      let sfp, _, _, _ = Report.sync_verdict_summary s.report in
+      let sfp, _, _, _ = Report.sync_summary s.report in
       let sync = List.length (Report.sync_findings s.report) in
       let row =
         [| inter_cand; inter; fp; wl; bug_known `Inter; s.annotations; sync; sfp; bug_known `Sync |]

@@ -37,14 +37,14 @@ let print_session ppf (target : Pmrace.Target.t) (s : Fuzzer.session) =
         (List.length specs)
         (List.length (Pmrace.Report.invariant_findings s.report));
       List.iter
-        (fun (f : Pmrace.Report.inv_finding) ->
-          Format.fprintf ppf "  VIOLATED %s at %s (campaign %d%a)@." f.Report.iv_label
-            f.Report.iv_site f.Report.iv_found_at
+        (fun (f : Report.finding) ->
+          Format.fprintf ppf "  VIOLATED %s at %s (campaign %d%a)@." (Report.site f)
+            (Report.read_site f) f.found_at
             (fun ppf -> function
               | None -> ()
               | Some v -> Format.fprintf ppf ", %a" Pmrace.Post_failure.pp_verdict v)
-            f.Report.iv_verdict)
-        (Pmrace.Report.invariant_findings s.report));
+            f.verdict)
+        (Report.invariant_findings s.report));
   Format.fprintf ppf "candidates: %d inter, %d intra@."
     (Report.candidate_count s.report Runtime.Candidates.Inter)
     (Report.candidate_count s.report Runtime.Candidates.Intra);
@@ -57,7 +57,7 @@ let print_session ppf (target : Pmrace.Target.t) (s : Fuzzer.session) =
   in
   show Runtime.Candidates.Inter "inter-thread";
   show Runtime.Candidates.Intra "intra-thread";
-  let sfp, _, sbugs, _ = Report.sync_verdict_summary s.report in
+  let sfp, _, sbugs, _ = Report.sync_summary s.report in
   Format.fprintf ppf
     "synchronization: %d annotations, %d inconsistencies (validated FP %d, bugs %d)@."
     s.annotations

@@ -16,7 +16,7 @@ let run ~eadr =
   Fuzzer.run Workloads.Pclht.target cfg
 
 let describe label (s : Fuzzer.session) =
-  let sync_fp, _, sync_bugs, _ = Report.sync_verdict_summary s.report in
+  let sync_fp, _, sync_bugs, _ = Report.sync_summary s.report in
   Format.printf "%s@." label;
   Format.printf "  inter-thread candidates      : %d@."
     (Report.candidate_count s.report Runtime.Candidates.Inter);

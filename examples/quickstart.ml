@@ -30,13 +30,9 @@ let () =
     (Report.candidate_pairs session.report);
 
   Format.printf "@.Confirmed inconsistencies and their verdicts:@.";
-  List.iter (fun f -> Format.printf "  %a@." Report.pp_finding f) (Report.findings session.report);
   List.iter
-    (fun (f : Report.sync_finding) ->
-      Format.printf "  %a %a@." Runtime.Checkers.pp_sync_event f.ev
-        Fmt.(option Pmrace.Post_failure.pp_verdict)
-        f.sync_verdict)
-    (Report.sync_findings session.report);
+    (fun f -> Format.printf "  %a@." Report.pp_finding f)
+    (Report.findings session.report @ Report.sync_findings session.report);
 
   Format.printf "@.Ground truth:@.";
   List.iter
@@ -49,11 +45,13 @@ let () =
   (* Demonstrate the crash consequence concretely: boot the crash image of
      the first confirmed inconsistency and compare x and y. *)
   match
-    List.find_opt (fun (f : Report.finding) -> f.inc.Runtime.Checkers.crash <> None)
+    List.find_map
+      (fun (f : Report.finding) ->
+        match f.subject with Report.Inconsistency inc -> inc.Runtime.Checkers.crash | _ -> None)
       (Report.findings session.report)
   with
-  | Some f ->
-      let image = Option.get (Pmem.Crash_images.image (Option.get f.inc.Runtime.Checkers.crash) 0) in
+  | Some crash ->
+      let image = Option.get (Pmem.Crash_images.image crash 0) in
       let x = Pmem.Pool.image_word image Workloads.Figure1.x_off in
       let y = Pmem.Pool.image_word image Workloads.Figure1.y_off in
       let g = Pmem.Pool.image_word image Workloads.Figure1.g_off in

@@ -167,17 +167,24 @@ let serve ?(on_ready = fun () -> ()) cfg =
                  c.c_rate <-
                    (if c.c_rate <= 0. then sample else (0.7 *. c.c_rate) +. (0.3 *. sample))
                end);
-            Store.merge_delta store delta;
-            Store.record_campaigns store n;
-            c.c_leased <- c.c_leased - n;
-            List.iter (fun (seed, pairs) -> ignore (Store.add_seed store ~pairs seed)) seeds;
-            update_corpus_gauges store;
-            Obs.Metrics.incr (Lazy.force m_deltas);
-            cfg.log
-              (Printf.sprintf "fleet: delta from worker %d (%d campaigns, %d seeds; %d/%d used)"
-                 c.c_widx n (List.length seeds) (Store.budget_used store)
-                 (Store.budget_total store));
-            reply c Wire.Delta_ack
+            (match Store.merge_delta store delta with
+            | Error e ->
+                (* A delta the aggregate cannot absorb: refuse it and drop
+                   the sender; its lease returns to the budget. *)
+                cfg.log (Printf.sprintf "fleet: worker %d sent a bad delta: %s" c.c_widx e);
+                reply c (Wire.Err e);
+                drop c
+            | Ok () ->
+                Store.record_campaigns store n;
+                c.c_leased <- c.c_leased - n;
+                List.iter (fun (seed, pairs) -> ignore (Store.add_seed store ~pairs seed)) seeds;
+                update_corpus_gauges store;
+                Obs.Metrics.incr (Lazy.force m_deltas);
+                cfg.log
+                  (Printf.sprintf
+                     "fleet: delta from worker %d (%d campaigns, %d seeds; %d/%d used)" c.c_widx n
+                     (List.length seeds) (Store.budget_used store) (Store.budget_total store));
+                reply c Wire.Delta_ack)
         | Wire.Bug { kind; site; read_sites; members; first_campaign } ->
             let fresh =
               Store.record_bug store ~kind ~site ~read_sites ~members

@@ -192,8 +192,9 @@ let load_coverage t =
   if not (Sys.file_exists (coverage_path t)) then Ok ()
   else
     let* d = read_file (coverage_path t) Hub.delta_codec in
-    Hub.merge_delta_into ~src:d ~dst:t.s_agg;
-    Ok ()
+    Result.map_error
+      (Printf.sprintf "store: %s: %s" (coverage_path t))
+      (Hub.merge_delta_into ~src:d ~dst:t.s_agg)
 
 let load_bugs t =
   if not (Sys.file_exists (bugs_path t)) then Ok ()
@@ -281,8 +282,8 @@ let m_merge = lazy (Obs.Metrics.histogram "fleet_delta_merge_seconds")
 
 let merge_delta t d =
   Obs.Metrics.time (Lazy.force m_merge) @@ fun () ->
-  Hub.merge_delta_into ~src:d ~dst:t.s_agg;
-  save_coverage t
+  let* () = Hub.merge_delta_into ~src:d ~dst:t.s_agg in
+  Ok (save_coverage t)
 
 let add_seed t ?(pairs = []) seed =
   match Corpus_sched.add t.s_corpus ~pairs seed with

@@ -54,8 +54,10 @@ val next_widx : t -> int
 val record_campaigns : t -> int -> unit
 (** Account [n] campaigns as used budget and persist. *)
 
-val merge_delta : t -> Pmrace.Hub.delta -> unit
-(** Fold a worker's shipped delta into the aggregate and persist. *)
+val merge_delta : t -> Pmrace.Hub.delta -> (unit, string) result
+(** Fold a worker's shipped delta into the aggregate and persist.  A
+    delta whose alias bitmap has another size is refused ([Error]) and
+    leaves the aggregate untouched. *)
 
 val add_seed : t -> ?pairs:(string * string) list -> Pmrace.Seed.t -> bool
 (** Add a seed to the corpus (dedup by fingerprint; existing entries

@@ -17,7 +17,6 @@ module Fuzzer = Pmrace.Fuzzer
 module Hub = Pmrace.Hub
 module Seed = Pmrace.Seed
 module Report = Pmrace.Report
-module Artifact = Pmrace.Artifact
 
 type config = {
   connect : string;
@@ -45,8 +44,6 @@ exception Fail of string
 let m_lease_latency = lazy (Obs.Metrics.histogram "fleet_lease_latency_seconds")
 
 let site_name id = Runtime.Instr.name (Runtime.Instr.of_int id)
-
-let kind_string = function `Inter -> "inter" | `Intra -> "intra" | `Sync -> "sync"
 
 (* One request/response exchange.  The wire is strictly half-duplex from
    the worker's side (it never has two requests in flight), so a plain
@@ -117,7 +114,7 @@ let run ?obs wcfg target =
             (* New validated bug groups since the last ship. *)
             Report.bug_groups (Hub.report hub)
             |> List.iter (fun (g : Report.bug_group) ->
-                   let kind = kind_string g.bg_kind in
+                   let kind = Report.kind_slug g.bg_kind in
                    let key = (kind, g.bg_site) in
                    if not (Hashtbl.mem shipped_bugs key) then begin
                      match
@@ -128,7 +125,7 @@ let run ?obs wcfg target =
                               site = g.bg_site;
                               read_sites = g.bg_read_sites;
                               members = g.bg_members;
-                              first_campaign = Artifact.first_campaign (Hub.report hub) g;
+                              first_campaign = Some g.bg_first_campaign;
                             })
                      with
                      | Wire.Bug_ack { fresh } ->
@@ -192,7 +189,9 @@ let run ?obs wcfg target =
               sk_commit =
                 (fun ?trace ~campaign ~delta env ~hung ~hang_info ->
                   let c = local.Fuzzer.sk_commit ?trace ~campaign ~delta env ~hung ~hang_info in
-                  Hub.merge_delta_into ~src:delta ~dst:wire;
+                  (match Hub.merge_delta_into ~src:delta ~dst:wire with
+                  | Ok () -> ()
+                  | Error e -> raise (Fail e));
                   incr unshipped;
                   incr local_done;
                   (match (Hashtbl.find_opt camp_seed campaign, c.Hub.c_new_pairs) with

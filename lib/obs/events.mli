@@ -31,15 +31,16 @@ type payload =
   | Candidate_found of {
       campaign : int;
       worker : int;
-      kind : string;  (** "inter" | "intra" | "sync" *)
-      write_site : string;  (** sync: the annotated variable name *)
-      read_site : string;  (** sync: "" *)
+      kind : string;  (** "inter" | "intra" | "sync" | "invariant" *)
+      write_site : string;
+          (** sync: the annotated variable name; invariant: its label *)
+      read_site : string;  (** sync: ""; invariant: the violating store's site *)
     }
   | Validation_verdict of {
       campaign : int;
       worker : int;
       kind : string;
-      site : string;  (** write site (or sync variable) of the finding *)
+      site : string;  (** write site, sync variable or invariant label of the finding *)
       verdict : string;  (** "bug" | "bug-recovery-hang" | "validated-fp" | "whitelisted-fp" *)
     }
   | Crash_image_bug of {

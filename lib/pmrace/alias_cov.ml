@@ -68,6 +68,7 @@ let observe t ~prev ~cur =
     ~c_instr:cur.a_instr ~c_dirty:cur.a_dirty ~c_tid:cur.a_tid
 
 let count t = t.count
+let size t = t.size
 
 (* Fold a worker-local per-campaign delta into a shared map: OR the
    bitmaps (recounting only genuinely new bits) and union the achieved

@@ -17,12 +17,15 @@ val observe : t -> prev:access -> cur:access -> bool
 val count : t -> int
 (** Number of set bits — the coverage measure. *)
 
+val size : t -> int
+(** The bitmap's size in bits. *)
+
 val merge_into : src:t -> t -> unit
 (** Fold [src] (a worker's per-campaign delta) into a shared map: OR the
     bitmaps and union the achieved site pairs.  The destination's [count]
     only grows by genuinely new bits, so a before/after [count] comparison
     across a merge is the coverage-improvement signal.  Maps must have the
-    same size.  Not itself synchronised — callers serialise merges (the
+    same {!size} ([Invalid_argument] otherwise).  Not itself synchronised — callers serialise merges (the
     fuzzer's hub does this under one mutex). *)
 
 val record_site_pair : t -> write_instr:int -> read_instr:int -> unit

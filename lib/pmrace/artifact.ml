@@ -286,74 +286,25 @@ let of_json = Obs.Codec.decode codec
 (* ------------------------------------------------------------------ *)
 (* Session -> artifact *)
 
-(* A bug group's member findings, as (campaign index, verdict) pairs, in
-   report order: the group identity (kind + write site / sync variable)
-   matched against the fine-grained findings. *)
-let members (report : Report.t) (g : Report.bug_group) =
-  match g.Report.bg_kind with
-  | `Sync ->
-      Report.sync_findings report
-      |> List.filter_map (fun (f : Report.sync_finding) ->
-             if String.equal f.ev.var.Runtime.Checkers.sv_name g.Report.bg_site then
-               Some (f.sync_found_at, f.sync_verdict)
-             else None)
-  | (`Inter | `Intra) as k ->
-      let kind =
-        match k with `Inter -> Runtime.Candidates.Inter | `Intra -> Runtime.Candidates.Intra
-      in
-      Report.findings report
-      |> List.filter_map (fun (f : Report.finding) ->
-             if
-               f.inc.source.Runtime.Candidates.kind = kind
-               && String.equal
-                    (Instr.name f.inc.source.Runtime.Candidates.write_instr)
-                    g.Report.bg_site
-             then Some (f.found_at, f.verdict)
-             else None)
-
-(* The first of the (campaign, x) pairs with the smallest campaign. *)
-let earliest = function
-  | [] -> None
-  | x :: xs -> Some (List.fold_left (fun (c, v) (c', v') -> if c' < c then (c', v') else (c, v)) x xs)
-
-(* The campaign index of a bug group's earliest member finding. *)
-let first_campaign report g = Option.map fst (earliest (members report g))
-
-let kind_string = function `Inter -> "inter" | `Intra -> "intra" | `Sync -> "sync"
+(* Kept for the benchmark harness: the group carries it. *)
+let first_campaign (_ : Report.t) (g : Report.bug_group) = Some g.bg_first_campaign
 
 let severity_string = function
   | Analysis.Lint.High -> "high"
   | Analysis.Lint.Medium -> "medium"
   | Analysis.Lint.Low -> "low"
 
-let verdict_string = function
-  | Post_failure.Validated_fp -> "validated-fp"
-  | Post_failure.Whitelisted_fp -> "whitelisted-fp"
-  | Post_failure.Bug { recovery_hang = true; _ } -> "bug-recovery-hang"
-  | Post_failure.Bug { recovery_hang = false; _ } -> "bug"
-
-(* The crash-image index of the group's earliest bug-verdict member: the
-   image `pmrace replay` must rebuild to reproduce the bug (0 = the base
-   image; >0 = an enumerated image single-image validation would miss). *)
-let first_image_index report g =
-  members report g
-  |> List.filter_map (fun (c, verdict) ->
-         match verdict with
-         | Some (Post_failure.Bug { image_index; _ }) -> Some (c, image_index)
-         | Some Post_failure.Validated_fp | Some Post_failure.Whitelisted_fp | None -> None)
-  |> earliest |> Option.map snd
-
 let of_session ~(target : Target.t) ~cfg (s : Fuzzer.session) =
   let bugs =
     List.map
       (fun (g : Report.bug_group) ->
         {
-          b_kind = kind_string g.bg_kind;
+          b_kind = Report.kind_slug g.bg_kind;
           b_site = g.bg_site;
           b_read_sites = g.bg_read_sites;
           b_members = g.bg_members;
-          b_first_campaign = first_campaign s.report g;
-          b_image_index = first_image_index s.report g;
+          b_first_campaign = Some g.bg_first_campaign;
+          b_image_index = Some g.bg_image_index;
         })
       (Report.bug_groups s.report)
   in
@@ -411,16 +362,20 @@ let of_session ~(target : Target.t) ~cfg (s : Fuzzer.session) =
           })
         (Report.invariants s.report);
     a_inv_findings =
-      List.map
-        (fun (f : Report.inv_finding) ->
-          {
-            ivf_label = f.iv_label;
-            ivf_kind = f.iv_kind;
-            ivf_site = f.iv_site;
-            ivf_addr = f.iv_addr;
-            ivf_campaign = f.iv_found_at;
-            ivf_verdict = Option.map verdict_string f.iv_verdict;
-          })
+      List.filter_map
+        (fun (f : Report.finding) ->
+          match f.subject with
+          | Report.Invariant { label; kind; site; addr; _ } ->
+              Some
+                {
+                  ivf_label = label;
+                  ivf_kind = kind;
+                  ivf_site = site;
+                  ivf_addr = addr;
+                  ivf_campaign = f.found_at;
+                  ivf_verdict = Option.map Post_failure.verdict_slug f.verdict;
+                }
+          | Report.Inconsistency _ | Report.Sync _ -> None)
         (Report.invariant_findings s.report);
     a_provenance = provenance;
     a_origins = [];

@@ -32,7 +32,8 @@ type bug = {
   b_read_sites : string list;
   b_members : int;
   b_first_campaign : int option;
-      (** campaign index of the group's earliest member finding *)
+      (** campaign index of the group's earliest member finding, whatever
+          its verdict *)
   b_image_index : int option;
       (** crash-image index ({!Pmem.Crash_images} enumeration order) of
           the earliest member's bug verdict — the image replay rebuilds;
@@ -154,6 +155,5 @@ val sighting : (sighting, sighting) Obs.Codec.fields
     bug entries. *)
 
 val first_campaign : Report.t -> Report.bug_group -> int option
-(** The campaign index of a bug group's earliest member finding (the
-    [b_first_campaign] source), recovered by matching group identity
-    against the session's fine-grained findings. *)
+(** The group's [bg_first_campaign] (the [b_first_campaign] source),
+    always [Some].  Kept for the benchmark harness. *)

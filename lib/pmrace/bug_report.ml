@@ -35,35 +35,39 @@ let pp_provenance ppf (session : Fuzzer.session) campaign =
         p.Fuzzer.p_policy;
       Fmt.pf ppf "  program input  :@.%a" pp_ops p.Fuzzer.p_seed
 
+let pp_subject ppf = function
+  | Report.Inconsistency inc ->
+      let c = inc.Checkers.source in
+      Fmt.pf ppf "%a Inconsistency@." Candidates.pp_kind c.Candidates.kind;
+      Fmt.pf ppf "  non-persisted write : %s (thread %d)@." (Instr.name c.write_instr)
+        c.Candidates.write_tid;
+      Fmt.pf ppf "  racy read           : %s (thread %d)@." (Instr.name c.read_instr)
+        c.Candidates.read_tid;
+      Fmt.pf ppf "  durable side effect : %s%s%s@."
+        (Instr.name inc.Checkers.eff_instr)
+        (if inc.Checkers.addr_flow then " [address flow]" else " [value flow]")
+        (if inc.Checkers.external_effect then " [external]"
+         else Printf.sprintf ", PM word %d" inc.Checkers.eff_addr);
+      Fmt.pf ppf "  crash state        : %s@."
+        (match inc.Checkers.crash with
+        | Some _ -> "captured at the moment the side effect persisted"
+        | None -> "not captured")
+  | Report.Sync ev ->
+      Fmt.pf ppf "PM Synchronization Inconsistency@.";
+      Fmt.pf ppf "  annotated variable : %s (PM word %d)@." ev.Checkers.var.Checkers.sv_name
+        ev.Checkers.sy_addr;
+      Fmt.pf ppf "  persisted value    : %Ld (expected %Ld after recovery)@." ev.Checkers.sy_value
+        ev.Checkers.var.Checkers.sv_init
+  | Report.Invariant { label; site; addr; _ } ->
+      Fmt.pf ppf "Persistence-Ordering Invariant Violation@.";
+      Fmt.pf ppf "  invariant          : %s@." label;
+      Fmt.pf ppf "  violating store    : %s (PM word %d)@." site addr
+
 let pp_finding ppf (session : Fuzzer.session) (f : Report.finding) =
-  let c = f.inc.Checkers.source in
-  Fmt.pf ppf "%a Inconsistency@." Candidates.pp_kind c.Candidates.kind;
-  Fmt.pf ppf "  non-persisted write : %s (thread %d)@." (Instr.name c.write_instr)
-    c.Candidates.write_tid;
-  Fmt.pf ppf "  racy read           : %s (thread %d)@." (Instr.name c.read_instr)
-    c.Candidates.read_tid;
-  Fmt.pf ppf "  durable side effect : %s%s%s@."
-    (Instr.name f.inc.Checkers.eff_instr)
-    (if f.inc.Checkers.addr_flow then " [address flow]" else " [value flow]")
-    (if f.inc.Checkers.external_effect then " [external]"
-     else Printf.sprintf ", PM word %d" f.inc.Checkers.eff_addr);
-  Fmt.pf ppf "  crash state        : %s@."
-    (match f.inc.Checkers.crash with
-    | Some _ -> "captured at the moment the side effect persisted"
-    | None -> "not captured");
+  pp_subject ppf f.subject;
   Fmt.pf ppf "  validation         : %a@." pp_verdict_line f.verdict;
   Fmt.pf ppf "  first seen         : campaign %d@." f.found_at;
   pp_provenance ppf session f.found_at
-
-let pp_sync_finding ppf (session : Fuzzer.session) (f : Report.sync_finding) =
-  Fmt.pf ppf "PM Synchronization Inconsistency@.";
-  Fmt.pf ppf "  annotated variable : %s (PM word %d)@." f.ev.Checkers.var.Checkers.sv_name
-    f.ev.Checkers.sy_addr;
-  Fmt.pf ppf "  persisted value    : %Ld (expected %Ld after recovery)@." f.ev.Checkers.sy_value
-    f.ev.Checkers.var.Checkers.sv_init;
-  Fmt.pf ppf "  validation         : %a@." pp_verdict_line f.sync_verdict;
-  Fmt.pf ppf "  first seen         : campaign %d@." f.sync_found_at;
-  pp_provenance ppf session f.sync_found_at
 
 (* Persistency-lint findings from the offline analyzer, as numbered
    reports in the same style as the dynamic ones. *)
@@ -93,31 +97,24 @@ let render_lint ppf (findings : Analysis.Lint.finding list) =
         pp_lint_finding ppf f)
       findings
 
-(* All surviving bugs of a session, most recently confirmed last. *)
+(* All surviving bugs of a session: inconsistencies most recently
+   confirmed last, then sync events. *)
 let render_bugs ppf (session : Fuzzer.session) =
-  let findings =
-    List.filter
-      (fun (f : Report.finding) ->
+  let bugs =
+    List.filter (fun (f : Report.finding) ->
         match f.verdict with Some (Post_failure.Bug _) -> true | _ -> false)
-      (Report.findings session.Fuzzer.report)
-    |> List.sort (fun (a : Report.finding) b -> compare a.found_at b.found_at)
   in
-  let syncs =
-    List.filter
-      (fun (f : Report.sync_finding) ->
-        match f.sync_verdict with Some (Post_failure.Bug _) -> true | _ -> false)
-      (Report.sync_findings session.Fuzzer.report)
-  in
-  if findings = [] && syncs = [] then Fmt.pf ppf "no surviving bugs.@."
-  else begin
-    List.iteri
-      (fun i f ->
-        Fmt.pf ppf "--- report %d ---@." (i + 1);
-        pp_finding ppf session f)
-      findings;
-    List.iteri
-      (fun i f ->
-        Fmt.pf ppf "--- report %d ---@." (List.length findings + i + 1);
-        pp_sync_finding ppf session f)
-      syncs
-  end
+  let report = session.Fuzzer.report in
+  match
+    List.stable_sort
+      (fun (a : Report.finding) b -> compare a.found_at b.found_at)
+      (bugs (Report.findings report))
+    @ bugs (Report.sync_findings report)
+  with
+  | [] -> Fmt.pf ppf "no surviving bugs.@."
+  | fs ->
+      List.iteri
+        (fun i f ->
+          Fmt.pf ppf "--- report %d ---@." (i + 1);
+          pp_finding ppf session f)
+        fs

@@ -4,11 +4,13 @@
     the buggy execution deterministically. *)
 
 val pp_finding : Format.formatter -> Fuzzer.session -> Report.finding -> unit
-val pp_sync_finding : Format.formatter -> Fuzzer.session -> Report.sync_finding -> unit
+(** One finding's report: its subject, verdict, first sighting and the
+    inputs that replay that campaign. *)
 
 val render_bugs : Format.formatter -> Fuzzer.session -> unit
-(** Every finding that survived post-failure validation, as numbered
-    reports with reproduction instructions. *)
+(** Every inconsistency (by first sighting) and sync event that survived
+    post-failure validation, as numbered reports with reproduction
+    instructions. *)
 
 val pp_lint_finding : Format.formatter -> Analysis.Lint.finding -> unit
 

@@ -128,3 +128,17 @@ let run ~engine ?(listeners = []) (i : input) =
   in
   let hung = outcome.hung <> [] || stuck in
   { env; outcome; sync; hung; por = Option.map Por.stats harness }
+
+(* The hang-table key of a campaign: the first budget-killed thread, else
+   the site of the first stuck spin lock. *)
+let hang_info result =
+  match result.outcome.hung with
+  | (_, name) :: _ -> Printf.sprintf "hung:%s" name
+  | [] -> (
+      match
+        List.find_opt
+          (fun (_, _, e) -> match e with Runtime.Mem.Stuck _ -> true | _ -> false)
+          result.outcome.failed
+      with
+      | Some (_, _, Runtime.Mem.Stuck site) -> Printf.sprintf "stuck:%s" site
+      | Some _ | None -> "hang")

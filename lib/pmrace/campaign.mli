@@ -61,3 +61,8 @@ val run : engine:Engine.t -> ?listeners:(Env.t -> unit) list -> input -> result
     governs.  [listeners] (e.g. {!Alias_cov.attach} partially applied)
     are attached to the environment before the run as transient
     listeners.  [result.env] is valid until the engine's next checkout. *)
+
+val hang_info : result -> string
+(** The report's hang-table key for a hung campaign: ["hung:NAME"] for the
+    first thread killed at the step budget, ["stuck:SITE"] for the first
+    stuck spin lock, ["hang"] otherwise. *)

@@ -226,13 +226,7 @@ type sink = {
       (* [trace] registers a POR campaign's trace class in the same
          critical section as the merge — one lock acquisition per
          campaign boundary *)
-  sk_record_invariant :
-    campaign:int ->
-    label:string ->
-    kind:string ->
-    site:string ->
-    addr:int ->
-    Report.inv_finding option;
+  sk_record_invariant : campaign:int -> Inv_monitor.hit -> Report.finding option;
   sk_queue_entries : unit -> Shared_queue.entry list;
   sk_rescore : sites:Site_set.t -> Seed.t -> unit;
   sk_completed : unit -> int; (* campaigns committed, for progress logs *)
@@ -247,9 +241,7 @@ let hub_sink hub =
     sk_commit =
       (fun ?trace ~campaign ~delta env ~hung ~hang_info ->
         Hub.commit hub ?trace ~campaign ~delta env ~hung ~hang_info);
-    sk_record_invariant =
-      (fun ~campaign ~label ~kind ~site ~addr ->
-        Hub.record_invariant hub ~campaign ~label ~kind ~site ~addr);
+    sk_record_invariant = (fun ~campaign hit -> Hub.record_invariant hub ~campaign hit);
     sk_queue_entries = (fun () -> Hub.queue_entries hub);
     sk_rescore = (fun ~sites seed -> Hub.rescore_seed hub ~sites seed);
     sk_completed = (fun () -> Hub.completed hub);
@@ -294,34 +286,37 @@ type worker = {
 
 let emit w payload = match w.obs with Some o -> Obs.Events.emit o payload | None -> ()
 
-let verdict_label = function
-  | Post_failure.Validated_fp -> "validated-fp"
-  | Post_failure.Whitelisted_fp -> "whitelisted-fp"
-  | Post_failure.Bug { recovery_hang = true; _ } -> "bug-recovery-hang"
-  | Post_failure.Bug { recovery_hang = false; _ } -> "bug"
+(* A first sighting, as a [candidate_found] event. *)
+let emit_found w ~campaign f =
+  if w.obs <> None then
+    emit w
+      (Obs.Events.Candidate_found
+         {
+           campaign;
+           worker = w.widx;
+           kind = Report.kind_slug (Report.kind f);
+           write_site = Report.site f;
+           read_site = Report.read_site f;
+         })
 
-(* A bug that only reproduced on a non-default enumerated crash image is
-   worth its own event: it is exactly the detection the image budget
-   bought.  Emitted alongside the plain verdict event. *)
-let emit_image_bug w ~campaign ~kind ~site = function
-  | Post_failure.Bug { image_index; _ } when image_index > 0 ->
-      emit w
-        (Obs.Events.Crash_image_bug { campaign; worker = w.widx; kind; site; image_index })
-  | Post_failure.Bug _ | Post_failure.Validated_fp | Post_failure.Whitelisted_fp -> ()
+(* Validate a first sighting post-failure and emit its verdict.  A bug
+   that only reproduced on a non-default enumerated crash image gets a
+   second event: it is exactly the detection the image budget bought. *)
+let validate_finding w ~campaign f =
+  let v = Report.validate w.vctx f in
+  if w.obs <> None then begin
+    let kind = Report.kind_slug (Report.kind f) and site = Report.site f in
+    emit w
+      (Obs.Events.Validation_verdict
+         { campaign; worker = w.widx; kind; site; verdict = Post_failure.verdict_slug v });
+    match v with
+    | Post_failure.Bug { image_index; _ } when image_index > 0 ->
+        emit w
+          (Obs.Events.Crash_image_bug { campaign; worker = w.widx; kind; site; image_index })
+    | Post_failure.Bug _ | Post_failure.Validated_fp | Post_failure.Whitelisted_fp -> ()
+  end
 
 let site_name id = Runtime.Instr.name (Runtime.Instr.of_int id)
-
-let hang_info (result : Campaign.result) =
-  match result.outcome.hung with
-  | (_, name) :: _ -> Printf.sprintf "hung:%s" name
-  | [] -> (
-      match
-        List.find_opt
-          (fun (_, _, e) -> match e with Runtime.Mem.Stuck _ -> true | _ -> false)
-          result.outcome.failed
-      with
-      | Some (_, _, Runtime.Mem.Stuck site) -> Printf.sprintf "stuck:%s" site
-      | Some _ | None -> "hang")
 
 let policy_label = function
   | Campaign.Pmrace { entry; _ } ->
@@ -405,7 +400,7 @@ let do_campaign w seed policy =
       in
       let c =
         w.sink.sk_commit ?trace ~campaign ~delta:w.delta result.env ~hung:result.hung
-          ~hang_info:(hang_info result)
+          ~hang_info:(Campaign.hang_info result)
       in
       (* Corpus scheduling: credit this seed with the alias pairs its
          campaign was first to achieve — the currency [Corpus_sched.cull]
@@ -430,107 +425,22 @@ let do_campaign w seed policy =
               (Obs.Events.New_alias_pair
                  { campaign; worker = w.widx; write_site = site_name wr; read_site = site_name rd }))
           c.c_new_pairs;
-        List.iter
-          (fun (f : Report.finding) ->
-            let kind =
-              match f.inc.source.Runtime.Candidates.kind with
-              | Runtime.Candidates.Inter -> "inter"
-              | Runtime.Candidates.Intra -> "intra"
-            in
-            emit w
-              (Obs.Events.Candidate_found
-                 {
-                   campaign;
-                   worker = w.widx;
-                   kind;
-                   write_site = Runtime.Instr.name f.inc.source.Runtime.Candidates.write_instr;
-                   read_site = Runtime.Instr.name f.inc.source.Runtime.Candidates.read_instr;
-                 }))
-          c.c_new_findings;
-        List.iter
-          (fun (f : Report.sync_finding) ->
-            emit w
-              (Obs.Events.Candidate_found
-                 {
-                   campaign;
-                   worker = w.widx;
-                   kind = "sync";
-                   write_site = f.ev.var.Runtime.Checkers.sv_name;
-                   read_site = "";
-                 }))
-          c.c_new_sync
+        List.iter (emit_found w ~campaign) c.c_new
       end;
-      if w.cfg.validate && c.Hub.c_first_trace then begin
-        List.iter
-          (fun (f : Report.finding) ->
-            let v = Post_failure.validate w.vctx (Post_failure.Candidate.Inconsistency f.inc) in
-            f.verdict <- Some v;
-            let kind =
-              match f.inc.source.Runtime.Candidates.kind with
-              | Runtime.Candidates.Inter -> "inter"
-              | Runtime.Candidates.Intra -> "intra"
-            in
-            let site = Runtime.Instr.name f.inc.source.Runtime.Candidates.write_instr in
-            if w.obs <> None then
-              emit w
-                (Obs.Events.Validation_verdict
-                   { campaign; worker = w.widx; kind; site; verdict = verdict_label v });
-            emit_image_bug w ~campaign ~kind ~site v)
-          c.c_new_findings;
-        List.iter
-          (fun (f : Report.sync_finding) ->
-            let v = Post_failure.validate w.vctx (Post_failure.Candidate.Sync f.ev) in
-            f.sync_verdict <- Some v;
-            let site = f.ev.var.Runtime.Checkers.sv_name in
-            if w.obs <> None then
-              emit w
-                (Obs.Events.Validation_verdict
-                   { campaign; worker = w.widx; kind = "sync"; site; verdict = verdict_label v });
-            emit_image_bug w ~campaign ~kind:"sync" ~site v)
-          c.c_new_sync
-      end;
+      if w.cfg.validate && c.Hub.c_first_trace then List.iter (validate_finding w ~campaign) c.c_new;
       (* Invariant-violation hits: register first sightings with the hub
          (dedup by label across workers) and validate them like any other
-         candidate, outside the lock. *)
+         candidate, outside the lock — whatever the campaign's trace. *)
       (match w.inv_mon with
       | None -> ()
       | Some m ->
           List.iter
-            (fun (h : Inv_monitor.hit) ->
-              match
-                w.sink.sk_record_invariant ~campaign ~label:h.h_label
-                  ~kind:(Analysis.Invariants.inv_kind_slug h.h_inv)
-                  ~site:(Runtime.Instr.name h.h_site) ~addr:h.h_addr
-              with
+            (fun hit ->
+              match w.sink.sk_record_invariant ~campaign hit with
               | None -> ()
               | Some f ->
-                  emit w
-                    (Obs.Events.Candidate_found
-                       {
-                         campaign;
-                         worker = w.widx;
-                         kind = "invariant";
-                         write_site = h.h_label;
-                         read_site = Runtime.Instr.name h.h_site;
-                       });
-                  if w.cfg.validate then begin
-                    let v =
-                      Post_failure.validate w.vctx
-                        (Post_failure.Candidate.Ordering
-                           { crash = h.h_crash; eff_words = h.h_words })
-                    in
-                    f.Report.iv_verdict <- Some v;
-                    emit w
-                      (Obs.Events.Validation_verdict
-                         {
-                           campaign;
-                           worker = w.widx;
-                           kind = "invariant";
-                           site = h.h_label;
-                           verdict = verdict_label v;
-                         });
-                    emit_image_bug w ~campaign ~kind:"invariant" ~site:h.h_label v
-                  end)
+                  emit_found w ~campaign f;
+                  if w.cfg.validate then validate_finding w ~campaign f)
             (Inv_monitor.drain m));
       rescore_seed w seed;
       w.my_campaigns <- w.my_campaigns + 1;

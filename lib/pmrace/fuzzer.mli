@@ -48,7 +48,7 @@ type config = {
       (** mine likely persistence-ordering invariants ({!Analysis.Invariants})
           from the pre-pass seed traces and monitor every campaign for
           violations, validating first sightings post-failure
-          (through {!Post_failure.validate}).  Forces a pre-pass run even
+          (through {!Report.validate}).  Forces a pre-pass run even
           without [static_prepass], but never installs the site-graph
           denominator on its own.  Off by default so seeded sessions stay
           bit-identical; the CLI enables it with [--invariants]. *)
@@ -188,13 +188,8 @@ type sink = {
           the commit critical section — dedup costs no extra lock
           traffic, and [c_first_trace] in the result gates post-failure
           validation *)
-  sk_record_invariant :
-    campaign:int ->
-    label:string ->
-    kind:string ->
-    site:string ->
-    addr:int ->
-    Report.inv_finding option;
+  sk_record_invariant : campaign:int -> Inv_monitor.hit -> Report.finding option;
+      (** [Some] only on the first sighting of the hit's invariant *)
   sk_queue_entries : unit -> Shared_queue.entry list;
   sk_rescore : sites:Site_set.t -> Seed.t -> unit;
   sk_completed : unit -> int;  (** campaigns committed, for progress logs *)

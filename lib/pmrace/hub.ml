@@ -174,9 +174,6 @@ let fresh_delta () =
     d_tracker = Alias_cov.tracker ();
   }
 
-let delta_listeners d =
-  [ Alias_cov.attach d.d_alias; Branch_cov.attach d.d_branch; Shared_queue.attach d.d_queue ]
-
 (* The delta's event handlers, for a worker's pre-bound listener array.
    The alias handler uses the delta's own tracker, so [reset_delta] must
    run between campaigns. *)
@@ -199,11 +196,18 @@ let reset_delta d =
    the shared-side merge).  Fleet workers keep a second "wire" delta that
    every campaign delta is folded into before its reset; the wire delta is
    what travels to the coordinator.  The tracker is per-execution scratch
-   and is not merged. *)
+   and is not merged.  A delta decoded from a peer or a file may carry a
+   bitmap of another size: sizes are checked first, so it is refused
+   whole. *)
 let merge_delta_into ~src ~dst =
-  Alias_cov.merge_into ~src:src.d_alias dst.d_alias;
-  Branch_cov.merge_into ~src:src.d_branch dst.d_branch;
-  Shared_queue.merge_into ~src:src.d_queue dst.d_queue
+  let n = Alias_cov.size src.d_alias and m = Alias_cov.size dst.d_alias in
+  if n <> m then Error (Printf.sprintf "alias bitmap has %d bits, expected %d" n m)
+  else begin
+    Alias_cov.merge_into ~src:src.d_alias dst.d_alias;
+    Branch_cov.merge_into ~src:src.d_branch dst.d_branch;
+    Shared_queue.merge_into ~src:src.d_queue dst.d_queue;
+    Ok ()
+  end
 
 (* Wire/store codec for a delta: the three coverage structures, each via
    its own (site-name based, process-independent) codec. *)
@@ -228,8 +232,7 @@ type trace = {
 
 type commit_result = {
   c_improved : bool; (* the merge contributed new coverage bits *)
-  c_new_findings : Report.finding list;
-  c_new_sync : Report.sync_finding list;
+  c_new : Report.finding list; (* first sightings: inconsistencies, then sync *)
   c_new_pairs : (int * int) list; (* newly achieved (write, read) site pairs *)
   c_alias_bits : int; (* shared coverage after this merge *)
   c_branch_bits : int;
@@ -272,13 +275,11 @@ let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
       (* O(delta): the delta's pairs the shared map lacks before the
          merge are exactly the ones the merge adds. *)
       let c_new_pairs = Alias_cov.fresh_pairs ~src:delta.d_alias t.alias in
-      let inter_before = Report.inconsistency_count t.report Runtime.Candidates.Inter in
       Alias_cov.merge_into ~src:delta.d_alias t.alias;
       Branch_cov.merge_into ~src:delta.d_branch t.branch;
       Shared_queue.merge_into ~src:delta.d_queue t.queue;
-      let c_new_findings, c_new_sync = Report.absorb ~campaign t.report env ~hung ~hang_info in
+      let c_new = Report.absorb ~campaign t.report env ~hung ~hang_info in
       t.completed <- t.completed + 1;
-      let inter_now = Report.inconsistency_count t.report Runtime.Candidates.Inter in
       let c_alias_bits = Alias_cov.count t.alias and c_branch_bits = Branch_cov.count t.branch in
       t.timeline <-
         {
@@ -286,15 +287,14 @@ let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
           tp_time = now () -. t.started;
           tp_alias_bits = c_alias_bits;
           tp_branch_bits = c_branch_bits;
-          tp_inter_unique = inter_now;
-          tp_new_inter = inter_now > inter_before;
+          tp_inter_unique = Report.inconsistency_count t.report Runtime.Candidates.Inter;
+          tp_new_inter = List.exists (fun f -> Report.kind f = `Inter) c_new;
         }
         :: t.timeline;
       let after = c_alias_bits + c_branch_bits in
       {
         c_improved = after > before;
-        c_new_findings;
-        c_new_sync;
+        c_new;
         c_new_pairs;
         c_alias_bits;
         c_branch_bits;
@@ -319,8 +319,8 @@ let trace_hashes t = t.trace_hashes
 (* First sighting of an invariant violation across all workers; the
    returned finding (if new) is validated by the discovering worker
    outside the lock, like dynamic findings. *)
-let record_invariant t ~campaign ~label ~kind ~site ~addr =
-  with_lock t (fun () -> Report.record_invariant ~campaign t.report ~label ~kind ~site ~addr)
+let record_invariant t ~campaign hit =
+  with_lock t (fun () -> Report.record_invariant ~campaign t.report hit)
 
 let queue_entries t = with_lock t (fun () -> Shared_queue.entries t.queue)
 
@@ -351,9 +351,6 @@ let rescore_seed t ~sites seed =
               (Analysis.Alias_pairs.uncovered pairs)
           in
           Seed.set_priority seed score)
-
-let inter_unique t =
-  with_lock t (fun () -> Report.inconsistency_count t.report Runtime.Candidates.Inter)
 
 let completed t = t.completed
 let elapsed t = now () -. t.started

@@ -52,10 +52,6 @@ val reserve : t -> provenance -> int option
 
 val fresh_delta : unit -> delta
 
-val delta_listeners : delta -> (Runtime.Env.t -> unit) list
-(** Campaign listeners feeding the delta's private coverage structures
-    (transient-listener style, fresh alias tracker per attach). *)
-
 val delta_handlers : delta -> (Runtime.Env.event -> unit) list
 (** The delta's raw event handlers, for installation in a worker's
     pre-bound listener array ({!Runtime.Env.install_bound}).  The alias
@@ -66,11 +62,13 @@ val reset_delta : delta -> unit
 (** Empty a delta (coverage structures and alias tracker) for reuse —
     observationally equivalent to a {!fresh_delta}. *)
 
-val merge_delta_into : src:delta -> dst:delta -> unit
+val merge_delta_into : src:delta -> dst:delta -> (unit, string) result
 (** Fold one delta into another (set unions / counter additions — the same
     algebra the shared-side merge uses).  Fleet workers accumulate each
     campaign delta into a "wire" delta before {!reset_delta}; the wire
-    delta is what ships to the coordinator. *)
+    delta is what ships to the coordinator.  A decoded delta may carry
+    an alias bitmap of another size: then nothing is merged and the
+    result is [Error]. *)
 
 val delta_codec : delta Obs.Codec.t
 (** Wire/store codec: the delta's coverage structures with sites encoded
@@ -94,8 +92,9 @@ type trace = {
 
 type commit_result = {
   c_improved : bool;  (** the merge contributed new coverage bits *)
-  c_new_findings : Report.finding list;
-  c_new_sync : Report.sync_finding list;
+  c_new : Report.finding list;
+      (** the campaign's first sightings: inconsistencies, then sync
+          events *)
   c_new_pairs : (int * int) list;
       (** (write, read) site pairs first achieved by this merge, as raw
           instruction ids, sorted — the fuzzer turns them into
@@ -148,14 +147,7 @@ val trace_hashes : t -> (int, int64) Hashtbl.t
 (** All recorded trace hashes by campaign index, for artifact assembly.
     Single-domain accessor. *)
 
-val record_invariant :
-  t ->
-  campaign:int ->
-  label:string ->
-  kind:string ->
-  site:string ->
-  addr:int ->
-  Report.inv_finding option
+val record_invariant : t -> campaign:int -> Inv_monitor.hit -> Report.finding option
 (** Record a mined-invariant violation (locked); returns the finding only
     on the first sighting of the label across all workers — the
     discovering worker then validates it outside the lock. *)
@@ -168,9 +160,6 @@ val rescore_seed : t -> sites:Site_set.t -> Seed.t -> unit
     achieved alias-pair marks from shared coverage and set the seed's
     priority to the number of uncovered possible pairs it touches.
     [sites] is the owning worker's private touched-site set. *)
-
-val inter_unique : t -> int
-(** Current unique inter-thread inconsistency count (locked). *)
 
 val completed : t -> int
 (** Campaigns committed so far. *)

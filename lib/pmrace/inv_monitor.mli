@@ -5,7 +5,7 @@
     it resets the checker's per-execution state and steps it on every
     instrumented event.  The first violation of each invariant (per
     worker) captures the durable pool image at the violating store, so
-    the hit can be routed through {!Post_failure.validate} (as a
+    the hit can be validated post-failure ({!Report.validate}, as a
     {!Post_failure.Candidate.Ordering}) like any other candidate. *)
 
 type hit = {

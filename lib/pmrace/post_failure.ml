@@ -59,6 +59,12 @@ let pp_verdict ppf = function
   | Bug { recovery_hang = false; image_index = 0 } -> Fmt.string ppf "BUG"
   | Bug { recovery_hang = false; image_index = i } -> Fmt.pf ppf "BUG (crash image #%d)" i
 
+let verdict_slug = function
+  | Validated_fp -> "validated-fp"
+  | Whitelisted_fp -> "whitelisted-fp"
+  | Bug { recovery_hang = true; _ } -> "bug-recovery-hang"
+  | Bug { recovery_hang = false; _ } -> "bug"
+
 let m_validation = lazy (Obs.Metrics.histogram "validation_seconds")
 let m_validations = lazy (Obs.Metrics.counter "validations_total")
 let m_images_enumerated = lazy (Obs.Metrics.counter "crash_images_enumerated_total")

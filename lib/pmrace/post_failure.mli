@@ -19,6 +19,10 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
+val verdict_slug : verdict -> string
+(** ["validated-fp" | "whitelisted-fp" | "bug" | "bug-recovery-hang"]: the
+    verdict as event streams and artifacts spell it. *)
+
 (** The three candidate kinds post-failure validation decides on. *)
 module Candidate : sig
   type t =

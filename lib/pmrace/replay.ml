@@ -16,13 +16,6 @@ type outcome = {
       (* crash-image index the bug reproduced on this run, when it did *)
 }
 
-let kind_string = function `Inter -> "inter" | `Intra -> "intra" | `Sync -> "sync"
-
-let hang_info (result : Campaign.result) =
-  match result.outcome.hung with
-  | (_, name) :: _ -> Printf.sprintf "hung:%s" name
-  | [] -> "replay-hang"
-
 let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
   if not (String.equal target.Target.name artifact.Artifact.a_target) then
     Error
@@ -62,9 +55,9 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
                 in
                 let result = Campaign.run ~engine input in
                 let report = Report.create () in
-                let findings, sync_findings =
+                let findings =
                   Report.absorb ~campaign report result.env ~hung:result.hung
-                    ~hang_info:(hang_info result)
+                    ~hang_info:(Campaign.hang_info result)
                 in
                 let whitelist =
                   Whitelist.create (target.Target.whitelist_sites @ cfg.whitelist_extra)
@@ -79,45 +72,26 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
                   | None -> cfg.crash_images
                 in
                 let vctx = Post_failure.ctx ~images ~whitelist target in
-                List.iter
-                  (fun (f : Report.finding) ->
-                    f.verdict <-
-                      Some (Post_failure.validate vctx (Post_failure.Candidate.Inconsistency f.inc)))
-                  findings;
-                List.iter
-                  (fun (f : Report.sync_finding) ->
-                    f.sync_verdict <-
-                      Some (Post_failure.validate vctx (Post_failure.Candidate.Sync f.ev)))
-                  sync_findings;
+                List.iter (fun f -> ignore (Report.validate vctx f)) findings;
                 let groups = Report.bug_groups report in
                 let reproduced =
                   List.exists
                     (fun (g : Report.bug_group) ->
-                      String.equal (kind_string g.bg_kind) b.b_kind
+                      String.equal (Report.kind_slug g.bg_kind) b.b_kind
                       && String.equal g.bg_site b.b_site)
                     groups
                 in
                 (* Which enumerated image the bug came back on: the
-                   matching findings' bug verdicts, smallest index. *)
-                let bug_index site = function
-                  | Some (Post_failure.Bug { image_index; _ }) when String.equal site b.b_site ->
-                      Some image_index
-                  | _ -> None
-                in
-                let indices =
-                  List.filter_map
-                    (fun (f : Report.finding) ->
-                      bug_index
-                        (Runtime.Instr.name f.inc.source.Runtime.Candidates.write_instr)
-                        f.verdict)
-                    findings
-                  @ List.filter_map
-                      (fun (f : Report.sync_finding) ->
-                        bug_index f.ev.var.Runtime.Checkers.sv_name f.sync_verdict)
-                      sync_findings
-                in
+                   smallest index among the bug verdicts at its site. *)
                 let r_image_index =
-                  match indices with [] -> None | x :: xs -> Some (List.fold_left min x xs)
+                  List.fold_left
+                    (fun acc (f : Report.finding) ->
+                      match f.verdict with
+                      | Some (Post_failure.Bug { image_index; _ })
+                        when String.equal (Report.site f) b.b_site ->
+                          Some (Option.fold ~none:image_index ~some:(min image_index) acc)
+                      | _ -> acc)
+                    None findings
                 in
                 Ok
                   {

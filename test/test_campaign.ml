@@ -139,26 +139,18 @@ let test_sync_validation () =
 let test_report_dedup () =
   let report = Report.create () in
   let _, r1 = find_confirming () in
-  let nf1, _ = Report.absorb report r1.env ~hung:false ~hang_info:"" in
+  let nf1 = Report.absorb ~campaign:0 report r1.env ~hung:false ~hang_info:"" in
   Alcotest.(check bool) "first absorb yields findings" true (nf1 <> []);
   let _, r2 = find_confirming () in
-  let nf2, _ = Report.absorb report r2.env ~hung:false ~hang_info:"" in
-  Alcotest.(check int) "identical findings deduplicated" 0 (List.length nf2);
-  Alcotest.(check int) "campaigns counted" 2 (Report.campaigns report)
+  let nf2 = Report.absorb ~campaign:1 report r2.env ~hung:false ~hang_info:"" in
+  Alcotest.(check int) "identical findings deduplicated" 0 (List.length nf2)
 
 let test_report_groups_and_matching () =
   let report = Report.create () in
   let _, r = find_confirming () in
-  let nf, ns = Report.absorb report r.env ~hung:false ~hang_info:"" in
+  let nf = Report.absorb ~campaign:0 report r.env ~hung:false ~hang_info:"" in
   let vctx = Post.ctx target in
-  List.iter
-    (fun (f : Report.finding) ->
-      f.verdict <- Some (Post.validate vctx (Post.Candidate.Inconsistency f.inc)))
-    nf;
-  List.iter
-    (fun (f : Report.sync_finding) ->
-      f.sync_verdict <- Some (Post.validate vctx (Post.Candidate.Sync f.ev)))
-    ns;
+  List.iter (fun f -> ignore (Report.validate vctx f)) nf;
   let groups = Report.bug_groups report in
   Alcotest.(check bool) "has inter group" true
     (List.exists (fun g -> g.Report.bg_kind = `Inter && g.bg_site = "figure1.c:store_x") groups);

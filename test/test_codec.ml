@@ -282,7 +282,7 @@ let test_store_fixture () =
       Alcotest.(check int) "bug entries" 2 (List.length (Fleet.Store.bugs st));
       Alcotest.(check int) "corpus entries" 1 (Pmrace.Corpus_sched.size (Fleet.Store.corpus st));
       (* Opening re-saved meta.json; no-op mutations re-save the rest. *)
-      Fleet.Store.merge_delta st (Hub.fresh_delta ());
+      Result.get_ok (Fleet.Store.merge_delta st (Hub.fresh_delta ()));
       ignore
         (Fleet.Store.record_bug st ~kind:"inter" ~site:"golden.c:w" ~read_sites:[] ~members:0
            ~origin:"none" ~first_campaign:None);

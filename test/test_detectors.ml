@@ -426,11 +426,11 @@ let test_fuzzer_invariants_session () =
      through post-failure validation and carries a verdict. *)
   Alcotest.(check bool) "monitor set installed" true (Pmrace.Report.invariants s.report <> []);
   List.iter
-    (fun (f : Pmrace.Report.inv_finding) ->
+    (fun (f : Pmrace.Report.finding) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s validated" f.Pmrace.Report.iv_label)
+        (Printf.sprintf "%s validated" (Pmrace.Report.site f))
         true
-        (f.Pmrace.Report.iv_verdict <> None))
+        (f.verdict <> None))
     (Pmrace.Report.invariant_findings s.report)
 
 let test_fuzzer_invariants_off_by_default () =

@@ -45,7 +45,7 @@ let test_eadr_session_figure1 () =
   let s = Fuzzer.run Workloads.Figure1.target cfg in
   Alcotest.(check int) "no inter inconsistencies" 0
     (Report.inconsistency_count s.report Runtime.Candidates.Inter);
-  let _, _, sync_bugs, _ = Report.sync_verdict_summary s.report in
+  let _, _, sync_bugs, _ = Report.sync_summary s.report in
   Alcotest.(check int) "the sync bug survives eADR" 1 sync_bugs
 
 (* --- aux checkers ---------------------------------------------------- *)

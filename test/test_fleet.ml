@@ -326,9 +326,9 @@ let prop_merge_idempotent =
       let rng = Rng.create n in
       let src = random_delta rng in
       let once = Hub.fresh_delta () and twice = Hub.fresh_delta () in
-      Hub.merge_delta_into ~src ~dst:once;
-      Hub.merge_delta_into ~src ~dst:twice;
-      Hub.merge_delta_into ~src ~dst:twice;
+      Result.get_ok (Hub.merge_delta_into ~src ~dst:once);
+      Result.get_ok (Hub.merge_delta_into ~src ~dst:twice);
+      Result.get_ok (Hub.merge_delta_into ~src ~dst:twice);
       String.equal (coverage_sets once) (coverage_sets twice))
 
 (* Three real figure1 shards, built once (inside the test run, after the
@@ -508,6 +508,88 @@ let test_protocol_hygiene () =
       Alcotest.(check int) "rogue clients never became workers" 1 st.Fleet.Coordinator.st_clients;
       Alcotest.(check int) "only leased campaigns accounted" 5 st.Fleet.Coordinator.st_campaigns
 
+(* A delta whose alias bitmap has 2^10 bits instead of the default
+   2^16: well-formed, so it decodes, but it cannot merge into the hub's
+   aggregate. *)
+let small_bitmap_delta () =
+  let alias = Obs.Codec.encode Pmrace.Alias_cov.codec (Pmrace.Alias_cov.create ~size_log:10 ()) in
+  match Hub.delta_to_json (Hub.fresh_delta ()) with
+  | J.Obj fields ->
+      J.Obj (List.map (fun (k, v) -> if k = "alias" then (k, alias) else (k, v)) fields)
+  | _ -> Alcotest.fail "a delta encodes as an object"
+
+(* A worker shipping such a delta gets an Err and is dropped while the
+   coordinator keeps serving; a store whose coverage.json holds one does
+   not open. *)
+let test_bitmap_size_mismatch () =
+  let dir = temp_dir "fleet_bitmap" in
+  Unix.mkdir dir 0o755;
+  let socket_path = Filename.concat dir "hub.sock" in
+  let store_dir = Filename.concat dir "store" in
+  let ccfg =
+    {
+      Fleet.Coordinator.default_config with
+      socket_path;
+      store_dir;
+      target = "figure1";
+      budget = 5;
+      campaigns_per_lease = 5;
+      seeds_per_lease = 1;
+    }
+  in
+  let ready = Atomic.make false in
+  let coord =
+    Domain.spawn (fun () ->
+        Fleet.Coordinator.serve ~on_ready:(fun () -> Atomic.set ready true) ccfg)
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.005
+  done;
+  let delta =
+    match Hub.delta_of_json (small_bitmap_delta ()) with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "the rogue delta is well-formed: %s" e
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  (* A coordinator that died on the delta would leave these reads hanging. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let exchange msg =
+    Wire.send fd (Wire.client_to_json msg);
+    Result.bind (Wire.recv fd) Wire.server_of_json
+  in
+  (match exchange (Wire.Hello { target = "figure1"; version = Wire.protocol_version }) with
+  | Ok (Wire.Hello_ack _) -> ()
+  | _ -> Alcotest.fail "handshake");
+  (match exchange (Wire.Delta { delta; campaigns = 0; seeds = [] }) with
+  | Ok (Wire.Err _) -> ()
+  | Ok _ -> Alcotest.fail "a bitmap-size mismatch must be refused"
+  | Error e -> Alcotest.failf "expected an Err reply, got %s" e);
+  (match Wire.recv fd with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "coordinator must drop the rogue worker");
+  Unix.close fd;
+  let wcfg =
+    {
+      Fleet.Worker.default_config with
+      connect = socket_path;
+      cfg = Fuzzer.Config.make ~master_seed:3 ();
+      lease_campaigns = 5;
+      lease_seeds = 1;
+    }
+  in
+  (match Fleet.Worker.run wcfg Workloads.Figure1.target with
+  | Error e -> Alcotest.fail ("worker: " ^ e)
+  | Ok o -> Alcotest.(check int) "the coordinator kept serving" 5 o.Fleet.Worker.o_campaigns);
+  (match Domain.join coord with
+  | Error e -> Alcotest.fail ("coordinator: " ^ e)
+  | Ok st -> Alcotest.(check int) "budget drained" 5 st.Fleet.Coordinator.st_campaigns);
+  Out_channel.with_open_bin (Filename.concat store_dir "coverage.json") (fun oc ->
+      output_string oc (J.to_string (small_bitmap_delta ())));
+  match Fleet.Store.open_store ~dir:store_dir ~target:"figure1" ~budget:5 with
+  | Ok _ -> Alcotest.fail "a store with a mismatched coverage bitmap must not open"
+  | Error _ -> ()
+
 (* Adaptive lease sizing: rate × horizon clamped to [min, max]; an
    unmeasured client (rate 0) gets the cap so warm-up is not serialized
    on round trips. *)
@@ -547,7 +629,7 @@ let saved_store () =
       ignore
         (Fleet.Store.record_bug st ~kind:"inter" ~site:"fleet.test:w"
            ~read_sites:[ "fleet.test:r" ] ~members:2 ~origin:"worker-0" ~first_campaign:(Some 3));
-      Fleet.Store.merge_delta st (random_delta (Rng.create 5));
+      Result.get_ok (Fleet.Store.merge_delta st (random_delta (Rng.create 5)));
       Fleet.Store.record_campaigns st 7);
   let entry = Printf.sprintf "%016Lx.json" (Seed.fingerprint (fixed_seed ())) in
   List.map
@@ -725,6 +807,7 @@ let suite =
     Alcotest.test_case "merge: origins, offsets, replay" `Quick test_merge_origins_replayable;
     Alcotest.test_case "coordinator/worker end-to-end" `Quick test_coordinator_worker_session;
     Alcotest.test_case "coordinator: protocol hygiene" `Quick test_protocol_hygiene;
+    Alcotest.test_case "coordinator: bitmap-size mismatch" `Quick test_bitmap_size_mismatch;
     Alcotest.test_case "coordinator: adaptive lease sizing" `Quick test_lease_size;
     QCheck_alcotest.to_alcotest prop_untrusted_never_raises;
     Alcotest.test_case "untrusted bytes: every frame prefix" `Quick test_frame_truncations;

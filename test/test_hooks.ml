@@ -71,15 +71,7 @@ let fingerprint (r : Campaign.result) =
 
 (* Validate a campaign's new findings, as a fuzz worker does: bug groups
    are built from verdicts. *)
-let validate vctx (findings, syncs) =
-  List.iter
-    (fun (f : Report.finding) ->
-      f.verdict <- Some (Post_failure.validate vctx (Post_failure.Candidate.Inconsistency f.inc)))
-    findings;
-  List.iter
-    (fun (f : Report.sync_finding) ->
-      f.sync_verdict <- Some (Post_failure.validate vctx (Post_failure.Candidate.Sync f.ev)))
-    syncs
+let validate vctx findings = List.iter (fun f -> ignore (Report.validate vctx f)) findings
 
 let bug_groups report =
   List.map (Fmt.str "%a" Report.pp_bug_group) (Report.bug_groups report) |> List.sort compare
@@ -112,7 +104,7 @@ let worker_session (target : Pmrace.Target.t) =
         Hub.reset_delta delta;
         let r = Campaign.run ~engine input in
         let c = Hub.commit hub ~campaign:i ~delta r.env ~hung:r.hung ~hang_info:"" in
-        validate vctx (c.Hub.c_new_findings, c.Hub.c_new_sync);
+        validate vctx c.Hub.c_new;
         (input, fingerprint r))
   in
   (List.map fst runs, List.map snd runs, bug_groups (Hub.report hub))

@@ -28,7 +28,7 @@ let test_pclht () =
      3 validated FPs (resize/gc/version locks), 1 bug (bucket locks). *)
   Alcotest.(check int) "annotations" 4 s.annotations;
   Alcotest.(check int) "sync events" 4 (List.length (Report.sync_findings s.report));
-  let fp, _, bugs, _ = Report.sync_verdict_summary s.report in
+  let fp, _, bugs, _ = Report.sync_summary s.report in
   Alcotest.(check int) "sync validated FPs" 3 fp;
   Alcotest.(check int) "sync bugs" 1 bugs
 

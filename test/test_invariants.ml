@@ -18,6 +18,13 @@ let sessions =
        (fun (t : Pmrace.Target.t) -> (t, session t 150))
        [ Workloads.Figure1.target; Workloads.Pclht.target; Workloads.Memcached.target ])
 
+(* A session's unique inconsistencies, each with its checker record. *)
+let inconsistencies (s : Fuzzer.session) =
+  List.filter_map
+    (fun (f : Report.finding) ->
+      match f.subject with Report.Inconsistency inc -> Some (f, inc) | _ -> None)
+    (Report.findings s.report)
+
 (* Every confirmed inconsistency's (write, read) pair must also be a
    recorded candidate pair: inconsistencies are candidates with durable
    side effects, never more. *)
@@ -26,13 +33,13 @@ let test_inconsistencies_subset_of_candidates () =
     (fun ((t : Pmrace.Target.t), (s : Fuzzer.session)) ->
       let cands = Report.candidate_pairs s.report in
       List.iter
-        (fun (f : Report.finding) ->
-          let w = Instr.name f.inc.Checkers.source.Candidates.write_instr in
-          let r = Instr.name f.inc.Checkers.source.Candidates.read_instr in
-          let k = f.inc.Checkers.source.Candidates.kind in
+        (fun ((_ : Report.finding), (inc : Checkers.inconsistency)) ->
+          let w = Instr.name inc.source.Candidates.write_instr in
+          let r = Instr.name inc.source.Candidates.read_instr in
+          let k = inc.source.Candidates.kind in
           if not (List.exists (fun (w', r', k') -> w = w' && r = r' && k = k') cands) then
             Alcotest.failf "%s: inconsistency (%s -> %s) without a candidate pair" t.name w r)
-        (Report.findings s.report))
+        (inconsistencies s))
     (Lazy.force sessions)
 
 (* The coarse (pair-level) inconsistency count can never exceed the
@@ -69,12 +76,12 @@ let test_validated_findings_have_images () =
   List.iter
     (fun ((t : Pmrace.Target.t), (s : Fuzzer.session)) ->
       List.iter
-        (fun (f : Report.finding) ->
-          match (f.verdict, f.inc.Checkers.crash) with
+        (fun ((f : Report.finding), (inc : Checkers.inconsistency)) ->
+          match (f.verdict, inc.crash) with
           | Some Pmrace.Post_failure.Validated_fp, None ->
               Alcotest.failf "%s: validated-FP verdict without an image" t.name
           | _ -> ())
-        (Report.findings s.report))
+        (inconsistencies s))
     (Lazy.force sessions)
 
 (* In a crash image captured at confirmation, the durable side-effect word
@@ -84,13 +91,12 @@ let test_images_show_the_window () =
   List.iter
     (fun ((_ : Pmrace.Target.t), (s : Fuzzer.session)) ->
       List.iter
-        (fun (f : Report.finding) ->
-          match f.inc.Checkers.crash with
-          | Some _ when not f.inc.Checkers.external_effect ->
-              Alcotest.(check bool) "effect word recorded" true
-                (f.inc.Checkers.eff_words <> [])
+        (fun ((_ : Report.finding), (inc : Checkers.inconsistency)) ->
+          match inc.crash with
+          | Some _ when not inc.external_effect ->
+              Alcotest.(check bool) "effect word recorded" true (inc.eff_words <> [])
           | _ -> ())
-        (Report.findings s.report))
+        (inconsistencies s))
     (Lazy.force sessions)
 
 (* Timelines carry exactly one point per campaign, in order. *)
@@ -108,9 +114,12 @@ let test_sync_values_non_initial () =
   List.iter
     (fun ((_ : Pmrace.Target.t), (s : Fuzzer.session)) ->
       List.iter
-        (fun (f : Report.sync_finding) ->
-          Alcotest.(check bool) "non-initial value" false
-            (Int64.equal f.ev.Checkers.sy_value f.ev.Checkers.var.Checkers.sv_init))
+        (fun (f : Report.finding) ->
+          match f.subject with
+          | Report.Sync ev ->
+              Alcotest.(check bool) "non-initial value" false
+                (Int64.equal ev.Checkers.sy_value ev.Checkers.var.Checkers.sv_init)
+          | Report.Inconsistency _ | Report.Invariant _ -> Alcotest.fail "not a sync event")
         (Report.sync_findings s.report))
     (Lazy.force sessions)
 
@@ -120,15 +129,15 @@ let test_whitelist_verdicts_consistent () =
   List.iter
     (fun ((t : Pmrace.Target.t), (s : Fuzzer.session)) ->
       List.iter
-        (fun (f : Report.finding) ->
+        (fun ((f : Report.finding), inc) ->
           match f.verdict with
           | Some Pmrace.Post_failure.Whitelisted_fp ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s whitelist covers the finding" t.name)
                 true
-                (Pmrace.Whitelist.covers s.whitelist f.inc)
+                (Pmrace.Whitelist.covers s.whitelist inc)
           | _ -> ())
-        (Report.findings s.report))
+        (inconsistencies s))
     (Lazy.force sessions)
 
 (* Candidate uniqueness: candidate_pairs has no duplicates. *)

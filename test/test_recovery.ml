@@ -104,12 +104,13 @@ let check_outcome label spec got =
 let candidates (s : Pmrace.Fuzzer.session) =
   List.filter_map
     (fun (f : Pmrace.Report.finding) ->
-      Option.map (fun st -> (Post.Candidate.Inconsistency f.inc, st)) f.inc.Checkers.crash)
-    (Pmrace.Report.findings s.report)
-  @ List.filter_map
-      (fun (f : Pmrace.Report.sync_finding) ->
-        Option.map (fun st -> (Post.Candidate.Sync f.ev, st)) f.ev.Checkers.sy_crash)
-      (Pmrace.Report.sync_findings s.report)
+      match f.subject with
+      | Pmrace.Report.Inconsistency inc ->
+          Option.map (fun st -> (Post.Candidate.Inconsistency inc, st)) inc.Checkers.crash
+      | Pmrace.Report.Sync ev ->
+          Option.map (fun st -> (Post.Candidate.Sync ev, st)) ev.Checkers.sy_crash
+      | Pmrace.Report.Invariant _ -> None)
+    (Pmrace.Report.findings s.report @ Pmrace.Report.sync_findings s.report)
 
 let session target =
   Pmrace.Fuzzer.run target
