@@ -47,6 +47,45 @@ let test_copy_independent () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copies aligned" (Rng.next a) (Rng.next b)
 
+(* Known answers: the stream is part of every replayable artifact, so its
+   values are pinned, not just its self-consistency.  Seed 0's first three
+   outputs are SplitMix64's published reference values; the rest were
+   recorded from the boxed-[int64] implementation this one replaced. *)
+let test_known_answers () =
+  let hex = Alcotest.testable (fun ppf v -> Format.fprintf ppf "0x%016LX" v) Int64.equal in
+  let r = Rng.create 0 in
+  List.iter
+    (fun want -> Alcotest.check hex "seed 0 next" want (Rng.next r))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let r = Rng.create 42 in
+  Alcotest.(check (list int)) "seed 42 int 1000" [ 853; 72; 964; 941; 812; 265 ]
+    (List.init 6 (fun _ -> Rng.int r 1000));
+  let r = Rng.create 7 in
+  Alcotest.(check (list (float 0.))) "seed 7 float"
+    [ 0x1.8f2f879164c82p-2; 0x1.130f35fd0f18p-6; 0x1.cd30810175625p-1 ]
+    (List.init 3 (fun _ -> Rng.float r));
+  let r = Rng.create 7 in
+  Alcotest.(check (list bool)) "seed 7 bool"
+    [ true; false; false; true; false; true; false; false ]
+    (List.init 8 (fun _ -> Rng.bool r));
+  let r = Rng.create 123 in
+  let c = Rng.split r in
+  let c1 = Rng.next c in
+  let c2 = Rng.next c in
+  Alcotest.check hex "split child 1" 0x73B2C88C2180AA99L c1;
+  Alcotest.check hex "split child 2" 0x545AD18DC54AA9A5L c2;
+  Alcotest.check hex "split parent advanced" 0xFA023CE9F06FB77CL (Rng.next r);
+  let r = Rng.create (-1) in
+  Alcotest.check hex "seed -1 next" 0xE4D971771B652C20L (Rng.next r);
+  let c = Rng.copy r in
+  Alcotest.check hex "copy next" 0xE99FF867DBF682C9L (Rng.next c);
+  Alcotest.check hex "copy next 2" 0x382FF84CB27281E9L (Rng.next c);
+  Alcotest.check hex "original unaffected by copy" 0xE99FF867DBF682C9L (Rng.next r);
+  let r = Rng.create max_int in
+  let a = Rng.int r max_int in
+  Alcotest.(check int) "seed max_int, int max_int" 1222659272267685417 a;
+  Alcotest.(check int) "then int 3" 1 (Rng.int r 3)
+
 let prop_shuffle_is_permutation =
   QCheck.Test.make ~name:"rng: shuffle is a permutation" ~count:200
     QCheck.(pair small_int (small_list int))
@@ -84,6 +123,7 @@ let suite =
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "pick" `Quick test_pick;
     Alcotest.test_case "copy" `Quick test_copy_independent;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
     QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest prop_shuffle_preserves_input;
     QCheck_alcotest.to_alcotest prop_int_uniformish;
