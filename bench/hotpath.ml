@@ -4,7 +4,9 @@
 
    - scheduler steps/sec: the maintained runnable-index loop
      ([Scheduler.run]) against the legacy rebuild-and-filter loop kept as
-     [Scheduler.run_reference], at 2/8/32 fibers;
+     [Scheduler.run_reference], at 1/2/8/32 fibers, with the share of
+     picks that re-pick the fiber that just yielded (with one fiber,
+     every pick: the steps [run] takes without switching fibers);
    - sfence cost: the O(pending) indexed fence ([Pool.sfence]) against the
      legacy O(pool) full scan kept as [Pool.sfence_scan], on 1k/8k/64k-word
      pools with a sparse (16-word) pending set;
@@ -28,9 +30,10 @@ let hr ppf = Format.fprintf ppf "%s@." (String.make 72 '-')
 (* Scheduler: steps/sec on yield-spinning fibers that exhaust a fixed
    budget, so both loops take exactly [budget] scheduling decisions. *)
 
-let sched_steps_per_sec ~fibers runner =
-  let budget = 60_000 in
-  let s = Scheduler.create ~step_budget:budget ~rng:(Rng.create 11) () in
+let sched_budget = 60_000
+
+let spinners ~fibers =
+  let s = Scheduler.create ~step_budget:sched_budget ~rng:(Rng.create 11) () in
   for _ = 1 to fibers do
     ignore
       (Scheduler.spawn s ~name:"spin" (fun () ->
@@ -38,18 +41,35 @@ let sched_steps_per_sec ~fibers runner =
              Scheduler.yield ()
            done))
   done;
+  s
+
+let sched_steps_per_sec ~fibers runner =
+  let s = spinners ~fibers in
   let t0 = Obs.Clock.now () in
   let o = runner s in
   let wall = Obs.Clock.elapsed t0 in
   float_of_int o.Scheduler.steps /. Float.max 1e-9 wall
+
+(* Share of picks that re-pick the fiber that ran the step before, from
+   an untimed run of the same schedule. *)
+let self_pick_share ~fibers =
+  let last = ref (-1) and self = ref 0 in
+  let o =
+    Scheduler.run
+      ~on_step:(fun tid ->
+        if tid = !last then incr self;
+        last := tid)
+      (spinners ~fibers)
+  in
+  float_of_int !self /. float_of_int (max 1 o.Scheduler.steps)
 
 let sched_rows () =
   List.map
     (fun fibers ->
       let legacy = sched_steps_per_sec ~fibers (fun s -> Scheduler.run_reference s) in
       let fast = sched_steps_per_sec ~fibers (fun s -> Scheduler.run s) in
-      (fibers, legacy, fast))
-    [ 2; 8; 32 ]
+      (fibers, legacy, fast, self_pick_share ~fibers))
+    [ 1; 2; 8; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* SFENCE: [rounds] iterations of (dirty + flush a sparse word set; fence)
@@ -204,9 +224,11 @@ let run ppf =
   hr ppf;
   let sched = sched_rows () in
   List.iter
-    (fun (fibers, legacy, fast) ->
+    (fun (fibers, legacy, fast, self) ->
       Format.fprintf ppf "%-34s %14.0f %14.0f %8.2fx@."
-        (Printf.sprintf "sched steps (%d fibers)" fibers)
+        (Printf.sprintf "sched steps (%d fiber%s, %.0f%% self)" fibers
+           (if fibers = 1 then "" else "s")
+           (100. *. self))
         legacy fast (speedup fast legacy))
     sched;
   let sfence = sfence_rows () in
@@ -240,14 +262,15 @@ let run ppf =
         ( "sched",
           Obs.Json.List
             (List.map
-               (fun (fibers, legacy, fast) ->
+               (fun (fibers, legacy, fast, self) ->
                  Obs.Json.Obj
                    [
                      ("fibers", Obs.Json.Int fibers);
-                     ("budget_steps", Obs.Json.Int 60_000);
+                     ("budget_steps", Obs.Json.Int sched_budget);
                      ("legacy_steps_per_sec", Obs.Json.Float legacy);
                      ("steps_per_sec", Obs.Json.Float fast);
                      ("speedup", Obs.Json.Float (speedup fast legacy));
+                     ("self_pick_share", Obs.Json.Float self);
                    ])
                sched) );
         ( "sfence",

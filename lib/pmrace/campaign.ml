@@ -25,6 +25,16 @@ type policy_spec =
 let policy_spec_codec =
   let open Obs.Codec in
   let names = list string in
+  (* A replay would otherwise accept these and fail later, inside a
+     fiber: [Rng.int] rejects a bound below 1 at the first delay draw. *)
+  let probability =
+    conv
+      (fun p -> if p >= 0. && p <= 1. then Ok p else Error "expected a probability in [0, 1]")
+      Fun.id float
+  in
+  let delay_bound =
+    conv (fun d -> if d >= 1 then Ok d else Error "expected an int >= 1") Fun.id int
+  in
   variant "policy"
     [
       case "pmrace"
@@ -41,8 +51,8 @@ let policy_spec_codec =
         (fun (entry, skip) -> Pmrace { entry; skip });
       case "delay"
         (record (fun prob max_delay -> (prob, max_delay))
-        |+ field "prob" float fst
-        |+ field "max_delay" int snd)
+        |+ field "prob" probability fst
+        |+ field "max_delay" delay_bound snd)
         (function Delay { prob; max_delay } -> Some (prob, max_delay) | _ -> None)
         (fun (prob, max_delay) -> Delay { prob; max_delay });
       constant "random" Random_sched;

@@ -3,20 +3,28 @@
    The whole reproduction depends on replayable executions, so we avoid the
    global Stdlib.Random state and thread explicit generators instead. *)
 
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: a [mutable int64] record field
+   would box a fresh [Int64] on every draw, and the scheduler draws once
+   per step.  With [next] inlined into its callers, [int], [bits] and
+   [bool] allocate nothing. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
 
-let next t =
+let copy = Bytes.copy
+
+let[@inline] next t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let s = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 s;
+  let z = mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2) (* 62 non-negative bits *)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next t) 2) (* 62 non-negative bits *)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";

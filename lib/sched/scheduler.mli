@@ -31,8 +31,14 @@ val spawn : t -> name:string -> (unit -> unit) -> int
     must be spawned before {!run}. *)
 
 val yield : unit -> unit
-(** Give up the processor.  Must be called from inside a fiber executed by
-    {!run}; the runtime calls it at every preemption point. *)
+(** A preemption point; the runtime calls it at every instrumented
+    operation.  Inside a fiber of {!run} it ends the current scheduling
+    step and takes the next decision on the fiber's own stack (see
+    {!run}).  It switches fibers — performs the scheduler's effect — only
+    when that decision picks another fiber or ends the run; when it
+    re-picks the caller it simply returns.  Anywhere else (inside
+    {!run_reference}, or outside any run) it performs the effect, which
+    raises [Effect.Unhandled] when no scheduler encloses the call. *)
 
 (** {2 Partial-order reduction hooks} *)
 
@@ -74,6 +80,17 @@ val run : ?on_step:(int -> unit) -> ?por:por -> t -> outcome
 (** Execute all fibers to completion, failure, or budget exhaustion.
     [on_step tid] is invoked before every scheduling step.
 
+    A step ends where the stepped fiber stops: in its {!yield}, or when it
+    finishes or crashes.  There, in this order, the step's bookkeeping
+    runs — the POR sleep/wake pass, removal of a fiber that can no longer
+    run, the step-time sample — followed by the next decision: one
+    [Rng.int] draw, the step count, [on_step].  [run] itself only steps
+    whichever fiber the last decision picked.  An exception raised by
+    [on_step] or a POR hook escapes [run], even when a fiber's {!yield}
+    called the hook; it never reaches the fiber's code.  [run] may be
+    called from inside a fiber of another [run] (each run draws from its
+    own scheduler's generator); the outer run resumes unaffected.
+
     The per-step cost is O(1) amortized in the number of fibers: the
     runnable set is a maintained spawn-ordered index array, not a list
     rebuilt every step.
@@ -107,7 +124,8 @@ val run_reference : ?on_step:(int -> unit) -> t -> outcome
 (** The legacy scheduling loop (rebuild-and-filter the runnable list every
     step, list-based {!Rng.pick}), kept as an executable specification of
     {!run} without pruning: same RNG stream, same schedule, same outcome —
-    only the per-step cost differs (O(fibers) instead of O(1)).  Used by
+    only the per-step cost differs (O(fibers) instead of O(1), and an
+    effect round trip on every step, self-picks included).  Used by
     the stream-compatibility tests and the [hotpath] bench; not for
     production callers. *)
 

@@ -115,6 +115,20 @@ let test_malformed_values_rejected () =
       ("artifact possible_pairs \"x\"", [ `K "coverage"; `K "possible_pairs" ], J.String "x");
       ("artifact campaigns 1e300", [ `K "campaigns" ], J.Float 1e300);
     ];
+  (* Delay settings a replay could only reject mid-run. *)
+  let variants = parse_fixture "artifact_all_variants.json" in
+  List.iter
+    (fun (label, key, v, msg) ->
+      match Artifact.of_json (set [ `K "provenance"; `I 1; `K "spec"; `K key ] v variants) with
+      | Ok _ -> Alcotest.failf "%s decoded" label
+      | Error e -> Alcotest.(check string) label ("provenance[1].spec." ^ key ^ ": " ^ msg) e)
+    [
+      ("delay max_delay 0", "max_delay", J.Int 0, "expected an int >= 1");
+      ("delay max_delay -3", "max_delay", J.Int (-3), "expected an int >= 1");
+      ("delay prob 1.5", "prob", J.Float 1.5, "expected a probability in [0, 1]");
+      ("delay prob -0.1", "prob", J.Float (-0.1), "expected a probability in [0, 1]");
+      ("delay prob nan", "prob", J.Float Float.nan, "expected a probability in [0, 1]");
+    ];
   let bug_frame first =
     J.Obj
       [
