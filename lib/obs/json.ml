@@ -110,12 +110,16 @@ let of_string s =
   let pos = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
+  (* The hot loops (whitespace, plain string bodies, number literals)
+     read bytes with [String.unsafe_get] behind their own bounds check,
+     so they allocate nothing per byte; [peek] allocates a [Some]. *)
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
   in
   let expect c =
     match peek () with
@@ -144,72 +148,89 @@ let of_string s =
     pos := !pos + 4;
     v
   in
+  let rec plain i =
+    if i < n then match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain (i + 1) else i
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> parse_error !pos "unterminated string"
-      | Some '"' ->
-          advance ();
-          Buffer.contents buf
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-          | Some '/' -> Buffer.add_char buf '/'; advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-          | Some 'u' ->
-              advance ();
-              let cp = hex4 () in
-              let cp =
-                (* Combine a UTF-16 surrogate pair only when a low
-                   surrogate follows; otherwise the next escape is left
-                   for the loop to decode on its own. *)
-                if cp >= 0xD800 && cp <= 0xDBFF && !pos + 6 <= n && s.[!pos] = '\\'
-                   && s.[!pos + 1] = 'u'
-                then begin
-                  let hi_end = !pos in
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  if lo >= 0xDC00 && lo <= 0xDFFF then
-                    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-                  else begin
-                    pos := hi_end;
-                    cp
+    let start = !pos in
+    let stop = plain start in
+    pos := stop;
+    if stop < n && String.unsafe_get s stop = '"' then begin
+      (* No escape before the closing quote: the string is one slice. *)
+      advance ();
+      String.sub s start (stop - start)
+    end
+    else begin
+      (* An escape, or the end of the input: decode the rest piecewise. *)
+      let buf = Buffer.create (stop - start + 16) in
+      Buffer.add_substring buf s start (stop - start);
+      let rec go () =
+        match peek () with
+        | None -> parse_error !pos "unterminated string"
+        | Some '"' ->
+            advance ();
+            Buffer.contents buf
+        | Some '\\' ->
+            advance ();
+            (match peek () with
+            | Some '"' -> Buffer.add_char buf '"'; advance ()
+            | Some '\\' -> Buffer.add_char buf '\\'; advance ()
+            | Some '/' -> Buffer.add_char buf '/'; advance ()
+            | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+            | Some 't' -> Buffer.add_char buf '\t'; advance ()
+            | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+            | Some 'b' -> Buffer.add_char buf '\b'; advance ()
+            | Some 'f' -> Buffer.add_char buf '\012'; advance ()
+            | Some 'u' ->
+                advance ();
+                let cp = hex4 () in
+                let cp =
+                  (* Combine a UTF-16 surrogate pair only when a low
+                     surrogate follows; otherwise the next escape is left
+                     for the loop to decode on its own. *)
+                  if cp >= 0xD800 && cp <= 0xDBFF && !pos + 6 <= n && s.[!pos] = '\\'
+                     && s.[!pos + 1] = 'u'
+                  then begin
+                    let hi_end = !pos in
+                    pos := !pos + 2;
+                    let lo = hex4 () in
+                    if lo >= 0xDC00 && lo <= 0xDFFF then
+                      0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                    else begin
+                      pos := hi_end;
+                      cp
+                    end
                   end
-                end
-                else cp
-              in
-              add_utf8 buf cp
-          | Some c -> parse_error !pos "invalid escape \\%c" c
-          | None -> parse_error !pos "truncated escape");
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ()
+                  else cp
+                in
+                add_utf8 buf cp
+            | Some c -> parse_error !pos "invalid escape \\%c" c
+            | None -> parse_error !pos "truncated escape");
+            go ()
+        | Some _ ->
+            let stop = plain !pos in
+            Buffer.add_substring buf s !pos (stop - !pos);
+            pos := stop;
+            go ()
+      in
+      go ()
+    end
   in
   let parse_number () =
     let start = !pos in
     let is_float = ref false in
     let rec go () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+') ->
-          advance ();
-          go ()
-      | Some ('.' | 'e' | 'E') ->
-          is_float := true;
-          advance ();
-          go ()
-      | _ -> ()
+      if !pos < n then
+        match String.unsafe_get s !pos with
+        | '0' .. '9' | '-' | '+' ->
+            advance ();
+            go ()
+        | '.' | 'e' | 'E' ->
+            is_float := true;
+            advance ();
+            go ()
+        | _ -> ()
     in
     go ();
     let lit = String.sub s start (!pos - start) in

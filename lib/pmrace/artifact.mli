@@ -16,7 +16,9 @@ val schema : string
 (** ["pmrace-session"] *)
 
 val version : int
-(** [5]: adds [config.por], the per-campaign canonical trace hash in
+(** [6]: each distinct provenance seed is written once, in a top-level
+    ["seeds"] table, and a provenance ["seed"] is its index there; v5
+    added [config.por], the per-campaign canonical trace hash in
     provenance, and the session-level POR pruning totals; v4 added
     [config.crash_images] and the per-bug [image_index] (which
     enumerated crash image reproduced the bug, for replay); v3 added
@@ -24,7 +26,8 @@ val version : int
     [config.corpus_sched]; v2 added the lint-finding list, the
     mined-invariant section, and [config.invariants].  Older artifacts
     still decode (the new fields default to empty/false/defaults);
-    newer-than-[version] artifacts are rejected. *)
+    artifacts before v6 hold their seeds inline; newer-than-[version]
+    artifacts are rejected. *)
 
 type bug = {
   b_kind : string;  (** "inter" | "intra" | "sync" *)
@@ -118,8 +121,10 @@ val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (t, string) result
 (** Decoding re-registers instruction site names via {!Runtime.Instr.site},
-    so policy specs round-trip into live campaign inputs.  Errors name the
-    path to the bad value; decoding never raises. *)
+    so policy specs round-trip into live campaign inputs.  Provenance
+    entries that refer to one seeds-table entry share one decoded
+    [Seed.t].  Errors name the path to the bad value; decoding never
+    raises. *)
 
 val write : path:string -> t -> unit
 val read : path:string -> (t, string) result

@@ -379,6 +379,48 @@ let test_merge_origins_replayable () =
       | Error e -> Alcotest.fail ("replay from merged artifact: " ^ e)
       | Ok o -> Alcotest.(check bool) "bug reproduced" true o.Pmrace.Replay.r_reproduced
 
+(* Shards decoded from their v6 bytes whose seeds overlap (a 20-campaign
+   session is a prefix of the 40-campaign one with the same master seed)
+   merge into an artifact whose table holds each seed once, and every
+   bug replays from the merged bytes. *)
+let test_merge_interned_seeds () =
+  let target = Workloads.Figure1.target in
+  let roundtrip a =
+    match J.of_string (J.to_string (Artifact.to_json a)) with
+    | Error e -> Alcotest.fail e
+    | Ok j -> ( match Artifact.of_json j with Ok a -> a | Error e -> Alcotest.fail e)
+  in
+  let table a =
+    match J.member "seeds" (Artifact.to_json a) with
+    | Some (J.List l) -> l
+    | _ -> Alcotest.fail "no seeds table"
+  in
+  let short =
+    let cfg = Fuzzer.Config.make ~max_campaigns:20 ~master_seed:3 () in
+    roundtrip (Artifact.of_session ~target ~cfg (Fuzzer.run target cfg))
+  in
+  let long = roundtrip (List.assoc "a" (Lazy.force shards)) in
+  let merged =
+    match Artifact.merge [ ("short", short); ("long", long) ] with
+    | Ok a -> roundtrip a
+    | Error e -> Alcotest.fail e
+  in
+  let contents a =
+    List.map (fun (p : Artifact.prov_entry) -> Seed.threads p.pr_seed) a.Artifact.a_provenance
+  in
+  Alcotest.(check bool) "the shards share seeds" true
+    (List.length (table merged) < List.length (table short) + List.length (table long));
+  Alcotest.(check int) "one table entry per distinct seed of either shard"
+    (List.length (List.sort_uniq compare (contents short @ contents long)))
+    (List.length (table merged));
+  List.iteri
+    (fun bug _ ->
+      match Pmrace.Replay.replay_bug ~target ~artifact:merged ~bug with
+      | Error e -> Alcotest.failf "bug %d: %s" bug e
+      | Ok o ->
+          Alcotest.(check bool) (Printf.sprintf "bug %d reproduced" bug) true o.Pmrace.Replay.r_reproduced)
+    merged.Artifact.a_bugs
+
 (* ------------------------------------------------------------------ *)
 (* End to end: a coordinator on a real socket, one worker process-worth
    of fuzzing in this process, drain, and the durable aftermath. *)
@@ -776,6 +818,23 @@ let prop_untrusted_never_raises =
       | () -> true
       | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e))
 
+(* The artifact's provenance refers to one seeds-table entry at least
+   twice, so tree mutations of a reference reach the table lookup. *)
+let test_untrusted_artifact_shares_seeds () =
+  match (Lazy.force untrusted_docs).(0) with
+  | `Artifact text -> (
+      match J.of_string text with
+      | Error e -> Alcotest.fail e
+      | Ok j ->
+          let refs =
+            match J.member "provenance" j with
+            | Some (J.List l) -> List.filter_map (fun p -> Option.bind (J.member "seed" p) J.to_int) l
+            | _ -> Alcotest.fail "no provenance"
+          in
+          Alcotest.(check bool) "a table entry referenced twice" true
+            (List.exists (fun i -> List.length (List.filter (( = ) i) refs) >= 2) refs))
+  | `Frame _ | `Store _ -> Alcotest.fail "the first document is not the artifact"
+
 (* Every prefix of every frame, exhaustively. *)
 let test_frame_truncations () =
   Array.iter
@@ -805,10 +864,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_idempotent;
     QCheck_alcotest.to_alcotest prop_merge_order_independent;
     Alcotest.test_case "merge: origins, offsets, replay" `Quick test_merge_origins_replayable;
+    Alcotest.test_case "merge: overlapping v6 shards, one seeds table" `Quick test_merge_interned_seeds;
     Alcotest.test_case "coordinator/worker end-to-end" `Quick test_coordinator_worker_session;
     Alcotest.test_case "coordinator: protocol hygiene" `Quick test_protocol_hygiene;
     Alcotest.test_case "coordinator: bitmap-size mismatch" `Quick test_bitmap_size_mismatch;
     Alcotest.test_case "coordinator: adaptive lease sizing" `Quick test_lease_size;
     QCheck_alcotest.to_alcotest prop_untrusted_never_raises;
+    Alcotest.test_case "untrusted bytes: the artifact shares seeds" `Quick test_untrusted_artifact_shares_seeds;
     Alcotest.test_case "untrusted bytes: every frame prefix" `Quick test_frame_truncations;
   ]
