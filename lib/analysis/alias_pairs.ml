@@ -2,7 +2,7 @@
 
    The possible set comes from the site graph (the static pre-pass
    analogue); achieved pairs are fed in dynamically by whoever watches
-   executions (Pmrace.Alias_cov, or the analyzer's own trace replay).
+   executions (Pmrace.Alias_cov, or the analyzer's own lint pass).
    Keeping both sets here gives coverage a denominator and the fuzzer a
    cheap uncovered-pair oracle. *)
 

@@ -2,7 +2,7 @@
 
     The {!Site_graph} supplies the statically-possible (write-site,
     read-site) pairs — the denominator.  The fuzzer (or the analyzer's own
-    trace replay) marks pairs {e achieved} whenever a load actually
+    lint pass) marks pairs {e achieved} whenever a load actually
     observed another thread's non-persisted store at runtime.  Coverage is
     then reported as achieved/possible, and the uncovered remainder drives
     seed prioritisation. *)

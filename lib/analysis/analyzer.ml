@@ -1,10 +1,10 @@
 (* Offline persistency analyzer: site graph + alias pairs + lint +
-   likely-invariant mining, driven over recorded traces.
+   likely-invariant mining, stepped once per event of each execution.
 
    Achieved alias pairs are derived from the lint pass's
    unflushed-store-published findings: a cross-thread dirty read is
    precisely a dynamically achieved (write site, read site) alias pair.
-   Because the same traces feed the site graph, every achieved pair's
+   Because the same events feed the site graph, every achieved pair's
    writer and reader also appear in the graph's per-address writer/reader
    sets — achieved <= possible holds by construction.
 
@@ -28,7 +28,6 @@ type t = {
   graph : Site_graph.t;
   lint : Lint.t;
   inv : Invariants.t option;
-  mutable executions : int;
 }
 
 type result = {
@@ -45,24 +44,35 @@ let create ?(cfg = default_config) () =
     graph = Site_graph.create ();
     lint = Lint.create ~taxonomy:cfg.taxonomy ?region_of:cfg.region_of ();
     inv = (if cfg.invariants then Some (Invariants.create ~min_support:cfg.min_support ()) else None);
-    executions = 0;
   }
 
 let config t = t.cfg
 
-let absorb t events =
-  t.executions <- t.executions + 1;
-  Site_graph.absorb t.graph events;
-  Lint.absorb t.lint events;
-  Option.iter (fun inv -> Invariants.absorb inv events) t.inv
-
-let absorb_trace t trace = absorb t (Runtime.Trace.events trace)
-
-(* Recovery traces only feed the lint pass (in recovery phase, so the
+(* Recovery runs only feed the lint pass (in recovery phase, so the
    end-of-trace residue becomes the missing-recovery-flush class).  They
    are deterministic single-thread replays, so they would only dilute the
    site graph and the invariant statistics. *)
-let absorb_recovery t events = if t.cfg.taxonomy then Lint.absorb ~phase:`Recovery t.lint events
+let step t (phase : Lint.phase) ev =
+  match phase with
+  | `Normal ->
+      Site_graph.step t.graph ev;
+      Lint.step t.lint ev;
+      (match t.inv with Some inv -> Invariants.step inv ev | None -> ())
+  | `Recovery -> if t.cfg.taxonomy then Lint.step t.lint ev
+
+let attach t phase env = Runtime.Env.add_listener env (step t phase)
+
+let finish t (phase : Lint.phase) =
+  match phase with
+  | `Normal ->
+      Site_graph.finish t.graph;
+      Lint.finish t.lint `Normal;
+      Option.iter Invariants.finish t.inv
+  | `Recovery -> if t.cfg.taxonomy then Lint.finish t.lint `Recovery
+
+let absorb t events =
+  List.iter (step t `Normal) events;
+  finish t `Normal
 
 let result t =
   let pairs = Alias_pairs.of_site_graph t.graph in
@@ -77,7 +87,7 @@ let result t =
     r_pairs = pairs;
     r_findings = Lint.findings t.lint;
     r_invariants = (match t.inv with Some inv -> Invariants.mine inv | None -> []);
-    r_executions = t.executions;
+    r_executions = Site_graph.executions t.graph;
   }
 
 let pp_report ppf r =

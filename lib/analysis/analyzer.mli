@@ -1,11 +1,11 @@
 (** Offline persistency analyzer: the orchestration layer.
 
-    Feed it the recorded event streams of a set of seed executions
-    ({!Runtime.Trace}); it builds the {!Site_graph}, computes the
-    statically-possible alias pairs with achieved accounting
-    ({!Alias_pairs}), runs the {!Lint} pass, and — when enabled — mines
-    likely persistence-ordering invariants ({!Invariants}); one consumer
-    pass per trace, all offline.
+    Attach it to each of a set of seed executions; it builds the
+    {!Site_graph}, computes the statically-possible alias pairs with
+    achieved accounting ({!Alias_pairs}), runs the {!Lint} pass, and —
+    when enabled — mines likely persistence-ordering invariants
+    ({!Invariants}).  Every pass takes one step per event and one call
+    at the end of the execution, so no event stream is buffered.
 
     The second-generation detectors are gated by {!config} and default
     OFF: {!default_config} reproduces the original analyzer exactly,
@@ -40,16 +40,21 @@ type result = {
 val create : ?cfg:config -> unit -> t
 val config : t -> config
 
+val attach : t -> Lint.phase -> Runtime.Env.t -> unit
+(** Subscribe to one live execution as a single listener.  In [`Normal]
+    phase each event steps the site graph, the lint pass and (when
+    enabled) the invariant miner; in [`Recovery] phase it steps only the
+    lint pass, and only when the config enables taxonomy.  Call {!finish}
+    with the same phase when the execution ends. *)
+
+val finish : t -> Lint.phase -> unit
+(** End the execution {!attach} subscribed to.  A [`Recovery] finish
+    turns end-of-trace dirty residue into the missing-recovery-flush
+    class. *)
+
 val absorb : t -> Runtime.Env.event list -> unit
-(** Analyse one execution's recorded event stream. *)
-
-val absorb_trace : t -> Runtime.Trace.t -> unit
-
-val absorb_recovery : t -> Runtime.Env.event list -> unit
-(** Lint a recovery run's event stream in recovery phase, so that
-    end-of-trace dirty residue becomes the missing-recovery-flush class.
-    No-op unless the config enables taxonomy; never feeds the site graph
-    or invariant mining. *)
+(** Analyse one recorded normal execution: the same per-event step as
+    {!attach}, then {!finish}. *)
 
 val result : t -> result
 (** Snapshot the analysis: possible pairs come from the site graph,

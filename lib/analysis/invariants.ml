@@ -14,10 +14,11 @@
    Order(A,B) is meaningful in an execution iff first_issue(A) <
    first_issue(B), and holds iff first_durable(A) < first_issue(B),
    where durability is attributed to the last writer of each word a
-   fence persists.  The online checker tests exactly the same
-   predicates at exactly the same program points, so running [check] (or
-   the checker) over the very traces an invariant was mined from yields
-   zero violations by construction — a property the tests assert.
+   fence persists.  The miner and the online checker share one tracker
+   that raises both program points (a site's first store, a multi-site
+   fence epoch), so running [check] (or the checker) over the very
+   traces an invariant was mined from yields zero violations by
+   construction — a property the tests assert.
 
    Support is the number of executions (Order) or epochs (Commit) in
    which the invariant was meaningful and held; [mine] keeps invariants
@@ -50,131 +51,123 @@ let inv_key = function
 let compare_inv a b = compare (inv_key a) (inv_key b)
 
 (* ------------------------------------------------------------------ *)
+(* Per-execution tracking, shared by the miner and the checker          *)
+(* ------------------------------------------------------------------ *)
+
+type first = Pending of int list (* words stored since the first issue *) | Durable
+
+(* The two program points every predicate is evaluated at. *)
+type point =
+  | First_issue of { site : Instr.t; addr : int }
+      (** a site's first store of the execution, before it counts as issued *)
+  | Epoch of {
+      sites : (Instr.t, unit) Hashtbl.t; (* the sites whose stores it persisted *)
+      last_site : Instr.t; (* the latest of those stores *)
+      last_word : int;
+      persisted : int list;
+    }  (** a fence persisting the latest stores of two or more sites *)
+
+type tracker = {
+  writers : (int, Instr.t * int) Hashtbl.t; (* word -> (last writer, store seq) *)
+  firsts : (Instr.t, first) Hashtbl.t; (* absent = not yet issued *)
+  mutable seq : int;
+}
+
+let tracker () = { writers = Hashtbl.create 64; firsts = Hashtbl.create 16; seq = 0 }
+
+let reset_tracker tr =
+  Hashtbl.reset tr.writers;
+  Hashtbl.reset tr.firsts;
+  tr.seq <- 0
+
+(* Durability is attributed to the last writer of each word a fence
+   persists. *)
+let track tr ~emit (ev : Env.event) =
+  match ev with
+  | Env.Ev_store { instr = site; addr; _ } | Env.Ev_movnt { instr = site; addr; _ } ->
+      tr.seq <- tr.seq + 1;
+      (match Hashtbl.find_opt tr.firsts site with
+      | None ->
+          emit (First_issue { site; addr });
+          Hashtbl.replace tr.firsts site (Pending [ addr ])
+      | Some (Pending ws) -> Hashtbl.replace tr.firsts site (Pending (addr :: ws))
+      | Some Durable -> ());
+      Hashtbl.replace tr.writers addr (site, tr.seq)
+  | Env.Ev_fence { persisted; _ } ->
+      let sites = Hashtbl.create 8 and last = ref None in
+      List.iter
+        (fun w ->
+          match Hashtbl.find_opt tr.writers w with
+          | Some (site, s) ->
+              Hashtbl.replace sites site ();
+              (match !last with Some (s', _, _) when s' > s -> () | _ -> last := Some (s, site, w));
+              Hashtbl.replace tr.firsts site Durable
+          | None -> ())
+        persisted;
+      (match !last with
+      | Some (_, last_site, last_word) when Hashtbl.length sites >= 2 ->
+          emit (Epoch { sites; last_site; last_word; persisted })
+      | Some _ | None -> ())
+  | Env.Ev_load _ | Env.Ev_clwb _ | Env.Ev_branch _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Mining                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type ostat = { mutable o_support : int; mutable o_violated : bool }
-type cstat = { mutable c_support : int; mutable c_violated : bool }
+type stat = { mutable support : int; mutable violated : bool }
 
 type t = {
-  orders : (int * int, ostat) Hashtbl.t; (* (first id, next id) *)
-  commits : (int, cstat) Hashtbl.t;
-  sites : (int, Instr.t) Hashtbl.t; (* id -> site, for reconstruction *)
+  orders : (Instr.t * Instr.t, stat) Hashtbl.t; (* (first, next) *)
+  commits : (Instr.t, stat) Hashtbl.t;
+  tr : tracker;
   min_support : int;
   mutable execs : int;
 }
 
 let create ?(min_support = 2) () =
-  {
-    orders = Hashtbl.create 64;
-    commits = Hashtbl.create 16;
-    sites = Hashtbl.create 32;
-    min_support;
-    execs = 0;
-  }
+  { orders = Hashtbl.create 64; commits = Hashtbl.create 16; tr = tracker (); min_support; execs = 0 }
 
 let executions t = t.execs
 
-let absorb t events =
-  t.execs <- t.execs + 1;
-  (* One linear pass summarising the execution: first-issue and
-     first-durable event index per site, plus multi-site fence epochs. *)
-  let issue = Hashtbl.create 16 (* site id -> first issue index *)
-  and durable = Hashtbl.create 16 (* site id -> first durable index *)
-  and writers = Hashtbl.create 64 (* word -> (site id, store seq) *)
-  and epochs = ref []
-  and idx = ref 0
-  and seq = ref 0 in
-  let on_store instr addr =
-    incr seq;
-    let id = Instr.to_int instr in
-    Hashtbl.replace t.sites id instr;
-    if not (Hashtbl.mem issue id) then Hashtbl.add issue id !idx;
-    Hashtbl.replace writers addr (id, !seq)
+let tally tbl key held =
+  let st =
+    match Hashtbl.find_opt tbl key with
+    | Some st -> st
+    | None ->
+        let st = { support = 0; violated = false } in
+        Hashtbl.add tbl key st;
+        st
   in
-  List.iter
-    (fun ev ->
-      incr idx;
-      match ev with
-      | Env.Ev_store { instr; addr; _ } | Env.Ev_movnt { instr; addr; _ } ->
-          on_store instr addr
-      | Env.Ev_fence { persisted; _ } ->
-          let per_site = Hashtbl.create 8 in
-          List.iter
-            (fun w ->
-              match Hashtbl.find_opt writers w with
-              | Some (id, s) ->
-                  (match Hashtbl.find_opt per_site id with
-                  | Some s' when s' >= s -> ()
-                  | Some _ | None -> Hashtbl.replace per_site id s);
-                  if not (Hashtbl.mem durable id) then Hashtbl.add durable id !idx
-              | None -> ())
-            persisted;
-          if Hashtbl.length per_site >= 2 then begin
-            let entries = Hashtbl.fold (fun id s acc -> (s, id) :: acc) per_site [] in
-            let _, last =
-              List.fold_left (fun best e -> max best e) (List.hd entries) (List.tl entries)
-            in
-            epochs := (List.map snd entries, last) :: !epochs
-          end
-      | Env.Ev_load _ | Env.Ev_clwb _ | Env.Ev_branch _ -> ())
-    events;
-  (* Fold the summary into the cross-execution statistics. *)
-  let issued = Hashtbl.fold (fun id i acc -> (id, i) :: acc) issue [] in
-  List.iter
-    (fun (a, fa) ->
-      List.iter
-        (fun (b, fb) ->
-          if a <> b && fa < fb then begin
-            let held =
-              match Hashtbl.find_opt durable a with Some da -> da < fb | None -> false
-            in
-            let st =
-              match Hashtbl.find_opt t.orders (a, b) with
-              | Some st -> st
-              | None ->
-                  let st = { o_support = 0; o_violated = false } in
-                  Hashtbl.add t.orders (a, b) st;
-                  st
-            in
-            if held then st.o_support <- st.o_support + 1 else st.o_violated <- true
-          end)
-        issued)
-    issued;
-  List.iter
-    (fun (sites, last) ->
-      List.iter
-        (fun id ->
-          let st =
-            match Hashtbl.find_opt t.commits id with
-            | Some st -> st
-            | None ->
-                let st = { c_support = 0; c_violated = false } in
-                Hashtbl.add t.commits id st;
-                st
-          in
-          if id = last then st.c_support <- st.c_support + 1 else st.c_violated <- true)
-        sites)
-    !epochs
+  if held then st.support <- st.support + 1 else st.violated <- true
 
-let absorb_trace t trace = absorb t (Runtime.Trace.events trace)
+let on_point t = function
+  | First_issue { site; _ } ->
+      (* Order(a, site) is meaningful for every site a already issued. *)
+      Hashtbl.iter (fun a st -> tally t.orders (a, site) (st = Durable)) t.tr.firsts
+  | Epoch { sites; last_site; _ } ->
+      Hashtbl.iter (fun site _ -> tally t.commits site (Instr.equal site last_site)) sites
+
+let step t ev = track t.tr ~emit:(on_point t) ev
+
+let finish t =
+  t.execs <- t.execs + 1;
+  reset_tracker t.tr
+
+let absorb t events =
+  List.iter (step t) events;
+  finish t
 
 let mine t =
-  let site id = Hashtbl.find t.sites id in
+  let keep st = (not st.violated) && st.support >= t.min_support in
   let specs =
     Hashtbl.fold
-      (fun (a, b) st acc ->
-        if (not st.o_violated) && st.o_support >= t.min_support then
-          { inv = Order { first = site a; next = site b }; support = st.o_support } :: acc
-        else acc)
+      (fun (first, next) st acc ->
+        if keep st then { inv = Order { first; next }; support = st.support } :: acc else acc)
       t.orders []
   in
   let specs =
     Hashtbl.fold
-      (fun c st acc ->
-        if (not st.c_violated) && st.c_support >= t.min_support then
-          { inv = Commit { site = site c }; support = st.c_support } :: acc
-        else acc)
+      (fun site st acc -> if keep st then { inv = Commit { site }; support = st.support } :: acc else acc)
       t.commits specs
   in
   List.sort (fun a b -> compare_inv a.inv b.inv) specs
@@ -183,122 +176,58 @@ let mine t =
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type astate = A_not_issued | A_pending of int list | A_durable
-
 type checker = {
-  order_by_next : (int, (int * inv) list) Hashtbl.t; (* next id -> (first id, inv) *)
-  firsts : (int, astate ref) Hashtbl.t; (* first-role sites *)
-  commit_sites : (int, inv) Hashtbl.t;
-  next_seen : (int, unit) Hashtbl.t; (* per campaign: only B's first store checks *)
-  cwriters : (int, Instr.t * int) Hashtbl.t; (* word -> (writer site, store seq) *)
-  mutable cseq : int;
+  order_by_next : (Instr.t, (Instr.t * inv) list) Hashtbl.t; (* next -> (first, inv) *)
+  commit_sites : (Instr.t, inv) Hashtbl.t;
+  ctr : tracker;
 }
 
 let checker specs =
-  let c =
-    {
-      order_by_next = Hashtbl.create 16;
-      firsts = Hashtbl.create 16;
-      commit_sites = Hashtbl.create 8;
-      next_seen = Hashtbl.create 16;
-      cwriters = Hashtbl.create 64;
-      cseq = 0;
-    }
-  in
+  let c = { order_by_next = Hashtbl.create 16; commit_sites = Hashtbl.create 8; ctr = tracker () } in
   List.iter
     (fun { inv; _ } ->
       match inv with
       | Order { first; next } ->
-          let fid = Instr.to_int first and nid = Instr.to_int next in
-          if not (Hashtbl.mem c.firsts fid) then
-            Hashtbl.add c.firsts fid (ref A_not_issued);
-          let prev = Option.value ~default:[] (Hashtbl.find_opt c.order_by_next nid) in
-          Hashtbl.replace c.order_by_next nid ((fid, inv) :: prev)
-      | Commit { site } -> Hashtbl.replace c.commit_sites (Instr.to_int site) inv)
+          let prev = Option.value ~default:[] (Hashtbl.find_opt c.order_by_next next) in
+          Hashtbl.replace c.order_by_next next ((first, inv) :: prev)
+      | Commit { site } -> Hashtbl.replace c.commit_sites site inv)
     specs;
   c
 
-let reset c =
-  Hashtbl.iter (fun _ r -> r := A_not_issued) c.firsts;
-  Hashtbl.reset c.next_seen;
-  Hashtbl.reset c.cwriters;
-  c.cseq <- 0
+let reset c = reset_tracker c.ctr
 
-let step c ~emit (ev : Env.event) =
-  match ev with
-  | Env.Ev_store { instr; addr; _ } | Env.Ev_movnt { instr; addr; _ } ->
-      c.cseq <- c.cseq + 1;
-      let id = Instr.to_int instr in
-      (* Next-role check first: a site acting as both the [next] of one
-         invariant and the [first] of another must be tested as next
-         before its own pending state updates. *)
-      if not (Hashtbl.mem c.next_seen id) then begin
-        Hashtbl.add c.next_seen id ();
-        match Hashtbl.find_opt c.order_by_next id with
-        | Some lst ->
-            List.iter
-              (fun (fid, inv) ->
-                match Hashtbl.find_opt c.firsts fid with
-                | Some { contents = A_pending ws } ->
-                    emit
-                      {
-                        v_inv = inv;
-                        v_site = instr;
-                        v_addr = addr;
-                        v_words = List.sort_uniq compare ws;
-                      }
-                | Some _ | None -> ())
-              lst
-        | None -> ()
-      end;
-      (match Hashtbl.find_opt c.firsts id with
-      | Some r -> (
-          match !r with
-          | A_not_issued -> r := A_pending [ addr ]
-          | A_pending ws -> r := A_pending (addr :: ws)
-          | A_durable -> () (* first durability already achieved *))
-      | None -> ());
-      Hashtbl.replace c.cwriters addr (instr, c.cseq)
-  | Env.Ev_fence { persisted; _ } ->
-      let per_site = Hashtbl.create 8 in
-      List.iter
-        (fun w ->
-          match Hashtbl.find_opt c.cwriters w with
-          | Some (site, s) ->
-              let id = Instr.to_int site in
-              (match Hashtbl.find_opt per_site id with
-              | Some (s', _, _) when s' >= s -> ()
-              | Some _ | None -> Hashtbl.replace per_site id (s, w, site));
-              (match Hashtbl.find_opt c.firsts id with
-              | Some ({ contents = A_pending _ } as r) -> r := A_durable
-              | Some _ | None -> ())
-          | None -> ())
-        persisted;
-      if Hashtbl.length per_site >= 2 && Hashtbl.length c.commit_sites > 0 then begin
-        let entries =
-          Hashtbl.fold (fun id (s, w, site) acc -> (s, id, w, site) :: acc) per_site []
-        in
-        let _, last_id, last_w, last_site =
-          List.fold_left (fun best e -> max best e) (List.hd entries) (List.tl entries)
-        in
-        Hashtbl.iter
-          (fun cid inv ->
-            if cid <> last_id && Hashtbl.mem per_site cid then
-              emit
-                {
-                  v_inv = inv;
-                  v_site = last_site;
-                  v_addr = last_w;
-                  v_words = List.sort compare persisted;
-                })
-          c.commit_sites
-      end
-  | Env.Ev_load _ | Env.Ev_clwb _ | Env.Ev_branch _ -> ()
+let on_check c ~emit = function
+  | First_issue { site; addr } -> (
+      match Hashtbl.find_opt c.order_by_next site with
+      | Some lst ->
+          List.iter
+            (fun (first, inv) ->
+              match Hashtbl.find_opt c.ctr.firsts first with
+              | Some (Pending ws) ->
+                  emit
+                    { v_inv = inv; v_site = site; v_addr = addr; v_words = List.sort_uniq compare ws }
+              | Some Durable | None -> ())
+            lst
+      | None -> ())
+  | Epoch { sites; last_site; last_word; persisted } ->
+      Hashtbl.iter
+        (fun site inv ->
+          if (not (Instr.equal site last_site)) && Hashtbl.mem sites site then
+            emit
+              {
+                v_inv = inv;
+                v_site = last_site;
+                v_addr = last_word;
+                v_words = List.sort compare persisted;
+              })
+        c.commit_sites
+
+let check_step c ~emit ev = track c.ctr ~emit:(on_check c ~emit) ev
 
 let check specs events =
   let c = checker specs in
   let acc = ref [] in
-  List.iter (step c ~emit:(fun v -> acc := v :: !acc)) events;
+  List.iter (check_step c ~emit:(fun v -> acc := v :: !acc)) events;
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)

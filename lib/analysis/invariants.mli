@@ -1,9 +1,8 @@
 (** Likely persistence-ordering invariant inference (WITCHER-style).
 
-    Mine invariants from the recorded event streams of correct
-    executions, then check other executions against them — offline over
-    a trace, or online one event at a time (the fuzzer's violation
-    monitor).
+    Mine invariants from the event streams of correct executions, one
+    event at a time, then check other executions against them — offline
+    over a recorded stream, or online (the fuzzer's violation monitor).
 
     Two shapes:
     - [Order {first; next}] — whenever [first] issues a store before
@@ -15,12 +14,13 @@
       one issued: the epoch's commit variable.
 
     All predicates are first-occurrence-per-execution, and the miner and
-    checker evaluate the identical predicate at the identical program
-    point — so checking the traces an invariant set was mined from
-    yields zero violations by construction.  Support counts the
-    executions (Order) / epochs (Commit) where the invariant was
-    meaningful and held; mined specs were never violated and reach
-    [min_support]. *)
+    checker share one per-execution tracker (last writer and store
+    sequence number per word, per-site grouping at each fence) that
+    raises the identical program points — so checking the traces an
+    invariant set was mined from yields zero violations by construction.
+    Support counts the executions (Order) / epochs (Commit) where the
+    invariant was meaningful and held; mined specs were never violated
+    and reach [min_support]. *)
 
 module Instr = Runtime.Instr
 
@@ -47,10 +47,15 @@ val create : ?min_support:int -> unit -> t
 (** [min_support] (default 2): least meaningful-and-held count for a
     candidate to survive {!mine}. *)
 
-val absorb : t -> Runtime.Env.event list -> unit
-(** Summarise one correct execution into the candidate statistics. *)
+val step : t -> Runtime.Env.event -> unit
+(** Fold one event of the current (correct) execution into the candidate
+    statistics, in program order. *)
 
-val absorb_trace : t -> Runtime.Trace.t -> unit
+val finish : t -> unit
+(** End the current execution: drop its per-execution tracking state. *)
+
+val absorb : t -> Runtime.Env.event list -> unit
+(** {!step} over a recorded event stream, then {!finish}. *)
 
 val executions : t -> int
 
@@ -67,7 +72,7 @@ val checker : spec list -> checker
 val reset : checker -> unit
 (** Clear per-execution state (between campaigns). *)
 
-val step : checker -> emit:(violation -> unit) -> Runtime.Env.event -> unit
+val check_step : checker -> emit:(violation -> unit) -> Runtime.Env.event -> unit
 (** Feed one event in program order; [emit] receives violations as they
     are exposed. *)
 

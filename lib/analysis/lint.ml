@@ -39,7 +39,7 @@ type t = {
   fsm : Lifecycle.t;
   uniq : (key, finding) Hashtbl.t;
   taxonomy : bool;
-  mutable execs : int;
+  mutable execs : int; (* executions finished; the current one is [execs + 1] *)
 }
 
 let severity_of = function
@@ -101,7 +101,7 @@ let record t ~kind ~write_site ~site ~addr =
   | Some f ->
       f.f_count <- f.f_count + 1;
       (* Keep the smallest sample address, so the stored exemplar does not
-         depend on the order traces were absorbed in. *)
+         depend on the order executions were linted in. *)
       if addr >= 0 && (f.f_addr < 0 || addr < f.f_addr) then f.f_addr <- addr
   | None ->
       Obs.Metrics.incr
@@ -113,7 +113,7 @@ let record t ~kind ~write_site ~site ~addr =
           f_write_site = write_site;
           f_site = site;
           f_addr = addr;
-          f_first_exec = t.execs;
+          f_first_exec = t.execs + 1;
           f_count = 1;
         }
 
@@ -134,10 +134,9 @@ let on_obs t = function
         record t ~kind:Cross_region_order ~write_site:(Some early_site) ~site:late_site
           ~addr:early_addr
 
-let absorb ?(phase = `Normal) t events =
-  Lifecycle.reset t.fsm;
-  t.execs <- t.execs + 1;
-  List.iter (Lifecycle.step t.fsm ~emit:(on_obs t)) events;
+let step t ev = Lifecycle.step t.fsm ~emit:(on_obs t) ev
+
+let finish t phase =
   (* End-of-trace residue: words still dirty when the run ended.  In a
      recovery run that is the missing-recovery-path-flush class (the
      recovered state is lost at the next crash); in a normal run it is
@@ -149,7 +148,13 @@ let absorb ?(phase = `Normal) t events =
     List.iter
       (fun (addr, w_site) -> record t ~kind ~write_site:(Some w_site) ~site:w_site ~addr)
       (Lifecycle.dirty_words t.fsm)
-  end
+  end;
+  Lifecycle.reset t.fsm;
+  t.execs <- t.execs + 1
+
+let absorb ?(phase = `Normal) t events =
+  List.iter (step t) events;
+  finish t phase
 
 let severity_rank = function High -> 0 | Medium -> 1 | Low -> 2
 let sev_rank = severity_rank
@@ -158,8 +163,8 @@ let site_rank = function Some i -> Instr.to_int i | None -> -1
 
 (* Total order over dedup keys: (severity, count desc, site, kind,
    write site).  Because no two findings share a key, the sort is a
-   permutation-independent function of the finding *set* — absorbing the
-   same traces in any order yields the same list. *)
+   permutation-independent function of the finding *set* — linting the
+   same executions in any order yields the same list. *)
 let findings t =
   Hashtbl.fold (fun _ f acc -> f :: acc) t.uniq []
   |> List.sort (fun a b ->

@@ -1,6 +1,6 @@
-(** Persistency lint pass: run the {!Lifecycle} FSM over recorded traces
-    and aggregate its observations into findings, deduplicated by site
-    pair and ranked by severity.
+(** Persistency lint pass: run the {!Lifecycle} FSM over each execution's
+    events and aggregate its observations into findings, deduplicated by
+    site pair and ranked by severity.
 
     The four original rules (WITCHER's persistence lifecycle rules,
     specialised to the event stream we record):
@@ -49,8 +49,8 @@ type finding = {
   mutable f_addr : int;
       (** smallest observed sample address (absorb-order independent); -1
           for fences *)
-  f_first_exec : int;  (** index of the trace of the first occurrence *)
-  mutable f_count : int;  (** dynamic occurrences across all traces *)
+  f_first_exec : int;  (** 1-based index of the execution of the first occurrence *)
+  mutable f_count : int;  (** dynamic occurrences across all executions *)
 }
 
 type t
@@ -60,16 +60,23 @@ val create : ?taxonomy:bool -> ?region_of:(int -> int) -> unit -> t
     default pass emits exactly the original four rules.  [region_of]
     feeds the {!Lifecycle} cross-region detector. *)
 
+val step : t -> Runtime.Env.event -> unit
+(** Lint one event of the current execution, in program order. *)
+
+val finish : t -> phase -> unit
+(** End the current execution and reset the per-word FSM state.  [phase]
+    selects which residue kind end-of-trace dirty words become under
+    [taxonomy]: dirty-at-exit for a normal run, missing-recovery-flush
+    for a recovery run. *)
+
 val absorb : ?phase:phase -> t -> Runtime.Env.event list -> unit
-(** Lint one execution's event stream; per-word FSM state is reset
-    between calls.  [phase] (default [`Normal]) selects which residue
-    kind end-of-trace dirty words become under [taxonomy]: dirty-at-exit
-    for a normal run, missing-recovery-flush for a recovery run. *)
+(** {!step} over a recorded event stream, then {!finish} in [phase]
+    (default [`Normal]). *)
 
 val findings : t -> finding list
 (** Deduplicated by (rule, write site, site), most severe first.  The
     sort key is a total order over dedup keys, so the list is identical
-    no matter what order the same traces were absorbed in. *)
+    no matter what order the same executions were linted in. *)
 
 val count : t -> int
 val count_severity : t -> severity -> int

@@ -24,14 +24,6 @@ type node = {
   mutable n_addrs : int;
 }
 
-(* Per-execution transient state: which dirty words each store site owns,
-   and which flushed words await a fence.  Reset for every absorbed
-   trace — lifecycle state never leaks across executions. *)
-type shadow = {
-  sh_dirty : (int, Instr.t) Hashtbl.t; (* word -> writing site *)
-  sh_pending : (int, Instr.t) Hashtbl.t; (* word -> flushing site *)
-}
-
 type t = {
   nodes : (Instr.t, node) Hashtbl.t;
   site_addrs : (Instr.t, (int, unit) Hashtbl.t) Hashtbl.t;
@@ -39,6 +31,10 @@ type t = {
   readers : (int, (Instr.t, unit) Hashtbl.t) Hashtbl.t; (* addr -> load sites *)
   flush_edges : (Instr.t * Instr.t, unit) Hashtbl.t; (* store -> flush *)
   fence_edges : (Instr.t * Instr.t, unit) Hashtbl.t; (* flush -> fence *)
+  (* Per-execution transient state, reset by [finish]: which dirty words
+     each store site owns, and which flushed words await a fence. *)
+  dirty : (int, Instr.t) Hashtbl.t; (* word -> writing site *)
+  pending : (int, Instr.t) Hashtbl.t; (* word -> flushing site *)
   mutable executions : int;
 }
 
@@ -50,6 +46,8 @@ let create () =
     readers = Hashtbl.create 256;
     flush_edges = Hashtbl.create 64;
     fence_edges = Hashtbl.create 64;
+    dirty = Hashtbl.create 64;
+    pending = Hashtbl.create 64;
     executions = 0;
   }
 
@@ -89,22 +87,21 @@ let mark tbl addr site =
   in
   Hashtbl.replace sites site ()
 
-(* One event-stream transition, threading per-execution shadow state. *)
-let step t (sh : shadow) (ev : Env.event) =
+let step t (ev : Env.event) =
   match ev with
   | Env.Ev_store { instr; addr; _ } ->
       (node_of t instr).n_stores <- (node_of t instr).n_stores + 1;
       touch_addr t instr addr;
       mark t.writers addr instr;
-      Hashtbl.replace sh.sh_dirty addr instr
+      Hashtbl.replace t.dirty addr instr
   | Env.Ev_movnt { instr; addr; _ } ->
       (node_of t instr).n_movnts <- (node_of t instr).n_movnts + 1;
       touch_addr t instr addr;
       mark t.writers addr instr;
       (* Non-temporal stores are never dirty; they go straight to the
          write-back queue and persist at the next fence. *)
-      Hashtbl.remove sh.sh_dirty addr;
-      Hashtbl.replace sh.sh_pending addr instr
+      Hashtbl.remove t.dirty addr;
+      Hashtbl.replace t.pending addr instr
   | Env.Ev_load { instr; addr; _ } ->
       (node_of t instr).n_loads <- (node_of t instr).n_loads + 1;
       touch_addr t instr addr;
@@ -114,30 +111,27 @@ let step t (sh : shadow) (ev : Env.event) =
       touch_addr t instr addr;
       Pmem.Cacheline.iter_line
         (fun w ->
-          match Hashtbl.find_opt sh.sh_dirty w with
+          match Hashtbl.find_opt t.dirty w with
           | Some writer ->
               Hashtbl.replace t.flush_edges (writer, instr) ();
-              Hashtbl.remove sh.sh_dirty w;
-              Hashtbl.replace sh.sh_pending w instr
+              Hashtbl.remove t.dirty w;
+              Hashtbl.replace t.pending w instr
           | None -> ())
         addr
   | Env.Ev_fence { instr; _ } ->
       (node_of t instr).n_fences <- (node_of t instr).n_fences + 1;
-      Hashtbl.iter (fun _ flusher -> Hashtbl.replace t.fence_edges (flusher, instr) ()) sh.sh_pending;
-      Hashtbl.reset sh.sh_pending
+      Hashtbl.iter (fun _ flusher -> Hashtbl.replace t.fence_edges (flusher, instr) ()) t.pending;
+      Hashtbl.reset t.pending
   | Env.Ev_branch _ -> ()
 
-let fresh_shadow () = { sh_dirty = Hashtbl.create 64; sh_pending = Hashtbl.create 64 }
+let finish t =
+  t.executions <- t.executions + 1;
+  Hashtbl.reset t.dirty;
+  Hashtbl.reset t.pending
 
 let absorb t events =
-  t.executions <- t.executions + 1;
-  let sh = fresh_shadow () in
-  List.iter (step t sh) events
-
-let attach t env =
-  t.executions <- t.executions + 1;
-  let sh = fresh_shadow () in
-  Runtime.Env.add_listener env (step t sh)
+  List.iter (step t) events;
+  finish t
 
 let executions t = t.executions
 

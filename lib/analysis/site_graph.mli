@@ -28,15 +28,19 @@ type t
 
 val create : unit -> t
 
-val absorb : t -> Runtime.Env.event list -> unit
-(** Fold one execution's recorded event stream into the graph.  May be
-    called once per seed execution; the graph accumulates. *)
+val step : t -> Runtime.Env.event -> unit
+(** Fold one event of the current execution into the graph, in program
+    order. *)
 
-val attach : t -> Runtime.Env.t -> unit
-(** Online variant of {!absorb}: subscribe to a live environment. *)
+val finish : t -> unit
+(** End the current execution: drop its per-execution flush state.  The
+    graph accumulates across executions. *)
+
+val absorb : t -> Runtime.Env.event list -> unit
+(** {!step} over a recorded event stream, then {!finish}. *)
 
 val executions : t -> int
-(** Number of traces absorbed (each {!absorb} call counts one). *)
+(** Number of executions finished. *)
 
 val nodes : t -> node list
 (** All sites seen, ordered by site id. *)

@@ -148,8 +148,12 @@ let of_string s =
     pos := !pos + 4;
     v
   in
+  (* The end of a run of bytes a string holds verbatim.  RFC 8259 forbids
+     raw control bytes inside strings, so they end the run too. *)
   let rec plain i =
-    if i < n then match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain (i + 1) else i
+    if i < n then
+      match String.unsafe_get s i with '"' | '\\' | '\000' .. '\031' -> i | _ -> plain (i + 1)
+    else i
   in
   let parse_string () =
     expect '"';
@@ -208,6 +212,7 @@ let of_string s =
             | Some c -> parse_error !pos "invalid escape \\%c" c
             | None -> parse_error !pos "truncated escape");
             go ()
+        | Some ('\000' .. '\031' as c) -> parse_error !pos "unescaped control character %C in string" c
         | Some _ ->
             let stop = plain !pos in
             Buffer.add_substring buf s !pos (stop - !pos);
@@ -217,41 +222,50 @@ let of_string s =
       go ()
     end
   in
+  (* RFC 8259 numbers: an optional minus, an integer part that is 0 or
+     has no leading zero, then an optional fraction and exponent, each
+     with at least one digit. *)
   let parse_number () =
     let start = !pos in
     let is_float = ref false in
-    let rec go () =
-      if !pos < n then
-        match String.unsafe_get s !pos with
-        | '0' .. '9' | '-' | '+' ->
-            advance ();
-            go ()
-        | '.' | 'e' | 'E' ->
-            is_float := true;
-            advance ();
-            go ()
-        | _ -> ()
+    let at c = !pos < n && String.unsafe_get s !pos = c in
+    let is_digit () = !pos < n && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (is_digit ()) then parse_error !pos "invalid number: expected a digit";
+      while is_digit () do
+        advance ()
+      done
     in
-    go ();
+    if at '-' then advance ();
+    if at '0' then begin
+      advance ();
+      if is_digit () then parse_error !pos "invalid number: leading zero"
+    end
+    else digits ();
+    if at '.' then begin
+      is_float := true;
+      advance ();
+      digits ()
+    end;
+    if at 'e' || at 'E' then begin
+      is_float := true;
+      advance ();
+      if at '+' || at '-' then advance ();
+      digits ()
+    end;
     let lit = String.sub s start (!pos - start) in
-    if !is_float then
-      match float_of_string_opt lit with
-      | Some f ->
-          (* Integral values are normalised to Int ("2.0" and "2" decode
-             identically), mirroring the encoder, which renders integral
-             floats without a fractional part.  The round-trip guard keeps
-             out-of-int-range doubles (e.g. 1e300) as floats. *)
-          let i = int_of_float f in
-          if Float.is_integer f && float_of_int i = f then Int i else Float f
-      | None -> parse_error start "invalid number %S" lit
+    if !is_float then begin
+      (* Integral values are normalised to Int ("2.0" and "2" decode
+         identically), mirroring the encoder, which renders integral
+         floats without a fractional part.  The round-trip guard keeps
+         out-of-int-range doubles (e.g. 1e300) as floats. *)
+      let f = float_of_string lit in
+      let i = int_of_float f in
+      if Float.is_integer f && float_of_int i = f then Int i else Float f
+    end
     else
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> (
-          (* Integer literal overflowing native int: keep it as a float. *)
-          match float_of_string_opt lit with
-          | Some f -> Float f
-          | None -> parse_error start "invalid number %S" lit)
+      (* An integer literal overflowing native int stays a float. *)
+      match int_of_string_opt lit with Some i -> Int i | None -> Float (float_of_string lit)
   in
   let rec parse_value () =
     skip_ws ();

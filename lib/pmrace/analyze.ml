@@ -1,18 +1,18 @@
 (* Driver for the offline persistency analyzer: run seed executions with
-   trace capture, feed the traces to Analysis.Analyzer.
+   Analysis.Analyzer attached as their listener.
 
    The executions use plain random scheduling (every instrumented
    operation a preemption point) so cross-thread publishes show up in the
-   traces; the analyzer itself is entirely offline.  A private RNG keeps
+   event streams; the analyzer only observes them.  A private RNG keeps
    the driver deterministic and independent of the fuzzer's streams.
 
    When the analysis config enables the taxonomy detectors, each seed
    execution is followed by a recovery replay: the post-crash image of
-   the finished run is booted and the target's recovery code traced, so
-   the missing-recovery-path-flush detector sees real recovery traces. *)
+   the finished run is booted and the target's recovery code run under
+   the analyzer, so the missing-recovery-path-flush detector sees real
+   recovery runs. *)
 
 module Rng = Sched.Rng
-module Trace = Runtime.Trace
 
 type config = {
   seeds : int;
@@ -48,27 +48,26 @@ let m_executions = lazy (Obs.Metrics.counter "analyze_executions_total")
 let m_recoveries = lazy (Obs.Metrics.counter "analyze_recovery_executions_total")
 let m_duration = lazy (Obs.Metrics.gauge "analyze_duration_seconds")
 
-(* Iterate the driver's seed executions, handing each completed campaign
-   result (with its recorded trace) to [f]. *)
-let iter_executions ?(cfg = default_config) ?snapshot (target : Target.t) f =
+(* Iterate the driver's seed executions: each runs with [attach] as its
+   listener, and [f] gets the completed campaign result. *)
+let iter_executions ?(cfg = default_config) ?snapshot (target : Target.t) ~attach f =
   let rng = Rng.create cfg.master_seed in
   (* One persistent engine for all seed executions, reset in O(touched)
      between them; given the session's [snapshot] it does not initialise
-     the target again.  The trace is a transient listener, so each
+     the target again.  [attach] installs a transient listener, so each
      checkout starts with it detached. *)
   let engine = Engine.create ~capture_images:false ?snapshot target in
   for _ = 1 to cfg.seeds do
     let seed = Seed.gen rng target.Target.profile in
     for _ = 1 to cfg.scheds_per_seed do
       let sched_seed = Rng.int rng 1_000_000_000 in
-      let trace = Trace.create () in
       let input =
         Campaign.input ~sched_seed ~policy:Campaign.Random_sched ~step_budget:cfg.step_budget
           target seed
       in
-      let res = Campaign.run ~engine ~listeners:[ Trace.attach trace ] input in
+      let res = Campaign.run ~engine ~listeners:[ attach ] input in
       Obs.Metrics.incr (Lazy.force m_executions);
-      f res trace
+      f res
     done
   done
 
@@ -77,19 +76,19 @@ let run ?(cfg = default_config) ?snapshot (target : Target.t) =
   let az = Analysis.Analyzer.create ~cfg:cfg.analysis () in
   let taxonomy = cfg.analysis.Analysis.Analyzer.taxonomy in
   let rctx = Post_failure.ctx target in
-  iter_executions ~cfg ?snapshot target (fun (res : Campaign.result) trace ->
-      Analysis.Analyzer.absorb_trace az trace;
+  iter_executions ~cfg ?snapshot target ~attach:(Analysis.Analyzer.attach az `Normal)
+    (fun (res : Campaign.result) ->
+      Analysis.Analyzer.finish az `Normal;
       if taxonomy then begin
-        (* Recovery replay: boot the end-of-run durable image and trace
-           the target's recovery path, so its own flush discipline is
-           linted too (missing-recovery-flush residue). *)
+        (* Recovery replay: boot the end-of-run durable image and run the
+           target's recovery path under the analyzer, so its own flush
+           discipline is linted too (missing-recovery-flush residue). *)
         let image = Pmem.Pool.crash_image res.Campaign.env.Runtime.Env.pool in
-        let rtrace = Trace.create () in
         let (_ : Post_failure.recovery_result) =
-          Post_failure.run_recovery ~listeners:[ Trace.attach rtrace ] rctx image
+          Post_failure.run_recovery ~listeners:[ Analysis.Analyzer.attach az `Recovery ] rctx image
         in
         Obs.Metrics.incr (Lazy.force m_recoveries);
-        Analysis.Analyzer.absorb_recovery az (Trace.events rtrace)
+        Analysis.Analyzer.finish az `Recovery
       end);
   Obs.Metrics.set (Lazy.force m_duration) (Obs.Clock.elapsed t0);
   Analysis.Analyzer.result az
@@ -98,8 +97,12 @@ let run ?(cfg = default_config) ?snapshot (target : Target.t) =
    analysing them — the bench harness replays these through differently
    configured analyzers, and tests mine/check invariants offline. *)
 let record ?cfg (target : Target.t) =
-  let traces = ref [] in
-  iter_executions ?cfg target (fun _res trace -> traces := Trace.events trace :: !traces);
+  let events = ref [] and traces = ref [] in
+  iter_executions ?cfg target
+    ~attach:(fun env -> Runtime.Env.add_listener env (fun ev -> events := ev :: !events))
+    (fun _ ->
+      traces := List.rev !events :: !traces;
+      events := []);
   List.rev !traces
 
 let prepass ?(seeds = 4) ?(analysis = Analysis.Analyzer.default_config) ?snapshot target =

@@ -1,17 +1,16 @@
 (** Driver for the offline persistency analyzer ([lib/analysis]).
 
-    Runs a bounded set of seed executions of a target with trace capture
-    ({!Runtime.Trace}), then hands the recorded event streams to
-    {!Analysis.Analyzer} — the reproduction's stand-in for PMRace's LLVM
-    pre-pass: it bounds alias-pair coverage (the possible-pair
-    denominator) and lints the traces against the persistency lifecycle
-    rules.  Used standalone by [pmrace analyze] and as the fuzzer's
+    Runs a bounded set of seed executions of a target with
+    {!Analysis.Analyzer} attached as their listener — the reproduction's
+    stand-in for PMRace's LLVM pre-pass: it bounds alias-pair coverage
+    (the possible-pair denominator) and lints each execution against the
+    persistency lifecycle rules.  Used standalone by [pmrace analyze] and as the fuzzer's
     static pre-pass.
 
     When the embedded analysis config enables the taxonomy detectors,
-    each seed execution is followed by a traced recovery replay of its
-    end-of-run durable image, feeding the missing-recovery-path-flush
-    detector. *)
+    each seed execution is followed by a recovery replay of its
+    end-of-run durable image under the analyzer, feeding the
+    missing-recovery-path-flush detector. *)
 
 type config = {
   seeds : int;  (** distinct generated seeds to execute *)
@@ -37,7 +36,7 @@ val full_config : config
 
 val run :
   ?cfg:config -> ?snapshot:Pmem.Pool.snapshot -> Target.t -> Analysis.Analyzer.result
-(** Execute the seed set with trace capture and analyse the traces.  The
+(** Execute the seed set and analyse each execution as it runs.  The
     executions share one persistent engine, built from [snapshot] when
     given (see {!Engine.prepare_snapshot}) instead of initialising the
     target again; the results are the same either way. *)

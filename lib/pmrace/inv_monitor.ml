@@ -29,7 +29,7 @@ let create specs = { checker = Inv.checker specs; seen = Hashtbl.create 16; hits
 let attach t (env : Runtime.Env.t) =
   Inv.reset t.checker;
   Runtime.Env.add_listener env (fun ev ->
-      Inv.step t.checker
+      Inv.check_step t.checker
         ~emit:(fun (v : Inv.violation) ->
           let label = Inv.label v.v_inv in
           if not (Hashtbl.mem t.seen label) then begin

@@ -160,7 +160,7 @@ let world ctx image =
 
 (* Run the target's recovery on a crash image (plus [delta]) in the
    context's world, recording every PM word the recovery code overwrites.
-   Extra [listeners] (e.g. a trace recorder for the recovery-path lint)
+   Extra [listeners] (e.g. the analyzer's recovery-path lint)
    are attached before recovery starts. *)
 let run_recovery ?(listeners = []) ?delta ctx image =
   let w = world ctx image in

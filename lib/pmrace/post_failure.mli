@@ -69,8 +69,9 @@ val run_recovery :
     is re-booted in place ({!Runtime.Env.boot}) — observationally a fresh
     {!Runtime.Env.of_image}, without allocating a pool.  The context holds
     it weakly: the first recovery creates it, and so does the first one
-    after the GC reclaimed it from an idle context.  [listeners] (e.g. {!Runtime.Trace.attach})
-    are applied to the booted environment before recovery starts.  All
+    after the GC reclaimed it from an idle context.  [listeners] (e.g.
+    {!Analysis.Analyzer.attach} in recovery phase) are applied to the
+    booted environment before recovery starts.  All
     images recovered on one context must have the same size
     ([Invalid_argument] otherwise), and a context is not safe to share
     between domains. *)

@@ -1,52 +1,40 @@
-(* The offline persistency analyzer: trace capture, the site graph and its
+(* The offline persistency analyzer: the site graph and its
    possible-pair denominator, the lifecycle FSM / lint pass, and the
-   pmrace-analyze driver end-to-end on Figure 1. *)
+   pmrace-analyze driver end-to-end (Figure 1, and every target's pinned
+   report). *)
 
 module Env = Runtime.Env
 module Mem = Runtime.Mem
 module Tval = Runtime.Tval
 module Instr = Runtime.Instr
-module Trace = Runtime.Trace
 module Site_graph = Analysis.Site_graph
 module Alias_pairs = Analysis.Alias_pairs
 module Lint = Analysis.Lint
 module Analyzer = Analysis.Analyzer
 
-(* --- trace capture ---------------------------------------------------- *)
-
-let test_trace_capture () =
-  let env = Env.create ~pool_words:256 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
-  let ctx = Env.ctx env ~tid:0 in
-  let i = Instr.site "an:tr" in
-  Mem.store ctx ~instr:i (Tval.of_int 10) Tval.one;
-  Mem.persist ctx ~instr:i (Tval.of_int 10);
-  Alcotest.(check int) "store + clwb + fence" 3 (Trace.length tr);
-  (match Trace.events tr with
-  | [ Env.Ev_store _; Env.Ev_clwb _; Env.Ev_fence _ ] -> ()
-  | _ -> Alcotest.fail "events out of order");
-  Trace.clear tr;
-  Alcotest.(check bool) "cleared" true (Trace.is_empty tr)
+(* Record an execution's events in program order. *)
+let recorder env =
+  let evs = ref [] in
+  Env.add_listener env (fun ev -> evs := ev :: !evs);
+  fun () -> List.rev !evs
 
 (* --- site graph -------------------------------------------------------- *)
 
 (* A two-thread trace: t0 stores and flushes word 10; t1 loads it. *)
 let sample_trace () =
   let env = Env.create ~pool_words:256 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
+  let events = recorder env in
   let t0 = Env.ctx env ~tid:0 and t1 = Env.ctx env ~tid:1 in
   let iw = Instr.site "an:w" and ir = Instr.site "an:r" and ifl = Instr.site "an:f" in
   Mem.store t0 ~instr:iw (Tval.of_int 10) Tval.one;
   ignore (Mem.load t1 ~instr:ir (Tval.of_int 10));
   Mem.persist t0 ~instr:ifl (Tval.of_int 10);
-  (tr, iw, ir, ifl)
+  (events (), iw, ir, ifl)
 
 let test_site_graph () =
-  let tr, iw, ir, ifl = sample_trace () in
+  let events, iw, ir, ifl = sample_trace () in
   let g = Site_graph.create () in
-  Site_graph.absorb g (Trace.events tr);
+  Site_graph.absorb g events;
   Alcotest.(check int) "one execution" 1 (Site_graph.executions g);
   Alcotest.(check bool) "writer recorded" true (List.mem iw (Site_graph.writers_of g 10));
   Alcotest.(check bool) "reader recorded" true (List.mem ir (Site_graph.readers_of g 10));
@@ -59,8 +47,7 @@ let test_site_graph () =
 let test_possible_pairs_cross_product () =
   (* Two writers and two readers of one address: 4 possible pairs. *)
   let env = Env.create ~pool_words:256 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
+  let events = recorder env in
   let t0 = Env.ctx env ~tid:0 in
   let w1 = Instr.site "an:w1" and w2 = Instr.site "an:w2" in
   let r1 = Instr.site "an:r1" and r2 = Instr.site "an:r2" in
@@ -69,7 +56,7 @@ let test_possible_pairs_cross_product () =
   ignore (Mem.load t0 ~instr:r1 (Tval.of_int 20));
   ignore (Mem.load t0 ~instr:r2 (Tval.of_int 20));
   let g = Site_graph.create () in
-  Site_graph.absorb g (Trace.events tr);
+  Site_graph.absorb g (events ());
   Alcotest.(check int) "4 possible pairs" 4 (Site_graph.possible_count g)
 
 (* --- alias pairs ------------------------------------------------------- *)
@@ -93,9 +80,9 @@ let test_alias_pairs_accounting () =
 (* --- lint pass --------------------------------------------------------- *)
 
 let test_lint_unflushed_publish () =
-  let tr, iw, ir, _ = sample_trace () in
+  let events, iw, ir, _ = sample_trace () in
   let l = Lint.create () in
-  Lint.absorb l (Trace.events tr);
+  Lint.absorb l events;
   let f =
     List.find_opt (fun (f : Lint.finding) -> f.f_kind = Lint.Unflushed_publish) (Lint.findings l)
   in
@@ -109,15 +96,14 @@ let test_lint_unflushed_publish () =
 let test_lint_clean_when_persisted_first () =
   (* Persist before the cross-thread load: no publish finding. *)
   let env = Env.create ~pool_words:256 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
+  let events = recorder env in
   let t0 = Env.ctx env ~tid:0 and t1 = Env.ctx env ~tid:1 in
   let i = Instr.site "an:clean" in
   Mem.store t0 ~instr:i (Tval.of_int 10) Tval.one;
   Mem.persist t0 ~instr:i (Tval.of_int 10);
   ignore (Mem.load t1 ~instr:i (Tval.of_int 10));
   let l = Lint.create () in
-  Lint.absorb l (Trace.events tr);
+  Lint.absorb l (events ());
   Alcotest.(check bool) "no publish findings" true
     (List.for_all
        (fun (f : Lint.finding) ->
@@ -126,8 +112,7 @@ let test_lint_clean_when_persisted_first () =
 
 let test_lint_redundant_ops () =
   let env = Env.create ~pool_words:256 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
+  let events = recorder env in
   let ctx = Env.ctx env ~tid:0 in
   let i = Instr.site "an:red" in
   Mem.store ctx ~instr:i (Tval.of_int 10) Tval.one;
@@ -136,7 +121,7 @@ let test_lint_redundant_ops () =
   Mem.sfence ctx ~instr:i (* drains the redundant flush: not redundant *);
   Mem.sfence ctx ~instr:i (* no flush since previous fence: redundant *);
   let l = Lint.create () in
-  Lint.absorb l (Trace.events tr);
+  Lint.absorb l (events ());
   let kinds = List.map (fun (f : Lint.finding) -> f.f_kind) (Lint.findings l) in
   Alcotest.(check bool) "redundant CLWB" true (List.mem Lint.Redundant_flush kinds);
   Alcotest.(check bool) "redundant SFENCE" true (List.mem Lint.Redundant_fence kinds)
@@ -144,8 +129,7 @@ let test_lint_redundant_ops () =
 let test_lint_dedup_by_site_pair () =
   (* The same (write, read) pair three times: one finding, count 3. *)
   let env = Env.create ~pool_words:256 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
+  let events = recorder env in
   let t0 = Env.ctx env ~tid:0 and t1 = Env.ctx env ~tid:1 in
   let iw = Instr.site "an:dw" and ir = Instr.site "an:dr" in
   for _ = 1 to 3 do
@@ -153,7 +137,7 @@ let test_lint_dedup_by_site_pair () =
     ignore (Mem.load t1 ~instr:ir (Tval.of_int 10))
   done;
   let l = Lint.create () in
-  Lint.absorb l (Trace.events tr);
+  Lint.absorb l (events ());
   let publishes =
     List.filter (fun (f : Lint.finding) -> f.f_kind = Lint.Unflushed_publish) (Lint.findings l)
   in
@@ -191,6 +175,55 @@ let test_analyze_achieved_subset_all_targets () =
           (Alias_pairs.achieved_count r.A.r_pairs)
           (Alias_pairs.possible_count r.A.r_pairs))
     Workloads.Registry.with_examples
+
+(* The report of every registered target under the full and the --basic
+   configuration, pinned by fixtures/analyze/TARGET.{full,basic}.txt. *)
+let report_cases =
+  List.concat_map
+    (fun (t : Pmrace.Target.t) ->
+      [ (t, "full", Pmrace.Analyze.full_config); (t, "basic", Pmrace.Analyze.default_config) ])
+    (Workloads.Registry.with_examples @ Workloads.Registry.planted)
+
+let report r = Format.asprintf "%a" Analyzer.pp_report r
+
+let test_analyze_reports_pinned () =
+  let dir = if Sys.file_exists "fixtures" then "fixtures" else "test/fixtures" in
+  List.iter
+    (fun ((t : Pmrace.Target.t), tag, cfg) ->
+      let name = Printf.sprintf "%s.%s.txt" t.name tag in
+      Alcotest.(check string) name
+        (In_channel.with_open_bin (Filename.concat (Filename.concat dir "analyze") name)
+           In_channel.input_all)
+        (report (Pmrace.Analyze.run ~cfg t)))
+    report_cases
+
+(* Replaying Analyze.record's event lists through a fresh analyzer gives
+   the result of the streaming run.  Recording keeps no recovery runs, so
+   the configurations leave the taxonomy classes off. *)
+let test_record_replay_matches_streaming () =
+  let no_recovery = { Pmrace.Analyze.full_analysis with taxonomy = false } in
+  List.iter
+    (fun (t : Pmrace.Target.t) ->
+      List.iter
+        (fun analysis ->
+          let cfg = { Pmrace.Analyze.default_config with analysis } in
+          let streamed = Pmrace.Analyze.run ~cfg t in
+          let az = Analyzer.create ~cfg:analysis () in
+          List.iter (Analyzer.absorb az) (Pmrace.Analyze.record ~cfg t);
+          let replayed = Analyzer.result az in
+          Alcotest.(check string) (t.name ^ ": report") (report streamed) (report replayed);
+          Alcotest.(check bool) (t.name ^ ": findings") true
+            (streamed.r_findings = replayed.r_findings);
+          Alcotest.(check bool) (t.name ^ ": invariants") true
+            (streamed.r_invariants = replayed.r_invariants);
+          Alcotest.(check bool) (t.name ^ ": site graph") true
+            (Site_graph.nodes streamed.r_graph = Site_graph.nodes replayed.r_graph
+            && Site_graph.flush_edges streamed.r_graph = Site_graph.flush_edges replayed.r_graph
+            && Site_graph.fence_edges streamed.r_graph = Site_graph.fence_edges replayed.r_graph);
+          Alcotest.(check int) (t.name ^ ": executions") streamed.r_executions
+            replayed.r_executions)
+        [ Analyzer.default_config; no_recovery ])
+    (Workloads.Registry.with_examples @ Workloads.Registry.planted)
 
 (* --- fuzzer integration ------------------------------------------------ *)
 
@@ -272,7 +305,6 @@ let test_seed_priority_scored () =
 
 let suite =
   [
-    Alcotest.test_case "trace capture" `Quick test_trace_capture;
     Alcotest.test_case "site graph: nodes and edges" `Quick test_site_graph;
     Alcotest.test_case "site graph: pair cross product" `Quick test_possible_pairs_cross_product;
     Alcotest.test_case "alias pairs: accounting" `Quick test_alias_pairs_accounting;
@@ -283,6 +315,10 @@ let suite =
     Alcotest.test_case "analyze: figure1 end-to-end" `Quick test_analyze_figure1;
     Alcotest.test_case "analyze: achieved <= possible on all targets" `Slow
       test_analyze_achieved_subset_all_targets;
+    Alcotest.test_case "analyze: reports pinned for every target" `Quick
+      test_analyze_reports_pinned;
+    Alcotest.test_case "analyze: record replay matches streaming" `Quick
+      test_record_replay_matches_streaming;
     Alcotest.test_case "fuzzer: pre-pass denominator" `Quick test_fuzzer_prepass_denominator;
     Alcotest.test_case "fuzzer: pre-pass off" `Quick test_fuzzer_prepass_off;
     Alcotest.test_case "fuzzer: pre-pass shares the checkpoint" `Quick

@@ -73,7 +73,16 @@ let test_json_parse_pins () =
       ({|{} x|}, "JSON parse error at offset 3: trailing garbage");
       ("[1, 2]\n\t \r", "ok [1,2]");
       ({|  "plain", 1|}, "JSON parse error at offset 9: trailing garbage");
-      ("\"raw\ttab\x01\xc3\xa9\"", "ok \"raw\\ttab\\u0001\xc3\xa9\"");
+      ("\"raw\ttab\x01\xc3\xa9\"",
+        "JSON parse error at offset 4: unescaped control character '\\t' in string");
+      ("[\"ok\", \"a\x01\"]", "JSON parse error at offset 9: unescaped control character '\\001' in string");
+      ("\"\\u0001\xc3\xa9\"", "ok \"\\u0001\xc3\xa9\"");
+      ("+1", "JSON parse error at offset 0: unexpected character +");
+      ("[1, -]", "JSON parse error at offset 5: invalid number: expected a digit");
+      ("01", "JSON parse error at offset 1: invalid number: leading zero");
+      ("[-01]", "JSON parse error at offset 3: invalid number: leading zero");
+      ("[1., 1e]", "JSON parse error at offset 3: invalid number: expected a digit");
+      ("[0, -0, 10, 1e-05, 2.5E+2, -7]", "ok [0,0,10,1.0000000000000001e-05,250,-7]");
       ({|{"k\"ey": "v\/w"}|}, {|ok {"k\"ey":"v/w"}|});
       ({|{"a" 1}|}, "JSON parse error at offset 5: expected :, found 1");
       ({|{"a": 1 "b"}|}, "JSON parse error at offset 8: expected ',' or '}'");

@@ -13,7 +13,6 @@ module Env = Runtime.Env
 module Mem = Runtime.Mem
 module Tval = Runtime.Tval
 module Instr = Runtime.Instr
-module Trace = Runtime.Trace
 module Lifecycle = Analysis.Lifecycle
 module Lint = Analysis.Lint
 module Inv = Analysis.Invariants
@@ -23,10 +22,10 @@ module Analyze = Pmrace.Analyze
 (* Record a synthetic trace by running [f ctx0 ctx1] over a fresh env. *)
 let record_trace f =
   let env = Env.create ~pool_words:1024 () in
-  let tr = Trace.create () in
-  Trace.attach tr env;
+  let events = ref [] in
+  Env.add_listener env (fun ev -> events := ev :: !events);
   f (Env.ctx env ~tid:0) (Env.ctx env ~tid:1);
-  Trace.events tr
+  List.rev !events
 
 let kinds_of l = List.map (fun (f : Lint.finding) -> f.Lint.f_kind) (Lint.findings l)
 

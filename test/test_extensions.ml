@@ -1,5 +1,5 @@
 (* The extensions beyond the core pipeline: eADR mode (§6.6), the
-   additional checkers (§4.3), worker-pool dispatch (§5), and the detailed
+   additional checkers (§4.3, as lint classes), worker-pool dispatch (§5), and the detailed
    bug reports (§4.1 step 6). *)
 
 module Env = Runtime.Env
@@ -8,6 +8,8 @@ module Tval = Runtime.Tval
 module Instr = Runtime.Instr
 module Fuzzer = Pmrace.Fuzzer
 module Report = Pmrace.Report
+module Analyzer = Analysis.Analyzer
+module Lint = Analysis.Lint
 
 (* --- eADR ------------------------------------------------------------ *)
 
@@ -48,52 +50,71 @@ let test_eadr_session_figure1 () =
   let _, _, sync_bugs, _ = Report.sync_summary s.report in
   Alcotest.(check int) "the sync bug survives eADR" 1 sync_bugs
 
-(* --- aux checkers ---------------------------------------------------- *)
+(* --- §4.3 checkers: the lint pass's redundant-op and dirty-at-exit classes *)
+
+(* Run [f] on a fresh environment under an analyzer with the taxonomy
+   classes on. *)
+let analyze f =
+  let env = Env.create ~pool_words:256 () in
+  let az =
+    Analyzer.create ~cfg:{ Analyzer.default_config with taxonomy = true } ()
+  in
+  Analyzer.attach az `Normal env;
+  f (Env.ctx env ~tid:0);
+  Analyzer.finish az `Normal;
+  Analyzer.result az
+
+(* (site, dynamic occurrences) of one lint class. *)
+let findings_of kind (r : Analyzer.result) =
+  List.filter_map
+    (fun (f : Lint.finding) ->
+      if f.f_kind = kind then Some (Instr.name f.f_site, f.f_count) else None)
+    r.r_findings
+
+let node (r : Analyzer.result) site =
+  match Analysis.Site_graph.node r.r_graph (Instr.site site) with
+  | Some n -> n
+  | None -> Alcotest.failf "no site-graph node for %s" site
 
 let test_redundant_flush () =
-  let env = Env.create ~pool_words:256 () in
-  let aux = Pmrace.Aux_checkers.create () in
-  Pmrace.Aux_checkers.attach aux env;
-  let ctx = Env.ctx env ~tid:0 in
-  let i = Instr.site "ext:flush" in
-  Mem.store ctx ~instr:i (Tval.of_int 10) Tval.one;
-  Mem.clwb ctx ~instr:i (Tval.of_int 10) (* useful *);
-  Mem.clwb ctx ~instr:i (Tval.of_int 10) (* redundant: line already clean *);
-  Alcotest.(check int) "flushes" 2 (Pmrace.Aux_checkers.flushes aux);
-  Alcotest.(check int) "one redundant" 1 (Pmrace.Aux_checkers.redundant_total aux);
-  match Pmrace.Aux_checkers.redundant_sites aux with
-  | [ (site, 1) ] -> Alcotest.(check string) "site" "ext:flush" site
-  | _ -> Alcotest.fail "expected one redundant site"
+  let r =
+    analyze (fun ctx ->
+        let i = Instr.site "ext:flush" in
+        Mem.store ctx ~instr:i (Tval.of_int 10) Tval.one;
+        Mem.clwb ctx ~instr:i (Tval.of_int 10) (* useful *);
+        Mem.clwb ctx ~instr:i (Tval.of_int 10) (* redundant: line already clean *))
+  in
+  Alcotest.(check int) "flushes" 2 (node r "ext:flush").n_flushes;
+  Alcotest.(check (list (pair string int))) "one redundant flush" [ ("ext:flush", 1) ]
+    (findings_of Lint.Redundant_flush r)
 
 let test_redundant_fence () =
-  let env = Env.create ~pool_words:256 () in
-  let aux = Pmrace.Aux_checkers.create () in
-  Pmrace.Aux_checkers.attach aux env;
-  let ctx = Env.ctx env ~tid:0 in
-  let i = Instr.site "ext:fence" in
-  Mem.store ctx ~instr:i (Tval.of_int 10) Tval.one;
-  Mem.clwb ctx ~instr:i (Tval.of_int 10);
-  Mem.sfence ctx ~instr:i (* useful: drains the flush *);
-  Mem.sfence ctx ~instr:i (* redundant: nothing flushed since the last fence *);
-  Mem.movnt ctx ~instr:i (Tval.of_int 11) Tval.one;
-  Mem.sfence ctx ~instr:i (* useful: persists the non-temporal store *);
-  Alcotest.(check int) "fences" 3 (Pmrace.Aux_checkers.fences aux);
-  Alcotest.(check int) "one redundant" 1 (Pmrace.Aux_checkers.redundant_fence_total aux);
-  match Pmrace.Aux_checkers.redundant_fence_sites aux with
-  | [ (site, 1) ] -> Alcotest.(check string) "site" "ext:fence" site
-  | _ -> Alcotest.fail "expected one redundant-fence site"
+  let r =
+    analyze (fun ctx ->
+        let i = Instr.site "ext:fence" in
+        Mem.store ctx ~instr:i (Tval.of_int 10) Tval.one;
+        Mem.clwb ctx ~instr:i (Tval.of_int 10);
+        Mem.sfence ctx ~instr:i (* useful: drains the flush *);
+        Mem.sfence ctx ~instr:i (* redundant: nothing flushed since the last fence *);
+        Mem.movnt ctx ~instr:i (Tval.of_int 11) Tval.one;
+        Mem.sfence ctx ~instr:i (* useful: persists the non-temporal store *))
+  in
+  Alcotest.(check int) "fences" 3 (node r "ext:fence").n_fences;
+  Alcotest.(check (list (pair string int))) "one redundant fence" [ ("ext:fence", 1) ]
+    (findings_of Lint.Redundant_fence r)
 
 let test_unflushed_at_exit () =
-  let env = Env.create ~pool_words:256 () in
-  let ctx = Env.ctx env ~tid:0 in
-  let iw = Instr.site "ext:unflushed" in
-  Mem.store ctx ~instr:iw (Tval.of_int 10) Tval.one;
-  Mem.store ctx ~instr:iw (Tval.of_int 11) Tval.one;
-  Mem.store ctx ~instr:(Instr.site "ext:flushed") (Tval.of_int 20) Tval.one;
-  Mem.persist ctx ~instr:(Instr.site "ext:flushed") (Tval.of_int 20);
-  match Pmrace.Aux_checkers.unflushed_at_exit env with
-  | [ (site, 2) ] -> Alcotest.(check string) "writer site" "ext:unflushed" site
-  | l -> Alcotest.failf "expected one site with 2 words, got %d entries" (List.length l)
+  let r =
+    analyze (fun ctx ->
+        let iw = Instr.site "ext:unflushed" in
+        Mem.store ctx ~instr:iw (Tval.of_int 10) Tval.one;
+        Mem.store ctx ~instr:iw (Tval.of_int 11) Tval.one;
+        Mem.store ctx ~instr:(Instr.site "ext:flushed") (Tval.of_int 20) Tval.one;
+        Mem.persist ctx ~instr:(Instr.site "ext:flushed") (Tval.of_int 20))
+  in
+  Alcotest.(check (list (pair string int))) "one writer site with 2 dirty words"
+    [ ("ext:unflushed", 2) ]
+    (findings_of Lint.Unflushed_at_exit r)
 
 (* --- workers --------------------------------------------------------- *)
 
@@ -171,9 +192,9 @@ let suite =
     Alcotest.test_case "eadr: no candidates" `Quick test_eadr_no_candidates;
     Alcotest.test_case "eadr: sync events still fire" `Quick test_eadr_sync_events_still_fire;
     Alcotest.test_case "eadr: figure1 session (6.6)" `Quick test_eadr_session_figure1;
-    Alcotest.test_case "aux: redundant flush checker" `Quick test_redundant_flush;
-    Alcotest.test_case "aux: redundant fence checker" `Quick test_redundant_fence;
-    Alcotest.test_case "aux: unflushed at exit" `Quick test_unflushed_at_exit;
+    Alcotest.test_case "lint: redundant flush checker" `Quick test_redundant_flush;
+    Alcotest.test_case "lint: redundant fence checker" `Quick test_redundant_fence;
+    Alcotest.test_case "lint: unflushed at exit" `Quick test_unflushed_at_exit;
     Alcotest.test_case "workers: shared budget" `Quick test_workers_share_budget;
     Alcotest.test_case "workers: find bugs" `Quick test_workers_find_bugs;
     Alcotest.test_case "bug reports render" `Quick test_bug_report_renders;

@@ -13,9 +13,8 @@ module Fuzzer = Pmrace.Fuzzer
 module Seed = Pmrace.Seed
 module Hub = Pmrace.Hub
 module Artifact = Pmrace.Artifact
-(* The scheduler itself lives in pmrace; [Fleet.Corpus_sched] is its
-   constrained fleet-facing re-export, too narrow for these whitebox
-   tests (it hides [entries]/[tombstoned_count]). *)
+(* The corpus scheduler lives in pmrace; the fleet store uses it
+   directly. *)
 module Corpus_sched = Pmrace.Corpus_sched
 module Wire = Fleet.Wire
 module Rng = Sched.Rng

@@ -208,22 +208,35 @@ let test_artifact_v5_roundtrip_and_v4_compat () =
         = List.map
             (fun (p : Pmrace.Artifact.prov_entry) -> p.pr_trace)
             art.Pmrace.Artifact.a_provenance));
-  (* Rewrite the encoding as a v4 reader would have produced it: no
-     "por" keys, no "trace" keys, version stamped 4. *)
-  let rec strip = function
+  (* Rewrite the encoding as a v4 writer would have produced it: no
+     "por" keys, no "trace" keys, each provenance seed inline instead of
+     an index into the "seeds" table, no table, version stamped 4. *)
+  let v4 =
+    match Pmrace.Artifact.to_json art with
     | J.Obj fields ->
-        J.Obj
-          (List.filter_map
-             (fun (k, v) ->
-               match k with
-               | "por" | "trace" -> None
-               | "version" -> Some (k, J.Int 4)
-               | _ -> Some (k, strip v))
-             fields)
-    | J.List l -> J.List (List.map strip l)
-    | v -> v
+        let seeds =
+          match List.assoc_opt "seeds" fields with
+          | Some (J.List l) -> Array.of_list l
+          | _ -> Alcotest.fail "no seeds table"
+        in
+        let rec strip = function
+          | J.Obj fields ->
+              J.Obj
+                (List.filter_map
+                   (fun (k, v) ->
+                     match (k, v) with
+                     | ("por" | "trace" | "seeds"), _ -> None
+                     | "version", _ -> Some (k, J.Int 4)
+                     | "seed", J.Int i -> Some (k, seeds.(i))
+                     | _ -> Some (k, strip v))
+                   fields)
+          | J.List l -> J.List (List.map strip l)
+          | v -> v
+        in
+        strip (J.Obj fields)
+    | _ -> Alcotest.fail "not an object"
   in
-  match Pmrace.Artifact.of_json (strip (Pmrace.Artifact.to_json art)) with
+  match Pmrace.Artifact.of_json v4 with
   | Error e -> Alcotest.failf "v4 artifact failed to decode: %s" e
   | Ok art' ->
       Alcotest.(check bool) "no por totals" true (art'.Pmrace.Artifact.a_por = None);
@@ -234,7 +247,13 @@ let test_artifact_v5_roundtrip_and_v4_compat () =
            (fun (p : Pmrace.Artifact.prov_entry) -> p.pr_trace = None)
            art'.Pmrace.Artifact.a_provenance);
       Alcotest.(check bool) "bug groups preserved" true
-        (Pmrace.Artifact.bug_fingerprints art' = Pmrace.Artifact.bug_fingerprints art)
+        (Pmrace.Artifact.bug_fingerprints art' = Pmrace.Artifact.bug_fingerprints art);
+      let seed_fps (a : Pmrace.Artifact.t) =
+        List.map
+          (fun (p : Pmrace.Artifact.prov_entry) -> Pmrace.Seed.fingerprint p.pr_seed)
+          a.a_provenance
+      in
+      Alcotest.(check (list int64)) "inline seeds decode" (seed_fps art) (seed_fps art')
 
 (* ------------------------------------------------------------------ *)
 (* The headline property: pruned and unpruned sessions find the same   *)
