@@ -43,12 +43,10 @@ let eadr ppf =
     " the unreleased persistent locks still persist: PM Execution Context Bugs remain.)@."
 
 (* ------------------------------------------------------------------ *)
-(* §4.3 extensibility: the redundant-flush checker is the lint pass's
-   redundant-CLWB class, counted with the site graph's flushes by the
-   analyzer attached to one campaign per system.  The missing-flush column
-   reads the pool's dirty words at the end of the campaign: the lint
-   pass's dirty-at-exit class also flags the words a non-temporal CAS
-   wrote, because [Mem.cas ~nt:true] reports them as cached stores. *)
+(* §4.3 extensibility: the redundant-flush and missing-flush checkers are
+   the lint pass's redundant-CLWB and dirty-at-exit classes, counted with
+   the site graph's flushes by the analyzer attached to one campaign per
+   system. *)
 
 let checkers ppf =
   Format.fprintf ppf "@.Ablation (4.3): additional PM checkers on PMRace's framework.@.";
@@ -57,7 +55,9 @@ let checkers ppf =
   hr ppf;
   List.iter
     (fun (target : Pmrace.Target.t) ->
-      let az = Analysis.Analyzer.create () in
+      let az =
+        Analysis.Analyzer.create ~cfg:{ Analysis.Analyzer.default_config with taxonomy = true } ()
+      in
       let seed =
         Pmrace.Mutator.populate (Sched.Rng.create 5)
           { target.profile with Pmrace.Seed.supported = [ Pmrace.Seed.KPut ] }
@@ -65,9 +65,7 @@ let checkers ppf =
       in
       let input = Pmrace.Campaign.input ~sched_seed:3 target seed in
       let engine = Pmrace.Engine.create target in
-      let run =
-        Pmrace.Campaign.run ~engine ~listeners:[ Analysis.Analyzer.attach az `Normal ] input
-      in
+      ignore (Pmrace.Campaign.run ~engine ~listeners:[ Analysis.Analyzer.attach az `Normal ] input);
       Analysis.Analyzer.finish az `Normal;
       let r = Analysis.Analyzer.result az in
       let flushes =
@@ -76,25 +74,16 @@ let checkers ppf =
           0
           (Analysis.Site_graph.nodes r.r_graph)
       in
-      let redundant =
-        List.fold_left
-          (fun n (f : Analysis.Lint.finding) ->
-            if f.f_kind = Analysis.Lint.Redundant_flush then n + f.f_count else n)
-          0 r.r_findings
+      let count kind =
+        List.filter_map
+          (fun (f : Analysis.Lint.finding) ->
+            if f.f_kind = kind then Some (Runtime.Instr.name f.f_site, f.f_count) else None)
+          r.r_findings
       in
-      let pool = run.env.Runtime.Env.pool in
-      let by_site = Hashtbl.create 16 in
-      List.iter
-        (fun w ->
-          Option.iter
-            (fun (wr : Pmem.Pool.writer) ->
-              let site = Runtime.Instr.name (Runtime.Instr.of_int wr.instr) in
-              Hashtbl.replace by_site site (1 + Option.value ~default:0 (Hashtbl.find_opt by_site site)))
-            (Pmem.Pool.dirty_writer pool w))
-        (Pmem.Pool.dirty_words pool);
+      let redundant = List.fold_left (fun n (_, c) -> n + c) 0 (count Analysis.Lint.Redundant_flush) in
+      (* One class, one severity: the lint order is most occurrences first. *)
       let top =
-        Hashtbl.fold (fun s n acc -> (s, n) :: acc) by_site []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
+        count Analysis.Lint.Unflushed_at_exit
         |> List.filteri (fun i _ -> i < 3)
         |> List.map (fun (s, n) -> Printf.sprintf "%s (%d)" s n)
         |> String.concat ", "

@@ -302,9 +302,9 @@ let replay_cmd =
         | Ok o ->
             Format.printf "replayed campaign %d for bug #%d (%s at %s)@." o.r_campaign bug
               o.r_bug.Pmrace.Artifact.b_kind o.r_bug.Pmrace.Artifact.b_site;
-            List.iter
+            Option.iter
               (fun g -> Format.printf "  %a@." Report.pp_bug_group g)
-              o.Pmrace.Replay.r_groups;
+              o.Pmrace.Replay.r_group;
             if o.Pmrace.Replay.r_reproduced then begin
               Format.printf "bug fingerprint REPRODUCED@.";
               match o.Pmrace.Replay.r_image_index with

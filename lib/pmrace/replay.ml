@@ -5,13 +5,15 @@
    includes the sync-point queue entry and skip count), same execution
    parameters from the recorded config.  Determinism of the scheduler and
    the policy RNG split makes the re-execution bit-identical, so the same
-   unique inconsistency is rediscovered and revalidated. *)
+   unique inconsistency is rediscovered.  Only the findings of the bug's
+   own (kind, site) are revalidated: the rest of the campaign's findings
+   cannot change whether that group comes back. *)
 
 type outcome = {
   r_bug : Artifact.bug;
   r_campaign : int;
   r_reproduced : bool;
-  r_groups : Report.bug_group list;
+  r_group : Report.bug_group option; (* the bug's group, when it reappeared *)
   r_image_index : int option;
       (* crash-image index the bug reproduced on this run, when it did *)
 }
@@ -72,32 +74,37 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
                   | None -> cfg.crash_images
                 in
                 let vctx = Post_failure.ctx ~images ~whitelist target in
-                List.iter (fun f -> ignore (Report.validate vctx f)) findings;
-                let groups = Report.bug_groups report in
-                let reproduced =
-                  List.exists
-                    (fun (g : Report.bug_group) ->
-                      String.equal (Report.kind_slug g.bg_kind) b.b_kind
-                      && String.equal g.bg_site b.b_site)
-                    groups
+                (* Only the bug's own (kind, site) candidates decide the
+                   answer, so only they are validated: verdicts are
+                   independent of one another (the recovery memo caches
+                   outcomes, never verdicts), and an unvalidated finding
+                   joins no group. *)
+                let candidates =
+                  List.filter
+                    (fun f ->
+                      String.equal (Report.kind_slug (Report.kind f)) b.b_kind
+                      && String.equal (Report.site f) b.b_site)
+                    findings
                 in
+                List.iter (fun f -> ignore (Report.validate vctx f)) candidates;
                 (* Which enumerated image the bug came back on: the
-                   smallest index among the bug verdicts at its site. *)
+                   smallest index among its candidates' bug verdicts. *)
                 let r_image_index =
                   List.fold_left
                     (fun acc (f : Report.finding) ->
                       match f.verdict with
-                      | Some (Post_failure.Bug { image_index; _ })
-                        when String.equal (Report.site f) b.b_site ->
+                      | Some (Post_failure.Bug { image_index; _ }) ->
                           Some (Option.fold ~none:image_index ~some:(min image_index) acc)
                       | _ -> acc)
-                    None findings
+                    None candidates
                 in
                 Ok
                   {
                     r_bug = b;
                     r_campaign = campaign;
-                    r_reproduced = reproduced;
-                    r_groups = groups;
+                    r_reproduced = Option.is_some r_image_index;
+                    (* Only candidates carry verdicts: one group at most. *)
+                    r_group =
+                      (match Report.bug_groups report with g :: _ -> Some g | [] -> None);
                     r_image_index;
                   }))

@@ -3,17 +3,21 @@
     An {!Artifact.t} records, for every campaign, the exact seed, the
     scheduler seed, and the interleaving-policy spec.  Replay rebuilds
     the campaign input from the artifact's config and the bug's first
-    sighting, re-executes that single campaign, validates its findings,
-    and checks that the same (kind, site) bug group reappears. *)
+    sighting, re-executes that single campaign, validates only its
+    findings of the bug's (kind, site) — the candidates that can form
+    the bug's group — and checks that the group reappears. *)
 
 type outcome = {
   r_bug : Artifact.bug;  (** the artifact bug group being replayed *)
   r_campaign : int;  (** campaign index that was re-executed *)
   r_reproduced : bool;  (** the same (kind, site) group reappeared *)
-  r_groups : Report.bug_group list;  (** groups the replayed campaign produced *)
+  r_group : Report.bug_group option;
+      (** the bug's group as the replayed campaign rebuilt it; [None] when
+          not reproduced *)
   r_image_index : int option;
-      (** the crash-image index the bug reproduced on this run (0 = base
-          image); [None] when not reproduced *)
+      (** the smallest crash-image index among the bug verdicts of the
+          bug's (kind, site) candidates on this run (0 = base image);
+          [None] when not reproduced *)
 }
 
 val replay_bug : target:Target.t -> artifact:Artifact.t -> bug:int -> (outcome, string) result

@@ -8,7 +8,9 @@
    context and in a fresh [of_image] boot.  Verdicts, image indices,
    overwritten-word sets and post-recovery pools must agree.  The
    adversarial case leaves the recovery environment dirty in every layer
-   between recoveries. *)
+   between recoveries.  Replay, which validates only the replayed bug's
+   candidates, is checked against validating every finding of the
+   replayed campaign. *)
 
 module CI = Pmem.Crash_images
 module Pool = Pmem.Pool
@@ -112,9 +114,10 @@ let candidates (s : Pmrace.Fuzzer.session) =
       | Pmrace.Report.Invariant _ -> None)
     (Pmrace.Report.findings s.report @ Pmrace.Report.sync_findings s.report)
 
-let session target =
-  Pmrace.Fuzzer.run target
-    (Pmrace.Fuzzer.Config.make ~max_campaigns:30 ~crash_images:budget ~master_seed:5 ())
+let session_config =
+  Pmrace.Fuzzer.Config.make ~max_campaigns:30 ~crash_images:budget ~master_seed:5 ()
+
+let session target = Pmrace.Fuzzer.run target session_config
 
 (* ------------------------------------------------------------------ *)
 (* One reused context ≡ a fresh boot per image, on every workload.     *)
@@ -261,6 +264,128 @@ let test_memo_equivalence () =
   if !hangs = 0 then Alcotest.fail "no recovery hang among the verdicts";
   if !shared = 0 then Alcotest.fail "no two consecutive candidates shared a surface"
 
+(* ------------------------------------------------------------------ *)
+(* Targeted replay ≡ validating the whole replayed campaign.           *)
+(* ------------------------------------------------------------------ *)
+
+module Report = Pmrace.Report
+module Artifact = Pmrace.Artifact
+
+let of_bug (b : Artifact.bug) f =
+  String.equal (Report.kind_slug (Report.kind f)) b.b_kind && String.equal (Report.site f) b.b_site
+
+(* The replay reference: re-execute the bug's first campaign exactly as
+   the fuzzer ran it, validate every finding, then read the bug's
+   (kind, site) group and the smallest image index among that group's
+   bug verdicts.  Also returns how many of the campaign's findings are
+   the bug's candidates. *)
+let reference_replay (target : Pmrace.Target.t) (art : Artifact.t) (b : Artifact.bug) =
+  let cfg : Pmrace.Fuzzer.config = art.a_config in
+  let campaign = Option.get b.b_first_campaign in
+  let p = Option.get (Artifact.find_provenance art campaign) in
+  let engine =
+    Pmrace.Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
+      ~use_checkpoint:cfg.use_checkpoint target
+  in
+  let result =
+    Pmrace.Campaign.run ~engine
+      (Pmrace.Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec
+         ~step_budget:cfg.step_budget ~por:cfg.por ~por_digest:false target p.pr_seed)
+  in
+  let report = Report.create () in
+  let findings =
+    Report.absorb ~campaign report result.env ~hung:result.hung
+      ~hang_info:(Pmrace.Campaign.hang_info result)
+  in
+  let images =
+    match b.b_image_index with
+    | Some i -> max cfg.crash_images (i + 1)
+    | None -> cfg.crash_images
+  in
+  let whitelist = Pmrace.Whitelist.create (target.whitelist_sites @ cfg.whitelist_extra) in
+  let vctx = Post.ctx ~images ~whitelist target in
+  List.iter (fun f -> ignore (Report.validate vctx f)) findings;
+  let group =
+    List.find_opt
+      (fun (g : Report.bug_group) ->
+        String.equal (Report.kind_slug g.bg_kind) b.b_kind && String.equal g.bg_site b.b_site)
+      (Report.bug_groups report)
+  in
+  let candidates = List.filter (of_bug b) findings in
+  let image =
+    List.fold_left
+      (fun acc (f : Report.finding) ->
+        match f.verdict with
+        | Some (Post.Bug { image_index; _ }) ->
+            Some (Option.fold ~none:image_index ~some:(min image_index) acc)
+        | _ -> acc)
+      None candidates
+  in
+  (group, image, List.length candidates)
+
+let validations () =
+  List.fold_left
+    (fun acc (r : Obs.Metrics.reading) ->
+      match r with
+      | { r_name = "validations_total"; r_labels = []; r_value = Counter n } -> n
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
+(* A (kind, site) of the session that formed no bug group — validated or
+   whitelisted false positives — as an artifact bug first seen at its
+   earliest finding.  clevel's candidates are all whitelisted, so without
+   these its replay path would go unexercised. *)
+let pseudo_bugs (s : Pmrace.Fuzzer.session) (recorded : Artifact.bug list) =
+  List.stable_sort
+    (fun (a : Report.finding) b -> Int.compare a.found_at b.found_at)
+    (Report.findings s.report @ Report.sync_findings s.report)
+  |> List.fold_left
+       (fun acc (f : Report.finding) ->
+         match Report.kind f with
+         | `Invariant -> acc
+         | _ when List.exists (fun b -> of_bug b f) (recorded @ acc) -> acc
+         | k ->
+             acc
+             @ [
+                 {
+                   Artifact.b_kind = Report.kind_slug k;
+                   b_site = Report.site f;
+                   b_read_sites = [];
+                   b_members = 0;
+                   b_first_campaign = Some f.found_at;
+                   b_image_index = None;
+                 };
+               ])
+       []
+
+let group = Alcotest.testable Report.pp_bug_group ( = )
+
+(* Every recorded bug group of the workload's session, and every
+   (kind, site) that formed none, replayed through [Replay.replay_bug]
+   and through the reference: same verdict, group and image index, and
+   the targeted replay validated exactly the bug's candidates. *)
+let test_targeted_replay (target : Pmrace.Target.t) () =
+  let s = session target in
+  let art = Artifact.of_session ~target ~cfg:session_config s in
+  let art = { art with a_bugs = art.a_bugs @ pseudo_bugs s art.a_bugs } in
+  if art.a_bugs = [] then Alcotest.failf "%s: the session found no candidate" target.name;
+  let enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled enabled) @@ fun () ->
+  List.iteri
+    (fun i (b : Artifact.bug) ->
+      let label = Printf.sprintf "%s bug %d (%s at %s)" target.name i b.b_kind b.b_site in
+      let spec_group, spec_image, candidates = reference_replay target art b in
+      let before = validations () in
+      match Pmrace.Replay.replay_bug ~target ~artifact:art ~bug:i with
+      | Error e -> Alcotest.failf "%s: replay failed: %s" label e
+      | Ok o ->
+          Alcotest.(check int) (label ^ ": validations") candidates (validations () - before);
+          Alcotest.(check bool) (label ^ ": reproduced") (spec_group <> None) o.r_reproduced;
+          Alcotest.(check (option group)) (label ^ ": group") spec_group o.r_group;
+          Alcotest.(check (option int)) (label ^ ": image index") spec_image o.r_image_index)
+    art.a_bugs
+
 let suite =
   List.map
     (fun (t : Pmrace.Target.t) ->
@@ -274,3 +399,9 @@ let suite =
       Alcotest.test_case "memoised verdicts ≡ a fresh context per candidate" `Slow
         test_memo_equivalence;
     ]
+  @ List.map
+      (fun (t : Pmrace.Target.t) ->
+        Alcotest.test_case ("targeted replay: " ^ t.name)
+          (if t == Workloads.Memcached.target then `Slow else `Quick)
+          (test_targeted_replay t))
+      workloads
