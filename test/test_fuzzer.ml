@@ -30,22 +30,52 @@ let test_timeline_monotonic () =
   in
   check s.timeline
 
+(* A session's exploration fingerprint: every campaign's (index, sched
+   seed, policy label, seed fingerprint) plus the unique-bug groups, as a
+   digest.  Unlike a sched-seed-only hash it moves when a loop change
+   shifts which seed or policy a campaign ran, e.g. a generation
+   boundary.  Site ids never enter it, so it is stable across binaries. *)
+let session_golden (s : Fuzzer.session) =
+  let b = Buffer.create 4096 in
+  Hashtbl.fold (fun k (p : Fuzzer.provenance) acc -> (k, p) :: acc) s.provenance []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (k, (p : Fuzzer.provenance)) ->
+         Printf.bprintf b "%d %d %s %Ld\n" k p.p_sched_seed p.p_policy
+           (Pmrace.Seed.fingerprint p.p_seed));
+  Report.bug_groups s.report
+  |> List.map (fun (g : Report.bug_group) -> (Report.kind_slug g.bg_kind, g.bg_site))
+  |> List.sort compare
+  |> List.iter (fun (k, site) -> Printf.bprintf b "bug %s %s\n" k site);
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+(* 60 campaigns span several seed generations in every mode, so the
+   goldens pin the execution-tier patience and the generation loop. *)
 let test_modes_run () =
   List.iter
-    (fun mode ->
-      let s = Fuzzer.run Workloads.Figure1.target { (cfg 15) with mode } in
-      Alcotest.(check int) "campaigns" 15 s.campaigns_run)
-    [ Fuzzer.Mode_pmrace; Fuzzer.Mode_delay; Fuzzer.Mode_random ]
+    (fun (name, mode, golden) ->
+      let s = Fuzzer.run Workloads.Figure1.target { (cfg 60) with mode } in
+      Alcotest.(check int) (name ^ ": campaigns") 60 s.campaigns_run;
+      Alcotest.(check string) (name ^ ": session golden") golden (session_golden s))
+    [
+      ("pmrace", Fuzzer.Mode_pmrace, "41f0dd664c4c8fd8");
+      ("delay", Fuzzer.Mode_delay, "64ae2620faa94126");
+      ("random", Fuzzer.Mode_random, "41bb846e42ff311f");
+    ]
 
 let test_ablations_run () =
   List.iter
-    (fun (ie, se) ->
+    (fun (name, ie, se, golden) ->
       let s =
         Fuzzer.run Workloads.Figure1.target
-          { (cfg 15) with interleaving_tier = ie; seed_tier = se }
+          { (cfg 60) with interleaving_tier = ie; seed_tier = se }
       in
-      Alcotest.(check int) "campaigns" 15 s.campaigns_run)
-    [ (false, true); (true, false); (false, false) ]
+      Alcotest.(check int) (name ^ ": campaigns") 60 s.campaigns_run;
+      Alcotest.(check string) (name ^ ": session golden") golden (session_golden s))
+    [
+      ("no-IE", false, true, "ed9d76edcbcd914f");
+      ("no-SE", true, false, "fbf7f0e81fcb9f20");
+      ("no-IE+no-SE", false, false, "dd4901c8f59b68ac");
+    ]
 
 let test_validate_flag () =
   let s = Fuzzer.run Workloads.Figure1.target { (cfg 30) with validate = false } in
