@@ -159,10 +159,8 @@ let run ?obs wcfg target =
           let over_cap () =
             match wcfg.max_local with Some cap -> !local_done >= cap | None -> false
           in
-          let local = Fuzzer.hub_sink hub in
           let sink =
             {
-              local with
               Fuzzer.sk_budget_left = (fun () -> (not !drained) && (not !dead) && not (over_cap ()));
               sk_reserve =
                 (fun prov ->
@@ -175,7 +173,7 @@ let run ?obs wcfg target =
                     if !drained || !lease_rem = 0 then None
                     else begin
                       decr lease_rem;
-                      match local.Fuzzer.sk_reserve prov with
+                      match Hub.reserve hub prov with
                       | None -> None
                       | Some c ->
                           Hashtbl.replace camp_seed c prov.Hub.p_seed;
@@ -188,7 +186,7 @@ let run ?obs wcfg target =
                  validation. *)
               sk_commit =
                 (fun ?trace ~campaign ~delta env ~hung ~hang_info ->
-                  let c = local.Fuzzer.sk_commit ?trace ~campaign ~delta env ~hung ~hang_info in
+                  let c = Hub.commit hub ?trace ~campaign ~delta env ~hung ~hang_info in
                   (match Hub.merge_delta_into ~src:delta ~dst:wire with
                   | Ok () -> ()
                   | Error e -> raise (Fail e));

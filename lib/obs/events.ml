@@ -60,27 +60,6 @@ let emit t payload =
         (fun () -> List.iter (fun sink -> sink ev) t.sinks)
 
 (* ------------------------------------------------------------------ *)
-(* Ring buffer sink *)
-
-type ring = { cells : event option array; mutable head : int; mutable total : int }
-
-let attach_ring ?(capacity = 4096) t =
-  let r = { cells = Array.make (max 1 capacity) None; head = 0; total = 0 } in
-  attach t (fun ev ->
-      r.cells.(r.head) <- Some ev;
-      r.head <- (r.head + 1) mod Array.length r.cells;
-      r.total <- r.total + 1);
-  r
-
-let ring_events r =
-  let n = Array.length r.cells in
-  let start = if r.total <= n then 0 else r.head in
-  let count = min r.total n in
-  List.init count (fun i -> r.cells.((start + i) mod n)) |> List.filter_map Fun.id
-
-let ring_dropped r = max 0 (r.total - Array.length r.cells)
-
-(* ------------------------------------------------------------------ *)
 (* JSON *)
 
 let payload_name = function

@@ -3,9 +3,9 @@
     The fuzzer emits one {!payload} per interesting transition
     (campaign start/end, new alias pair, candidate discovery, validation
     verdict, worker merge); sinks subscribe before the session starts.
-    Three sinks are provided: nothing (just never attach one — emission
-    with no sinks is a single list-head check), an in-memory ring buffer,
-    and a JSONL file stream (the CLI's [--trace-out FILE]).
+    A sink is any [event -> unit] ({!attach}); {!attach_jsonl} writes a
+    JSONL file stream (the CLI's [--trace-out FILE]).  Emission with no
+    sinks attached is a single list-head check.
 
     Emission is mutex-serialised across worker domains, so JSONL lines
     never interleave.  Timestamps are seconds since {!create}, read from
@@ -70,18 +70,6 @@ val create : unit -> t
 val attach : t -> (event -> unit) -> unit
 (** Subscribe a generic sink.  Attach before the session runs — emission
     from worker domains is serialised, attachment is not. *)
-
-type ring
-(** An in-memory ring buffer keeping the most recent events. *)
-
-val attach_ring : ?capacity:int -> t -> ring
-(** Default capacity 4096. *)
-
-val ring_events : ring -> event list
-(** Oldest first. *)
-
-val ring_dropped : ring -> int
-(** Events overwritten because the ring was full. *)
 
 val attach_jsonl : t -> out_channel -> unit
 (** Write each event as one JSON object per line.  The channel is flushed

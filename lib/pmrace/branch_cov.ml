@@ -21,8 +21,6 @@ let handler t = function
 (* Empty the map so a worker-local delta can be reused across campaigns. *)
 let clear = Site_set.clear
 
-let attach t env = Runtime.Env.add_listener env (handler t)
-
 (* Wire/store codec (fleet mode): covered branch sites by name, sorted for
    a canonical encoding; decode re-registers the names in list order. *)
 let codec =

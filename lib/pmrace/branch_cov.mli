@@ -15,12 +15,10 @@ val merge_into : src:t -> t -> unit
     itself synchronised — callers serialise merges. *)
 
 val handler : t -> Runtime.Env.event -> unit
-(** The event handler behind {!attach}, for pre-bound listener arrays. *)
+(** The coverage event handler, for pre-bound listener arrays. *)
 
 val clear : t -> unit
 (** Empty the map so a worker-local delta can be reused across campaigns. *)
-
-val attach : t -> Runtime.Env.t -> unit
 
 val codec : t Obs.Codec.t
 (** Wire/store codec (fleet mode): covered branch sites by name, sorted;

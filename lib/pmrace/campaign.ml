@@ -66,14 +66,11 @@ type input = {
   policy : policy_spec;
   step_budget : int;
   por : bool; (* sleep-set pruning + trace hashing *)
-  por_digest : bool;
-      (* false = no trace-dedup consumer (replay): run the sleep sets but
-         short-circuit the Foata-layer/hash digesting entirely *)
 }
 
-let input ?(sched_seed = 1) ?(policy = Random_sched) ?(step_budget = 60_000) ?(por = false)
-    ?(por_digest = true) target seed =
-  { target; seed; sched_seed; policy; step_budget; por; por_digest }
+let input ?(sched_seed = 1) ?(policy = Random_sched) ?(step_budget = 60_000) ?(por = false) target
+    seed =
+  { target; seed; sched_seed; policy; step_budget; por }
 
 type result = {
   env : Env.t;
@@ -112,14 +109,7 @@ let run ~engine ?(listeners = []) (i : input) =
   (* The POR harness interposes on whatever policy the spec built; with
      [por = false] nothing here runs and the policy (and every RNG draw)
      is exactly the historical one. *)
-  let harness =
-    if not i.por then None
-    else begin
-      let h = Engine.por_harness engine ~nthreads in
-      if not i.por_digest then Por.set_digest h false;
-      Some h
-    end
-  in
+  let harness = if i.por then Some (Engine.por_harness engine ~nthreads) else None in
   let policy = match harness with Some h -> Por.wrap h policy | None -> policy in
   Env.set_policy env policy;
   let sched = Scheduler.create ~step_budget:i.step_budget ~rng () in

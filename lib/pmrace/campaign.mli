@@ -29,11 +29,6 @@ type input = {
           canonical trace hash.  [false] (the default) leaves the
           schedule — and every RNG draw — bit-identical to before the
           POR layer existed. *)
-  por_digest : bool;
-      (** [false] short-circuits the Foata-layer/trace-hash digesting
-          while keeping the sleep-set schedule unchanged — for consumers
-          (replay) that re-run a POR campaign for its schedule only.
-          [true] (the default) digests as before. *)
 }
 
 val input :
@@ -41,7 +36,6 @@ val input :
   ?policy:policy_spec ->
   ?step_budget:int ->
   ?por:bool ->
-  ?por_digest:bool ->
   Target.t ->
   Seed.t ->
   input

@@ -147,6 +147,5 @@ let checkout t =
       env
 
 let persistent t = match t.mode with Persistent _ -> true | Fresh -> false
-let snapshot t = match t.mode with Persistent p -> Some p.snapshot | Fresh -> None
 let checkouts t = t.checkouts
 let last_reset_touched t = t.last_reset_touched

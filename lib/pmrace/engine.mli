@@ -61,7 +61,6 @@ val por_harness : t -> nthreads:int -> Por.t
     seed spawns more threads than any before). *)
 
 val persistent : t -> bool
-val snapshot : t -> Pmem.Pool.snapshot option
 val checkouts : t -> int
 (** Total checkouts served. *)
 

@@ -206,12 +206,12 @@ type session = {
   trace_hashes : (int, int64) Hashtbl.t; (* campaign index -> canonical trace hash *)
 }
 
-(* The worker's view of the shared side, as a record of functions.  The
+(* The worker's budget and commit path, as a record of functions.  The
    in-process pool binds it to a {!Hub} ([hub_sink] — pure indirection, so
    [workers = 1] sessions stay bit-identical to the sequential fuzzer);
    fleet workers bind it to a wrapper that enforces the coordinator's
-   lease budget and accumulates a wire delta.  Everything the fuzzing
-   loop ever asks of the shared side goes through here. *)
+   lease budget and accumulates a wire delta.  Every other shared-side
+   read or write goes to the set-up's hub directly. *)
 type sink = {
   sk_budget_left : unit -> bool;
   sk_reserve : Hub.provenance -> int option;
@@ -226,25 +226,14 @@ type sink = {
       (* [trace] registers a POR campaign's trace class in the same
          critical section as the merge — one lock acquisition per
          campaign boundary *)
-  sk_record_invariant : campaign:int -> Inv_monitor.hit -> Report.finding option;
-  sk_queue_entries : unit -> Shared_queue.entry list;
-  sk_rescore : sites:Site_set.t -> Seed.t -> unit;
-  sk_completed : unit -> int; (* campaigns committed, for progress logs *)
 }
 
-(* The in-process binding: forward every operation to the hub verbatim,
-   same calls in the same order as the pre-sink fuzzer made directly. *)
+(* The in-process binding: forward every operation to the hub verbatim. *)
 let hub_sink hub =
   {
     sk_budget_left = (fun () -> Hub.budget_left hub);
-    sk_reserve = (fun prov -> Hub.reserve hub prov);
-    sk_commit =
-      (fun ?trace ~campaign ~delta env ~hung ~hang_info ->
-        Hub.commit hub ?trace ~campaign ~delta env ~hung ~hang_info);
-    sk_record_invariant = (fun ~campaign hit -> Hub.record_invariant hub ~campaign hit);
-    sk_queue_entries = (fun () -> Hub.queue_entries hub);
-    sk_rescore = (fun ~sites seed -> Hub.rescore_seed hub ~sites seed);
-    sk_completed = (fun () -> Hub.completed hub);
+    sk_reserve = Hub.reserve hub;
+    sk_commit = Hub.commit hub;
   }
 
 (* A fuzzing worker: one domain's private half of the state split.  Two
@@ -257,6 +246,7 @@ type worker = {
   cfg : config;
   target : Target.t;
   sink : sink;
+  hub : Hub.t; (* the set-up's hub: queue, invariants, seed scores *)
   sched_rng : Rng.t;
   gen_rng : Rng.t;
   mutable corpus : Seed.t list;
@@ -340,7 +330,7 @@ let rescore_seed w seed =
     let sites =
       Option.value ~default:(Site_set.create ()) (Hashtbl.find_opt w.seed_sites (Seed.id seed))
     in
-    w.sink.sk_rescore ~sites seed
+    Hub.rescore_seed w.hub ~sites seed
 
 (* Run one campaign: reserve a budget slot, execute against a private
    delta (lock-free), commit at the boundary, then validate any new
@@ -436,7 +426,7 @@ let do_campaign w seed policy =
       | Some m ->
           List.iter
             (fun hit ->
-              match w.sink.sk_record_invariant ~campaign hit with
+              match Hub.record_invariant w.hub ~campaign hit with
               | None -> ()
               | Some f ->
                   emit_found w ~campaign f;
@@ -457,6 +447,25 @@ let do_campaign w seed policy =
       Some (c.c_improved, result)
 
 let budget_left w = w.sink.sk_budget_left ()
+
+(* The execution tier: run [campaign] up to [runs] times while the budget
+   lasts, giving up after [patience] runs in a row that improved no
+   coverage.  [campaign] returns whether its run improved coverage, or
+   [None] when the budget ran out before it could start. *)
+let repeat w ~runs ~patience campaign =
+  let rec go n stale =
+    if n < runs && budget_left w && stale < patience then
+      match campaign () with
+      | None -> ()
+      | Some improved -> go (n + 1) (if improved then 0 else stale + 1)
+  in
+  go 0 0
+
+(* The execution tier alone, under a fixed policy: the w/o-IE ablation and
+   the delay/random baselines. *)
+let repeat_policy w ~patience seed policy =
+  repeat w ~runs:(w.cfg.execs_per_interleaving * w.cfg.max_interleavings_per_seed) ~patience
+    (fun () -> Option.map fst (do_campaign w seed policy))
 
 (* The PM-aware schedule: recon run, then interleaving tier over queue
    entries, with the execution tier inside. *)
@@ -479,7 +488,7 @@ let fuzz_seed_pmrace w seed =
         | None -> false
       in
       let unexplored () =
-        w.sink.sk_queue_entries ()
+        Hub.queue_entries w.hub
         |> List.filter (fun (e : Shared_queue.entry) -> not (exhausted e.addr))
       in
       let entries =
@@ -494,49 +503,28 @@ let fuzz_seed_pmrace w seed =
         match entries with
         | [] -> ()
         | _ when (not (budget_left w)) || tried >= inter_budget -> ()
-        | entry :: rest ->
-            let attempts =
-              max 0 (Option.value ~default:0 (Hashtbl.find_opt w.explored entry.Shared_queue.addr))
-            in
-            Hashtbl.replace w.explored entry.Shared_queue.addr (attempts + 1);
-            let rec exec_tier n stale =
-              if n < w.cfg.execs_per_interleaving && budget_left w && stale < 2 then begin
-                let skip =
-                  Option.value ~default:0
-                    (Hashtbl.find_opt w.skip_store (Seed.id seed, entry.Shared_queue.addr))
-                in
-                match do_campaign w seed (Campaign.Pmrace { entry; skip }) with
-                | None -> ()
-                | Some (improved, result) ->
+        | (entry : Shared_queue.entry) :: rest ->
+            let addr = entry.addr in
+            let attempts = max 0 (Option.value ~default:0 (Hashtbl.find_opt w.explored addr)) in
+            Hashtbl.replace w.explored addr (attempts + 1);
+            repeat w ~runs:w.cfg.execs_per_interleaving ~patience:2 (fun () ->
+                let key = (Seed.id seed, addr) in
+                let skip = Option.value ~default:0 (Hashtbl.find_opt w.skip_store key) in
+                Option.map
+                  (fun (improved, (result : Campaign.result)) ->
                     (match result.sync with
                     | Some sync ->
-                        Hashtbl.replace w.skip_store
-                          (Seed.id seed, entry.Shared_queue.addr)
-                          (Sync_policy.next_skip sync ~previous:skip);
-                        if Sync_policy.triggered sync then
-                          Hashtbl.replace w.explored entry.Shared_queue.addr (-1)
+                        Hashtbl.replace w.skip_store key (Sync_policy.next_skip sync ~previous:skip);
+                        if Sync_policy.triggered sync then Hashtbl.replace w.explored addr (-1)
                     | None -> ());
-                    exec_tier (n + 1) (if improved then 0 else stale + 1)
-              end
-            in
-            exec_tier 0 0;
+                    improved)
+                  (do_campaign w seed (Campaign.Pmrace { entry; skip })));
             explore rest (tried + 1)
       in
       explore entries 0
     end
-    else begin
-      (* w/o IE: only the execution tier — repeated random-schedule runs. *)
-      let rec exec_tier n stale =
-        if n < w.cfg.execs_per_interleaving * w.cfg.max_interleavings_per_seed
-           && budget_left w && stale < 4
-        then begin
-          match do_campaign w seed Campaign.Random_sched with
-          | None -> ()
-          | Some (improved, _) -> exec_tier (n + 1) (if improved then 0 else stale + 1)
-        end
-      in
-      exec_tier 0 0
-    end
+    else (* w/o IE: only the execution tier — repeated random-schedule runs. *)
+      repeat_policy w ~patience:4 seed Campaign.Random_sched
   end
 
 (* Register a freshly created seed with the corpus scheduler (no-op when
@@ -590,37 +578,17 @@ let next_seed w =
 (* One worker's whole session: keep claiming seeds and fuzzing them until
    the shared budget drains.  This is the body of each spawned domain. *)
 let worker_loop w =
-  let pick_seed () = if w.generation = 0 then List.hd w.corpus else next_seed w in
-  match w.cfg.mode with
-  | Mode_pmrace ->
-      while budget_left w do
-        let seed = pick_seed () in
-        w.log
-          (Printf.sprintf "campaign %d/%d: worker %d seed #%d (gen %d)" (w.sink.sk_completed ())
-             w.cfg.max_campaigns w.widx (Seed.id seed) w.generation);
-        fuzz_seed_pmrace w seed;
-        w.generation <- w.generation + 1
-      done
-  | Mode_delay | Mode_random ->
-      while budget_left w do
-        let seed = pick_seed () in
-        let policy =
-          match w.cfg.mode with
-          | Mode_delay -> Campaign.Delay { prob = 0.08; max_delay = 25 }
-          | Mode_random | Mode_pmrace -> Campaign.Random_sched
-        in
-        let rec exec n stale =
-          if n < w.cfg.execs_per_interleaving * w.cfg.max_interleavings_per_seed
-             && budget_left w && stale < 6
-          then begin
-            match do_campaign w seed policy with
-            | None -> ()
-            | Some (improved, _) -> exec (n + 1) (if improved then 0 else stale + 1)
-          end
-        in
-        exec 0 0;
-        w.generation <- w.generation + 1
-      done
+  while budget_left w do
+    let seed = if w.generation = 0 then List.hd w.corpus else next_seed w in
+    w.log
+      (Printf.sprintf "campaign %d/%d: worker %d seed #%d (gen %d)" (Hub.completed w.hub)
+         w.cfg.max_campaigns w.widx (Seed.id seed) w.generation);
+    (match w.cfg.mode with
+    | Mode_pmrace -> fuzz_seed_pmrace w seed
+    | Mode_delay -> repeat_policy w ~patience:6 seed (Campaign.Delay { prob = 0.08; max_delay = 25 })
+    | Mode_random -> repeat_policy w ~patience:6 seed Campaign.Random_sched);
+    w.generation <- w.generation + 1
+  done
 
 (* Session set-up, the one path shared by the in-process [run] and the
    fleet worker: the checkpoint, the static pre-pass, the hub with the
@@ -732,6 +700,7 @@ let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
     cfg;
     target;
     sink;
+    hub = setup.s_hub;
     sched_rng = Rng.create (cfg.master_seed + (500_000_003 * widx));
     gen_rng;
     corpus;

@@ -166,11 +166,13 @@ val run : ?log:(string -> unit) -> ?obs:Obs.Events.t -> Target.t -> config -> se
 (** {2 The reusable worker loop}
 
     The fuzzing loop, split from the shared side it feeds.  A {!sink} is
-    the worker's entire view of "the shared side": the in-process pool
-    binds it to a {!Hub} with {!hub_sink} (pure indirection — [run] with
-    [workers = 1] makes exactly the sequential fuzzer's calls), and fleet
-    workers ({!Fleet.Worker}) bind it to a wrapper that enforces the
-    coordinator's lease budget and accumulates a wire delta. *)
+    the worker's budget and commit path: {!run} binds it to the session's
+    {!Hub} (pure indirection — [run] with [workers = 1] makes exactly the
+    sequential fuzzer's calls), and fleet workers ({!Fleet.Worker}) bind
+    it to a wrapper that enforces the coordinator's lease budget and
+    accumulates a wire delta.  The worker reads the priority queue,
+    registers invariant hits, rescores seeds and reads the progress count
+    on the set-up's hub directly. *)
 
 type sink = {
   sk_budget_left : unit -> bool;  (** advisory loop-condition check *)
@@ -188,15 +190,7 @@ type sink = {
           the commit critical section — dedup costs no extra lock
           traffic, and [c_first_trace] in the result gates post-failure
           validation *)
-  sk_record_invariant : campaign:int -> Inv_monitor.hit -> Report.finding option;
-      (** [Some] only on the first sighting of the hit's invariant *)
-  sk_queue_entries : unit -> Shared_queue.entry list;
-  sk_rescore : sites:Site_set.t -> Seed.t -> unit;
-  sk_completed : unit -> int;  (** campaigns committed, for progress logs *)
 }
-
-val hub_sink : Hub.t -> sink
-(** The in-process binding: every operation forwards to the hub verbatim. *)
 
 type worker
 (** One worker's private state: RNG streams (derived from

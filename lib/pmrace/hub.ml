@@ -313,7 +313,6 @@ let por_totals t =
         pt_dup_traces = t.por_dup_traces;
       }
 
-let trace_hash t ~campaign = Hashtbl.find_opt t.trace_hashes campaign
 let trace_hashes t = t.trace_hashes
 
 (* First sighting of an invariant violation across all workers; the
@@ -354,7 +353,6 @@ let rescore_seed t ~sites seed =
 
 let completed t = t.completed
 let elapsed t = now () -. t.started
-let static t = t.static
 
 (* Accessors for session assembly and pre-spawn setup.  Unsynchronised:
    only use while no worker domain is live (before spawning or after

@@ -139,10 +139,6 @@ val por_totals : t -> por_totals option
 (** Aggregate pruning counters; [None] when no campaign ran under POR.
     Single-domain accessor (see below). *)
 
-val trace_hash : t -> campaign:int -> int64 option
-(** The campaign's canonical trace hash, when it ran under POR.
-    Single-domain accessor. *)
-
 val trace_hashes : t -> (int, int64) Hashtbl.t
 (** All recorded trace hashes by campaign index, for artifact assembly.
     Single-domain accessor. *)
@@ -165,7 +161,6 @@ val completed : t -> int
 (** Campaigns committed so far. *)
 
 val elapsed : t -> float
-val static : t -> Analysis.Alias_pairs.t option
 
 (** {2 Single-domain accessors}
 

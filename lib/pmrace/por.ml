@@ -43,11 +43,7 @@
      already owns the highest layer ([fiber_layer = max_layer]), every
      table value is <= its own clock, so the op's layer is
      [fiber_layer + 1] without probing any table, and the bumps become
-     unconditional overwrites.
-   - Digesting can be short-circuited entirely ([set_digest false]) when
-     no consumer is registered — replay re-runs a POR campaign for its
-     schedule only, so it skips the layer/hash work while keeping the
-     pending/executed bookkeeping the sleep sets need. *)
+     unconditional overwrites. *)
 
 module Footprint = Runtime.Footprint
 
@@ -151,7 +147,6 @@ type t = {
   fiber_seq : int array; (* tid -> ops executed by the fiber so far *)
   mutable hash : int;
   mutable ops : int;
-  mutable digest : bool; (* false = no consumer; skip the layer/hash work *)
 }
 
 let create ?(pool_words = 1024) ~nthreads () =
@@ -179,7 +174,6 @@ let create ?(pool_words = 1024) ~nthreads () =
     fiber_seq = Array.make n 0;
     hash = 0;
     ops = 0;
-    digest = true;
   }
 
 let reset t =
@@ -194,10 +188,7 @@ let reset t =
   Array.fill t.fiber_layer 0 t.nthreads 0;
   Array.fill t.fiber_seq 0 t.nthreads 0;
   t.hash <- 0;
-  t.ops <- 0;
-  t.digest <- true
-
-let set_digest t on = t.digest <- on
+  t.ops <- 0
 
 (* splitmix-style finalizer over the native int — allocation-free, unlike
    boxed Int64 arithmetic.  Constants are 62-bit odd multipliers; the
@@ -295,7 +286,7 @@ let record t tid fp =
   let cell = t.step_fp in
   let prev = Array.unsafe_get cell 0 in
   Array.unsafe_set cell 0 (if prev = 0 then fp else Footprint.opaque);
-  if t.digest && tid >= 0 && tid < t.nthreads then digest_op t tid fp
+  if tid >= 0 && tid < t.nthreads then digest_op t tid fp
 
 let record_op = record
 

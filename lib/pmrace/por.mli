@@ -31,13 +31,7 @@ val create : ?pool_words:int -> nthreads:int -> unit -> t
 
 val reset : t -> unit
 (** Return the harness to the fresh state — O(fibers): table resets are
-    generation bumps, not clears.  Re-enables digesting. *)
-
-val set_digest : t -> bool -> unit
-(** [set_digest t false] short-circuits the layer/hash work entirely for
-    consumers that only need the schedule (replay): the pending/executed
-    bookkeeping the sleep sets need keeps running, {!trace_hash} and
-    {!ops} stay 0.  {!reset} re-enables digesting. *)
+    generation bumps, not clears. *)
 
 val wrap : t -> Runtime.Env.policy -> Runtime.Env.policy
 (** Interpose footprint recording on a policy.  [before] records the

@@ -18,6 +18,24 @@ type outcome = {
       (* crash-image index the bug reproduced on this run, when it did *)
 }
 
+(* Mirror Fuzzer.run's execution setup exactly: contexts come from an
+   engine configured like the recorded session's workers (checkpoint
+   decision included) — a checkout is observationally identical to the
+   fresh setup the fuzzer used to do, so replays stay bit-faithful.  POR
+   changes which fibers the scheduler may pick, so a campaign recorded
+   under --por only re-executes bit-identically when replayed under POR
+   too. *)
+let rerun ~(target : Target.t) ~(artifact : Artifact.t) =
+  let cfg = artifact.a_config in
+  let engine =
+    Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~use_checkpoint:cfg.use_checkpoint
+      target
+  in
+  fun (p : Artifact.prov_entry) ->
+    Campaign.run ~engine
+      (Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec ~step_budget:cfg.step_budget
+         ~por:cfg.por target p.pr_seed)
+
 let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
   if not (String.equal target.Target.name artifact.Artifact.a_target) then
     Error
@@ -35,27 +53,7 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
             | None -> Error (Printf.sprintf "no provenance for campaign %d" campaign)
             | Some p ->
                 let cfg = artifact.a_config in
-                (* Mirror Fuzzer.run's execution setup exactly: contexts
-                   come from an engine configured like the recorded
-                   session's workers (checkpoint decision included) — a
-                   checkout is observationally identical to the fresh
-                   setup the fuzzer used to do, so replays stay
-                   bit-faithful. *)
-                let engine =
-                  Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
-                    ~use_checkpoint:cfg.use_checkpoint target
-                in
-                (* POR changes which fibers the scheduler may pick, so a
-                   campaign recorded under --por only re-executes
-                   bit-identically when replayed under POR too.  Replay
-                   has no trace-dedup consumer, though: digesting is pure
-                   observation (the sleep sets never read the hash), so
-                   it is short-circuited entirely. *)
-                let input =
-                  Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec
-                    ~step_budget:cfg.step_budget ~por:cfg.por ~por_digest:false target p.pr_seed
-                in
-                let result = Campaign.run ~engine input in
+                let result = rerun ~target ~artifact p in
                 let report = Report.create () in
                 let findings =
                   Report.absorb ~campaign report result.env ~hung:result.hung

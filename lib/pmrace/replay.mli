@@ -20,6 +20,14 @@ type outcome = {
           [None] when not reproduced *)
 }
 
+val rerun : target:Target.t -> artifact:Artifact.t -> Artifact.prov_entry -> Campaign.result
+(** [rerun ~target ~artifact] builds an engine configured like the
+    recorded session's workers; applied to a provenance entry it
+    re-executes that campaign exactly as the fuzzer ran it (same seed,
+    scheduler seed, policy spec and execution parameters, POR included).
+    Partially apply it to re-execute many campaigns on one engine; each
+    result's environment is valid until the next call. *)
+
 val replay_bug : target:Target.t -> artifact:Artifact.t -> bug:int -> (outcome, string) result
 (** Replay artifact bug group [bug] (an index into the artifact's [bugs]
     list).  Validation uses the recorded config's crash-image budget,

@@ -116,8 +116,6 @@ let clear t =
   iter (fun addr _ -> t.slots.(addr) <- vacant) t;
   t.n_addrs <- 0
 
-let attach t env = Runtime.Env.add_listener env (handler t)
-
 (* Shared data: loaded and stored, with more than one thread involved. *)
 let is_shared r =
   (not (Iset.is_empty r.load_instrs))

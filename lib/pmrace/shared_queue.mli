@@ -20,14 +20,11 @@ val create : unit -> t
 val observe_load : t -> addr:int -> instr:Instr.t -> tid:int -> unit
 val observe_store : t -> addr:int -> instr:Instr.t -> tid:int -> unit
 val handler : t -> Runtime.Env.event -> unit
-(** The event handler behind {!attach}, for pre-bound listener arrays. *)
+(** The access event handler, for pre-bound listener arrays. *)
 
 val clear : t -> unit
 (** Empty the queue so a worker-local delta can be reused across
     campaigns. *)
-
-val attach : t -> Runtime.Env.t -> unit
-(** Subscribe to an execution's access events. *)
 
 val merge_into : src:t -> t -> unit
 (** Fold [src] (a worker's per-campaign delta) into a shared queue: union

@@ -182,23 +182,6 @@ let test_metrics_domain_stress () =
 
 (* --- Events ------------------------------------------------------------ *)
 
-let test_events_ring () =
-  let t = Obs.Events.create () in
-  let ring = Obs.Events.attach_ring ~capacity:4 t in
-  for i = 1 to 6 do
-    Obs.Events.emit t
-      (Obs.Events.Campaign_end
-         { campaign = i; worker = 0; improved = false; hung = false; latency = 0. })
-  done;
-  let campaigns =
-    List.map
-      (fun (e : Obs.Events.event) ->
-        match e.ev_payload with Obs.Events.Campaign_end { campaign; _ } -> campaign | _ -> -1)
-      (Obs.Events.ring_events ring)
-  in
-  Alcotest.(check (list int)) "ring keeps the newest, oldest first" [ 3; 4; 5; 6 ] campaigns;
-  Alcotest.(check int) "dropped count" 2 (Obs.Events.ring_dropped ring)
-
 let test_events_jsonl () =
   let path = Filename.temp_file "pmrace_trace" ".jsonl" in
   Fun.protect
@@ -334,7 +317,8 @@ let test_metrics_on_bit_identical () =
     ~finally:(fun () -> Obs.Metrics.set_enabled false)
     (fun () ->
       let obs = Obs.Events.create () in
-      let ring = Obs.Events.attach_ring obs in
+      let events = ref [] in
+      Obs.Events.attach obs (fun ev -> events := ev :: !events);
       let s =
         Fuzzer.run ~obs Workloads.Figure1.target
           (Fuzzer.Config.make ~max_campaigns:40 ~master_seed:3 ())
@@ -364,7 +348,7 @@ let test_metrics_on_bit_identical () =
         bug_ids;
       Alcotest.(check (array int)) "per-worker campaign counts" [| 40 |] s.worker_campaigns;
       (* The event stream observed the session without perturbing it. *)
-      let events = Obs.Events.ring_events ring in
+      let events = !events in
       Alcotest.(check bool) "events were captured" true (events <> []);
       let count p = List.length (List.filter p events) in
       Alcotest.(check int) "one campaign_start per campaign" 40
@@ -381,7 +365,6 @@ let suite =
     Alcotest.test_case "metrics disabled no-op" `Quick test_metrics_disabled_noop;
     Alcotest.test_case "metrics enabled" `Quick test_metrics_enabled;
     Alcotest.test_case "metrics domain stress" `Quick test_metrics_domain_stress;
-    Alcotest.test_case "events ring buffer" `Quick test_events_ring;
     Alcotest.test_case "events jsonl sink" `Quick test_events_jsonl;
     Alcotest.test_case "artifact round-trip" `Quick test_artifact_roundtrip;
     Alcotest.test_case "artifact rejects foreign input" `Quick test_artifact_rejects_foreign;

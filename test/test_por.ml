@@ -300,6 +300,37 @@ let test_por_session_finds_planted () =
       Alcotest.(check bool) "dedup accounting consistent" true
         (p.pt_unique_traces + p.pt_dup_traces = p.pt_campaigns)
 
+(* Replay faithfulness under POR: every campaign of a --por session,
+   re-executed from its decoded artifact through replay's own path on one
+   reused engine, digests to the trace hash the session recorded.  The
+   digest is pure observation, so replay computes it like the fuzzer. *)
+let test_por_replay_faithful target ~crash_images () =
+  let cfg =
+    Pmrace.Fuzzer.Config.make ~max_campaigns:60 ~master_seed:5 ~crash_images ~por:true ()
+  in
+  let s = Pmrace.Fuzzer.run target cfg in
+  let art =
+    match
+      Pmrace.Artifact.of_json
+        (Pmrace.Artifact.to_json (Pmrace.Artifact.of_session ~target ~cfg s))
+    with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "artifact does not decode: %s" e
+  in
+  let rerun = Pmrace.Replay.rerun ~target ~artifact:art in
+  let replayed =
+    List.fold_left
+      (fun n (p : Pmrace.Artifact.prov_entry) ->
+        let r = rerun p in
+        Alcotest.(check (option int64))
+          (Printf.sprintf "campaign %d trace hash" p.pr_campaign)
+          p.pr_trace
+          (Option.map (fun (ps : Pmrace.Por.stats) -> ps.s_trace_hash) r.por);
+        n + 1)
+      0 art.a_provenance
+  in
+  Alcotest.(check int) "every campaign replayed" s.campaigns_run replayed
+
 let suite =
   [
     Alcotest.test_case "footprint independence" `Quick test_footprint_independence;
@@ -314,6 +345,10 @@ let suite =
     Alcotest.test_case "artifact v5 round-trip, v4 compat" `Quick
       test_artifact_v5_roundtrip_and_v4_compat;
     Alcotest.test_case "POR session finds the planted bug" `Quick test_por_session_finds_planted;
+    Alcotest.test_case "POR replay reproduces every trace hash: figure1-planted" `Quick
+      (test_por_replay_faithful Workloads.Figure1.planted ~crash_images:1);
+    Alcotest.test_case "POR replay reproduces every trace hash: torn-planted" `Quick
+      (test_por_replay_faithful Workloads.Tornstore.target ~crash_images:4);
     QCheck_alcotest.to_alcotest prop_figure1_bug_sets;
     QCheck_alcotest.to_alcotest prop_torn_bug_sets;
   ]

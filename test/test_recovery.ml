@@ -290,7 +290,7 @@ let reference_replay (target : Pmrace.Target.t) (art : Artifact.t) (b : Artifact
   let result =
     Pmrace.Campaign.run ~engine
       (Pmrace.Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec
-         ~step_budget:cfg.step_budget ~por:cfg.por ~por_digest:false target p.pr_seed)
+         ~step_budget:cfg.step_budget ~por:cfg.por target p.pr_seed)
   in
   let report = Report.create () in
   let findings =
