@@ -12,7 +12,11 @@
      pools with a sparse (16-word) pending set;
    - line ops: the allocation-free [Cacheline.fold_line] walk against the
      legacy [words_of_line_containing] list materialisation, plus the
-     absolute store×8+clwb+sfence pipeline throughput.
+     absolute store×8+clwb+sfence pipeline throughput;
+   - the hook and checker layers, in ns per instrumented operation (no
+     legacy side): bare and listened hooks, a tainted load as the label
+     set grows, and a tainted store plus persist as pending effects pile
+     up.
 
    Both sides of each pair run the identical workload — the legacy
    implementations are executable specifications living next to the
@@ -212,6 +216,73 @@ let hook_rows () =
       (name, hook_ns_per_op ~listeners:false op, hook_ns_per_op ~listeners:true op))
     hook_ops
 
+(* The checker layer: ns per tainted operation as the label sets and the
+   pending side effects grow.  A tainted load of a dirty word whose shadow
+   carries [n] labels registers a candidate and adds its label, the
+   largest, to the set.  A tainted store plus persist (clwb, sfence) of one
+   word supersedes and then confirms its own pending effect while [p]
+   other effects, on words never flushed, stay pending.  Each repetition
+   runs on a new environment, so candidates do not pile up; the fastest of
+   [hook_reps] is reported. *)
+
+let ck_iters = 20_000
+
+let checker_ns_per_op ~setup ~op =
+  let instr = Runtime.Instr.of_int 0 in
+  let best = ref infinity in
+  for _ = 1 to hook_reps do
+    let env = Env.create ~pool_words:4096 () in
+    let c0 = Env.ctx env ~tid:0 and c1 = Env.ctx env ~tid:1 in
+    let arg = setup env c0 c1 instr in
+    let t0 = Obs.Clock.now () in
+    for i = 0 to ck_iters - 1 do
+      op c1 instr arg i
+    done;
+    best := Float.min !best (Obs.Clock.elapsed t0)
+  done;
+  1e9 *. !best /. float_of_int ck_iters
+
+(* Source words for the labels sit in lines 0-63, the loaded words in
+   lines 64-127: every label stays live. *)
+let tainted_load_ns ~labels =
+  checker_ns_per_op
+    ~setup:(fun env c0 c1 instr ->
+      let taint = ref Runtime.Taint.empty in
+      for k = 0 to labels - 1 do
+        let w = Tval.of_int k in
+        Mem.store c0 ~instr w Tval.one;
+        taint := Runtime.Taint.union !taint (Tval.taint (Mem.load c1 ~instr w))
+      done;
+      let addrs = Array.init 512 (fun k -> Tval.of_int (512 + k)) in
+      Array.iter
+        (fun a ->
+          Mem.store c0 ~instr a Tval.one;
+          Env.set_mem_taint env (Tval.to_int a) !taint)
+        addrs;
+      addrs)
+    ~op:(fun ctx instr addrs i -> ignore (Mem.load ctx ~instr addrs.(i land 511)))
+
+(* One live source word (0); [pending] effects on words 64.. (never
+   flushed); the measured word is 4000, on a line of its own. *)
+let tainted_persist_ns ~pending =
+  checker_ns_per_op
+    ~setup:(fun _ c0 c1 instr ->
+      Mem.store c0 ~instr Tval.zero Tval.one;
+      let v = Mem.load c1 ~instr Tval.zero in
+      for k = 0 to pending - 1 do
+        Mem.store c1 ~instr (Tval.of_int (64 + k)) v
+      done;
+      (Tval.of_int 4000, v))
+    ~op:(fun ctx instr (a, v) _ ->
+      Mem.store ctx ~instr a v;
+      Mem.persist ctx ~instr a)
+
+let checker_rows () =
+  List.map (fun n -> ("tainted load", "labels", n, tainted_load_ns ~labels:n)) [ 1; 16; 255 ]
+  @ List.map
+      (fun p -> ("tainted store+persist", "pending", p, tainted_persist_ns ~pending:p))
+      [ 1; 40; 400 ]
+
 (* ------------------------------------------------------------------ *)
 
 let speedup fast legacy = fast /. Float.max 1e-9 legacy
@@ -251,6 +322,13 @@ let run ppf =
     (fun (name, bare, listened) ->
       Format.fprintf ppf "%-34s %14.1f %14.1f@." ("hook " ^ name ^ " (null policy)") bare listened)
     hooks;
+  hr ppf;
+  let checkers = checker_rows () in
+  Format.fprintf ppf "%-34s %14s@." "checker op (ns/op, no listener)" "ns/op";
+  List.iter
+    (fun (op, what, n, ns) ->
+      Format.fprintf ppf "%-34s %14.1f@." (Printf.sprintf "%s (%d %s)" op n what) ns)
+    checkers;
   hr ppf;
   Format.fprintf ppf
     "(legacy = run_reference / sfence_scan / words-of-line list: the quadratic@.";
@@ -320,6 +398,19 @@ let run ppf =
                        ])
                    [ ("none", bare); ("worker", listened) ])
                hooks) );
+        ( "checkers",
+          Obs.Json.List
+            (List.map
+               (fun (op, what, n, ns) ->
+                 Obs.Json.Obj
+                   [
+                     ("op", Obs.Json.String op);
+                     (what, Obs.Json.Int n);
+                     ("iterations", Obs.Json.Int ck_iters);
+                     ("repetitions", Obs.Json.Int hook_reps);
+                     ("ns_per_op", Obs.Json.Float ns);
+                   ])
+               checkers) );
       ]
   in
   let oc = open_out "BENCH_hotpath.json" in

@@ -47,7 +47,14 @@ let register t ~addr ~read_instr ~read_tid ~write_instr ~write_tid =
   if not (Hashtbl.mem t.uniq k) then Hashtbl.add t.uniq k c;
   c
 
-let find t id = if id >= 0 && id < t.next then Some t.by_id.(id) else None
+(* [Hashtbl.reset] shrinks a grown table back to its initial size, so
+   [unique] iterates in the order a fresh table would. *)
+let reset t =
+  t.next <- 0;
+  t.by_id <- [||];
+  Hashtbl.reset t.uniq
+
+let get t id = t.by_id.(id)
 let dynamic_count t = t.next
 
 let unique t kind =

@@ -23,8 +23,12 @@ val register :
   t -> addr:int -> read_instr:Instr.t -> read_tid:int -> write_instr:Instr.t -> write_tid:int -> cand
 (** Record a dynamic candidate; [kind] is derived from the tids. *)
 
-val find : t -> int -> cand option
-(** Look a candidate up by taint label. *)
+val reset : t -> unit
+(** Forget every candidate: ids restart at 0, as after {!create}. *)
+
+val get : t -> int -> cand
+(** The candidate a taint label names.  The label must be below
+    {!dynamic_count}; allocates nothing. *)
 
 val dynamic_count : t -> int
 (** Number of dynamic candidate occurrences. *)

@@ -41,30 +41,100 @@ type sync_event = {
   sy_crash : Pmem.Crash_images.state option;
 }
 
-type inc_key = { ik_write : Instr.t; ik_read : Instr.t; ik_eff : Instr.t; ik_kind : Candidates.kind }
+(* A finding is reported once per (writing site, reading site, effect
+   site, kind), packed into one int key: site ids stay far below 2^20.
+   The hash folds the three fields into the low bits without a C call. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr 20) lxor (k lsr 40)
+end)
+
+let inc_key (source : Candidates.cand) eff_instr =
+  (Instr.to_int source.write_instr lsl 41)
+  lor (Instr.to_int source.read_instr lsl 21)
+  lor (Instr.to_int eff_instr lsl 1)
+  lor match source.kind with Candidates.Inter -> 0 | Candidates.Intra -> 1
 
 type t = {
   cands : Candidates.t;
-  mutable pending : side_effect list;
+  (* Pending durable side effects, at most one per word (a newer store to
+     the word supersedes it), in word-indexed slots, as XFDetector keeps
+     per-address persistence facts in shadow maps.  The slot array is
+     allocated with the first pending effect: most recovery runs have
+     none.  [pend_words] stacks every word whose slot was filled since the
+     last reset (a word emptied and filled again is stacked again), so a
+     reset empties the set in O(fills), without a pool-sized walk or a new
+     table; [pend_live] counts the filled slots. *)
+  mutable pend : side_effect option array;
+  mutable pend_words : int array;
+  mutable pend_len : int;
+  mutable pend_live : int;
   mutable inconsistencies : inconsistency list;
-  uniq_inc : (inc_key, unit) Hashtbl.t;
+  uniq_inc : unit Int_tbl.t;
   mutable sync_vars : sync_var list;
   mutable sync_events : sync_event list;
   uniq_sync : (string * int64, unit) Hashtbl.t;
-  capture_images : bool;
+  mutable capture_images : bool;
 }
 
 let create ?(capture_images = true) () =
   {
     cands = Candidates.create ();
-    pending = [];
+    pend = [||];
+    pend_words = [||];
+    pend_len = 0;
+    pend_live = 0;
     inconsistencies = [];
-    uniq_inc = Hashtbl.create 32;
+    uniq_inc = Int_tbl.create 32;
     sync_vars = [];
     sync_events = [];
     uniq_sync = Hashtbl.create 16;
     capture_images;
   }
+
+(* Back to what [create] gives, in place. *)
+let reset t ~capture_images =
+  Candidates.reset t.cands;
+  for i = 0 to t.pend_len - 1 do
+    t.pend.(t.pend_words.(i)) <- None
+  done;
+  t.pend_len <- 0;
+  t.pend_live <- 0;
+  t.inconsistencies <- [];
+  Int_tbl.reset t.uniq_inc;
+  t.sync_vars <- [];
+  t.sync_events <- [];
+  Hashtbl.reset t.uniq_sync;
+  t.capture_images <- capture_images
+
+let pending_at t w = if t.pend_live = 0 then None else t.pend.(w)
+
+let set_pending t pool w se =
+  if Array.length t.pend = 0 then begin
+    t.pend <- Array.make (Pmem.Pool.size pool) None;
+    t.pend_words <- Array.make 64 0
+  end;
+  (match t.pend.(w) with
+  | Some _ -> ()
+  | None ->
+      if t.pend_len = Array.length t.pend_words then begin
+        let bigger = Array.make (2 * t.pend_len) 0 in
+        Array.blit t.pend_words 0 bigger 0 t.pend_len;
+        t.pend_words <- bigger
+      end;
+      t.pend_words.(t.pend_len) <- w;
+      t.pend_len <- t.pend_len + 1;
+      t.pend_live <- t.pend_live + 1);
+  t.pend.(w) <- Some se
+
+let clear_pending t w =
+  match pending_at t w with
+  | Some _ ->
+      t.pend.(w) <- None;
+      t.pend_live <- t.pend_live - 1
+  | None -> ()
 
 let candidates t = t.cands
 
@@ -100,47 +170,48 @@ let on_load t pool ~tid ~instr ~addr =
       .Candidates.id
 
 (* A taint label is "live" when the data it came from is still dirty: a
-   crash now would lose the source while the dependent effect survives. *)
-let live_sources t pool taint =
-  if Taint.is_empty taint then [] (* label 0: the common case, no closure *)
+   crash now would lose the source while the dependent effect survives.
+   [live_sources t pool taint acc] puts the live sources of [taint] in
+   front of [acc], in increasing label order: the fold walks the labels
+   newest first and conses.  A label this checker never issued (one that
+   outlived [Env.reset_checkers] in a DRAM value) is skipped. *)
+let live_sources t pool taint acc =
+  if Taint.is_empty taint then acc (* label 0: the common case, no closure *)
   else
-    Taint.labels taint
-    |> List.filter_map (fun l ->
-           match Candidates.find t.cands l with
-           | Some c when Pmem.Pool.is_dirty pool c.Candidates.addr -> Some c
-           | Some _ | None -> None)
+    let n = Candidates.dynamic_count t.cands in
+    Taint.fold
+      (fun l acc ->
+        if l >= n then acc
+        else
+          let c = Candidates.get t.cands l in
+          if Pmem.Pool.is_dirty pool c.Candidates.addr then c :: acc else acc)
+      taint acc
 
 (* Store hook: register a pending durable side effect when the stored value
-   or the store address is derived from live non-persisted data. *)
+   or the store address is derived from live non-persisted data, address
+   sources first.  A newer store to the same word supersedes the old
+   pending effect.  An address outside the pool is left to the pool's own
+   bounds check. *)
 let on_store t pool ~tid ~instr ~addr ~value_taint ~addr_taint =
-  let v_sources = live_sources t pool value_taint in
-  let a_sources = live_sources t pool addr_taint in
-  (* A newer store to the same word supersedes the old pending effect. *)
-  if List.exists (fun se -> se.se_addr = addr) t.pending then
-    t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
-  if v_sources <> [] || a_sources <> [] then
-    t.pending <-
-      {
-        se_addr = addr;
-        se_instr = instr;
-        se_tid = tid;
-        se_addr_flow = a_sources <> [];
-        se_sources = a_sources @ v_sources;
-      }
-      :: t.pending
+  let v_sources = live_sources t pool value_taint [] in
+  let sources = live_sources t pool addr_taint v_sources in
+  if addr >= 0 && addr < Pmem.Pool.size pool then
+    if sources <> [] then
+      set_pending t pool addr
+        {
+          se_addr = addr;
+          se_instr = instr;
+          se_tid = tid;
+          se_addr_flow = sources != v_sources (* the address added sources *);
+          se_sources = sources;
+        }
+    else if t.pend_live > 0 then clear_pending t addr
 
 let record_inconsistency t pool ~source ~eff_addr ~eff_instr ~eff_tid ~addr_flow ~external_effect
     ~eff_words =
-  let key =
-    {
-      ik_write = source.Candidates.write_instr;
-      ik_read = source.Candidates.read_instr;
-      ik_eff = eff_instr;
-      ik_kind = source.Candidates.kind;
-    }
-  in
-  if not (Hashtbl.mem t.uniq_inc key) then begin
-    Hashtbl.add t.uniq_inc key ();
+  let key = inc_key source eff_instr in
+  if not (Int_tbl.mem t.uniq_inc key) then begin
+    Int_tbl.add t.uniq_inc key ();
     let crash = if t.capture_images then Some (Pmem.Crash_images.capture pool) else None in
     t.inconsistencies <-
       { source; eff_addr; eff_instr; eff_tid; addr_flow; external_effect; crash; eff_words }
@@ -153,24 +224,23 @@ let record_inconsistency t pool ~source ~eff_addr ~eff_instr ~eff_tid ~addr_flow
    durable with a non-initial value. *)
 let on_persisted t pool persisted =
   let confirm se =
-    match List.filter (fun c -> Pmem.Pool.is_dirty pool c.Candidates.addr) se.se_sources with
-    | [] -> () (* the window closed before the effect became durable *)
-    | live ->
-        List.iter
-          (fun source ->
-            record_inconsistency t pool ~source ~eff_addr:se.se_addr ~eff_instr:se.se_instr
-              ~eff_tid:se.se_tid ~addr_flow:se.se_addr_flow ~external_effect:false
-              ~eff_words:[ se.se_addr ])
-          live
+    List.iter
+      (fun source ->
+        (* A source that persisted first closed the window: benign. *)
+        if Pmem.Pool.is_dirty pool source.Candidates.addr then
+          record_inconsistency t pool ~source ~eff_addr:se.se_addr ~eff_instr:se.se_instr
+            ~eff_tid:se.se_tid ~addr_flow:se.se_addr_flow ~external_effect:false
+            ~eff_words:[ se.se_addr ])
+      se.se_sources
   in
   (* Nothing to confirm or record (e.g. during pool initialisation, before
      any annotation): skip the walk. *)
-  if t.pending <> [] || t.sync_vars <> [] then
+  if t.pend_live > 0 || t.sync_vars <> [] then
     List.iter
       (fun w ->
-        (match List.find_opt (fun se -> se.se_addr = w) t.pending with
+        (match pending_at t w with
         | Some se ->
-            t.pending <- List.filter (fun se' -> se' != se) t.pending;
+            clear_pending t w;
             confirm se
         | None -> ());
         match sync_var_of_addr t w with
@@ -195,15 +265,17 @@ let on_external_effect t pool ~tid ~instr ~taint =
     (fun source ->
       record_inconsistency t pool ~source ~eff_addr:(-1) ~eff_instr:instr ~eff_tid:tid
         ~addr_flow:false ~external_effect:true ~eff_words:[])
-    (live_sources t pool taint)
+    (live_sources t pool taint [])
 
 let inconsistencies t = List.rev t.inconsistencies
 let sync_events t = List.rev t.sync_events
-let pending_effects t = t.pending
 
-let inconsistency_count t kind =
-  List.length
-    (List.filter (fun i -> i.source.Candidates.kind = kind) t.inconsistencies)
+let pending_effects t =
+  let acc = ref [] in
+  for i = 0 to t.pend_len - 1 do
+    match t.pend.(t.pend_words.(i)) with Some se -> acc := se :: !acc | None -> ()
+  done;
+  List.sort_uniq (fun a b -> Int.compare a.se_addr b.se_addr) !acc
 
 let pp_inconsistency ppf i =
   Fmt.pf ppf "%a-Inconsistency: write=%a read=%a effect=%a%s%s" Candidates.pp_kind

@@ -43,6 +43,11 @@ val create : ?capture_images:bool -> unit -> t
 (** [capture_images:false] skips crash-surface capture (used when only
     coverage, not validation, is needed). *)
 
+val reset : t -> capture_images:bool -> unit
+(** Return to what {!create} gives, in place and without allocating a
+    per-word table: candidates, pending effects, findings and sync
+    annotations are all dropped. *)
+
 val candidates : t -> Candidates.t
 
 val annotate_sync : t -> name:string -> addr:int -> len:int -> init:int64 -> unit
@@ -81,6 +86,8 @@ val on_external_effect : t -> Pmem.Pool.t -> tid:int -> instr:Instr.t -> taint:T
 val inconsistencies : t -> inconsistency list
 val sync_events : t -> sync_event list
 val pending_effects : t -> side_effect list
-val inconsistency_count : t -> Candidates.kind -> int
+(** The pending side effects, one per word at most, in increasing address
+    order. *)
+
 val pp_inconsistency : Format.formatter -> inconsistency -> unit
 val pp_sync_event : Format.formatter -> sync_event -> unit

@@ -17,7 +17,7 @@ type event =
 
 type t = {
   pool : Pmem.Pool.t;
-  mutable checkers : Checkers.t;
+  checkers : Checkers.t;
   dram : Dram.t;
   (* Shadow taint, DataFlowSanitizer style: one label set per pool word,
      [Taint.empty] (an immediate) meaning untainted.  Every word that has
@@ -133,7 +133,7 @@ let annotate_sync t ~name ~addr ~len ~init = Checkers.annotate_sync t.checkers ~
    results must only reflect the fuzzed execution. *)
 let reset_checkers ?(capture_images = true) t =
   let vars = Checkers.sync_vars t.checkers in
-  t.checkers <- Checkers.create ~capture_images ();
+  Checkers.reset t.checkers ~capture_images;
   List.iter
     (fun v ->
       Checkers.annotate_sync t.checkers ~name:v.Checkers.sv_name ~addr:v.Checkers.sv_addr
@@ -148,7 +148,7 @@ let reset_checkers ?(capture_images = true) t =
    annotations do NOT survive: the caller re-annotates, exactly as it would
    on a fresh environment. *)
 let reset ?(capture_images = true) t =
-  t.checkers <- Checkers.create ~capture_images ();
+  Checkers.reset t.checkers ~capture_images;
   Dram.clear t.dram;
   clear_taint t;
   t.policy <- null_policy;

@@ -23,7 +23,7 @@ type event =
 
 type t = {
   pool : Pmem.Pool.t;
-  mutable checkers : Checkers.t;
+  checkers : Checkers.t;
   dram : Dram.t;
   mem_taint : Taint.t array;
       (** shadow taint, one label set per pool word ([Taint.empty] =
@@ -75,7 +75,7 @@ val of_image : ?capture_images:bool -> Pmem.Pool.image -> t
 val boot : ?delta:(int * int64) list -> t -> Pmem.Pool.image -> unit
 (** [boot t image] re-boots a reused environment in place into a state
     observationally identical to [of_image image] (with [delta] applied to
-    the image, see {!Pmem.Pool.boot}): fresh checkers without image
+    the image, see {!Pmem.Pool.boot}): emptied checkers without image
     capture, cleared DRAM and taint, null policy, no transient or bound
     listeners, the eviction RNG reseeded from the default seed, eviction
     probability 0 and eADR off.  It allocates no pool. *)
@@ -115,10 +115,11 @@ val reset_checkers : ?capture_images:bool -> t -> unit
     initialisation) while keeping sync-variable annotations. *)
 
 val reset : ?capture_images:bool -> t -> unit
-(** Return a reused environment to its just-created state: fresh checkers
-    ({e without} sync annotations — re-annotate as for a fresh env),
-    cleared DRAM and taint shadow, null policy, no transient listeners, and
-    the eviction RNG reseeded from its original seed.  The pool and the
+(** Return a reused environment to its just-created state: checkers
+    emptied in place ({!Checkers.reset}; {e without} sync annotations —
+    re-annotate as for a fresh env), cleared DRAM and taint shadow, null
+    policy, no transient listeners, and the eviction RNG reseeded from its
+    original seed.  The pool and the
     pre-bound listener array are untouched: reset the pool separately with
     {!Pmem.Pool.reset_to_snapshot}.  This is the persistent-mode engine's
     per-campaign reset path. *)

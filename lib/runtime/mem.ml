@@ -106,16 +106,14 @@ let persist ctx ~instr addr =
   clwb ctx ~instr addr;
   sfence ctx ~instr
 
+(* One CLWB per line the range touches, from the line of its first word
+   to the line of its last, whatever the base's offset in its line. *)
 let persist_range ctx ~instr addr ~words =
   let base = word_of addr in
-  let line = Pmem.Cacheline.words_per_line in
-  let rec flush w =
-    if w < base + words then begin
-      clwb ctx ~instr (Tval.of_int w);
-      flush (w + line)
-    end
-  in
-  flush base;
+  if words > 0 then
+    for l = Pmem.Cacheline.line_of_word base to Pmem.Cacheline.line_of_word (base + words - 1) do
+      clwb ctx ~instr (Tval.of_int (Pmem.Cacheline.first_word_of_line l))
+    done;
   sfence ctx ~instr
 
 (* Compare-and-swap: an atomic read-modify-write, a single preemption

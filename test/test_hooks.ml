@@ -14,6 +14,11 @@
    - over random event streams, the array-backed alias tracker, shared
      queue and site set agree with hash-table reference models kept
      here, across resets;
+   - over random streams of tainted loads, stores, flushes, fences and
+     evictions, the checkers' word-indexed pending set and newest-first
+     label sets confirm the same inconsistencies (order, sources, effect
+     words, crash surface), sync events and pending effects as a model of
+     the list-based checker kept here, across resets;
    - the shared queue's decoder rejects addresses its slot array cannot
      hold. *)
 
@@ -378,6 +383,312 @@ let prop_listeners_match_reference =
       end_campaign ();
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* (d) Word-indexed pending set ≡ the list-based checker.              *)
+(* ------------------------------------------------------------------ *)
+
+(* The checkers as they were: label sets as sorted int lists, pending side
+   effects as a list scanned on every store and persisted word, candidates
+   looked up through an option per label.  Candidate records come from a
+   [Candidates.t] of the model's own, so ids match the checker's. *)
+module Ref_checkers = struct
+  let rec add l = function
+    | [] -> [ l ]
+    | x :: _ as t when l < x -> l :: t
+    | x :: _ as t when l = x -> t
+    | x :: rest -> x :: add l rest
+
+  let rec union a b =
+    match (a, b) with
+    | [], t | t, [] -> t
+    | x :: xs, y :: _ when x < y -> x :: union xs b
+    | x :: _, y :: ys when y < x -> y :: union a ys
+    | x :: xs, _ :: ys -> x :: union xs ys
+
+  type t = {
+    cands : Candidates.t;
+    by_id : (int, Candidates.cand) Hashtbl.t;
+    mutable pending : Checkers.side_effect list;
+    mutable incs : Checkers.inconsistency list;
+    uniq_inc : (int * int * int * Candidates.kind, unit) Hashtbl.t;
+    mutable sync_vars : Checkers.sync_var list;
+    mutable syncs : Checkers.sync_event list;
+    uniq_sync : (string * int64, unit) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      cands = Candidates.create ();
+      by_id = Hashtbl.create 16;
+      pending = [];
+      incs = [];
+      uniq_inc = Hashtbl.create 16;
+      sync_vars = [];
+      syncs = [];
+      uniq_sync = Hashtbl.create 16;
+    }
+
+  let annotate_sync t ~name ~addr ~len ~init =
+    t.sync_vars <- { Checkers.sv_name = name; sv_addr = addr; sv_len = len; sv_init = init }
+                   :: t.sync_vars
+
+  let on_load t pool ~tid ~instr ~addr =
+    if not (Pool.is_dirty pool addr) then -1
+    else
+      let c =
+        Candidates.register t.cands ~addr ~read_instr:instr ~read_tid:tid
+          ~write_instr:(Instr.of_int (Pool.dirty_instr pool addr))
+          ~write_tid:(Pool.dirty_tid pool addr)
+      in
+      Hashtbl.replace t.by_id c.id c;
+      c.id
+
+  let live_sources t pool labels =
+    List.filter_map
+      (fun l ->
+        match Hashtbl.find_opt t.by_id l with
+        | Some c when Pool.is_dirty pool c.Candidates.addr -> Some c
+        | Some _ | None -> None)
+      labels
+
+  let on_store t pool ~tid ~instr ~addr ~value_taint ~addr_taint =
+    let v = live_sources t pool value_taint and a = live_sources t pool addr_taint in
+    if List.exists (fun (se : Checkers.side_effect) -> se.se_addr = addr) t.pending then
+      t.pending <- List.filter (fun (se : Checkers.side_effect) -> se.se_addr <> addr) t.pending;
+    if v <> [] || a <> [] then
+      t.pending <-
+        {
+          Checkers.se_addr = addr;
+          se_instr = instr;
+          se_tid = tid;
+          se_addr_flow = a <> [];
+          se_sources = a @ v;
+        }
+        :: t.pending
+
+  let record t pool ~(source : Candidates.cand) ~eff_addr ~eff_instr ~eff_tid ~addr_flow
+      ~external_effect ~eff_words =
+    let key =
+      ( Instr.to_int source.write_instr,
+        Instr.to_int source.read_instr,
+        Instr.to_int eff_instr,
+        source.kind )
+    in
+    if not (Hashtbl.mem t.uniq_inc key) then begin
+      Hashtbl.add t.uniq_inc key ();
+      t.incs <-
+        {
+          Checkers.source;
+          eff_addr;
+          eff_instr;
+          eff_tid;
+          addr_flow;
+          external_effect;
+          crash = Some (Pmem.Crash_images.capture pool);
+          eff_words;
+        }
+        :: t.incs
+    end
+
+  let on_persisted t pool persisted =
+    List.iter
+      (fun w ->
+        (match List.find_opt (fun (se : Checkers.side_effect) -> se.se_addr = w) t.pending with
+        | Some se ->
+            t.pending <- List.filter (fun se' -> se' != se) t.pending;
+            List.iter
+              (fun source ->
+                record t pool ~source ~eff_addr:se.se_addr ~eff_instr:se.se_instr
+                  ~eff_tid:se.se_tid ~addr_flow:se.se_addr_flow ~external_effect:false
+                  ~eff_words:[ se.se_addr ])
+              (List.filter
+                 (fun (c : Candidates.cand) -> Pool.is_dirty pool c.addr)
+                 se.se_sources)
+        | None -> ());
+        match
+          List.find_opt
+            (fun (v : Checkers.sync_var) -> w >= v.sv_addr && w < v.sv_addr + v.sv_len)
+            t.sync_vars
+        with
+        | Some var ->
+            let v = Pool.peek pool w in
+            if (not (Int64.equal v var.sv_init)) && not (Hashtbl.mem t.uniq_sync (var.sv_name, v))
+            then begin
+              Hashtbl.add t.uniq_sync (var.sv_name, v) ();
+              t.syncs <-
+                {
+                  Checkers.var;
+                  sy_addr = w;
+                  sy_value = v;
+                  sy_crash = Some (Pmem.Crash_images.capture pool);
+                }
+                :: t.syncs
+            end
+        | None -> ())
+      persisted
+
+  let on_external_effect t pool ~tid ~instr ~taint =
+    List.iter
+      (fun source ->
+        record t pool ~source ~eff_addr:(-1) ~eff_instr:instr ~eff_tid:tid ~addr_flow:false
+          ~external_effect:true ~eff_words:[])
+      (live_sources t pool taint)
+end
+
+let ck_words = 64
+let ck_regs = 4
+
+type ck_op =
+  | Load of { tid : int; site : int; addr : int; reg : int }
+  | Arith of { dst : int; a : int; b : int }
+  | Store of { tid : int; site : int; addr : int; reg : int; via : int option; nt : bool }
+  | Clwb of int
+  | Fence
+  | Evict of int
+  | External of { tid : int; site : int; reg : int }
+  | Ck_reset
+
+(* Streams over a 64-word pool with three threads; a tainted register may
+   also feed a store's address (address flow).  Labels survive a reset in
+   the registers and the shadow, as they do in DRAM across
+   [Env.reset_checkers]. *)
+let gen_ck_ops =
+  let open QCheck.Gen in
+  let nsites = Instr.count () in
+  let site = map (fun i -> i mod nsites) (int_bound 5) in
+  let tid = int_bound 2 and addr = int_bound (ck_words - 1) and reg = int_bound (ck_regs - 1) in
+  let op =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun (tid, site) addr reg -> Load { tid; site; addr; reg })
+            (pair tid site) addr reg );
+        (3, map3 (fun dst a b -> Arith { dst; a; b }) reg reg reg);
+        ( 5,
+          map3
+            (fun (tid, site) (addr, reg) (via, nt) -> Store { tid; site; addr; reg; via; nt })
+            (pair tid site) (pair addr reg)
+            (pair (opt ~ratio:0.2 reg) (frequency [ (5, return false); (1, return true) ])) );
+        (2, map (fun a -> Clwb a) addr);
+        (2, return Fence);
+        (1, map (fun l -> Evict l) (int_bound ((ck_words / 8) - 1)));
+        (1, map3 (fun tid site reg -> External { tid; site; reg }) tid site reg);
+        (1, return Ck_reset);
+      ]
+  in
+  list_size (int_range 1 400) op
+
+let render_crash = function
+  | None -> "-"
+  | Some st ->
+      String.concat ","
+        (List.init ck_words (fun w -> Int64.to_string (Pmem.Crash_images.image_word st [] w)))
+      ^ Printf.sprintf "/%d" (Pmem.Crash_images.line_count st)
+
+let render_incs incs =
+  List.map
+    (fun (i : Checkers.inconsistency) ->
+      Printf.sprintf "%d:%s@%d:%d:%d:%b:%b:[%s]:%s" i.source.id
+        (Fmt.str "%a" Candidates.pp_kind i.source.kind)
+        i.eff_addr (Instr.to_int i.eff_instr) i.eff_tid i.addr_flow i.external_effect
+        (String.concat ";" (List.map string_of_int i.eff_words))
+        (render_crash i.crash))
+    incs
+
+let render_syncs evs =
+  List.map
+    (fun (e : Checkers.sync_event) ->
+      Printf.sprintf "%s@%d=%Ld:%s" e.var.sv_name e.sy_addr e.sy_value (render_crash e.sy_crash))
+    evs
+
+let render_pending ses =
+  List.map
+    (fun (se : Checkers.side_effect) ->
+      Printf.sprintf "%d:%d:%d:%b:[%s]" se.se_addr (Instr.to_int se.se_instr) se.se_tid
+        se.se_addr_flow
+        (String.concat ";"
+           (List.map (fun (c : Candidates.cand) -> string_of_int c.id) se.se_sources)))
+    ses
+
+let prop_checkers_match_reference =
+  QCheck.Test.make ~name:"hooks: word-indexed checkers ≡ list-based model" ~count:300
+    (QCheck.make gen_ck_ops) (fun ops ->
+      let pool = Pool.create ~words:ck_words () in
+      let ck = Checkers.create () in
+      let rf = ref (Ref_checkers.create ()) in
+      let annotate () =
+        Checkers.annotate_sync ck ~name:"hooks:sync" ~addr:5 ~len:2 ~init:0L;
+        Ref_checkers.annotate_sync !rf ~name:"hooks:sync" ~addr:5 ~len:2 ~init:0L
+      in
+      annotate ();
+      (* Registers and shadow words hold the checker's taint and the
+         model's sorted list side by side. *)
+      let regs = Array.make ck_regs (Taint.empty, []) in
+      let shadow = Array.make ck_words (Taint.empty, []) in
+      let ok = ref true and stamp = ref 0 in
+      let agree () =
+        let r = !rf in
+        Array.iter (fun (t, m) -> if Taint.labels t <> m then ok := false) regs;
+        if render_incs (Checkers.inconsistencies ck) <> render_incs (List.rev r.incs) then
+          ok := false;
+        if render_syncs (Checkers.sync_events ck) <> render_syncs (List.rev r.syncs) then
+          ok := false;
+        let by_addr =
+          List.sort
+            (fun (a : Checkers.side_effect) (b : Checkers.side_effect) ->
+              Int.compare a.se_addr b.se_addr)
+            r.pending
+        in
+        if render_pending (Checkers.pending_effects ck) <> render_pending by_addr then ok := false;
+        if
+          Candidates.dynamic_count (Checkers.candidates ck) <> Candidates.dynamic_count r.cands
+        then ok := false
+      in
+      let persisted ws =
+        Checkers.on_persisted ck pool ws;
+        Ref_checkers.on_persisted !rf pool ws
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Load { tid; site; addr; reg } ->
+              let instr = Instr.of_int site in
+              let l = Checkers.on_load ck pool ~tid ~instr ~addr in
+              let l' = Ref_checkers.on_load !rf pool ~tid ~instr ~addr in
+              if l <> l' then ok := false;
+              let t, m = shadow.(addr) in
+              regs.(reg) <- (if l < 0 then (t, m) else (Taint.add l t, Ref_checkers.add l m))
+          | Arith { dst; a; b } ->
+              let ta, ma = regs.(a) and tb, mb = regs.(b) in
+              regs.(dst) <- (Taint.union ta tb, Ref_checkers.union ma mb)
+          | Store { tid; site; addr; reg; via; nt } ->
+              let instr = Instr.of_int site in
+              let vt, vm = regs.(reg) in
+              let at, am = match via with Some r -> regs.(r) | None -> (Taint.empty, []) in
+              Checkers.on_store ck pool ~tid ~instr ~addr ~value_taint:vt ~addr_taint:at;
+              Ref_checkers.on_store !rf pool ~tid ~instr ~addr ~value_taint:vm ~addr_taint:am;
+              incr stamp;
+              let v = Int64.of_int !stamp in
+              if nt then Pool.movnt pool ~tid ~instr:site addr v
+              else Pool.store pool ~tid ~instr:site addr v;
+              shadow.(addr) <- (vt, vm)
+          | Clwb a -> Pool.clwb pool a
+          | Fence -> persisted (Pool.sfence pool)
+          | Evict l -> ( match Pool.evict_line pool l with [] -> () | ws -> persisted ws)
+          | External { tid; site; reg } ->
+              let instr = Instr.of_int site in
+              let t, m = regs.(reg) in
+              Checkers.on_external_effect ck pool ~tid ~instr ~taint:t;
+              Ref_checkers.on_external_effect !rf pool ~tid ~instr ~taint:m
+          | Ck_reset ->
+              Checkers.reset ck ~capture_images:true;
+              rf := Ref_checkers.create ();
+              annotate ());
+          agree ())
+        ops;
+      !ok)
+
 (* Decoded queue addresses index the slot array: a negative or absurdly
    large one must be a decode error, not an exception or a huge
    allocation. *)
@@ -422,4 +733,5 @@ let suite =
       Alcotest.test_case "shared queue codec: out-of-range address is an error" `Quick
         test_queue_codec_range;
       QCheck_alcotest.to_alcotest prop_listeners_match_reference;
+      QCheck_alcotest.to_alcotest prop_checkers_match_reference;
     ]

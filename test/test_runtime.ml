@@ -239,6 +239,38 @@ let test_eviction_confirms () =
     (Checkers.inconsistencies env.checkers <> []
     || not (Pmem.Pool.is_dirty env.pool 100))
 
+(* [persist_range] flushes every line the range touches, once, whatever
+   the base's offset in its line, and fences once. *)
+let test_persist_range () =
+  let check ~base ~words ~lines =
+    let env = mk () in
+    let ctx = Env.ctx env ~tid:0 in
+    let flushed = ref [] and fences = ref 0 in
+    Env.add_listener env (function
+      | Env.Ev_clwb { addr; _ } -> flushed := addr :: !flushed
+      | Env.Ev_fence _ -> incr fences
+      | _ -> ());
+    for w = base to base + words - 1 do
+      Mem.store ctx ~instr:i_w (Tval.of_int w) (Tval.of_int (w + 1))
+    done;
+    Mem.persist_range ctx ~instr:i_w (Tval.of_int base) ~words;
+    let name = Printf.sprintf "base %d, %d words" base words in
+    for w = base to base + words - 1 do
+      Alcotest.(check bool) (Printf.sprintf "%s: word %d clean" name w) false
+        (Pmem.Pool.is_dirty env.pool w);
+      Alcotest.(check bool) (Printf.sprintf "%s: word %d durable" name w) true
+        (Pmem.Pool.is_durably_equal env.pool w)
+    done;
+    Alcotest.(check (list int)) (name ^ ": one clwb per line touched") lines
+      (List.rev !flushed);
+    Alcotest.(check int) (name ^ ": one fence") 1 !fences
+  in
+  check ~base:16 ~words:16 ~lines:[ 16; 24 ];
+  check ~base:6 ~words:4 ~lines:[ 0; 8 ];
+  check ~base:13 ~words:12 ~lines:[ 8; 16; 24 ];
+  check ~base:7 ~words:1 ~lines:[ 0 ];
+  check ~base:40 ~words:0 ~lines:[]
+
 let suite =
   [
     Alcotest.test_case "instruction registry" `Quick test_instr_registry;
@@ -259,4 +291,5 @@ let suite =
     Alcotest.test_case "spin lock stuck" `Quick test_spin_lock_stuck;
     Alcotest.test_case "reset keeps annotations" `Quick test_reset_checkers_keeps_annotations;
     Alcotest.test_case "eviction can confirm" `Quick test_eviction_confirms;
+    Alcotest.test_case "persist_range: every line touched" `Quick test_persist_range;
   ]

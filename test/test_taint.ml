@@ -1,4 +1,5 @@
-(* Taint label sets: lattice laws and Tval propagation. *)
+(* Taint label sets: lattice laws, a model check against sorted lists, the
+   sharing fast paths, and Tval propagation. *)
 
 module Taint = Runtime.Taint
 module Tval = Runtime.Tval
@@ -45,6 +46,52 @@ let prop_sorted_invariant =
         | _ -> true
       in
       increasing (Taint.labels (Taint.union (taint_of a) (taint_of b))))
+
+(* Every operation against a [List.sort_uniq] reference.  Two operands are
+   grown from one base set, so they share its tail; their extra labels are
+   drawn both above the base's newest label (a cons) and below it (an
+   insertion).  [max_label] sets how large the sets get: memcached-pmem
+   values carry up to 255 labels. *)
+let model = List.sort_uniq Int.compare
+
+let gen_model_case ~max_label =
+  QCheck.Gen.(
+    let labels n = list_size (int_bound n) (int_bound max_label) in
+    quad (labels (max_label / 2)) (labels 8) (labels 8) (int_bound (max_label + 2)))
+
+let model_ok (base, xa, xb, probe) =
+  let grow t xs = List.fold_left (fun t l -> Taint.add l t) t xs in
+  let t0 = taint_of base in
+  let ta = grow t0 xa and tb = grow t0 xb in
+  let m0 = model base and ma = model (base @ xa) and mb = model (base @ xb) in
+  let mu = model (ma @ mb) in
+  let u = Taint.union ta tb in
+  let fold_desc t = List.rev (Taint.fold (fun l acc -> l :: acc) t []) in
+  let newest = 1 + List.fold_left max (-1) ma in
+  let tn = Taint.add newest ta in
+  Taint.labels t0 = m0
+  && Taint.labels ta = ma
+  && Taint.labels tb = mb
+  && Taint.labels u = mu
+  && Taint.labels (Taint.union tb ta) = mu
+  && Taint.labels (Taint.union ta t0) = ma
+  && fold_desc u = List.rev mu
+  && Taint.cardinal u = List.length mu
+  && Taint.mem probe u = List.mem probe mu
+  && Taint.mem probe ta = List.mem probe ma
+  && Taint.equal u (taint_of mu)
+  && Taint.equal (taint_of (List.rev mu)) u
+  && Taint.equal ta tb = (ma = mb)
+  && Taint.is_empty u = (mu = [])
+  (* The sharing fast paths, physically. *)
+  && Taint.union ta ta == ta
+  && Taint.union tn ta == tn
+  && Taint.union ta tn == tn
+  && Taint.union ta t0 == ta
+  && Taint.union t0 ta == ta
+
+let prop_model ~name ~count ~max_label =
+  QCheck.Test.make ~name ~count (QCheck.make (gen_model_case ~max_label)) model_ok
 
 (* Tval arithmetic propagates the union of operand taints. *)
 let prop_tval_arith_propagates =
@@ -97,5 +144,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_union_idem;
     QCheck_alcotest.to_alcotest prop_add_mem;
     QCheck_alcotest.to_alcotest prop_sorted_invariant;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      (prop_model ~name:"taint: every operation ≡ sorted-list model" ~count:300 ~max_label:40);
+    QCheck_alcotest.to_alcotest ~speed_level:`Slow
+      (prop_model ~name:"taint: every operation ≡ sorted-list model, hundreds of labels"
+         ~count:3000 ~max_label:600);
     QCheck_alcotest.to_alcotest prop_tval_arith_propagates;
   ]
