@@ -8,10 +8,10 @@
    overhead on targets whose bugs are already visible on the base image;
    torn-planted carries a seeded torn store that only an enumerated image
    can expose, so its bug count moves from 0 to >0 as the budget grows.
-   The capture rows time [Crash_images.capture] itself: a
-   checkpoint-reset pool of 1k/4k/16k words with the same 8 touched
+   The capture rows time [Crash_images.capture] itself: a pool of
+   1k/4k/16k words booted from its checkpoint, with the same 8 touched
    words, captured after every store.  A surface is a delta over the
-   shared snapshot image, so ns and words per capture must stay flat as
+   shared checkpoint image, so ns and words per capture must stay flat as
    the pool grows.
    Writes BENCH_crashimages.json (gitignored; CI uploads it). *)
 
@@ -24,7 +24,7 @@ let budgets = [ 1; 4; 16 ]
 let capture_sizes = [ 1024; 4096; 16384 ]
 let capture_rounds = 20_000
 
-(* One capture per round on a checkpoint-reset pool of [size] words: 4
+(* One capture per round on a checkpoint-booted pool of [size] words: 4
    fenced words, 2 flushed and 2 dirty ones.  Each round first re-stores a
    dirty word's own value, which starts a new pool instant (so the
    capture is not shared) without changing the surface. *)
@@ -33,8 +33,7 @@ let capture_cost size =
   let p = Pool.create ~words:size () in
   Pool.store p ~tid:0 ~instr:1 (size - 1) 1L;
   Pool.quiesce p;
-  let snap = Pool.snapshot p in
-  Pool.reset_to_snapshot p snap;
+  ignore (Pool.checkpoint p);
   List.iteri (fun i w -> Pool.store p ~tid:0 ~instr:1 w (Int64.of_int (i + 2))) [ 0; 1; 9; 17 ];
   Pool.clwb p 0;
   Pool.clwb p 9;

@@ -4,11 +4,11 @@
 open Bechamel
 open Toolkit
 
-let pclht_snapshot = lazy (Pmrace.Engine.prepare_snapshot Workloads.Pclht.target)
+let pclht_checkpoint = lazy (Pmrace.Engine.checkpoint Workloads.Pclht.target)
 
 let pclht_engine =
   lazy
-    (Pmrace.Engine.create ~snapshot:(Lazy.force pclht_snapshot) ~use_checkpoint:true
+    (Pmrace.Engine.create ~checkpoint:(Lazy.force pclht_checkpoint) ~use_checkpoint:true
        Workloads.Pclht.target)
 let pclht_seed =
   lazy (Pmrace.Seed.gen (Sched.Rng.create 77) Workloads.Pclht.target.profile)
@@ -87,30 +87,38 @@ let t_fig9 =
               ~prev:{ Pmrace.Alias_cov.a_instr = !i land 1023; a_dirty = true; a_tid = 0 }
               ~cur:{ Pmrace.Alias_cov.a_instr = (!i * 7) land 1023; a_dirty = false; a_tid = 1 })))
 
-(* Figure 10: expensive pool initialisation vs checkpoint restore. *)
+(* Figure 10: expensive pool initialisation vs booting the checkpoint. *)
 let t_fig10_init =
   Test.make ~name:"fig10/pool-init(libpmemobj-style)"
     (Staged.stage (fun () ->
          let env = Runtime.Env.create ~pool_words:Workloads.Pclht.target.pool_words () in
          Workloads.Pclht.target.init env))
 
-let t_fig10_restore =
+(* The first boot from a checkpoint, once per worker: an O(pool) pass.
+   Each run boots the image the pool was not booted from — alternately
+   the checkpoint and the all-zero image of a fresh pool — so no run is a
+   rewind. *)
+let t_fig10_first_boot =
   let env = Runtime.Env.create ~pool_words:Workloads.Pclht.target.pool_words () in
-  Test.make ~name:"fig10/checkpoint-restore"
-    (Staged.stage (fun () -> Pmem.Pool.restore env.pool (Lazy.force pclht_snapshot)))
+  let zero = Pmem.Pool.crash_image env.pool in
+  let flip = ref false in
+  Test.make ~name:"fig10/checkpoint-first-boot(o-pool)"
+    (Staged.stage (fun () ->
+         flip := not !flip;
+         Pmem.Pool.boot env.pool (if !flip then Lazy.force pclht_checkpoint else zero)))
 
-(* The engine's O(touched) reset: rewind a snapshotted pool after a small
-   campaign-sized dirtying — compare against the O(pool) restore above. *)
-let t_fig10_engine_reset =
+(* The engine's per-checkout rewind: boot the checkpoint again after a
+   small campaign-sized dirtying — compare against the first boot above. *)
+let t_fig10_rewind =
   let env = Runtime.Env.create ~pool_words:Workloads.Pclht.target.pool_words () in
-  let snap = Lazy.force pclht_snapshot in
-  Pmem.Pool.restore env.pool snap;
-  Test.make ~name:"fig10/engine-reset(o-touched)"
+  let image = Lazy.force pclht_checkpoint in
+  Pmem.Pool.boot env.pool image;
+  Test.make ~name:"fig10/checkpoint-rewind(o-touched)"
     (Staged.stage (fun () ->
          for w = 0 to 15 do
            Pmem.Pool.store env.pool ~tid:0 ~instr:0 w 1L
          done;
-         Pmem.Pool.reset_to_snapshot env.pool snap))
+         Pmem.Pool.boot env.pool image))
 
 let tests =
   [
@@ -122,8 +130,8 @@ let tests =
     t_fig8_delay;
     t_fig9;
     t_fig10_init;
-    t_fig10_restore;
-    t_fig10_engine_reset;
+    t_fig10_first_boot;
+    t_fig10_rewind;
   ]
 
 let run ppf =

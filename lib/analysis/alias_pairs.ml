@@ -40,7 +40,6 @@ let possible t = sorted_pairs t.poss
 let possible_count t = Hashtbl.length t.poss
 let achieved_count t = Hashtbl.length t.ach - t.beyond
 let beyond_static t = t.beyond
-let is_achieved t ~write ~read = Hashtbl.mem t.ach (write, read)
 
 let uncovered t =
   Hashtbl.fold
@@ -48,17 +47,6 @@ let uncovered t =
     t.poss []
   |> List.sort (fun a b ->
          match Instr.compare a.pw b.pw with 0 -> Instr.compare a.pr b.pr | c -> c)
-
-let uncovered_sites t =
-  let sites = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun (w, r) () ->
-      if not (Hashtbl.mem t.ach (w, r)) then begin
-        Hashtbl.replace sites (Instr.to_int w) ();
-        Hashtbl.replace sites (Instr.to_int r) ()
-      end)
-    t.poss;
-  sites
 
 let pp ppf t =
   Fmt.pf ppf "alias pairs: %d achieved / %d possible%s" (achieved_count t) (possible_count t)

@@ -34,12 +34,7 @@ val achieved_count : t -> int
 val beyond_static : t -> int
 (** Achieved pairs the static pass did not predict. *)
 
-val is_achieved : t -> write:Instr.t -> read:Instr.t -> bool
 val uncovered : t -> pair list
 (** Possible pairs not yet achieved. *)
-
-val uncovered_sites : t -> (int, unit) Hashtbl.t
-(** The site ids participating in at least one uncovered pair — the
-    fuzzer's seed-prioritisation signal. *)
 
 val pp : Format.formatter -> t -> unit

@@ -236,6 +236,3 @@ let check specs events =
 
 let pp_inv ppf inv = Fmt.string ppf (label inv)
 let pp_spec ppf { inv; support } = Fmt.pf ppf "%a (support %d)" pp_inv inv support
-
-let pp_violation ppf v =
-  Fmt.pf ppf "violated %a at %a (PM word %d)" pp_inv v.v_inv Instr.pp v.v_site v.v_addr

@@ -91,4 +91,3 @@ val inv_kind_slug : inv -> string
 val compare_inv : inv -> inv -> int
 val pp_inv : Format.formatter -> inv -> unit
 val pp_spec : Format.formatter -> spec -> unit
-val pp_violation : Format.formatter -> violation -> unit

@@ -182,12 +182,6 @@ let findings t =
 
 let count t = Hashtbl.length t.uniq
 
-let count_severity t sev =
-  Hashtbl.fold (fun _ f n -> if f.f_severity = sev then n + 1 else n) t.uniq 0
-
-let count_kind t kind =
-  Hashtbl.fold (fun _ f n -> if f.f_kind = kind then n + 1 else n) t.uniq 0
-
 let pp_severity ppf = function
   | High -> Fmt.string ppf "HIGH"
   | Medium -> Fmt.string ppf "MEDIUM"

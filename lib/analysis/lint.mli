@@ -79,8 +79,6 @@ val findings : t -> finding list
     no matter what order the same executions were linted in. *)
 
 val count : t -> int
-val count_severity : t -> severity -> int
-val count_kind : t -> kind -> int
 
 val all_kinds : kind list
 (** Every kind, in rank order (stable across releases for reporting). *)

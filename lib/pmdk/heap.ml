@@ -56,10 +56,3 @@ let alloc ctx ~words =
 let used ctx =
   let cur = Mem.load ctx ~instr:i_alloc (Tval.of_int bump_off) in
   Tval.to_int cur - Layout.heap_base
-
-(* Heap words allocated but unreachable from the given root set — the PM
-   leak measure used when diagnosing Intra-thread inconsistency bugs 3/7.
-   [reachable] is computed by the workload (it knows its object graph). *)
-let leaked_words ctx ~reachable =
-  let total = used ctx in
-  max 0 (total - reachable)

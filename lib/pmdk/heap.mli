@@ -13,7 +13,3 @@ val alloc : Runtime.Env.ctx -> words:int -> int
 
 val used : Runtime.Env.ctx -> int
 (** Words allocated so far. *)
-
-val leaked_words : Runtime.Env.ctx -> reachable:int -> int
-(** Allocated-but-unreachable words given the workload's reachable count:
-    the PM leak measure for Intra-thread inconsistency bugs. *)

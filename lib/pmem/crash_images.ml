@@ -87,7 +87,6 @@ let capture pool =
       Pool.remember_surface pool (Surface st);
       st
 
-let of_image img = { c_base = img; c_durable = []; c_lines = [||] }
 let base st = st.c_base
 let line_count st = Array.length st.c_lines
 let radix line = 1 + Array.length line

@@ -33,17 +33,12 @@ type delta = (int * int64) list
 val capture : Pool.t -> state
 (** Capture the crash surface at the current instant from
     {!Pool.capture_delta}: its base (shared, not copied, except once per
-    pool that has neither a checkpoint nor a booted image), the durable
+    pool that was never booted or checkpointed), the durable
     words that differ from it, and the in-flight words whose volatile
     value differs from the durable one (no-op drains would duplicate
     images), found in one walk of the pool's touched-word journal.  O(touched) time and allocation, independent of the pool
     size.  When nothing mutated the pool since the previous capture, that
     same surface is returned (physically equal). *)
-
-val of_image : Pool.image -> state
-(** A degenerate surface with no in-flight lines: enumerates exactly one
-    image, the given one.  Used to validate legacy candidates that carry
-    only a bare image. *)
 
 val base : state -> Pool.image
 (** The shared base image (not a copy — treat as read-only).  It is not

@@ -19,8 +19,7 @@
    only valid when [meta_epoch.(w) = epoch], so invalidating all metadata
    is a single epoch bump instead of four whole-pool array fills.  Every
    image mutation also records its word (once per epoch) in a touched-word
-   journal, so [reset_to_snapshot] undoes exactly the words a campaign
-   wrote: reset cost is O(touched), not O(pool).
+   journal.
 
    The run-cost twin of that idea (the hot-path overhaul): a pending-word
    index records each word whose pending flag is raised, so SFENCE drains
@@ -28,24 +27,24 @@
    [base, base+words_per_line) in place instead of materialising word
    lists.
 
-   The validation twin (the post-failure recovery context): a pool can be
-   re-booted from a crash image in place ([boot]).  The pool remembers the
-   image it was last booted from; while nothing re-bases it, the journal
-   holds exactly the words that differ from that image, so booting the
-   same image again is a journal rewind.  A different image costs one
-   read-only compare pass plus a write per differing word — never a fresh
-   allocation or a whole-image blit.
+   One rewind serves every reset ([boot]): a pool is re-booted in place
+   from an image — a checkpoint between campaigns, a crash image in
+   post-failure validation.  The pool remembers the image it was last
+   booted from; while nothing re-bases it, the journal holds exactly the
+   words that differ from that image, so booting the same image again is
+   a journal rewind: reset cost is O(touched), not O(pool).  A different
+   image costs one read-only compare pass plus a write per differing word
+   — never a fresh allocation or a whole-image blit.
 
    The capture twin (copy-free crash surfaces): a crash surface is the
    durable image as a delta over a shared capture base.  The base is the
-   image the journal diverges from — the snapshot's durable image after a
-   checkpoint reset, the booted image after [boot] — or, for a pool with
-   neither, one copy of the durable image taken at the first request and
-   kept until the next epoch change.  Every durable word that differs
-   from the base is journaled, so the delta is found in O(touched).  A
-   mutation counter ([instant]) ticks on every image or metadata
-   mutation, so a capture can tell when nothing changed since the last
-   one and share its surface. *)
+   image the journal diverges from — the booted (or checkpointed) image —
+   or, for a pool with neither, one copy of the durable image taken at
+   the first request and kept until the next boot or checkpoint.  Every
+   durable word that differs from the base is journaled, so the delta is
+   found in O(touched).  A mutation counter ([instant]) ticks on every
+   image or metadata mutation, so a capture can tell when nothing changed
+   since the last one and share its surface. *)
 
 type writer = { tid : int; instr : int; seq : int }
 
@@ -81,42 +80,17 @@ type t = {
   mutable pend_len : int;
   pend_stamp : int array;
   mutable pend_gen : int;
-  mutable baseline : int; (* snapshot id the journal diverges from; 0 = none *)
   mutable booted : image; (* image the journal diverges from; [no_image] = none *)
   mutable cbase : image; (* capture base: durable image minus journaled words; [no_image] = none yet *)
   mutable instant : int; (* bumped by every image or metadata mutation; never rewound *)
   mutable surface : surface; (* last remembered crash surface ... *)
   mutable surface_instant : int; (* ... valid while [instant] still equals this *)
   mutable seq : int;
-  mutable n_loads : int;
-  mutable n_stores : int;
-  mutable n_movnts : int;
-  mutable n_flushes : int;
-  mutable n_fences : int;
-  mutable n_evictions : int;
 }
 
 (* The "not booted" sentinel: no pool has zero words, so no bootable
    image is physically this one. *)
 let no_image : image = [||]
-
-type snapshot = {
-  s_id : int; (* identity: which pool baseline this snapshot can O(touched)-reset *)
-  s_volatile : int64 array;
-  s_durable : int64 array;
-  s_seq : int;
-  s_loads : int;
-  s_stores : int;
-  s_movnts : int;
-  s_flushes : int;
-  s_fences : int;
-  s_evictions : int;
-}
-
-(* Snapshot identities are global and atomic: snapshots are shared
-   read-only across the §5 worker domains, each of which stamps its own
-   pool's baseline with the id. *)
-let snapshot_ids = Atomic.make 0
 
 let create ?(eadr = false) ~words () =
   if words <= 0 || words mod Cacheline.words_per_line <> 0 then
@@ -139,19 +113,12 @@ let create ?(eadr = false) ~words () =
     pend_len = 0;
     pend_stamp = Array.make words 0;
     pend_gen = 1;
-    baseline = 0;
     booted = no_image;
     cbase = no_image;
     instant = 0;
     surface = No_surface;
     surface_instant = -1;
     seq = 0;
-    n_loads = 0;
-    n_stores = 0;
-    n_movnts = 0;
-    n_flushes = 0;
-    n_fences = 0;
-    n_evictions = 0;
   }
 
 let size t = t.words
@@ -221,12 +188,9 @@ let refresh_meta t w =
 
 let load t w =
   check t w;
-  t.n_loads <- t.n_loads + 1;
   t.volatile.(w)
 
-let peek t w =
-  check t w;
-  t.volatile.(w)
+let peek = load
 
 (* The dirty indicator is the sequence number (>= 1 when dirty): thread
    ids can legitimately be negative (init/recovery contexts). *)
@@ -268,7 +232,6 @@ let clean_word t w =
 let store t ~tid ~instr w v =
   check t w;
   t.instant <- t.instant + 1;
-  t.n_stores <- t.n_stores + 1;
   t.seq <- t.seq + 1;
   journal_touch t w;
   t.volatile.(w) <- v;
@@ -290,7 +253,6 @@ let store t ~tid ~instr w v =
 let movnt t ~tid:_ ~instr:_ w v =
   check t w;
   t.instant <- t.instant + 1;
-  t.n_movnts <- t.n_movnts + 1;
   t.seq <- t.seq + 1;
   journal_touch t w;
   t.volatile.(w) <- v;
@@ -307,7 +269,6 @@ let movnt t ~tid:_ ~instr:_ w v =
 let clwb t w =
   check t w;
   t.instant <- t.instant + 1;
-  t.n_flushes <- t.n_flushes + 1;
   (* Walk the line in place (Cacheline.iter_line geometry): the legacy
      words-of-line list cost one allocation per flush on the hottest
      instrumented operation. *)
@@ -369,7 +330,6 @@ let sort_prefix (a : int array) n =
 
 let sfence t =
   t.instant <- t.instant + 1;
-  t.n_fences <- t.n_fences + 1;
   (* Compact the index in place down to the words that are still pending
      (stores since their CLWB may have cleared the flag) ... *)
   let n = ref 0 in
@@ -401,7 +361,6 @@ let sfence t =
    "before" side of the hotpath bench.  Do not optimise this. *)
 let sfence_scan t =
   t.instant <- t.instant + 1;
-  t.n_fences <- t.n_fences + 1;
   let persisted = ref [] in
   for w = t.words - 1 downto 0 do
     if t.meta_epoch.(w) = t.epoch && t.pending.(w) then begin
@@ -424,7 +383,6 @@ let evict_line t line =
         clean_word t w;
         journal_touch t w;
         t.durable.(w) <- t.volatile.(w);
-        t.n_evictions <- t.n_evictions + 1;
         evicted := w :: !evicted
       end)
     base;
@@ -508,15 +466,6 @@ let of_image (img : image) =
   Array.blit img 0 t.durable 0 (Array.length img);
   t
 
-let zero_counters t =
-  t.seq <- 0;
-  t.n_loads <- 0;
-  t.n_stores <- 0;
-  t.n_movnts <- 0;
-  t.n_flushes <- 0;
-  t.n_fences <- 0;
-  t.n_evictions <- 0
-
 (* Install [v] as word [w]'s volatile and durable contents, skipping the
    write (and its barrier) when the word already holds it. *)
 let install t w v =
@@ -540,6 +489,14 @@ let rec apply_delta t = function
       install t w v;
       apply_delta t rest
 
+(* The pool holds exactly [img] in both images: start a fresh epoch
+   (all clean, nothing pending, empty journal) booted from [img]. *)
+let rebase t (img : image) =
+  new_epoch t;
+  t.booted <- img;
+  t.cbase <- img;
+  t.seq <- 0
+
 let boot ?(delta = []) t (img : image) =
   if Array.length img <> t.words then invalid_arg "Pool.boot: image size mismatch";
   check_delta t delta;
@@ -554,100 +511,21 @@ let boot ?(delta = []) t (img : image) =
     for w = 0 to t.words - 1 do
       install t w img.(w)
     done;
-  new_epoch t;
+  rebase t img;
   t.eadr <- false;
-  t.baseline <- 0;
-  t.booted <- img;
-  t.cbase <- img;
-  zero_counters t;
   apply_delta t delta
 
-(* Both restore paths return the pool to the exact observable state the
-   snapshot captured; they differ only in cost.  [finish_reset] installs
-   the non-image half of that state: metadata all-clean (fresh epoch),
-   and the sequence number and access counters as of snapshot time. *)
-let finish_reset t s =
-  new_epoch t;
-  t.baseline <- s.s_id;
-  t.booted <- no_image;
-  t.cbase <- s.s_durable;
-  t.seq <- s.s_seq;
-  t.n_loads <- s.s_loads;
-  t.n_stores <- s.s_stores;
-  t.n_movnts <- s.s_movnts;
-  t.n_flushes <- s.s_flushes;
-  t.n_fences <- s.s_fences;
-  t.n_evictions <- s.s_evictions
-
-let snapshot t =
-  (* Snapshots are only meaningful for quiesced pools (no dirty or pending
-     words), which is how in-memory checkpoints are used: after pool
-     initialisation completes.  Any dirty/pending word was image-mutated
-     this epoch, so scanning the journal suffices to enforce this. *)
+let checkpoint t =
+  (* Only a quiesced pool (no dirty or pending words) has one image to
+     checkpoint: the write-back queue is not part of an image.  Any
+     dirty/pending word was image-mutated this epoch, so scanning the
+     journal suffices to enforce this. *)
   for i = 0 to t.journal_len - 1 do
     let w = t.journal.(i) in
     if is_dirty t w || is_pending t w || not (Int64.equal t.volatile.(w) t.durable.(w)) then
-      invalid_arg "Pool.snapshot: pool not quiesced (dirty or pending words)"
+      invalid_arg "Pool.checkpoint: pool not quiesced (dirty or pending words)"
   done;
-  (* With nothing dirty or pending, every write has reached the durable
-     image (checked above for the words touched since the last baseline),
-     so the two images are equal and one copy serves as both. *)
-  let image = Array.copy t.durable in
-  let s =
-    {
-      s_id = 1 + Atomic.fetch_and_add snapshot_ids 1;
-      s_volatile = image;
-      s_durable = image;
-      s_seq = t.seq;
-      s_loads = t.n_loads;
-      s_stores = t.n_stores;
-      s_movnts = t.n_movnts;
-      s_flushes = t.n_flushes;
-      s_fences = t.n_fences;
-      s_evictions = t.n_evictions;
-    }
-  in
-  (* The pool now *is* the snapshot: make it the O(touched)-reset baseline. *)
-  finish_reset t s;
-  s
-
-let restore t s =
-  if Array.length s.s_volatile <> t.words then
-    invalid_arg "Pool.restore: snapshot size mismatch";
-  Array.blit s.s_volatile 0 t.volatile 0 t.words;
-  Array.blit s.s_durable 0 t.durable 0 t.words;
-  finish_reset t s
-
-let reset_to_snapshot t s =
-  if t.baseline <> s.s_id then
-    invalid_arg
-      "Pool.reset_to_snapshot: snapshot is not this pool's baseline (use restore first)";
-  for i = 0 to t.journal_len - 1 do
-    let w = t.journal.(i) in
-    t.volatile.(w) <- s.s_volatile.(w);
-    t.durable.(w) <- s.s_durable.(w)
-  done;
-  finish_reset t s
-
-type stats = {
-  loads : int;
-  stores : int;
-  movnts : int;
-  flushes : int;
-  fences : int;
-  evictions : int;
-}
-
-let stats t =
-  {
-    loads = t.n_loads;
-    stores = t.n_stores;
-    movnts = t.n_movnts;
-    flushes = t.n_flushes;
-    fences = t.n_fences;
-    evictions = t.n_evictions;
-  }
-
-let pp_stats ppf s =
-  Fmt.pf ppf "loads=%d stores=%d movnts=%d flushes=%d fences=%d evictions=%d" s.loads s.stores
-    s.movnts s.flushes s.fences s.evictions
+  (* Both images now equal the copy: the pool is booted from it. *)
+  let img = Array.copy t.durable in
+  rebase t img;
+  img

@@ -16,16 +16,8 @@ type writer = { tid : int; instr : int; seq : int }
     static instruction id of the store site, and a global sequence number. *)
 
 type image
-(** A crash image: the durable contents at some instant. *)
-
-type snapshot
-(** An in-memory checkpoint of a quiesced pool: the volatile and durable
-    images plus the word-sequence number and access counters at capture
-    time.  Used to skip expensive pool re-initialisation between fuzz
-    campaigns (the paper's Figure 10).  Snapshots are immutable and safe to
-    share read-only across worker domains; each carries a globally unique
-    identity so a pool can tell which snapshot is its O(touched)-reset
-    baseline (see {!reset_to_snapshot}). *)
+(** A pool image: the durable contents at some instant — a crash image,
+    or the {!checkpoint} of a quiesced pool. *)
 
 val create : ?eadr:bool -> words:int -> unit -> t
 (** [create ~words ()] allocates a zeroed pool.  [words] must be a positive
@@ -39,17 +31,17 @@ val is_eadr : t -> bool
 
 val set_eadr : t -> bool -> unit
 (** Switch eADR on or off.  Only meaningful on a quiesced pool (no dirty
-    or pending words, e.g. right after {!snapshot}): an eADR pool keeps
+    or pending words, e.g. right after {!boot}): an eADR pool keeps
     no per-word metadata, so in-flight cache state would be lost. *)
 
 val size : t -> int
 
 val load : t -> int -> int64
-(** Read the visible (volatile) contents of a word, counting the access. *)
+(** Read the visible (volatile) contents of a word. *)
 
 val peek : t -> int -> int64
-(** Like {!load} but without touching access statistics; for checkers and
-    tests. *)
+(** The same read as {!load}, named for readers that are not the
+    program under test: checkers and tests. *)
 
 val store : t -> tid:int -> instr:int -> int -> int64 -> unit
 (** A cached store: visible immediately, durable only after [clwb]+[sfence].
@@ -121,12 +113,11 @@ val capture_delta : t -> image * (int * int64) list * (int * int64 * bool) list
 (** [capture_delta t] is [(base, durable, in_flight)], the raw material
     of a crash surface (see {!Crash_images}):
 
-    - [base] is the image the touched-word journal diverges from: after a
-      checkpoint reset the snapshot's durable image, after {!boot} the
-      booted image — neither is copied.  A pool with neither copies its
-      durable image once, at the first call, and keeps that copy until
-      the next {!boot}, {!restore}, {!reset_to_snapshot} or {!snapshot}.
-      Treat it as read-only.
+    - [base] is the image the touched-word journal diverges from: the
+      image of the last {!boot} or {!checkpoint}, not copied.  A pool with
+      neither copies its durable image once, at the first call, and keeps
+      that copy until the next {!boot} or {!checkpoint}.  Treat it as
+      read-only.
     - [durable] holds every word whose durable value differs from [base],
       with that value: [base] plus [durable] is {!crash_image}.
     - [in_flight] holds every dirty or pending word whose volatile value
@@ -145,7 +136,7 @@ type surface += No_surface
 
 val remembered_surface : t -> surface
 (** The surface last passed to {!remember_surface}, if no store, flush,
-    fence, eviction, boot or reset touched the pool since; [No_surface]
+    fence, eviction or boot touched the pool since; [No_surface]
     otherwise.  Every image or metadata mutation advances the pool's
     instant, so this is one integer compare. *)
 
@@ -173,7 +164,8 @@ val boot : ?delta:(int * int64) list -> t -> image -> unit
 (** [boot t img] re-boots [t] in place into exactly the state [of_image img]
     would give: volatile = durable = [img], every word clean and not
     pending, an empty touched-word journal and pending index, sequence
-    number and access counters at 0, no snapshot baseline, eADR off.
+    number 0, eADR off.  It is the pool's one rewind: between campaigns
+    to a {!checkpoint}, in post-failure validation to a crash image.
 
     [delta] (default empty) overrides words of [img], as
     {!Crash_images} enumerates them: the result is [of_image] of [img]
@@ -182,61 +174,29 @@ val boot : ?delta:(int * int64) list -> t -> image -> unit
     words.
 
     Allocation-free.  Booting the image [t] was last booted from
-    (physically the same array, with no {!snapshot}/{!restore} since) is a
-    journal rewind, O(touched); any other image costs one read-only pass
-    over the pool plus a write per differing word.  The pool keeps a
-    reference to [img] to recognise it; the rewind trusts that [img] was
-    not mutated (e.g. by {!image_set}) since the previous boot from it.
+    (physically the same array, with no {!checkpoint} since) is a journal
+    rewind, O(touched); any other image costs one read-only pass over the
+    pool plus a write per differing word.  The pool keeps a reference to
+    [img] to recognise it; the rewind trusts that [img] was not mutated
+    (e.g. by {!image_set}) since the previous boot from it.
     @raise Invalid_argument on size mismatch or an out-of-bounds delta
     word. *)
 
-val snapshot : t -> snapshot
-(** Capture an in-memory checkpoint.  Semantics (pinned; the audit of the
-    restore round-trip relies on these):
+val checkpoint : t -> image
+(** An in-memory checkpoint (the paper's Figure 10): the image of a
+    {e quiesced} pool — no dirty and no pending words, so its volatile
+    and durable contents are equal — for {!boot} to rewind to.  Raises
+    [Invalid_argument] on a pool with in-flight cache state, which no
+    image holds: call {!quiesce} first.
 
-    - The pool must be {e quiesced}: no dirty and no pending words.  A
-      checkpoint of in-flight cache state would be meaningless to restore
-      (the write-back queue is not part of the checkpoint), so this raises
-      [Invalid_argument] instead of silently dropping state.  Call
-      {!quiesce} first.
-    - The snapshot records both images {e and} the word-sequence number and
-      access counters, so a later restore resets them too — statistics and
-      writer sequence numbers never leak from one campaign into the next.
-      On a quiesced pool the two images are equal, so the snapshot holds
-      one copy of the image for both.
-    - Capturing also makes this snapshot the pool's current baseline and
-      starts a fresh touched-word journal (see {!reset_to_snapshot}). *)
-
-val restore : t -> snapshot -> unit
-(** Return the pool to exactly the observable state captured by the
-    snapshot: both images, all-clean metadata, sequence number, and access
-    counters.  O(pool) — blits whole images — but works for any snapshot of
-    the right size, regardless of provenance; it (re)establishes the
-    snapshot as the pool's baseline so subsequent {!reset_to_snapshot}
-    calls are valid.
-    @raise Invalid_argument on size mismatch. *)
-
-val reset_to_snapshot : t -> snapshot -> unit
-(** Like {!restore}, but O(touched): undoes only the words recorded in the
-    touched-word journal since the baseline was last established.  Only
-    valid when [s] is the pool's current baseline — i.e. the pool's state
-    is [s] plus the journaled mutations — which holds after [snapshot t],
-    [restore t s], or a previous [reset_to_snapshot t s].
-    @raise Invalid_argument when [s] is not the current baseline. *)
+    The image is a copy, and taking it leaves [t] in the state
+    [boot t img] would give, eADR setting aside (it is kept), without the
+    pass over the pool: the next boot from [img] is a rewind.  Booting
+    never mutates an image, so one checkpoint can be shared read-only by
+    many pools, across worker domains. *)
 
 val touched_words : t -> int
-(** Number of distinct words whose images were mutated since the baseline
-    was last established (the length of the touched-word journal).  This is
-    exactly the work {!reset_to_snapshot} will do. *)
-
-type stats = {
-  loads : int;
-  stores : int;
-  movnts : int;
-  flushes : int;
-  fences : int;
-  evictions : int;
-}
-
-val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
+(** Number of distinct words whose images were mutated since the last
+    {!boot} or {!checkpoint} (the length of the touched-word journal).
+    This is exactly the work a rewind (the next {!boot} from the same
+    image) will do. *)

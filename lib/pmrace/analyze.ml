@@ -50,13 +50,13 @@ let m_duration = lazy (Obs.Metrics.gauge "analyze_duration_seconds")
 
 (* Iterate the driver's seed executions: each runs with [attach] as its
    listener, and [f] gets the completed campaign result. *)
-let iter_executions ?(cfg = default_config) ?snapshot (target : Target.t) ~attach f =
+let iter_executions ?(cfg = default_config) ?checkpoint (target : Target.t) ~attach f =
   let rng = Rng.create cfg.master_seed in
   (* One persistent engine for all seed executions, reset in O(touched)
-     between them; given the session's [snapshot] it does not initialise
+     between them; given the session's [checkpoint] it does not initialise
      the target again.  [attach] installs a transient listener, so each
      checkout starts with it detached. *)
-  let engine = Engine.create ~capture_images:false ?snapshot target in
+  let engine = Engine.create ~capture_images:false ?checkpoint target in
   for _ = 1 to cfg.seeds do
     let seed = Seed.gen rng target.Target.profile in
     for _ = 1 to cfg.scheds_per_seed do
@@ -71,12 +71,12 @@ let iter_executions ?(cfg = default_config) ?snapshot (target : Target.t) ~attac
     done
   done
 
-let run ?(cfg = default_config) ?snapshot (target : Target.t) =
+let run ?(cfg = default_config) ?checkpoint (target : Target.t) =
   let t0 = Obs.Clock.now () in
   let az = Analysis.Analyzer.create ~cfg:cfg.analysis () in
   let taxonomy = cfg.analysis.Analysis.Analyzer.taxonomy in
   let rctx = Post_failure.ctx target in
-  iter_executions ~cfg ?snapshot target ~attach:(Analysis.Analyzer.attach az `Normal)
+  iter_executions ~cfg ?checkpoint target ~attach:(Analysis.Analyzer.attach az `Normal)
     (fun (res : Campaign.result) ->
       Analysis.Analyzer.finish az `Normal;
       if taxonomy then begin
@@ -105,5 +105,5 @@ let record ?cfg (target : Target.t) =
       events := []);
   List.rev !traces
 
-let prepass ?(seeds = 4) ?(analysis = Analysis.Analyzer.default_config) ?snapshot target =
-  run ~cfg:{ default_config with seeds; master_seed = 11; analysis } ?snapshot target
+let prepass ?(seeds = 4) ?(analysis = Analysis.Analyzer.default_config) ?checkpoint target =
+  run ~cfg:{ default_config with seeds; master_seed = 11; analysis } ?checkpoint target

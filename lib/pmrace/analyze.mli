@@ -35,11 +35,11 @@ val full_config : config
 (** {!default_config} with {!full_analysis}. *)
 
 val run :
-  ?cfg:config -> ?snapshot:Pmem.Pool.snapshot -> Target.t -> Analysis.Analyzer.result
+  ?cfg:config -> ?checkpoint:Pmem.Pool.image -> Target.t -> Analysis.Analyzer.result
 (** Execute the seed set and analyse each execution as it runs.  The
-    executions share one persistent engine, built from [snapshot] when
-    given (see {!Engine.prepare_snapshot}) instead of initialising the
-    target again; the results are the same either way. *)
+    executions share one persistent engine, booted from [checkpoint] when
+    given (see {!Engine.checkpoint}) instead of initialising the target
+    again; the results are the same either way. *)
 
 val record : ?cfg:config -> Target.t -> Runtime.Env.event list list
 (** Execute the seed set and return the raw recorded event streams
@@ -49,10 +49,10 @@ val record : ?cfg:config -> Target.t -> Runtime.Env.event list list
 val prepass :
   ?seeds:int ->
   ?analysis:Analysis.Analyzer.config ->
-  ?snapshot:Pmem.Pool.snapshot ->
+  ?checkpoint:Pmem.Pool.image ->
   Target.t ->
   Analysis.Analyzer.result
 (** The fuzzer-facing entry point: a smaller seed set, fixed master seed
     (deterministic across fuzzer configurations).  [analysis] defaults to
     all detectors off, preserving the bit-identical seeded pre-pass.
-    [snapshot] is the session's checkpoint, as for {!run}. *)
+    [checkpoint] is the session's checkpoint, as for {!run}. *)

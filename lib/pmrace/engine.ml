@@ -3,17 +3,17 @@
    One engine per worker domain owns a reusable execution context that is
    *reset*, not recreated, between campaigns:
 
-   - the pool is rewound with [Pmem.Pool.reset_to_snapshot] — O(touched
-     words), driven by the pool's journal, instead of the O(pool) image
-     blits of [Pool.restore] (let alone re-running the target's
-     initialisation);
+   - the pool is rewound with [Pmem.Pool.boot] to the checkpoint image —
+     O(touched words), driven by the pool's journal, instead of an O(pool)
+     image pass (let alone re-running the target's initialisation) — and
+     eADR re-armed, which [boot] turns off;
    - the environment is rewound with [Runtime.Env.reset] — fresh checkers,
      cleared DRAM/taint, reseeded eviction RNG — while the pre-bound
      listener array installed once at engine creation survives;
    - the target re-annotates, exactly as it would a fresh environment.
 
-   Every target runs this way by default.  Without a shared snapshot the
-   engine builds its context in place: the target initialises the
+   Every target runs this way by default.  Without a shared checkpoint
+   the engine builds its context in place: the target initialises the
    engine's own pool, which then becomes the checkpoint, so an engine
    that serves a single checkout (a replay, the pre-pass) costs the
    target's initialisation plus one image copy.  [use_checkpoint:false] keeps
@@ -29,7 +29,7 @@
 
 module Env = Runtime.Env
 
-type mode = Persistent of { snapshot : Pmem.Pool.snapshot; env : Env.t } | Fresh
+type mode = Persistent of { image : Pmem.Pool.image; env : Env.t } | Fresh
 
 type t = {
   target : Target.t;
@@ -56,9 +56,10 @@ let init_env (target : Target.t) =
   env
 
 (* Initialise a pool once and capture the checkpoint the fast path reuses. *)
-let prepare_snapshot target = Pmem.Pool.snapshot (init_env target).pool
+let checkpoint target = Pmem.Pool.checkpoint (init_env target).pool
 
-(* Hand an [init_env] context the engine's run settings. *)
+(* Hand a freshly initialised or booted context the engine's run
+   settings ([Pmem.Pool.boot] turns eADR off). *)
 let arm env ~evict_prob ~eadr =
   Pmem.Pool.set_eadr env.Env.pool eadr;
   env.Env.evict_prob <- evict_prob
@@ -71,29 +72,26 @@ let m_reset_touched =
        ~buckets:[| 8.; 32.; 128.; 512.; 2048.; 8192.; 32768. |]
        "engine_reset_touched_words")
 
-let create ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||]) ?snapshot
-    ?(use_checkpoint = true) (target : Target.t) =
+let create ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||])
+    ?checkpoint:shared ?(use_checkpoint = true) (target : Target.t) =
   let mode =
     if use_checkpoint then begin
-      let env, snapshot =
-        match snapshot with
-        | Some s ->
-            let env =
-              Env.create ~capture_images ~evict_prob ~eadr ~pool_words:target.pool_words ()
-            in
-            (* O(pool) once per worker: establishes the shared snapshot as
-               this pool's baseline, so every checkout is O(touched). *)
-            Pmem.Pool.restore env.pool s;
-            (env, s)
+      let env, image =
+        match shared with
+        | Some image ->
+            let env = Env.create ~capture_images ~pool_words:target.pool_words () in
+            (* The O(pool) first boot, once per worker: every checkout
+               after it is a rewind. *)
+            Pmem.Pool.boot env.pool image;
+            (env, image)
         | None ->
-            (* In place: the initialised pool becomes its own baseline. *)
+            (* In place: the initialised pool is checkpointed, and so
+               already booted from its checkpoint. *)
             let env = init_env target in
-            let s = Pmem.Pool.snapshot env.pool in
-            arm env ~evict_prob ~eadr;
-            (env, s)
+            (env, Pmem.Pool.checkpoint env.pool)
       in
       Env.install_bound env bound;
-      Persistent { snapshot; env }
+      Persistent { image; env }
     end
     else Fresh
   in
@@ -127,12 +125,13 @@ let por_harness t ~nthreads =
 let checkout t =
   t.checkouts <- t.checkouts + 1;
   match t.mode with
-  | Persistent { snapshot; env } ->
+  | Persistent { image; env } ->
       let touched = Pmem.Pool.touched_words env.pool in
       t.last_reset_touched <- touched;
       if Obs.Metrics.enabled () then
         Obs.Metrics.observe (Lazy.force m_reset_touched) (float_of_int touched);
-      Pmem.Pool.reset_to_snapshot env.pool snapshot;
+      Pmem.Pool.boot env.pool image;
+      arm env ~evict_prob:t.evict_prob ~eadr:t.eadr;
       Env.reset ~capture_images:t.capture_images env;
       t.target.annotate env;
       env

@@ -1,14 +1,14 @@
 (** Persistent-mode execution engine (the throughput half of Figure 10).
 
     One engine per worker domain owns a reusable execution context that is
-    {e reset}, not recreated, between campaigns: the pool rewinds via
-    {!Pmem.Pool.reset_to_snapshot} (O(touched words), driven by the pool's
-    touched-word journal), the environment via {!Runtime.Env.reset}, and
-    the target re-annotates.  Pre-bound listeners are installed once at
+    {e reset}, not recreated, between campaigns: the pool rewinds to the
+    checkpoint image via {!Pmem.Pool.boot} (O(touched words), driven by the
+    pool's touched-word journal), the environment via
+    {!Runtime.Env.reset}, and the target re-annotates.  Pre-bound listeners are installed once at
     engine creation instead of being rebuilt per campaign.
 
     Every target runs in persistent mode by default.  Without a shared
-    snapshot the engine builds its context in place (one environment, the
+    checkpoint the engine builds its context in place (one environment, the
     target's initialisation, the checkpoint taken on that same pool), so a
     single-checkout engine costs a fresh set-up plus one image copy.
     [use_checkpoint:false] is Figure 10's reference arm: a fresh
@@ -23,26 +23,27 @@
 
 type t
 
-val prepare_snapshot : Target.t -> Pmem.Pool.snapshot
-(** Initialise a pool once (no eviction, no eADR) and capture the
-    in-memory checkpoint reused by subsequent campaigns — the snapshot a
-    session's workers share. *)
+val checkpoint : Target.t -> Pmem.Pool.image
+(** Initialise a pool once (no eviction, no eADR) and return its
+    checkpoint ({!Pmem.Pool.checkpoint}): the image every campaign of a
+    session starts from, shared read-only by its workers. *)
 
 val create :
   ?capture_images:bool ->
   ?evict_prob:float ->
   ?eadr:bool ->
   ?bound:(Runtime.Env.event -> unit) array ->
-  ?snapshot:Pmem.Pool.snapshot ->
+  ?checkpoint:Pmem.Pool.image ->
   ?use_checkpoint:bool ->
   Target.t ->
   t
 (** Build a worker's engine.  [use_checkpoint] defaults to true: the
     engine runs in persistent mode — the context is created once and
-    reused.  Given a [snapshot] (e.g. shared across workers), the context
-    restores it; otherwise the target initialises the context's own pool
-    (no eviction, no eADR) and that pool is checkpointed in place before
-    [evict_prob] and [eadr] apply.  [use_checkpoint:false] selects fresh
+    reused.  Given a [checkpoint] (e.g. shared across workers), the
+    context's pool boots from it, once in O(pool); otherwise the target
+    initialises the context's own pool (no eviction, no eADR) and that
+    pool is checkpointed in place.  Every checkout boots the checkpoint
+    and then applies [evict_prob] and [eadr].  [use_checkpoint:false] selects fresh
     mode.  [bound] is the worker's permanent listener array: installed
     once per context, it survives resets and never observes
     target-initialisation events. *)

@@ -598,7 +598,7 @@ let worker_loop w =
 type setup = {
   s_target : Target.t;
   s_cfg : config;
-  s_snapshot : Pmem.Pool.snapshot option;
+  s_checkpoint : Pmem.Pool.image option;
   s_prepass : Analysis.Analyzer.result option;
   s_hub : Hub.t;
   s_whitelist : Whitelist.t;
@@ -606,7 +606,7 @@ type setup = {
 }
 
 let setup ?(log = fun _ -> ()) target cfg =
-  let snapshot = if cfg.use_checkpoint then Some (Engine.prepare_snapshot target) else None in
+  let checkpoint = if cfg.use_checkpoint then Some (Engine.checkpoint target) else None in
   (* Static pre-pass (the LLVM-pass analogue): bound the alias-pair
      coverage map and collect the lint findings before fuzzing starts.
      Pre-pass executions do not count against the campaign budget.  With a
@@ -622,7 +622,7 @@ let setup ?(log = fun _ -> ()) target cfg =
         if cfg.invariants then { Analysis.Analyzer.default_config with invariants = true }
         else Analysis.Analyzer.default_config
       in
-      Some (Analyze.prepass ~analysis ?snapshot target)
+      Some (Analyze.prepass ~analysis ?checkpoint target)
     else None
   in
   let static =
@@ -653,7 +653,7 @@ let setup ?(log = fun _ -> ()) target cfg =
   {
     s_target = target;
     s_cfg = cfg;
-    s_snapshot = snapshot;
+    s_checkpoint = checkpoint;
     s_prepass = prepass;
     s_hub = hub;
     s_whitelist = whitelist;
@@ -664,7 +664,7 @@ let setup_hub s = s.s_hub
 
 (* Build one worker.  Its initial corpus is drawn from [gen_rng], so
    worker [widx]'s corpus is a pure function of (master_seed, widx) in any
-   process.  Every worker of a session shares the set-up's snapshot,
+   process.  Every worker of a session shares the set-up's checkpoint,
    whitelist and invariant specs. *)
 let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
   let target = setup.s_target and cfg = setup.s_cfg in
@@ -710,7 +710,7 @@ let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
     explored = Hashtbl.create 32;
     seed_sites = Hashtbl.create 32;
     engine =
-      Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound ?snapshot:setup.s_snapshot
+      Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound ?checkpoint:setup.s_checkpoint
         ~use_checkpoint:cfg.use_checkpoint target;
     delta;
     cur_sites;

@@ -217,7 +217,7 @@ val create_worker :
   ?log:(string -> unit) -> ?obs:Obs.Events.t -> sink:sink -> widx:int -> setup -> worker
 (** The worker's initial corpus is one populate seed plus
     [cfg.initial_seeds] random seeds, drawn from its [gen_rng].  It
-    shares the set-up's snapshot, whitelist and invariant specs. *)
+    shares the set-up's checkpoint, whitelist and invariant specs. *)
 
 val worker_loop : worker -> unit
 (** Claim seeds and fuzz them until [sk_budget_left] (checked between

@@ -13,13 +13,6 @@ type strategy = Mutation | Addition | Deletion | Shuffling | Merging
 
 let strategies = [ Mutation; Addition; Deletion; Shuffling; Merging ]
 
-let strategy_name = function
-  | Mutation -> "mutation"
-  | Addition -> "addition"
-  | Deletion -> "deletion"
-  | Shuffling -> "shuffling"
-  | Merging -> "merging"
-
 let existing_keys seed = List.map Seed.key_of (Seed.all_ops seed)
 
 let near_key rng seed profile =

@@ -6,7 +6,6 @@ module Rng = Sched.Rng
 type strategy = Mutation | Addition | Deletion | Shuffling | Merging
 
 val strategies : strategy list
-val strategy_name : strategy -> string
 
 val mutate_op : Rng.t -> Seed.profile -> Seed.t -> Seed.t
 val add_op : Rng.t -> Seed.profile -> Seed.t -> Seed.t

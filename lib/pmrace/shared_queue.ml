@@ -198,10 +198,3 @@ let codec =
         fold (fun addr r acc -> (addr, r) :: acc) t []
         |> List.sort (fun (a, _) (b, _) -> compare a b))
       (list record_codec))
-
-let pp_entry ppf e =
-  Fmt.pf ppf "addr=%d hits=%d loads=[%a] stores=[%a]" e.addr e.hits
-    Fmt.(list ~sep:comma Instr.pp)
-    e.loads
-    Fmt.(list ~sep:comma Instr.pp)
-    e.stores

@@ -35,7 +35,6 @@ val entries : t -> entry list
 (** Shared-data entries, most frequently accessed first. *)
 
 val tracked_addresses : t -> int
-val pp_entry : Format.formatter -> entry -> unit
 
 val codec : t Obs.Codec.t
 (** Wire/store codec (fleet mode): the full per-address records (sites by

@@ -142,8 +142,8 @@ let reset_checkers ?(capture_images = true) t =
   clear_taint t
 
 (* Return a reused environment to its just-created state — everything a
-   fresh [create] would give, except the pool (reset separately via
-   [Pmem.Pool.reset_to_snapshot]) and the pre-bound listener array, which
+   fresh [create] would give, except the pool (rewound separately via
+   [Pmem.Pool.boot]) and the pre-bound listener array, which
    is installed once per worker and deliberately survives.  Sync-variable
    annotations do NOT survive: the caller re-annotates, exactly as it would
    on a fresh environment. *)

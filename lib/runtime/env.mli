@@ -120,6 +120,6 @@ val reset : ?capture_images:bool -> t -> unit
     re-annotate as for a fresh env), cleared DRAM and taint shadow, null
     policy, no transient listeners, and the eviction RNG reseeded from its
     original seed.  The pool and the
-    pre-bound listener array are untouched: reset the pool separately with
-    {!Pmem.Pool.reset_to_snapshot}.  This is the persistent-mode engine's
+    pre-bound listener array are untouched: rewind the pool separately
+    with {!Pmem.Pool.boot}.  This is the persistent-mode engine's
     per-campaign reset path. *)

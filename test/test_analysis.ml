@@ -259,7 +259,7 @@ let test_prepass_shares_checkpoint () =
       let analysis = { Pmrace.Analyze.full_analysis with invariants = true } in
       let own = Pmrace.Analyze.prepass ~analysis t in
       let shared =
-        Pmrace.Analyze.prepass ~analysis ~snapshot:(Pmrace.Engine.prepare_snapshot t) t
+        Pmrace.Analyze.prepass ~analysis ~checkpoint:(Pmrace.Engine.checkpoint t) t
       in
       Alcotest.(check bool)
         (t.name ^ ": same possible pairs")

@@ -15,7 +15,7 @@ module Dram = Runtime.Dram
 
 (* Everything observable about a campaign, for bit-identity comparison:
    both pool images, candidates, inconsistencies, sync events, pending
-   side effects, pool statistics, and the scheduler outcome. *)
+   side effects, and the scheduler outcome. *)
 type fingerprint = {
   f_volatile : int64 array;
   f_durable : int64 array;
@@ -23,7 +23,6 @@ type fingerprint = {
   f_incs : (int * int * int * bool * bool * int list) list;
   f_syncs : (string * int * int64) list;
   f_pending : (int * int * int) list;
-  f_stats : Pool.stats;
   f_steps : int;
   f_finished : int list;
   f_hung : bool;
@@ -68,7 +67,6 @@ let fingerprint (r : Campaign.result) =
         (fun (e : Checkers.side_effect) ->
           (e.se_addr, Runtime.Instr.to_int e.se_instr, e.se_tid))
         (Checkers.pending_effects ck);
-    f_stats = Pool.stats pool;
     f_steps = r.outcome.steps;
     f_finished = List.sort compare r.outcome.finished;
     f_hung = r.hung;
@@ -81,7 +79,6 @@ let check_fp msg a b =
   Alcotest.(check bool) (msg ^ ": inconsistencies") true (a.f_incs = b.f_incs);
   Alcotest.(check bool) (msg ^ ": sync events") true (a.f_syncs = b.f_syncs);
   Alcotest.(check bool) (msg ^ ": pending effects") true (a.f_pending = b.f_pending);
-  Alcotest.(check bool) (msg ^ ": pool stats") true (a.f_stats = b.f_stats);
   Alcotest.(check int) (msg ^ ": scheduler steps") a.f_steps b.f_steps;
   Alcotest.(check (list int)) (msg ^ ": finished tids") a.f_finished b.f_finished;
   Alcotest.(check bool) (msg ^ ": hung") a.f_hung b.f_hung
@@ -198,12 +195,12 @@ let test_transient_listeners_cleared () =
   Alcotest.(check int) "listener detached by next checkout" first !hits
 
 (* With a deterministic init, checkpoint-on and checkpoint-off engines
-   yield bit-identical campaigns: restore semantics (images + seq + stats)
-   make the two pool setups indistinguishable.  This holds under eviction
-   too: both modes initialise with eviction off and start every campaign
-   from the reseeded eviction RNG, so a fresh-mode init draws nothing from
-   the campaign's stream and counts no evictions into its statistics.
-   Under eADR both run the campaign on an eADR pool. *)
+   yield bit-identical campaigns: booting the checkpoint (both images,
+   all-clean metadata) makes the two pool setups indistinguishable.  This
+   holds under eviction too: both modes initialise with eviction off and
+   start every campaign from the reseeded eviction RNG, so a fresh-mode
+   init draws nothing from the campaign's stream.  Under eADR both run the
+   campaign on an eADR pool. *)
 let test_checkpoint_on_off_identical ?(evict_prob = 0.) ?(eadr = false) (target : Pmrace.Target.t)
     n () =
   let on = Engine.create ~evict_prob ~eadr ~use_checkpoint:true target in
@@ -215,6 +212,46 @@ let test_checkpoint_on_off_identical ?(evict_prob = 0.) ?(eadr = false) (target 
         (fingerprint (Campaign.run ~engine:on i))
         (fingerprint (Campaign.run ~engine:off i)))
     (inputs target n)
+
+(* One checkpoint shared by two engines, one under eviction and one under
+   eADR, as a session's workers share it.  [boot] only reads the image and
+   trusts that it never changes: after many checkouts each, every one
+   followed by vandalism of the whole pool, the image must still hold,
+   word for word, what the target's initialisation produced, and every
+   campaign must match a fresh-mode one. *)
+let test_shared_checkpoint_unchanged () =
+  let target = Workloads.Pclht.target in
+  let image = Engine.checkpoint target in
+  let settings = [ (0.3, false); (0., true) ] in
+  let engines =
+    List.map
+      (fun (evict_prob, eadr) ->
+        ( Engine.create ~evict_prob ~eadr ~checkpoint:image target,
+          Engine.create ~evict_prob ~eadr ~use_checkpoint:false target ))
+      settings
+  in
+  List.iteri
+    (fun k i ->
+      List.iter
+        (fun (shared, fresh) ->
+          let r = Campaign.run ~engine:shared i in
+          check_fp
+            (Printf.sprintf "campaign %d: shared checkpoint ≡ fresh" k)
+            (fingerprint (Campaign.run ~engine:fresh i))
+            (fingerprint r);
+          vandalise r.Campaign.env)
+        engines)
+    (inputs target 8);
+  List.iter
+    (fun (shared, _) -> Alcotest.(check int) "checkouts served" 8 (Engine.checkouts shared))
+    engines;
+  let init = Engine.checkpoint target in
+  Alcotest.(check int) "image size" (Pool.image_words init) (Pool.image_words image);
+  for w = 0 to Pool.image_words init - 1 do
+    if not (Int64.equal (Pool.image_word init w) (Pool.image_word image w)) then
+      Alcotest.failf "checkpoint word %d changed: %Ld, init produced %Ld" w
+        (Pool.image_word image w) (Pool.image_word init w)
+  done
 
 let suite =
   [
@@ -234,4 +271,6 @@ let suite =
       (test_checkpoint_on_off_identical ~evict_prob:0.2 Workloads.Memcached.target 10);
     Alcotest.test_case "checkpoint on ≡ off under eADR (figure1)" `Quick
       (test_checkpoint_on_off_identical ~eadr:true Workloads.Figure1.target 4);
+    Alcotest.test_case "shared checkpoint unchanged by checkouts" `Quick
+      test_shared_checkpoint_unchanged;
   ]

@@ -89,12 +89,11 @@ let reference_verdict target cand st =
 
 let verdict = Alcotest.testable Post.pp_verdict ( = )
 
-(* Every word's value, durable value and metadata, plus the counters. *)
+(* Every word's value, durable value and metadata. *)
 let pool_state p =
   let img = Pool.crash_image p in
-  ( List.init (Pool.size p) (fun w ->
-        (Pool.peek p w, Pool.image_word img w, Pool.is_dirty p w, Pool.is_pending p w)),
-    Pool.stats p )
+  List.init (Pool.size p) (fun w ->
+      (Pool.peek p w, Pool.image_word img w, Pool.is_dirty p w, Pool.is_pending p w))
 
 let check_outcome label spec got =
   Alcotest.(check bool) (label ^ ": hung") spec.hung got.hung;
