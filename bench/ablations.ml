@@ -213,8 +213,9 @@ let engine ppf =
       List.iter f inputs;
       Obs.Clock.elapsed t0
     in
-    (* Legacy: a fresh environment and a full target initialisation per
-       campaign — what every campaign paid before in-memory checkpoints. *)
+    (* Legacy: a fresh context per campaign (a full target
+       initialisation and its checkpoint) — what every campaign paid
+       before in-memory checkpoints. *)
     let fresh = Engine.create ~use_checkpoint:false target in
     let legacy_wall = time (fun i -> ignore (Campaign.run ~engine:fresh i)) in
     (* Engine: one persistent context, reset between campaigns. *)

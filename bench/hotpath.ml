@@ -21,7 +21,10 @@
    Both sides of each pair run the identical workload — the legacy
    implementations are executable specifications living next to the
    optimised code, not emulations — so the speedup column is pure hot-path
-   delta.  Writes BENCH_hotpath.json (gitignored; CI uploads it). *)
+   delta.  Every row is the best of [reps] repetitions on fresh state:
+   host noise only ever adds time, and a single timing of one row swings
+   up to 1.8x between runs.  Writes BENCH_hotpath.json (gitignored; CI
+   uploads it). *)
 
 module Pool = Pmem.Pool
 module Cacheline = Pmem.Cacheline
@@ -29,6 +32,16 @@ module Rng = Sched.Rng
 module Scheduler = Sched.Scheduler
 
 let hr ppf = Format.fprintf ppf "%s@." (String.make 72 '-')
+
+let reps = 7
+
+(* The highest of [reps] rates, each [f ()] a run on fresh state. *)
+let best_rate f =
+  let best = ref 0. in
+  for _ = 1 to reps do
+    best := Float.max !best (f ())
+  done;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: steps/sec on yield-spinning fibers that exhaust a fixed
@@ -70,8 +83,10 @@ let self_pick_share ~fibers =
 let sched_rows () =
   List.map
     (fun fibers ->
-      let legacy = sched_steps_per_sec ~fibers (fun s -> Scheduler.run_reference s) in
-      let fast = sched_steps_per_sec ~fibers (fun s -> Scheduler.run s) in
+      let legacy =
+        best_rate (fun () -> sched_steps_per_sec ~fibers (fun s -> Scheduler.run_reference s))
+      in
+      let fast = best_rate (fun () -> sched_steps_per_sec ~fibers (fun s -> Scheduler.run s)) in
       (fibers, legacy, fast, self_pick_share ~fibers))
     [ 1; 2; 8; 32 ]
 
@@ -80,10 +95,12 @@ let sched_rows () =
    so every fence drains the same 16-word pending set — the legacy side
    still scans the whole pool per fence. *)
 
+let sfence_pending = 16
+let sfence_rounds = 3_000
+
 let sfence_fences_per_sec ~words fence =
   let p = Pool.create ~words () in
-  let pending = 16 in
-  let rounds = 3_000 in
+  let pending = sfence_pending and rounds = sfence_rounds in
   let stride = words / pending in
   let t0 = Obs.Clock.now () in
   for _ = 1 to rounds do
@@ -95,14 +112,14 @@ let sfence_fences_per_sec ~words fence =
     ignore (fence p)
   done;
   let wall = Obs.Clock.elapsed t0 in
-  (pending, rounds, float_of_int rounds /. Float.max 1e-9 wall)
+  float_of_int rounds /. Float.max 1e-9 wall
 
 let sfence_rows () =
   List.map
     (fun words ->
-      let _, _, legacy = sfence_fences_per_sec ~words Pool.sfence_scan in
-      let pending, rounds, fast = sfence_fences_per_sec ~words Pool.sfence in
-      (words, pending, rounds, legacy, fast))
+      let legacy = best_rate (fun () -> sfence_fences_per_sec ~words Pool.sfence_scan) in
+      let fast = best_rate (fun () -> sfence_fences_per_sec ~words Pool.sfence) in
+      (words, legacy, fast))
     [ 1_024; 8_192; 65_536 ]
 
 (* ------------------------------------------------------------------ *)
@@ -154,7 +171,7 @@ let clwb_pipeline_ops_per_sec () =
    512 lines of a 4k-word pool.  Measured bare (the init and recovery
    path: no listener, so no event is built) and with the fuzz worker's
    bound listener set (the delta's alias, branch and queue handlers plus
-   the seed-site recorder).  Each row is the fastest of [hook_reps]
+   the seed-site recorder).  Each row is the fastest of [reps]
    repetitions.  perfbench cannot split this layer out of a
    campaign, so this is its own number. *)
 
@@ -163,7 +180,6 @@ module Mem = Runtime.Mem
 module Tval = Runtime.Tval
 
 let hook_iters = 100_000
-let hook_reps = 7
 
 let hook_ns_per_op ~listeners op =
   let env = Env.create ~pool_words:4096 () in
@@ -186,7 +202,7 @@ let hook_ns_per_op ~listeners op =
   run 4096;
   (* Host noise only ever adds time: report the fastest repetition. *)
   let best = ref infinity in
-  for _ = 1 to hook_reps do
+  for _ = 1 to reps do
     let t0 = Obs.Clock.now () in
     run hook_iters;
     best := Float.min !best (Obs.Clock.elapsed t0)
@@ -223,14 +239,14 @@ let hook_rows () =
    word supersedes and then confirms its own pending effect while [p]
    other effects, on words never flushed, stay pending.  Each repetition
    runs on a new environment, so candidates do not pile up; the fastest of
-   [hook_reps] is reported. *)
+   [reps] is reported. *)
 
 let ck_iters = 20_000
 
 let checker_ns_per_op ~setup ~op =
   let instr = Runtime.Instr.of_int 0 in
   let best = ref infinity in
-  for _ = 1 to hook_reps do
+  for _ = 1 to reps do
     let env = Env.create ~pool_words:4096 () in
     let c0 = Env.ctx env ~tid:0 and c1 = Env.ctx env ~tid:1 in
     let arg = setup env c0 c1 instr in
@@ -304,16 +320,16 @@ let run ppf =
     sched;
   let sfence = sfence_rows () in
   List.iter
-    (fun (words, pending, _, legacy, fast) ->
+    (fun (words, legacy, fast) ->
       Format.fprintf ppf "%-34s %14.0f %14.0f %8.2fx@."
-        (Printf.sprintf "sfence (%dk words, %d pending)" (words / 1024) pending)
+        (Printf.sprintf "sfence (%dk words, %d pending)" (words / 1024) sfence_pending)
         legacy fast (speedup fast legacy))
     sfence;
-  let fold_legacy = line_fold_ops_per_sec ~legacy:true in
-  let fold_fast = line_fold_ops_per_sec ~legacy:false in
+  let fold_legacy = best_rate (fun () -> line_fold_ops_per_sec ~legacy:true) in
+  let fold_fast = best_rate (fun () -> line_fold_ops_per_sec ~legacy:false) in
   Format.fprintf ppf "%-34s %14.0f %14.0f %8.2fx@." "clwb line walk (dirty count)" fold_legacy
     fold_fast (speedup fold_fast fold_legacy);
-  let pipeline = clwb_pipeline_ops_per_sec () in
+  let pipeline = best_rate clwb_pipeline_ops_per_sec in
   Format.fprintf ppf "%-34s %14s %14.0f %9s@." "store*8+clwb+sfence pipeline" "-" pipeline "-";
   hr ppf;
   let hooks = hook_rows () in
@@ -345,6 +361,7 @@ let run ppf =
                    [
                      ("fibers", Obs.Json.Int fibers);
                      ("budget_steps", Obs.Json.Int sched_budget);
+                     ("repetitions", Obs.Json.Int reps);
                      ("legacy_steps_per_sec", Obs.Json.Float legacy);
                      ("steps_per_sec", Obs.Json.Float fast);
                      ("speedup", Obs.Json.Float (speedup fast legacy));
@@ -354,12 +371,13 @@ let run ppf =
         ( "sfence",
           Obs.Json.List
             (List.map
-               (fun (words, pending, rounds, legacy, fast) ->
+               (fun (words, legacy, fast) ->
                  Obs.Json.Obj
                    [
                      ("pool_words", Obs.Json.Int words);
-                     ("pending_words", Obs.Json.Int pending);
-                     ("rounds", Obs.Json.Int rounds);
+                     ("pending_words", Obs.Json.Int sfence_pending);
+                     ("rounds", Obs.Json.Int sfence_rounds);
+                     ("repetitions", Obs.Json.Int reps);
                      ("legacy_fences_per_sec", Obs.Json.Float legacy);
                      ("fences_per_sec", Obs.Json.Float fast);
                      ("speedup", Obs.Json.Float (speedup fast legacy));
@@ -371,6 +389,7 @@ let run ppf =
               Obs.Json.Obj
                 [
                   ("what", Obs.Json.String "line-walk dirty count (per-CLWB bookkeeping)");
+                  ("repetitions", Obs.Json.Int reps);
                   ("legacy_ops_per_sec", Obs.Json.Float fold_legacy);
                   ("ops_per_sec", Obs.Json.Float fold_fast);
                   ("speedup", Obs.Json.Float (speedup fold_fast fold_legacy));
@@ -378,6 +397,7 @@ let run ppf =
               Obs.Json.Obj
                 [
                   ("what", Obs.Json.String "store*8+clwb+sfence pipeline (absolute)");
+                  ("repetitions", Obs.Json.Int reps);
                   ("ops_per_sec", Obs.Json.Float pipeline);
                 ];
             ] );
@@ -393,7 +413,7 @@ let run ppf =
                          ("policy", Obs.Json.String "null");
                          ("listeners", Obs.Json.String listeners);
                          ("iterations", Obs.Json.Int hook_iters);
-                         ("repetitions", Obs.Json.Int hook_reps);
+                         ("repetitions", Obs.Json.Int reps);
                          ("ns_per_op", Obs.Json.Float ns);
                        ])
                    [ ("none", bare); ("worker", listened) ])
@@ -407,7 +427,7 @@ let run ppf =
                      ("op", Obs.Json.String op);
                      (what, Obs.Json.Int n);
                      ("iterations", Obs.Json.Int ck_iters);
-                     ("repetitions", Obs.Json.Int hook_reps);
+                     ("repetitions", Obs.Json.Int reps);
                      ("ns_per_op", Obs.Json.Float ns);
                    ])
                checkers) );

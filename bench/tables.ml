@@ -137,10 +137,7 @@ let count_families ~commands =
   (* Execute commands against a fresh single-threaded memcached instance,
      counting process_command invocations per family. *)
   let target = Workloads.Memcached.target in
-  let env = Runtime.Env.create ~pool_words:target.pool_words () in
-  target.init env;
-  Pmem.Pool.quiesce env.pool;
-  Runtime.Env.reset_checkers env;
+  let env = Pmrace.Engine.checkout (Pmrace.Engine.create target) in
   let ctx = Runtime.Env.ctx env ~tid:0 in
   let counts = Hashtbl.create 8 in
   List.iter

@@ -88,6 +88,4 @@ val label : inv -> string
 val inv_kind_slug : inv -> string
 (** ["order" | "commit"] — metrics label / artifact slug. *)
 
-val compare_inv : inv -> inv -> int
-val pp_inv : Format.formatter -> inv -> unit
 val pp_spec : Format.formatter -> spec -> unit

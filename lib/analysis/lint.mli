@@ -83,7 +83,6 @@ val count : t -> int
 val all_kinds : kind list
 (** Every kind, in rank order (stable across releases for reporting). *)
 
-val severity_of : kind -> severity
 val severity_rank : severity -> int
 (** [High] = 0, [Medium] = 1, [Low] = 2 — for threshold comparisons. *)
 

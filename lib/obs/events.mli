@@ -79,5 +79,4 @@ val emit : t -> payload -> unit
 (** Stamp the time and fan out to every sink.  With no sinks attached this
     is one list-head check. *)
 
-val payload_name : payload -> string
 val to_json : event -> Json.t

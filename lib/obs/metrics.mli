@@ -36,11 +36,8 @@ val gauge : ?labels:(string * string) list -> string -> gauge
 
 val histogram : ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
 (** [buckets] are upper bounds of the cumulative-style buckets (an
-    implicit [+inf] bucket is always appended); defaults to
-    {!latency_buckets}. *)
-
-val latency_buckets : float array
-(** 1ms .. 30s, roughly exponential — suits campaign/validation latencies. *)
+    implicit [+inf] bucket is always appended); defaults to 1ms .. 30s,
+    roughly exponential — suits campaign/validation latencies. *)
 
 (** {2 Recording} — single atomic-load no-ops while disabled. *)
 

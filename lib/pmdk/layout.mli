@@ -10,7 +10,6 @@ val root_words : int
 val heap_meta : int
 val log_base : int
 val log_lanes : int
-val log_words : int
 val log_entries : int
 val heap_base : int
 

@@ -14,9 +14,6 @@ val default_whitelist : string list
     allocation and recovery sites). *)
 
 val begin_ : Runtime.Env.ctx -> t
-val add_word : Runtime.Env.ctx -> t -> Runtime.Tval.t -> unit
-(** Undo-log one word (pmemobj_tx_add_range). @raise Log_full. *)
-
 val store : Runtime.Env.ctx -> t -> Runtime.Tval.t -> Runtime.Tval.t -> unit
 (** Undo-log then write; flushed at {!commit}. *)
 

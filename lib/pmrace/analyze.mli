@@ -23,13 +23,10 @@ type config = {
 val default_config : config
 (** v1-compatible: all second-generation detectors off. *)
 
-val region_of_word : int -> int
-(** Pool-region classifier per the mini-PMDK layout (header / root /
-    heap metadata / undo logs / heap), for the cross-region ordering
-    detector. *)
-
 val full_analysis : Analysis.Analyzer.config
-(** {!Analysis.Analyzer.full} with {!region_of_word} installed. *)
+(** {!Analysis.Analyzer.full} with the pool-region classifier of the
+    mini-PMDK layout (header / root / heap metadata / undo logs / heap)
+    installed, for the cross-region ordering detector. *)
 
 val full_config : config
 (** {!default_config} with {!full_analysis}. *)

@@ -12,8 +12,6 @@ val render_bugs : Format.formatter -> Fuzzer.session -> unit
     post-failure validation, as numbered reports with reproduction
     instructions. *)
 
-val pp_lint_finding : Format.formatter -> Analysis.Lint.finding -> unit
-
 val render_lint : Format.formatter -> Analysis.Lint.finding list -> unit
 (** The offline analyzer's persistency-lint findings, as numbered reports
     (used by [pmrace analyze]). *)

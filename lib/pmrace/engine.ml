@@ -1,31 +1,29 @@
 (* Persistent-mode execution engine (the throughput half of Figure 10).
 
    One engine per worker domain owns a reusable execution context that is
-   *reset*, not recreated, between campaigns:
-
-   - the pool is rewound with [Pmem.Pool.boot] to the checkpoint image —
-     O(touched words), driven by the pool's journal, instead of an O(pool)
-     image pass (let alone re-running the target's initialisation) — and
-     eADR re-armed, which [boot] turns off;
-   - the environment is rewound with [Runtime.Env.reset] — fresh checkers,
-     cleared DRAM/taint, reseeded eviction RNG — while the pre-bound
-     listener array installed once at engine creation survives;
-   - the target re-annotates, exactly as it would a fresh environment.
+   *rebooted*, not recreated, between campaigns: every checkout is
+   [Runtime.Env.boot] of the context to the checkpoint image — fresh
+   checkers, cleared DRAM/taint, reseeded eviction RNG, and the pool
+   rewound by [Pmem.Pool.boot] in O(touched words), driven by the pool's
+   journal, instead of an O(pool) image pass (let alone re-running the
+   target's initialisation).  The worker's pre-bound listener array is
+   then installed, the run settings (eviction, eADR) armed, and the
+   target re-annotates, exactly as it would a fresh environment.
 
    Every target runs this way by default.  Without a shared checkpoint
    the engine builds its context in place: the target initialises the
    engine's own pool, which then becomes the checkpoint, so an engine
    that serves a single checkout (a replay, the pre-pass) costs the
-   target's initialisation plus one image copy.  [use_checkpoint:false] keeps
-   Figure 10's reference arm: a fresh environment per checkout, the
-   target's initialisation re-run, behind the same [checkout] API.  Every
-   campaign context is built here; [Campaign.run] has no other source.
+   target's initialisation plus one image copy.  [use_checkpoint:false]
+   keeps Figure 10's reference arm: every checkout builds that same
+   context anew (a new engine per campaign) and goes through the same
+   checkout tail.  Every campaign context is built here; [Campaign.run]
+   has no other source.
 
    Determinism: the two modes are observationally identical — both
-   initialise under the checkpoint's settings (no eviction, no eADR), then
-   give the same images, fresh checkers, reseeded eviction RNG and
-   annotation pass — so seeded sessions are bit-identical whichever mode
-   runs them. *)
+   initialise under the checkpoint's settings (no eviction, no eADR),
+   then boot the checkpoint and arm, listen and annotate the same way —
+   so seeded sessions are bit-identical whichever mode runs them. *)
 
 module Env = Runtime.Env
 
@@ -46,9 +44,7 @@ type t = {
 }
 
 (* A freshly initialised, quiesced environment, built under the
-   checkpoint's settings: no eviction, no eADR, no image capture.  Both
-   modes start every campaign from this state, so neither the eviction
-   RNG nor the pool counters depend on the mode. *)
+   checkpoint's settings: no eviction, no eADR, no image capture. *)
 let init_env (target : Target.t) =
   let env = Env.create ~capture_images:false ~pool_words:target.pool_words () in
   target.init env;
@@ -58,14 +54,15 @@ let init_env (target : Target.t) =
 (* Initialise a pool once and capture the checkpoint the fast path reuses. *)
 let checkpoint target = Pmem.Pool.checkpoint (init_env target).pool
 
-(* Hand a freshly initialised or booted context the engine's run
-   settings ([Pmem.Pool.boot] turns eADR off). *)
-let arm env ~evict_prob ~eadr =
-  Pmem.Pool.set_eadr env.Env.pool eadr;
-  env.Env.evict_prob <- evict_prob
+(* The context of an engine without a shared checkpoint, which the fresh
+   arm builds at every checkout: the initialised pool is checkpointed in
+   place, and so already booted from its checkpoint. *)
+let init_context target =
+  let env = init_env target in
+  (env, Pmem.Pool.checkpoint env.pool)
 
-(* How many words each persistent-mode reset had to undo — the direct
-   measure of the O(touched) claim (compare with the pool size). *)
+(* How many words each checkout's boot had to undo — the direct measure
+   of the O(touched) claim (compare with the pool size). *)
 let m_reset_touched =
   lazy
     (Obs.Metrics.histogram
@@ -75,25 +72,19 @@ let m_reset_touched =
 let create ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||])
     ?checkpoint:shared ?(use_checkpoint = true) (target : Target.t) =
   let mode =
-    if use_checkpoint then begin
+    if not use_checkpoint then Fresh
+    else
       let env, image =
         match shared with
         | Some image ->
-            let env = Env.create ~capture_images ~pool_words:target.pool_words () in
+            let env = Env.create ~pool_words:target.pool_words () in
             (* The O(pool) first boot, once per worker: every checkout
                after it is a rewind. *)
             Pmem.Pool.boot env.pool image;
             (env, image)
-        | None ->
-            (* In place: the initialised pool is checkpointed, and so
-               already booted from its checkpoint. *)
-            let env = init_env target in
-            (env, Pmem.Pool.checkpoint env.pool)
+        | None -> init_context target
       in
-      Env.install_bound env bound;
       Persistent { image; env }
-    end
-    else Fresh
   in
   {
     target;
@@ -122,28 +113,28 @@ let por_harness t ~nthreads =
       t.por <- Some h;
       h
 
+(* The one checkout tail of both modes.  Bound listeners are installed
+   only after initialisation, so they never see init events. *)
+let boot t env image =
+  let touched = Pmem.Pool.touched_words env.Env.pool in
+  t.last_reset_touched <- touched;
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.observe (Lazy.force m_reset_touched) (float_of_int touched);
+  Env.boot ~capture_images:t.capture_images env image;
+  Env.install_bound env t.bound;
+  (* [Env.boot] turns eviction and eADR off. *)
+  Pmem.Pool.set_eadr env.pool t.eadr;
+  env.evict_prob <- t.evict_prob;
+  t.target.annotate env;
+  env
+
 let checkout t =
   t.checkouts <- t.checkouts + 1;
   match t.mode with
-  | Persistent { image; env } ->
-      let touched = Pmem.Pool.touched_words env.pool in
-      t.last_reset_touched <- touched;
-      if Obs.Metrics.enabled () then
-        Obs.Metrics.observe (Lazy.force m_reset_touched) (float_of_int touched);
-      Pmem.Pool.boot env.pool image;
-      arm env ~evict_prob:t.evict_prob ~eadr:t.eadr;
-      Env.reset ~capture_images:t.capture_images env;
-      t.target.annotate env;
-      env
+  | Persistent { image; env } -> boot t env image
   | Fresh ->
-      let env = init_env t.target in
-      arm env ~evict_prob:t.evict_prob ~eadr:t.eadr;
-      Env.reset ~capture_images:t.capture_images env;
-      t.target.annotate env;
-      (* Installed only after initialisation: bound listeners must not see
-         init events, matching persistent mode, where they never do. *)
-      Env.install_bound env t.bound;
-      env
+      let env, image = init_context t.target in
+      boot t env image
 
 let persistent t = match t.mode with Persistent _ -> true | Fresh -> false
 let checkouts t = t.checkouts

@@ -1,25 +1,27 @@
 (** Persistent-mode execution engine (the throughput half of Figure 10).
 
     One engine per worker domain owns a reusable execution context that is
-    {e reset}, not recreated, between campaigns: the pool rewinds to the
-    checkpoint image via {!Pmem.Pool.boot} (O(touched words), driven by the
-    pool's touched-word journal), the environment via
-    {!Runtime.Env.reset}, and the target re-annotates.  Pre-bound listeners are installed once at
-    engine creation instead of being rebuilt per campaign.
+    {e rebooted}, not recreated, between campaigns: every checkout is
+    {!Runtime.Env.boot} of the context to the checkpoint image (the pool
+    rewinds in O(touched words), driven by the pool's touched-word
+    journal), then the worker's pre-bound listeners are installed, the
+    run settings armed and the target re-annotates.  Pre-bound listeners
+    are built once per worker instead of being rebuilt per campaign.
 
     Every target runs in persistent mode by default.  Without a shared
     checkpoint the engine builds its context in place (one environment, the
     target's initialisation, the checkpoint taken on that same pool), so a
     single-checkout engine costs a fresh set-up plus one image copy.
-    [use_checkpoint:false] is Figure 10's reference arm: a fresh
-    environment per checkout (the target's initialisation re-run), behind
-    the same {!checkout} API.  The engine is the only way to build a
-    campaign's context: {!Campaign.run} requires one.
+    [use_checkpoint:false] is Figure 10's reference arm: every checkout
+    builds that same context anew (a new engine per campaign, the target's
+    initialisation re-run) and then takes the same checkout tail.  The
+    engine is the only way to build a campaign's context: {!Campaign.run}
+    requires one.
 
     The two modes are observationally identical (initialisation under the
-    checkpoint's settings — no eviction, no eADR — then the same images,
-    fresh checkers, reseeded eviction RNG and annotation pass), so seeded
-    sessions stay bit-identical in either mode. *)
+    checkpoint's settings — no eviction, no eADR — then the same boot,
+    arming and annotation pass), so seeded sessions stay bit-identical in
+    either mode. *)
 
 type t
 
@@ -43,17 +45,17 @@ val create :
     context's pool boots from it, once in O(pool); otherwise the target
     initialises the context's own pool (no eviction, no eADR) and that
     pool is checkpointed in place.  Every checkout boots the checkpoint
-    and then applies [evict_prob] and [eadr].  [use_checkpoint:false] selects fresh
-    mode.  [bound] is the worker's permanent listener array: installed
-    once per context, it survives resets and never observes
-    target-initialisation events. *)
+    and then applies [evict_prob] and [eadr].  [use_checkpoint:false]
+    selects fresh mode.  [bound] is the worker's pre-bound listener
+    array: installed at every checkout, after the boot, so it never
+    observes target-initialisation events. *)
 
 val checkout : t -> Runtime.Env.t
 (** An environment ready for one campaign: freshly initialised target
     state, fresh checkers, annotations applied, bound listeners installed,
     no transient listeners.  Persistent mode returns the engine's reused
-    context (reset in O(touched words)); fresh mode builds a new
-    environment.  The environment is only valid until the next
+    context (rebooted in O(touched words)); fresh mode builds a new
+    context first.  The environment is only valid until the next
     [checkout]. *)
 
 val por_harness : t -> nthreads:int -> Por.t
@@ -66,6 +68,7 @@ val checkouts : t -> int
 (** Total checkouts served. *)
 
 val last_reset_touched : t -> int
-(** Words the most recent persistent-mode reset had to undo (0 for fresh
-    mode) — the observable behind the O(touched) acceptance test.  Also
-    recorded in the [engine_reset_touched_words] histogram. *)
+(** Words the most recent checkout's boot had to undo (0 in fresh mode,
+    whose new context is already booted from its checkpoint) — the
+    observable behind the O(touched) acceptance test.  Also recorded in
+    the [engine_reset_touched_words] histogram. *)

@@ -270,7 +270,6 @@ type worker = {
   static_on : bool;
   log : string -> unit;
   obs : Obs.Events.t option; (* structured event stream, when a sink listens *)
-  m_campaigns : Obs.Metrics.counter; (* labelled per worker *)
   mutable my_campaigns : int; (* campaigns this worker completed *)
 }
 
@@ -434,7 +433,6 @@ let do_campaign w seed policy =
             (Inv_monitor.drain m));
       rescore_seed w seed;
       w.my_campaigns <- w.my_campaigns + 1;
-      Obs.Metrics.incr w.m_campaigns;
       emit w
         (Obs.Events.Campaign_end
            {
@@ -721,8 +719,6 @@ let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
     static_on;
     log;
     obs;
-    m_campaigns =
-      Obs.Metrics.counter ~labels:[ ("worker", string_of_int widx) ] "fuzz_campaigns_total";
     my_campaigns = 0;
   }
 

@@ -7,7 +7,6 @@ type strategy = Mutation | Addition | Deletion | Shuffling | Merging
 
 val strategies : strategy list
 
-val mutate_op : Rng.t -> Seed.profile -> Seed.t -> Seed.t
 val add_op : Rng.t -> Seed.profile -> Seed.t -> Seed.t
 val delete_op : Rng.t -> Seed.profile -> Seed.t -> Seed.t
 val shuffle_ops : Rng.t -> Seed.profile -> Seed.t -> Seed.t

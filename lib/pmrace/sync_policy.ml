@@ -129,7 +129,6 @@ let policy t : Env.policy =
   }
 
 let triggered t = t.signalled
-let disabled_by_hang t = t.disabled_by_hang
 let waits_executed t = t.waits_executed
 
 (* The skip to persist for future campaigns on the same seed: when the

@@ -28,7 +28,6 @@ val policy : t -> Runtime.Env.policy
 val triggered : t -> bool
 (** Whether cond_signal fired (a writer reached the entry's store). *)
 
-val disabled_by_hang : t -> bool
 val waits_executed : t -> int
 
 val next_skip : t -> previous:int -> int

@@ -142,8 +142,6 @@ let annotate_sync t ~name ~addr ~len ~init =
   if len <= 0 then invalid_arg "Checkers.annotate_sync: len must be positive";
   t.sync_vars <- { sv_name = name; sv_addr = addr; sv_len = len; sv_init = init } :: t.sync_vars
 
-let sync_vars t = t.sync_vars
-
 (* One source-code annotation may cover many words (e.g. a lock field
    instantiated per bucket); the annotation count is per distinct name, as
    the paper counts programmer effort. *)
@@ -174,7 +172,7 @@ let on_load t pool ~tid ~instr ~addr =
    [live_sources t pool taint acc] puts the live sources of [taint] in
    front of [acc], in increasing label order: the fold walks the labels
    newest first and conses.  A label this checker never issued (one that
-   outlived [Env.reset_checkers] in a DRAM value) is skipped. *)
+   outlived a [reset] in a value the program still holds) is skipped. *)
 let live_sources t pool taint acc =
   if Taint.is_empty taint then acc (* label 0: the common case, no closure *)
   else

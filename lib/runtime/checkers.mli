@@ -53,8 +53,6 @@ val candidates : t -> Candidates.t
 val annotate_sync : t -> name:string -> addr:int -> len:int -> init:int64 -> unit
 (** The [pm_sync_var_hint(size, init_val)] annotation of §5. *)
 
-val sync_vars : t -> sync_var list
-
 val annotation_count : t -> int
 (** Number of {e distinct} annotation names — one source annotation may
     cover many words (e.g. a per-bucket lock field). *)

@@ -29,11 +29,10 @@ type t = {
   on_stack : Bytes.t;
   mutable policy : policy;
   mutable listeners : (event -> unit) list;
-  (* Pre-bound listeners: installed once per worker (not rebuilt per
-     campaign) and dispatched before the transient [listeners].  They
-     survive [reset]. *)
+  (* Pre-bound listeners: one array built once per worker and installed
+     by every engine checkout (not rebuilt per campaign), dispatched
+     before the transient [listeners]. *)
   mutable bound : (event -> unit) array;
-  mutable evict_seed : int;
   mutable evict_rng : Sched.Rng.t;
   mutable evict_prob : float;
 }
@@ -48,9 +47,10 @@ let null_policy = { before = (fun _ _ -> ()); after = (fun _ _ -> ()) }
    preemption point. *)
 let preempt_policy = { before = (fun _ _ -> Sched.Scheduler.yield ()); after = (fun _ _ -> ()) }
 
-let default_evict_seed = 7
+(* Every environment's eviction RNG starts from this one seed. *)
+let eviction_seed = 7
 
-let make ~capture_images ~evict_prob ~evict_seed pool =
+let make ~capture_images pool =
   let words = Pmem.Pool.size pool in
   {
     pool;
@@ -63,20 +63,17 @@ let make ~capture_images ~evict_prob ~evict_seed pool =
     policy = null_policy;
     listeners = [];
     bound = [||];
-    evict_seed;
-    evict_rng = Sched.Rng.create evict_seed;
-    evict_prob;
+    evict_rng = Sched.Rng.create eviction_seed;
+    evict_prob = 0.;
   }
 
-let create ?(capture_images = true) ?(evict_prob = 0.) ?(evict_seed = default_evict_seed)
-    ?(eadr = false)
-    ~pool_words () =
-  make ~capture_images ~evict_prob ~evict_seed (Pmem.Pool.create ~eadr ~words:pool_words ())
+let create ?(capture_images = true) ~pool_words () =
+  make ~capture_images (Pmem.Pool.create ~words:pool_words ())
 
 (* Boot an environment from a crash image: the post-failure world.  DRAM
    state, shadow taint and checker state all start fresh. *)
 let of_image ?(capture_images = false) (image : Pmem.Pool.image) =
-  make ~capture_images ~evict_prob:0. ~evict_seed:default_evict_seed (Pmem.Pool.of_image image)
+  make ~capture_images (Pmem.Pool.of_image image)
 
 let ctx t ~tid = { env = t; tid }
 let set_policy t p = t.policy <- p
@@ -128,40 +125,19 @@ let clear_taint t =
 
 let annotate_sync t ~name ~addr ~len ~init = Checkers.annotate_sync t.checkers ~name ~addr ~len ~init
 
-(* Discard checker state accumulated so far (e.g. during pool
-   initialisation) while keeping sync-variable annotations.  Campaign
-   results must only reflect the fuzzed execution. *)
-let reset_checkers ?(capture_images = true) t =
-  let vars = Checkers.sync_vars t.checkers in
-  Checkers.reset t.checkers ~capture_images;
-  List.iter
-    (fun v ->
-      Checkers.annotate_sync t.checkers ~name:v.Checkers.sv_name ~addr:v.Checkers.sv_addr
-        ~len:v.Checkers.sv_len ~init:v.Checkers.sv_init)
-    vars;
-  clear_taint t
-
-(* Return a reused environment to its just-created state — everything a
-   fresh [create] would give, except the pool (rewound separately via
-   [Pmem.Pool.boot]) and the pre-bound listener array, which
-   is installed once per worker and deliberately survives.  Sync-variable
-   annotations do NOT survive: the caller re-annotates, exactly as it would
-   on a fresh environment. *)
-let reset ?(capture_images = true) t =
+(* [of_image] without the allocation: return a reused environment to the
+   post-failure world of a fresh [of_image image] (optionally capturing
+   crash images), rebooting the pool in place.  Engine checkouts rewind to
+   a checkpoint this way, validation to each crash image.  Sync-variable
+   annotations and pre-bound listeners do NOT survive: the caller
+   re-annotates and re-installs, exactly as on a fresh environment. *)
+let boot ?delta ?(capture_images = false) t image =
   Checkers.reset t.checkers ~capture_images;
   Dram.clear t.dram;
   clear_taint t;
   t.policy <- null_policy;
   t.listeners <- [];
-  t.evict_rng <- Sched.Rng.create t.evict_seed
-
-(* [of_image] without the allocation: the reused recovery world of
-   post-failure validation.  Everything [reset] leaves alone is put back
-   to what [of_image] gives too — no pre-bound listeners, the default
-   eviction seed, no eviction — and the pool re-boots in place. *)
-let boot ?delta t image =
-  t.evict_seed <- default_evict_seed;
-  reset ~capture_images:false t;
   t.bound <- [||];
+  t.evict_rng <- Sched.Rng.create eviction_seed;
   t.evict_prob <- 0.;
   Pmem.Pool.boot ?delta t.pool image

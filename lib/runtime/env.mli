@@ -32,13 +32,12 @@ type t = {
   mutable tainted_len : int;
   on_stack : Bytes.t;
       (** the words tainted since the last clear, each once: what
-          {!reset}, {!reset_checkers} and {!boot} untaint *)
+          {!boot} untaints *)
   mutable policy : policy;
   mutable listeners : (event -> unit) list;
   mutable bound : (event -> unit) array;
-      (** pre-bound listeners: installed once per worker, dispatched before
-          the transient [listeners], survive {!reset} *)
-  mutable evict_seed : int;
+      (** pre-bound listeners: one array per worker, installed after each
+          {!boot} and dispatched before the transient [listeners] *)
   mutable evict_rng : Sched.Rng.t;
   mutable evict_prob : float;
 }
@@ -55,43 +54,47 @@ val null_policy : policy
 val preempt_policy : policy
 (** Yield before every instrumented operation (plain random scheduling). *)
 
-val create :
-  ?capture_images:bool ->
-  ?evict_prob:float ->
-  ?evict_seed:int ->
-  ?eadr:bool ->
-  pool_words:int ->
-  unit ->
-  t
-(** Fresh environment with a zeroed pool.  [evict_prob] enables random
-    silent cache-line eviction after stores; [eadr] puts the cache
-    hierarchy in the persistent domain (§6.6). *)
+val create : ?capture_images:bool -> pool_words:int -> unit -> t
+(** Fresh environment with a zeroed pool, eviction off and eADR off.
+    [capture_images] (default true) makes the checkers capture crash
+    images.  Arm a run's settings on the record itself: set [evict_prob]
+    (and [evict_rng] for another stream) for random silent cache-line
+    eviction after stores, {!Pmem.Pool.set_eadr} on [pool] to put the
+    cache hierarchy in the persistent domain (§6.6). *)
 
 val of_image : ?capture_images:bool -> Pmem.Pool.image -> t
 (** The post-failure world: pool booted from a crash image; DRAM, taint and
     checker state start fresh.  Allocates a whole environment; it is the
-    executable specification of {!boot}, which validation uses. *)
+    executable specification of {!boot}, which engine checkouts and
+    validation use. *)
 
-val boot : ?delta:(int * int64) list -> t -> Pmem.Pool.image -> unit
+val boot :
+  ?delta:(int * int64) list -> ?capture_images:bool -> t -> Pmem.Pool.image -> unit
 (** [boot t image] re-boots a reused environment in place into a state
-    observationally identical to [of_image image] (with [delta] applied to
-    the image, see {!Pmem.Pool.boot}): emptied checkers without image
-    capture, cleared DRAM and taint, null policy, no transient or bound
-    listeners, the eviction RNG reseeded from the default seed, eviction
-    probability 0 and eADR off.  It allocates no pool. *)
+    observationally identical to [of_image ?capture_images image] (with
+    [delta] applied to the image, see {!Pmem.Pool.boot}): emptied checkers
+    ({e without} sync annotations — re-annotate as for a fresh
+    environment) that capture crash images only if [capture_images]
+    (default false), cleared DRAM and taint, null policy, no transient or
+    bound listeners, the eviction RNG reseeded from the default seed,
+    eviction probability 0 and eADR off.  It allocates no pool.
+
+    It is the environment's one rewind: an engine checkout boots its
+    checkpoint (a journal rewind, O(touched words)), post-failure
+    validation boots each crash image. *)
 
 val ctx : t -> tid:int -> ctx
 val set_policy : t -> policy -> unit
 
 val add_listener : t -> (event -> unit) -> unit
-(** Attach a transient listener (cleared by {!reset}); for per-campaign or
+(** Attach a transient listener (cleared by {!boot}); for per-campaign or
     per-trace hooks. *)
 
 val install_bound : t -> (event -> unit) array -> unit
-(** Install the permanent listener array.  Bound listeners run on every
-    event, before the transient list, and survive {!reset} — workers
-    install their coverage-delta handlers once instead of rebuilding
-    closure lists per campaign. *)
+(** Install the pre-bound listener array (cleared by {!boot}).  Bound
+    listeners run on every event, before the transient list — workers
+    build their coverage-delta handlers once and the engine installs them
+    at every checkout, instead of rebuilding closure lists per campaign. *)
 
 val listening : t -> bool
 (** Whether a bound or transient listener is installed.  The instrumented
@@ -109,17 +112,3 @@ val tainted_words : t -> int
     next clear, which is O(tainted words), not O(pool). *)
 
 val annotate_sync : t -> name:string -> addr:int -> len:int -> init:int64 -> unit
-
-val reset_checkers : ?capture_images:bool -> t -> unit
-(** Discard checker state accumulated so far (e.g. during pool
-    initialisation) while keeping sync-variable annotations. *)
-
-val reset : ?capture_images:bool -> t -> unit
-(** Return a reused environment to its just-created state: checkers
-    emptied in place ({!Checkers.reset}; {e without} sync annotations —
-    re-annotate as for a fresh env), cleared DRAM and taint shadow, null
-    policy, no transient listeners, and the eviction RNG reseeded from its
-    original seed.  The pool and the
-    pre-bound listener array are untouched: rewind the pool separately
-    with {!Pmem.Pool.boot}.  This is the persistent-mode engine's
-    per-campaign reset path. *)

@@ -36,9 +36,6 @@ val rw : int -> t
 val flush : int -> t
 (** [flush word] — records the {e cache line} of [word]. *)
 
-val flush_line : int -> t
-(** [flush_line line] — when the caller already has the line index. *)
-
 val of_point : Env.point -> t
 (** Summarise one policy point ({!Env.point}); fences carry no address. *)
 

@@ -41,8 +41,6 @@ val branch : Env.ctx -> instr:Instr.t -> unit
 val external_effect : Env.ctx -> instr:Instr.t -> Tval.t -> unit
 (** Declare a durable side effect outside PM (disk write, socket). *)
 
-val try_lock : Env.ctx -> instr:Instr.t -> Tval.t -> bool
-
 val spin_lock : ?persist_lock:bool -> Env.ctx -> instr:Instr.t -> Tval.t -> unit
 (** Acquire a PM spin lock (0 = free, 1 = held).  [persist_lock] flushes
     the lock word — the persistent-lock pattern behind PM Synchronization

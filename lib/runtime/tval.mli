@@ -33,7 +33,6 @@ val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
 val equal_v : t -> t -> bool
-val compare_v : t -> t -> int
 val is_zero : t -> bool
 val pp : Format.formatter -> t -> unit
 

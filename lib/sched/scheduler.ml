@@ -73,7 +73,6 @@ let step_fiber f =
     | Done | Crashed _ -> assert false)
 
 let steps t = t.steps
-let fiber_count t = t.count
 
 (* Per-run step accounting, recorded once at the end of [run] (not per
    step) so the scheduler loop itself stays metric-free.  [t.steps] is
@@ -81,24 +80,7 @@ let fiber_count t = t.count
    the metrics record the per-run *delta*, never the running total. *)
 let m_steps_total = lazy (Obs.Metrics.counter "sched_steps_total")
 
-let m_steps_per_run =
-  lazy
-    (Obs.Metrics.histogram
-       ~buckets:[| 50.; 200.; 1_000.; 5_000.; 20_000.; 60_000.; 200_000. |]
-       "sched_steps_per_run")
-
 let m_hung_fibers = lazy (Obs.Metrics.counter "sched_hung_fibers_total")
-
-(* Mean wall seconds per scheduling step (including the fiber's own work
-   between preemption points), sampled once every [sample_interval] steps
-   so the hot loop pays one clock read per 64 steps, not per step. *)
-let m_step_seconds =
-  lazy
-    (Obs.Metrics.histogram
-       ~buckets:[| 2e-7; 5e-7; 1e-6; 2e-6; 5e-6; 1e-5; 5e-5; 2e-4 |]
-       "sched_step_seconds")
-
-let sample_interval = 64 (* power of two: the sample test is a mask *)
 
 (* ------------------------------------------------------------------ *)
 (* Partial-order reduction hooks (sleep sets).                         *)
@@ -154,7 +136,7 @@ let no_por =
    Removal must preserve spawn order — a swap-with-last would keep the
    RNG *stream* identical (the draw bound is the same) but change which
    fiber each drawn index denotes, silently changing every interleaving.
-   Shifts cost O(runnable), but there are at most [fiber_count] of them
+   Shifts cost O(runnable), but there is at most one per fiber
    per run, so the per-step cost is O(1) amortized. *)
 type run = {
   sched : t;
@@ -179,9 +161,6 @@ type run = {
   mutable forced_wakes : int;
   hooks : por;
   on_step : (int -> unit) option;
-  steps_before : int;
-  sampling : bool;
-  sample_anchor : float array; (* one cell, so the float stays unboxed *)
   mutable cur : int;
       (* The fiber the last decision picked, which runs until its next
          [yield]; [-1] once the run is over (nothing runnable, or the
@@ -239,7 +218,6 @@ let finish t ~steps_before fibers =
   if Obs.Metrics.enabled () then begin
     let delta = t.steps - steps_before in
     Obs.Metrics.incr ~by:delta (Lazy.force m_steps_total);
-    Obs.Metrics.observe (Lazy.force m_steps_per_run) (float_of_int delta);
     Obs.Metrics.incr ~by:(List.length !hung) (Lazy.force m_hung_fibers)
   end;
   {
@@ -417,14 +395,8 @@ let sleep_wake r i fp ~alive =
         end
     done
 
-let sample r =
-  let now = Obs.Clock.now () in
-  Obs.Metrics.observe (Lazy.force m_step_seconds)
-    ((now -. r.sample_anchor.(0)) /. float_of_int sample_interval);
-  r.sample_anchor.(0) <- now
-
 (* The first half of a step's bookkeeping, once fiber [i] has stopped:
-   the sleep/wake pass, removal if it can no longer run, the sample. *)
+   the sleep/wake pass and removal if it can no longer run. *)
 let end_step r i ~alive =
   let fp = Array.unsafe_get r.hooks.step_fp 0 in
   if fp <> 0 then sleep_wake r i fp ~alive;
@@ -435,8 +407,7 @@ let end_step r i ~alive =
     Array.blit r.runnable (j + 1) r.runnable j (r.n_runnable - j - 1);
     r.n_runnable <- r.n_runnable - 1;
     r.cand_dirty <- true
-  end;
-  if r.sampling && (r.sched.steps - r.steps_before) land (sample_interval - 1) = 0 then sample r
+  end
 
 (* The second half: pick the fiber the next step runs, into [cur]. *)
 let decide r =
@@ -508,7 +479,6 @@ let run ?on_step ?por t =
           incr n_runnable
       | Done | Crashed _ -> ())
     fibers;
-  let sampling = Obs.Metrics.enabled () in
   let r =
     {
       sched = t;
@@ -525,9 +495,6 @@ let run ?on_step ?por t =
       forced_wakes = 0;
       hooks = (match por with Some p -> p | None -> no_por);
       on_step;
-      steps_before;
-      sampling;
-      sample_anchor = [| (if sampling then Obs.Clock.now () else 0.) |];
       cur = -1;
       cur_pos = 0;
       aborted = None;

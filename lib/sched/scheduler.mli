@@ -116,9 +116,9 @@ val run : ?on_step:(int -> unit) -> ?por:por -> t -> outcome
     are seed-reproducible against themselves, not against unpruned runs.
 
     Metrics (when {!Obs.Metrics.enabled}): records the per-run step
-    {e delta} into [sched_steps_total]/[sched_steps_per_run] — a reused
-    scheduler value never double-counts — and samples the mean wall time
-    per step into the [sched_step_seconds] histogram every 64th step. *)
+    {e delta} into [sched_steps_total] — a reused scheduler value never
+    double-counts.  Step time is not sampled here: readers derive it from
+    [campaign_run_seconds] / [sched_steps_total]. *)
 
 val run_reference : ?on_step:(int -> unit) -> t -> outcome
 (** The legacy scheduling loop (rebuild-and-filter the runnable list every
@@ -130,7 +130,6 @@ val run_reference : ?on_step:(int -> unit) -> t -> outcome
     production callers. *)
 
 val steps : t -> int
-val fiber_count : t -> int
 
 val completed : outcome -> bool
 (** No hung and no failed fibers. *)

@@ -6,8 +6,4 @@ val put : Runtime.Env.ctx -> int -> Runtime.Tval.t -> unit
 val get : Runtime.Env.ctx -> int -> Runtime.Tval.t option
 val delete : Runtime.Env.ctx -> int -> unit
 
-val expand : Runtime.Env.ctx -> int -> unit
-(** Segment split, or directory doubling when the segment is unshared
-    (bug 7 lives in the doubling path). *)
-
 val target : Pmrace.Target.t

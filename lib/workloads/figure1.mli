@@ -19,9 +19,6 @@ val get : Runtime.Env.ctx -> unit
 
 val target : Pmrace.Target.t
 
-val r_off : int
-(** PM word of the planted variant's recovery progress marker. *)
-
 val planted : Pmrace.Target.t
 (** ["figure1-planted"]: the opt-in ground-truth variant for the
     second-generation detectors.  Its [put] releases the lock before x is

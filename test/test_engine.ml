@@ -92,11 +92,13 @@ let inputs (target : Pmrace.Target.t) n =
       Campaign.input ~sched_seed ~policy:Campaign.Random_sched target seed)
 
 (* Dirty every layer of reusable state the engine hands out: pool words
-   (left dirty AND pending), DRAM keys, taint labels, and checker state
-   (candidates, pending effects, sync annotations). *)
+   (left dirty AND pending), DRAM keys, taint labels, checker state
+   (candidates, pending effects, sync annotations), the policy, a
+   transient listener (counting into [leaked], which must stay 0), the
+   eviction probability and the pool's eADR setting. *)
 let adversarial_key : int Dram.key = Dram.key ~name:"test-engine-adversary" ()
 
-let vandalise (env : Env.t) =
+let vandalise leaked (env : Env.t) =
   let pool = env.Env.pool in
   for w = 0 to Pool.size pool - 1 do
     Pool.store pool ~tid:9 ~instr:0 w 0xDEADBEEFL
@@ -106,7 +108,11 @@ let vandalise (env : Env.t) =
   Env.set_mem_taint env 7 (Runtime.Taint.singleton 41);
   Env.annotate_sync env ~name:"bogus-var" ~addr:3 ~len:1 ~init:77L;
   ignore
-    (Checkers.on_load env.Env.checkers pool ~tid:9 ~instr:(Runtime.Instr.of_int 0) ~addr:1)
+    (Checkers.on_load env.Env.checkers pool ~tid:9 ~instr:(Runtime.Instr.of_int 0) ~addr:1);
+  Env.set_policy env Env.preempt_policy;
+  Env.add_listener env (fun _ -> incr leaked);
+  env.Env.evict_prob <- 1.0;
+  Pool.set_eadr pool true
 
 (* Campaign B on a reused engine context must be bit-identical to the same
    campaign on a fresh environment — even when campaign A was followed by
@@ -115,6 +121,7 @@ let test_isolation (target : Pmrace.Target.t) () =
   match inputs target 3 with
   | [ a; b; c ] ->
       let engine = Engine.create ~use_checkpoint:true target in
+      let leaked = ref 0 in
       (* Reference: each campaign in its own fresh environment, built by
          the target's initialisation. *)
       let reference = Engine.create ~use_checkpoint:false target in
@@ -122,12 +129,13 @@ let test_isolation (target : Pmrace.Target.t) () =
       let ref_a = fresh a and ref_b = fresh b and ref_c = fresh c in
       let r_a = Campaign.run ~engine a in
       check_fp "campaign A (engine vs fresh)" ref_a (fingerprint r_a);
-      vandalise r_a.Campaign.env;
+      vandalise leaked r_a.Campaign.env;
       let r_b = Campaign.run ~engine b in
       check_fp "campaign B after vandalism" ref_b (fingerprint r_b);
-      vandalise r_b.Campaign.env;
+      vandalise leaked r_b.Campaign.env;
       let r_c = Campaign.run ~engine c in
       check_fp "campaign C after vandalism" ref_c (fingerprint r_c);
+      Alcotest.(check int) "vandal listeners never ran" 0 !leaked;
       Alcotest.(check int) "engine served all checkouts" 3 (Engine.checkouts engine)
   | _ -> assert false
 
@@ -223,6 +231,7 @@ let test_shared_checkpoint_unchanged () =
   let target = Workloads.Pclht.target in
   let image = Engine.checkpoint target in
   let settings = [ (0.3, false); (0., true) ] in
+  let leaked = ref 0 in
   let engines =
     List.map
       (fun (evict_prob, eadr) ->
@@ -239,12 +248,13 @@ let test_shared_checkpoint_unchanged () =
             (Printf.sprintf "campaign %d: shared checkpoint ≡ fresh" k)
             (fingerprint (Campaign.run ~engine:fresh i))
             (fingerprint r);
-          vandalise r.Campaign.env)
+          vandalise leaked r.Campaign.env)
         engines)
     (inputs target 8);
   List.iter
     (fun (shared, _) -> Alcotest.(check int) "checkouts served" 8 (Engine.checkouts shared))
     engines;
+  Alcotest.(check int) "vandal listeners never ran" 0 !leaked;
   let init = Engine.checkpoint target in
   Alcotest.(check int) "image size" (Pool.image_words init) (Pool.image_words image);
   for w = 0 to Pool.image_words init - 1 do

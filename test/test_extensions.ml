@@ -13,8 +13,13 @@ module Lint = Analysis.Lint
 
 (* --- eADR ------------------------------------------------------------ *)
 
+let eadr_env () =
+  let env = Env.create ~pool_words:256 () in
+  Pmem.Pool.set_eadr env.pool true;
+  env
+
 let test_eadr_store_durable () =
-  let env = Env.create ~eadr:true ~pool_words:256 () in
+  let env = eadr_env () in
   let ctx = Env.ctx env ~tid:0 in
   let i = Instr.site "ext:w" in
   Mem.store ctx ~instr:i (Tval.of_int 10) (Tval.of_int 42);
@@ -23,7 +28,7 @@ let test_eadr_store_durable () =
     (Pmem.Pool.image_word (Pmem.Pool.crash_image env.pool) 10)
 
 let test_eadr_no_candidates () =
-  let env = Env.create ~eadr:true ~pool_words:256 () in
+  let env = eadr_env () in
   let c0 = Env.ctx env ~tid:0 and c1 = Env.ctx env ~tid:1 in
   let i = Instr.site "ext:w" in
   Mem.store c0 ~instr:i (Tval.of_int 10) (Tval.of_int 42);
@@ -33,7 +38,7 @@ let test_eadr_no_candidates () =
     (Runtime.Candidates.dynamic_count (Runtime.Checkers.candidates env.checkers))
 
 let test_eadr_sync_events_still_fire () =
-  let env = Env.create ~eadr:true ~pool_words:256 () in
+  let env = eadr_env () in
   Env.annotate_sync env ~name:"ext:lock" ~addr:16 ~len:1 ~init:0L;
   let ctx = Env.ctx env ~tid:0 in
   Mem.store ctx ~instr:(Instr.site "ext:lock") (Tval.of_int 16) Tval.one;
@@ -169,10 +174,7 @@ let test_new_commands_parse () =
 
 let test_new_commands_execute () =
   let target = Workloads.Memcached.target in
-  let env = Env.create ~pool_words:target.pool_words () in
-  target.init env;
-  Pmem.Pool.quiesce env.pool;
-  Env.reset_checkers env;
+  let env = Pmrace.Engine.checkout (Pmrace.Engine.create target) in
   let ctx = Env.ctx env ~tid:0 in
   let run s = ignore (Workloads.Memcached.process_command ctx s) in
   run "set k1 0 0 3\r\nabc\r\n";

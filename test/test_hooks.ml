@@ -174,14 +174,12 @@ let test_taint_resets () =
     Alcotest.(check int) (label ^ ": stack empty") 0 (Env.tainted_words env)
   in
   let env = Env.create ~pool_words () in
+  let image = Pool.crash_image env.Env.pool in
   taint_some env words;
-  Env.reset env;
-  check_cleared "reset" env;
+  Env.boot ~capture_images:true env image;
+  check_cleared "boot (capturing images)" env;
   taint_some env words;
-  Env.reset_checkers env;
-  check_cleared "reset_checkers" env;
-  taint_some env words;
-  Env.boot env (Pool.crash_image env.Env.pool);
+  Env.boot env image;
   check_cleared "boot" env;
   (* Taint that flows through the hooks lands on the same stack. *)
   let t0 = Env.ctx env ~tid:0 and t1 = Env.ctx env ~tid:1 in
@@ -191,8 +189,8 @@ let test_taint_resets () =
   Alcotest.(check bool) "dirty read is tainted" true (Tval.is_tainted v);
   Mem.store t1 ~instr:i (Tval.of_int 41) v;
   Alcotest.(check int) "propagated taint: one word" 1 (Env.tainted_words env);
-  Env.reset env;
-  check_cleared "reset after hooks" env
+  Env.boot env image;
+  check_cleared "boot after hooks" env
 
 (* ------------------------------------------------------------------ *)
 (* (c) Array-backed listeners ≡ hash-table reference models.           *)
@@ -550,8 +548,8 @@ type ck_op =
 
 (* Streams over a 64-word pool with three threads; a tainted register may
    also feed a store's address (address flow).  Labels survive a reset in
-   the registers and the shadow, as they do in DRAM across
-   [Env.reset_checkers]. *)
+   the registers and the shadow, as they would in any value a program
+   still holds across a checker reset. *)
 let gen_ck_ops =
   let open QCheck.Gen in
   let nsites = Instr.count () in

@@ -145,18 +145,8 @@ let test_metrics_record_per_run_delta () =
   let o2 = Scheduler.run s in
   Alcotest.(check int) "outcome.steps stays cumulative" o1.steps o2.steps;
   Alcotest.(check int) "re-run adds only the delta (0)" o1.steps (steps_total ());
-  (* A POR run samples step time like any other: 130 steps give two
-     samples. *)
-  let step_samples () =
-    List.fold_left
-      (fun acc (r : Obs.Metrics.reading) ->
-        match r.r_value with
-        | Obs.Metrics.Histogram { count; _ } when String.equal r.r_name "sched_step_seconds" ->
-            acc + count
-        | _ -> acc)
-      0 (Obs.Metrics.snapshot ())
-  in
-  let before = step_samples () in
+  (* A POR run records its per-run delta like any other. *)
+  let before = steps_total () in
   let s = Scheduler.create ~rng:(Rng.create 7) () in
   let por =
     {
@@ -178,7 +168,7 @@ let test_metrics_record_per_run_delta () =
   done;
   let o = Scheduler.run ~por s in
   Alcotest.(check int) "POR run took every step" 130 o.steps;
-  Alcotest.(check int) "POR run samples step time" (before + 2) (step_samples ())
+  Alcotest.(check int) "POR run records its steps" (before + 130) (steps_total ())
 
 (* Satellite (PR 5): the index-based pick of [run] must consume the exact
    RNG sequence of the legacy list-based [Rng.pick] loop over the same

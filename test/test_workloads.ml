@@ -7,13 +7,7 @@ module Mem = Runtime.Mem
 module Tval = Runtime.Tval
 module Seed = Pmrace.Seed
 
-let fresh (target : Pmrace.Target.t) =
-  let env = Env.create ~pool_words:target.pool_words () in
-  target.init env;
-  Pmem.Pool.quiesce env.pool;
-  Env.reset_checkers env;
-  target.annotate env;
-  env
+let fresh (target : Pmrace.Target.t) = Pmrace.Engine.checkout (Pmrace.Engine.create target)
 
 (* Every target executes any well-formed op sequence single-threaded
    without raising, and recovers cleanly from a quiesced image. *)
