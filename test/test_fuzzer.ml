@@ -77,6 +77,38 @@ let test_ablations_run () =
       ("no-IE+no-SE", false, false, "dd4901c8f59b68ac");
     ]
 
+(* The same fingerprint for sessions with the static pre-pass and mined
+   invariants on: the pre-pass re-scores seeds at every campaign boundary,
+   so the per-campaign seed fingerprints pin the priorities that drive
+   parent selection, and every invariant finding enters with its first
+   campaign and verdict. *)
+let static_inv_golden (s : Fuzzer.session) =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (session_golden s);
+  List.iter
+    (fun f ->
+      Printf.bprintf b "inv %s %s %d %s\n" (Report.site f) (Report.read_site f) f.Report.found_at
+        (match f.Report.verdict with
+        | Some v -> Pmrace.Post_failure.verdict_slug v
+        | None -> "pending"))
+    (Report.invariant_findings s.report);
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+let static_inv_session target ~campaigns ~seed =
+  Fuzzer.run target
+    (Fuzzer.Config.make ~max_campaigns:campaigns ~master_seed:seed ~static_prepass:true
+       ~invariants:true ())
+
+let test_static_inv_golden_figure1 () =
+  let s = static_inv_session Workloads.Figure1.target ~campaigns:60 ~seed:3 in
+  Alcotest.(check int) "campaigns" 60 s.campaigns_run;
+  Alcotest.(check string) "session golden" "c0d97b2290bcf746" (static_inv_golden s)
+
+let test_static_inv_golden_pclht () =
+  let s = static_inv_session Workloads.Pclht.target ~campaigns:150 ~seed:5 in
+  Alcotest.(check int) "campaigns" 150 s.campaigns_run;
+  Alcotest.(check string) "session golden" "20433f51ff82a1db" (static_inv_golden s)
+
 let test_validate_flag () =
   let s = Fuzzer.run Workloads.Figure1.target { (cfg 30) with validate = false } in
   let _, _, _, pending = Report.verdict_summary s.report Runtime.Candidates.Inter in
@@ -108,6 +140,9 @@ let suite =
     Alcotest.test_case "timeline monotonic" `Quick test_timeline_monotonic;
     Alcotest.test_case "all modes run" `Quick test_modes_run;
     Alcotest.test_case "ablations run" `Quick test_ablations_run;
+    Alcotest.test_case "static + invariants golden (figure1)" `Quick
+      test_static_inv_golden_figure1;
+    Alcotest.test_case "static + invariants golden (p-clht)" `Slow test_static_inv_golden_pclht;
     Alcotest.test_case "validate flag" `Quick test_validate_flag;
     Alcotest.test_case "annotations counted" `Quick test_annotations_counted;
     Alcotest.test_case "without checkpoint" `Quick test_without_checkpoint;
