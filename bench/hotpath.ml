@@ -45,9 +45,14 @@ let best_rate f =
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: steps/sec on yield-spinning fibers that exhaust a fixed
-   budget, so both loops take exactly [budget] scheduling decisions. *)
+   budget, so both loops take exactly [budget] scheduling decisions.  At
+   60k steps a repetition lasted about 1 ms and a slow phase of the host
+   outlasted all seven; 3M steps make each one tens of milliseconds.  On
+   a shared 2-vCPU container the 8- and 32-fiber rows then agree within
+   7% across runs of one binary, while the one-fiber row still reads
+   42-69 M steps/s. *)
 
-let sched_budget = 60_000
+let sched_budget = 3_000_000
 
 let spinners ~fibers =
   let s = Scheduler.create ~step_budget:sched_budget ~rng:(Rng.create 11) () in

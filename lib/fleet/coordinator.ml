@@ -125,6 +125,15 @@ let serve ?(on_ready = fun () -> ()) cfg =
                client that skips the handshake gets nothing. *)
             reply c (Wire.Err "hello required before any other message");
             drop c
+        | Wire.Lease_req { campaigns; seeds } when campaigns < 1 || seeds < 0 ->
+            (* A negative grant would lower [outstanding ()] and so raise
+               what every other client may lease; a negative seed count
+               would lease the whole corpus. *)
+            reply c
+              (Wire.Err
+                 (Printf.sprintf "lease request out of range: %d campaigns, %d seeds" campaigns
+                    seeds));
+            drop c
         | Wire.Lease_req { campaigns; seeds } ->
             let avail = Store.budget_remaining store - outstanding () in
             if avail <= 0 then

@@ -91,9 +91,6 @@ let run ?obs wcfg target =
           let local_done = ref 0 in
           let drained = ref false in
           let dead = ref false in
-          (* campaign index -> the seed it ran, so commit can attribute
-             new alias pairs to a corpus entry for the coordinator. *)
-          let camp_seed : (int, Seed.t) Hashtbl.t = Hashtbl.create 64 in
           let contributed : (int64, Seed.t * (string * string) list ref) Hashtbl.t =
             Hashtbl.create 16
           in
@@ -173,36 +170,30 @@ let run ?obs wcfg target =
                     if !drained || !lease_rem = 0 then None
                     else begin
                       decr lease_rem;
-                      match Hub.reserve hub prov with
-                      | None -> None
-                      | Some c ->
-                          Hashtbl.replace camp_seed c prov.Hub.p_seed;
-                          Some c
+                      Hub.reserve hub prov
                     end
                   end);
-              (* POR trace dedup stays shard-local: [?trace] lands in the
-                 local hub's commit, which already dedups this worker's
-                 campaigns; a cross-shard dup only costs one redundant
-                 validation. *)
+              (* POR trace dedup stays shard-local: the local hub's commit
+                 dedups this worker's campaigns; a cross-shard dup only
+                 costs one redundant validation.  New alias pairs are
+                 credited to the campaign's seed for the coordinator. *)
               sk_commit =
-                (fun ?trace ~campaign ~delta env ~hung ~hang_info ->
-                  let c = Hub.commit hub ?trace ~campaign ~delta env ~hung ~hang_info in
+                (fun ~campaign ~seed ~delta ?sites ~invariants result ->
+                  let c = Hub.commit hub ~campaign ~seed ~delta ?sites ~invariants result in
                   (match Hub.merge_delta_into ~src:delta ~dst:wire with
                   | Ok () -> ()
                   | Error e -> raise (Fail e));
                   incr unshipped;
                   incr local_done;
-                  (match (Hashtbl.find_opt camp_seed campaign, c.Hub.c_new_pairs) with
-                  | Some seed, (_ :: _ as pairs) ->
-                      let named =
-                        List.map (fun (wr, rd) -> (site_name wr, site_name rd)) pairs
-                      in
-                      let fp = Seed.fingerprint seed in
-                      (match Hashtbl.find_opt contributed fp with
-                      | Some (_, acc) -> acc := named @ !acc
-                      | None -> Hashtbl.replace contributed fp (seed, ref named))
-                  | _ -> ());
-                  Hashtbl.remove camp_seed campaign;
+                  if c.Hub.c_new_pairs <> [] then begin
+                    let named =
+                      List.map (fun (wr, rd) -> (site_name wr, site_name rd)) c.Hub.c_new_pairs
+                    in
+                    let fp = Seed.fingerprint seed in
+                    match Hashtbl.find_opt contributed fp with
+                    | Some (_, acc) -> acc := named @ !acc
+                    | None -> Hashtbl.replace contributed fp (seed, ref named)
+                  end;
                   c);
             }
           in

@@ -327,7 +327,7 @@ let of_session ~(target : Target.t) ~cfg (s : Fuzzer.session) =
           pr_policy = p.p_policy;
           pr_seed = p.p_seed;
           pr_spec = p.p_spec;
-          pr_trace = Hashtbl.find_opt s.trace_hashes campaign;
+          pr_trace = p.p_trace;
         }
         :: acc)
       s.provenance []

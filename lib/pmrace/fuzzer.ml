@@ -18,7 +18,8 @@
    lives in a {!Hub}; each worker owns everything else — its RNGs, its
    corpus and generation counter, and its campaign scratch tables — so a
    campaign executes without synchronisation and workers only meet at the
-   hub's two short critical sections (reserve and commit).  With
+   hub's two short critical sections per campaign (reserve and commit)
+   and at the interleaving tier's queue reads.  With
    [workers = 1] the single worker follows exactly the sequential
    fuzzer's code path and RNG streams, so seeded paper-profile sessions
    stay bit-identical. *)
@@ -179,6 +180,7 @@ type provenance = Hub.provenance = {
   p_sched_seed : int;
   p_policy : string;
   p_spec : Campaign.policy_spec;
+  p_trace : int64 option;
 }
 
 type timeline_point = Hub.timeline_point = {
@@ -203,29 +205,26 @@ type session = {
   static : Analysis.Analyzer.result option; (* the pre-pass, when enabled *)
   worker_campaigns : int array; (* campaigns completed per worker (index = widx) *)
   por : Hub.por_totals option; (* aggregate pruning counters, POR sessions only *)
-  trace_hashes : (int, int64) Hashtbl.t; (* campaign index -> canonical trace hash *)
 }
 
 (* The worker's budget and commit path, as a record of functions.  The
    in-process pool binds it to a {!Hub} ([hub_sink] — pure indirection, so
    [workers = 1] sessions stay bit-identical to the sequential fuzzer);
    fleet workers bind it to a wrapper that enforces the coordinator's
-   lease budget and accumulates a wire delta.  Every other shared-side
-   read or write goes to the set-up's hub directly. *)
+   lease budget and accumulates a wire delta.  Everything a campaign adds
+   to the session enters through [sk_commit]; the worker only reads the
+   queue and the progress count on the set-up's hub directly. *)
 type sink = {
   sk_budget_left : unit -> bool;
   sk_reserve : Hub.provenance -> int option;
   sk_commit :
-    ?trace:Hub.trace ->
     campaign:int ->
+    seed:Seed.t ->
     delta:Hub.delta ->
-    Runtime.Env.t ->
-    hung:bool ->
-    hang_info:string ->
+    ?sites:Site_set.t ->
+    invariants:Inv_monitor.hit list ->
+    Campaign.result ->
     Hub.commit_result;
-      (* [trace] registers a POR campaign's trace class in the same
-         critical section as the merge — one lock acquisition per
-         campaign boundary *)
 }
 
 (* The in-process binding: forward every operation to the hub verbatim. *)
@@ -246,7 +245,7 @@ type worker = {
   cfg : config;
   target : Target.t;
   sink : sink;
-  hub : Hub.t; (* the set-up's hub: queue, invariants, seed scores *)
+  hub : Hub.t; (* the set-up's hub: queue reads and the progress count *)
   sched_rng : Rng.t;
   gen_rng : Rng.t;
   mutable corpus : Seed.t list;
@@ -324,22 +323,21 @@ let sites_of w seed =
       Hashtbl.add w.seed_sites (Seed.id seed) s;
       s
 
-let rescore_seed w seed =
-  if w.static_on then
-    let sites =
-      Option.value ~default:(Site_set.create ()) (Hashtbl.find_opt w.seed_sites (Seed.id seed))
-    in
-    Hub.rescore_seed w.hub ~sites seed
-
 (* Run one campaign: reserve a budget slot, execute against a private
-   delta (lock-free), commit at the boundary, then validate any new
-   findings outside the hub lock.  Returns [None] when the shared budget
-   ran out before this campaign could start. *)
+   delta (lock-free), commit the result at the boundary, then validate any
+   new findings outside the hub lock.  Returns [None] when the shared
+   budget ran out before this campaign could start. *)
 let do_campaign w seed policy =
   let sched_seed = Rng.int w.sched_rng 1_000_000_000 in
   match
     w.sink.sk_reserve
-      { p_seed = seed; p_sched_seed = sched_seed; p_policy = policy_label policy; p_spec = policy }
+      {
+        p_seed = seed;
+        p_sched_seed = sched_seed;
+        p_policy = policy_label policy;
+        p_spec = policy;
+        p_trace = None;
+      }
   with
   | None -> None
   | Some campaign ->
@@ -367,30 +365,15 @@ let do_campaign w seed policy =
         | None -> Campaign.run ~engine:w.engine input
         | Some m -> Campaign.run ~engine:w.engine ~listeners:[ Inv_monitor.attach m ] input
       in
-      (* POR trace dedup: register the campaign's canonical trace class
-         with the commit itself (same critical section as the merge) and
-         spend post-failure validation only on its first sighting — a
-         schedule Mazurkiewicz-equivalent to an already-validated one
-         cannot produce a finding its representative didn't.  The key is
-         salted with the seed fingerprint so a cross-seed hash collision
-         never suppresses validation of a genuinely new finding.
-         Coverage and candidate counts are untouched by the skip. *)
-      let trace =
-        match result.Campaign.por with
-        | None -> None
-        | Some ps ->
-            Some
-              {
-                Hub.tr_key = Int64.logxor ps.Por.s_trace_hash (Seed.fingerprint seed);
-                tr_hash = ps.Por.s_trace_hash;
-                tr_pruned = ps.Por.s_pruned_picks;
-                tr_forced = ps.Por.s_forced_wakes;
-              }
-      in
-      let c =
-        w.sink.sk_commit ?trace ~campaign ~delta:w.delta result.env ~hung:result.hung
-          ~hang_info:(Campaign.hang_info result)
-      in
+      (* One commit carries everything the campaign adds to the session:
+         coverage, findings, the drained invariant hits, the POR trace
+         class (validation is spent only on a (trace, seed) class's first
+         sighting — a Mazurkiewicz-equivalent schedule cannot produce a
+         finding its representative didn't) and, with the static
+         pre-pass, the seed's re-score against the sites it touched. *)
+      let invariants = match w.inv_mon with None -> [] | Some m -> Inv_monitor.drain m in
+      let sites = if w.static_on then Some !(w.cur_sites) else None in
+      let c = w.sink.sk_commit ~campaign ~seed ~delta:w.delta ?sites ~invariants result in
       (* Corpus scheduling: credit this seed with the alias pairs its
          campaign was first to achieve — the currency [Corpus_sched.cull]
          scores by. *)
@@ -417,21 +400,13 @@ let do_campaign w seed policy =
         List.iter (emit_found w ~campaign) c.c_new
       end;
       if w.cfg.validate && c.Hub.c_first_trace then List.iter (validate_finding w ~campaign) c.c_new;
-      (* Invariant-violation hits: register first sightings with the hub
-         (dedup by label across workers) and validate them like any other
-         candidate, outside the lock — whatever the campaign's trace. *)
-      (match w.inv_mon with
-      | None -> ()
-      | Some m ->
-          List.iter
-            (fun hit ->
-              match Hub.record_invariant w.hub ~campaign hit with
-              | None -> ()
-              | Some f ->
-                  emit_found w ~campaign f;
-                  if w.cfg.validate then validate_finding w ~campaign f)
-            (Inv_monitor.drain m));
-      rescore_seed w seed;
+      (* Invariant first sightings are validated like any other candidate
+         — whatever the campaign's trace. *)
+      List.iter
+        (fun f ->
+          emit_found w ~campaign f;
+          if w.cfg.validate then validate_finding w ~campaign f)
+        c.c_new_invariants;
       w.my_campaigns <- w.my_campaigns + 1;
       emit w
         (Obs.Events.Campaign_end
@@ -755,7 +730,6 @@ let assemble_session ~worker_campaigns setup =
     static = setup.s_prepass;
     worker_campaigns;
     por = Hub.por_totals hub;
-    trace_hashes = Hub.trace_hashes hub;
   }
 
 let run ?(log = fun _ -> ()) ?obs target cfg =

@@ -123,6 +123,8 @@ type provenance = Hub.provenance = {
   p_spec : Campaign.policy_spec;
       (** the policy itself, serialisable — [pmrace replay] rebuilds the
           campaign input from it *)
+  p_trace : int64 option;
+      (** canonical Mazurkiewicz-trace hash (POR campaigns only) *)
 }
 (** The exact inputs that replay one campaign. *)
 
@@ -152,9 +154,6 @@ type session = {
   por : Hub.por_totals option;
       (** aggregate pruning/trace-dedup counters; [None] unless the
           session ran with [config.por] *)
-  trace_hashes : (int, int64) Hashtbl.t;
-      (** campaign index -> canonical Mazurkiewicz-trace hash (POR
-          campaigns only) *)
 }
 
 val run : ?log:(string -> unit) -> ?obs:Obs.Events.t -> Target.t -> config -> session
@@ -170,26 +169,27 @@ val run : ?log:(string -> unit) -> ?obs:Obs.Events.t -> Target.t -> config -> se
     {!Hub} (pure indirection — [run] with [workers = 1] makes exactly the
     sequential fuzzer's calls), and fleet workers ({!Fleet.Worker}) bind
     it to a wrapper that enforces the coordinator's lease budget and
-    accumulates a wire delta.  The worker reads the priority queue,
-    registers invariant hits, rescores seeds and reads the progress count
-    on the set-up's hub directly. *)
+    accumulates a wire delta.  Everything a campaign adds to the session
+    (coverage, findings, invariant hits, its POR trace, the seed's static
+    re-score) goes through [sk_commit]; besides the sink the worker only
+    reads the priority queue and the progress count on the set-up's hub. *)
 
 type sink = {
   sk_budget_left : unit -> bool;  (** advisory loop-condition check *)
   sk_reserve : Hub.provenance -> int option;
       (** claim the next campaign slot; [None] = wind down *)
   sk_commit :
-    ?trace:Hub.trace ->
     campaign:int ->
+    seed:Seed.t ->
     delta:Hub.delta ->
-    Runtime.Env.t ->
-    hung:bool ->
-    hang_info:string ->
+    ?sites:Site_set.t ->
+    invariants:Inv_monitor.hit list ->
+    Campaign.result ->
     Hub.commit_result;
-      (** [trace] carries a POR campaign's Mazurkiewicz-trace class into
-          the commit critical section — dedup costs no extra lock
-          traffic, and [c_first_trace] in the result gates post-failure
-          validation *)
+      (** {!Hub.commit}'s signature: the campaign's seed, delta, touched
+          sites (static pre-pass only), drained invariant hits and result
+          enter in one critical section; [c_first_trace] in the result
+          gates post-failure validation *)
 }
 
 type worker

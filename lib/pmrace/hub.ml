@@ -13,8 +13,13 @@
    - [reserve]s a campaign slot (one short critical section),
    - runs the campaign against a private [delta] (fresh per-campaign
      coverage/queue structures, no locks),
-   - [commit]s the delta at the campaign boundary (the second critical
-     section: merge coverage, absorb findings, extend the timeline).
+   - [commit]s the campaign's result at the boundary (the second critical
+     section, and the only way a campaign's results enter the hub: merge
+     coverage, absorb findings and invariant hits, register the POR
+     trace, extend the timeline, re-score the seed).
+
+   Besides these two, workers lock the hub only to read the priority
+   queue ([queue_entries]).
 
    Because every merge is a set-union/counter-add and the report
    deduplicates by bug identity, the final hub state for a given set of
@@ -27,6 +32,7 @@ type provenance = {
   p_sched_seed : int;
   p_policy : string; (* human-readable label for reports *)
   p_spec : Campaign.policy_spec; (* the machine-replayable policy itself *)
+  p_trace : int64 option; (* POR campaigns: the raw trace hash, set by [commit] *)
 }
 
 type timeline_point = {
@@ -98,9 +104,9 @@ type t = {
   (* POR bookkeeping (all under [lock]).  [trace_seen] is keyed by the
      campaign's canonical trace hash XOR the seed fingerprint — without
      the seed salt, a hash collision across *different* seeds would
-     silently suppress validation of a genuinely new finding. *)
+     silently suppress validation of a genuinely new finding.  The raw
+     hash goes into the campaign's provenance. *)
   trace_seen : (int64, unit) Hashtbl.t;
-  trace_hashes : (int, int64) Hashtbl.t; (* campaign index -> raw trace hash *)
   mutable por_campaigns : int;
   mutable por_pruned : int;
   mutable por_forced_wakes : int;
@@ -127,7 +133,6 @@ let create ?static ~max_campaigns () =
     timeline = [];
     started = now ();
     trace_seen = Hashtbl.create 256;
-    trace_hashes = Hashtbl.create 256;
     por_campaigns = 0;
     por_pruned = 0;
     por_forced_wakes = 0;
@@ -223,16 +228,10 @@ let delta_codec =
 let delta_to_json = Obs.Codec.encode delta_codec
 let delta_of_json = Obs.Codec.decode delta_codec
 
-type trace = {
-  tr_key : int64; (* trace hash salted with the seed fingerprint *)
-  tr_hash : int64; (* raw trace hash, kept per campaign for provenance *)
-  tr_pruned : int;
-  tr_forced : int;
-}
-
 type commit_result = {
   c_improved : bool; (* the merge contributed new coverage bits *)
   c_new : Report.finding list; (* first sightings: inconsistencies, then sync *)
+  c_new_invariants : Report.finding list; (* first sightings of invariant labels *)
   c_new_pairs : (int * int) list; (* newly achieved (write, read) site pairs *)
   c_alias_bits : int; (* shared coverage after this merge *)
   c_branch_bits : int;
@@ -244,30 +243,46 @@ type commit_result = {
    phase of the campaign timing split: setup / run / hub merge. *)
 let m_merge = lazy (Obs.Metrics.histogram "hub_merge_seconds")
 
-let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
+(* Static pre-pass score: the still-uncovered statically-possible pairs
+   whose write and read sites the seed has reached ([sites] is the owning
+   worker's private map of sites this seed touched). *)
+let static_score pairs sites =
+  List.fold_left
+    (fun n (p : Analysis.Alias_pairs.pair) ->
+      if
+        Site_set.mem sites (Runtime.Instr.to_int p.pw)
+        && Site_set.mem sites (Runtime.Instr.to_int p.pr)
+      then n + 1
+      else n)
+    0
+    (Analysis.Alias_pairs.uncovered pairs)
+
+let commit t ~campaign ~seed ~delta ?sites ~invariants (result : Campaign.result) =
   with_lock t (fun () ->
       Obs.Metrics.time (Lazy.force m_merge) @@ fun () ->
-      (* POR trace accounting rides the commit critical section: one lock
-         acquisition per campaign boundary, not two.  [c_first_trace]
-         decides (outside the lock) whether the worker spends
-         post-failure validation — a duplicate trace cannot produce a
-         finding its first representative didn't.  The key is salted
-         with the seed fingerprint upstream, so a cross-seed hash
+      (* POR trace accounting.  [c_first_trace] decides (outside the lock)
+         whether the worker spends post-failure validation — a duplicate
+         trace cannot produce a finding its first representative didn't.
+         The key is salted with the seed fingerprint, so a cross-seed hash
          collision never suppresses validation of a new finding. *)
       let c_first_trace =
-        match trace with
+        match result.por with
         | None -> true
-        | Some tr ->
-            Hashtbl.replace t.trace_hashes campaign tr.tr_hash;
+        | Some ps ->
+            (match Hashtbl.find_opt t.provenance campaign with
+            | Some p ->
+                Hashtbl.replace t.provenance campaign { p with p_trace = Some ps.Por.s_trace_hash }
+            | None -> ());
             t.por_campaigns <- t.por_campaigns + 1;
-            t.por_pruned <- t.por_pruned + tr.tr_pruned;
-            t.por_forced_wakes <- t.por_forced_wakes + tr.tr_forced;
-            if Hashtbl.mem t.trace_seen tr.tr_key then begin
+            t.por_pruned <- t.por_pruned + ps.Por.s_pruned_picks;
+            t.por_forced_wakes <- t.por_forced_wakes + ps.Por.s_forced_wakes;
+            let key = Int64.logxor ps.Por.s_trace_hash (Seed.fingerprint seed) in
+            if Hashtbl.mem t.trace_seen key then begin
               t.por_dup_traces <- t.por_dup_traces + 1;
               false
             end
             else begin
-              Hashtbl.replace t.trace_seen tr.tr_key ();
+              Hashtbl.replace t.trace_seen key ();
               true
             end
       in
@@ -278,7 +293,15 @@ let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
       Alias_cov.merge_into ~src:delta.d_alias t.alias;
       Branch_cov.merge_into ~src:delta.d_branch t.branch;
       Shared_queue.merge_into ~src:delta.d_queue t.queue;
-      let c_new = Report.absorb ~campaign t.report env ~hung ~hang_info in
+      let c_new =
+        Report.absorb ~campaign t.report result.env ~hung:result.hung
+          ~hang_info:(Campaign.hang_info result)
+      in
+      (* Invariant hits dedup by label across workers; the discovering
+         worker validates the first sightings outside the lock. *)
+      let c_new_invariants =
+        List.filter_map (Report.record_invariant ~campaign t.report) invariants
+      in
       t.completed <- t.completed + 1;
       let c_alias_bits = Alias_cov.count t.alias and c_branch_bits = Branch_cov.count t.branch in
       t.timeline <-
@@ -291,10 +314,23 @@ let commit t ?trace ~campaign ~delta (env : Runtime.Env.t) ~hung ~hang_info =
           tp_new_inter = List.exists (fun f -> Report.kind f = `Inter) c_new;
         }
         :: t.timeline;
+      (* Static pre-pass: every pair the shared map gains is marked
+         achieved as it arrives, so the seed's re-score against the
+         uncovered pairs sees all coverage committed so far. *)
+      (match t.static with
+      | None -> ()
+      | Some pairs ->
+          List.iter
+            (fun (w, r) ->
+              Analysis.Alias_pairs.mark_achieved pairs ~write:(Runtime.Instr.of_int w)
+                ~read:(Runtime.Instr.of_int r))
+            c_new_pairs;
+          Option.iter (fun sites -> Seed.set_priority seed (static_score pairs sites)) sites);
       let after = c_alias_bits + c_branch_bits in
       {
         c_improved = after > before;
         c_new;
+        c_new_invariants;
         c_new_pairs;
         c_alias_bits;
         c_branch_bits;
@@ -313,43 +349,7 @@ let por_totals t =
         pt_dup_traces = t.por_dup_traces;
       }
 
-let trace_hashes t = t.trace_hashes
-
-(* First sighting of an invariant violation across all workers; the
-   returned finding (if new) is validated by the discovering worker
-   outside the lock, like dynamic findings. *)
-let record_invariant t ~campaign hit =
-  with_lock t (fun () -> Report.record_invariant ~campaign t.report hit)
-
 let queue_entries t = with_lock t (fun () -> Shared_queue.entries t.queue)
-
-(* Re-score a seed against the static pre-pass: first refresh the
-   achieved-pair marks from shared alias coverage, then count the
-   still-uncovered statically-possible pairs whose write and read sites
-   the seed has reached ([sites] is the owning worker's private map of
-   sites this seed touched). *)
-let rescore_seed t ~sites seed =
-  match t.static with
-  | None -> ()
-  | Some pairs ->
-      with_lock t (fun () ->
-          List.iter
-            (fun (w, r) ->
-              Analysis.Alias_pairs.mark_achieved pairs ~write:(Runtime.Instr.of_int w)
-                ~read:(Runtime.Instr.of_int r))
-            (Alias_cov.site_pairs t.alias);
-          let score =
-            List.fold_left
-              (fun n (p : Analysis.Alias_pairs.pair) ->
-                if
-                  Site_set.mem sites (Runtime.Instr.to_int p.Analysis.Alias_pairs.pw)
-                  && Site_set.mem sites (Runtime.Instr.to_int p.Analysis.Alias_pairs.pr)
-                then n + 1
-                else n)
-              0
-              (Analysis.Alias_pairs.uncovered pairs)
-          in
-          Seed.set_priority seed score)
 
 let completed t = t.completed
 let elapsed t = now () -. t.started

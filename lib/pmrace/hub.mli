@@ -8,7 +8,8 @@
 
     The protocol keeps campaign execution lock-free: workers {!reserve} a
     budget slot, run the campaign against a private {!delta}, and
-    {!commit} the delta at the campaign boundary.  Merges are set unions
+    {!commit} its result at the campaign boundary — the one way a
+    campaign's results enter the hub.  Merges are set unions
     and counter additions and the report deduplicates by bug identity, so
     the resulting unique-bug set is independent of commit interleaving,
     and one worker reproduces the sequential fuzzer bit for bit. *)
@@ -20,6 +21,9 @@ type provenance = {
   p_spec : Campaign.policy_spec;
       (** the policy itself, serialisable — [pmrace replay] rebuilds the
           campaign input from it *)
+  p_trace : int64 option;
+      (** the campaign's raw Mazurkiewicz-trace hash, set by {!commit}
+          for POR campaigns; [None] when reserved *)
 }
 (** The exact inputs that replay one campaign. *)
 
@@ -78,23 +82,14 @@ val delta_codec : delta Obs.Codec.t
 val delta_to_json : delta -> Obs.Json.t
 val delta_of_json : Obs.Json.t -> (delta, string) result
 
-type trace = {
-  tr_key : int64;
-      (** the campaign's trace hash salted with the seed fingerprint, so
-          cross-seed hash collisions cannot suppress a genuinely new
-          finding *)
-  tr_hash : int64;  (** raw trace hash, kept per campaign for provenance *)
-  tr_pruned : int;  (** sleep-set-suppressed picks this campaign *)
-  tr_forced : int;  (** forced wakes this campaign *)
-}
-(** One POR campaign's Mazurkiewicz-trace class and pruning provenance,
-    registered at {!commit}. *)
-
 type commit_result = {
   c_improved : bool;  (** the merge contributed new coverage bits *)
   c_new : Report.finding list;
       (** the campaign's first sightings: inconsistencies, then sync
           events *)
+  c_new_invariants : Report.finding list;
+      (** first sightings (by label, across workers) of the campaign's
+          mined-invariant hits, in hit order *)
   c_new_pairs : (int * int) list;
       (** (write, read) site pairs first achieved by this merge, as raw
           instruction ids, sorted — the fuzzer turns them into
@@ -103,27 +98,31 @@ type commit_result = {
   c_alias_bits : int;  (** shared coverage after this merge *)
   c_branch_bits : int;
   c_first_trace : bool;
-      (** first sighting of [trace]'s class — only then should the worker
-          spend post-failure validation.  Always [true] when the commit
-          carried no trace (non-POR campaigns). *)
+      (** first sighting of the campaign's (trace, seed) class — only then
+          should the worker spend post-failure validation.  Always [true]
+          for non-POR campaigns. *)
 }
 
 val commit :
   t ->
-  ?trace:trace ->
   campaign:int ->
+  seed:Seed.t ->
   delta:delta ->
-  Runtime.Env.t ->
-  hung:bool ->
-  hang_info:string ->
+  ?sites:Site_set.t ->
+  invariants:Inv_monitor.hit list ->
+  Campaign.result ->
   commit_result
-(** The campaign-boundary merge: fold the delta into shared coverage,
-    absorb the campaign's checker results into the report, extend the
-    timeline — and, when the campaign ran under POR, register its trace
-    class and pruning counters in the same critical section (one lock
-    acquisition per campaign boundary, not two).  The returned new
-    findings are then validated by the caller outside the lock, gated on
-    [c_first_trace]. *)
+(** The campaign-boundary merge, in one critical section: fold the delta
+    into shared coverage, absorb the result's checker findings and the
+    drained [invariants] hits into the report, extend the timeline, and,
+    when the campaign ran under POR, register its trace class (salted
+    with [Seed.fingerprint seed]) and pruning counters and record the raw
+    trace hash in the campaign's provenance.  With a static denominator
+    the newly achieved pairs are marked and [seed]'s priority becomes the
+    number of uncovered possible pairs both of whose sites are in
+    [sites] (the owning worker's touched-site set; no re-score without
+    it).  The caller validates the returned first sightings outside the
+    lock, gated on [c_first_trace]. *)
 
 type por_totals = {
   pt_campaigns : int;  (** campaigns run under POR *)
@@ -139,23 +138,8 @@ val por_totals : t -> por_totals option
 (** Aggregate pruning counters; [None] when no campaign ran under POR.
     Single-domain accessor (see below). *)
 
-val trace_hashes : t -> (int, int64) Hashtbl.t
-(** All recorded trace hashes by campaign index, for artifact assembly.
-    Single-domain accessor. *)
-
-val record_invariant : t -> campaign:int -> Inv_monitor.hit -> Report.finding option
-(** Record a mined-invariant violation (locked); returns the finding only
-    on the first sighting of the label across all workers — the
-    discovering worker then validates it outside the lock. *)
-
 val queue_entries : t -> Shared_queue.entry list
 (** Snapshot of the shared-access priority queue (locked). *)
-
-val rescore_seed : t -> sites:Site_set.t -> Seed.t -> unit
-(** Static-pre-pass seed re-scoring (no-op without a pre-pass): refresh
-    achieved alias-pair marks from shared coverage and set the seed's
-    priority to the number of uncovered possible pairs it touches.
-    [sites] is the owning worker's private touched-site set. *)
 
 val completed : t -> int
 (** Campaigns committed so far. *)

@@ -631,6 +631,78 @@ let test_bitmap_size_mismatch () =
   | Ok _ -> Alcotest.fail "a store with a mismatched coverage bitmap must not open"
   | Error _ -> ()
 
+(* A lease request for fewer than one campaign or a negative number of
+   seeds gets an Err and is dropped.  Granting it would book a negative
+   lease (raising what every other worker may lease past the budget) or
+   lease the whole corpus. *)
+let test_lease_out_of_range () =
+  let dir = temp_dir "fleet_lease_range" in
+  Unix.mkdir dir 0o755;
+  let socket_path = Filename.concat dir "hub.sock" in
+  let ccfg =
+    {
+      Fleet.Coordinator.default_config with
+      socket_path;
+      store_dir = Filename.concat dir "store";
+      target = "figure1";
+      budget = 5;
+      campaigns_per_lease = 10;
+      seeds_per_lease = 1;
+    }
+  in
+  let ready = Atomic.make false in
+  let coord =
+    Domain.spawn (fun () ->
+        Fleet.Coordinator.serve ~on_ready:(fun () -> Atomic.set ready true) ccfg)
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.005
+  done;
+  let rogue label ~campaigns ~seeds =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket_path);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    let exchange msg =
+      Wire.send fd (Wire.client_to_json msg);
+      Result.bind (Wire.recv fd) Wire.server_of_json
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        (match exchange (Wire.Hello { target = "figure1"; version = Wire.protocol_version }) with
+        | Ok (Wire.Hello_ack _) -> ()
+        | _ -> Alcotest.failf "%s: handshake" label);
+        (match exchange (Wire.Lease_req { campaigns; seeds }) with
+        | Ok (Wire.Err _) -> ()
+        | Ok (Wire.Lease { campaigns; _ }) ->
+            Alcotest.failf "%s: must be refused, was granted %d campaigns" label campaigns
+        | Ok _ -> Alcotest.failf "%s: expected an Err reply" label
+        | Error e -> Alcotest.failf "%s: expected an Err reply, got %s" label e);
+        match Wire.recv fd with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s: coordinator must drop the rogue worker" label)
+  in
+  rogue "negative campaigns" ~campaigns:(-3) ~seeds:1;
+  rogue "zero campaigns" ~campaigns:0 ~seeds:1;
+  rogue "negative seeds" ~campaigns:1 ~seeds:(-1);
+  (* The honest worker's cap only bounds a coordinator that over-grants. *)
+  let wcfg =
+    {
+      Fleet.Worker.default_config with
+      connect = socket_path;
+      cfg = Fuzzer.Config.make ~master_seed:3 ();
+      max_local = Some 40;
+      lease_campaigns = 10;
+      lease_seeds = 1;
+    }
+  in
+  (match Fleet.Worker.run wcfg Workloads.Figure1.target with
+  | Error e -> Alcotest.fail ("worker: " ^ e)
+  | Ok o -> Alcotest.(check int) "the worker ran the budget, no more" 5 o.Fleet.Worker.o_campaigns);
+  match Domain.join coord with
+  | Error e -> Alcotest.fail ("coordinator: " ^ e)
+  | Ok st -> Alcotest.(check int) "budget accounted exactly" 5 st.Fleet.Coordinator.st_campaigns
+
 (* Adaptive lease sizing: rate × horizon clamped to [min, max]; an
    unmeasured client (rate 0) gets the cap so warm-up is not serialized
    on round trips. *)
@@ -867,6 +939,7 @@ let suite =
     Alcotest.test_case "coordinator/worker end-to-end" `Quick test_coordinator_worker_session;
     Alcotest.test_case "coordinator: protocol hygiene" `Quick test_protocol_hygiene;
     Alcotest.test_case "coordinator: bitmap-size mismatch" `Quick test_bitmap_size_mismatch;
+    Alcotest.test_case "coordinator: out-of-range lease request" `Quick test_lease_out_of_range;
     Alcotest.test_case "coordinator: adaptive lease sizing" `Quick test_lease_size;
     QCheck_alcotest.to_alcotest prop_untrusted_never_raises;
     Alcotest.test_case "untrusted bytes: the artifact shares seeds" `Quick test_untrusted_artifact_shares_seeds;

@@ -108,7 +108,7 @@ let worker_session (target : Pmrace.Target.t) =
         in
         Hub.reset_delta delta;
         let r = Campaign.run ~engine input in
-        let c = Hub.commit hub ~campaign:i ~delta r.env ~hung:r.hung ~hang_info:"" in
+        let c = Hub.commit hub ~campaign:i ~seed:input.seed ~delta ~invariants:[] r in
         validate vctx c.Hub.c_new;
         (input, fingerprint r))
   in

@@ -355,6 +355,35 @@ let test_metrics_on_bit_identical () =
         (count (fun (e : Obs.Events.event) ->
              match e.ev_payload with Obs.Events.Campaign_start _ -> true | _ -> false)))
 
+(* Workers meet at the hub twice per campaign: reserve and commit.  A
+   random-mode session reads no priority queue, and with the static
+   pre-pass and mined invariants on, the seed re-score and the invariant
+   hits ride the commit, so the hub lock is taken exactly twice per
+   campaign. *)
+let test_hub_lock_two_per_campaign () =
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled false)
+    (fun () ->
+      let s =
+        Fuzzer.run Workloads.Figure1.target
+          (Fuzzer.Config.make ~max_campaigns:40 ~master_seed:5 ~mode:Fuzzer.Mode_random
+             ~static_prepass:true ~invariants:true ())
+      in
+      Alcotest.(check bool) "an invariant was violated" true
+        (Report.invariant_findings s.report <> []);
+      match
+        List.find_opt
+          (fun (r : Obs.Metrics.reading) -> String.equal r.r_name "hub_lock_wait_seconds")
+          (Obs.Metrics.snapshot ())
+      with
+      | Some { r_value = Obs.Metrics.Histogram { count; _ }; _ } ->
+          Alcotest.(check int) "hub lock acquisitions" (2 * s.campaigns_run) count
+      | _ -> Alcotest.fail "no hub_lock_wait_seconds histogram")
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -371,5 +400,7 @@ let suite =
     Alcotest.test_case "replay reproduces recorded bugs" `Quick test_replay_reproduces;
     Alcotest.test_case "replay error handling" `Quick test_replay_errors;
     Alcotest.test_case "metrics on: session bit-identical" `Quick test_metrics_on_bit_identical;
+    Alcotest.test_case "hub lock: one reserve and one commit per campaign" `Quick
+      test_hub_lock_two_per_campaign;
     Alcotest.test_case "json malformed unicode escapes" `Quick test_json_bad_unicode_escapes;
   ]
