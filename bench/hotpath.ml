@@ -16,7 +16,9 @@
    - the hook and checker layers, in ns per instrumented operation (no
      legacy side): bare and listened hooks, a tainted load as the label
      set grows, and a tainted store plus persist as pending effects pile
-     up.
+     up;
+   - the hub layer: one p-clht campaign's [Hub.commit] when every fact is
+     already in the hub against when every fact is new.
 
    Both sides of each pair run the identical workload — the legacy
    implementations are executable specifications living next to the
@@ -175,10 +177,10 @@ let clwb_pipeline_ops_per_sec () =
    the loop — no scheduler (null policy), two alternating threads over
    512 lines of a 4k-word pool.  Measured bare (the init and recovery
    path: no listener, so no event is built) and with the fuzz worker's
-   bound listener set (the delta's alias, branch and queue handlers plus
-   the seed-site recorder).  Each row is the fastest of [reps]
-   repetitions.  perfbench cannot split this layer out of a
-   campaign, so this is its own number. *)
+   bound listener set (its one coverage recorder, feeding the delta's
+   alias map, branch and queue coverage and a seed-site set).  Each row
+   is the fastest of [reps] repetitions.  perfbench cannot split this
+   layer out of a campaign, so this is its own number. *)
 
 module Env = Runtime.Env
 module Mem = Runtime.Mem
@@ -191,8 +193,7 @@ let hook_ns_per_op ~listeners op =
   if listeners then begin
     let delta = Pmrace.Hub.fresh_delta () in
     let sites = ref (Pmrace.Site_set.create ()) in
-    Env.install_bound env
-      (Array.of_list (Pmrace.Hub.delta_handlers delta @ [ Pmrace.Site_set.access_handler sites ]))
+    Env.install_bound env [| Pmrace.Hub.recorder delta ~sites:(Some sites) |]
   end;
   let ctxs = [| Env.ctx env ~tid:0; Env.ctx env ~tid:1 |] in
   (* An existing site: registering one here would shift the site ids of
@@ -236,6 +237,48 @@ let hook_rows () =
     (fun (name, op) ->
       (name, hook_ns_per_op ~listeners:false op, hook_ns_per_op ~listeners:true op))
     hook_ops
+
+(* The hub layer: microseconds per [Hub.commit] of one p-clht campaign.
+   The campaign runs once with the worker's recorder bound, which gives a
+   delta and a result of real size.  "all known" commits them to a hub
+   that already holds every fact, so the merge finds nothing new; "all
+   new" commits them to a fresh hub each time, so every fact is new.
+   Only the commits are timed, hub creation is not; the fastest of
+   [reps] repetitions is reported. *)
+
+let commit_rounds = 100
+
+let hub_commit_row () =
+  let target = Option.get (Workloads.Registry.find "p-clht") in
+  let delta = Pmrace.Hub.fresh_delta () in
+  let engine = Pmrace.Engine.create ~bound:[| Pmrace.Hub.recorder delta ~sites:None |] target in
+  let seed = Pmrace.Mutator.populate (Rng.create 5) target.Pmrace.Target.profile ~factor:3 in
+  let input =
+    Pmrace.Campaign.input ~sched_seed:1 ~policy:Pmrace.Campaign.Random_sched target seed
+  in
+  let result = Pmrace.Campaign.run ~engine input in
+  let commit hub =
+    ignore (Pmrace.Hub.commit hub ~campaign:0 ~seed ~delta ~invariants:[] result)
+  in
+  let fresh () = Pmrace.Hub.create ~max_campaigns:1 () in
+  let us_per_commit hubs =
+    let best = ref infinity in
+    for _ = 1 to reps do
+      let hubs = hubs () in
+      let t0 = Obs.Clock.now () in
+      Array.iter commit hubs;
+      best := Float.min !best (Obs.Clock.elapsed t0)
+    done;
+    1e6 *. !best /. float_of_int commit_rounds
+  in
+  let known = fresh () in
+  commit known;
+  let known_us = us_per_commit (fun () -> Array.make commit_rounds known) in
+  let new_us = us_per_commit (fun () -> Array.init commit_rounds (fun _ -> fresh ())) in
+  ( Pmrace.Shared_queue.tracked_addresses delta.Pmrace.Hub.d_queue,
+    Pmrace.Alias_cov.count delta.Pmrace.Hub.d_alias,
+    known_us,
+    new_us )
 
 (* The checker layer: ns per tainted operation as the label sets and the
    pending side effects grow.  A tainted load of a dirty word whose shadow
@@ -344,6 +387,12 @@ let run ppf =
       Format.fprintf ppf "%-34s %14.1f %14.1f@." ("hook " ^ name ^ " (null policy)") bare listened)
     hooks;
   hr ppf;
+  let addrs, bits, known_us, new_us = hub_commit_row () in
+  Format.fprintf ppf "%-34s %14s %14s@." "hub commit (us/commit)" "all known" "all new";
+  Format.fprintf ppf "%-34s %14.1f %14.1f@."
+    (Printf.sprintf "p-clht campaign (%d addrs, %d bits)" addrs bits)
+    known_us new_us;
+  hr ppf;
   let checkers = checker_rows () in
   Format.fprintf ppf "%-34s %14s@." "checker op (ns/op, no listener)" "ns/op";
   List.iter
@@ -423,6 +472,17 @@ let run ppf =
                        ])
                    [ ("none", bare); ("worker", listened) ])
                hooks) );
+        ( "hub_commit",
+          Obs.Json.Obj
+            [
+              ("target", Obs.Json.String "p-clht");
+              ("queue_addresses", Obs.Json.Int addrs);
+              ("alias_bits", Obs.Json.Int bits);
+              ("rounds", Obs.Json.Int commit_rounds);
+              ("repetitions", Obs.Json.Int reps);
+              ("all_known_us", Obs.Json.Float known_us);
+              ("all_new_us", Obs.Json.Float new_us);
+            ] );
         ( "checkers",
           Obs.Json.List
             (List.map

@@ -22,7 +22,7 @@ let print_session ppf (target : Pmrace.Target.t) (s : Fuzzer.session) =
     (float_of_int s.campaigns_run /. Float.max 1e-9 s.wall_time);
   if Array.length s.worker_campaigns > 1 then
     Format.fprintf ppf "campaigns per worker: %a@."
-      Fmt.(array ~sep:comma int)
+      Fmt.(array ~sep:(any ", ") int)
       s.worker_campaigns;
   Format.fprintf ppf "coverage: %d PM alias pairs (%a), %d branches@."
     (Pmrace.Alias_cov.count s.alias) Pmrace.Alias_cov.pp_site_coverage s.alias
@@ -67,7 +67,7 @@ let print_session ppf (target : Pmrace.Target.t) (s : Fuzzer.session) =
   | [] -> ()
   | hs ->
       Format.fprintf ppf "hangs: %a@."
-        Fmt.(list ~sep:comma (pair ~sep:(any " x") string int))
+        Fmt.(list ~sep:(any ", ") (pair ~sep:(any " x") string int))
         hs);
   (match s.por with
   | None -> ()
@@ -415,7 +415,7 @@ let inspect_cmd =
       (if Pmrace.Engine.persistent (Pmrace.Engine.create ~capture_images:false target) then
          "persistent (initialised once, reset from an in-memory checkpoint)"
        else "fresh (initialised per campaign)");
-    Format.printf "default whitelist: %a@." Fmt.(list ~sep:comma string) target.whitelist_sites;
+    Format.printf "default whitelist: %a@." Fmt.(list ~sep:(any ", ") string) target.whitelist_sites;
     Format.printf "seeded bugs:@.";
     List.iter (fun kb -> Format.printf "  %a@." Pmrace.Target.pp_known_bug kb) target.known_bugs
   in

@@ -14,6 +14,11 @@ type t = {
   bits : Bytes.t;
   size : int; (* bits *)
   mutable count : int; (* set bits *)
+  (* The indices of the bitmap's nonzero bytes, in the order they became
+     nonzero, so merge and clear walk only what a map touched rather
+     than all of [bits]. *)
+  mutable touched : int array;
+  mutable n_touched : int;
   (* Site-level accounting on top of the bitmap: achieved (write site,
      read site) pairs — cross-thread dirty reads — against the
      statically-possible denominator computed by the offline analyzer
@@ -28,6 +33,8 @@ let create ?(size_log = 16) () =
     bits = Bytes.make (size / 8) '\000';
     size;
     count = 0;
+    touched = [||];
+    n_touched = 0;
     achieved = Hashtbl.create 64;
     possible = None;
   }
@@ -48,16 +55,31 @@ let hash_pair ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid =
   let h = mix h (dirty_code c_dirty) in
   mix h c_tid
 
-let set_bit t idx =
-  let byte = idx / 8 and bit = idx mod 8 in
+let touch t byte =
+  if t.n_touched = Array.length t.touched then begin
+    let bigger = Array.make (max 64 (2 * t.n_touched)) 0 in
+    Array.blit t.touched 0 bigger 0 t.n_touched;
+    t.touched <- bigger
+  end;
+  t.touched.(t.n_touched) <- byte;
+  t.n_touched <- t.n_touched + 1
+
+let rec popcount n acc = if n = 0 then acc else popcount (n lsr 1) (acc + (n land 1))
+
+(* OR [bits] into byte [byte], counting the new bits and listing the byte
+   when it was zero. *)
+let or_byte t byte bits =
   let old = Char.code (Bytes.get t.bits byte) in
-  let mask = 1 lsl bit in
-  if old land mask = 0 then begin
-    Bytes.set t.bits byte (Char.chr (old lor mask));
-    t.count <- t.count + 1;
+  let fresh = bits land lnot old in
+  if fresh = 0 then false
+  else begin
+    if old = 0 then touch t byte;
+    Bytes.set t.bits byte (Char.chr (old lor fresh));
+    t.count <- t.count + popcount fresh 0;
     true
   end
-  else false
+
+let set_bit t idx = or_byte t (idx / 8) (1 lsl (idx mod 8))
 
 let observe_pair t ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid =
   if p_tid = c_tid then false
@@ -71,24 +93,15 @@ let count t = t.count
 let size t = t.size
 
 (* Fold a worker-local per-campaign delta into a shared map: OR the
-   bitmaps (recounting only genuinely new bits) and union the achieved
-   site pairs.  The §5 worker pool calls this at campaign boundaries under
-   the hub lock, so campaign execution itself never touches shared
-   coverage state. *)
+   bytes the delta touched (recounting only genuinely new bits) and union
+   the achieved site pairs.  The §5 worker pool calls this at campaign
+   boundaries under the hub lock, so campaign execution itself never
+   touches shared coverage state. *)
 let merge_into ~src dst =
   if src.size <> dst.size then invalid_arg "Alias_cov.merge_into: size mismatch";
-  let bytes = src.size / 8 in
-  for b = 0 to bytes - 1 do
-    let s = Char.code (Bytes.get src.bits b) in
-    if s <> 0 then begin
-      let d = Char.code (Bytes.get dst.bits b) in
-      let fresh = s land lnot d in
-      if fresh <> 0 then begin
-        Bytes.set dst.bits b (Char.chr (d lor s));
-        let rec popcount n acc = if n = 0 then acc else popcount (n lsr 1) (acc + (n land 1)) in
-        dst.count <- dst.count + popcount fresh 0
-      end
-    end
+  for i = 0 to src.n_touched - 1 do
+    let b = src.touched.(i) in
+    ignore (or_byte dst b (Char.code (Bytes.get src.bits b)))
   done;
   Hashtbl.iter (fun pair () -> Hashtbl.replace dst.achieved pair ()) src.achieved
 
@@ -171,33 +184,32 @@ let on_access t tr addr ~instr ~dirty ~tid =
   Bytes.set tr.last_dirty addr (if dirty then '\001' else '\000');
   tr.last_tid.(addr) <- tid
 
-let handler t tr = function
-  | Runtime.Env.Ev_load { instr; tid; addr; dirty } ->
-      let instr = Runtime.Instr.to_int instr in
-      ensure tr addr;
-      if dirty && tr.writer_stamp.(addr) = tr.gen && tr.writer_tid.(addr) <> tid then
-        record_site_pair t ~write_instr:tr.writer_instr.(addr) ~read_instr:instr;
-      on_access t tr addr ~instr ~dirty ~tid
-  | Runtime.Env.Ev_store { instr; tid; addr } | Runtime.Env.Ev_movnt { instr; tid; addr } ->
-      let instr = Runtime.Instr.to_int instr in
-      ensure tr addr;
-      tr.writer_stamp.(addr) <- tr.gen;
-      tr.writer_instr.(addr) <- instr;
-      tr.writer_tid.(addr) <- tid;
-      on_access t tr addr ~instr ~dirty:true ~tid
-  | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ | Runtime.Env.Ev_branch _ -> ()
+(* A load of [addr] by [tid]: a dirty one following another thread's
+   store also achieves the (write site, read site) pair. *)
+let record_load t tr ~addr ~instr ~dirty ~tid =
+  ensure tr addr;
+  if dirty && tr.writer_stamp.(addr) = tr.gen && tr.writer_tid.(addr) <> tid then
+    record_site_pair t ~write_instr:tr.writer_instr.(addr) ~read_instr:instr;
+  on_access t tr addr ~instr ~dirty ~tid
+
+(* A store or non-temporal store: the address's new last writer. *)
+let record_store t tr ~addr ~instr ~tid =
+  ensure tr addr;
+  tr.writer_stamp.(addr) <- tr.gen;
+  tr.writer_instr.(addr) <- instr;
+  tr.writer_tid.(addr) <- tid;
+  on_access t tr addr ~instr ~dirty:true ~tid
 
 (* Empty the map itself (bitmap, count, achieved pairs) so a worker-local
-   delta can be reused across campaigns. *)
+   delta can be reused across campaigns: O(touched bytes). *)
 let clear t =
-  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
+  for i = 0 to t.n_touched - 1 do
+    Bytes.set t.bits t.touched.(i) '\000'
+  done;
+  t.n_touched <- 0;
   t.count <- 0;
   Hashtbl.reset t.achieved;
   t.possible <- None
-
-let attach t env =
-  let tr = tracker () in
-  Runtime.Env.add_listener env (handler t tr)
 
 (* ------------------------------------------------------------------ *)
 (* Wire/store codec (fleet mode).  Site pairs travel by *name* and are
@@ -211,12 +223,10 @@ let site_pair =
   Obs.Codec.(obj (record (fun w r -> (w, r)) |+ field "write" string fst |+ field "read" string snd))
 
 let hex_of_bytes b =
-  let n = Bytes.length b in
-  let out = Buffer.create (2 * n) in
-  for i = 0 to n - 1 do
-    Buffer.add_string out (Printf.sprintf "%02x" (Char.code (Bytes.get b i)))
-  done;
-  Buffer.contents out
+  let digits = "0123456789abcdef" in
+  String.init (2 * Bytes.length b) (fun i ->
+      let c = Char.code (Bytes.get b (i / 2)) in
+      digits.[if i land 1 = 0 then c lsr 4 else c land 15])
 
 let bytes_of_hex s =
   let digit c =
@@ -240,10 +250,6 @@ let bytes_of_hex s =
   in
   if String.length s mod 2 <> 0 then None else go 0
 
-let popcount b =
-  let rec pop n acc = if n = 0 then acc else pop (n lsr 1) (acc + (n land 1)) in
-  Bytes.fold_left (fun acc c -> pop (Char.code c) acc) 0 b
-
 (* The read site registers before the write site, the order every
    earlier decoder used, so site ids come out the same. *)
 let of_parts (size, hex, pairs) =
@@ -258,8 +264,7 @@ let of_parts (size, hex, pairs) =
           log2 size 0
         in
         let t = create ~size_log () in
-        Bytes.blit bits 0 t.bits 0 (Bytes.length bits);
-        t.count <- popcount t.bits;
+        Bytes.iteri (fun b c -> ignore (or_byte t b (Char.code c))) bits;
         List.iter
           (fun (w, r) ->
             let read_instr = Runtime.Instr.to_int (Runtime.Instr.site r) in

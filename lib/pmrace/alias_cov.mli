@@ -22,11 +22,13 @@ val size : t -> int
 
 val merge_into : src:t -> t -> unit
 (** Fold [src] (a worker's per-campaign delta) into a shared map: OR the
-    bitmaps and union the achieved site pairs.  The destination's [count]
+    bytes [src] touched and union the achieved site pairs, in O(touched
+    bytes + pairs) whatever the bitmap's size.  The destination's [count]
     only grows by genuinely new bits, so a before/after [count] comparison
     across a merge is the coverage-improvement signal.  Maps must have the
-    same {!size} ([Invalid_argument] otherwise).  Not itself synchronised — callers serialise merges (the
-    fuzzer's hub does this under one mutex). *)
+    same {!size} ([Invalid_argument] otherwise).  Not itself synchronised
+    — callers serialise merges (the fuzzer's hub does this under one
+    mutex). *)
 
 val record_site_pair : t -> write_instr:int -> read_instr:int -> unit
 (** Register a (write site, read site) pair as dynamically achieved — a
@@ -63,17 +65,19 @@ type tracker
 val tracker : unit -> tracker
 val reset_tracker : tracker -> unit
 
-val handler : t -> tracker -> Runtime.Env.event -> unit
-(** The event handler behind {!attach}, exposed so workers can install it
-    in a pre-bound listener array. *)
+val record_load : t -> tracker -> addr:int -> instr:int -> dirty:bool -> tid:int -> unit
+(** Feed one PM load (instruction id {!Runtime.Instr.to_int}): the pair
+    it forms with the address's previous access, and, for a dirty load
+    after another thread's store, the achieved (write site, read site)
+    pair.  The worker's coverage recorder ({!Hub.recorder}) calls this. *)
+
+val record_store : t -> tracker -> addr:int -> instr:int -> tid:int -> unit
+(** Feed one PM store or non-temporal store. *)
 
 val clear : t -> unit
 (** Empty the map (bitmap, count, achieved pairs, denominator) so a
-    worker-local delta can be reused across campaigns. *)
-
-val attach : t -> Runtime.Env.t -> unit
-(** Subscribe to an execution's access events and feed the bitmap
-    (transient listener with a fresh {!tracker}). *)
+    worker-local delta can be reused across campaigns.  Costs O(touched
+    bytes), not O(bitmap). *)
 
 val site_pair : (string * string) Obs.Codec.t
 (** A (write site, read site) pair by name: [{"write": _, "read": _}] —

@@ -13,11 +13,6 @@ let covered t instr = Site_set.mem t (Runtime.Instr.to_int instr)
    serialised by the fuzzer's hub). *)
 let merge_into = Site_set.union_into
 
-let handler t = function
-  | Runtime.Env.Ev_branch { instr; _ } -> ignore (observe t instr)
-  | Runtime.Env.Ev_load _ | Runtime.Env.Ev_store _ | Runtime.Env.Ev_movnt _
-  | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ -> ()
-
 (* Empty the map so a worker-local delta can be reused across campaigns. *)
 let clear = Site_set.clear
 

@@ -11,11 +11,8 @@ val count : t -> int
 val covered : t -> Runtime.Instr.t -> bool
 
 val merge_into : src:t -> t -> unit
-(** Union [src] (a worker's per-campaign delta) into a shared map.  Not
-    itself synchronised — callers serialise merges. *)
-
-val handler : t -> Runtime.Env.event -> unit
-(** The coverage event handler, for pre-bound listener arrays. *)
+(** Union [src] (a worker's per-campaign delta) into a shared map, in
+    O(|src|).  Not itself synchronised — callers serialise merges. *)
 
 val clear : t -> unit
 (** Empty the map so a worker-local delta can be reused across campaigns. *)

@@ -52,7 +52,7 @@ type result = {
 val run : engine:Engine.t -> ?listeners:(Env.t -> unit) list -> input -> result
 (** Execute the campaign in an environment from {!Engine.checkout}; the
     engine's configuration (checkpoint, image capture, eviction, eADR)
-    governs.  [listeners] (e.g. {!Alias_cov.attach} partially applied)
+    governs.  [listeners] (e.g. {!Inv_monitor.attach} partially applied)
     are attached to the environment before the run as transient
     listeners.  [result.env] is valid until the engine's next checkout. *)
 

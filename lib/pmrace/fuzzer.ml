@@ -260,7 +260,7 @@ type worker = {
   seed_sites : (int, Site_set.t) Hashtbl.t; (* seed id -> sites touched *)
   engine : Engine.t; (* this worker's reusable execution context *)
   delta : Hub.delta; (* reused across campaigns; reset at campaign start *)
-  (* Which per-seed site table the pre-bound seed-site handler writes to;
+  (* Which per-seed site table the pre-bound recorder writes to;
      retargeted by [do_campaign] instead of attaching a fresh closure. *)
   cur_sites : Site_set.t ref;
   whitelist : Whitelist.t; (* shared, read-only during fuzzing *)
@@ -355,9 +355,9 @@ let do_campaign w seed policy =
         Campaign.input ~sched_seed ~policy ~step_budget:w.cfg.step_budget ~por:w.cfg.por w.target
           seed
       in
-      (* The delta and the seed-site handler are pre-bound in the engine's
-         context; per campaign we only empty the delta and retarget the
-         handler at this seed's table. *)
+      (* The recorder is pre-bound in the engine's context; per campaign
+         we only empty the delta and retarget the recorder's seed-site
+         table at this seed's. *)
       Hub.reset_delta w.delta;
       if w.static_on then w.cur_sites := sites_of w seed;
       let result =
@@ -660,14 +660,10 @@ let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
       Some cs
     end
   in
-  (* The worker's permanent listener array: the delta's coverage handlers
-     plus the seed-site recorder, bound once instead of rebuilt per
-     campaign.  Each handler writes only its own structure, so dispatch
-     order does not affect results. *)
-  let seed_site_handler =
-    if not static_on then fun _ -> () else Site_set.access_handler cur_sites
-  in
-  let bound = Array.of_list (Hub.delta_handlers delta @ [ seed_site_handler ]) in
+  (* The worker's permanent listener array: one coverage recorder that
+     feeds the delta and, with the pre-pass, the seed-site table, bound
+     once instead of rebuilt per campaign. *)
+  let bound = [| Hub.recorder delta ~sites:(if static_on then Some cur_sites else None) |] in
   {
     widx;
     cfg;

@@ -179,15 +179,24 @@ let fresh_delta () =
     d_tracker = Alias_cov.tracker ();
   }
 
-(* The delta's event handlers, for a worker's pre-bound listener array.
-   The alias handler uses the delta's own tracker, so [reset_delta] must
-   run between campaigns. *)
-let delta_handlers d =
-  [
-    Alias_cov.handler d.d_alias d.d_tracker;
-    Branch_cov.handler d.d_branch;
-    Shared_queue.handler d.d_queue;
-  ]
+(* The worker's one coverage recorder: a single match per event feeds
+   the alias map, branch and queue coverage, and the seed's touched sites
+   ([sites], retargeted per campaign; [None] records none).  The alias
+   part uses the delta's own tracker, so [reset_delta] must run between
+   campaigns. *)
+let recorder d ~sites = function
+  | Runtime.Env.Ev_load { instr; tid; addr; dirty } ->
+      let id = Runtime.Instr.to_int instr in
+      Alias_cov.record_load d.d_alias d.d_tracker ~addr ~instr:id ~dirty ~tid;
+      Shared_queue.observe_load d.d_queue ~addr ~instr ~tid;
+      (match sites with Some s -> ignore (Site_set.add !s id) | None -> ())
+  | Runtime.Env.Ev_store { instr; tid; addr } | Runtime.Env.Ev_movnt { instr; tid; addr } ->
+      let id = Runtime.Instr.to_int instr in
+      Alias_cov.record_store d.d_alias d.d_tracker ~addr ~instr:id ~tid;
+      Shared_queue.observe_store d.d_queue ~addr ~instr ~tid;
+      (match sites with Some s -> ignore (Site_set.add !s id) | None -> ())
+  | Runtime.Env.Ev_branch { instr; _ } -> ignore (Branch_cov.observe d.d_branch instr)
+  | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ -> ()
 
 (* Empty a delta for reuse: equivalent to [fresh_delta] for every observable
    purpose (all structures are emptied, including the alias tracker). *)

@@ -38,9 +38,14 @@ type timeline_point = {
 
 val timeline_point_codec : timeline_point Obs.Codec.t
 
-type delta
-(** A worker's private per-campaign coverage/queue accumulator; campaign
-    listeners write to it without synchronisation. *)
+type delta = private {
+  d_alias : Alias_cov.t;
+  d_branch : Branch_cov.t;
+  d_queue : Shared_queue.t;
+  d_tracker : Alias_cov.tracker;  (** per-execution alias scratch *)
+}
+(** A worker's private per-campaign coverage/queue accumulator; its
+    {!recorder} writes to it without synchronisation. *)
 
 type t
 
@@ -56,10 +61,13 @@ val reserve : t -> provenance -> int option
 
 val fresh_delta : unit -> delta
 
-val delta_handlers : delta -> (Runtime.Env.event -> unit) list
-(** The delta's raw event handlers, for installation in a worker's
-    pre-bound listener array ({!Runtime.Env.install_bound}).  The alias
-    handler shares the delta's tracker, so call {!reset_delta} between
+val recorder : delta -> sites:Site_set.t ref option -> Runtime.Env.event -> unit
+(** The worker's coverage recorder, for its pre-bound listener array
+    ({!Runtime.Env.install_bound}): one match per event updates the
+    delta's alias map, branch coverage and shared queue and, with
+    [sites], records the site of every PM access into the set [sites]
+    points at (the fuzzer retargets it per campaign).  The alias part
+    shares the delta's tracker, so call {!reset_delta} between
     campaigns. *)
 
 val reset_delta : delta -> unit

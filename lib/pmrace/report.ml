@@ -74,6 +74,10 @@ type t = {
   sync_findings : (string * int64, finding) Hashtbl.t;
   hangs : (string, int) Hashtbl.t; (* hung-thread description -> occurrences *)
   inv_findings : (string, finding) Hashtbl.t; (* invariant label -> finding *)
+  (* [findings] per kind, kept as they are added, so the per-commit
+     timeline does not fold over every finding *)
+  mutable inter_count : int;
+  mutable intra_count : int;
   mutable lint : Analysis.Lint.finding list; (* static pre-pass lint findings *)
   mutable invariants : Analysis.Invariants.spec list; (* the mined monitor set *)
 }
@@ -85,6 +89,8 @@ let create () =
     sync_findings = Hashtbl.create 16;
     hangs = Hashtbl.create 8;
     inv_findings = Hashtbl.create 16;
+    inter_count = 0;
+    intra_count = 0;
     lint = [];
     invariants = [];
   }
@@ -126,7 +132,14 @@ let absorb ~campaign t (env : Runtime.Env.t) ~hung ~hang_info =
   let found subject = { subject; found_at = campaign; verdict = None } in
   let new_findings =
     List.filter_map
-      (fun inc -> first_sighting t.findings (inc_key inc) (found (Inconsistency inc)))
+      (fun (inc : Checkers.inconsistency) ->
+        let f = first_sighting t.findings (inc_key inc) (found (Inconsistency inc)) in
+        if Option.is_some f then begin
+          match inc.source.Candidates.kind with
+          | Candidates.Inter -> t.inter_count <- t.inter_count + 1
+          | Candidates.Intra -> t.intra_count <- t.intra_count + 1
+        end;
+        f)
       (Checkers.inconsistencies ck)
   in
   let new_sync =
@@ -181,9 +194,9 @@ let candidate_pairs t =
 
 let of_candidates_kind = function Candidates.Inter -> `Inter | Candidates.Intra -> `Intra
 
-let inconsistency_count t ck =
-  let k = of_candidates_kind ck in
-  Hashtbl.fold (fun _ f n -> if kind f = k then n + 1 else n) t.findings 0
+let inconsistency_count t = function
+  | Candidates.Inter -> t.inter_count
+  | Candidates.Intra -> t.intra_count
 
 let count_verdicts fs =
   List.fold_left

@@ -77,6 +77,9 @@ type t = {
      fuzzer after each campaign; higher-priority seeds are preferred as
      mutation parents. *)
   mutable priority : int;
+  (* [fingerprint], computed on first use: the hub salts every POR
+     campaign's trace hash with it inside its critical section. *)
+  mutable fp : int64 option;
 }
 
 let key_of = function
@@ -123,7 +126,8 @@ let gen_op rng profile ~near =
    several worker domains generate seeds concurrently (§5). *)
 let seed_counter = Atomic.make 0
 
-let make threads = { sid = 1 + Atomic.fetch_and_add seed_counter 1; threads; priority = 0 }
+let make threads =
+  { sid = 1 + Atomic.fetch_and_add seed_counter 1; threads; priority = 0; fp = None }
 
 let gen rng profile =
   let near = ref None in
@@ -175,8 +179,10 @@ let render_op = function
    on the operations themselves — never on seed ids, Instr site-id layout
    or any other per-process state — so the same seed content hashes
    identically in every worker process.  The fleet corpus store keys
-   entries by this value. *)
-let fingerprint t =
+   entries by this value.  A seed's operations never change after [make],
+   so the hash is cached; two domains racing to fill the cache store the
+   same value. *)
+let content_hash t =
   let open Int64 in
   let prime = 0x100000001B3L in
   let h = ref 0xCBF29CE484222325L in
@@ -192,6 +198,14 @@ let fingerprint t =
         ops)
     t.threads;
   !h
+
+let fingerprint t =
+  match t.fp with
+  | Some h -> h
+  | None ->
+      let h = content_hash t in
+      t.fp <- Some h;
+      h
 
 (* The JSON form shared by artifacts, wire frames and the fleet store:
    one list of ops per thread, each op an object tagged by "op". *)

@@ -58,6 +58,9 @@ val gen : Rng.t -> profile -> t
 val gen_op : Rng.t -> profile -> near:int option -> op
 
 val threads : t -> op array array
+(** The operations per thread.  Read-only: mutators copy them into a new
+    seed ({!make}), and {!fingerprint} is cached. *)
+
 val all_ops : t -> op list
 val op_count : t -> int
 val id : t -> int
@@ -74,7 +77,8 @@ val fingerprint : t -> int64
     sequences, with explicit thread/op separators.  Depends only on the
     seed's operations — independent of seed ids and of the process's
     [Instr] site-id layout — so corpus entries deduplicate correctly
-    across worker processes and store restarts. *)
+    across worker processes and store restarts.  Computed on first use
+    and cached in the seed. *)
 
 val codec : t Obs.Codec.t
 (** The JSON form every artifact, wire frame and store file uses: one

@@ -19,17 +19,19 @@ type entry = {
 val create : unit -> t
 val observe_load : t -> addr:int -> instr:Instr.t -> tid:int -> unit
 val observe_store : t -> addr:int -> instr:Instr.t -> tid:int -> unit
-val handler : t -> Runtime.Env.event -> unit
-(** The access event handler, for pre-bound listener arrays. *)
+(** One access: a repeated (address, instruction, thread) fact costs a
+    byte and a mask test, with no allocation.  Any int is a thread id. *)
 
 val clear : t -> unit
 (** Empty the queue so a worker-local delta can be reused across
-    campaigns. *)
+    campaigns: O(observed addresses), the per-address records emptied in
+    place and kept. *)
 
 val merge_into : src:t -> t -> unit
 (** Fold [src] (a worker's per-campaign delta) into a shared queue: union
-    the per-address instruction/thread sets and sum hit counts.  Not
-    itself synchronised — callers serialise merges. *)
+    the per-address instruction/thread sets and sum hit counts.  The
+    unions walk [src]'s members and write only the facts the destination
+    lacks.  Not itself synchronised — callers serialise merges. *)
 
 val entries : t -> entry list
 (** Shared-data entries, most frequently accessed first. *)
@@ -40,5 +42,5 @@ val codec : t Obs.Codec.t
 (** Wire/store codec (fleet mode): the full per-address records (sites by
     name, thread-id sets, hit counts), so decode-then-{!merge_into} is
     equivalent to merging the original queue.  Decoding re-registers site
-    names via {!Runtime.Instr.site} and rejects addresses outside
-    [[0, 2^24)]. *)
+    names via {!Runtime.Instr.site} and answers [Error], never an
+    exception, for an address or thread id outside [[0, 2^24)]. *)

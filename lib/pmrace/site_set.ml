@@ -1,11 +1,15 @@
-(* A set of instruction ids as a bitset indexed by id.  Site ids are dense
-   ([0, Runtime.Instr.count ())), so membership and insertion are a byte
-   read and write — no hashing on the per-access paths that record sites
-   (branch coverage, the seeds' touched-site sets). *)
+(* A set of instruction ids as a bitset indexed by id, plus its members in
+   insertion order.  Site ids are dense ([0, Runtime.Instr.count ())), so
+   membership and insertion are a byte read and write — no hashing on the
+   per-access paths that record sites (branch coverage, the shared queue's
+   per-address sites, the seeds' touched-site sets).  The member array
+   makes union and clear O(members) instead of O(bitset), so a
+   campaign-boundary merge does set work only for ids the destination
+   lacks. *)
 
-type t = { mutable bits : Bytes.t; mutable count : int }
+type t = { mutable bits : Bytes.t; mutable ids : int array; mutable count : int }
 
-let create () = { bits = Bytes.empty; count = 0 }
+let create () = { bits = Bytes.empty; ids = [||]; count = 0 }
 
 let mem t id =
   id >= 0
@@ -26,6 +30,12 @@ let add t id =
   if old land mask <> 0 then false
   else begin
     Bytes.set t.bits byte (Char.chr (old lor mask));
+    if t.count = Array.length t.ids then begin
+      let bigger = Array.make (max 4 (2 * t.count)) 0 in
+      Array.blit t.ids 0 bigger 0 t.count;
+      t.ids <- bigger
+    end;
+    t.ids.(t.count) <- id;
     t.count <- t.count + 1;
     true
   end
@@ -44,16 +54,17 @@ let fold f t acc =
   done;
   !acc
 
-let union_into ~src dst = fold (fun id () -> ignore (add dst id)) src ()
+(* O(|src|): one byte test per member of [src], a write only for ids
+   [dst] lacks. *)
+let union_into ~src dst =
+  for i = 0 to src.count - 1 do
+    ignore (add dst src.ids.(i))
+  done
 
+(* O(members): clear each member's bit, keep the capacity. *)
 let clear t =
-  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
+  for i = 0 to t.count - 1 do
+    let id = t.ids.(i) in
+    Bytes.set t.bits (id lsr 3) '\000'
+  done;
   t.count <- 0
-
-(* The fuzz worker's seed-site recorder: the sites of PM accesses, into
-   whichever set [cur] points at (retargeted per campaign). *)
-let access_handler cur = function
-  | Runtime.Env.Ev_load { instr; _ } | Runtime.Env.Ev_store { instr; _ }
-  | Runtime.Env.Ev_movnt { instr; _ } ->
-      ignore (add !cur (Runtime.Instr.to_int instr))
-  | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ | Runtime.Env.Ev_branch _ -> ()

@@ -1,6 +1,8 @@
 (** A set of instruction ids ({!Runtime.Instr.to_int}), as a bitset
-    indexed by id: membership and insertion do no hashing.  Used for
-    branch coverage and for the sites each seed touched. *)
+    indexed by id plus the members in insertion order: membership and
+    insertion do no hashing, and union and clear cost O(members).  Used
+    for branch coverage, the shared queue's per-address sites and the
+    sites each seed touched. *)
 
 type t
 
@@ -17,10 +19,8 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Over the members in ascending order. *)
 
 val union_into : src:t -> t -> unit
+(** Add every member of [src] to the destination: O(|src|), with a write
+    only for ids the destination lacks. *)
 
 val clear : t -> unit
-(** Empty the set, keeping its capacity. *)
-
-val access_handler : t ref -> Runtime.Env.event -> unit
-(** Record the site of every PM access (load, store, movnt) into the set
-    the reference points at: the fuzz worker's bound seed-site recorder. *)
+(** Empty the set in O(members), keeping its capacity. *)

@@ -12,7 +12,11 @@
      artifacts as the v6 writer writes them, each seed once in the
      "seeds" table;
    - wire_goldens.txt: one frame per wire message variant;
-   - store/: a coordinator store directory.
+   - store/: a coordinator store directory;
+   - delta_pclht.json: the aggregate coverage delta of a 12-campaign
+     p-clht fleet session (a store's coverage.json), written while the
+     shared queue still kept its per-address sites and threads in
+     [Set]s.
 
    The all-variants artifact, the wire goldens and the store register
    novel Instr site names, so this suite runs after every golden session
@@ -460,6 +464,89 @@ let test_store_fixture () =
             (read_file (Filename.concat dir f)))
         store_files
 
+(* The delta codec across the queue's change of representation: a delta
+   written by the set-based queue decodes and re-encodes byte-identical,
+   and decoding then merging it equals merging it twice (idempotence). *)
+let test_recorded_delta () =
+  let text = String.trim (read_file (fixture "delta_pclht.json")) in
+  match Hub.delta_of_json (parse_fixture "delta_pclht.json") with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+      Alcotest.(check string) "re-encoded byte-identical" text
+        (J.to_string ~minify:true (Hub.delta_to_json d));
+      let dst = Hub.fresh_delta () in
+      Result.get_ok (Hub.merge_delta_into ~src:d ~dst);
+      Result.get_ok (Hub.merge_delta_into ~src:d ~dst);
+      let queue d = Pmrace.Shared_queue.entries d.Hub.d_queue in
+      Alcotest.(check int) "shared addresses" (List.length (queue d)) (List.length (queue dst));
+      Alcotest.(check bool) "merging twice doubles only the hits" true
+        (List.for_all2
+           (fun (a : Pmrace.Shared_queue.entry) (b : Pmrace.Shared_queue.entry) ->
+             a.addr = b.addr && a.loads = b.loads && a.stores = b.stores && b.hits = 2 * a.hits)
+           (queue d) (queue dst))
+
+(* Untrusted deltas (wire frames, store files): one structural mutation of
+   a real delta's JSON — a number pushed out of range, a string or list
+   edited, a field dropped, duplicated or renamed, a value of the wrong
+   type — must decode to [Error] or to a delta that merges and
+   re-encodes without raising.  A mutated site name registers a new
+   site, so this property runs last. *)
+let real_deltas = lazy [ parse_fixture "delta_pclht.json"; parse_fixture "store/coverage.json" ]
+
+let rec nodes : J.t -> int = function
+  | J.List l -> List.fold_left (fun n x -> n + nodes x) 1 l
+  | J.Obj fs -> List.fold_left (fun n (_, x) -> n + nodes x) 1 fs
+  | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ -> 1
+
+let rec strings acc = function
+  | J.String s -> s :: acc
+  | J.List l -> List.fold_left strings acc l
+  | J.Obj fs -> List.fold_left (fun acc (_, x) -> strings acc x) acc fs
+  | J.Null | J.Bool _ | J.Int _ | J.Float _ -> acc
+
+let mutate_node ~pool choice r (j : J.t) : J.t =
+  let pick l = List.nth l (r mod List.length l) in
+  match (j, choice mod 6) with
+  | J.Int n, (0 | 1 | 2) ->
+      J.Int (pick [ -1; -n; n + 1; max_int; min_int; 1 lsl 24; 1 lsl 40; 62; 63; 64; 0; r ])
+  | J.String s, (0 | 1 | 2) -> J.String (pick [ ""; s ^ s; String.sub s 0 (String.length s / 2); pick pool ])
+  | J.List (x :: rest), (0 | 1 | 2) -> J.List (pick [ rest; x :: x :: rest; []; List.rev (x :: rest) ])
+  | J.Obj ((k, v) :: rest), (0 | 1 | 2) ->
+      J.Obj (pick [ rest; (k, v) :: (k, v) :: rest; (k ^ "_", v) :: rest; rest @ [ (k, J.Null) ] ])
+  | _, _ -> pick [ J.Null; J.Int r; J.Int (-r); J.String (pick pool); J.List []; J.Obj []; J.Bool true ]
+
+(* Replace the [k]th node (pre-order) by its mutation. *)
+let mutate ~pool k choice r (j : J.t) =
+  let k = ref k in
+  let rec go (j : J.t) : J.t =
+    let here = !k = 0 in
+    decr k;
+    if here then mutate_node ~pool choice r j
+    else
+      match j with
+      | J.List l -> J.List (List.map go l)
+      | J.Obj fs -> J.Obj (List.map (fun (n, x) -> (n, go x)) fs)
+      | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ -> j
+  in
+  go j
+
+let prop_delta_decoder_total =
+  QCheck.Test.make ~name:"delta decoder: mutated real deltas give Error or a usable delta"
+    ~count:300
+    QCheck.(quad (int_bound 1) (int_bound 1_000_000) (int_bound 5) (int_bound 1_000_000))
+    (fun (which, at, choice, r) ->
+      let j = List.nth (Lazy.force real_deltas) which in
+      let pool = match strings [] j with [] -> [ "" ] | l -> l in
+      let j' = mutate ~pool (at mod nodes j) choice r j in
+      match Hub.delta_of_json j' with
+      | Error _ -> true
+      | Ok d ->
+          let dst = Hub.fresh_delta () in
+          ignore (Hub.merge_delta_into ~src:d ~dst);
+          ignore (J.to_string (Hub.delta_to_json d));
+          ignore (J.to_string (Hub.delta_to_json dst));
+          true)
+
 let suite =
   [
     Alcotest.test_case "json parser: error text and offsets" `Quick test_json_parse_pins;
@@ -470,4 +557,7 @@ let suite =
     Alcotest.test_case "malformed values are errors" `Quick test_malformed_values_rejected;
     Alcotest.test_case "wire: every message variant golden" `Quick test_wire_goldens;
     Alcotest.test_case "store: fixture loads and re-saves identical" `Quick test_store_fixture;
+    Alcotest.test_case "delta: recorded p-clht delta re-encodes identical" `Quick
+      test_recorded_delta;
+    QCheck_alcotest.to_alcotest prop_delta_decoder_total;
   ]

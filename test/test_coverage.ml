@@ -23,9 +23,10 @@ let test_alias_pairs () =
   Alcotest.(check int) "count" 2 (Alias.count c)
 
 let test_alias_listener () =
-  let c = Alias.create () in
+  let d = Pmrace.Hub.fresh_delta () in
+  let c = d.Pmrace.Hub.d_alias in
   let env = Env.create ~pool_words:256 () in
-  Alias.attach c env;
+  Env.add_listener env (Pmrace.Hub.recorder d ~sites:None);
   let t0 = Env.ctx env ~tid:0 and t1 = Env.ctx env ~tid:1 in
   let i = Instr.site "cov:x" in
   Mem.store t0 ~instr:i (Tval.of_int 100) Tval.one;

@@ -11,20 +11,24 @@
      same campaigns, candidate lists and bug groups;
    - the shadow taint is empty after every reset path, and clearing it
      walks only the words that were tainted;
-   - over random event streams, the array-backed alias tracker, shared
-     queue and site set agree with hash-table reference models kept
-     here, across resets;
+   - over random event streams fed to the fuzz worker's one coverage
+     recorder, the array-backed alias tracker, bitset shared queue, branch
+     coverage and site set agree with hash-table reference models kept
+     here, across resets, and so do their session-long merges (alias map
+     and queue) and an alias merge destination that is cleared and
+     reused;
    - over random streams of tainted loads, stores, flushes, fences and
      evictions, the checkers' word-indexed pending set and newest-first
      label sets confirm the same inconsistencies (order, sources, effect
      words, crash surface), sync events and pending effects as a model of
      the list-based checker kept here, across resets;
    - the shared queue's decoder rejects addresses its slot array cannot
-     hold. *)
+     hold and thread ids outside the range it accepts. *)
 
 module Alias = Pmrace.Alias_cov
 module Queue = Pmrace.Shared_queue
 module Site_set = Pmrace.Site_set
+module Branch = Pmrace.Branch_cov
 module Campaign = Pmrace.Campaign
 module Engine = Pmrace.Engine
 module Hub = Pmrace.Hub
@@ -89,7 +93,7 @@ let bug_groups report =
 let worker_session (target : Pmrace.Target.t) =
   let hub = Hub.create ~max_campaigns:campaigns () in
   let delta = Hub.fresh_delta () in
-  let engine = Engine.create ~bound:(Array.of_list (Hub.delta_handlers delta)) target in
+  let engine = Engine.create ~bound:[| Hub.recorder delta ~sites:None |] target in
   let rng = Sched.Rng.create 2024 in
   let seeds = Array.init 3 (fun _ -> Seed.gen rng target.Pmrace.Target.profile) in
   let vctx = Post_failure.ctx ~images:4 target in
@@ -264,6 +268,18 @@ module Ref_queue = struct
         r.hits <- r.hits + 1
     | Env.Ev_clwb _ | Env.Ev_fence _ | Env.Ev_branch _ -> ()
 
+  (* The session-long queue: per-address set unions, hit counts summed. *)
+  let union_into ~src dst =
+    Hashtbl.iter
+      (fun addr s ->
+        let d = record dst addr in
+        d.li <- Iset.union d.li s.li;
+        d.si <- Iset.union d.si s.si;
+        d.lt <- Iset.union d.lt s.lt;
+        d.st <- Iset.union d.st s.st;
+        d.hits <- d.hits + s.hits)
+      src
+
   (* [Shared_queue.entries], rendered. *)
   let entries t =
     Hashtbl.fold
@@ -315,68 +331,88 @@ let gen_ops =
 let prop_listeners_match_reference =
   QCheck.Test.make ~name:"hooks: array-backed listeners ≡ hash-table models" ~count:200
     (QCheck.make gen_ops) (fun ops ->
-      (* System under test: a worker delta's alias map, tracker and queue,
-         reset between campaigns like [Hub.reset_delta] does. *)
-      let d_alias = Alias.create ~size_log:10 () and tracker = Alias.tracker () in
-      let d_queue = Queue.create () in
+      (* System under test: a worker delta fed by the worker's one coverage
+         recorder, reset between campaigns by [Hub.reset_delta]. *)
+      let delta = Hub.fresh_delta () in
+      let d_alias = delta.Hub.d_alias and d_queue = delta.Hub.d_queue in
+      let d_branch = delta.Hub.d_branch in
       let sites = Site_set.create () in
-      let handlers =
-        [
-          Alias.handler d_alias tracker;
-          Queue.handler d_queue;
-          Site_set.access_handler (ref sites);
-        ]
-      in
-      (* Reference side. *)
-      let ref_cov = Alias.create ~size_log:10 () and ref_tr = Ref_alias.create () in
+      let record = Hub.recorder delta ~sites:(Some (ref sites)) in
+      (* Reference side: fresh models per campaign. *)
+      let ref_cov = ref (Alias.create ()) and ref_tr = Ref_alias.create () in
       let ref_queue = ref (Ref_queue.create ()) in
-      let ref_sites = Hashtbl.create 16 in
+      let ref_sites = Hashtbl.create 16 and ref_branches = Hashtbl.create 16 in
       (* Session-long copies that are never reset: merges must agree too. *)
-      let shared = Alias.create ~size_log:10 () and shared_ref = Alias.create ~size_log:10 () in
+      let shared = Alias.create () and shared_ref = Alias.create () in
+      let shared_queue = Queue.create () and shared_ref_queue = Ref_queue.create () in
+      (* A merge destination that is cleared every other campaign and then
+         merged into again, against a fresh map at each clear. *)
+      let wire = Alias.create () and wire_ref = ref (Alias.create ()) in
+      let campaigns = ref 0 in
       let ok = ref true in
+      let same_alias a b =
+        Obs.Codec.(encode Alias.codec a = encode Alias.codec b) && Alias.count a = Alias.count b
+      in
       let compare_state () =
-        if Obs.Codec.(encode Alias.codec d_alias <> encode Alias.codec ref_cov) then ok := false;
-        if Alias.count d_alias <> Alias.count ref_cov then ok := false;
-        if Alias.site_pairs d_alias <> Alias.site_pairs ref_cov then ok := false;
+        if not (same_alias d_alias !ref_cov) then ok := false;
+        if Alias.site_pairs d_alias <> Alias.site_pairs !ref_cov then ok := false;
         if render_entries (Queue.entries d_queue) <> Ref_queue.entries !ref_queue then ok := false;
         if Queue.tracked_addresses d_queue <> Hashtbl.length !ref_queue then ok := false;
         for id = -1 to Instr.count () do
-          if Site_set.mem sites id <> Hashtbl.mem ref_sites id then ok := false
+          if Site_set.mem sites id <> Hashtbl.mem ref_sites id then ok := false;
+          if id >= 0 && id < Instr.count () then
+            if Branch.covered d_branch (Instr.of_int id) <> Hashtbl.mem ref_branches id then
+              ok := false
         done;
         if Site_set.count sites <> Hashtbl.length ref_sites then ok := false;
+        if Branch.count d_branch <> Hashtbl.length ref_branches then ok := false;
         if
           Alias.fresh_pairs ~src:d_alias shared
           <> List.filter
                (fun p -> not (List.mem p (Alias.site_pairs shared_ref)))
-               (Alias.site_pairs ref_cov)
+               (Alias.site_pairs !ref_cov)
         then ok := false
       in
       let end_campaign () =
         compare_state ();
         Alias.merge_into ~src:d_alias shared;
-        Alias.merge_into ~src:ref_cov shared_ref;
-        if Alias.site_pairs shared <> Alias.site_pairs shared_ref then ok := false
+        Alias.merge_into ~src:!ref_cov shared_ref;
+        if Alias.site_pairs shared <> Alias.site_pairs shared_ref then ok := false;
+        if not (same_alias shared shared_ref) then ok := false;
+        Queue.merge_into ~src:d_queue shared_queue;
+        Ref_queue.union_into ~src:!ref_queue shared_ref_queue;
+        if render_entries (Queue.entries shared_queue) <> Ref_queue.entries shared_ref_queue then
+          ok := false;
+        if Queue.tracked_addresses shared_queue <> Hashtbl.length shared_ref_queue then ok := false;
+        Alias.merge_into ~src:d_alias wire;
+        Alias.merge_into ~src:!ref_cov !wire_ref;
+        if not (same_alias wire !wire_ref) then ok := false;
+        incr campaigns;
+        if !campaigns mod 2 = 0 then begin
+          Alias.clear wire;
+          wire_ref := Alias.create ()
+        end
       in
       List.iter
         (function
           | Reset ->
               end_campaign ();
-              Alias.clear d_alias;
-              Alias.reset_tracker tracker;
-              Queue.clear d_queue;
-              Alias.clear ref_cov;
+              Hub.reset_delta delta;
+              ref_cov := Alias.create ();
               Ref_alias.reset ref_tr;
               ref_queue := Ref_queue.create ();
               Site_set.clear sites;
-              Hashtbl.reset ref_sites
+              Hashtbl.reset ref_sites;
+              Hashtbl.reset ref_branches
           | Ev ev ->
-              List.iter (fun h -> h ev) handlers;
-              Ref_alias.handler ref_cov ref_tr ev;
+              record ev;
+              Ref_alias.handler !ref_cov ref_tr ev;
               Ref_queue.handler !ref_queue ev;
               match ev with
               | Env.Ev_load { instr; _ } | Env.Ev_store { instr; _ } | Env.Ev_movnt { instr; _ } ->
                   Hashtbl.replace ref_sites (Instr.to_int instr) ()
-              | Env.Ev_branch _ | Env.Ev_clwb _ | Env.Ev_fence _ -> ())
+              | Env.Ev_branch { instr; _ } -> Hashtbl.replace ref_branches (Instr.to_int instr) ()
+              | Env.Ev_clwb _ | Env.Ev_fence _ -> ())
         ops;
       end_campaign ();
       !ok)
@@ -717,6 +753,39 @@ let test_queue_codec_range () =
         (Result.is_error (Obs.Codec.decode Queue.codec (record addr))))
     [ -1; 1 lsl 40 ]
 
+(* Thread ids from the wire are checked like addresses: a negative or
+   absurdly large one is a decode error. *)
+let test_queue_codec_tid_range () =
+  let record tid =
+    Obs.Json.(
+      List
+        [
+          Obj
+            [
+              ("addr", Int 40);
+              ("loads", List []);
+              ("stores", List []);
+              ("load_tids", List [ Int 0 ]);
+              ("store_tids", List [ Int tid ]);
+              ("hits", Int 2);
+            ];
+        ])
+  in
+  List.iter
+    (fun tid ->
+      Alcotest.(check bool)
+        (Printf.sprintf "thread id %d decodes" tid)
+        true
+        (Result.is_ok (Obs.Codec.decode Queue.codec (record tid))))
+    [ 0; 62; 63; 1000 ];
+  List.iter
+    (fun tid ->
+      Alcotest.(check bool)
+        (Printf.sprintf "thread id %d rejected" tid)
+        true
+        (Result.is_error (Obs.Codec.decode Queue.codec (record tid))))
+    [ -1; 1 lsl 24; max_int ]
+
 let workloads = Workloads.Registry.with_examples @ Workloads.Registry.planted
 
 let suite =
@@ -730,6 +799,8 @@ let suite =
         test_taint_resets;
       Alcotest.test_case "shared queue codec: out-of-range address is an error" `Quick
         test_queue_codec_range;
+      Alcotest.test_case "shared queue codec: out-of-range thread id is an error" `Quick
+        test_queue_codec_tid_range;
       QCheck_alcotest.to_alcotest prop_listeners_match_reference;
       QCheck_alcotest.to_alcotest prop_checkers_match_reference;
     ]
