@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Record the findings output of three seeded fuzz sessions.
+"""Record the findings output of five seeded fuzz sessions.
 
 Usage: python3 test/record_findings.py PMRACE_CLI OUTDIR
 
 Each session runs once with --report, --trace-out and --json-out (and
---no-metrics), and leaves three files in OUTDIR:
+--no-metrics), and leaves three files per session in OUTDIR:
 
   NAME.report.txt   the CLI's stdout, without the "== ... execs/sec ==" line
   NAME.trace.jsonl  the event trace, without the "t", "wall" and "latency" keys
@@ -25,6 +25,8 @@ SESSIONS = [
     ("figure1", ["figure1", "--campaigns", "40", "--invariants", "--crash-images", "4"]),
     ("torn-planted", ["torn-planted", "--campaigns", "60", "--crash-images", "4", "--por"]),
     ("memcached-pmem", ["memcached-pmem", "--campaigns", "60", "--crash-images", "16"]),
+    ("fast-fair", ["fast-fair", "--campaigns", "60"]),
+    ("clevel", ["clevel", "--campaigns", "60"]),
 ]
 
 
