@@ -6,7 +6,7 @@
    AFL's branch bitmap.  New bits are the fuzzer's interleaving-coverage
    feedback. *)
 
-module Rng = Sched.Rng
+module Candidates = Runtime.Candidates
 
 type access = { a_instr : int; a_dirty : bool; a_tid : int }
 
@@ -20,10 +20,11 @@ type t = {
   mutable touched : int array;
   mutable n_touched : int;
   (* Site-level accounting on top of the bitmap: achieved (write site,
-     read site) pairs — cross-thread dirty reads — against the
+     read site) pairs — cross-thread dirty reads, i.e. Inter candidates,
+     held as their packed candidate keys — against the
      statically-possible denominator computed by the offline analyzer
      (Analysis.Site_graph). *)
-  achieved : (int * int, unit) Hashtbl.t;
+  achieved : unit Candidates.Tbl.t;
   mutable possible : int option;
 }
 
@@ -35,7 +36,7 @@ let create ?(size_log = 16) () =
     count = 0;
     touched = [||];
     n_touched = 0;
-    achieved = Hashtbl.create 64;
+    achieved = Candidates.Tbl.create 64;
     possible = None;
   }
 
@@ -103,31 +104,38 @@ let merge_into ~src dst =
     let b = src.touched.(i) in
     ignore (or_byte dst b (Char.code (Bytes.get src.bits b)))
   done;
-  Hashtbl.iter (fun pair () -> Hashtbl.replace dst.achieved pair ()) src.achieved
+  Candidates.Tbl.iter (fun k () -> Candidates.Tbl.replace dst.achieved k ()) src.achieved
 
-let record_site_pair t ~write_instr ~read_instr =
-  Hashtbl.replace t.achieved (write_instr, read_instr) ()
+let record_site_pair t ~write_instr:write ~read_instr:read =
+  Candidates.Tbl.replace t.achieved (Candidates.key ~write ~read Candidates.Inter) ()
 
-let achieved_site_pairs t = Hashtbl.length t.achieved
+let record_candidates t cands =
+  Candidates.iter_unique
+    (fun k _ ->
+      if Candidates.key_kind k = Candidates.Inter then Candidates.Tbl.replace t.achieved k ())
+    cands
 
-let site_pairs t =
-  Hashtbl.fold (fun (w, r) () acc -> (w, r) :: acc) t.achieved [] |> List.sort compare
+let achieved_site_pairs t = Candidates.Tbl.length t.achieved
 
-let fresh_pairs ~src dst =
-  List.filter (fun pair -> not (Hashtbl.mem dst.achieved pair)) (site_pairs src)
+(* Inter keys order as (write, read) pairs do. *)
+let sorted_pairs keep t =
+  Candidates.Tbl.fold (fun k () acc -> if keep k then k :: acc else acc) t.achieved []
+  |> List.sort Int.compare
+  |> List.map Candidates.key_pair
+
+let site_pairs t = sorted_pairs (fun _ -> true) t
+let fresh_pairs ~src dst = sorted_pairs (fun k -> not (Candidates.Tbl.mem dst.achieved k)) src
 
 let set_possible t n = t.possible <- Some n
 let possible t = t.possible
 
 let pp_site_coverage ppf t =
   match t.possible with
-  | Some p -> Fmt.pf ppf "%d/%d site pairs" (Hashtbl.length t.achieved) p
-  | None -> Fmt.pf ppf "%d site pairs (no static denominator)" (Hashtbl.length t.achieved)
+  | Some p -> Fmt.pf ppf "%d/%d site pairs" (achieved_site_pairs t) p
+  | None -> Fmt.pf ppf "%d site pairs (no static denominator)" (achieved_site_pairs t)
 
-(* Per-execution scratch: the previous accessor of every PM address, plus
-   the last *writer* tracked separately so that cross-thread dirty reads
-   also register as achieved site pairs against the static denominator.
-   Address-indexed int arrays, grown on demand, whose entries are valid
+(* Per-execution scratch: the previous accessor of every PM address, in
+   address-indexed int arrays, grown on demand, whose entries are valid
    only when their stamp equals the tracker's generation: reset is a
    generation bump, and an access is a few array writes (no hashing, no
    record).  The persistent-mode engine keeps one tracker per worker and
@@ -138,22 +146,10 @@ type tracker = {
   mutable last_instr : int array;
   mutable last_dirty : Bytes.t;
   mutable last_tid : int array;
-  mutable writer_stamp : int array;
-  mutable writer_instr : int array;
-  mutable writer_tid : int array;
 }
 
 let tracker () =
-  {
-    gen = 1;
-    last_stamp = [||];
-    last_instr = [||];
-    last_dirty = Bytes.empty;
-    last_tid = [||];
-    writer_stamp = [||];
-    writer_instr = [||];
-    writer_tid = [||];
-  }
+  { gen = 1; last_stamp = [||]; last_instr = [||]; last_dirty = Bytes.empty; last_tid = [||] }
 
 let reset_tracker tr = tr.gen <- tr.gen + 1
 
@@ -167,13 +163,13 @@ let ensure tr addr =
     tr.last_stamp <- grow tr.last_stamp;
     tr.last_instr <- grow tr.last_instr;
     tr.last_dirty <- Bytes.cat tr.last_dirty (Bytes.make (m - n) '\000');
-    tr.last_tid <- grow tr.last_tid;
-    tr.writer_stamp <- grow tr.writer_stamp;
-    tr.writer_instr <- grow tr.writer_instr;
-    tr.writer_tid <- grow tr.writer_tid
+    tr.last_tid <- grow tr.last_tid
   end
 
-let on_access t tr addr ~instr ~dirty ~tid =
+(* One PM access: the pair it forms with the address's previous access.
+   A store or non-temporal store leaves its word dirty. *)
+let record_access t tr ~addr ~instr ~dirty ~tid =
+  ensure tr addr;
   if tr.last_stamp.(addr) = tr.gen then
     ignore
       (observe_pair t ~p_instr:tr.last_instr.(addr)
@@ -184,22 +180,6 @@ let on_access t tr addr ~instr ~dirty ~tid =
   Bytes.set tr.last_dirty addr (if dirty then '\001' else '\000');
   tr.last_tid.(addr) <- tid
 
-(* A load of [addr] by [tid]: a dirty one following another thread's
-   store also achieves the (write site, read site) pair. *)
-let record_load t tr ~addr ~instr ~dirty ~tid =
-  ensure tr addr;
-  if dirty && tr.writer_stamp.(addr) = tr.gen && tr.writer_tid.(addr) <> tid then
-    record_site_pair t ~write_instr:tr.writer_instr.(addr) ~read_instr:instr;
-  on_access t tr addr ~instr ~dirty ~tid
-
-(* A store or non-temporal store: the address's new last writer. *)
-let record_store t tr ~addr ~instr ~tid =
-  ensure tr addr;
-  tr.writer_stamp.(addr) <- tr.gen;
-  tr.writer_instr.(addr) <- instr;
-  tr.writer_tid.(addr) <- tid;
-  on_access t tr addr ~instr ~dirty:true ~tid
-
 (* Empty the map itself (bitmap, count, achieved pairs) so a worker-local
    delta can be reused across campaigns: O(touched bytes). *)
 let clear t =
@@ -208,7 +188,7 @@ let clear t =
   done;
   t.n_touched <- 0;
   t.count <- 0;
-  Hashtbl.reset t.achieved;
+  Candidates.Tbl.reset t.achieved;
   t.possible <- None
 
 (* ------------------------------------------------------------------ *)

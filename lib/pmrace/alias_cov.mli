@@ -32,7 +32,12 @@ val merge_into : src:t -> t -> unit
 
 val record_site_pair : t -> write_instr:int -> read_instr:int -> unit
 (** Register a (write site, read site) pair as dynamically achieved — a
-    cross-thread dirty read.  {!attach} does this automatically. *)
+    cross-thread dirty read. *)
+
+val record_candidates : t -> Runtime.Candidates.t -> unit
+(** Register the pair of every unique [Inter] candidate: a load of
+    another thread's non-persisted write is exactly an achieved pair.
+    {!Hub.commit} adds a campaign's candidates to its delta this way. *)
 
 val achieved_site_pairs : t -> int
 (** Distinct achieved (write site, read site) pairs. *)
@@ -56,23 +61,20 @@ val pp_site_coverage : Format.formatter -> t -> unit
     static pre-pass ran. *)
 
 type tracker
-(** Per-execution scratch (previous accessor and last writer per address),
-    held in generation-stamped address-indexed arrays: an access costs a
-    few array writes, a reset is O(1).  The persistent-mode engine keeps
+(** Per-execution scratch (previous accessor per address), held in
+    generation-stamped address-indexed arrays: an access costs a few
+    array writes, a reset is O(1).  The persistent-mode engine keeps
     one per worker and resets it between campaigns instead of allocating
     fresh closures. *)
 
 val tracker : unit -> tracker
 val reset_tracker : tracker -> unit
 
-val record_load : t -> tracker -> addr:int -> instr:int -> dirty:bool -> tid:int -> unit
-(** Feed one PM load (instruction id {!Runtime.Instr.to_int}): the pair
-    it forms with the address's previous access, and, for a dirty load
-    after another thread's store, the achieved (write site, read site)
-    pair.  The worker's coverage recorder ({!Hub.recorder}) calls this. *)
-
-val record_store : t -> tracker -> addr:int -> instr:int -> tid:int -> unit
-(** Feed one PM store or non-temporal store. *)
+val record_access : t -> tracker -> addr:int -> instr:int -> dirty:bool -> tid:int -> unit
+(** Feed one PM access (instruction id {!Runtime.Instr.to_int}; a store
+    is [~dirty:true]): the pair it forms with the address's previous
+    access.  The worker's coverage recorder ({!Hub.recorder}) calls this;
+    site pairs come from {!record_candidates}. *)
 
 val clear : t -> unit
 (** Empty the map (bitmap, count, achieved pairs, denominator) so a

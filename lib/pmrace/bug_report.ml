@@ -97,20 +97,15 @@ let render_lint ppf (findings : Analysis.Lint.finding list) =
         pp_lint_finding ppf f)
       findings
 
-(* All surviving bugs of a session: inconsistencies most recently
-   confirmed last, then sync events. *)
+(* All surviving bugs of a session: inconsistencies in [Report.findings]
+   order (campaign of first sighting, then key), then sync events. *)
 let render_bugs ppf (session : Fuzzer.session) =
   let bugs =
     List.filter (fun (f : Report.finding) ->
         match f.verdict with Some (Post_failure.Bug _) -> true | _ -> false)
   in
   let report = session.Fuzzer.report in
-  match
-    List.stable_sort
-      (fun (a : Report.finding) b -> compare a.found_at b.found_at)
-      (bugs (Report.findings report))
-    @ bugs (Report.sync_findings report)
-  with
+  match bugs (Report.findings report) @ bugs (Report.sync_findings report) with
   | [] -> Fmt.pf ppf "no surviving bugs.@."
   | fs ->
       List.iteri

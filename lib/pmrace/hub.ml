@@ -180,19 +180,19 @@ let fresh_delta () =
   }
 
 (* The worker's one coverage recorder: a single match per event feeds
-   the alias map, branch and queue coverage, and the seed's touched sites
-   ([sites], retargeted per campaign; [None] records none).  The alias
-   part uses the delta's own tracker, so [reset_delta] must run between
-   campaigns. *)
+   the alias bitmap, branch and queue coverage, and the seed's touched
+   sites ([sites], retargeted per campaign; [None] records none).  The
+   alias part uses the delta's own tracker, so [reset_delta] must run
+   between campaigns.  [commit] adds the achieved site pairs. *)
 let recorder d ~sites = function
   | Runtime.Env.Ev_load { instr; tid; addr; dirty } ->
       let id = Runtime.Instr.to_int instr in
-      Alias_cov.record_load d.d_alias d.d_tracker ~addr ~instr:id ~dirty ~tid;
+      Alias_cov.record_access d.d_alias d.d_tracker ~addr ~instr:id ~dirty ~tid;
       Shared_queue.observe_load d.d_queue ~addr ~instr ~tid;
       (match sites with Some s -> ignore (Site_set.add !s id) | None -> ())
   | Runtime.Env.Ev_store { instr; tid; addr } | Runtime.Env.Ev_movnt { instr; tid; addr } ->
       let id = Runtime.Instr.to_int instr in
-      Alias_cov.record_store d.d_alias d.d_tracker ~addr ~instr:id ~tid;
+      Alias_cov.record_access d.d_alias d.d_tracker ~addr ~instr:id ~dirty:true ~tid;
       Shared_queue.observe_store d.d_queue ~addr ~instr ~tid;
       (match sites with Some s -> ignore (Site_set.add !s id) | None -> ())
   | Runtime.Env.Ev_branch { instr; _ } -> ignore (Branch_cov.observe d.d_branch instr)
@@ -267,6 +267,10 @@ let static_score pairs sites =
     (Analysis.Alias_pairs.uncovered pairs)
 
 let commit t ~campaign ~seed ~delta ?sites ~invariants (result : Campaign.result) =
+  (* The campaign's achieved site pairs are its Inter candidates' pairs:
+     added to the worker's own delta, before the lock. *)
+  Alias_cov.record_candidates delta.d_alias
+    (Runtime.Checkers.candidates result.env.Runtime.Env.checkers);
   with_lock t (fun () ->
       Obs.Metrics.time (Lazy.force m_merge) @@ fun () ->
       (* POR trace accounting.  [c_first_trace] decides (outside the lock)

@@ -102,7 +102,9 @@ type commit_result = {
       (** (write, read) site pairs first achieved by this merge, as raw
           instruction ids, sorted — the fuzzer turns them into
           [new_alias_pair] events.  Derived from the delta alone
-          ({!Alias_cov.fresh_pairs}): O(delta), not O(shared map). *)
+          ({!Alias_cov.fresh_pairs}): O(delta), not O(shared map).  The
+          delta's pairs are the campaign's unique [Inter] candidate
+          pairs. *)
   c_alias_bits : int;  (** shared coverage after this merge *)
   c_branch_bits : int;
   c_first_trace : bool;
@@ -120,7 +122,10 @@ val commit :
   invariants:Inv_monitor.hit list ->
   Campaign.result ->
   commit_result
-(** The campaign-boundary merge, in one critical section: fold the delta
+(** The campaign-boundary merge.  First, outside the lock, the result's
+    unique [Inter] candidates enter the delta as its achieved site pairs
+    ({!Alias_cov.record_candidates}), so a fleet worker's wire delta
+    carries them too.  Then, in one critical section: fold the delta
     into shared coverage, absorb the result's checker findings and the
     drained [invariants] hits into the report, extend the timeline, and,
     when the campaign ran under POR, register its trace class (salted

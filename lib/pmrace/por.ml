@@ -146,7 +146,6 @@ type t = {
   fiber_layer : int array; (* tid -> layer of the fiber's latest op *)
   fiber_seq : int array; (* tid -> ops executed by the fiber so far *)
   mutable hash : int;
-  mutable ops : int;
 }
 
 let create ?(pool_words = 1024) ~nthreads () =
@@ -173,7 +172,6 @@ let create ?(pool_words = 1024) ~nthreads () =
     fiber_layer = Array.make n 0;
     fiber_seq = Array.make n 0;
     hash = 0;
-    ops = 0;
   }
 
 let reset t =
@@ -187,8 +185,7 @@ let reset t =
   t.max_layer <- 0;
   Array.fill t.fiber_layer 0 t.nthreads 0;
   Array.fill t.fiber_seq 0 t.nthreads 0;
-  t.hash <- 0;
-  t.ops <- 0
+  t.hash <- 0
 
 (* splitmix-style finalizer over the native int — allocation-free, unlike
    boxed Int64 arithmetic.  Constants are 62-bit odd multipliers; the
@@ -275,8 +272,7 @@ let digest_op t tid fp =
      per-fiber sequence number, tid) is enough spread for an XOR-folded
      dedup key; a second round buys nothing but latency on the hot path. *)
   let h = mix (fp lxor (layer lsl 40) lxor (seq lsl 22) lxor tid) in
-  t.hash <- t.hash lxor h;
-  t.ops <- t.ops + 1
+  t.hash <- t.hash lxor h
 
 (* Fold one executed op into the step accumulator and the trace hash.
    The first op of a step sets the cell; a second op in the same step
@@ -322,13 +318,10 @@ let wrap t (base : Runtime.Env.policy) : Runtime.Env.policy =
 let hooks t = t.hooks
 
 let trace_hash t = Int64.of_int t.hash
-let ops t = t.ops
 let capacity t = t.nthreads
 
 type stats = {
   s_trace_hash : int64;  (** canonical Mazurkiewicz-trace digest *)
-  s_ops : int;  (** instrumented ops folded into the digest *)
-  s_layers : int;  (** Foata height — the critical-path length of the trace *)
   s_pruned_picks : int;
   s_forced_wakes : int;
 }
@@ -336,8 +329,6 @@ type stats = {
 let stats t =
   {
     s_trace_hash = Int64.of_int t.hash;
-    s_ops = t.ops;
-    s_layers = t.max_layer;
     s_pruned_picks = t.hooks.pruned_picks;
     s_forced_wakes = t.hooks.forced_wakes;
   }

@@ -50,15 +50,12 @@ val record_op : t -> int -> Runtime.Footprint.t -> unit
     without a scheduler. *)
 
 val trace_hash : t -> int64
-val ops : t -> int
 
 val capacity : t -> int
 (** The [nthreads] the harness was created for. *)
 
 type stats = {
   s_trace_hash : int64;  (** canonical Mazurkiewicz-trace digest *)
-  s_ops : int;  (** instrumented ops folded into the digest *)
-  s_layers : int;  (** Foata height — the critical-path length of the trace *)
   s_pruned_picks : int;
   s_forced_wakes : int;
 }

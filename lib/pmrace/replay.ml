@@ -42,7 +42,7 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
       (Printf.sprintf "artifact was recorded for target %S, not %S" artifact.Artifact.a_target
          target.Target.name)
   else
-    match List.nth_opt artifact.a_bugs bug with
+    match if bug < 0 then None else List.nth_opt artifact.a_bugs bug with
     | None ->
         Error (Printf.sprintf "no bug #%d (artifact has %d)" bug (List.length artifact.a_bugs))
     | Some b -> (

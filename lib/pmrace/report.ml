@@ -65,12 +65,11 @@ let validate ctx f =
   f.verdict <- Some v;
   v
 
-type cand_key = { ck_write : string; ck_read : string; ck_kind : Candidates.kind }
-type inc_key = { xk_write : string; xk_read : string; xk_eff : string; xk_kind : Candidates.kind }
+module Tbl = Candidates.Tbl
 
 type t = {
-  cands : (cand_key, int) Hashtbl.t; (* campaign of first sighting *)
-  findings : (inc_key, finding) Hashtbl.t;
+  cands : unit Tbl.t; (* packed candidate keys ([Candidates.key]) *)
+  findings : finding Tbl.t; (* by [Checkers.inc_key] *)
   sync_findings : (string * int64, finding) Hashtbl.t;
   hangs : (string, int) Hashtbl.t; (* hung-thread description -> occurrences *)
   inv_findings : (string, finding) Hashtbl.t; (* invariant label -> finding *)
@@ -84,8 +83,8 @@ type t = {
 
 let create () =
   {
-    cands = Hashtbl.create 64;
-    findings = Hashtbl.create 64;
+    cands = Tbl.create 64;
+    findings = Tbl.create 64;
     sync_findings = Hashtbl.create 16;
     hangs = Hashtbl.create 8;
     inv_findings = Hashtbl.create 16;
@@ -93,17 +92,6 @@ let create () =
     intra_count = 0;
     lint = [];
     invariants = [];
-  }
-
-let cand_key (c : Candidates.cand) =
-  { ck_write = Instr.name c.write_instr; ck_read = Instr.name c.read_instr; ck_kind = c.kind }
-
-let inc_key (i : Checkers.inconsistency) =
-  {
-    xk_write = Instr.name i.source.Candidates.write_instr;
-    xk_read = Instr.name i.source.Candidates.read_instr;
-    xk_eff = Instr.name i.eff_instr;
-    xk_kind = i.source.Candidates.kind;
   }
 
 (* First sighting wins: add [f] under [k] unless the key is known, and
@@ -121,25 +109,21 @@ let first_sighting tbl k f =
    indices up front, so absorb order need not match index order). *)
 let absorb ~campaign t (env : Runtime.Env.t) ~hung ~hang_info =
   let ck = env.Runtime.Env.checkers in
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun c ->
-          let k = cand_key c in
-          if not (Hashtbl.mem t.cands k) then Hashtbl.add t.cands k campaign)
-        (Candidates.unique (Checkers.candidates ck) kind))
-    [ Candidates.Inter; Candidates.Intra ];
+  Candidates.iter_unique (fun k _ -> Tbl.replace t.cands k ()) (Checkers.candidates ck);
   let found subject = { subject; found_at = campaign; verdict = None } in
   let new_findings =
     List.filter_map
       (fun (inc : Checkers.inconsistency) ->
-        let f = first_sighting t.findings (inc_key inc) (found (Inconsistency inc)) in
-        if Option.is_some f then begin
-          match inc.source.Candidates.kind with
+        let k = Checkers.inc_key inc.source inc.eff_instr in
+        if Tbl.mem t.findings k then None
+        else begin
+          let f = found (Inconsistency inc) in
+          Tbl.add t.findings k f;
+          (match inc.source.Candidates.kind with
           | Candidates.Inter -> t.inter_count <- t.inter_count + 1
-          | Candidates.Intra -> t.intra_count <- t.intra_count + 1
-        end;
-        f)
+          | Candidates.Intra -> t.intra_count <- t.intra_count + 1);
+          Some f
+        end)
       (Checkers.inconsistencies ck)
   in
   let new_sync =
@@ -182,15 +166,25 @@ let set_lint t fs = t.lint <- fs
 let lint_findings t = t.lint
 let set_invariants t specs = t.invariants <- specs
 let invariants t = t.invariants
-let findings t = Hashtbl.fold (fun _ f acc -> f :: acc) t.findings []
+(* Listing order: by campaign of first sighting, then by key. *)
+let findings t =
+  Tbl.fold (fun k f acc -> ((f.found_at, k), f) :: acc) t.findings []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
 let sync_findings t = Hashtbl.fold (fun _ f acc -> f :: acc) t.sync_findings []
 let hangs t = Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.hangs []
 
 let candidate_count t kind =
-  Hashtbl.fold (fun k _ n -> if k.ck_kind = kind then n + 1 else n) t.cands 0
+  Tbl.fold (fun k () n -> if Candidates.key_kind k = kind then n + 1 else n) t.cands 0
 
 let candidate_pairs t =
-  Hashtbl.fold (fun k _ acc -> (k.ck_write, k.ck_read, k.ck_kind) :: acc) t.cands []
+  let name id = Instr.name (Instr.of_int id) in
+  Tbl.fold (fun k () acc -> k :: acc) t.cands []
+  |> List.sort Int.compare
+  |> List.map (fun k ->
+         let w, r = Candidates.key_pair k in
+         (name w, name r, Candidates.key_kind k))
 
 let of_candidates_kind = function Candidates.Inter -> `Inter | Candidates.Intra -> `Intra
 

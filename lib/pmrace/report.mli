@@ -53,10 +53,11 @@ val absorb :
     discovered unique inconsistencies followed by the new sync events,
     which the fuzzer then validates.  [campaign] stamps first sightings;
     discovery is deduplicated by bug identity — candidate pairs by
-    (write, read, kind), inconsistencies by (write, read, effect, kind),
-    sync events by (variable, value) — so the resulting {e set} of unique
-    findings is independent of the order in which concurrent workers'
-    campaigns are absorbed. *)
+    packed (write, read, kind) site ids, inconsistencies by packed
+    (write, read, kind, effect), sync events by (variable, value) — so
+    the resulting {e set} of unique findings is independent of the order
+    in which concurrent workers' campaigns are absorbed.  No site name is
+    looked up: names are decoded only when listing. *)
 
 val set_lint : t -> Analysis.Lint.finding list -> unit
 (** Attach the static pre-pass's persistency-lint findings, so sessions
@@ -77,7 +78,8 @@ val invariant_findings : t -> finding list
 (** Sorted by label (deterministic regardless of discovery order). *)
 
 val findings : t -> finding list
-(** The unique inconsistencies. *)
+(** The unique inconsistencies, by campaign of first sighting and then by
+    packed key ({!Runtime.Checkers.inc_key}). *)
 
 val sync_findings : t -> finding list
 (** The unique sync events. *)
@@ -89,7 +91,7 @@ val candidate_count : t -> Candidates.kind -> int
 
 val candidate_pairs : t -> (string * string * Candidates.kind) list
 (** The unique candidate pairs themselves, as (write site, read site,
-    kind). *)
+    kind), in packed-key order. *)
 
 val inconsistency_count : t -> Candidates.kind -> int
 

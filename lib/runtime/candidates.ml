@@ -17,21 +17,35 @@ type cand = {
   write_tid : int;
 }
 
-(* Unique candidates are grouped by the (writing site, reading site) pair,
-   which is how the paper groups them for Table 3. *)
-type key = { k_write : Instr.t; k_read : Instr.t; k_kind : kind }
+(* One int per (writing site, reading site, kind): the grouping Table 3
+   counts unique candidates by, and, for Inter keys, an achieved site pair
+   of PM alias coverage.  Site ids stay far below 2^[site_bits], so a key
+   and a key extended by one more site id (an inconsistency's effect) both
+   fit a native int.  Keys order as (write, read, kind). *)
+let site_bits = 20
+let key ~write ~read kind =
+  (write lsl (site_bits + 1)) lor (read lsl 1) lor match kind with Inter -> 0 | Intra -> 1
+
+let key_pair k = (k lsr (site_bits + 1), (k lsr 1) land ((1 lsl site_bits) - 1))
+let key_kind k = if k land 1 = 0 then Inter else Intra
+
+(* The hash folds the packed fields into the low bits without a C call. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr site_bits) lxor (k lsr (2 * site_bits))
+end)
 
 (* Ids are dense ([0, next)), so [by_id] is an array indexed by id, grown
    by doubling. *)
 type t = {
   mutable next : int;
   mutable by_id : cand array;
-  uniq : (key, cand) Hashtbl.t;
+  uniq : cand Tbl.t; (* packed key -> first candidate with it *)
 }
 
-let create () = { next = 0; by_id = [||]; uniq = Hashtbl.create 64 }
-
-let key_of c = { k_write = c.write_instr; k_read = c.read_instr; k_kind = c.kind }
+let create () = { next = 0; by_id = [||]; uniq = Tbl.create 64 }
 
 let register t ~addr ~read_instr ~read_tid ~write_instr ~write_tid =
   let kind = if read_tid = write_tid then Intra else Inter in
@@ -43,27 +57,24 @@ let register t ~addr ~read_instr ~read_tid ~write_instr ~write_tid =
     t.by_id <- bigger
   end;
   t.by_id.(c.id) <- c;
-  let k = key_of c in
-  if not (Hashtbl.mem t.uniq k) then Hashtbl.add t.uniq k c;
+  let k = key ~write:(Instr.to_int write_instr) ~read:(Instr.to_int read_instr) kind in
+  if not (Tbl.mem t.uniq k) then Tbl.add t.uniq k c;
   c
 
-(* [Hashtbl.reset] shrinks a grown table back to its initial size, so
+(* [Tbl.reset] shrinks a grown table back to its initial size, so
    [unique] iterates in the order a fresh table would. *)
 let reset t =
   t.next <- 0;
   t.by_id <- [||];
-  Hashtbl.reset t.uniq
+  Tbl.reset t.uniq
 
 let get t id = t.by_id.(id)
 let dynamic_count t = t.next
+let iter_unique f t = Tbl.iter f t.uniq
 
 let unique t kind =
-  Hashtbl.fold (fun k c acc -> if k.k_kind = kind then c :: acc else acc) t.uniq []
+  Tbl.fold (fun k c acc -> if key_kind k = kind then c :: acc else acc) t.uniq []
 
-let unique_count t kind = List.length (unique t kind)
+let unique_count t kind = Tbl.fold (fun k _ n -> if key_kind k = kind then n + 1 else n) t.uniq 0
 
 let pp_kind ppf = function Inter -> Fmt.string ppf "Inter" | Intra -> Fmt.string ppf "Intra"
-
-let pp ppf c =
-  Fmt.pf ppf "%a-Cand#%d addr=%d write=%a(t%d) read=%a(t%d)" pp_kind c.kind c.id c.addr Instr.pp
-    c.write_instr c.write_tid Instr.pp c.read_instr c.read_tid

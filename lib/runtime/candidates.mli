@@ -15,6 +15,27 @@ type cand = {
   write_tid : int;
 }
 
+(** {1 Packed keys}
+
+    A unique candidate's identity: its (write site, read site, kind), as
+    raw site ids ({!Instr.to_int}) below [2^site_bits] packed into one
+    int, ordered as (write, read, kind) with [Inter] first.  The checkers,
+    the session report and, for [Inter], PM alias coverage's achieved
+    site pairs all use it. *)
+
+val site_bits : int
+(** 20.  {!Checkers.inc_key} shifts a key by this to add a site. *)
+
+val key : write:int -> read:int -> kind -> int
+val key_pair : int -> int * int
+val key_kind : int -> kind
+(** [key_pair k] decodes (write, read), [key_kind k] the kind. *)
+
+module Tbl : Hashtbl.S with type key = int
+(** Tables keyed by packed keys, hashed without a C call. *)
+
+(** {1 Candidate tables} *)
+
 type t
 
 val create : unit -> t
@@ -33,10 +54,12 @@ val get : t -> int -> cand
 val dynamic_count : t -> int
 (** Number of dynamic candidate occurrences. *)
 
+val iter_unique : (int -> cand -> unit) -> t -> unit
+(** Every unique candidate's packed key with its first occurrence. *)
+
 val unique : t -> kind -> cand list
 (** One representative per unique (write site, read site) pair — the
     grouping used for Table 3. *)
 
 val unique_count : t -> kind -> int
 val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> cand -> unit

@@ -41,21 +41,12 @@ type sync_event = {
   sy_crash : Pmem.Crash_images.state option;
 }
 
-(* A finding is reported once per (writing site, reading site, effect
-   site, kind), packed into one int key: site ids stay far below 2^20.
-   The hash folds the three fields into the low bits without a C call. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k lxor (k lsr 20) lxor (k lsr 40)
-end)
-
+(* A finding is reported once per (writing site, reading site, kind,
+   effect site): the source's packed candidate key with the effect site
+   id below it. *)
 let inc_key (source : Candidates.cand) eff_instr =
-  (Instr.to_int source.write_instr lsl 41)
-  lor (Instr.to_int source.read_instr lsl 21)
-  lor (Instr.to_int eff_instr lsl 1)
-  lor match source.kind with Candidates.Inter -> 0 | Candidates.Intra -> 1
+  let write = Instr.to_int source.write_instr and read = Instr.to_int source.read_instr in
+  (Candidates.key ~write ~read source.kind lsl Candidates.site_bits) lor Instr.to_int eff_instr
 
 type t = {
   cands : Candidates.t;
@@ -72,7 +63,7 @@ type t = {
   mutable pend_len : int;
   mutable pend_live : int;
   mutable inconsistencies : inconsistency list;
-  uniq_inc : unit Int_tbl.t;
+  uniq_inc : unit Candidates.Tbl.t;
   mutable sync_vars : sync_var list;
   mutable sync_events : sync_event list;
   uniq_sync : (string * int64, unit) Hashtbl.t;
@@ -87,7 +78,7 @@ let create ?(capture_images = true) () =
     pend_len = 0;
     pend_live = 0;
     inconsistencies = [];
-    uniq_inc = Int_tbl.create 32;
+    uniq_inc = Candidates.Tbl.create 32;
     sync_vars = [];
     sync_events = [];
     uniq_sync = Hashtbl.create 16;
@@ -103,7 +94,7 @@ let reset t ~capture_images =
   t.pend_len <- 0;
   t.pend_live <- 0;
   t.inconsistencies <- [];
-  Int_tbl.reset t.uniq_inc;
+  Candidates.Tbl.reset t.uniq_inc;
   t.sync_vars <- [];
   t.sync_events <- [];
   Hashtbl.reset t.uniq_sync;
@@ -208,8 +199,8 @@ let on_store t pool ~tid ~instr ~addr ~value_taint ~addr_taint =
 let record_inconsistency t pool ~source ~eff_addr ~eff_instr ~eff_tid ~addr_flow ~external_effect
     ~eff_words =
   let key = inc_key source eff_instr in
-  if not (Int_tbl.mem t.uniq_inc key) then begin
-    Int_tbl.add t.uniq_inc key ();
+  if not (Candidates.Tbl.mem t.uniq_inc key) then begin
+    Candidates.Tbl.add t.uniq_inc key ();
     let crash = if t.capture_images then Some (Pmem.Crash_images.capture pool) else None in
     t.inconsistencies <-
       { source; eff_addr; eff_instr; eff_tid; addr_flow; external_effect; crash; eff_words }

@@ -39,6 +39,10 @@ type side_effect = {
   se_sources : Candidates.cand list;
 }
 
+val inc_key : Candidates.cand -> Instr.t -> int
+(** [inc_key source eff_instr]: an inconsistency's identity, the
+    source's {!Candidates.key} with the effect site id packed below it. *)
+
 val create : ?capture_images:bool -> unit -> t
 (** [capture_images:false] skips crash-surface capture (used when only
     coverage, not validation, is needed). *)

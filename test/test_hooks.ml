@@ -17,6 +17,11 @@
      here, across resets, and so do their session-long merges (alias map
      and queue) and an alias merge destination that is cleared and
      reused;
+   - on every registered workload and under every fuzzing mode and
+     execution flag, each commit's achieved site pairs (the campaign's
+     Inter candidates) equal the pairs a last-writer model derives from
+     the campaign's events, and the report keyed by packed site ids holds
+     the same candidates and first sightings as a name-keyed model;
    - over random streams of tainted loads, stores, flushes, fences and
      evictions, the checkers' word-indexed pending set and newest-first
      label sets confirm the same inconsistencies (order, sources, effect
@@ -201,7 +206,10 @@ let test_taint_resets () =
 (* ------------------------------------------------------------------ *)
 
 (* The alias tracker as it was: previous accessor and last writer per
-   address in hash tables, one access record per event. *)
+   address in hash tables, one access record per event.  The last writer
+   is the reference for achieved site pairs: a dirty load of a word that
+   another thread stored last achieves (write site, read site), which the
+   handler reports through [on_pair]. *)
 module Ref_alias = struct
   type t = { last : (int, Alias.access) Hashtbl.t; last_writer : (int, Alias.access) Hashtbl.t }
 
@@ -217,13 +225,12 @@ module Ref_alias = struct
     | None -> ());
     Hashtbl.replace t.last addr cur
 
-  let handler cov t = function
+  let handler ~on_pair cov t = function
     | Env.Ev_load { instr; tid; addr; dirty } ->
         let cur = { Alias.a_instr = Instr.to_int instr; a_dirty = dirty; a_tid = tid } in
         (if dirty then
            match Hashtbl.find_opt t.last_writer addr with
-           | Some w when w.Alias.a_tid <> tid ->
-               Alias.record_site_pair cov ~write_instr:w.Alias.a_instr ~read_instr:cur.a_instr
+           | Some w when w.Alias.a_tid <> tid -> on_pair w.Alias.a_instr cur.a_instr
            | Some _ | None -> ());
         on_access cov t addr cur
     | Env.Ev_store { instr; tid; addr } | Env.Ev_movnt { instr; tid; addr } ->
@@ -332,7 +339,12 @@ let prop_listeners_match_reference =
   QCheck.Test.make ~name:"hooks: array-backed listeners ≡ hash-table models" ~count:200
     (QCheck.make gen_ops) (fun ops ->
       (* System under test: a worker delta fed by the worker's one coverage
-         recorder, reset between campaigns by [Hub.reset_delta]. *)
+         recorder, reset between campaigns by [Hub.reset_delta].  Achieved
+         site pairs come from the checkers, not the recorder, and a
+         synthetic stream's [dirty] flags need not match any checker: the
+         model's last-writer pairs are injected on both sides, so the
+         merges and [fresh_pairs] still run on real pairs.  Section (e)
+         checks the pairs themselves on real campaigns. *)
       let delta = Hub.fresh_delta () in
       let d_alias = delta.Hub.d_alias and d_queue = delta.Hub.d_queue in
       let d_branch = delta.Hub.d_branch in
@@ -355,7 +367,6 @@ let prop_listeners_match_reference =
       in
       let compare_state () =
         if not (same_alias d_alias !ref_cov) then ok := false;
-        if Alias.site_pairs d_alias <> Alias.site_pairs !ref_cov then ok := false;
         if render_entries (Queue.entries d_queue) <> Ref_queue.entries !ref_queue then ok := false;
         if Queue.tracked_addresses d_queue <> Hashtbl.length !ref_queue then ok := false;
         for id = -1 to Instr.count () do
@@ -406,7 +417,11 @@ let prop_listeners_match_reference =
               Hashtbl.reset ref_branches
           | Ev ev ->
               record ev;
-              Ref_alias.handler !ref_cov ref_tr ev;
+              let on_pair write_instr read_instr =
+                Alias.record_site_pair d_alias ~write_instr ~read_instr;
+                Alias.record_site_pair !ref_cov ~write_instr ~read_instr
+              in
+              Ref_alias.handler ~on_pair !ref_cov ref_tr ev;
               Ref_queue.handler !ref_queue ev;
               match ev with
               | Env.Ev_load { instr; _ } | Env.Ev_store { instr; _ } | Env.Ev_movnt { instr; _ } ->
@@ -786,6 +801,152 @@ let test_queue_codec_tid_range () =
         (Result.is_error (Obs.Codec.decode Queue.codec (record tid))))
     [ -1; 1 lsl 24; max_int ]
 
+(* ------------------------------------------------------------------ *)
+(* (e) One site-pair identity: coverage pairs and the report reuse the  *)
+(*     checkers' packed candidate keys.                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The report as it was: candidate pairs and inconsistencies keyed by
+   site names, first sighting wins. *)
+module Ref_report = struct
+  type t = {
+    cands : (string * string * Candidates.kind, unit) Hashtbl.t;
+    incs : (Candidates.kind * string * string * string, int) Hashtbl.t;
+  }
+
+  let create () = { cands = Hashtbl.create 16; incs = Hashtbl.create 16 }
+
+  let absorb ~campaign t (env : Env.t) =
+    let ck = env.Env.checkers in
+    List.iter
+      (fun kind ->
+        List.iter
+          (fun (c : Candidates.cand) ->
+            Hashtbl.replace t.cands (Instr.name c.write_instr, Instr.name c.read_instr, kind) ())
+          (Candidates.unique (Checkers.candidates ck) kind))
+      [ Candidates.Inter; Candidates.Intra ];
+    List.iter
+      (fun (i : Checkers.inconsistency) ->
+        let c = i.source in
+        let name = Instr.name in
+        let k = (c.kind, name c.write_instr, name c.read_instr, name i.eff_instr) in
+        if not (Hashtbl.mem t.incs k) then Hashtbl.add t.incs k campaign)
+      (Checkers.inconsistencies ck)
+
+  let count t kind = Hashtbl.fold (fun (_, _, k) () n -> if k = kind then n + 1 else n) t.cands 0
+  let pairs t = Hashtbl.fold (fun p () acc -> p :: acc) t.cands [] |> List.sort compare
+
+  let findings t = Hashtbl.fold (fun (kind, w, r, e) c acc -> (kind, w, r, e, c) :: acc) t.incs []
+end
+
+type mode = Sync_points | Delay_inj | Random
+
+(* The fuzzer's modes and execution flags: (label, mode, --por,
+   crash images, eviction probability, eADR). *)
+let identity_configs =
+  [
+    ("pmrace", Sync_points, false, 1, 0., false);
+    ("delay", Delay_inj, false, 1, 0., false);
+    ("random", Random, false, 1, 0., false);
+    ("--por --crash-images 4", Sync_points, true, 4, 0., false);
+    ("evict_prob 0.2", Sync_points, false, 1, 0.2, false);
+    ("eADR", Sync_points, false, 1, 0., true);
+  ]
+
+let identity_campaigns = 30
+
+(* One session as a fuzz worker runs it — the recorder bound into a
+   persistent engine, every result committed to a hub and its first
+   sightings validated — with the last-writer model bound beside the
+   recorder and the name-keyed report fed the same results. *)
+let identity_session (target : Pmrace.Target.t) (label, mode, por, images, evict_prob, eadr) =
+  let hub = Hub.create ~max_campaigns:identity_campaigns () in
+  let delta = Hub.fresh_delta () in
+  let model = Hashtbl.create 16 and tracker = Ref_alias.create () in
+  let on_pair w r = Hashtbl.replace model (w, r) () in
+  let bound =
+    [| Hub.recorder delta ~sites:None; Ref_alias.handler ~on_pair (Alias.create ()) tracker |]
+  in
+  let engine = Engine.create ~evict_prob ~eadr ~bound target in
+  let rng = Sched.Rng.create 77 in
+  let seeds = Array.init 3 (fun _ -> Seed.gen rng target.Pmrace.Target.profile) in
+  let vctx = Post_failure.ctx ~images target in
+  let ref_report = Ref_report.create () in
+  let achieved = Hashtbl.create 16 in
+  for i = 0 to identity_campaigns - 1 do
+    let policy =
+      match (mode, Hub.queue_entries hub) with
+      | Delay_inj, _ -> Campaign.Delay { prob = 0.08; max_delay = 25 }
+      | Random, _ | Sync_points, [] -> Campaign.Random_sched
+      | Sync_points, entries ->
+          Campaign.Pmrace { entry = List.nth entries (i mod List.length entries); skip = 0 }
+    in
+    let input =
+      Campaign.input ~sched_seed:(Sched.Rng.int rng 1_000_000_000) ~policy ~por target
+        seeds.(i mod Array.length seeds)
+    in
+    Hub.reset_delta delta;
+    Ref_alias.reset tracker;
+    Hashtbl.reset model;
+    let r = Campaign.run ~engine input in
+    Ref_report.absorb ~campaign:i ref_report r.env;
+    let c = Hub.commit hub ~campaign:i ~seed:input.seed ~delta ~invariants:[] r in
+    let expected = Hashtbl.fold (fun p () acc -> p :: acc) model [] |> List.sort compare in
+    let where = Printf.sprintf "%s, %s, campaign %d" target.name label i in
+    Alcotest.(check (list (pair int int)))
+      (where ^ ": delta pairs = last-writer pairs")
+      expected (Alias.site_pairs delta.Hub.d_alias);
+    Alcotest.(check (list (pair int int)))
+      (where ^ ": new pairs")
+      (List.filter (fun p -> not (Hashtbl.mem achieved p)) expected)
+      c.Hub.c_new_pairs;
+    List.iter (fun p -> Hashtbl.replace achieved p ()) expected;
+    if c.Hub.c_first_trace then validate vctx c.Hub.c_new
+  done;
+  let where = Printf.sprintf "%s, %s" target.name label in
+  let report = Hub.report hub in
+  Alcotest.(check (list (pair int int)))
+    (where ^ ": shared pairs")
+    (Hashtbl.fold (fun p () acc -> p :: acc) achieved [] |> List.sort compare)
+    (Alias.site_pairs (Hub.alias hub));
+  List.iter
+    (fun kind ->
+      Alcotest.(check int)
+        (Fmt.str "%s: %a candidates" where Candidates.pp_kind kind)
+        (Ref_report.count ref_report kind)
+        (Report.candidate_count report kind))
+    [ Candidates.Inter; Candidates.Intra ];
+  let kind_name = Fmt.str "%a" Candidates.pp_kind in
+  let render_pairs = List.map (fun (w, r, k) -> (w, r, kind_name k)) in
+  Alcotest.(check (list (triple string string string)))
+    (where ^ ": candidate pairs")
+    (render_pairs (Ref_report.pairs ref_report))
+    (render_pairs (List.sort compare (Report.candidate_pairs report)));
+  let findings = Report.findings report in
+  let render (k, w, r, e, c) = Printf.sprintf "%s %s>%s>%s @%d" (kind_name k) w r e c in
+  Alcotest.(check (list string))
+    (where ^ ": findings (kind, write, read, effect, first campaign)")
+    (List.map render (Ref_report.findings ref_report) |> List.sort compare)
+    (List.map
+       (fun (f : Report.finding) ->
+         match f.subject with
+         | Report.Inconsistency i ->
+             let c = i.source in
+             render
+               ( c.kind,
+                 Instr.name c.write_instr,
+                 Instr.name c.read_instr,
+                 Instr.name i.eff_instr,
+                 f.found_at )
+         | Report.Sync _ | Report.Invariant _ -> Alcotest.fail "not an inconsistency")
+       findings
+    |> List.sort compare);
+  let campaigns = List.map (fun (f : Report.finding) -> f.found_at) findings in
+  Alcotest.(check (list int)) (where ^ ": findings listed by campaign")
+    (List.sort compare campaigns) campaigns
+
+let test_site_pair_identity target () = List.iter (identity_session target) identity_configs
+
 let workloads = Workloads.Registry.with_examples @ Workloads.Registry.planted
 
 let suite =
@@ -794,6 +955,11 @@ let suite =
       Alcotest.test_case ("listener-free session ≡ listened: " ^ t.name) `Slow
         (test_listener_free t))
     workloads
+  @ List.map
+      (fun (t : Pmrace.Target.t) ->
+        Alcotest.test_case ("site-pair identity: " ^ t.name) `Slow
+          (test_site_pair_identity t))
+      workloads
   @ [
       Alcotest.test_case "shadow taint: empty after reset paths, O(tainted)" `Quick
         test_taint_resets;

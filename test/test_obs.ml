@@ -300,9 +300,14 @@ let test_replay_reproduces () =
 
 let test_replay_errors () =
   let a = Lazy.force fig1_artifact in
-  Alcotest.(check bool) "out-of-range bug index" true
-    (Result.is_error
-       (Pmrace.Replay.replay_bug ~target:Workloads.Figure1.target ~artifact:a ~bug:99));
+  List.iter
+    (fun bug ->
+      Alcotest.(check bool)
+        (Printf.sprintf "out-of-range bug index %d" bug)
+        true
+        (Result.is_error
+           (Pmrace.Replay.replay_bug ~target:Workloads.Figure1.target ~artifact:a ~bug)))
+    [ 99; -1 ];
   Alcotest.(check bool) "target mismatch" true
     (Result.is_error (Pmrace.Replay.replay_bug ~target:Workloads.Pclht.target ~artifact:a ~bug:0))
 
