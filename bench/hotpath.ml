@@ -7,6 +7,9 @@
      [Scheduler.run_reference], at 1/2/8/32 fibers, with the share of
      picks that re-pick the fiber that just yielded (with one fiber,
      every pick: the steps [run] takes without switching fibers);
+   - writer stall steps/sec: fibers that stall like the sync policy's
+     signalling writer ([yield_n 400]) against the same stall written as
+     400 yields, both under [Scheduler.run];
    - sfence cost: the O(pending) indexed fence ([Pool.sfence]) against the
      legacy O(pool) full scan kept as [Pool.sfence_scan], on 1k/8k/64k-word
      pools with a sparse (16-word) pending set;
@@ -95,6 +98,46 @@ let sched_rows () =
       in
       let fast = best_rate (fun () -> sched_steps_per_sec ~fibers (fun s -> Scheduler.run s)) in
       (fibers, legacy, fast, self_pick_share ~fibers))
+    [ 1; 2; 8; 32 ]
+
+(* Writer stall: every fiber loops [yield (); yield_n 400], the shape of
+   [Sync_policy.cond_signal]'s stall after a signalling store.  The legacy
+   column runs the stall as the 400-yield loop it is specified as, which
+   pays an effect round trip whenever a pick moves to or from a stalled
+   fiber; [yield_n] charges such picks without resuming the fiber.  Both
+   take the same [sched_budget] decisions with the same RNG stream. *)
+
+let stall_steps = 400
+
+let stallers ~fibers ~expand =
+  let s = Scheduler.create ~step_budget:sched_budget ~rng:(Rng.create 11) () in
+  for _ = 1 to fibers do
+    ignore
+      (Scheduler.spawn s ~name:"writer" (fun () ->
+           while true do
+             Scheduler.yield ();
+             if expand then
+               for _ = 1 to stall_steps do
+                 Scheduler.yield ()
+               done
+             else Scheduler.yield_n stall_steps
+           done))
+  done;
+  s
+
+let stall_steps_per_sec ~fibers ~expand =
+  let s = stallers ~fibers ~expand in
+  let t0 = Obs.Clock.now () in
+  let o = Scheduler.run s in
+  let wall = Obs.Clock.elapsed t0 in
+  float_of_int o.Scheduler.steps /. Float.max 1e-9 wall
+
+let stall_rows () =
+  List.map
+    (fun fibers ->
+      let legacy = best_rate (fun () -> stall_steps_per_sec ~fibers ~expand:true) in
+      let fast = best_rate (fun () -> stall_steps_per_sec ~fibers ~expand:false) in
+      (fibers, legacy, fast))
     [ 1; 2; 8; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -366,6 +409,15 @@ let run ppf =
            (100. *. self))
         legacy fast (speedup fast legacy))
     sched;
+  let stall = stall_rows () in
+  List.iter
+    (fun (fibers, legacy, fast) ->
+      Format.fprintf ppf "%-34s %14.0f %14.0f %8.2fx@."
+        (Printf.sprintf "writer stall (%d fiber%s, %d steps)" fibers
+           (if fibers = 1 then "" else "s")
+           stall_steps)
+        legacy fast (speedup fast legacy))
+    stall;
   let sfence = sfence_rows () in
   List.iter
     (fun (words, legacy, fast) ->
@@ -403,7 +455,8 @@ let run ppf =
   Format.fprintf ppf
     "(legacy = run_reference / sfence_scan / words-of-line list: the quadratic@.";
   Format.fprintf ppf
-    " loops kept as executable specifications; same workloads, same RNG streams.)@.";
+    " loops kept as executable specifications; same workloads, same RNG streams.@.";
+  Format.fprintf ppf " The writer stall's legacy column is the stall as a loop of yields.)@.";
   let json =
     Obs.Json.Obj
       [
@@ -422,6 +475,21 @@ let run ppf =
                      ("self_pick_share", Obs.Json.Float self);
                    ])
                sched) );
+        ( "stall",
+          Obs.Json.List
+            (List.map
+               (fun (fibers, legacy, fast) ->
+                 Obs.Json.Obj
+                   [
+                     ("fibers", Obs.Json.Int fibers);
+                     ("stall_steps", Obs.Json.Int stall_steps);
+                     ("budget_steps", Obs.Json.Int sched_budget);
+                     ("repetitions", Obs.Json.Int reps);
+                     ("legacy_steps_per_sec", Obs.Json.Float legacy);
+                     ("steps_per_sec", Obs.Json.Float fast);
+                     ("speedup", Obs.Json.Float (speedup fast legacy));
+                   ])
+               stall) );
         ( "sfence",
           Obs.Json.List
             (List.map

@@ -1,7 +1,8 @@
 (* The Delay-Inj baseline of §6.1: before each PM access, inject a random
-   delay (uniformly distributed up to [max_delay] scheduler yields).  This
-   is the conventional interleaving-exploration technique PMRace is
-   compared against in Figure 8. *)
+   delay (uniformly distributed over 0 to [max_delay - 1] scheduler
+   steps, one [yield_n] stall).  This is the conventional
+   interleaving-exploration technique PMRace is compared against in
+   Figure 8. *)
 
 module Rng = Sched.Rng
 module Env = Runtime.Env
@@ -15,9 +16,6 @@ let policy t : Env.policy =
     before =
       (fun _ctx _p ->
         Sched.Scheduler.yield ();
-        if Rng.float t.rng < t.prob then
-          for _ = 1 to Rng.int t.rng t.max_delay do
-            Sched.Scheduler.yield ()
-          done);
+        if Rng.float t.rng < t.prob then Sched.Scheduler.yield_n (Rng.int t.rng t.max_delay));
     after = (fun _ _ -> ());
   }

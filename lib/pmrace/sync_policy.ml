@@ -115,9 +115,7 @@ let cond_wait t tid =
 let cond_signal t =
   t.m <- true;
   t.signalled <- true;
-  for _ = 1 to t.writer_wait do
-    Sched.Scheduler.yield ()
-  done
+  Sched.Scheduler.yield_n t.writer_wait
 
 let policy t : Env.policy =
   {

@@ -166,6 +166,10 @@ type run = {
          [yield]; [-1] once the run is over (nothing runnable, or the
          budget is spent). *)
   mutable cur_pos : int; (* [cur]'s position in [runnable] *)
+  owed : int array;
+      (* [owed.(tid)] — steps the fiber still owes to a [yield_n] stall.
+         [decide] charges a picked fiber that owes steps instead of
+         resuming it; a fiber runs again only when picked owing none. *)
   mutable aborted : (exn * Printexc.raw_backtrace) option;
       (* An exception a hook raised while a fiber's [yield] ran it: the
          fiber hands it to [drive], which re-raises it from [run]. *)
@@ -264,12 +268,23 @@ let run_reference ?on_step t =
 (* ------------------------------------------------------------------ *)
 
 (* A step ends where the stepped fiber stops: at its next [yield] (on the
-   fiber's own stack), or at its completion or failure (in [drive]).  Both ends run the same sequence — [end_step], then [decide]
-   — so each step's side effects keep one order whoever runs them:
-   sleep/wake pass, removal of a finished fiber, step-time sample, the
-   one RNG draw, [steps + 1], [on_step].  The RNG stream, every schedule
-   and every pruning count are therefore those of the earlier loop that
-   ran every step from outside the fiber.
+   fiber's own stack), or at its completion or failure (in [drive]).
+   Both ends run the same sequence — [end_step], then [decide] — so each
+   step's side effects keep one order whoever runs them: sleep/wake
+   pass, removal of a finished fiber, the one RNG draw, [steps + 1],
+   [on_step].  The RNG stream, every schedule and every pruning count
+   are therefore those of the earlier loop that ran every step from
+   outside the fiber.
+
+   A [yield_n n] stall is n steps of a fiber that runs nothing between
+   its yields.  Such a step, once picked, would resume the fiber only
+   for it to run straight into its next [yield], whose [end_step] and
+   [decide] are all the step does.  [decide] runs that pair itself when
+   it picks a fiber that still owes steps, so an owed step costs a draw
+   and no effect round trip, and the stream, schedule, step count,
+   [on_step] calls and pruning counts are those of n plain yields.  A
+   fiber still owing at the budget is suspended in its one [yield], so
+   it is killed and reported hung exactly as n yields would leave it.
 
    The sleep-set rules, after stepping fiber [p] with executed footprint
    [fp]:
@@ -409,8 +424,11 @@ let end_step r i ~alive =
     r.cand_dirty <- true
   end
 
-(* The second half: pick the fiber the next step runs, into [cur]. *)
-let decide r =
+(* The second half: pick the fiber the next step runs, into [cur].  A
+   picked fiber that owes steps takes its owed step here, without being
+   resumed: the [end_step] of a step that ran nothing, then the next
+   decision. *)
+let rec decide r =
   let t = r.sched in
   if r.n_runnable > 0 && t.steps < t.step_budget then begin
     if r.cand_dirty then rebuild r;
@@ -419,29 +437,49 @@ let decide r =
     r.cur_pos <- j;
     r.cur <- i;
     t.steps <- t.steps + 1;
-    match r.on_step with Some g -> g i | None -> ()
+    (match r.on_step with Some g -> g i | None -> ());
+    let owed = Array.unsafe_get r.owed i in
+    if owed > 0 then begin
+      Array.unsafe_set r.owed i (owed - 1);
+      end_step r i ~alive:true;
+      decide r
+    end
   end
   else r.cur <- -1
 
 (* A fiber of a [run] ends its step and takes the next decision here, on
    its own stack.  Only when the decision hands the processor to another
-   fiber (or ends the run) does it perform [Yield]; a self-pick — 40–50%
-   of the picks in fuzz campaigns — returns and the fiber keeps running.
-   A hook's exception is not raised here, where the fiber's own handlers
-   would see it: it travels to [drive], which raises it from [run]. *)
+   fiber (or ends the run) does it perform [Yield]; a self-pick returns
+   and the fiber keeps running.  A hook's exception is not raised here,
+   where the fiber's own handlers would see it: it travels to [drive],
+   which raises it from [run]. *)
+let yield_in r =
+  let i = r.cur in
+  match
+    end_step r i ~alive:true;
+    decide r
+  with
+  | () -> if r.cur <> i then Effect.perform Yield
+  | exception e ->
+      r.aborted <- Some (e, Printexc.get_raw_backtrace ());
+      Effect.perform Yield
+
 let yield () =
   match Domain.DLS.get current with
   | None -> Effect.perform Yield
-  | Some r -> (
-      let i = r.cur in
-      match
-        end_step r i ~alive:true;
-        decide r
-      with
-      | () -> if r.cur <> i then Effect.perform Yield
-      | exception e ->
-          r.aborted <- Some (e, Printexc.get_raw_backtrace ());
-          Effect.perform Yield)
+  | Some r -> yield_in r
+
+let yield_n n =
+  match Domain.DLS.get current with
+  | None ->
+      for _ = 1 to n do
+        Effect.perform Yield
+      done
+  | Some r ->
+      if n > 0 then begin
+        r.owed.(r.cur) <- n - 1;
+        yield_in r
+      end
 
 (* The stepping loop: run whichever fiber the last decision picked.  A fiber
    that yields has already ended its step and decided the next one; a
@@ -497,6 +535,7 @@ let run ?on_step ?por t =
       on_step;
       cur = -1;
       cur_pos = 0;
+      owed = Array.make n 0;
       aborted = None;
     }
   in

@@ -36,9 +36,23 @@ val yield : unit -> unit
     step and takes the next decision on the fiber's own stack (see
     {!run}).  It switches fibers — performs the scheduler's effect — only
     when that decision picks another fiber or ends the run; when it
-    re-picks the caller it simply returns.  Anywhere else (inside
-    {!run_reference}, or outside any run) it performs the effect, which
-    raises [Effect.Unhandled] when no scheduler encloses the call. *)
+    re-picks the caller it simply returns.  A decision may first charge
+    steps that other fibers owe to {!yield_n} stalls; those fibers are
+    not resumed.  Anywhere else (inside {!run_reference}, or outside any
+    run) it performs the effect, which raises [Effect.Unhandled] when no
+    scheduler encloses the call. *)
+
+val yield_n : int -> unit
+(** [yield_n n] is [for _ = 1 to n do yield () done]: a stall of [n]
+    scheduling steps in which the caller runs nothing ([n <= 0] takes no
+    step).  Inside a fiber of {!run} the caller yields once and owes the
+    other [n - 1] steps.  A decision that picks a fiber owing steps
+    charges it one — the draw, the step count and [on_step] happen as for
+    any step — and decides again without resuming it, so however long the
+    stall, the caller is switched out and back at most once.  The RNG
+    stream, schedule, outcome and POR counters are those of [n] calls to
+    {!yield}.  Anywhere else it performs the effect [n] times, like
+    {!yield}. *)
 
 (** {2 Partial-order reduction hooks} *)
 
@@ -83,13 +97,15 @@ val run : ?on_step:(int -> unit) -> ?por:por -> t -> outcome
     A step ends where the stepped fiber stops: in its {!yield}, or when it
     finishes or crashes.  There, in this order, the step's bookkeeping
     runs — the POR sleep/wake pass, removal of a fiber that can no longer
-    run, the step-time sample — followed by the next decision: one
-    [Rng.int] draw, the step count, [on_step].  [run] itself only steps
-    whichever fiber the last decision picked.  An exception raised by
-    [on_step] or a POR hook escapes [run], even when a fiber's {!yield}
-    called the hook; it never reaches the fiber's code.  [run] may be
-    called from inside a fiber of another [run] (each run draws from its
-    own scheduler's generator); the outer run resumes unaffected.
+    run — followed by the next decision: one [Rng.int] draw, the step
+    count, [on_step].  A decision that picks a fiber owing {!yield_n}
+    steps takes one of them at once, without resuming the fiber.  [run]
+    itself only steps whichever fiber the last decision picked.  An
+    exception raised by [on_step] or a POR hook escapes [run], even when a
+    fiber's {!yield} called the hook; it never reaches the fiber's code.
+    [run] may be called from inside a fiber of another [run] (each run
+    draws from its own scheduler's generator); the outer run resumes
+    unaffected.
 
     The per-step cost is O(1) amortized in the number of fibers: the
     runnable set is a maintained spawn-ordered index array, not a list
@@ -125,9 +141,9 @@ val run_reference : ?on_step:(int -> unit) -> t -> outcome
     step, list-based {!Rng.pick}), kept as an executable specification of
     {!run} without pruning: same RNG stream, same schedule, same outcome —
     only the per-step cost differs (O(fibers) instead of O(1), and an
-    effect round trip on every step, self-picks included).  Used by
-    the stream-compatibility tests and the [hotpath] bench; not for
-    production callers. *)
+    effect round trip on every step, self-picks and {!yield_n} stalls
+    included).  Used by the stream-compatibility tests and the [hotpath]
+    bench; not for production callers. *)
 
 val steps : t -> int
 

@@ -436,12 +436,23 @@ let test_yield_outside_run () =
   ignore (Scheduler.run s);
   unhandled "after a run"
 
-(* Sleep sets with synthetic hooks that really sleep, wake, park spinners
-   and force wakes.  Footprints are word numbers: steps on distinct words
-   commute, 9 conflicts with everything, and a fiber that executed 7 with
-   7 pending is spin-retrying.  [run_reference] has no POR arm, so the
-   schedules are pinned as recorded from the loop that drove each step
-   from outside the fiber. *)
+(* Synthetic POR hooks that really sleep, wake, park spinners and force
+   wakes.  Footprints are word numbers: steps on distinct words commute,
+   9 conflicts with everything, and a fiber that executed 7 with 7
+   pending is spin-retrying. *)
+let synthetic_hooks pending step_fp =
+  {
+    Scheduler.pending;
+    step_fp;
+    independent = (fun a b -> a <> b && a <> 9 && b <> 9);
+    spin = (fun executed pending -> executed = 7 && pending = 7);
+    pruned_picks = 0;
+    forced_wakes = 0;
+  }
+
+(* Sleep sets under the synthetic hooks.  [run_reference] has no POR
+   arm, so the schedules are pinned as recorded from the loop that drove
+   each step from outside the fiber. *)
 let por_trace seed =
   let scripts =
     [| [| 1; 1; 2; 1; 9; 1 |]; [| 2; 2; 3; 7; 7; 7; 3 |]; [| 1; 4; 4; 7; 4; 1 |]; [| 3; 7; 7; 7; 2; 2 |] |]
@@ -462,16 +473,7 @@ let por_trace seed =
                  Scheduler.yield ())
                ops)))
     scripts;
-  let por =
-    {
-      Scheduler.pending;
-      step_fp;
-      independent = (fun a b -> a <> b && a <> 9 && b <> 9);
-      spin = (fun executed pending -> executed = 7 && pending = 7);
-      pruned_picks = 0;
-      forced_wakes = 0;
-    }
-  in
+  let por = synthetic_hooks pending step_fp in
   let trace = Buffer.create 64 in
   let o = Scheduler.run ~on_step:(fun tid -> Buffer.add_char trace (Char.chr (48 + tid))) ~por s in
   Printf.sprintf "%s steps=%d pruned=%d forced=%d next=%016Lx" (Buffer.contents trace) o.steps
@@ -491,6 +493,283 @@ let test_por_golden () =
     ]
     (List.init 8 (fun i -> por_trace (i + 1)))
 
+(* [yield_n n] is specified as [n] calls to [yield].  Random fiber
+   programs mix yields, stalls of 0-60 steps, finishing and raising; each
+   runs once as written and once with every stall expanded into the
+   yield loop, with and without [synthetic_hooks] (each op reports its
+   footprint and the next op's as pending, like the recorder does before
+   the sync policy's stall).  The picked-tid
+   sequence, the outcome, the POR counters, the stream position and the
+   number of fibers killed inside a stall must agree at three budgets:
+   unbounded, random, and one that ends at the first yield of a stall of
+   two or more steps, so that fiber is killed still owing steps. *)
+type stall_op = Op_yield of int | Op_stall of int * int (* footprint, stall length *)
+
+let stall_program_gen =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [
+          (3, map (fun fp -> Op_yield fp) (int_range 1 9));
+          (2, map2 (fun fp k -> Op_stall (fp, k)) (int_range 1 9) (int_range 0 60));
+        ]
+    in
+    let fiber = pair (list_size (int_range 0 6) op) bool in
+    (* Fiber 0 always stalls for two or more steps somewhere, so every
+       program has a budget that ends inside a stall. *)
+    map3
+      (fun fibers (pos, fp, k) (seed, budget) ->
+        let ops, raises = List.hd fibers in
+        let pos = min pos (List.length ops) in
+        let ops =
+          List.filteri (fun i _ -> i < pos) ops
+          @ (Op_stall (fp, k) :: List.filteri (fun i _ -> i >= pos) ops)
+        in
+        (seed, budget, Array.of_list ((ops, raises) :: List.tl fibers)))
+      (list_size (int_range 1 5) fiber)
+      (triple (int_range 0 6) (int_range 1 9) (int_range 2 60))
+      (pair small_nat small_nat))
+
+let print_stall_program (seed, budget, fibers) =
+  let op = function
+    | Op_yield fp -> Printf.sprintf "y%d" fp
+    | Op_stall (fp, k) -> Printf.sprintf "s%d*%d" fp k
+  in
+  Printf.sprintf "seed %d, budget pick %d: %s" seed budget
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun (ops, raises) ->
+               String.concat " " (List.map op ops) ^ if raises then " raise" else " finish")
+             fibers)))
+
+(* Run [fibers] under [runner]; [expand] replaces every [yield_n] by its
+   loop.  Returns what the comparison looks at, plus the step count at
+   which the first stall of two or more steps began. *)
+let run_stall_program ~runner ~expand ~por ~budget (seed, _, fibers) =
+  let rng = Rng.create seed in
+  let s = Scheduler.create ~step_budget:budget ~rng () in
+  let n = Array.length fibers in
+  let pending = Array.make n 0 and step_fp = [| 0 |] in
+  let steps = ref 0 and first_stall = ref None and killed_in_stall = ref 0 in
+  let fp_of = function Op_yield fp | Op_stall (fp, _) -> fp in
+  Array.iteri
+    (fun tid (ops, raises) ->
+      let ops = Array.of_list ops in
+      let len = Array.length ops in
+      if por && len > 0 then pending.(tid) <- fp_of ops.(0);
+      ignore
+        (Scheduler.spawn s ~name:(string_of_int tid) (fun () ->
+             Array.iteri
+               (fun k op ->
+                 if por then begin
+                   step_fp.(0) <- fp_of op;
+                   pending.(tid) <- (if k + 1 < len then fp_of ops.(k + 1) else 0)
+                 end;
+                 match op with
+                 | Op_yield _ -> Scheduler.yield ()
+                 | Op_stall (_, n) -> (
+                     if n >= 2 && !first_stall = None then first_stall := Some !steps;
+                     try
+                       if expand then
+                         for _ = 1 to n do
+                           Scheduler.yield ()
+                         done
+                       else Scheduler.yield_n n
+                     with Scheduler.Killed ->
+                       incr killed_in_stall;
+                       raise Scheduler.Killed))
+               ops;
+             if raises then failwith "boom")))
+    fibers;
+  let hooks = synthetic_hooks pending step_fp in
+  let trace = ref [] in
+  let on_step tid =
+    incr steps;
+    trace := tid :: !trace
+  in
+  let o = runner ~on_step ~por:(if por then Some hooks else None) s in
+  ( ( List.rev !trace,
+      (o.Scheduler.steps, List.sort compare o.finished, o.hung),
+      List.map (fun (t, n, _) -> (t, n)) o.failed,
+      (hooks.pruned_picks, hooks.forced_wakes, Rng.next rng, !killed_in_stall) ),
+    !first_stall )
+
+let run_sched ~on_step ~por s = Scheduler.run ~on_step ?por s
+
+let prop_yield_n_is_n_yields =
+  QCheck.Test.make ~name:"scheduler: yield_n n ≡ n yields" ~count:150
+    (QCheck.make ~print:print_stall_program stall_program_gen)
+    (fun ((_, budget_pick, fibers) as program) ->
+      let total =
+        Array.fold_left
+          (fun acc (ops, _) ->
+            List.fold_left
+              (fun acc -> function Op_yield _ -> acc + 1 | Op_stall (_, k) -> acc + k)
+              (acc + 1) ops)
+          0 fibers
+      in
+      let random_budget = 1 + (budget_pick mod (total + 5)) in
+      List.for_all
+        (fun por ->
+          let run ~expand budget =
+            run_stall_program ~runner:run_sched ~expand ~por ~budget program
+          in
+          let same budget = fst (run ~expand:false budget) = fst (run ~expand:true budget) in
+          let stall_budget = Option.get (snd (run ~expand:true (total + 1))) in
+          let (_, (_, _, hung), _, (_, _, _, killed)), _ = run ~expand:false stall_budget in
+          same (total + 1) && same random_budget && same stall_budget && hung <> [] && killed > 0)
+        [ false; true ])
+
+let prop_yield_n_run_reference =
+  QCheck.Test.make ~name:"scheduler: run ≡ run_reference with yield_n stalls" ~count:150
+    (QCheck.make ~print:print_stall_program stall_program_gen)
+    (fun program ->
+      List.for_all
+        (fun budget ->
+          let run runner = fst (run_stall_program ~runner ~expand:false ~por:false ~budget program) in
+          run run_sched = run (fun ~on_step ~por:_ s -> Scheduler.run_reference ~on_step s))
+        [ 1; 7; 40; 200_000 ])
+
+(* A fiber still owing stall steps when the budget runs out is hung like
+   one suspended in a yield loop, and it unwinds exactly once. *)
+let test_yield_n_budget_hang () =
+  let s = Scheduler.create ~step_budget:10 ~rng:(Rng.create 2) () in
+  let finalised = ref 0 in
+  ignore
+    (Scheduler.spawn s ~name:"stalled" (fun () ->
+         Fun.protect ~finally:(fun () -> incr finalised) (fun () -> Scheduler.yield_n 1_000)));
+  ignore (Scheduler.spawn s ~name:"quick" (fun () -> Scheduler.yield ()));
+  let o = Scheduler.run s in
+  Alcotest.(check int) "steps capped" 10 o.steps;
+  Alcotest.(check (list (pair int string))) "hung" [ (0, "stalled") ] o.hung;
+  Alcotest.(check (list int)) "finished" [ 1 ] o.finished;
+  Alcotest.(check int) "finaliser ran once" 1 !finalised
+
+let test_yield_n_nonpositive () =
+  let trace runner stall =
+    let s = Scheduler.create ~rng:(Rng.create 6) () in
+    for _ = 1 to 3 do
+      ignore
+        (Scheduler.spawn s ~name:"w" (fun () ->
+             Scheduler.yield ();
+             stall ();
+             Scheduler.yield ()))
+    done;
+    let picks = ref [] in
+    let o = runner ~on_step:(fun tid -> picks := tid :: !picks) s in
+    (o.Scheduler.steps, List.rev !picks)
+  in
+  let run ~on_step s = Scheduler.run ~on_step s in
+  let reference ~on_step s = Scheduler.run_reference ~on_step s in
+  let none = trace run ignore in
+  Alcotest.(check int) "three steps a fiber" 9 (fst none);
+  List.iter
+    (fun n ->
+      let label = Printf.sprintf "yield_n %d" n in
+      Alcotest.(check (pair int (list int)))
+        (label ^ " under run") none
+        (trace run (fun () -> Scheduler.yield_n n));
+      Alcotest.(check (pair int (list int)))
+        (label ^ " under run_reference") none
+        (trace reference (fun () -> Scheduler.yield_n n)))
+    [ 0; -3 ];
+  (* Outside any run they return without performing anything. *)
+  Scheduler.yield_n 0;
+  Scheduler.yield_n (-3)
+
+let test_yield_n_outside_run () =
+  List.iter
+    (fun n ->
+      match Scheduler.yield_n n with
+      | exception Effect.Unhandled _ -> ()
+      | () -> Alcotest.failf "yield_n %d returned" n)
+    [ 1; 400 ];
+  let s = Scheduler.create ~rng:(Rng.create 1) () in
+  ignore (Scheduler.spawn s ~name:"w" (fun () -> Scheduler.yield_n 5));
+  ignore (Scheduler.run s);
+  match Scheduler.yield_n 3 with
+  | exception Effect.Unhandled _ -> ()
+  | () -> Alcotest.fail "yield_n after a run returned"
+
+(* [on_step] raises at the first pick of a fiber that owes stall steps:
+   that pick is charged without resuming the fiber, on the stack of
+   whichever fiber decided it.  The exception must leave [run]; no fiber,
+   all of which catch everything around their yields, may see it. *)
+let test_yield_n_on_step_raises () =
+  let caught = ref 0 and raised = ref 0 in
+  for seed = 1 to 12 do
+    let s = Scheduler.create ~rng:(Rng.create seed) () in
+    let stalling = ref false in
+    ignore
+      (Scheduler.spawn s ~name:"stall" (fun () ->
+           Scheduler.yield ();
+           stalling := true;
+           try Scheduler.yield_n 50 with _ -> incr caught));
+    for _ = 1 to seed mod 3 do
+      ignore
+        (Scheduler.spawn s ~name:"busy" (fun () ->
+             for _ = 1 to 40 do
+               try Scheduler.yield () with _ -> incr caught
+             done))
+    done;
+    match Scheduler.run ~on_step:(fun tid -> if tid = 0 && !stalling then raise Exit) s with
+    | exception Exit -> incr raised
+    | o -> Alcotest.failf "seed %d: run returned (%a)" seed Scheduler.pp_outcome o
+  done;
+  Alcotest.(check int) "every run raised" 12 !raised;
+  Alcotest.(check int) "no fiber saw the exception" 0 !caught;
+  match Scheduler.yield () with
+  | exception Effect.Unhandled _ -> ()
+  | () -> Alcotest.fail "yield after an aborted run returned"
+
+(* A nested run whose fibers stall (and whose budget ends inside a
+   stall) leaves the outer schedule as the same program without the
+   nested run produces it; the inner schedule is the standalone one. *)
+let test_yield_n_nested_run () =
+  let inner trace =
+    let s = Scheduler.create ~step_budget:60 ~rng:(Rng.create 12) () in
+    for i = 0 to 2 do
+      ignore
+        (Scheduler.spawn s ~name:"inner" (fun () ->
+             for _ = 1 to 4 do
+               Buffer.add_char trace (Char.chr (Char.code 'a' + i));
+               Scheduler.yield_n (3 + (7 * i))
+             done))
+    done;
+    Scheduler.run s
+  in
+  let outer ~nest =
+    let s = Scheduler.create ~rng:(Rng.create 8) () in
+    let trace = Buffer.create 32 and inner_trace = Buffer.create 16 in
+    let inner_outcome = ref None in
+    for i = 0 to 2 do
+      ignore
+        (Scheduler.spawn s ~name:"outer" (fun () ->
+             for k = 1 to 5 do
+               Buffer.add_char trace (Char.chr (Char.code '0' + i));
+               if nest && i = 2 && k = 2 then inner_outcome := Some (inner inner_trace);
+               Scheduler.yield_n (1 + k)
+             done))
+    done;
+    let o = Scheduler.run s in
+    (o, Buffer.contents trace, Buffer.contents inner_trace, !inner_outcome)
+  in
+  let o', trace', _, _ = outer ~nest:false in
+  let standalone = Buffer.create 16 in
+  let so = inner standalone in
+  let o, trace, inner_trace, inner_o = outer ~nest:true in
+  Alcotest.(check string) "outer schedule unchanged" trace' trace;
+  Alcotest.(check int) "outer steps" o'.steps o.steps;
+  Alcotest.(check bool) "outer completed" true (Scheduler.completed o);
+  Alcotest.(check string) "inner schedule as standalone" (Buffer.contents standalone) inner_trace;
+  Alcotest.(check bool) "inner budget ends inside a stall" true (so.Scheduler.hung <> []);
+  match inner_o with
+  | Some io ->
+      Alcotest.(check int) "inner steps" so.steps io.Scheduler.steps;
+      Alcotest.(check (list (pair int string))) "inner hung" so.hung io.hung
+  | None -> Alcotest.fail "nested run did not happen"
+
 let suite =
   [
     Alcotest.test_case "runs to completion" `Quick test_runs_to_completion;
@@ -507,7 +786,15 @@ let suite =
     Alcotest.test_case "nested run" `Quick test_nested_run;
     Alcotest.test_case "yield outside a run is unhandled" `Quick test_yield_outside_run;
     Alcotest.test_case "POR schedule golden" `Quick test_por_golden;
+    Alcotest.test_case "yield_n: budget ends inside a stall" `Quick test_yield_n_budget_hang;
+    Alcotest.test_case "yield_n: n <= 0 takes no step" `Quick test_yield_n_nonpositive;
+    Alcotest.test_case "yield_n outside a run is unhandled" `Quick test_yield_n_outside_run;
+    Alcotest.test_case "yield_n: on_step raising on an owed pick" `Quick
+      test_yield_n_on_step_raises;
+    Alcotest.test_case "yield_n: nested run" `Quick test_yield_n_nested_run;
     QCheck_alcotest.to_alcotest prop_pick_stream_compatible;
     QCheck_alcotest.to_alcotest prop_pick_stream_compatible_random_lengths;
     QCheck_alcotest.to_alcotest prop_all_fibers_complete;
+    QCheck_alcotest.to_alcotest prop_yield_n_is_n_yields;
+    QCheck_alcotest.to_alcotest prop_yield_n_run_reference;
   ]
