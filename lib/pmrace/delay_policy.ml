@@ -14,7 +14,7 @@ let create ?(prob = 0.08) ?(max_delay = 25) ~rng () = { rng; prob; max_delay }
 let policy t : Env.policy =
   {
     before =
-      (fun _ctx _p ->
+      (fun _ctx _fp ->
         Sched.Scheduler.yield ();
         if Rng.float t.rng < t.prob then Sched.Scheduler.yield_n (Rng.int t.rng t.max_delay));
     after = (fun _ _ -> ());

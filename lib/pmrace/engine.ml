@@ -6,9 +6,10 @@
    checkers, cleared DRAM/taint, reseeded eviction RNG, and the pool
    rewound by [Pmem.Pool.boot] in O(touched words), driven by the pool's
    journal, instead of an O(pool) image pass (let alone re-running the
-   target's initialisation).  The worker's pre-bound listener array is
-   then installed, the run settings (eviction, eADR) armed, and the
-   target re-annotates, exactly as it would a fresh environment.
+   target's initialisation), with the worker's pre-bound listener array
+   as the environment's listeners.  The run settings (eviction, eADR) are
+   then armed, and the target re-annotates, exactly as it would a fresh
+   environment.
 
    Every target runs this way by default.  Without a shared checkpoint
    the engine builds its context in place: the target initialises the
@@ -113,15 +114,14 @@ let por_harness t ~nthreads =
       t.por <- Some h;
       h
 
-(* The one checkout tail of both modes.  Bound listeners are installed
-   only after initialisation, so they never see init events. *)
+(* The one checkout tail of both modes.  The boot installs the bound
+   listeners only after initialisation, so they never see init events. *)
 let boot t env image =
   let touched = Pmem.Pool.touched_words env.Env.pool in
   t.last_reset_touched <- touched;
   if Obs.Metrics.enabled () then
     Obs.Metrics.observe (Lazy.force m_reset_touched) (float_of_int touched);
-  Env.boot ~capture_images:t.capture_images env image;
-  Env.install_bound env t.bound;
+  Env.boot ~capture_images:t.capture_images ~listeners:t.bound env image;
   (* [Env.boot] turns eviction and eADR off. *)
   Pmem.Pool.set_eadr env.pool t.eadr;
   env.evict_prob <- t.evict_prob;

@@ -4,9 +4,10 @@
     {e rebooted}, not recreated, between campaigns: every checkout is
     {!Runtime.Env.boot} of the context to the checkpoint image (the pool
     rewinds in O(touched words), driven by the pool's touched-word
-    journal), then the worker's pre-bound listeners are installed, the
-    run settings armed and the target re-annotates.  Pre-bound listeners
-    are built once per worker instead of being rebuilt per campaign.
+    journal) with the worker's pre-bound listener array as the
+    environment's listeners; then the run settings are armed and the
+    target re-annotates.  Pre-bound listeners are built once per worker
+    instead of being rebuilt per campaign.
 
     Every target runs in persistent mode by default.  Without a shared
     checkpoint the engine builds its context in place (one environment, the
@@ -47,13 +48,14 @@ val create :
     pool is checkpointed in place.  Every checkout boots the checkpoint
     and then applies [evict_prob] and [eadr].  [use_checkpoint:false]
     selects fresh mode.  [bound] is the worker's pre-bound listener
-    array: installed at every checkout, after the boot, so it never
-    observes target-initialisation events. *)
+    array: every checkout's boot starts the environment's listeners from
+    it (after initialisation, so it never observes target-initialisation
+    events) and leaves the array itself unchanged. *)
 
 val checkout : t -> Runtime.Env.t
 (** An environment ready for one campaign: freshly initialised target
-    state, fresh checkers, annotations applied, bound listeners installed,
-    no transient listeners.  Persistent mode returns the engine's reused
+    state, fresh checkers, annotations applied, exactly the bound
+    listeners.  Persistent mode returns the engine's reused
     context (rebooted in O(touched words)); fresh mode builds a new
     context first.  The environment is only valid until the next
     [checkout]. *)

@@ -295,24 +295,15 @@ let record_op = record
 let wrap t (base : Runtime.Env.policy) : Runtime.Env.policy =
   {
     before =
-      (fun ctx point ->
-        if ctx.tid >= 0 && ctx.tid < t.nthreads then
-          t.pending.(ctx.tid) <- Footprint.of_point point;
-        base.before ctx point);
+      (fun ctx fp ->
+        if ctx.tid >= 0 && ctx.tid < t.nthreads then t.pending.(ctx.tid) <- fp;
+        base.before ctx fp);
     after =
-      (fun ctx point ->
-        (* [before] already encoded this op's footprint into the pending
-           slot; reuse it rather than re-encoding the point.  Only this
-           fiber writes its own slot, so the value is still this op's. *)
+      (fun ctx fp ->
         let tid = ctx.tid in
-        if tid >= 0 && tid < t.nthreads then begin
-          let fp = t.pending.(tid) in
-          let fp = if fp <> 0 then fp else Footprint.of_point point in
-          record t tid fp;
-          t.pending.(tid) <- 0
-        end
-        else record t tid (Footprint.of_point point);
-        base.after ctx point);
+        if tid >= 0 && tid < t.nthreads then t.pending.(tid) <- 0;
+        record t tid fp;
+        base.after ctx fp);
   }
 
 let hooks t = t.hooks

@@ -54,12 +54,14 @@ let create ?(writer_wait = 400) ?(block_threshold = 60) ~rng ~nthreads ~skip ent
     waiting = Hashtbl.create 8;
   }
 
-let is_sync_load t (p : Env.point) =
-  (p.kind = Env.P_load || p.kind = Env.P_cas) && p.addr = t.entry.addr
+(* A CAS ([rw]) of the entry's word is both a sync load and a sync store;
+   a store footprint covers [movnt] too.  Flushes and fences are
+   neither. *)
+let is_sync_load t fp =
+  fp = Runtime.Footprint.load t.entry.addr || fp = Runtime.Footprint.rw t.entry.addr
 
-let is_sync_store t (p : Env.point) =
-  (p.kind = Env.P_store || p.kind = Env.P_movnt || p.kind = Env.P_cas)
-  && p.addr = t.entry.addr
+let is_sync_store t fp =
+  fp = Runtime.Footprint.store t.entry.addr || fp = Runtime.Footprint.rw t.entry.addr
 
 let bypassed t tid = match t.privileged with Some p -> p = tid | None -> false
 
@@ -120,10 +122,10 @@ let cond_signal t =
 let policy t : Env.policy =
   {
     before =
-      (fun ctx p ->
+      (fun ctx fp ->
         Sched.Scheduler.yield ();
-        if is_sync_load t p then cond_wait t ctx.Env.tid);
-    after = (fun _ctx p -> if is_sync_store t p then cond_signal t);
+        if is_sync_load t fp then cond_wait t ctx.Env.tid);
+    after = (fun _ctx fp -> if is_sync_store t fp then cond_signal t);
   }
 
 let triggered t = t.signalled

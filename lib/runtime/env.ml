@@ -4,9 +4,6 @@
    shadow taint memory, the interleaving policy, and the event listeners
    that feed coverage metrics and the shared-access queue. *)
 
-type point_kind = P_load | P_store | P_movnt | P_clwb | P_fence | P_cas
-type point = { kind : point_kind; instr : Instr.t; addr : int (* -1 when not applicable *) }
-
 type event =
   | Ev_load of { instr : Instr.t; tid : int; addr : int; dirty : bool }
   | Ev_store of { instr : Instr.t; tid : int; addr : int }
@@ -28,18 +25,17 @@ type t = {
   mutable tainted_len : int;
   on_stack : Bytes.t;
   mutable policy : policy;
-  mutable listeners : (event -> unit) list;
-  (* Pre-bound listeners: one array built once per worker and installed
-     by every engine checkout (not rebuilt per campaign), dispatched
-     before the transient [listeners]. *)
-  mutable bound : (event -> unit) array;
+  (* Never written in place: [boot] installs the caller's array (an
+     engine's, built once per worker) and [add_listener] replaces it with
+     a longer copy, so the caller's array stays as it was given. *)
+  mutable listeners : (event -> unit) array;
   mutable evict_rng : Sched.Rng.t;
   mutable evict_prob : float;
 }
 
 and ctx = { env : t; tid : int }
 
-and policy = { before : ctx -> point -> unit; after : ctx -> point -> unit }
+and policy = { before : ctx -> Footprint.t -> unit; after : ctx -> Footprint.t -> unit }
 
 let null_policy = { before = (fun _ _ -> ()); after = (fun _ _ -> ()) }
 
@@ -61,8 +57,7 @@ let make ~capture_images pool =
     tainted_len = 0;
     on_stack = Bytes.make words '\000';
     policy = null_policy;
-    listeners = [];
-    bound = [||];
+    listeners = [||];
     evict_rng = Sched.Rng.create eviction_seed;
     evict_prob = 0.;
   }
@@ -77,25 +72,17 @@ let of_image ?(capture_images = false) (image : Pmem.Pool.image) =
 
 let ctx t ~tid = { env = t; tid }
 let set_policy t p = t.policy <- p
-let add_listener t f = t.listeners <- f :: t.listeners
-let install_bound t fs = t.bound <- fs
+let add_listener t f = t.listeners <- Array.append t.listeners [| f |]
 
 (* Whether any listener would see an event: the instrumented operations
    build no event record when none would. *)
-let listening t = Array.length t.bound > 0 || t.listeners != []
-
-let rec dispatch ev = function
-  | [] -> ()
-  | f :: rest ->
-      f ev;
-      dispatch ev rest
+let listening t = Array.length t.listeners > 0
 
 let emit t ev =
-  let bound = t.bound in
-  for i = 0 to Array.length bound - 1 do
-    bound.(i) ev
-  done;
-  dispatch ev t.listeners
+  let listeners = t.listeners in
+  for i = 0 to Array.length listeners - 1 do
+    listeners.(i) ev
+  done
 
 let mem_taint t addr = t.mem_taint.(addr)
 
@@ -129,15 +116,14 @@ let annotate_sync t ~name ~addr ~len ~init = Checkers.annotate_sync t.checkers ~
    post-failure world of a fresh [of_image image] (optionally capturing
    crash images), rebooting the pool in place.  Engine checkouts rewind to
    a checkpoint this way, validation to each crash image.  Sync-variable
-   annotations and pre-bound listeners do NOT survive: the caller
-   re-annotates and re-installs, exactly as on a fresh environment. *)
-let boot ?delta ?(capture_images = false) t image =
+   annotations and listeners do NOT survive: the caller re-annotates, and
+   [listeners] is the whole listener set the booted run starts with. *)
+let boot ?delta ?(capture_images = false) ?(listeners = [||]) t image =
   Checkers.reset t.checkers ~capture_images;
   Dram.clear t.dram;
   clear_taint t;
   t.policy <- null_policy;
-  t.listeners <- [];
-  t.bound <- [||];
+  t.listeners <- listeners;
   t.evict_rng <- Sched.Rng.create eviction_seed;
   t.evict_prob <- 0.;
   Pmem.Pool.boot ?delta t.pool image

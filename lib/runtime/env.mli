@@ -5,12 +5,6 @@
     every instrumented operation) and the event listeners feeding the
     coverage metrics. *)
 
-type point_kind = P_load | P_store | P_movnt | P_clwb | P_fence | P_cas
-
-type point = { kind : point_kind; instr : Instr.t; addr : int }
-(** A preemption point: what is about to execute (or just executed).
-    [addr] is [-1] for fences. *)
-
 type event =
   | Ev_load of { instr : Instr.t; tid : int; addr : int; dirty : bool }
   | Ev_store of { instr : Instr.t; tid : int; addr : int }
@@ -34,10 +28,10 @@ type t = {
       (** the words tainted since the last clear, each once: what
           {!boot} untaints *)
   mutable policy : policy;
-  mutable listeners : (event -> unit) list;
-  mutable bound : (event -> unit) array;
-      (** pre-bound listeners: one array per worker, installed after each
-          {!boot} and dispatched before the transient [listeners] *)
+  mutable listeners : (event -> unit) array;
+      (** every listener, in the order it runs: the array {!boot} was
+          given, then each {!add_listener} in turn.  Never written in
+          place, so the array passed to {!boot} is left as it was. *)
   mutable evict_rng : Sched.Rng.t;
   mutable evict_prob : float;
 }
@@ -45,8 +39,11 @@ type t = {
 and ctx = { env : t; tid : int }
 (** A thread's view of the environment. *)
 
-and policy = { before : ctx -> point -> unit; after : ctx -> point -> unit }
-(** Interleaving policy hooks; they may call {!Sched.Scheduler.yield}. *)
+and policy = { before : ctx -> Footprint.t -> unit; after : ctx -> Footprint.t -> unit }
+(** Interleaving policy hooks; they may call {!Sched.Scheduler.yield}.
+    Both hooks of one operation receive the same {!Footprint.t}: what
+    kind of access it is and which word (or, for a flush, which line) it
+    touches. *)
 
 val null_policy : policy
 (** No preemption — used for single-threaded init and recovery code. *)
@@ -69,15 +66,22 @@ val of_image : ?capture_images:bool -> Pmem.Pool.image -> t
     validation use. *)
 
 val boot :
-  ?delta:(int * int64) list -> ?capture_images:bool -> t -> Pmem.Pool.image -> unit
+  ?delta:(int * int64) list ->
+  ?capture_images:bool ->
+  ?listeners:(event -> unit) array ->
+  t ->
+  Pmem.Pool.image ->
+  unit
 (** [boot t image] re-boots a reused environment in place into a state
     observationally identical to [of_image ?capture_images image] (with
     [delta] applied to the image, see {!Pmem.Pool.boot}): emptied checkers
     ({e without} sync annotations — re-annotate as for a fresh
     environment) that capture crash images only if [capture_images]
-    (default false), cleared DRAM and taint, null policy, no transient or
-    bound listeners, the eviction RNG reseeded from the default seed,
-    eviction probability 0 and eADR off.  It allocates no pool.
+    (default false), cleared DRAM and taint, null policy, exactly the
+    [listeners] given (default none; an engine passes the worker's array,
+    built once instead of per campaign), the eviction RNG reseeded from
+    the default seed, eviction probability 0 and eADR off.  It allocates
+    no pool.
 
     It is the environment's one rewind: an engine checkout boots its
     checkpoint (a journal rewind, O(touched words)), post-failure
@@ -87,20 +91,15 @@ val ctx : t -> tid:int -> ctx
 val set_policy : t -> policy -> unit
 
 val add_listener : t -> (event -> unit) -> unit
-(** Attach a transient listener (cleared by {!boot}); for per-campaign or
-    per-trace hooks. *)
-
-val install_bound : t -> (event -> unit) array -> unit
-(** Install the pre-bound listener array (cleared by {!boot}).  Bound
-    listeners run on every event, before the transient list — workers
-    build their coverage-delta handlers once and the engine installs them
-    at every checkout, instead of rebuilding closure lists per campaign. *)
+(** Append a listener, which runs after those already attached, until
+    the next {!boot}; for per-campaign or per-trace hooks. *)
 
 val listening : t -> bool
-(** Whether a bound or transient listener is installed.  The instrumented
-    operations build and {!emit} an event only when one is. *)
+(** Whether any listener is attached.  The instrumented operations build
+    and {!emit} an event only when one is. *)
 
 val emit : t -> event -> unit
+(** Run every listener on the event, in order. *)
 
 val mem_taint : t -> int -> Taint.t
 (** The shadow taint of a pool word: an array read, no hashing. *)

@@ -1,4 +1,5 @@
-(* Compact per-step access summaries for partial-order reduction.
+(* Compact access summaries: the one description of an instrumented
+   operation, read by the policy hooks and by partial-order reduction.
 
    A footprint is one immediate int: tag in the low 3 bits, payload
    (word index for word-level ops, line index for flushes) above it.
@@ -31,14 +32,6 @@ let store word = (word lsl 3) lor tag_store
 let rw word = (word lsl 3) lor tag_rw
 let flush_line line = (line lsl 3) lor tag_flush
 let flush word = flush_line (Pmem.Cacheline.line_of_word word)
-
-let of_point (p : Env.point) : t =
-  match p.kind with
-  | Env.P_load -> load p.addr
-  | Env.P_store | Env.P_movnt -> store p.addr
-  | Env.P_cas -> rw p.addr
-  | Env.P_clwb -> flush p.addr
-  | Env.P_fence -> fence
 
 (* The line a footprint touches: flushes carry a line index directly,
    word-level ops derive it.  Only meaningful for tags 1-4. *)

@@ -1,12 +1,15 @@
-(** Compact access summaries for partial-order reduction.
+(** The one description of an instrumented operation.
 
-    Every instrumented operation ({!Mem} via {!Env.policy} points)
-    summarises to one immediate int: a tag (load / store / read-write /
-    flush / fence / opaque) plus a word or cache-line payload.  The
-    scheduler's POR mode ({!Sched.Scheduler.run} with hooks) tests two step
-    footprints for independence in O(1) with no allocation; footprints
-    cross the [lib/sched] dependency boundary as plain ints, so the
-    scheduler never needs to see runtime types.
+    Every instrumented operation ({!Mem}) summarises to one immediate
+    int: a tag (load / store / read-write / flush / fence / opaque) plus
+    a word or cache-line payload.  {!Mem} builds it once per operation
+    and passes it to both {!Env.policy} hooks, so interleaving policies
+    (the sync-point policy tests it against its entry's word) and
+    partial-order reduction read the same value.  The scheduler's POR
+    mode ({!Sched.Scheduler.run} with hooks) tests two step footprints
+    for independence in O(1) with no allocation; footprints cross the
+    [lib/sched] dependency boundary as plain ints, so the scheduler never
+    needs to see runtime types.
 
     Soundness direction: the relation may declare dependent steps that
     actually commute (e.g. an [opaque] multi-op step), never the
@@ -28,16 +31,14 @@ val load : int -> t
 (** [load word] *)
 
 val store : int -> t
-(** [store word] — also used for non-temporal stores. *)
+(** [store word] — a cached or a non-temporal store. *)
 
 val rw : int -> t
-(** [rw word] — a CAS: reads and may write the word. *)
+(** [rw word] — a CAS: reads and may write the word, whether or not it
+    succeeds. *)
 
 val flush : int -> t
 (** [flush word] — records the {e cache line} of [word]. *)
-
-val of_point : Env.point -> t
-(** Summarise one policy point ({!Env.point}); fences carry no address. *)
 
 val tag : t -> int
 val payload : t -> int

@@ -3,9 +3,11 @@
    Every operation (a) runs the policy's [before] hook (where the PM-aware
    scheduler injects cond_wait), (b) performs the access with checker
    bookkeeping, (c) notifies listeners, and (d) runs the policy's [after]
-   hook (where cond_signal lives).  Addresses are tainted values so that
-   layout inconsistencies — stores whose *address* derives from
-   non-persisted data — are caught (§4.3, data-flow class 2). *)
+   hook (where cond_signal lives).  Both hooks receive the operation's
+   [Footprint.t], its one description: the access kind and the word (or
+   line) it touches.  Addresses are tainted values so that layout
+   inconsistencies — stores whose *address* derives from non-persisted
+   data — are caught (§4.3, data-flow class 2). *)
 
 open Env
 
@@ -29,14 +31,15 @@ let maybe_evict env =
 let union_taint a b =
   if Taint.is_empty a then b else if Taint.is_empty b then a else Taint.union a b
 
-(* Each operation builds its preemption point once, for both policy hooks,
-   and an event record only when a listener is installed: init, recovery
-   and untraced replay construct none. *)
+(* Each operation builds its footprint once, for both policy hooks (an
+   immediate int: no allocation), and an event record only when a
+   listener is installed: init, recovery and untraced replay construct
+   none. *)
 let load ctx ~instr addr =
   let env = ctx.env in
   let a = word_of addr in
-  let p = { kind = P_load; instr; addr = a } in
-  env.policy.before ctx p;
+  let fp = Footprint.load a in
+  env.policy.before ctx fp;
   let dirty = Pmem.Pool.is_dirty env.pool a in
   let raw = Pmem.Pool.load env.pool a in
   let taint = union_taint (Tval.taint addr) (Env.mem_taint env a) in
@@ -45,41 +48,44 @@ let load ctx ~instr addr =
     else Taint.add (Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a) taint
   in
   if Env.listening env then Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
-  env.policy.after ctx p;
+  env.policy.after ctx fp;
   Tval.make raw taint
 
-let store_common ctx ~instr ~kind addr value =
-  let env = ctx.env in
-  let a = word_of addr in
-  let p = { kind; instr; addr = a } in
-  env.policy.before ctx p;
-  Checkers.on_store env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a
-    ~value_taint:(Tval.taint value) ~addr_taint:(Tval.taint addr);
-  (match kind with
-  | P_store -> Pmem.Pool.store env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value)
-  | P_movnt -> Pmem.Pool.movnt env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value)
-  | P_load | P_clwb | P_fence | P_cas -> assert false);
+(* The one write path of [store], [movnt] and a successful [cas]: checker
+   bookkeeping, the pool write (cached, or non-temporal when [nt]), the
+   shadow taint, the eADR persistence hook and the event.  The policy
+   hooks and eviction stay with the callers. *)
+let[@inline] write ctx ~instr ~nt a addr value =
+  let env = ctx.env and tid = ctx.tid in
+  Checkers.on_store env.checkers env.pool ~tid ~instr ~addr:a ~value_taint:(Tval.taint value)
+    ~addr_taint:(Tval.taint addr);
+  if nt then Pmem.Pool.movnt env.pool ~tid ~instr:(Instr.to_int instr) a (Tval.v value)
+  else Pmem.Pool.store env.pool ~tid ~instr:(Instr.to_int instr) a (Tval.v value);
   Env.set_mem_taint env a (Tval.taint value);
   (* Under eADR the store is already durable: run the persistence hook so
      sync-variable updates are still detected (§6.6: PM Synchronization
      Inconsistency survives eADR). *)
   if Pmem.Pool.is_eadr env.pool then Checkers.on_persisted env.checkers env.pool [ a ];
   if Env.listening env then
-    Env.emit env
-      (match kind with
-      | P_store -> Ev_store { instr; tid = ctx.tid; addr = a }
-      | _ -> Ev_movnt { instr; tid = ctx.tid; addr = a });
-  env.policy.after ctx p;
+    Env.emit env (if nt then Ev_movnt { instr; tid; addr = a } else Ev_store { instr; tid; addr = a })
+
+let store_common ctx ~instr ~nt addr value =
+  let env = ctx.env in
+  let a = word_of addr in
+  let fp = Footprint.store a in
+  env.policy.before ctx fp;
+  write ctx ~instr ~nt a addr value;
+  env.policy.after ctx fp;
   maybe_evict env
 
-let store ctx ~instr addr value = store_common ctx ~instr ~kind:P_store addr value
-let movnt ctx ~instr addr value = store_common ctx ~instr ~kind:P_movnt addr value
+let store ctx ~instr addr value = store_common ctx ~instr ~nt:false addr value
+let movnt ctx ~instr addr value = store_common ctx ~instr ~nt:true addr value
 
 let clwb ctx ~instr addr =
   let env = ctx.env in
   let a = word_of addr in
-  let p = { kind = P_clwb; instr; addr = a } in
-  env.policy.before ctx p;
+  let fp = Footprint.flush a in
+  env.policy.before ctx fp;
   let listening = Env.listening env in
   let dirty_words =
     (* Allocation-free line walk, and only for the event that reports it. *)
@@ -91,16 +97,15 @@ let clwb ctx ~instr addr =
   in
   Pmem.Pool.clwb env.pool a;
   if listening then Env.emit env (Ev_clwb { instr; tid = ctx.tid; addr = a; dirty_words });
-  env.policy.after ctx p
+  env.policy.after ctx fp
 
 let sfence ctx ~instr =
   let env = ctx.env in
-  let p = { kind = P_fence; instr; addr = -1 } in
-  env.policy.before ctx p;
+  env.policy.before ctx Footprint.fence;
   let persisted = Pmem.Pool.sfence env.pool in
   Checkers.on_persisted env.checkers env.pool persisted;
   if Env.listening env then Env.emit env (Ev_fence { instr; tid = ctx.tid; persisted });
-  env.policy.after ctx p
+  env.policy.after ctx Footprint.fence
 
 let persist ctx ~instr addr =
   clwb ctx ~instr addr;
@@ -117,34 +122,24 @@ let persist_range ctx ~instr addr ~words =
   sfence ctx ~instr
 
 (* Compare-and-swap: an atomic read-modify-write, a single preemption
-   point.  The read side performs candidate detection like [load].
-   [nt:true] publishes the new value non-temporally (never PM-dirty),
-   modelling a lock-free CAS immediately followed by a flush of its own
-   line, as PMDK's internals do for allocator metadata; listeners see it
-   as [Ev_movnt], like [movnt]. *)
+   point whose footprint is [rw] whether or not it succeeds.  The read
+   side performs candidate detection like [load]; a successful swap takes
+   the stores' write path.  [nt:true] publishes the new value
+   non-temporally (never PM-dirty), modelling a lock-free CAS immediately
+   followed by a flush of its own line, as PMDK's internals do for
+   allocator metadata; listeners see it as [Ev_movnt], like [movnt]. *)
 let cas ?(nt = false) ctx ~instr addr ~expect ~value =
   let env = ctx.env in
   let a = word_of addr in
-  let p = { kind = P_cas; instr; addr = a } in
-  env.policy.before ctx p;
+  let fp = Footprint.rw a in
+  env.policy.before ctx fp;
   let dirty = Pmem.Pool.is_dirty env.pool a in
   let raw = Pmem.Pool.load env.pool a in
   if dirty then ignore (Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a);
   if Env.listening env then Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
   let ok = Int64.equal raw (Tval.v expect) in
-  if ok then begin
-    Checkers.on_store env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a
-      ~value_taint:(Tval.taint value) ~addr_taint:(Tval.taint addr);
-    if nt then Pmem.Pool.movnt env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value)
-    else Pmem.Pool.store env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value);
-    Env.set_mem_taint env a (Tval.taint value);
-    if Pmem.Pool.is_eadr env.pool then Checkers.on_persisted env.checkers env.pool [ a ];
-    if Env.listening env then begin
-      let tid = ctx.tid in
-      Env.emit env (if nt then Ev_movnt { instr; tid; addr = a } else Ev_store { instr; tid; addr = a })
-    end
-  end;
-  env.policy.after ctx p;
+  if ok then write ctx ~instr ~nt a addr value;
+  env.policy.after ctx fp;
   if ok then maybe_evict env;
   ok
 

@@ -3,7 +3,10 @@
     Every operation runs the interleaving policy's [before] hook (where the
     PM-aware scheduler injects [cond_wait]), performs the access with
     checker bookkeeping, notifies coverage listeners, and runs the [after]
-    hook (where [cond_signal] lives).  Addresses are tainted {!Tval.t}
+    hook (where [cond_signal] lives).  Both hooks receive the operation's
+    {!Footprint.t}: [load w], [store w] for {!store} and {!movnt}, [rw w]
+    for {!cas} (whether or not it succeeds), [flush] of the line for
+    {!clwb}, and [fence] for {!sfence}.  Addresses are tainted {!Tval.t}
     values so that stores whose address derives from non-persisted data are
     detected as layout inconsistencies. *)
 

@@ -156,7 +156,6 @@ let vandalise leaked (env : Env.t) =
   Env.set_mem_taint env 7 (Runtime.Taint.singleton 41);
   Env.annotate_sync env ~name:"bogus-var" ~addr:3 ~len:1 ~init:77L;
   Env.add_listener env (fun _ -> incr leaked);
-  Env.install_bound env [| (fun _ -> incr leaked) |];
   Env.set_policy env Env.preempt_policy;
   env.Env.evict_prob <- 1.0
 
