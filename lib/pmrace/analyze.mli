@@ -16,7 +16,6 @@ type config = {
   seeds : int;  (** distinct generated seeds to execute *)
   scheds_per_seed : int;  (** random schedules per seed *)
   master_seed : int;
-  step_budget : int;
   analysis : Analysis.Analyzer.config;  (** detector gating *)
 }
 

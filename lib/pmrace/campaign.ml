@@ -68,8 +68,12 @@ type input = {
   por : bool; (* sleep-set pruning + trace hashing *)
 }
 
-let input ?(sched_seed = 1) ?(policy = Random_sched) ?(step_budget = 60_000) ?(por = false) target
-    seed =
+(* Scheduler steps one campaign may take: the default of every campaign
+   input, session and pre-pass execution. *)
+let default_step_budget = 60_000
+
+let input ?(sched_seed = 1) ?(policy = Random_sched) ?(step_budget = default_step_budget)
+    ?(por = false) target seed =
   { target; seed; sched_seed; policy; step_budget; por }
 
 type result = {

@@ -79,7 +79,7 @@ let default_config =
     interleaving_tier = true;
     seed_tier = true;
     use_checkpoint = true;
-    step_budget = 60_000;
+    step_budget = Campaign.default_step_budget;
     validate = true;
     evict_prob = 0.;
     eadr = false;

@@ -50,6 +50,8 @@ type delta = private {
 type t
 
 val create : ?static:Analysis.Alias_pairs.t -> max_campaigns:int -> unit -> t
+(** [static] is the pre-pass's alias-pair accounting: the hub copies its
+    uncovered pairs once and never writes to it. *)
 
 val budget_left : t -> bool
 (** Advisory lock-free check for worker loop conditions; {!reserve} is the
@@ -63,7 +65,7 @@ val fresh_delta : unit -> delta
 
 val recorder : delta -> sites:Site_set.t ref option -> Runtime.Env.event -> unit
 (** The worker's coverage recorder, for its pre-bound listener array
-    ({!Runtime.Env.install_bound}): one match per event updates the
+    ({!Engine.create}'s [bound]): one match per event updates the
     delta's alias map, branch coverage and shared queue and, with
     [sites], records the site of every PM access into the set [sites]
     points at (the fuzzer retargets it per campaign).  The alias part
@@ -131,10 +133,10 @@ val commit :
     when the campaign ran under POR, register its trace class (salted
     with [Seed.fingerprint seed]) and pruning counters and record the raw
     trace hash in the campaign's provenance.  With a static denominator
-    the newly achieved pairs are marked and [seed]'s priority becomes the
-    number of uncovered possible pairs both of whose sites are in
-    [sites] (the owning worker's touched-site set; no re-score without
-    it).  The caller validates the returned first sightings outside the
+    the newly achieved pairs leave the hub's uncovered set and [seed]'s
+    priority becomes the number of uncovered possible pairs both of
+    whose sites are in [sites] (the owning worker's touched-site set; no
+    re-score without it).  The caller validates the returned first sightings outside the
     lock, gated on [c_first_trace]. *)
 
 type por_totals = {

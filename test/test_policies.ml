@@ -124,6 +124,40 @@ let test_privileged_election () =
   Alcotest.(check bool) "both eventually ran" true (!loaded = 2);
   Alcotest.(check bool) "completed" true (Scheduler.completed o)
 
+(* Which footprints of the entry's word are sync points: one operation of
+   one fiber under a fresh policy for the entry at word 100, reporting
+   whether it reached cond_wait (a sync load) and whether it signalled (a
+   sync store). *)
+let sync_roles op =
+  let sp = Sync.create ~rng:(Rng.create 1) ~nthreads:1 ~skip:0 (entry 100) in
+  let env = Env.create ~pool_words:512 () in
+  Env.set_policy env (Sync.policy sp);
+  let sched = Scheduler.create ~rng:(Rng.create 1) () in
+  ignore (Scheduler.spawn sched ~name:"op" (fun () -> op (Env.ctx env ~tid:0)));
+  ignore (Scheduler.run sched);
+  (Sync.waits_executed sp > 0, Sync.triggered sp)
+
+let test_sync_points () =
+  let check label ~load ~store op =
+    Alcotest.(check (pair bool bool)) label (load, store) (sync_roles op)
+  in
+  let at = Tval.of_int 100 and near = Tval.of_int 101 in
+  check "load is a sync load" ~load:true ~store:false (fun ctx ->
+      ignore (Mem.load ctx ~instr:i_r at));
+  check "store is a sync store" ~load:false ~store:true (fun ctx ->
+      Mem.store ctx ~instr:i_w at Tval.one);
+  check "movnt is a sync store" ~load:false ~store:true (fun ctx ->
+      Mem.movnt ctx ~instr:i_w at Tval.one);
+  check "cas is both" ~load:true ~store:true (fun ctx ->
+      ignore (Mem.cas ctx ~instr:i_w at ~expect:Tval.zero ~value:Tval.one));
+  check "flush of the entry's line is neither" ~load:false ~store:false (fun ctx ->
+      Mem.clwb ctx ~instr:i_w at;
+      Mem.clwb ctx ~instr:i_w near);
+  check "fence is neither" ~load:false ~store:false (fun ctx -> Mem.sfence ctx ~instr:i_w);
+  check "another word of the line is neither" ~load:false ~store:false (fun ctx ->
+      ignore (Mem.load ctx ~instr:i_r near);
+      Mem.store ctx ~instr:i_w near Tval.one)
+
 let test_delay_policy_inserts_delays () =
   let rng = Rng.create 1 in
   let dp = Pmrace.Delay_policy.create ~prob:1.0 ~max_delay:10 ~rng () in
@@ -149,4 +183,5 @@ let suite =
     Alcotest.test_case "next_skip" `Quick test_next_skip;
     Alcotest.test_case "privileged-thread election" `Quick test_privileged_election;
     Alcotest.test_case "delay policy inserts delays" `Quick test_delay_policy_inserts_delays;
+    Alcotest.test_case "sync points: footprints of the entry's word" `Quick test_sync_points;
   ]

@@ -279,6 +279,54 @@ let test_persist_range () =
   check ~base:7 ~words:1 ~lines:[ 0 ];
   check ~base:40 ~words:0 ~lines:[]
 
+(* Both policy hooks of an operation receive its footprint, the same
+   value: the kind of access and the word (a flush: the line) it
+   touches. *)
+let test_policy_footprints () =
+  let module Fp = Runtime.Footprint in
+  let env = mk () in
+  let ctx = Env.ctx env ~tid:0 in
+  let fp = Alcotest.testable Fp.pp Int.equal in
+  let seen = ref [] and pending = ref None in
+  Env.set_policy env
+    {
+      Env.before = (fun _ f -> pending := Some f);
+      after =
+        (fun _ f ->
+          Alcotest.(check (option fp)) "after sees before's footprint" !pending (Some f);
+          pending := None;
+          seen := f :: !seen);
+    };
+  let expect label want op =
+    seen := [];
+    op ();
+    Alcotest.(check (list fp)) label want (List.rev !seen)
+  in
+  let w = 70 (* word 6 of line 8 *) and line_word l = l * Pmem.Cacheline.words_per_line in
+  let at = Tval.of_int w in
+  expect "load" [ Fp.load w ] (fun () -> ignore (Mem.load ctx ~instr:i_r at));
+  expect "store" [ Fp.store w ] (fun () -> Mem.store ctx ~instr:i_w at (Tval.of_int 1));
+  expect "movnt" [ Fp.store w ] (fun () -> Mem.movnt ctx ~instr:i_w at (Tval.of_int 2));
+  List.iter
+    (fun nt ->
+      let cas ~ok old value =
+        expect
+          (Printf.sprintf "cas nt:%b %s" nt (if ok then "succeeding" else "failing"))
+          [ Fp.rw w ]
+          (fun () ->
+            Alcotest.(check bool) "cas outcome" ok
+              (Mem.cas ~nt ctx ~instr:i_w at ~expect:(Tval.of_int old) ~value:(Tval.of_int value)))
+      in
+      let cur = Int64.to_int (Pmem.Pool.load env.pool w) in
+      cas ~ok:true cur (cur + 1);
+      cas ~ok:false cur (cur + 2))
+    [ false; true ];
+  expect "clwb of a mid-line word" [ Fp.flush (line_word 8) ] (fun () -> Mem.clwb ctx ~instr:i_w at);
+  expect "sfence" [ Fp.fence ] (fun () -> Mem.sfence ctx ~instr:i_w);
+  expect "persist_range: one flush per line, then a fence"
+    [ Fp.flush (line_word 7); Fp.flush (line_word 8); Fp.flush (line_word 9); Fp.fence ]
+    (fun () -> Mem.persist_range ctx ~instr:i_w (Tval.of_int 61) ~words:12)
+
 let suite =
   [
     Alcotest.test_case "instruction registry" `Quick test_instr_registry;
@@ -300,4 +348,5 @@ let suite =
     Alcotest.test_case "reset keeps annotations" `Quick test_reset_keeps_annotations;
     Alcotest.test_case "eviction can confirm" `Quick test_eviction_confirms;
     Alcotest.test_case "persist_range: every line touched" `Quick test_persist_range;
+    Alcotest.test_case "policy hooks see each operation's footprint" `Quick test_policy_footprints;
   ]
