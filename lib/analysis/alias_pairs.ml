@@ -1,10 +1,9 @@
 (* Achieved-vs-possible alias-pair accounting.
 
    The possible set comes from the site graph (the static pre-pass
-   analogue); achieved pairs are fed in dynamically by whoever watches
-   executions (Pmrace.Alias_cov, or the analyzer's own lint pass).
-   Keeping both sets here gives coverage a denominator and the fuzzer a
-   cheap uncovered-pair oracle. *)
+   analogue); achieved pairs are fed in dynamically by the analyzer's own
+   lint pass.  Keeping both sets here gives coverage a denominator and
+   the fuzzer its starting set of uncovered pairs. *)
 
 module Instr = Runtime.Instr
 

@@ -1,11 +1,11 @@
 (** Achieved-vs-possible accounting for PM alias pairs.
 
     The {!Site_graph} supplies the statically-possible (write-site,
-    read-site) pairs — the denominator.  The fuzzer (or the analyzer's own
-    lint pass) marks pairs {e achieved} whenever a load actually
-    observed another thread's non-persisted store at runtime.  Coverage is
-    then reported as achieved/possible, and the uncovered remainder drives
-    seed prioritisation. *)
+    read-site) pairs — the denominator.  The analyzer's lint pass marks
+    pairs {e achieved} whenever a load actually observed another thread's
+    non-persisted store at runtime.  Coverage is then reported as
+    achieved/possible, and the uncovered remainder, which the fuzzer's hub
+    copies once at session start, drives seed prioritisation. *)
 
 module Instr = Runtime.Instr
 
