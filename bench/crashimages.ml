@@ -13,6 +13,10 @@
    words, captured after every store.  A surface is a delta over the
    shared checkpoint image, so ns and words per capture must stay flat as
    the pool grows.
+   The captures rows count the surfaces a session's checkers request
+   (crash_captures_total) at CLI defaults (seed 5, 300 campaigns) against
+   its first sightings: a worker captures only for findings it does not
+   know yet, so with one worker the two must be equal.
    Writes BENCH_crashimages.json (gitignored; CI uploads it). *)
 
 module Fuzzer = Pmrace.Fuzzer
@@ -77,8 +81,46 @@ let capture_rows ppf =
         ])
     capture_sizes
 
+let captures_total () =
+  List.fold_left
+    (fun acc (r : Obs.Metrics.reading) ->
+      match r with
+      | { r_name = "crash_captures_total"; r_labels = []; r_value = Counter n } -> n
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
+let captures_rows ppf =
+  Format.fprintf ppf "@.Crash surfaces captured per session vs first sightings (CLI defaults).@.";
+  hr ppf;
+  Format.fprintf ppf "%-16s %10s %10s %16s@." "target" "campaigns" "captures" "first sightings";
+  hr ppf;
+  let enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled enabled) @@ fun () ->
+  List.map
+    (fun (name, target) ->
+      let cfg = Fuzzer.Config.make ~max_campaigns:300 ~master_seed:5 ~static_prepass:true () in
+      let before = captures_total () in
+      let s = Fuzzer.run target cfg in
+      let captures = captures_total () - before in
+      let firsts = List.length (Report.findings s.report @ Report.sync_findings s.report) in
+      Format.fprintf ppf "%-16s %10d %10d %16d@." name s.campaigns_run captures firsts;
+      Obs.Json.Obj
+        [
+          ("target", Obs.Json.String name);
+          ("campaigns", Obs.Json.Int s.campaigns_run);
+          ("captures", Obs.Json.Int captures);
+          ("first_sightings", Obs.Json.Int firsts);
+        ])
+    [
+      ("memcached-pmem", Workloads.Memcached.target);
+      ("p-clht", Workloads.Pclht.target);
+      ("fast-fair", Workloads.Fastfair.target);
+    ]
+
 let run ppf =
   let capture = capture_rows ppf in
+  let captures = captures_rows ppf in
   Format.fprintf ppf "@.Crash images: validation cost/yield vs the image budget (--crash-images).@.";
   hr ppf;
   let targets =
@@ -126,7 +168,11 @@ let run ppf =
     " torn-planted's seeded bug 105 is reachable only via an enumerated image.)@.";
   let json =
     Obs.Json.Obj
-      [ ("rows", Obs.Json.List (List.rev !json_rows)); ("capture", Obs.Json.List capture) ]
+      [
+        ("rows", Obs.Json.List (List.rev !json_rows));
+        ("capture", Obs.Json.List capture);
+        ("captures", Obs.Json.List captures);
+      ]
   in
   let oc = open_out "BENCH_crashimages.json" in
   output_string oc (Obs.Json.to_string json);

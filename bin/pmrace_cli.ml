@@ -412,7 +412,7 @@ let inspect_cmd =
   let run (target : Pmrace.Target.t) =
     Format.printf "%s (%s) — %s, %s@." target.name target.version target.scope target.concurrency;
     Format.printf "pool: %d words; engine: %s@." target.pool_words
-      (if Pmrace.Engine.persistent (Pmrace.Engine.create ~capture_images:false target) then
+      (if Pmrace.Engine.persistent (Pmrace.Engine.create ~capture:Runtime.Checkers.none target) then
          "persistent (initialised once, reset from an in-memory checkpoint)"
        else "fresh (initialised per campaign)");
     Format.printf "default whitelist: %a@." Fmt.(list ~sep:(any ", ") string) target.whitelist_sites;

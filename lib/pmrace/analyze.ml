@@ -54,7 +54,7 @@ let iter_executions ?(cfg = default_config) ?checkpoint (target : Target.t) ~att
      between them; given the session's [checkpoint] it does not initialise
      the target again.  [attach] adds a listener that the next checkout's
      boot drops, so each checkout starts with it detached. *)
-  let engine = Engine.create ~capture_images:false ?checkpoint target in
+  let engine = Engine.create ~capture:Runtime.Checkers.none ?checkpoint target in
   for _ = 1 to cfg.seeds do
     let seed = Seed.gen rng target.Target.profile in
     for _ = 1 to cfg.scheds_per_seed do

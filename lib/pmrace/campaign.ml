@@ -6,8 +6,8 @@
    target's initialisation, or rewound to an in-memory checkpoint (§5) —
    with fresh checkers, so every campaign begins with an empty pool as
    §4.5 prescribes and its results only reflect the fuzzed execution.
-   The engine also owns the platform knobs (image capture, eviction,
-   eADR) and the reusable POR harness. *)
+   The engine also owns the platform knobs (which findings get a crash
+   surface, eviction, eADR) and the reusable POR harness. *)
 
 module Rng = Sched.Rng
 module Scheduler = Sched.Scheduler
@@ -92,6 +92,10 @@ let m_latency = lazy (Obs.Metrics.histogram "campaign_latency_seconds")
 let m_setup = lazy (Obs.Metrics.histogram "campaign_setup_seconds")
 let m_run = lazy (Obs.Metrics.histogram "campaign_run_seconds")
 
+(* Crash surfaces the checkers requested, summed over campaigns: fuzz
+   campaigns and replays alike run here. *)
+let m_captures = lazy (Obs.Metrics.counter "crash_captures_total")
+
 let run ~engine ?(listeners = []) (i : input) =
   Obs.Metrics.time (Lazy.force m_latency) @@ fun () ->
   let env = Obs.Metrics.time (Lazy.force m_setup) @@ fun () -> Engine.checkout engine in
@@ -131,6 +135,8 @@ let run ~engine ?(listeners = []) (i : input) =
       outcome.failed
   in
   let hung = outcome.hung <> [] || stuck in
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.incr ~by:(Runtime.Checkers.captures env.checkers) (Lazy.force m_captures);
   { env; outcome; sync; hung; por = Option.map Por.stats harness }
 
 (* The hang-table key of a campaign: the first budget-killed thread, else

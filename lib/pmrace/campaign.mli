@@ -55,11 +55,13 @@ type result = {
 
 val run : engine:Engine.t -> ?listeners:(Env.t -> unit) list -> input -> result
 (** Execute the campaign in an environment from {!Engine.checkout}; the
-    engine's configuration (checkpoint, image capture, eviction, eADR)
+    engine's configuration (checkpoint, surface capture, eviction, eADR)
     governs.  [listeners] (e.g. {!Inv_monitor.attach} partially applied)
     attach theirs to the environment before the run, after the engine's
     bound listeners, until the next checkout.  [result.env] is valid
-    until the engine's next checkout. *)
+    until the engine's next checkout.  With metrics on, the surfaces the
+    run's checkers requested ({!Runtime.Checkers.captures}) are added to
+    the [crash_captures_total] counter. *)
 
 val hang_info : result -> string
 (** The report's hang-table key for a hung campaign: ["hung:NAME"] for the

@@ -32,7 +32,7 @@ type mode = Persistent of { image : Pmem.Pool.image; env : Env.t } | Fresh
 
 type t = {
   target : Target.t;
-  capture_images : bool;
+  capture : Runtime.Checkers.capture;
   evict_prob : float;
   eadr : bool;
   mode : mode;
@@ -45,9 +45,9 @@ type t = {
 }
 
 (* A freshly initialised, quiesced environment, built under the
-   checkpoint's settings: no eviction, no eADR, no image capture. *)
+   checkpoint's settings: no eviction, no eADR, no surface capture. *)
 let init_env (target : Target.t) =
-  let env = Env.create ~capture_images:false ~pool_words:target.pool_words () in
+  let env = Env.create ~capture:Runtime.Checkers.none ~pool_words:target.pool_words () in
   target.init env;
   Pmem.Pool.quiesce env.pool;
   env
@@ -70,7 +70,7 @@ let m_reset_touched =
        ~buckets:[| 8.; 32.; 128.; 512.; 2048.; 8192.; 32768. |]
        "engine_reset_touched_words")
 
-let create ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||])
+let create ?(capture = Runtime.Checkers.all) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||])
     ?checkpoint:shared ?(use_checkpoint = true) (target : Target.t) =
   let mode =
     if not use_checkpoint then Fresh
@@ -89,7 +89,7 @@ let create ?(capture_images = true) ?(evict_prob = 0.) ?(eadr = false) ?(bound =
   in
   {
     target;
-    capture_images;
+    capture;
     evict_prob;
     eadr;
     mode;
@@ -121,7 +121,7 @@ let boot t env image =
   t.last_reset_touched <- touched;
   if Obs.Metrics.enabled () then
     Obs.Metrics.observe (Lazy.force m_reset_touched) (float_of_int touched);
-  Env.boot ~capture_images:t.capture_images ~listeners:t.bound env image;
+  Env.boot ~capture:t.capture ~listeners:t.bound env image;
   (* [Env.boot] turns eviction and eADR off. *)
   Pmem.Pool.set_eadr env.pool t.eadr;
   env.evict_prob <- t.evict_prob;

@@ -32,7 +32,7 @@ val checkpoint : Target.t -> Pmem.Pool.image
     session starts from, shared read-only by its workers. *)
 
 val create :
-  ?capture_images:bool ->
+  ?capture:Runtime.Checkers.capture ->
   ?evict_prob:float ->
   ?eadr:bool ->
   ?bound:(Runtime.Env.event -> unit) array ->
@@ -46,7 +46,11 @@ val create :
     context's pool boots from it, once in O(pool); otherwise the target
     initialises the context's own pool (no eviction, no eADR) and that
     pool is checkpointed in place.  Every checkout boots the checkpoint
-    and then applies [evict_prob] and [eadr].  [use_checkpoint:false]
+    and then applies [evict_prob] and [eadr], and its checkers capture a
+    crash surface for the findings [capture] accepts (default
+    {!Runtime.Checkers.all}; initialisation captures none).  A fuzz
+    worker passes a value that declines the findings it already knows, a
+    replay one that accepts only its bug group's.  [use_checkpoint:false]
     selects fresh mode.  [bound] is the worker's pre-bound listener
     array: every checkout's boot starts the environment's listeners from
     it (after initialisation, so it never observes target-initialisation

@@ -258,6 +258,11 @@ type worker = {
      when exhausted. *)
   explored : (int, int) Hashtbl.t;
   seed_sites : (int, Site_set.t) Hashtbl.t; (* seed id -> sites touched *)
+  (* Every first sighting this worker's commits returned, in the
+     checker's two identities; the engine captures a crash surface only
+     for a finding outside them. *)
+  known_inc : unit Runtime.Candidates.Tbl.t; (* by [Checkers.inc_key] *)
+  known_sync : (string * int64, unit) Hashtbl.t; (* variable, value *)
   engine : Engine.t; (* this worker's reusable execution context *)
   delta : Hub.delta; (* reused across campaigns; reset at campaign start *)
   (* Which per-seed site table the pre-bound recorder writes to;
@@ -305,6 +310,16 @@ let validate_finding w ~campaign f =
   end
 
 let site_name id = Runtime.Instr.name (Runtime.Instr.of_int id)
+
+(* Add a first sighting to the worker's known findings. *)
+let learn w (f : Report.finding) =
+  match f.subject with
+  | Report.Inconsistency inc ->
+      Runtime.Candidates.Tbl.replace w.known_inc
+        (Runtime.Checkers.inc_key inc.source inc.eff_instr)
+        ()
+  | Report.Sync ev -> Hashtbl.replace w.known_sync (ev.var.sv_name, ev.sy_value) ()
+  | Report.Invariant _ -> ()
 
 let policy_label = function
   | Campaign.Pmrace { entry; _ } ->
@@ -374,6 +389,9 @@ let do_campaign w seed policy =
       let invariants = match w.inv_mon with None -> [] | Some m -> Inv_monitor.drain m in
       let sites = if w.static_on then Some !(w.cur_sites) else None in
       let c = w.sink.sk_commit ~campaign ~seed ~delta:w.delta ?sites ~invariants result in
+      (* Every first sighting is known from now on, a duplicate trace's
+         too: none of them will be validated again. *)
+      List.iter (learn w) c.Hub.c_new;
       (* Corpus scheduling: credit this seed with the alias pairs its
          campaign was first to achieve — the currency [Corpus_sched.cull]
          scores by. *)
@@ -639,7 +657,7 @@ let setup_hub s = s.s_hub
    worker [widx]'s corpus is a pure function of (master_seed, widx) in any
    process.  Every worker of a session shares the set-up's checkpoint,
    whitelist and invariant specs. *)
-let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
+let create_worker ?(log = fun _ -> ()) ?obs ?capture ~sink ~widx setup =
   let target = setup.s_target and cfg = setup.s_cfg in
   let static_on = cfg.static_prepass in
   let gen_rng = Rng.create (cfg.master_seed + (1_000_003 * widx)) in
@@ -664,6 +682,21 @@ let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
      feeds the delta and, with the pre-pass, the seed-site table, bound
      once instead of rebuilt per campaign. *)
   let bound = [| Hub.recorder delta ~sites:(if static_on then Some cur_sites else None) |] in
+  (* A surface is read only by validation, and the worker validates only
+     first sightings.  A finding the worker knows cannot be one; a
+     finding another worker or fleet shard has already sighted may look
+     unknown here, which only captures more. *)
+  let known_inc = Runtime.Candidates.Tbl.create 64 and known_sync = Hashtbl.create 16 in
+  let capture =
+    match capture with
+    | Some c -> c
+    | None when not cfg.validate -> Runtime.Checkers.none
+    | None ->
+        {
+          Runtime.Checkers.inc = (fun key -> not (Runtime.Candidates.Tbl.mem known_inc key));
+          sync = (fun name v -> not (Hashtbl.mem known_sync (name, v)));
+        }
+  in
   {
     widx;
     cfg;
@@ -678,15 +711,18 @@ let create_worker ?(log = fun _ -> ()) ?obs ~sink ~widx setup =
     skip_store = Hashtbl.create 32;
     explored = Hashtbl.create 32;
     seed_sites = Hashtbl.create 32;
+    known_inc;
+    known_sync;
     engine =
-      Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound ?checkpoint:setup.s_checkpoint
-        ~use_checkpoint:cfg.use_checkpoint target;
+      Engine.create ~capture ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound
+        ?checkpoint:setup.s_checkpoint ~use_checkpoint:cfg.use_checkpoint target;
     delta;
     cur_sites;
     whitelist;
     vctx = Post_failure.ctx ~images:cfg.crash_images ~whitelist target;
     inv_mon =
-      (if setup.s_inv_specs = [] then None else Some (Inv_monitor.create setup.s_inv_specs));
+      (if setup.s_inv_specs = [] then None
+       else Some (Inv_monitor.create ~capture:cfg.validate setup.s_inv_specs));
     static_on;
     log;
     obs;
@@ -709,7 +745,9 @@ let assemble_session ~worker_campaigns setup =
   let target = setup.s_target and hub = setup.s_hub in
   (* Annotation count comes from the target's layout annotations. *)
   let annotations =
-    let env = Runtime.Env.create ~capture_images:false ~pool_words:target.Target.pool_words () in
+    let env =
+      Runtime.Env.create ~capture:Runtime.Checkers.none ~pool_words:target.Target.pool_words ()
+    in
     target.Target.annotate env;
     Runtime.Checkers.annotation_count env.Runtime.Env.checkers
   in

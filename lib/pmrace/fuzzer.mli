@@ -214,10 +214,25 @@ val setup : ?log:(string -> unit) -> Target.t -> config -> setup
 val setup_hub : setup -> Hub.t
 
 val create_worker :
-  ?log:(string -> unit) -> ?obs:Obs.Events.t -> sink:sink -> widx:int -> setup -> worker
+  ?log:(string -> unit) ->
+  ?obs:Obs.Events.t ->
+  ?capture:Runtime.Checkers.capture ->
+  sink:sink ->
+  widx:int ->
+  setup ->
+  worker
 (** The worker's initial corpus is one populate seed plus
     [cfg.initial_seeds] random seeds, drawn from its [gen_rng].  It
-    shares the set-up's checkpoint, whitelist and invariant specs. *)
+    shares the set-up's checkpoint, whitelist and invariant specs.
+
+    Its engine captures a crash surface only for a finding the worker
+    does not know yet: the worker learns every first sighting its
+    commits return, and validates nothing else.  With one worker a
+    surface is captured exactly for each session first sighting; another
+    worker's sightings only make it capture more.  With [cfg.validate]
+    off it captures none, and neither does its invariant monitor.
+    [capture] replaces that filter (e.g. {!Runtime.Checkers.all}, the
+    reference a differential test compares the filter against). *)
 
 val worker_loop : worker -> unit
 (** Claim seeds and fuzz them until [sk_budget_left] (checked between

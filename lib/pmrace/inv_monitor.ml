@@ -4,8 +4,9 @@
    instrumented event steps the checker, and each violation whose
    invariant has not fired before (per worker) captures the durable pool
    image at the violating store — the crash image the post-failure
-   validator will boot.  Hits accumulate until [drain], which the worker
-   calls after committing the campaign, outside the hub lock. *)
+   validator will boot — unless the session validates nothing.  Hits
+   accumulate until [drain], which the worker calls after committing the
+   campaign, outside the hub lock. *)
 
 module Inv = Analysis.Invariants
 
@@ -20,11 +21,13 @@ type hit = {
 
 type t = {
   checker : Inv.checker;
+  capture : bool; (* capture a surface at each first violation *)
   seen : (string, unit) Hashtbl.t; (* labels already captured, per worker *)
   mutable hits : hit list; (* current campaign's new hits, reversed *)
 }
 
-let create specs = { checker = Inv.checker specs; seen = Hashtbl.create 16; hits = [] }
+let create ?(capture = true) specs =
+  { checker = Inv.checker specs; capture; seen = Hashtbl.create 16; hits = [] }
 
 let attach t (env : Runtime.Env.t) =
   Inv.reset t.checker;
@@ -34,7 +37,9 @@ let attach t (env : Runtime.Env.t) =
           let label = Inv.label v.v_inv in
           if not (Hashtbl.mem t.seen label) then begin
             Hashtbl.add t.seen label ();
-            let crash = Some (Pmem.Crash_images.capture env.Runtime.Env.pool) in
+            let crash =
+              if t.capture then Some (Pmem.Crash_images.capture env.Runtime.Env.pool) else None
+            in
             t.hits <-
               {
                 h_inv = v.v_inv;

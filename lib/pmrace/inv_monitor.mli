@@ -21,7 +21,9 @@ type hit = {
 
 type t
 
-val create : Analysis.Invariants.spec list -> t
+val create : ?capture:bool -> Analysis.Invariants.spec list -> t
+(** [capture:false] (for sessions that validate nothing) leaves every
+    hit's [h_crash] at [None]; the default captures. *)
 
 val attach : t -> Runtime.Env.t -> unit
 (** Campaign listener: reset the checker and subscribe to the

@@ -144,7 +144,7 @@ let world ctx image =
       let words = Pmem.Pool.image_words image in
       let rec w =
         {
-          w_env = Env.create ~capture_images:false ~pool_words:words ();
+          w_env = Env.create ~capture:Checkers.none ~pool_words:words ();
           w_stamp = Array.make words 0;
           w_gen = 1;
           w_log = Array.make 64 0;

@@ -9,6 +9,9 @@
    own (kind, site) are revalidated: the rest of the campaign's findings
    cannot change whether that group comes back. *)
 
+module Checkers = Runtime.Checkers
+module Candidates = Runtime.Candidates
+
 type outcome = {
   r_bug : Artifact.bug;
   r_campaign : int;
@@ -25,16 +28,38 @@ type outcome = {
    changes which fibers the scheduler may pick, so a campaign recorded
    under --por only re-executes bit-identically when replayed under POR
    too. *)
-let rerun ~(target : Target.t) ~(artifact : Artifact.t) =
+let rerun ~(target : Target.t) ~(artifact : Artifact.t) ~capture =
   let cfg = artifact.a_config in
   let engine =
-    Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~use_checkpoint:cfg.use_checkpoint
-      target
+    Engine.create ~capture ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
+      ~use_checkpoint:cfg.use_checkpoint target
   in
   fun (p : Artifact.prov_entry) ->
     Campaign.run ~engine
       (Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec ~step_budget:cfg.step_budget
          ~por:cfg.por target p.pr_seed)
+
+(* Replay validates only the group's findings, so only they need a crash
+   surface: inconsistencies whose kind and write site are the group's, or
+   sync events of its variable.  Sites are compared by name, and a name
+   is never registered here: that would shift the ids later sites get. *)
+let group_capture (b : Artifact.bug) =
+  if String.equal b.b_kind (Report.kind_slug `Sync) then
+    { Checkers.inc = (fun _ -> false); sync = (fun name _ -> String.equal name b.b_site) }
+  else
+    {
+      Checkers.inc =
+        (fun k ->
+          let cand = k lsr Candidates.site_bits in
+          let kind =
+            match Candidates.key_kind cand with Candidates.Inter -> `Inter | Intra -> `Intra
+          in
+          String.equal (Report.kind_slug kind) b.b_kind
+          && String.equal
+               (Runtime.Instr.name (Runtime.Instr.of_int (fst (Candidates.key_pair cand))))
+               b.b_site);
+      sync = (fun _ _ -> false);
+    }
 
 let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
   if not (String.equal target.Target.name artifact.Artifact.a_target) then
@@ -53,7 +78,7 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
             | None -> Error (Printf.sprintf "no provenance for campaign %d" campaign)
             | Some p ->
                 let cfg = artifact.a_config in
-                let result = rerun ~target ~artifact p in
+                let result = rerun ~target ~artifact ~capture:(group_capture b) p in
                 let report = Report.create () in
                 let findings =
                   Report.absorb ~campaign report result.env ~hung:result.hung

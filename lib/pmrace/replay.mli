@@ -20,13 +20,25 @@ type outcome = {
           [None] when not reproduced *)
 }
 
-val rerun : target:Target.t -> artifact:Artifact.t -> Artifact.prov_entry -> Campaign.result
-(** [rerun ~target ~artifact] builds an engine configured like the
-    recorded session's workers; applied to a provenance entry it
-    re-executes that campaign exactly as the fuzzer ran it (same seed,
-    scheduler seed, policy spec and execution parameters, POR included).
-    Partially apply it to re-execute many campaigns on one engine; each
-    result's environment is valid until the next call. *)
+val rerun :
+  target:Target.t ->
+  artifact:Artifact.t ->
+  capture:Runtime.Checkers.capture ->
+  Artifact.prov_entry ->
+  Campaign.result
+(** [rerun ~target ~artifact ~capture] builds an engine configured like
+    the recorded session's workers, whose checkers capture a crash
+    surface for the findings [capture] accepts; applied to a provenance
+    entry it re-executes that campaign exactly as the fuzzer ran it
+    (same seed, scheduler seed, policy spec and execution parameters,
+    POR included).  Which findings get a surface never changes the
+    execution.  Partially apply it to re-execute many campaigns on one
+    engine; each result's environment is valid until the next call. *)
+
+val group_capture : Artifact.bug -> Runtime.Checkers.capture
+(** The findings a replay of the bug group validates: inconsistencies of
+    the group's kind and write site, or sync events of its variable.
+    Sites are compared by name; no site is registered. *)
 
 val replay_bug : target:Target.t -> artifact:Artifact.t -> bug:int -> (outcome, string) result
 (** Replay artifact bug group [bug] (an index into the artifact's [bugs]

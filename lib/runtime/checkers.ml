@@ -5,8 +5,9 @@
      address carries taint from a live candidate is a *pending* durable
      side effect; it is confirmed the moment the store becomes durable
      (fence or eviction) while the source data is still not persisted.  At
-     that instant a crash image is captured: it contains the side effect
-     but not the data it depends on — exactly the state a real crash would
+     that instant a crash image is captured, if the consumer will validate
+     the finding (the [capture] value): it contains the side effect but
+     not the data it depends on — exactly the state a real crash would
      leave behind.
    - PM Synchronization Inconsistency: every persisted update of an
      annotated synchronization variable to a non-initial value is recorded
@@ -48,6 +49,11 @@ let inc_key (source : Candidates.cand) eff_instr =
   let write = Instr.to_int source.write_instr and read = Instr.to_int source.read_instr in
   (Candidates.key ~write ~read source.kind lsl Candidates.site_bits) lor Instr.to_int eff_instr
 
+type capture = { inc : int -> bool; sync : string -> int64 -> bool }
+
+let all = { inc = (fun _ -> true); sync = (fun _ _ -> true) }
+let none = { inc = (fun _ -> false); sync = (fun _ _ -> false) }
+
 type t = {
   cands : Candidates.t;
   (* Pending durable side effects, at most one per word (a newer store to
@@ -67,10 +73,11 @@ type t = {
   mutable sync_vars : sync_var list;
   mutable sync_events : sync_event list;
   uniq_sync : (string * int64, unit) Hashtbl.t;
-  mutable capture_images : bool;
+  mutable capture : capture;
+  mutable captures : int; (* surfaces requested since the last reset *)
 }
 
-let create ?(capture_images = true) () =
+let create ?(capture = all) () =
   {
     cands = Candidates.create ();
     pend = [||];
@@ -82,11 +89,12 @@ let create ?(capture_images = true) () =
     sync_vars = [];
     sync_events = [];
     uniq_sync = Hashtbl.create 16;
-    capture_images;
+    capture;
+    captures = 0;
   }
 
 (* Back to what [create] gives, in place. *)
-let reset t ~capture_images =
+let reset t ~capture =
   Candidates.reset t.cands;
   for i = 0 to t.pend_len - 1 do
     t.pend.(t.pend_words.(i)) <- None
@@ -98,7 +106,8 @@ let reset t ~capture_images =
   t.sync_vars <- [];
   t.sync_events <- [];
   Hashtbl.reset t.uniq_sync;
-  t.capture_images <- capture_images
+  t.capture <- capture;
+  t.captures <- 0
 
 let pending_at t w = if t.pend_live = 0 then None else t.pend.(w)
 
@@ -128,6 +137,14 @@ let clear_pending t w =
   | None -> ()
 
 let candidates t = t.cands
+let captures t = t.captures
+
+(* The crash surface at this instant, counted as one request even when
+   the pool hands back the surface of an earlier request at the same
+   instant. *)
+let capture_surface t pool =
+  t.captures <- t.captures + 1;
+  Some (Pmem.Crash_images.capture pool)
 
 let annotate_sync t ~name ~addr ~len ~init =
   if len <= 0 then invalid_arg "Checkers.annotate_sync: len must be positive";
@@ -201,7 +218,7 @@ let record_inconsistency t pool ~source ~eff_addr ~eff_instr ~eff_tid ~addr_flow
   let key = inc_key source eff_instr in
   if not (Candidates.Tbl.mem t.uniq_inc key) then begin
     Candidates.Tbl.add t.uniq_inc key ();
-    let crash = if t.capture_images then Some (Pmem.Crash_images.capture pool) else None in
+    let crash = if t.capture.inc key then capture_surface t pool else None in
     t.inconsistencies <-
       { source; eff_addr; eff_instr; eff_tid; addr_flow; external_effect; crash; eff_words }
       :: t.inconsistencies
@@ -239,7 +256,7 @@ let on_persisted t pool persisted =
             then begin
               Hashtbl.add t.uniq_sync (var.sv_name, v) ();
               let crash =
-                if t.capture_images then Some (Pmem.Crash_images.capture pool) else None
+                if t.capture.sync var.sv_name v then capture_surface t pool else None
               in
               t.sync_events <- { var; sy_addr = w; sy_value = v; sy_crash = crash }
                 :: t.sync_events

@@ -4,7 +4,8 @@
     durable side effects (stores of tainted data), confirmed PM
     Inter-/Intra-thread Inconsistencies (the side effect became durable
     while its source data was still volatile — a crash image is captured at
-    that instant), and PM Synchronization Inconsistencies (persisted updates
+    that instant, when the checker's {!capture} value accepts the
+    finding), and PM Synchronization Inconsistencies (persisted updates
     of annotated synchronization variables). *)
 
 type t
@@ -18,7 +19,8 @@ type inconsistency = {
   external_effect : bool;
   crash : Pmem.Crash_images.state option;
       (** crash surface at confirmation, for {!Pmem.Crash_images}
-          enumeration: image 0 is the durable state at that instant *)
+          enumeration: image 0 is the durable state at that instant;
+          [None] when the checker's {!capture} value declined it *)
   eff_words : int list;
 }
 
@@ -43,16 +45,37 @@ val inc_key : Candidates.cand -> Instr.t -> int
 (** [inc_key source eff_instr]: an inconsistency's identity, the
     source's {!Candidates.key} with the effect site id packed below it. *)
 
-val create : ?capture_images:bool -> unit -> t
-(** [capture_images:false] skips crash-surface capture (used when only
-    coverage, not validation, is needed). *)
+type capture = { inc : int -> bool; sync : string -> int64 -> bool }
+(** Which findings get a crash surface.  A surface's only readers are
+    post-failure validation and a bug report's "crash state" line, so a
+    checker captures one only for a finding its consumer will validate.
+    [inc] is asked with an inconsistency's {!inc_key}, [sync] with a
+    sync event's variable name and persisted value: the identities
+    [Report.absorb] deduplicates on.  Each is asked once per
+    per-execution unique finding, when the checker records it; the
+    per-access hooks never ask. *)
 
-val reset : t -> capture_images:bool -> unit
+val all : capture
+(** Capture for every finding. *)
+
+val none : capture
+(** Capture for no finding: initialisation, recovery runs, coverage-only
+    executions. *)
+
+val create : ?capture:capture -> unit -> t
+(** [capture] defaults to {!all}. *)
+
+val reset : t -> capture:capture -> unit
 (** Return to what {!create} gives, in place and without allocating a
-    per-word table: candidates, pending effects, findings and sync
-    annotations are all dropped. *)
+    per-word table: candidates, pending effects, findings, sync
+    annotations and the capture count are all dropped. *)
 
 val candidates : t -> Candidates.t
+
+val captures : t -> int
+(** Crash surfaces requested since the last {!create} or {!reset}: one
+    per finding the [capture] value accepted, including those that
+    shared the surface of an earlier request at the same pool instant. *)
 
 val annotate_sync : t -> name:string -> addr:int -> len:int -> init:int64 -> unit
 (** The [pm_sync_var_hint(size, init_val)] annotation of §5. *)

@@ -46,11 +46,11 @@ let preempt_policy = { before = (fun _ _ -> Sched.Scheduler.yield ()); after = (
 (* Every environment's eviction RNG starts from this one seed. *)
 let eviction_seed = 7
 
-let make ~capture_images pool =
+let make ~capture pool =
   let words = Pmem.Pool.size pool in
   {
     pool;
-    checkers = Checkers.create ~capture_images ();
+    checkers = Checkers.create ~capture ();
     dram = Dram.create ();
     mem_taint = Array.make words Taint.empty;
     tainted = Array.make 64 0;
@@ -62,13 +62,13 @@ let make ~capture_images pool =
     evict_prob = 0.;
   }
 
-let create ?(capture_images = true) ~pool_words () =
-  make ~capture_images (Pmem.Pool.create ~words:pool_words ())
+let create ?(capture = Checkers.all) ~pool_words () =
+  make ~capture (Pmem.Pool.create ~words:pool_words ())
 
 (* Boot an environment from a crash image: the post-failure world.  DRAM
    state, shadow taint and checker state all start fresh. *)
-let of_image ?(capture_images = false) (image : Pmem.Pool.image) =
-  make ~capture_images (Pmem.Pool.of_image image)
+let of_image ?(capture = Checkers.none) (image : Pmem.Pool.image) =
+  make ~capture (Pmem.Pool.of_image image)
 
 let ctx t ~tid = { env = t; tid }
 let set_policy t p = t.policy <- p
@@ -113,13 +113,13 @@ let clear_taint t =
 let annotate_sync t ~name ~addr ~len ~init = Checkers.annotate_sync t.checkers ~name ~addr ~len ~init
 
 (* [of_image] without the allocation: return a reused environment to the
-   post-failure world of a fresh [of_image image] (optionally capturing
-   crash images), rebooting the pool in place.  Engine checkouts rewind to
-   a checkpoint this way, validation to each crash image.  Sync-variable
-   annotations and listeners do NOT survive: the caller re-annotates, and
-   [listeners] is the whole listener set the booted run starts with. *)
-let boot ?delta ?(capture_images = false) ?(listeners = [||]) t image =
-  Checkers.reset t.checkers ~capture_images;
+   post-failure world of a fresh [of_image ?capture image], rebooting the
+   pool in place.  Engine checkouts rewind to a checkpoint this way,
+   validation to each crash image.  Sync-variable annotations and
+   listeners do NOT survive: the caller re-annotates, and [listeners] is
+   the whole listener set the booted run starts with. *)
+let boot ?delta ?(capture = Checkers.none) ?(listeners = [||]) t image =
+  Checkers.reset t.checkers ~capture;
   Dram.clear t.dram;
   clear_taint t;
   t.policy <- null_policy;

@@ -51,37 +51,38 @@ val null_policy : policy
 val preempt_policy : policy
 (** Yield before every instrumented operation (plain random scheduling). *)
 
-val create : ?capture_images:bool -> pool_words:int -> unit -> t
+val create : ?capture:Checkers.capture -> pool_words:int -> unit -> t
 (** Fresh environment with a zeroed pool, eviction off and eADR off.
-    [capture_images] (default true) makes the checkers capture crash
-    images.  Arm a run's settings on the record itself: set [evict_prob]
-    (and [evict_rng] for another stream) for random silent cache-line
-    eviction after stores, {!Pmem.Pool.set_eadr} on [pool] to put the
-    cache hierarchy in the persistent domain (§6.6). *)
+    [capture] (default {!Checkers.all}) says which findings the checkers
+    capture a crash surface for.  Arm a run's settings on the record
+    itself: set [evict_prob] (and [evict_rng] for another stream) for
+    random silent cache-line eviction after stores, {!Pmem.Pool.set_eadr}
+    on [pool] to put the cache hierarchy in the persistent domain
+    (§6.6). *)
 
-val of_image : ?capture_images:bool -> Pmem.Pool.image -> t
+val of_image : ?capture:Checkers.capture -> Pmem.Pool.image -> t
 (** The post-failure world: pool booted from a crash image; DRAM, taint and
-    checker state start fresh.  Allocates a whole environment; it is the
-    executable specification of {!boot}, which engine checkouts and
-    validation use. *)
+    checker state start fresh; [capture] defaults to {!Checkers.none}.
+    Allocates a whole environment; it is the executable specification of
+    {!boot}, which engine checkouts and validation use. *)
 
 val boot :
   ?delta:(int * int64) list ->
-  ?capture_images:bool ->
+  ?capture:Checkers.capture ->
   ?listeners:(event -> unit) array ->
   t ->
   Pmem.Pool.image ->
   unit
 (** [boot t image] re-boots a reused environment in place into a state
-    observationally identical to [of_image ?capture_images image] (with
+    observationally identical to [of_image ?capture image] (with
     [delta] applied to the image, see {!Pmem.Pool.boot}): emptied checkers
     ({e without} sync annotations — re-annotate as for a fresh
-    environment) that capture crash images only if [capture_images]
-    (default false), cleared DRAM and taint, null policy, exactly the
-    [listeners] given (default none; an engine passes the worker's array,
-    built once instead of per campaign), the eviction RNG reseeded from
-    the default seed, eviction probability 0 and eADR off.  It allocates
-    no pool.
+    environment) that capture crash surfaces for the findings [capture]
+    accepts (default {!Checkers.none}), cleared DRAM and taint, null
+    policy, exactly the [listeners] given (default none; an engine
+    passes the worker's array, built once instead of per campaign), the
+    eviction RNG reseeded from the default seed, eviction probability 0
+    and eADR off.  It allocates no pool.
 
     It is the environment's one rewind: an engine checkout boots its
     checkpoint (a journal rewind, O(touched words)), post-failure

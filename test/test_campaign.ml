@@ -157,6 +157,117 @@ let test_report_groups_and_matching () =
   let matches = Report.match_known target groups in
   Alcotest.(check bool) "known bugs matched" true (List.for_all snd matches)
 
+(* The checker asks its capture value once per unique finding, as it
+   records it.  On the confirming campaign, with a set that knows one of
+   its inconsistencies, one of its sync events or nothing: a known
+   finding gets no surface, an unknown one gets one (so an empty set
+   captures everything), the findings themselves never change, and the
+   checker counts exactly the surfaces it requested. *)
+let test_capture_known () =
+  let sched_seed, _ = find_confirming () in
+  let run capture =
+    Campaign.run
+      ~engine:(Pmrace.Engine.create ~capture target)
+      (Campaign.input ~sched_seed ~policy:Campaign.Random_sched target (seed ()))
+  in
+  let inc_key (i : Checkers.inconsistency) = Checkers.inc_key i.source i.eff_instr in
+  let sync_key (e : Checkers.sync_event) = (e.var.Checkers.sv_name, e.sy_value) in
+  let findings (r : Campaign.result) =
+    let ck = r.env.Runtime.Env.checkers in
+    (Checkers.inconsistencies ck, Checkers.sync_events ck)
+  in
+  let reference = run Checkers.all in
+  let incs, syncs = findings reference in
+  let i0, e0 =
+    match (incs, syncs) with
+    | i :: _, e :: _ -> (i, e)
+    | _ -> Alcotest.fail "the confirming campaign has no inconsistency or no sync event"
+  in
+  let identities (incs, syncs) = (List.map inc_key incs, List.map sync_key syncs) in
+  let check label ~known_incs ~known_syncs =
+    let r =
+      run
+        {
+          Checkers.inc = (fun key -> not (List.mem key known_incs));
+          sync = (fun name v -> not (List.mem (name, v) known_syncs));
+        }
+    in
+    let incs, syncs = findings r in
+    Alcotest.(check bool) (label ^ ": same findings") true
+      (identities (incs, syncs) = identities (findings reference));
+    List.iter
+      (fun (i : Checkers.inconsistency) ->
+        Alcotest.(check bool) (label ^ ": inconsistency surface")
+          (not (List.mem (inc_key i) known_incs))
+          (i.crash <> None))
+      incs;
+    List.iter
+      (fun (e : Checkers.sync_event) ->
+        Alcotest.(check bool) (label ^ ": sync surface")
+          (not (List.mem (sync_key e) known_syncs))
+          (e.sy_crash <> None))
+      syncs;
+    Alcotest.(check int) (label ^ ": captures")
+      (List.length (List.filter (fun (i : Checkers.inconsistency) -> i.crash <> None) incs)
+      + List.length (List.filter (fun (e : Checkers.sync_event) -> e.sy_crash <> None) syncs))
+      (Checkers.captures r.env.Runtime.Env.checkers)
+  in
+  check "empty set" ~known_incs:[] ~known_syncs:[];
+  check "known inconsistency" ~known_incs:[ inc_key i0 ] ~known_syncs:[];
+  check "known sync event" ~known_incs:[] ~known_syncs:[ sync_key e0 ];
+  let none = run Checkers.none in
+  Alcotest.(check int) "none: no capture" 0 (Checkers.captures none.env.Runtime.Env.checkers)
+
+(* A replay captures only for its bug group: every inconsistency of the
+   group's kind and write site (or sync event of its variable) in the
+   group's first campaign gets a surface, every other finding none.  A
+   group whose site name was never registered captures nothing and
+   registers no site. *)
+let test_group_capture () =
+  let module Artifact = Pmrace.Artifact in
+  let cfg = Pmrace.Fuzzer.Config.make ~max_campaigns:30 ~master_seed:5 () in
+  let art = Artifact.of_session ~target ~cfg (Pmrace.Fuzzer.run target cfg) in
+  if not (List.exists (fun (b : Artifact.bug) -> b.b_kind = "sync") art.a_bugs) then
+    Alcotest.fail "the session found no sync bug";
+  let replay (b : Artifact.bug) =
+    let p =
+      Option.get (Artifact.find_provenance art (Option.get b.Artifact.b_first_campaign))
+    in
+    let r = Pmrace.Replay.rerun ~target ~artifact:art ~capture:(Pmrace.Replay.group_capture b) p in
+    let ck = r.env.Runtime.Env.checkers in
+    let of_group kind site = String.equal kind b.b_kind && String.equal site b.b_site in
+    let incs =
+      List.map
+        (fun (i : Checkers.inconsistency) ->
+          let kind = match i.source.kind with Candidates.Inter -> `Inter | Intra -> `Intra in
+          ( of_group (Report.kind_slug kind) (Runtime.Instr.name i.source.write_instr),
+            i.crash <> None ))
+        (Checkers.inconsistencies ck)
+    and syncs =
+      List.map
+        (fun (e : Checkers.sync_event) -> (of_group "sync" e.var.sv_name, e.sy_crash <> None))
+        (Checkers.sync_events ck)
+    in
+    incs @ syncs
+  in
+  List.iter
+    (fun (b : Artifact.bug) ->
+      let label = Printf.sprintf "%s at %s" b.b_kind b.b_site in
+      let findings = replay b in
+      List.iter
+        (fun (in_group, captured) -> Alcotest.(check bool) (label ^ ": surface") in_group captured)
+        findings;
+      Alcotest.(check bool) (label ^ ": the group's finding has a surface") true
+        (List.exists snd findings))
+    art.a_bugs;
+  let sites = Runtime.Instr.count () in
+  List.iter
+    (fun (b : Artifact.bug) ->
+      let findings = replay { b with b_site = "never-registered.c:site" } in
+      Alcotest.(check bool) "unregistered site: nothing captured" false (List.exists snd findings))
+    art.a_bugs;
+  Alcotest.(check int) "no site registered" sites (Runtime.Instr.count ())
+
 let test_whitelist () =
   let wl = Whitelist.create [ "a"; "b" ] in
   Alcotest.(check bool) "mem" true (Whitelist.mem_site wl "a");
@@ -178,4 +289,6 @@ let suite =
     Alcotest.test_case "report dedup" `Quick test_report_dedup;
     Alcotest.test_case "report groups + matching" `Quick test_report_groups_and_matching;
     Alcotest.test_case "whitelist" `Quick test_whitelist;
+    Alcotest.test_case "capture: known findings get no surface" `Quick test_capture_known;
+    Alcotest.test_case "capture: a replay's own bug group only" `Quick test_group_capture;
   ]

@@ -3,7 +3,8 @@
    hand-built pools, QCheck fence-consistency properties over random
    store/flush/fence traces, base-image confirmation, and the
    end-to-end torn-planted workload (invisible at the default budget of 1,
-   found and replayable at --crash-images 4). *)
+   found and replayable at --crash-images 4), and that capturing surfaces
+   only for findings a worker does not know yet changes no session. *)
 
 module CI = Pmem.Crash_images
 module Pool = Pmem.Pool
@@ -490,6 +491,134 @@ let test_torn_store_needs_enumeration () =
       Alcotest.(check bool) "reproduced on the recorded image" true
         (o.r_image_index = bug.b_image_index)
 
+(* ------------------------------------------------------------------ *)
+(* A worker captures only for findings it does not know yet.            *)
+(* ------------------------------------------------------------------ *)
+
+module Fuzzer = Pmrace.Fuzzer
+module Report = Pmrace.Report
+module J = Obs.Json
+
+let captures_total () =
+  List.fold_left
+    (fun acc (r : Obs.Metrics.reading) ->
+      match r with
+      | { r_name = "crash_captures_total"; r_labels = []; r_value = Counter n } -> n
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
+(* [Fuzzer.run]'s worker pool with every worker's capture value given:
+   [Runtime.Checkers.all] is the reference that captures for every
+   finding, as every session did before the filter. *)
+let session_with ~capture target (cfg : Fuzzer.config) =
+  let setup = Fuzzer.setup target cfg in
+  let hub = Fuzzer.setup_hub setup in
+  let sink =
+    {
+      Fuzzer.sk_budget_left = (fun () -> Pmrace.Hub.budget_left hub);
+      sk_reserve = Pmrace.Hub.reserve hub;
+      sk_commit = Pmrace.Hub.commit hub;
+    }
+  in
+  let workers =
+    Array.init cfg.workers (fun widx -> Fuzzer.create_worker ~capture ~sink ~widx setup)
+  in
+  if cfg.workers = 1 then Fuzzer.worker_loop workers.(0)
+  else
+    Array.map (fun w -> Domain.spawn (fun () -> Fuzzer.worker_loop w)) workers
+    |> Array.iter Domain.join;
+  Fuzzer.assemble_session ~worker_campaigns:(Array.map Fuzzer.campaigns_done workers) setup
+
+let first_sightings (s : Fuzzer.session) =
+  Report.findings s.report @ Report.sync_findings s.report
+
+(* Everything a session reports that a surface could reach: its first
+   sightings in order with their verdicts (image index included), its
+   bug groups, and its artifact without metrics or timings. *)
+let observed target cfg (s : Fuzzer.session) =
+  let finding (f : Report.finding) =
+    Printf.sprintf "%d %s %s>%s %s" f.found_at
+      (Report.kind_slug (Report.kind f))
+      (Report.site f) (Report.read_site f)
+      (match f.verdict with Some v -> Fmt.str "%a" Post.pp_verdict v | None -> "-")
+  in
+  let rec strip = function
+    | J.Obj fields ->
+        J.Obj
+          (List.filter_map
+             (fun (k, v) ->
+               match v with
+               | J.Float _ -> None
+               | _ when String.equal k "metrics" -> None
+               | _ -> Some (k, strip v))
+             fields)
+    | J.List l -> J.List (List.map strip l)
+    | v -> v
+  in
+  ( List.map finding (first_sightings s),
+    List.map (Fmt.str "%a" Report.pp_bug_group) (Report.bug_groups s.report),
+    J.to_string (strip (Pmrace.Artifact.to_json (Pmrace.Artifact.of_session ~target ~cfg s))) )
+
+let surface_arms =
+  let base = Fuzzer.Config.make ~max_campaigns:30 ~master_seed:5 in
+  [
+    ("pmrace", base ());
+    ("delay", base ~mode:Fuzzer.Mode_delay ());
+    ("random", base ~mode:Fuzzer.Mode_random ());
+    ("por", base ~por:true ());
+    ("crash-images 4", base ~crash_images:4 ());
+    ("eadr", base ~eadr:true ());
+  ]
+
+(* Under every arm, a one-worker session whose engine captures only for
+   unknown findings reports exactly what a capture-all session reports,
+   and requests one surface per first sighting.  Two workers race on the
+   hub, so no two of their sessions need agree; there each worker's set
+   is stale by the other's findings, which must only capture more: every
+   first sighting still has its surface. *)
+let test_known_findings_differential (target : Pmrace.Target.t) () =
+  let enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled enabled) @@ fun () ->
+  List.iter
+    (fun (arm, cfg) ->
+      let label = Printf.sprintf "%s, %s" target.name arm in
+      let before = captures_total () in
+      let s = Fuzzer.run target cfg in
+      let captures = captures_total () - before in
+      let reference = session_with ~capture:Runtime.Checkers.all target cfg in
+      let findings, groups, artifact = observed target cfg s
+      and findings', groups', artifact' = observed target cfg reference in
+      Alcotest.(check (list string)) (label ^ ": findings and verdicts") findings' findings;
+      Alcotest.(check (list string)) (label ^ ": bug groups") groups' groups;
+      Alcotest.(check string) (label ^ ": artifact") artifact' artifact;
+      Alcotest.(check int)
+        (label ^ ": one capture per first sighting")
+        (List.length (first_sightings s))
+        captures)
+    surface_arms;
+  let cfg = Fuzzer.Config.make ~max_campaigns:30 ~master_seed:5 ~workers:2 () in
+  let before = captures_total () in
+  let s = Fuzzer.run target cfg in
+  let captures = captures_total () - before in
+  let label = target.name ^ ", workers 2" in
+  List.iter
+    (fun (f : Report.finding) ->
+      let captured =
+        match f.subject with
+        | Report.Inconsistency i -> i.crash <> None
+        | Report.Sync e -> e.sy_crash <> None
+        | Report.Invariant _ -> true
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s has a surface" label (Report.site f))
+        true captured)
+    (first_sightings s);
+  Alcotest.(check bool)
+    (label ^ ": at least one capture per first sighting")
+    true
+    (captures >= List.length (first_sightings s))
+
 let suite =
   [
     Alcotest.test_case "quiesced pool: single image" `Quick test_quiesced_pool_single_image;
@@ -508,3 +637,8 @@ let suite =
     Alcotest.test_case "one surface per pool instant" `Quick test_same_instant_shared;
     Alcotest.test_case "capture allocation is O(touched)" `Quick test_capture_allocation_flat;
   ]
+  @ List.map
+      (fun (t : Pmrace.Target.t) ->
+        Alcotest.test_case ("surfaces for unknown findings ≡ capture-all: " ^ t.name) `Slow
+          (test_known_findings_differential t))
+      (Workloads.Registry.with_examples @ Workloads.Registry.planted)

@@ -185,7 +185,7 @@ let test_taint_resets () =
   let env = Env.create ~pool_words () in
   let image = Pool.crash_image env.Env.pool in
   taint_some env words;
-  Env.boot ~capture_images:true env image;
+  Env.boot ~capture:Checkers.all env image;
   check_cleared "boot (capturing images)" env;
   taint_some env words;
   Env.boot env image;
@@ -731,7 +731,7 @@ let prop_checkers_match_reference =
               Checkers.on_external_effect ck pool ~tid ~instr ~taint:t;
               Ref_checkers.on_external_effect !rf pool ~tid ~instr ~taint:m
           | Ck_reset ->
-              Checkers.reset ck ~capture_images:true;
+              Checkers.reset ck ~capture:Checkers.all;
               rf := Ref_checkers.create ();
               annotate ());
           agree ())

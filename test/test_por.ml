@@ -313,7 +313,7 @@ let test_por_replay_faithful target ~crash_images () =
     | Ok a -> a
     | Error e -> Alcotest.failf "artifact does not decode: %s" e
   in
-  let rerun = Pmrace.Replay.rerun ~target ~artifact:art in
+  let rerun = Pmrace.Replay.rerun ~target ~artifact:art ~capture:Runtime.Checkers.none in
   let replayed =
     List.fold_left
       (fun n (p : Pmrace.Artifact.prov_entry) ->

@@ -273,7 +273,9 @@ let of_bug (b : Artifact.bug) f =
   String.equal (Report.kind_slug (Report.kind f)) b.b_kind && String.equal (Report.site f) b.b_site
 
 (* The replay reference: re-execute the bug's first campaign exactly as
-   the fuzzer ran it, validate every finding, then read the bug's
+   the fuzzer ran it, on an engine that captures a crash surface for every
+   finding (the replay under test captures only for its bug group),
+   validate every finding, then read the bug's
    (kind, site) group and the smallest image index among that group's
    bug verdicts.  Also returns how many of the campaign's findings are
    the bug's candidates. *)
@@ -282,7 +284,7 @@ let reference_replay (target : Pmrace.Target.t) (art : Artifact.t) (b : Artifact
   let campaign = Option.get b.b_first_campaign in
   let p = Option.get (Artifact.find_provenance art campaign) in
   let engine =
-    Pmrace.Engine.create ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
+    Pmrace.Engine.create ~capture:Runtime.Checkers.all ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
       ~use_checkpoint:cfg.use_checkpoint target
   in
   let result =
