@@ -141,6 +141,18 @@ let target_conv =
   in
   Arg.conv (parse, fun ppf (t : Pmrace.Target.t) -> Format.fprintf ppf "%s" t.name)
 
+let workers_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Fuzzer.max_workers -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected a worker count in 1..%d" s
+               Fuzzer.max_workers))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let mode_conv =
   Arg.enum [ ("pmrace", Fuzzer.Mode_pmrace); ("delay", Fuzzer.Mode_delay); ("random", Fuzzer.Mode_random) ]
 
@@ -153,12 +165,15 @@ let fuzz_cmd =
   in
   let seed = Arg.(value & opt int 5 & info [ "seed" ] ~doc:"Master random seed.") in
   let workers =
-    Arg.(value & opt int 1
+    Arg.(value & opt workers_conv 1
          & info [ "workers"; "j" ]
              ~doc:
-               "Number of fuzzing worker domains sharing coverage (§5). With 1 the session is \
-                bit-reproducible; with more, the unique-bug set is deterministic but campaign \
-                order is not.")
+               (Printf.sprintf
+                  "Number of fuzzing worker domains sharing coverage (§5), at most %d: OCaml runs \
+                   at most 128 domains, the main one included. With 1 the session is \
+                   bit-reproducible; with more, the unique-bug set is deterministic but campaign \
+                   order is not."
+                  Fuzzer.max_workers))
   in
   let mode =
     Arg.(value & opt mode_conv Fuzzer.Mode_pmrace
@@ -460,7 +475,6 @@ let hub_cmd =
     let log = if verbose then fun m -> Format.eprintf "%s@." m else fun _ -> () in
     let cfg =
       {
-        Fleet.Coordinator.default_config with
         Fleet.Coordinator.socket_path;
         store_dir;
         target = target.Pmrace.Target.name;

@@ -16,11 +16,10 @@
 type config = {
   taxonomy : bool;  (** PM-bug-taxonomy lint classes *)
   invariants : bool;  (** likely-invariant mining *)
-  min_support : int;  (** invariant support threshold *)
   region_of : (int -> int) option;  (** pool-region classifier for cross-region lint *)
 }
 
-let default_config = { taxonomy = false; invariants = false; min_support = 2; region_of = None }
+let default_config = { taxonomy = false; invariants = false; region_of = None }
 let full = { default_config with taxonomy = true; invariants = true }
 
 type t = {
@@ -43,7 +42,7 @@ let create ?(cfg = default_config) () =
     cfg;
     graph = Site_graph.create ();
     lint = Lint.create ~taxonomy:cfg.taxonomy ?region_of:cfg.region_of ();
-    inv = (if cfg.invariants then Some (Invariants.create ~min_support:cfg.min_support ()) else None);
+    inv = (if cfg.invariants then Some (Invariants.create ()) else None);
   }
 
 let config t = t.cfg

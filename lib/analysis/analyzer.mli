@@ -15,7 +15,6 @@
 type config = {
   taxonomy : bool;  (** PM-bug-taxonomy lint classes (see {!Lint.kind}) *)
   invariants : bool;  (** likely-invariant mining *)
-  min_support : int;  (** support threshold handed to {!Invariants.create} *)
   region_of : (int -> int) option;
       (** pool-region classifier for the cross-region ordering detector *)
 }
@@ -24,8 +23,8 @@ val default_config : config
 (** Everything off — byte-identical behaviour to the v1 analyzer. *)
 
 val full : config
-(** Taxonomy + invariants on ([min_support] 2, no region map — callers
-    supply one when the pool layout is known). *)
+(** Taxonomy + invariants on (no region map — callers supply one when
+    the pool layout is known). *)
 
 type t
 

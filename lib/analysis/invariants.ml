@@ -120,12 +120,14 @@ type t = {
   orders : (Instr.t * Instr.t, stat) Hashtbl.t; (* (first, next) *)
   commits : (Instr.t, stat) Hashtbl.t;
   tr : tracker;
-  min_support : int;
   mutable execs : int;
 }
 
-let create ?(min_support = 2) () =
-  { orders = Hashtbl.create 64; commits = Hashtbl.create 16; tr = tracker (); min_support; execs = 0 }
+(* Least support a mined invariant needs: one execution is a single
+   observation, not a likely invariant. *)
+let min_support = 2
+
+let create () = { orders = Hashtbl.create 64; commits = Hashtbl.create 16; tr = tracker (); execs = 0 }
 
 let executions t = t.execs
 
@@ -158,7 +160,7 @@ let absorb t events =
   finish t
 
 let mine t =
-  let keep st = (not st.violated) && st.support >= t.min_support in
+  let keep st = (not st.violated) && st.support >= min_support in
   let specs =
     Hashtbl.fold
       (fun (first, next) st acc ->

@@ -20,7 +20,7 @@
     invariant set was mined from yields zero violations by construction.
     Support counts the executions (Order) / epochs (Commit) where the
     invariant was meaningful and held; mined specs were never violated
-    and reach [min_support]. *)
+    and reach a support of 2. *)
 
 module Instr = Runtime.Instr
 
@@ -43,9 +43,9 @@ type violation = {
 
 type t
 
-val create : ?min_support:int -> unit -> t
-(** [min_support] (default 2): least meaningful-and-held count for a
-    candidate to survive {!mine}. *)
+val create : unit -> t
+(** A miner that has seen no execution.  A candidate survives {!mine}
+    when it was meaningful and held at least twice. *)
 
 val step : t -> Runtime.Env.event -> unit
 (** Fold one event of the current (correct) execution into the candidate

@@ -21,8 +21,6 @@ type config = {
   target : string;
   budget : int;
   campaigns_per_lease : int;
-  min_campaigns_per_lease : int;
-  lease_horizon : float;
   seeds_per_lease : int;
   log : string -> unit;
 }
@@ -34,13 +32,16 @@ let default_config =
     target = "";
     budget = 300;
     campaigns_per_lease = 30;
-    min_campaigns_per_lease = 5;
-    lease_horizon = 1.0;
     seeds_per_lease = 4;
     log = (fun _ -> ());
   }
 
-(* A lease sized to [lease_horizon] seconds of the client's observed
+(* Grant floor once a client's rate is known, and the seconds of its
+   observed throughput a lease should cover. *)
+let min_campaigns_per_lease = 5
+let lease_horizon = 1.0
+
+(* A lease sized to [horizon] seconds of the client's observed
    throughput, clamped to [min, max].  An unmeasured client (rate 0 —
    nothing shipped yet) gets the full cap: overshooting the first lease
    costs at most one batch, undershooting would serialize the fleet's
@@ -142,8 +143,8 @@ let serve ?(on_ready = fun () -> ()) cfg =
               reply c (if outstanding () > 0 then Wire.Retry else Wire.Drained)
             else begin
               let sized =
-                lease_size ~rate:c.c_rate ~horizon:cfg.lease_horizon
-                  ~min_lease:cfg.min_campaigns_per_lease ~max_lease:cfg.campaigns_per_lease
+                lease_size ~rate:c.c_rate ~horizon:lease_horizon ~min_lease:min_campaigns_per_lease
+                  ~max_lease:cfg.campaigns_per_lease
               in
               let n = min avail (min campaigns sized) in
               c.c_leased <- c.c_leased + n;

@@ -21,21 +21,18 @@ type config = {
   store_dir : string;
   target : string;  (** registry name; [Hello]s for other targets are refused *)
   budget : int;  (** total campaign budget (spans restarts) *)
-  campaigns_per_lease : int;  (** grant cap per [Lease_req] *)
-  min_campaigns_per_lease : int;  (** grant floor once a client's rate is known *)
-  lease_horizon : float;
-      (** seconds of observed throughput a lease should cover: each
-          client's grant is sized to [rate × horizon] (EWMA of
-          campaigns/sec over its delta acks), clamped to
-          [min_campaigns_per_lease, campaigns_per_lease].  A client with
-          no measured rate yet gets the full cap. *)
+  campaigns_per_lease : int;
+      (** grant cap per [Lease_req]: each client's grant is sized to one
+          second of its observed throughput (EWMA of campaigns/sec over
+          its delta acks), clamped to [5, campaigns_per_lease].  A
+          client with no measured rate yet gets the full cap. *)
   seeds_per_lease : int;  (** corpus seeds handed out per lease *)
   log : string -> unit;
 }
 
 val default_config : config
 (** [socket_path]/[store_dir]/[target] empty; budget 300; 30-campaign
-    cap / 5-campaign floor / 1 s horizon; 4-seed leases; silent log. *)
+    cap; 4-seed leases; silent log. *)
 
 val lease_size : rate:float -> horizon:float -> min_lease:int -> max_lease:int -> int
 (** The lease-sizing policy, exposed pure for tests: [max_lease] when

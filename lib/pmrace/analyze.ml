@@ -100,5 +100,5 @@ let record ?cfg (target : Target.t) =
       events := []);
   List.rev !traces
 
-let prepass ?(seeds = 4) ?(analysis = Analysis.Analyzer.default_config) ?checkpoint target =
-  run ~cfg:{ default_config with seeds; master_seed = 11; analysis } ?checkpoint target
+let prepass ?(analysis = Analysis.Analyzer.default_config) ?checkpoint target =
+  run ~cfg:{ default_config with seeds = 4; master_seed = 11; analysis } ?checkpoint target

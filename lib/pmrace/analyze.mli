@@ -43,12 +43,11 @@ val record : ?cfg:config -> Target.t -> Runtime.Env.event list list
     analyzers over identical traces, and for offline invariant tests. *)
 
 val prepass :
-  ?seeds:int ->
   ?analysis:Analysis.Analyzer.config ->
   ?checkpoint:Pmem.Pool.image ->
   Target.t ->
   Analysis.Analyzer.result
-(** The fuzzer-facing entry point: a smaller seed set, fixed master seed
+(** The fuzzer-facing entry point: a smaller seed set (4), fixed master seed
     (deterministic across fuzzer configurations).  [analysis] defaults to
     all detectors off, preserving the bit-identical seeded pre-pass.
     [checkpoint] is the session's checkpoint, as for {!run}. *)

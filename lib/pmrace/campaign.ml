@@ -64,17 +64,15 @@ type input = {
   seed : Seed.t;
   sched_seed : int;
   policy : policy_spec;
-  step_budget : int;
   por : bool; (* sleep-set pruning + trace hashing *)
 }
 
-(* Scheduler steps one campaign may take: the default of every campaign
-   input, session and pre-pass execution. *)
+(* Scheduler steps one campaign may take: every campaign, session and
+   pre-pass execution runs under this budget. *)
 let default_step_budget = 60_000
 
-let input ?(sched_seed = 1) ?(policy = Random_sched) ?(step_budget = default_step_budget)
-    ?(por = false) target seed =
-  { target; seed; sched_seed; policy; step_budget; por }
+let input ?(sched_seed = 1) ?(policy = Random_sched) ?(por = false) target seed =
+  { target; seed; sched_seed; policy; por }
 
 type result = {
   env : Env.t;
@@ -120,7 +118,7 @@ let run ~engine ?(listeners = []) (i : input) =
   let harness = if i.por then Some (Engine.por_harness engine ~nthreads) else None in
   let policy = match harness with Some h -> Por.wrap h policy | None -> policy in
   Env.set_policy env policy;
-  let sched = Scheduler.create ~step_budget:i.step_budget ~rng () in
+  let sched = Scheduler.create ~step_budget:default_step_budget ~rng () in
   Array.iteri
     (fun ti ops ->
       let name = Printf.sprintf "worker-%d" ti in

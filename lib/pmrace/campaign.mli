@@ -23,7 +23,6 @@ type input = {
   seed : Seed.t;
   sched_seed : int;
   policy : policy_spec;
-  step_budget : int;
   por : bool;
       (** run {!Sched.Scheduler.run} with POR hooks: sleep-set pruning plus a
           canonical trace hash.  [false] (the default) leaves the
@@ -32,13 +31,12 @@ type input = {
 }
 
 val default_step_budget : int
-(** 60_000 scheduler steps: [input]'s default, {!Fuzzer.default_config}'s
-    and the budget of every {!Analyze} execution. *)
+(** 60_000 scheduler steps: the budget of every campaign {!run}
+    executes, session and {!Analyze} pre-pass alike. *)
 
 val input :
   ?sched_seed:int ->
   ?policy:policy_spec ->
-  ?step_budget:int ->
   ?por:bool ->
   Target.t ->
   Seed.t ->

@@ -3,12 +3,12 @@
    One engine per worker domain owns a reusable execution context that is
    *rebooted*, not recreated, between campaigns: every checkout is
    [Runtime.Env.boot] of the context to the checkpoint image — fresh
-   checkers, cleared DRAM/taint, reseeded eviction RNG, and the pool
-   rewound by [Pmem.Pool.boot] in O(touched words), driven by the pool's
-   journal, instead of an O(pool) image pass (let alone re-running the
-   target's initialisation), with the worker's pre-bound listener array
-   as the environment's listeners.  The run settings (eviction, eADR) are
-   then armed, and the target re-annotates, exactly as it would a fresh
+   checkers, cleared DRAM/taint, and the pool rewound by [Pmem.Pool.boot]
+   in O(touched words), driven by the pool's journal, instead of an
+   O(pool) image pass (let alone re-running the target's initialisation),
+   with the worker's pre-bound listener array as the environment's
+   listeners.  The run's eADR setting is then
+   armed, and the target re-annotates, exactly as it would a fresh
    environment.
 
    Every target runs this way by default.  Without a shared checkpoint
@@ -22,7 +22,7 @@
    has no other source.
 
    Determinism: the two modes are observationally identical — both
-   initialise under the checkpoint's settings (no eviction, no eADR),
+   initialise under the checkpoint's settings (no eADR),
    then boot the checkpoint and arm, listen and annotate the same way —
    so seeded sessions are bit-identical whichever mode runs them. *)
 
@@ -33,7 +33,6 @@ type mode = Persistent of { image : Pmem.Pool.image; env : Env.t } | Fresh
 type t = {
   target : Target.t;
   capture : Runtime.Checkers.capture;
-  evict_prob : float;
   eadr : bool;
   mode : mode;
   bound : (Env.event -> unit) array;
@@ -45,7 +44,7 @@ type t = {
 }
 
 (* A freshly initialised, quiesced environment, built under the
-   checkpoint's settings: no eviction, no eADR, no surface capture. *)
+   checkpoint's settings: no eADR, no surface capture. *)
 let init_env (target : Target.t) =
   let env = Env.create ~capture:Runtime.Checkers.none ~pool_words:target.pool_words () in
   target.init env;
@@ -70,7 +69,7 @@ let m_reset_touched =
        ~buckets:[| 8.; 32.; 128.; 512.; 2048.; 8192.; 32768. |]
        "engine_reset_touched_words")
 
-let create ?(capture = Runtime.Checkers.all) ?(evict_prob = 0.) ?(eadr = false) ?(bound = [||])
+let create ?(capture = Runtime.Checkers.all) ?(eadr = false) ?(bound = [||])
     ?checkpoint:shared ?(use_checkpoint = true) (target : Target.t) =
   let mode =
     if not use_checkpoint then Fresh
@@ -90,7 +89,6 @@ let create ?(capture = Runtime.Checkers.all) ?(evict_prob = 0.) ?(eadr = false) 
   {
     target;
     capture;
-    evict_prob;
     eadr;
     mode;
     bound;
@@ -122,9 +120,8 @@ let boot t env image =
   if Obs.Metrics.enabled () then
     Obs.Metrics.observe (Lazy.force m_reset_touched) (float_of_int touched);
   Env.boot ~capture:t.capture ~listeners:t.bound env image;
-  (* [Env.boot] turns eviction and eADR off. *)
+  (* [Env.boot] turns eADR off. *)
   Pmem.Pool.set_eadr env.pool t.eadr;
-  env.evict_prob <- t.evict_prob;
   t.target.annotate env;
   env
 

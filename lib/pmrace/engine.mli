@@ -5,8 +5,8 @@
     {!Runtime.Env.boot} of the context to the checkpoint image (the pool
     rewinds in O(touched words), driven by the pool's touched-word
     journal) with the worker's pre-bound listener array as the
-    environment's listeners; then the run settings are armed and the
-    target re-annotates.  Pre-bound listeners are built once per worker
+    environment's listeners; then the run's eADR setting is armed and
+    the target re-annotates.  Pre-bound listeners are built once per worker
     instead of being rebuilt per campaign.
 
     Every target runs in persistent mode by default.  Without a shared
@@ -20,20 +20,19 @@
     requires one.
 
     The two modes are observationally identical (initialisation under the
-    checkpoint's settings — no eviction, no eADR — then the same boot,
+    checkpoint's settings — no eADR — then the same boot,
     arming and annotation pass), so seeded sessions stay bit-identical in
     either mode. *)
 
 type t
 
 val checkpoint : Target.t -> Pmem.Pool.image
-(** Initialise a pool once (no eviction, no eADR) and return its
+(** Initialise a pool once (no eADR) and return its
     checkpoint ({!Pmem.Pool.checkpoint}): the image every campaign of a
     session starts from, shared read-only by its workers. *)
 
 val create :
   ?capture:Runtime.Checkers.capture ->
-  ?evict_prob:float ->
   ?eadr:bool ->
   ?bound:(Runtime.Env.event -> unit) array ->
   ?checkpoint:Pmem.Pool.image ->
@@ -44,9 +43,9 @@ val create :
     engine runs in persistent mode — the context is created once and
     reused.  Given a [checkpoint] (e.g. shared across workers), the
     context's pool boots from it, once in O(pool); otherwise the target
-    initialises the context's own pool (no eviction, no eADR) and that
-    pool is checkpointed in place.  Every checkout boots the checkpoint
-    and then applies [evict_prob] and [eadr], and its checkers capture a
+    initialises the context's own pool (no eADR) and that pool is
+    checkpointed in place.  Every checkout boots the checkpoint and then
+    applies [eadr], and its checkers capture a
     crash surface for the findings [capture] accepts (default
     {!Runtime.Checkers.all}; initialisation captures none).  A fuzz
     worker passes a value that declines the findings it already knows, a

@@ -28,22 +28,28 @@ module Rng = Sched.Rng
 
 type mode = Mode_pmrace | Mode_delay | Mode_random
 
+(* Campaigns per interleaving (the execution tier), queue entries tried
+   per seed (the interleaving tier), and the random operation seeds each
+   worker's initial corpus holds besides its populate seed. *)
+let execs_per_interleaving = 3
+let max_interleavings_per_seed = 8
+let initial_seeds = 2
+
+(* OCaml 5.1 runs at most 128 domains, the main domain included
+   ([Max_domains]); a session with more than one worker spawns one
+   domain per worker. *)
+let max_workers = 127
+
 type config = {
   max_campaigns : int;
-  execs_per_interleaving : int;
-  max_interleavings_per_seed : int;
   master_seed : int;
   mode : mode;
   interleaving_tier : bool; (* false = the "w/o IE" ablation of Fig. 9 *)
   seed_tier : bool; (* false = the "w/o SE" ablation of Fig. 9 *)
   use_checkpoint : bool;
-  step_budget : int;
   validate : bool;
-  evict_prob : float;
   eadr : bool; (* fuzz on an eADR platform (§6.6) *)
   workers : int; (* worker domains sharing the hub (§5) *)
-  initial_seeds : int;
-  whitelist_extra : string list;
   static_prepass : bool;
       (* run the offline analyzer first (the LLVM pre-pass analogue): its
          site graph bounds alias coverage (achieved/possible) and seeds
@@ -72,20 +78,14 @@ type config = {
 let default_config =
   {
     max_campaigns = 120;
-    execs_per_interleaving = 3;
-    max_interleavings_per_seed = 8;
     master_seed = 42;
     mode = Mode_pmrace;
     interleaving_tier = true;
     seed_tier = true;
     use_checkpoint = true;
-    step_budget = Campaign.default_step_budget;
     validate = true;
-    evict_prob = 0.;
     eadr = false;
     workers = 1;
-    initial_seeds = 2;
-    whitelist_extra = [];
     static_prepass = false;
     invariants = false;
     corpus_sched = false;
@@ -103,34 +103,23 @@ module Config = struct
   let default = default_config
 
   let make ?(max_campaigns = default_config.max_campaigns)
-      ?(execs_per_interleaving = default_config.execs_per_interleaving)
-      ?(max_interleavings_per_seed = default_config.max_interleavings_per_seed)
       ?(master_seed = default_config.master_seed) ?(mode = default_config.mode)
       ?(interleaving_tier = default_config.interleaving_tier)
       ?(seed_tier = default_config.seed_tier) ?(use_checkpoint = default_config.use_checkpoint)
-      ?(step_budget = default_config.step_budget) ?(validate = default_config.validate)
-      ?(evict_prob = default_config.evict_prob) ?(eadr = default_config.eadr)
-      ?(workers = default_config.workers) ?(initial_seeds = default_config.initial_seeds)
-      ?(whitelist_extra = default_config.whitelist_extra)
-      ?(static_prepass = default_config.static_prepass)
+      ?(validate = default_config.validate) ?(eadr = default_config.eadr)
+      ?(workers = default_config.workers) ?(static_prepass = default_config.static_prepass)
       ?(invariants = default_config.invariants) ?(corpus_sched = default_config.corpus_sched)
       ?(crash_images = default_config.crash_images) ?(por = default_config.por) () =
     {
       max_campaigns;
-      execs_per_interleaving;
-      max_interleavings_per_seed;
       master_seed;
       mode;
       interleaving_tier;
       seed_tier;
       use_checkpoint;
-      step_budget;
       validate;
-      evict_prob;
       eadr;
       workers = max 1 workers;
-      initial_seeds;
-      whitelist_extra;
       static_prepass;
       invariants;
       corpus_sched;
@@ -139,22 +128,32 @@ module Config = struct
     }
 end
 
+(* A setting this build fixes, kept in the artifact for its readers:
+   written as [value], and decoded only when the artifact recorded that
+   same value — a session run under another one would not replay. *)
+let fixed c value =
+  let show v = Obs.Json.to_string ~minify:true (Obs.Codec.encode c v) in
+  Obs.Codec.conv
+    (fun v ->
+      if v = value then Ok ()
+      else Error (Printf.sprintf "recorded %s; this build runs %s" (show v) (show value)))
+    (fun () -> value)
+    c
+
 (* The artifact's "config" object.  Fields added after v1 default to the
    value that reproduces the older sessions' behaviour. *)
 let config_codec =
   let open Obs.Codec in
   obj
     (record
-       (fun max_campaigns execs_per_interleaving max_interleavings_per_seed master_seed mode
-            interleaving_tier seed_tier use_checkpoint step_budget validate evict_prob eadr workers
-            initial_seeds whitelist_extra static_prepass invariants corpus_sched crash_images por ->
-         Config.make ~max_campaigns ~execs_per_interleaving ~max_interleavings_per_seed ~master_seed
-           ~mode ~interleaving_tier ~seed_tier ~use_checkpoint ~step_budget ~validate ~evict_prob
-           ~eadr ~workers ~initial_seeds ~whitelist_extra ~static_prepass ~invariants ~corpus_sched
+       (fun max_campaigns () () master_seed mode interleaving_tier seed_tier use_checkpoint ()
+            validate () eadr workers () () static_prepass invariants corpus_sched crash_images por ->
+         Config.make ~max_campaigns ~master_seed ~mode ~interleaving_tier ~seed_tier
+           ~use_checkpoint ~validate ~eadr ~workers ~static_prepass ~invariants ~corpus_sched
            ~crash_images ~por ())
     |+ field "max_campaigns" int (fun c -> c.max_campaigns)
-    |+ field "execs_per_interleaving" int (fun c -> c.execs_per_interleaving)
-    |+ field "max_interleavings_per_seed" int (fun c -> c.max_interleavings_per_seed)
+    |+ field "execs_per_interleaving" (fixed int execs_per_interleaving) ignore
+    |+ field "max_interleavings_per_seed" (fixed int max_interleavings_per_seed) ignore
     |+ field "master_seed" int (fun c -> c.master_seed)
     |+ field "mode"
          (enum [ ("pmrace", Mode_pmrace); ("delay", Mode_delay); ("random", Mode_random) ])
@@ -162,13 +161,13 @@ let config_codec =
     |+ field "interleaving_tier" bool (fun c -> c.interleaving_tier)
     |+ field "seed_tier" bool (fun c -> c.seed_tier)
     |+ field "use_checkpoint" bool (fun c -> c.use_checkpoint)
-    |+ field "step_budget" int (fun c -> c.step_budget)
+    |+ field "step_budget" (fixed int Campaign.default_step_budget) ignore
     |+ field "validate" bool (fun c -> c.validate)
-    |+ field "evict_prob" float (fun c -> c.evict_prob)
+    |+ field "evict_prob" (fixed float 0.) ignore
     |+ field "eadr" bool (fun c -> c.eadr)
     |+ field "workers" int (fun c -> c.workers)
-    |+ field "initial_seeds" int (fun c -> c.initial_seeds)
-    |+ field "whitelist_extra" (list string) (fun c -> c.whitelist_extra)
+    |+ field "initial_seeds" (fixed int initial_seeds) ignore
+    |+ field "whitelist_extra" (fixed (list string) []) ignore
     |+ field "static_prepass" bool (fun c -> c.static_prepass)
     |+ field ~default:false "invariants" bool (fun c -> c.invariants)
     |+ field ~default:false "corpus_sched" bool (fun c -> c.corpus_sched)
@@ -366,10 +365,7 @@ let do_campaign w seed policy =
              sched_seed;
              policy = policy_label policy;
            });
-      let input =
-        Campaign.input ~sched_seed ~policy ~step_budget:w.cfg.step_budget ~por:w.cfg.por w.target
-          seed
-      in
+      let input = Campaign.input ~sched_seed ~policy ~por:w.cfg.por w.target seed in
       (* The recorder is pre-bound in the engine's context; per campaign
          we only empty the delta and retarget the recorder's seed-site
          table at this seed's. *)
@@ -455,7 +451,7 @@ let repeat w ~runs ~patience campaign =
 (* The execution tier alone, under a fixed policy: the w/o-IE ablation and
    the delay/random baselines. *)
 let repeat_policy w ~patience seed policy =
-  repeat w ~runs:(w.cfg.execs_per_interleaving * w.cfg.max_interleavings_per_seed) ~patience
+  repeat w ~runs:(execs_per_interleaving * max_interleavings_per_seed) ~patience
     (fun () -> Option.map fst (do_campaign w seed policy))
 
 (* The PM-aware schedule: recon run, then interleaving tier over queue
@@ -470,8 +466,8 @@ let fuzz_seed_pmrace w seed =
          factor is always 1, so seeded sessions stay bit-identical. *)
       let inter_budget =
         match w.csched with
-        | Some cs -> w.cfg.max_interleavings_per_seed * Corpus_sched.energy cs seed
-        | None -> w.cfg.max_interleavings_per_seed
+        | Some cs -> max_interleavings_per_seed * Corpus_sched.energy cs seed
+        | None -> max_interleavings_per_seed
       in
       let exhausted addr =
         match Hashtbl.find_opt w.explored addr with
@@ -498,7 +494,7 @@ let fuzz_seed_pmrace w seed =
             let addr = entry.addr in
             let attempts = max 0 (Option.value ~default:0 (Hashtbl.find_opt w.explored addr)) in
             Hashtbl.replace w.explored addr (attempts + 1);
-            repeat w ~runs:w.cfg.execs_per_interleaving ~patience:2 (fun () ->
+            repeat w ~runs:execs_per_interleaving ~patience:2 (fun () ->
                 let key = (Seed.id seed, addr) in
                 let skip = Option.value ~default:0 (Hashtbl.find_opt w.skip_store key) in
                 Option.map
@@ -622,7 +618,7 @@ let setup ?(log = fun _ -> ()) target cfg =
     else None
   in
   let hub = Hub.create ?static ~max_campaigns:cfg.max_campaigns () in
-  let whitelist = Whitelist.create (target.Target.whitelist_sites @ cfg.whitelist_extra) in
+  let whitelist = Whitelist.create target.Target.whitelist_sites in
   (match (prepass, cfg.static_prepass) with
   | Some r, true ->
       Alias_cov.set_possible (Hub.alias hub) (Analysis.Alias_pairs.possible_count r.r_pairs);
@@ -668,7 +664,7 @@ let create_worker ?(log = fun _ -> ()) ?obs ?capture ~sink ~widx setup =
      phase triggers resize/migration paths from the start. *)
   let corpus =
     Mutator.populate gen_rng target.Target.profile ~factor:3
-    :: List.init cfg.initial_seeds (fun _ -> Seed.gen gen_rng target.Target.profile)
+    :: List.init initial_seeds (fun _ -> Seed.gen gen_rng target.Target.profile)
   in
   let csched =
     if not cfg.corpus_sched then None
@@ -714,8 +710,8 @@ let create_worker ?(log = fun _ -> ()) ?obs ?capture ~sink ~widx setup =
     known_inc;
     known_sync;
     engine =
-      Engine.create ~capture ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr ~bound
-        ?checkpoint:setup.s_checkpoint ~use_checkpoint:cfg.use_checkpoint target;
+      Engine.create ~capture ~eadr:cfg.eadr ~bound ?checkpoint:setup.s_checkpoint
+        ~use_checkpoint:cfg.use_checkpoint target;
     delta;
     cur_sites;
     whitelist;
@@ -767,6 +763,10 @@ let assemble_session ~worker_campaigns setup =
   }
 
 let run ?(log = fun _ -> ()) ?obs target cfg =
+  if cfg.workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Fuzzer.run: %d workers; at most %d domains can run beside the main one"
+         cfg.workers max_workers);
   (match obs with
   | Some o ->
       Obs.Events.emit o

@@ -18,26 +18,30 @@ type mode =
   | Mode_delay  (** random delay injection (the Fig. 8 baseline) *)
   | Mode_random  (** plain random scheduling *)
 
+val max_workers : int
+(** 127: OCaml 5.1 runs at most 128 domains, the main domain included,
+    and a session with more than one worker spawns one per worker. *)
+
+(** A session's settings.  What no caller varies is fixed: each
+    interleaving runs up to 3 campaigns, each seed tries up to 8 queue
+    entries, each worker's initial corpus holds 2 random seeds besides
+    its populate seed, every campaign runs under
+    {!Campaign.default_step_budget}, the whitelist is the target's own,
+    and caches are never evicted at random. *)
 type config = {
   (* Construct with {!Config.make}; the record stays public (and
      pattern-matchable) for readers, but building it literally is
      deprecated — every new field breaks such callers. *)
   max_campaigns : int;
-  execs_per_interleaving : int;
-  max_interleavings_per_seed : int;
   master_seed : int;
   mode : mode;
   interleaving_tier : bool;  (** [false] = the "w/o IE" ablation of Fig. 9 *)
   seed_tier : bool;  (** [false] = the "w/o SE" ablation of Fig. 9 *)
   use_checkpoint : bool;  (** reuse an in-memory pool checkpoint (§5) *)
-  step_budget : int;
   validate : bool;
-  evict_prob : float;
   eadr : bool;  (** fuzz on an eADR platform (§6.6): caches are persistent *)
   workers : int;  (** worker domains sharing the hub (§5); each runs on its
-                      own OCaml 5 domain *)
-  initial_seeds : int;
-  whitelist_extra : string list;
+                      own OCaml 5 domain; at most {!max_workers} *)
   static_prepass : bool;
       (** run the offline analyzer ({!Analyze}) first: its site graph
           bounds alias coverage (achieved/possible) and seeds touching
@@ -86,20 +90,14 @@ module Config : sig
 
   val make :
     ?max_campaigns:int ->
-    ?execs_per_interleaving:int ->
-    ?max_interleavings_per_seed:int ->
     ?master_seed:int ->
     ?mode:mode ->
     ?interleaving_tier:bool ->
     ?seed_tier:bool ->
     ?use_checkpoint:bool ->
-    ?step_budget:int ->
     ?validate:bool ->
-    ?evict_prob:float ->
     ?eadr:bool ->
     ?workers:int ->
-    ?initial_seeds:int ->
-    ?whitelist_extra:string list ->
     ?static_prepass:bool ->
     ?invariants:bool ->
     ?corpus_sched:bool ->
@@ -114,7 +112,11 @@ end
 val config_codec : config Obs.Codec.t
 (** The session artifact's ["config"] object.  Decoding goes through
     {!Config.make}; fields added after v1 ([invariants], [corpus_sched],
-    [crash_images], [por]) default when absent. *)
+    [crash_images], [por]) default when absent.  The six settings this
+    build fixes (see {!config}) are still written, as their fixed
+    values; a document recording any other value is an [Error] naming
+    the field, e.g.
+    [config.step_budget: recorded 1234; this build runs 60000]. *)
 
 type provenance = Hub.provenance = {
   p_seed : Seed.t;
@@ -157,8 +159,10 @@ type session = {
 }
 
 val run : ?log:(string -> unit) -> ?obs:Obs.Events.t -> Target.t -> config -> session
-(** [obs] receives the structured event stream (session/campaign
-    boundaries, new alias pairs, candidates, verdicts).  Event emission
+(** Raises [Invalid_argument] when [cfg.workers] exceeds {!max_workers},
+    before it builds anything.  [obs] receives the structured event
+    stream (session/campaign boundaries, new alias pairs, candidates,
+    verdicts).  Event emission
     never draws from the fuzzer's RNG streams, so attaching a sink leaves
     seeded sessions bit-identical. *)
 
@@ -202,8 +206,8 @@ type setup
 (** A session's shared set-up: the checkpoint (when [use_checkpoint]),
     the static pre-pass (when [static_prepass] or [invariants]), a
     {!Hub} with the pre-pass denominator, lint findings and mined
-    invariants installed, the whitelist (the target's plus
-    [whitelist_extra]), and the invariant specs the workers monitor. *)
+    invariants installed, the target's whitelist, and the invariant
+    specs the workers monitor. *)
 
 val setup : ?log:(string -> unit) -> Target.t -> config -> setup
 (** Build a session's set-up — the one path {!run} and fleet workers
@@ -221,9 +225,9 @@ val create_worker :
   widx:int ->
   setup ->
   worker
-(** The worker's initial corpus is one populate seed plus
-    [cfg.initial_seeds] random seeds, drawn from its [gen_rng].  It
-    shares the set-up's checkpoint, whitelist and invariant specs.
+(** The worker's initial corpus is one populate seed plus two random
+    seeds, drawn from its [gen_rng].  It shares the set-up's checkpoint,
+    whitelist and invariant specs.
 
     Its engine captures a crash surface only for a finding the worker
     does not know yet: the worker learns every first sighting its

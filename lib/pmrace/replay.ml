@@ -31,13 +31,12 @@ type outcome = {
 let rerun ~(target : Target.t) ~(artifact : Artifact.t) ~capture =
   let cfg = artifact.a_config in
   let engine =
-    Engine.create ~capture ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
-      ~use_checkpoint:cfg.use_checkpoint target
+    Engine.create ~capture ~eadr:cfg.eadr ~use_checkpoint:cfg.use_checkpoint target
   in
   fun (p : Artifact.prov_entry) ->
     Campaign.run ~engine
-      (Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec ~step_budget:cfg.step_budget
-         ~por:cfg.por target p.pr_seed)
+      (Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec ~por:cfg.por target
+         p.pr_seed)
 
 (* Replay validates only the group's findings, so only they need a crash
    surface: inconsistencies whose kind and write site are the group's, or
@@ -84,9 +83,7 @@ let replay_bug ~(target : Target.t) ~(artifact : Artifact.t) ~bug =
                   Report.absorb ~campaign report result.env ~hung:result.hung
                     ~hang_info:(Campaign.hang_info result)
                 in
-                let whitelist =
-                  Whitelist.create (target.Target.whitelist_sites @ cfg.whitelist_extra)
-                in
+                let whitelist = Whitelist.create target.Target.whitelist_sites in
                 (* The recorded session validated with cfg.crash_images
                    images; make sure the budget also covers the recorded
                    image index, so a bug found on enumerated image #i is

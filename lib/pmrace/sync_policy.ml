@@ -25,8 +25,6 @@ type t = {
   entry : Shared_queue.entry;
   rng : Rng.t;
   nthreads : int;
-  writer_wait : int; (* yields the writer performs after signalling *)
-  block_threshold : int; (* cond_wait loops before a thread counts as blocked *)
   mutable m : bool; (* the condition variable *)
   mutable is_enabled : bool;
   mutable skip : int; (* executions of cond_wait to skip (Pitfall 3) *)
@@ -37,13 +35,18 @@ type t = {
   waiting : (int, int) Hashtbl.t; (* tid -> current loop count *)
 }
 
-let create ?(writer_wait = 400) ?(block_threshold = 60) ~rng ~nthreads ~skip entry =
+(* Yields the writer performs after signalling: the paper's
+   [writerWaiting]. *)
+let writer_wait = 400
+
+(* cond_wait loops before a thread counts as blocked. *)
+let block_threshold = 60
+
+let create ~rng ~nthreads ~skip entry =
   {
     entry;
     rng;
     nthreads;
-    writer_wait;
-    block_threshold;
     m = false;
     is_enabled = true;
     skip;
@@ -76,12 +79,12 @@ let cond_wait t tid =
       (* Waiters give up quickly when no writer can exist, but wait much
          longer once a privileged thread has been elected: it needs time to
          reach the store and signal. *)
-      let hard_cap = t.block_threshold * 50 in
+      let hard_cap = block_threshold * 50 in
       while !continue && not t.m do
         incr loops;
         Hashtbl.replace t.waiting tid !loops;
         Sched.Scheduler.yield ();
-        if !loops > t.block_threshold then begin
+        if !loops > block_threshold then begin
           let blocked = Hashtbl.length t.waiting in
           match t.privileged with
           | Some p when p = tid -> continue := false
@@ -97,7 +100,7 @@ let cond_wait t tid =
               if blocked >= t.nthreads then
                 (* All threads block: elect a privileged one (Pitfall 2). *)
                 t.privileged <- Some (Rng.int t.rng t.nthreads)
-              else if !loops > t.block_threshold * 4 then begin
+              else if !loops > block_threshold * 4 then begin
                 (* Some threads block and no writer arrives: give up on
                    this sync point (Pitfall 3). *)
                 t.is_enabled <- false;
@@ -117,7 +120,7 @@ let cond_wait t tid =
 let cond_signal t =
   t.m <- true;
   t.signalled <- true;
-  Sched.Scheduler.yield_n t.writer_wait
+  Sched.Scheduler.yield_n writer_wait
 
 let policy t : Env.policy =
   {

@@ -10,17 +10,10 @@ module Rng = Sched.Rng
 
 type t
 
-val create :
-  ?writer_wait:int ->
-  ?block_threshold:int ->
-  rng:Rng.t ->
-  nthreads:int ->
-  skip:int ->
-  Shared_queue.entry ->
-  t
-(** [writer_wait] is the number of yields the writer performs after
-    signalling (the paper's [writerWaiting]); [skip] is the persisted
-    number of cond_wait executions to skip (Pitfall 3). *)
+val create : rng:Rng.t -> nthreads:int -> skip:int -> Shared_queue.entry -> t
+(** [skip] is the persisted number of cond_wait executions to skip
+    (Pitfall 3).  After signalling, the writer yields 400 times (the
+    paper's [writerWaiting]). *)
 
 val policy : t -> Runtime.Env.policy
 (** The interleaving policy to install for one fuzz campaign. *)

@@ -29,8 +29,6 @@ type t = {
      engine's, built once per worker) and [add_listener] replaces it with
      a longer copy, so the caller's array stays as it was given. *)
   mutable listeners : (event -> unit) array;
-  mutable evict_rng : Sched.Rng.t;
-  mutable evict_prob : float;
 }
 
 and ctx = { env : t; tid : int }
@@ -42,9 +40,6 @@ let null_policy = { before = (fun _ _ -> ()); after = (fun _ _ -> ()) }
 (* The plain interleaving policy: every instrumented operation is a
    preemption point. *)
 let preempt_policy = { before = (fun _ _ -> Sched.Scheduler.yield ()); after = (fun _ _ -> ()) }
-
-(* Every environment's eviction RNG starts from this one seed. *)
-let eviction_seed = 7
 
 let make ~capture pool =
   let words = Pmem.Pool.size pool in
@@ -58,8 +53,6 @@ let make ~capture pool =
     on_stack = Bytes.make words '\000';
     policy = null_policy;
     listeners = [||];
-    evict_rng = Sched.Rng.create eviction_seed;
-    evict_prob = 0.;
   }
 
 let create ?(capture = Checkers.all) ~pool_words () =
@@ -124,6 +117,4 @@ let boot ?delta ?(capture = Checkers.none) ?(listeners = [||]) t image =
   clear_taint t;
   t.policy <- null_policy;
   t.listeners <- listeners;
-  t.evict_rng <- Sched.Rng.create eviction_seed;
-  t.evict_prob <- 0.;
   Pmem.Pool.boot ?delta t.pool image

@@ -32,8 +32,6 @@ type t = {
       (** every listener, in the order it runs: the array {!boot} was
           given, then each {!add_listener} in turn.  Never written in
           place, so the array passed to {!boot} is left as it was. *)
-  mutable evict_rng : Sched.Rng.t;
-  mutable evict_prob : float;
 }
 
 and ctx = { env : t; tid : int }
@@ -52,13 +50,10 @@ val preempt_policy : policy
 (** Yield before every instrumented operation (plain random scheduling). *)
 
 val create : ?capture:Checkers.capture -> pool_words:int -> unit -> t
-(** Fresh environment with a zeroed pool, eviction off and eADR off.
-    [capture] (default {!Checkers.all}) says which findings the checkers
-    capture a crash surface for.  Arm a run's settings on the record
-    itself: set [evict_prob] (and [evict_rng] for another stream) for
-    random silent cache-line eviction after stores, {!Pmem.Pool.set_eadr}
-    on [pool] to put the cache hierarchy in the persistent domain
-    (§6.6). *)
+(** Fresh environment with a zeroed pool and eADR off.  [capture]
+    (default {!Checkers.all}) says which findings the checkers capture a
+    crash surface for.  {!Pmem.Pool.set_eadr} on [pool] puts the cache
+    hierarchy in the persistent domain (§6.6). *)
 
 val of_image : ?capture:Checkers.capture -> Pmem.Pool.image -> t
 (** The post-failure world: pool booted from a crash image; DRAM, taint and
@@ -80,9 +75,8 @@ val boot :
     environment) that capture crash surfaces for the findings [capture]
     accepts (default {!Checkers.none}), cleared DRAM and taint, null
     policy, exactly the [listeners] given (default none; an engine
-    passes the worker's array, built once instead of per campaign), the
-    eviction RNG reseeded from the default seed, eviction probability 0
-    and eADR off.  It allocates no pool.
+    passes the worker's array, built once instead of per campaign) and
+    eADR off.  It allocates no pool.
 
     It is the environment's one rewind: an engine checkout boots its
     checkpoint (a journal rewind, O(touched words)), post-failure

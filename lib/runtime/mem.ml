@@ -17,15 +17,6 @@ exception Stuck of string
 
 let word_of addr = Tval.to_int addr
 
-let maybe_evict env =
-  if env.evict_prob > 0. && Sched.Rng.float env.evict_rng < env.evict_prob then begin
-    let lines = Pmem.Pool.size env.pool / Pmem.Cacheline.words_per_line in
-    let line = Sched.Rng.int env.evict_rng lines in
-    match Pmem.Pool.evict_line env.pool line with
-    | [] -> ()
-    | persisted -> Checkers.on_persisted env.checkers env.pool persisted
-  end
-
 (* The DFSan label-0 fast path: two empty label sets union to the empty
    set without a call. *)
 let union_taint a b =
@@ -54,7 +45,7 @@ let load ctx ~instr addr =
 (* The one write path of [store], [movnt] and a successful [cas]: checker
    bookkeeping, the pool write (cached, or non-temporal when [nt]), the
    shadow taint, the eADR persistence hook and the event.  The policy
-   hooks and eviction stay with the callers. *)
+   hooks stay with the callers. *)
 let[@inline] write ctx ~instr ~nt a addr value =
   let env = ctx.env and tid = ctx.tid in
   Checkers.on_store env.checkers env.pool ~tid ~instr ~addr:a ~value_taint:(Tval.taint value)
@@ -75,8 +66,7 @@ let store_common ctx ~instr ~nt addr value =
   let fp = Footprint.store a in
   env.policy.before ctx fp;
   write ctx ~instr ~nt a addr value;
-  env.policy.after ctx fp;
-  maybe_evict env
+  env.policy.after ctx fp
 
 let store ctx ~instr addr value = store_common ctx ~instr ~nt:false addr value
 let movnt ctx ~instr addr value = store_common ctx ~instr ~nt:true addr value
@@ -140,7 +130,6 @@ let cas ?(nt = false) ctx ~instr addr ~expect ~value =
   let ok = Int64.equal raw (Tval.v expect) in
   if ok then write ctx ~instr ~nt a addr value;
   env.policy.after ctx fp;
-  if ok then maybe_evict env;
   ok
 
 let branch ctx ~instr =

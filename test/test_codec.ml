@@ -225,9 +225,26 @@ let test_error_paths () =
   | Ok _ -> Alcotest.fail "an empty config decoded"
   | Error e -> Alcotest.(check string) "missing field" "config.max_campaigns: missing field" e);
   let v6 = parse_fixture "artifact_v6.json" in
-  match Artifact.of_json (set [ `K "seeds"; `I 2; `I 0; `I 0; `K "key" ] (J.String "x") v6) with
+  (match Artifact.of_json (set [ `K "seeds"; `I 2; `I 0; `I 0; `K "key" ] (J.String "x") v6) with
   | Ok _ -> Alcotest.fail "a string key in the seeds table decoded"
-  | Error e -> Alcotest.(check string) "table errors name the path" "seeds[2][0][0].key: expected int" e
+  | Error e -> Alcotest.(check string) "table errors name the path" "seeds[2][0][0].key: expected int" e);
+  (* Settings this build fixes: a session recorded under another value
+     would not replay, so it does not decode. *)
+  List.iter
+    (fun (key, v, msg) ->
+      match Artifact.of_json (set [ `K "config"; `K key ] v v6) with
+      | Ok _ -> Alcotest.failf "config.%s decoded" key
+      | Error e -> Alcotest.(check string) key ("config." ^ key ^ ": " ^ msg) e)
+    [
+      ("execs_per_interleaving", J.Int 2, "recorded 2; this build runs 3");
+      ("max_interleavings_per_seed", J.Int 5, "recorded 5; this build runs 8");
+      ("initial_seeds", J.Int 4, "recorded 4; this build runs 2");
+      ( "whitelist_extra",
+        J.List [ J.String "w.c:1"; J.String "w.c:2" ],
+        "recorded [\"w.c:1\",\"w.c:2\"]; this build runs []" );
+      ("evict_prob", J.Float 0.25, "recorded 0.25; this build runs 0");
+      ("step_budget", J.Int 1234, "recorded 1234; this build runs 60000");
+    ]
 
 (* Each of these once decoded: as [None], with the read site dropped, or
    as 0 campaigns. *)

@@ -111,7 +111,6 @@ let vandalise leaked (env : Env.t) =
     (Checkers.on_load env.Env.checkers pool ~tid:9 ~instr:(Runtime.Instr.of_int 0) ~addr:1);
   Env.set_policy env Env.preempt_policy;
   Env.add_listener env (fun _ -> incr leaked);
-  env.Env.evict_prob <- 1.0;
   Pool.set_eadr pool true
 
 (* Campaign B on a reused engine context must be bit-identical to the same
@@ -204,15 +203,11 @@ let test_transient_listeners_cleared () =
 
 (* With a deterministic init, checkpoint-on and checkpoint-off engines
    yield bit-identical campaigns: booting the checkpoint (both images,
-   all-clean metadata) makes the two pool setups indistinguishable.  This
-   holds under eviction too: both modes initialise with eviction off and
-   start every campaign from the reseeded eviction RNG, so a fresh-mode
-   init draws nothing from the campaign's stream.  Under eADR both run the
-   campaign on an eADR pool. *)
-let test_checkpoint_on_off_identical ?(evict_prob = 0.) ?(eadr = false) (target : Pmrace.Target.t)
-    n () =
-  let on = Engine.create ~evict_prob ~eadr ~use_checkpoint:true target in
-  let off = Engine.create ~evict_prob ~eadr ~use_checkpoint:false target in
+   all-clean metadata) makes the two pool setups indistinguishable.
+   Under eADR both run the campaign on an eADR pool. *)
+let test_checkpoint_on_off_identical ?(eadr = false) (target : Pmrace.Target.t) n () =
+  let on = Engine.create ~eadr ~use_checkpoint:true target in
+  let off = Engine.create ~eadr ~use_checkpoint:false target in
   List.iteri
     (fun k i ->
       check_fp
@@ -221,8 +216,8 @@ let test_checkpoint_on_off_identical ?(evict_prob = 0.) ?(eadr = false) (target 
         (fingerprint (Campaign.run ~engine:off i)))
     (inputs target n)
 
-(* One checkpoint shared by two engines, one under eviction and one under
-   eADR, as a session's workers share it.  [boot] only reads the image and
+(* One checkpoint shared by two engines, one without and one under eADR,
+   as a session's workers share it.  [boot] only reads the image and
    trusts that it never changes: after many checkouts each, every one
    followed by vandalism of the whole pool, the image must still hold,
    word for word, what the target's initialisation produced, and every
@@ -230,14 +225,13 @@ let test_checkpoint_on_off_identical ?(evict_prob = 0.) ?(eadr = false) (target 
 let test_shared_checkpoint_unchanged () =
   let target = Workloads.Pclht.target in
   let image = Engine.checkpoint target in
-  let settings = [ (0.3, false); (0., true) ] in
   let leaked = ref 0 in
   let engines =
     List.map
-      (fun (evict_prob, eadr) ->
-        ( Engine.create ~evict_prob ~eadr ~checkpoint:image target,
-          Engine.create ~evict_prob ~eadr ~use_checkpoint:false target ))
-      settings
+      (fun eadr ->
+        ( Engine.create ~eadr ~checkpoint:image target,
+          Engine.create ~eadr ~use_checkpoint:false target ))
+      [ false; true ]
   in
   List.iteri
     (fun k i ->
@@ -275,10 +269,6 @@ let suite =
     Alcotest.test_case "transient listeners cleared" `Quick test_transient_listeners_cleared;
     Alcotest.test_case "checkpoint on ≡ off (deterministic init)" `Quick
       (test_checkpoint_on_off_identical Workloads.Figure1.target 2);
-    Alcotest.test_case "checkpoint on ≡ off under eviction (p-clht)" `Quick
-      (test_checkpoint_on_off_identical ~evict_prob:0.2 Workloads.Pclht.target 10);
-    Alcotest.test_case "checkpoint on ≡ off under eviction (memcached-pmem)" `Quick
-      (test_checkpoint_on_off_identical ~evict_prob:0.2 Workloads.Memcached.target 10);
     Alcotest.test_case "checkpoint on ≡ off under eADR (figure1)" `Quick
       (test_checkpoint_on_off_identical ~eadr:true Workloads.Figure1.target 4);
     Alcotest.test_case "shared checkpoint unchanged by checkouts" `Quick

@@ -133,6 +133,17 @@ let test_deterministic_sessions () =
   in
   Alcotest.(check bool) "sessions replay identically" true (run () = run ())
 
+(* One worker past the domain limit is refused before the session starts:
+   no event is emitted, so no set-up ran and no worker was built. *)
+let test_worker_bound () =
+  let obs = Obs.Events.create () and events = ref 0 in
+  Obs.Events.attach obs (fun _ -> incr events);
+  let cfg = Fuzzer.Config.make ~max_campaigns:1 ~workers:(Fuzzer.max_workers + 1) () in
+  (match Fuzzer.run ~obs Workloads.Figure1.target cfg with
+  | _ -> Alcotest.fail "128 workers ran"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing started" 0 !events
+
 let suite =
   [
     Alcotest.test_case "finds the Figure 1 bugs" `Quick test_finds_figure1_bugs;
@@ -147,4 +158,5 @@ let suite =
     Alcotest.test_case "annotations counted" `Quick test_annotations_counted;
     Alcotest.test_case "without checkpoint" `Quick test_without_checkpoint;
     Alcotest.test_case "deterministic sessions" `Quick test_deterministic_sessions;
+    Alcotest.test_case "workers beyond the domain limit refused" `Quick test_worker_bound;
   ]

@@ -842,15 +842,14 @@ end
 type mode = Sync_points | Delay_inj | Random
 
 (* The fuzzer's modes and execution flags: (label, mode, --por,
-   crash images, eviction probability, eADR). *)
+   crash images, eADR). *)
 let identity_configs =
   [
-    ("pmrace", Sync_points, false, 1, 0., false);
-    ("delay", Delay_inj, false, 1, 0., false);
-    ("random", Random, false, 1, 0., false);
-    ("--por --crash-images 4", Sync_points, true, 4, 0., false);
-    ("evict_prob 0.2", Sync_points, false, 1, 0.2, false);
-    ("eADR", Sync_points, false, 1, 0., true);
+    ("pmrace", Sync_points, false, 1, false);
+    ("delay", Delay_inj, false, 1, false);
+    ("random", Random, false, 1, false);
+    ("--por --crash-images 4", Sync_points, true, 4, false);
+    ("eADR", Sync_points, false, 1, true);
   ]
 
 let identity_campaigns = 30
@@ -859,7 +858,7 @@ let identity_campaigns = 30
    persistent engine, every result committed to a hub and its first
    sightings validated — with the last-writer model bound beside the
    recorder and the name-keyed report fed the same results. *)
-let identity_session (target : Pmrace.Target.t) (label, mode, por, images, evict_prob, eadr) =
+let identity_session (target : Pmrace.Target.t) (label, mode, por, images, eadr) =
   let hub = Hub.create ~max_campaigns:identity_campaigns () in
   let delta = Hub.fresh_delta () in
   let model = Hashtbl.create 16 and tracker = Ref_alias.create () in
@@ -867,7 +866,7 @@ let identity_session (target : Pmrace.Target.t) (label, mode, por, images, evict
   let bound =
     [| Hub.recorder delta ~sites:None; Ref_alias.handler ~on_pair (Alias.create ()) tracker |]
   in
-  let engine = Engine.create ~evict_prob ~eadr ~bound target in
+  let engine = Engine.create ~eadr ~bound target in
   let rng = Sched.Rng.create 77 in
   let seeds = Array.init 3 (fun _ -> Seed.gen rng target.Pmrace.Target.profile) in
   let vctx = Post_failure.ctx ~images target in

@@ -156,8 +156,7 @@ let vandalise leaked (env : Env.t) =
   Env.set_mem_taint env 7 (Runtime.Taint.singleton 41);
   Env.annotate_sync env ~name:"bogus-var" ~addr:3 ~len:1 ~init:77L;
   Env.add_listener env (fun _ -> incr leaked);
-  Env.set_policy env Env.preempt_policy;
-  env.Env.evict_prob <- 1.0
+  Env.set_policy env Env.preempt_policy
 
 (* Around each candidate the world is vandalised twice: once on the
    previous candidate's base image (the next boot is a compare pass over
@@ -284,13 +283,13 @@ let reference_replay (target : Pmrace.Target.t) (art : Artifact.t) (b : Artifact
   let campaign = Option.get b.b_first_campaign in
   let p = Option.get (Artifact.find_provenance art campaign) in
   let engine =
-    Pmrace.Engine.create ~capture:Runtime.Checkers.all ~evict_prob:cfg.evict_prob ~eadr:cfg.eadr
+    Pmrace.Engine.create ~capture:Runtime.Checkers.all ~eadr:cfg.eadr
       ~use_checkpoint:cfg.use_checkpoint target
   in
   let result =
     Pmrace.Campaign.run ~engine
-      (Pmrace.Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec
-         ~step_budget:cfg.step_budget ~por:cfg.por target p.pr_seed)
+      (Pmrace.Campaign.input ~sched_seed:p.pr_sched_seed ~policy:p.pr_spec ~por:cfg.por target
+         p.pr_seed)
   in
   let report = Report.create () in
   let findings =
@@ -302,7 +301,7 @@ let reference_replay (target : Pmrace.Target.t) (art : Artifact.t) (b : Artifact
     | Some i -> max cfg.crash_images (i + 1)
     | None -> cfg.crash_images
   in
-  let whitelist = Pmrace.Whitelist.create (target.whitelist_sites @ cfg.whitelist_extra) in
+  let whitelist = Pmrace.Whitelist.create target.whitelist_sites in
   let vctx = Post.ctx ~images ~whitelist target in
   List.iter (fun f -> ignore (Report.validate vctx f)) findings;
   let group =

@@ -228,25 +228,6 @@ let test_reset_keeps_annotations () =
     (Candidates.dynamic_count (Checkers.candidates env.checkers));
   Alcotest.(check int) "annotations kept" 1 (Checkers.annotation_count env.checkers)
 
-let test_eviction_confirms () =
-  (* An eviction (instead of an explicit fence) can also persist a
-     dependent write and confirm the inconsistency. *)
-  let env = mk () in
-  env.evict_prob <- 1.0;
-  env.evict_rng <- Sched.Rng.create 3;
-  let c0 = Env.ctx env ~tid:0 and c1 = Env.ctx env ~tid:1 in
-  Mem.store c0 ~instr:i_w (Tval.of_int 100) (Tval.of_int 7);
-  let v = Mem.load c1 ~instr:i_r (Tval.of_int 100) in
-  (* Repeated dependent stores: with eviction probability 1 some line gets
-     evicted after each store; eventually the dependent word persists. *)
-  for i = 0 to 60 do
-    if Pmem.Pool.is_dirty env.pool 100 then
-      Mem.store c1 ~instr:i_e (Tval.of_int (200 + (8 * (i mod 8)))) v
-  done;
-  Alcotest.(check bool) "eviction-confirmed inconsistency" true
-    (Checkers.inconsistencies env.checkers <> []
-    || not (Pmem.Pool.is_dirty env.pool 100))
-
 (* [persist_range] flushes every line the range touches, once, whatever
    the base's offset in its line, and fences once. *)
 let test_persist_range () =
@@ -346,7 +327,6 @@ let suite =
     Alcotest.test_case "cas nt is clean" `Quick test_cas_nt_is_clean;
     Alcotest.test_case "spin lock stuck" `Quick test_spin_lock_stuck;
     Alcotest.test_case "reset keeps annotations" `Quick test_reset_keeps_annotations;
-    Alcotest.test_case "eviction can confirm" `Quick test_eviction_confirms;
     Alcotest.test_case "persist_range: every line touched" `Quick test_persist_range;
     Alcotest.test_case "policy hooks see each operation's footprint" `Quick test_policy_footprints;
   ]
