@@ -203,8 +203,8 @@ let test_transient_listeners_cleared () =
 
 (* With a deterministic init, checkpoint-on and checkpoint-off engines
    yield bit-identical campaigns: booting the checkpoint (both images,
-   all-clean metadata) makes the two pool setups indistinguishable.
-   Under eADR both run the campaign on an eADR pool. *)
+   all-clean metadata) makes the two pool setups indistinguishable,
+   on the larger targets' campaigns as on figure1's.  Under eADR both run the campaign on an eADR pool. *)
 let test_checkpoint_on_off_identical ?(eadr = false) (target : Pmrace.Target.t) n () =
   let on = Engine.create ~eadr ~use_checkpoint:true target in
   let off = Engine.create ~eadr ~use_checkpoint:false target in
@@ -269,6 +269,10 @@ let suite =
     Alcotest.test_case "transient listeners cleared" `Quick test_transient_listeners_cleared;
     Alcotest.test_case "checkpoint on ≡ off (deterministic init)" `Quick
       (test_checkpoint_on_off_identical Workloads.Figure1.target 2);
+    Alcotest.test_case "checkpoint on ≡ off (p-clht)" `Quick
+      (test_checkpoint_on_off_identical Workloads.Pclht.target 10);
+    Alcotest.test_case "checkpoint on ≡ off (memcached-pmem)" `Quick
+      (test_checkpoint_on_off_identical Workloads.Memcached.target 10);
     Alcotest.test_case "checkpoint on ≡ off under eADR (figure1)" `Quick
       (test_checkpoint_on_off_identical ~eadr:true Workloads.Figure1.target 4);
     Alcotest.test_case "shared checkpoint unchanged by checkouts" `Quick
